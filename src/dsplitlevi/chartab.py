@@ -8,8 +8,9 @@ are simultaneously diagonalised over a prime field F_l with l = 1 mod
 exp(G) and l^2 > 4|G|, degrees are recovered from the second
 orthogonality relation, and the character values are lifted to exact
 cyclotomic numbers of conductor exp(G) via discrete Fourier inversion
-over the power maps.  Row and column orthogonality are re-verified
-exactly before a table is returned.
+over the power maps.  Row orthogonality, which implies column
+orthogonality for a square table, is re-verified exactly before a table
+is returned.
 
 Induction, restriction and inner products of class functions are exact,
 and :func:`inertia_and_extendibility` decides whether a character of a
@@ -17,11 +18,10 @@ normal subgroup extends to its stabiliser.
 """
 
 import math
-from fractions import Fraction
 
 from sympy import factorint, isprime
 
-from .cyclo import CycNum, zeta
+from .cyclo import CycNum, CycVector, zeta
 
 DEFAULT_CAP = 10000
 
@@ -237,8 +237,9 @@ class ClassFunction:
                 other.group.conjugacy_classes().reps:
             return False
         for a, b in zip(self.values, other.values):
-            pa, pb = _common_conductor(a, b)
-            if pa != pb:
+            if a.d != b.d:
+                a, b = _common_conductor(a, b)
+            if a.coeffs != b.coeffs:
                 return False
         return True
 
@@ -360,7 +361,8 @@ def _poly_mul(a, b, l):
 def _poly_lcm(a, b, l):
     g = _poly_gcd(a, b, l)
     q, r = _poly_divmod(_poly_mul(a, b, l), g, l)
-    assert not r
+    if r:
+        raise ArithmeticError("gcd does not divide the product mod l")
     return q
 
 
@@ -631,26 +633,16 @@ def character_table(G, cap=DEFAULT_CAP):
 
 
 def _verify_orthogonality(G, data, values):
-    r = len(data.reps)
-    e = values[0][0].d
-    zero = CycNum.zero(e)
+    """Row orthogonality X·D·X̄ᵀ = |G|·I, with D the diagonal of class
+    sizes.  For a square table this also gives column orthogonality:
+    X is invertible and X̄ᵀ·X = |G|·D⁻¹, so columns are not rechecked."""
     conj_rows = [tuple(v.conjugate() for v in row) for row in values]
     for t1, row in enumerate(values):
-        for t2 in range(t1, r):
-            total = zero
-            for j in range(r):
-                total = total + row[j] * conj_rows[t2][j] * data.sizes[j]
+        weighted = CycVector([v * size for v, size in zip(row, data.sizes)])
+        for t2 in range(t1, len(values)):
             want = G.order if t1 == t2 else 0
-            if total != want:
+            if weighted.dot(conj_rows[t2]) != want:
                 raise AssertionError("row orthogonality fails")
-    for j in range(r):
-        for k in range(j, r):
-            total = zero
-            for t in range(r):
-                total = total + values[t][j] * conj_rows[t][k]
-            want = G.order // data.sizes[j] if j == k else 0
-            if total != want:
-                raise AssertionError("column orthogonality fails")
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +688,7 @@ def induce(theta, G):
 
 def inner(phi, psi):
     """The exact inner product <phi, psi> of two class functions on the
-    same group; returns a Fraction (an integer for characters)."""
+    same group; returns an int for characters, else a Fraction."""
     if phi.group.elements != psi.group.elements:
         raise ValueError("class functions live on different groups")
     data = phi.group.conjugacy_classes()

@@ -420,12 +420,18 @@ def _synthesize_parts(structure_key):
     return parts, max(next_pt - 1, 1)
 
 
-def _conjugate_class_function(cf, k, group):
-    """The class function x -> cf(k x k^{-1}) on the same group."""
+def _class_permutation(k, group):
+    """The permutation of the classes of ``group`` (which k normalizes)
+    induced by conjugation: j -> class of k rep_j k^{-1}."""
     data = group.conjugacy_classes()
     ki = k.inv()
-    return ClassFunction(group, tuple(
-        cf.values[data.class_of[k * rep * ki]] for rep in data.reps))
+    return tuple(data.class_of[k * rep * ki] for rep in data.reps)
+
+
+def _is_invariant(cf, perm):
+    """Whether x -> cf(k x k^{-1}) equals cf, for k acting on the
+    classes by ``perm``."""
+    return ClassFunction(cf.group, [cf.values[i] for i in perm]) == cf
 
 
 def _as_group(gens, n, cap):
@@ -460,6 +466,21 @@ def kinva_check(label, cap=10000):
 
 
 def _kinva_compute(key, cap):
+    W, ker, K = _kinva_groups(key, cap)
+    _, xi_ids = _kinva_search(W, ker, K, cap)
+    return {
+        "W_lambda_order": W.order,
+        "ker_index": W.order // ker.order,
+        "xi0_count": len(xi_ids),
+        "pass": all(xi_id is not None for xi_id in xi_ids),
+        "witnesses": [{"xi0_id": xi0_id, "xi_id": xi_id}
+                      for xi0_id, xi_id in enumerate(xi_ids)],
+    }
+
+
+def _kinva_groups(key, cap):
+    """W_lambda, ker(nu) and K for a structure, checked against the
+    order formulas and for normality."""
     two_d0, ltilde_full, _ = key
     parts, n = _synthesize_parts(key)
     w_gens, w_tags, w_order, w_abstract = _build_W(parts, two_d0, n)
@@ -480,35 +501,45 @@ def _kinva_compute(key, cap):
         for g in ker.generators:
             if ki * g * k not in ker.index:
                 raise AssertionError("K does not normalize ker(nu)")
+    return W, ker, K
 
+
+def _kinva_search(W, ker, K, cap):
+    """For every irreducible xi0 of ker (in table order): the indices
+    into ``K.elements`` of its stabilizer, and the first constituent of
+    its induction to W that the stabilizer fixes (None if there is none).
+
+    Each k in K acts on classes by a permutation, computed once: on the
+    classes of ker for every k, on those of W when k is first needed.
+    Elements inducing the same permutation of ker's classes are tested
+    together."""
     ker_table = character_table(ker, cap=cap)
     w_table = character_table(W, cap=cap)
     restrictions = [restrict(chi, ker) for chi in w_table.characters]
 
-    witnesses = []
-    all_pass = True
-    for xi0_id, xi0 in enumerate(ker_table.characters):
-        constituents = [i for i, res in enumerate(restrictions)
-                        if inner(xi0, res) > 0]
-        stabilizer = [k for k in K.elements
-                      if _conjugate_class_function(xi0, k, ker) == xi0]
+    ker_actions = {}
+    for idx, k in enumerate(K.elements):
+        ker_actions.setdefault(_class_permutation(k, ker), []).append(idx)
+    w_perms = {}
+
+    stabilizers, xi_ids = [], []
+    for xi0 in ker_table.characters:
+        stabilizer = sorted(idx for perm, idxs in ker_actions.items()
+                            if _is_invariant(xi0, perm) for idx in idxs)
+        for idx in stabilizer:
+            if idx not in w_perms:
+                w_perms[idx] = _class_permutation(K.elements[idx], W)
+        acting = {w_perms[idx] for idx in stabilizer}
         xi_id = None
-        for i in constituents:
-            chi = w_table.characters[i]
-            if all(_conjugate_class_function(chi, k, W) == chi
-                   for k in stabilizer):
+        for i, (chi, res) in enumerate(zip(w_table.characters,
+                                           restrictions)):
+            if inner(xi0, res) > 0 and all(_is_invariant(chi, perm)
+                                           for perm in acting):
                 xi_id = i
                 break
-        witnesses.append({"xi0_id": xi0_id, "xi_id": xi_id})
-        if xi_id is None:
-            all_pass = False
-    return {
-        "W_lambda_order": W.order,
-        "ker_index": W.order // ker.order,
-        "xi0_count": len(ker_table.characters),
-        "pass": all_pass,
-        "witnesses": witnesses,
-    }
+        stabilizers.append(tuple(stabilizer))
+        xi_ids.append(xi_id)
+    return stabilizers, xi_ids
 
 
 # ---------------------------------------------------------------------------

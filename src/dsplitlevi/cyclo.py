@@ -2,8 +2,12 @@
 
 ``CycNum`` represents an element of Q(ζ_d) as a rational coefficient
 vector in the power basis 1, ζ, ..., ζ^{φ(d)-1} of Q[x]/(Φ_d).  All
-arithmetic is exact (Fractions); inversion uses the extended Euclidean
-algorithm against Φ_d.
+arithmetic is exact.  A coefficient is an ``int`` whenever it is
+integral and a ``Fraction`` otherwise, so cyclotomic integers (such as
+character values) never leave the integers: Φ_d is monic, and
+reduction modulo it needs subtraction only.  Fractions enter only
+through division, where inversion uses the extended Euclidean algorithm
+against Φ_d.
 
 On top of that the module provides the eigenspace of a signed
 permutation for the eigenvalue ζ_d^k, solved exactly, and the subspace
@@ -35,6 +39,14 @@ def _cyclotomic(d):
     return tuple(int(c) for c in reversed(coeffs))
 
 
+def _exact(c):
+    """``c`` as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _ptrim(p):
     while p and p[-1] == 0:
         p.pop()
@@ -42,7 +54,7 @@ def _ptrim(p):
 
 
 def _pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -78,7 +90,8 @@ def _pext_gcd(a, b):
         s0, s1 = s1, _ptrim([x - y for x, y in _pzip(s0, _pmul(q, s1))])
         t0, t1 = t1, _ptrim([x - y for x, y in _pzip(t0, _pmul(q, t1))])
     if r0:
-        lead = r0[-1]
+        # A Fraction lead keeps int / int from turning into a float.
+        lead = Fraction(r0[-1])
         r0 = [c / lead for c in r0]
         s0 = [c / lead for c in s0]
         t0 = [c / lead for c in t0]
@@ -103,7 +116,7 @@ class CycNum:
 
     def __init__(self, d, coeffs):
         phi = len(_cyclotomic(d)) - 1
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(_exact(c) for c in coeffs)
         if len(coeffs) != phi:
             raise ValueError(
                 f"conductor {d} needs {phi} coefficients, got {len(coeffs)}")
@@ -123,13 +136,22 @@ class CycNum:
     @classmethod
     def from_rational(cls, q, d):
         phi = len(_cyclotomic(d)) - 1
-        return cls(d, [Fraction(q)] + [0] * (phi - 1))
+        return cls(d, [q] + [0] * (phi - 1))
 
     @classmethod
     def _from_poly(cls, poly, d):
-        _, rem = _pdivmod(list(poly), [Fraction(c) for c in _cyclotomic(d)])
-        phi = len(_cyclotomic(d)) - 1
-        rem = list(rem) + [Fraction(0)] * (phi - len(rem))
+        """Reduce a polynomial in ζ modulo the monic Φ_d: each leading
+        term c·x^k is cancelled by subtracting c·x^(k-φ)·Φ_d, so integer
+        coefficients stay integers."""
+        lower = _cyclotomic(d)[:-1]
+        phi = len(lower)
+        rem = list(poly)
+        for k in range(len(rem) - 1, phi - 1, -1):
+            c = rem[k]
+            if c:
+                for i, p in enumerate(lower, k - phi):
+                    rem[i] -= c * p
+        rem = rem[:phi] + [0] * (phi - len(rem))
         return cls(d, rem)
 
     # -- ring operations ------------------------------------------------------
@@ -164,23 +186,28 @@ class CycNum:
         return -(self - other)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return CycNum(self.d, [a * other for a in self.coeffs])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNum._from_poly(_pmul(list(self.coeffs), list(o.coeffs)), self.d)
+        return CycNum._from_poly(_pmul(self.coeffs, o.coeffs), self.d)
 
     __rmul__ = __mul__
 
     def inv(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi_d = [Fraction(c) for c in _cyclotomic(self.d)]
-        g, u, _ = _pext_gcd(list(self.coeffs), phi_d)
+        if self.is_rational():
+            return CycNum.from_rational(1 / Fraction(self.coeffs[0]), self.d)
+        g, u, _ = _pext_gcd(list(self.coeffs), list(_cyclotomic(self.d)))
         if len(g) != 1:
             raise ArithmeticError("element not invertible (Φ_d not coprime?)")
         return CycNum._from_poly([c / g[0] for c in u], self.d)
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -202,29 +229,23 @@ class CycNum:
 
     def promote(self, D):
         """Embed into Q(ζ_D) along ζ_d ↦ ζ_D^{D/d}; requires d | D."""
+        if D == self.d:
+            return self
         if D % self.d:
             raise ValueError(f"{self.d} does not divide {D}")
         step = D // self.d
-        poly = []
+        poly = [0] * ((len(self.coeffs) - 1) * step + 1)
         for j, c in enumerate(self.coeffs):
-            if c:
-                k = j * step
-                while len(poly) <= k:
-                    poly.append(Fraction(0))
-                poly[k] += c
+            poly[j * step] = c
         return CycNum._from_poly(poly, D)
 
     def galois(self, k):
         """The Galois image ζ ↦ ζ^k; requires gcd(k, d) = 1."""
         if gcd(k, self.d) != 1:
             raise ValueError(f"ζ^{k} is not primitive modulo {self.d}")
-        poly = []
+        poly = [0] * self.d
         for j, c in enumerate(self.coeffs):
-            if c:
-                e = (j * k) % self.d
-                while len(poly) <= e:
-                    poly.append(Fraction(0))
-                poly[e] += c
+            poly[(j * k) % self.d] += c
         return CycNum._from_poly(poly, self.d)
 
     def conjugate(self):
@@ -270,7 +291,7 @@ class CycNum:
 def zeta(d, k=1):
     """ζ_d^k as a CycNum."""
     k %= d
-    poly = [Fraction(0)] * k + [Fraction(1)]
+    poly = [0] * k + [1]
     return CycNum._from_poly(poly, d)
 
 
@@ -313,15 +334,27 @@ class CycVector:
         return CycVector(c * e for e in self.entries)
 
     def dot(self, other):
-        """Bilinear pairing; ``other`` may be a CycVector or an int tuple."""
+        """Bilinear pairing; ``other`` may be a CycVector or a tuple of
+        ints or of CycNums of the same conductor.  The products are
+        summed as polynomials and reduced modulo Φ_d once."""
         if isinstance(other, CycVector):
             other = other.entries
         if len(other) != len(self.entries):
             raise ValueError("length mismatch in dot product")
-        out = CycNum.zero(self.d)
+        d = self.d
+        acc = [0] * (2 * len(self.entries[0].coeffs) - 1)
         for a, b in zip(self.entries, other):
-            out = out + a * b
-        return out
+            if isinstance(b, CycNum):
+                if b.d != d:
+                    raise ValueError(f"conductor mismatch: {d} vs {b.d}")
+                for i, x in enumerate(a.coeffs):
+                    if x:
+                        for k, y in enumerate(b.coeffs):
+                            acc[i + k] += x * y
+            else:
+                for i, x in enumerate(a.coeffs):
+                    acc[i] += x * b
+        return CycNum._from_poly(acc, d)
 
     def is_zero(self):
         return all(e.is_zero() for e in self.entries)

@@ -8,14 +8,17 @@ inertia/extendibility search are checked on classical instances.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dsplitlevi.chartab import (
     CapExceeded,
     ClassFunction,
     FiniteGroup,
+    _verify_orthogonality,
     character_table,
     induce,
     inertia_and_extendibility,
@@ -148,6 +151,21 @@ class TestCharacterTable:
                 want = G.order if r1 is r2 else 0
                 assert total == want
 
+    @pytest.mark.parametrize("G", [s4(), grp(
+        sp("(1,2,-1,-2)(3,4,-3,-4)", 4), sp("(1,3,-1,-3)(2,-4,-2,4)", 4))],
+        ids=["s4", "q8"])
+    def test_corrupted_entry_rejected(self, G):
+        # Only rows are rechecked; a wrong entry must still be caught.
+        table = character_table(G)
+        data = G.conjugacy_classes()
+        _verify_orthogonality(G, data, table.values)
+        for t, row in enumerate(table.values):
+            for j in range(len(row)):
+                bad = [list(r) for r in table.values]
+                bad[t][j] = bad[t][j] + 1
+                with pytest.raises(AssertionError):
+                    _verify_orthogonality(G, data, bad)
+
     def test_deterministic(self):
         t1 = character_table(s4())
         t2 = character_table(s4())
@@ -157,6 +175,36 @@ class TestCharacterTable:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             character_table(s3(), cap=2)
+
+
+def _cycnum(d):
+    deg = len(CycNum.zero(d).coeffs)
+    return st.tuples(*[st.integers(-2, 2)] * deg).map(
+        lambda coeffs: CycNum(d, coeffs))
+
+
+class TestClassFunctionEquality:
+    @given(st.lists(_cycnum(4), min_size=4, max_size=4),
+           st.lists(st.one_of(st.none(), _cycnum(4), _cycnum(12)),
+                    min_size=4, max_size=4))
+    def test_mixed_conductors_match_explicit_promotion(self, left, picks):
+        # None stands for "the left value promoted to conductor 12".
+        G = grp(sp("(1,2,-1,-2)", 2))
+        right = [a.promote(12) if b is None else b
+                 for a, b in zip(left, picks)]
+        expected = all(a.promote(math.lcm(a.d, b.d))
+                       == b.promote(math.lcm(a.d, b.d))
+                       for a, b in zip(left, right))
+        assert (ClassFunction(G, left) == ClassFunction(G, right)) == expected
+        assert (ClassFunction(G, right) == ClassFunction(G, left)) == expected
+        promoted = [a.promote(12) for a in left]
+        assert ClassFunction(G, left) == ClassFunction(G, promoted)
+
+    def test_class_representatives_must_match(self):
+        c4 = grp(sp("(1,2,-1,-2)", 2))
+        c4_other = grp(sp("(1,-2,-1,2)", 2))
+        values = [CycNum.one(4)] * 4
+        assert ClassFunction(c4, values) != ClassFunction(c4_other, values)
 
 
 class TestInduceRestrict:

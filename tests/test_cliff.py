@@ -13,9 +13,14 @@ import json
 
 import pytest
 
+from dsplitlevi.chartab import character_table, inner, restrict
 from dsplitlevi.cliff import (
     CharClassDescriptor,
     CharLabel,
+    _canonical_structure,
+    _kinva_compute,
+    _kinva_groups,
+    _kinva_search,
     cuspidal_gate,
     enumerate_char_labels,
     k_lambda,
@@ -373,6 +378,52 @@ class TestKinvaCheck:
                             assert kinva_check(label)["pass"] is True
                             checked += 1
         assert checked > 100
+
+
+def conjugation_fixes(cf, k, group):
+    """Whether x -> cf(k x k^-1) equals cf, evaluated element by element
+    from the class member lists and compared value by value."""
+    data = group.conjugacy_classes()
+    value_at = {}
+    for j, members in enumerate(data.classes):
+        for y in members:
+            value_at[y] = cf.values[j]
+    ki = k.inv()
+    return all(value_at[k * rep * ki] == v
+               for rep, v in zip(data.reps, cf.values))
+
+
+def kinva_oracle(W, ker, K):
+    """Stabilizers (indices into K.elements) and witnesses by direct
+    conjugation of every character by every element of K."""
+    w_chars = character_table(W).characters
+    stabilizers, xi_ids = [], []
+    for xi0 in character_table(ker).characters:
+        stab = tuple(i for i, k in enumerate(K.elements)
+                     if conjugation_fixes(xi0, k, ker))
+        xi_id = next((i for i, chi in enumerate(w_chars)
+                      if inner(xi0, restrict(chi, ker)) > 0
+                      and all(conjugation_fixes(chi, K.elements[s], W)
+                              for s in stab)), None)
+        stabilizers.append(stab)
+        xi_ids.append(xi_id)
+    return stabilizers, xi_ids
+
+
+def test_class_permutation_search_matches_oracle():
+    # Every structure at rank <= 3, gate-failing ones included: those
+    # have characters without a witness.
+    structures = {_canonical_structure(label)
+                  for n in (1, 2, 3) for d in range(1, 9)
+                  for levi in enumerate_labels(n, d)
+                  for label in enumerate_char_labels(levi)}
+    assert len(structures) == 204
+    for key in sorted(structures):
+        W, ker, K = _kinva_groups(key, 10000)
+        stabilizers, xi_ids = kinva_oracle(W, ker, K)
+        assert _kinva_search(W, ker, K, 10000) == (stabilizers, xi_ids), key
+        witnesses = _kinva_compute(key, 10000)["witnesses"]
+        assert [w["xi_id"] for w in witnesses] == xi_ids, key
 
 
 class TestCuspidalGate:

@@ -39,6 +39,12 @@ def cycnums(draw, d=None):
     return CycNum(d, coeffs)
 
 
+@st.composite
+def int_cycnums(draw, d):
+    deg = len(CycNum.zero(d).coeffs)
+    return CycNum(d, draw(st.tuples(*[st.integers(-5, 5)] * deg)))
+
+
 # ---------------------------------------------------------------------------
 # field arithmetic
 # ---------------------------------------------------------------------------
@@ -107,6 +113,28 @@ class TestCycNum:
     def test_rational_scalar_ops(self):
         assert zeta(4) * 2 == zeta(4) + zeta(4)
         assert zeta(4) * Fraction(1, 2) + zeta(4) * Fraction(1, 2) == zeta(4)
+
+    @given(st.sampled_from([1, 2, 3, 4, 5, 8, 12]).flatmap(
+        lambda d: st.tuples(
+            int_cycnums(d), int_cycnums(d), cycnums(d),
+            st.sampled_from([1, 2, 3]),
+            st.sampled_from([k for k in range(1, d + 1) if gcd(k, d) == 1]))))
+    def test_coefficients_are_int_or_fraction(self, args):
+        # Integral coefficients are ints, the rest Fractions; no float
+        # (int / int) and no Fraction with denominator 1 ever appears.
+        a, b, q, m, k = args
+        D = a.d * m
+        for x in (a + b, a - b, -a, a * b, a * 3, a.promote(D),
+                  a.galois(k), a.conjugate()):
+            assert all(type(c) is int for c in x.coeffs), x
+        results = [a + q, a * q, q.promote(D), q.galois(k), q.conjugate()]
+        for x, y in ((a, q), (q, a), (b, a), (a, zeta(a.d, k))):
+            if not y.is_zero():
+                results += [y.inv(), x / y]
+        for x in results:
+            assert all(type(c) is int
+                       or (type(c) is Fraction and c.denominator != 1)
+                       for c in x.coeffs), x
 
 
 # ---------------------------------------------------------------------------
