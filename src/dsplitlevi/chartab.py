@@ -127,21 +127,24 @@ class FiniteGroup:
             if x in known:
                 continue
             gens.append(x)
-            queue = [self.identity]
-            known = {self.identity}
-            while queue:
-                nxt = []
-                for y in queue:
-                    for g in gens:
-                        z = y * g
-                        if z not in known:
-                            if z not in self.index:
-                                raise ValueError(
-                                    "element list is not closed under "
-                                    "multiplication")
-                            known.add(z)
-                            nxt.append(z)
-                queue = nxt
+            # known is a subgroup K, and ⟨K, x⟩ is a union of right cosets
+            # K·r: it is complete once r·g falls in a known coset for every
+            # coset representative r and every generator g.
+            subgroup = list(known)
+            reps = [self.identity]
+            for r in reps:
+                for g in gens:
+                    z = r * g
+                    if z in known:
+                        continue
+                    for k in subgroup:
+                        y = k * z
+                        if y not in self.index:
+                            raise ValueError(
+                                "element list is not closed under "
+                                "multiplication")
+                        known.add(y)
+                    reps.append(z)
             if len(known) == self.order:
                 break
         if len(known) != self.order:

@@ -425,7 +425,8 @@ def _class_permutation(k, group):
     induced by conjugation: j -> class of k rep_j k^{-1}."""
     data = group.conjugacy_classes()
     ki = k.inv()
-    return tuple(data.class_of[k * rep * ki] for rep in data.reps)
+    # k·(rep·k⁻¹) looks points up in k and in rep, whose tables persist.
+    return tuple(data.class_of[k * (rep * ki)] for rep in data.reps)
 
 
 def _is_invariant(cf, perm):

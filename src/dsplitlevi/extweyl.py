@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .levi import compute_d0, sylow_twist_w, tau_Q, wprime_Q
-from .signedperm import SignedPerm, grid_set, tau, wprime
+from .signedperm import SignedPerm, VerificationError, grid_set, tau, wprime
 
 
 class IntMatrix:
@@ -266,7 +266,9 @@ def build_twist_elements(n, d):
         v0 = v0 * chevalley_generator("n", _diff(n, i, i + 1), 1)
     v0 = v0 * chevalley_generator("n", _unit(n, l, 2), -1)
     v = v0 ** (2 * l // d)
-    assert rho(v) == sylow_twist_w(n, d)
+    if rho(v) != sylow_twist_w(n, d):
+        raise VerificationError(
+            f"lift v does not project onto the Sylow twist (n={n}, d={d})")
 
     grids = [grid_set(d0, a, i) for i in range(1, a + 1)]
     hs = []
@@ -280,7 +282,9 @@ def build_twist_elements(n, d):
     c1 = chevalley_generator("n", _unit(n, J1[0], 2), 1)
     for j1, j2 in zip(J1, J1[1:]):
         c1 = c1 * chevalley_generator("n", _diff(n, j1, j2), 1)
-    assert rho(c1) == wprime(J1, n)
+    if rho(c1) != wprime(J1, n):
+        raise VerificationError(
+            f"c_1 does not lift w'_J on J = {J1} (n={n}, d={d})")
     for mask in range(2 ** len(J1)):
         delta = ident
         for bit, j in enumerate(J1):
@@ -291,8 +295,8 @@ def build_twist_elements(n, d):
             c1 = cand
             break
     else:
-        raise AssertionError("no diagonal correction makes c_1 "
-                             "centralize v")
+        raise VerificationError("no diagonal correction makes c_1 "
+                                f"centralize v (n={n}, d={d})")
 
     ps = []
     for k in range(1, a):
@@ -300,15 +304,22 @@ def build_twist_elements(n, d):
         pk = ident
         for i in range(d0):
             pk = pk * g.conj(v ** i)
-        assert rho(pk) == tau(grids[k - 1], grids[k], n)
-        assert pk * pk == hs[k - 1] * hs[k]
+        if rho(pk) != tau(grids[k - 1], grids[k], n):
+            raise VerificationError(
+                f"p_{k} does not lift the swap of grid sets {k}, {k + 1} "
+                f"(n={n}, d={d})")
+        if pk * pk != hs[k - 1] * hs[k]:
+            raise VerificationError(
+                f"p_{k}^2 != h_{k} h_{k + 1} (n={n}, d={d})")
         ps.append(pk)
 
     cs = [c1]
     for k in range(1, a):
         cs.append(cs[-1].conj(ps[k - 1]))
-    for k, ck in enumerate(cs):
-        assert rho(ck) == wprime(grids[k], n)
+    for k, ck in enumerate(cs, start=1):
+        if rho(ck) != wprime(grids[k - 1], n):
+            raise VerificationError(
+                f"c_{k} does not lift w'_J on grid set {k} (n={n}, d={d})")
 
     p_pair = {}
     for k in range(1, a + 1):
@@ -322,7 +333,9 @@ def build_twist_elements(n, d):
     v_prime = ident
     for ck in cs:
         v_prime = v_prime * ck
-    assert v_prime * v == v * v_prime
+    if v_prime * v != v * v_prime:
+        raise VerificationError(
+            f"v_prime does not commute with v (n={n}, d={d})")
 
     return TwistElements(n, d, d0, l, a, v0, v, tuple(cs), tuple(ps), p_pair,
                          tuple(hs), v_prime)
@@ -365,12 +378,20 @@ def build_VdI(label):
         for i in range(ts):
             kh = kappa(te.h[i])
             kc = kappa(te.c[i])
-            assert rho(kh) == SignedPerm.identity(n)
-            assert rho(kc) == wprime_Q(orbs[i].Q, n)
+            if rho(kh) != SignedPerm.identity(n):
+                raise VerificationError(
+                    f"kappa(h_{i + 1}) is not diagonal for {label!r}")
+            if rho(kc) != wprime_Q(orbs[i].Q, n):
+                raise VerificationError(
+                    f"kappa(c_{i + 1}) does not lift w'_Q on Q = "
+                    f"{orbs[i].Q} for {label!r}")
             gens += [kh, kc]
             hs.append(kh)
         for k in range(ts - 1):
             kp = kappa(te.p[k])
-            assert rho(kp) == tau_Q(orbs[k].Q, orbs[k + 1].Q, n)
+            if rho(kp) != tau_Q(orbs[k].Q, orbs[k + 1].Q, n):
+                raise VerificationError(
+                    f"kappa(p_{k + 1}) does not lift the swap of Q = "
+                    f"{orbs[k].Q} and {orbs[k + 1].Q} for {label!r}")
             gens.append(kp)
     return tuple(gens), tuple(hs)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from functools import lru_cache
 from math import factorial
 
 from sympy import factorint
@@ -28,6 +29,7 @@ from sympy import factorint
 from .rootsys import is_stable_under, reflection_perm
 from .signedperm import (
     SignedPerm,
+    VerificationError,
     grid_set,
     group_closure,
     signed_symmetric_group,
@@ -58,9 +60,11 @@ def compute_d0(kind, d):
     raise ValueError(f"unknown kind {kind!r} (use A, 2A or BCD)")
 
 
+@lru_cache(maxsize=None)
 def sylow_twist_w(n, d):
     """The distinguished twist: ∏_i w_{J_i} over the grid sets of {1..l},
-    with w_J = w'_J for even d and (w'_J)^2 for odd d; identity outside."""
+    with w_J = w'_J for even d and (w'_J)^2 for odd d; identity outside.
+    Built once per (n, d)."""
     d0 = compute_d0("BCD", d)
     l = (n // d0) * d0
     if l == 0:
@@ -110,14 +114,15 @@ class LeviLabel:
             raise ValueError("I_minus1 and I together must cover {1..n}")
         self.I_minus1, self.I = I_minus1, blocks
 
-        bar = self.w.bar()
-        if {abs(self.w(i)) for i in I_minus1} != set(I_minus1):
+        img = self.w.img
+        bar = self.w.bar().img
+        if {bar[i - 1] for i in I_minus1} != set(I_minus1):
             raise ValueError(f"I_minus1 not stable under bar(w): {I_minus1!r}")
         blockset = {frozenset(b): b for b in blocks}
         for b in blocks:
-            if len({self.w.sign(i) for i in b}) > 1:
+            if len({img[i - 1] > 0 for i in b}) > 1:
                 raise ValueError(f"w is not of constant sign on block {b!r}")
-            if frozenset(bar(i) for i in b) not in blockset:
+            if frozenset(bar[i - 1] for i in b) not in blockset:
                 raise ValueError(f"bar(w) does not permute the blocks: {b!r}")
 
         self.orbits = {}
@@ -127,11 +132,11 @@ class LeviLabel:
                 continue
             orbit = [b]
             seen.add(b)
-            cur = blockset[frozenset(bar(i) for i in b)]
+            cur = blockset[frozenset(bar[i - 1] for i in b)]
             while cur != b:
                 orbit.append(cur)
                 seen.add(cur)
-                cur = blockset[frozenset(bar(i) for i in cur)]
+                cur = blockset[frozenset(bar[i - 1] for i in cur)]
             if len(orbit) != self.d0:
                 raise ValueError(
                     f"orbit of block {b!r} has length {len(orbit)}, "
@@ -139,10 +144,15 @@ class LeviLabel:
             underline = sorted(set().union(*orbit))
             J_O = tuple(i for i in underline if i <= self.a)
             s = len(b)
-            assert len(J_O) == s, "blocks are not grid transversals"
+            if len(J_O) != s:
+                raise VerificationError(
+                    f"blocks of orbit {orbit} are not grid transversals "
+                    f"(n={n}, d={d})")
             Q = tuple(grid_set(self.d0, self.a, i) for i in J_O)
-            assert sorted(set().union(*Q)) == underline, \
-                "orbit support is not a union of grid sets"
+            if sorted(set().union(*Q)) != underline:
+                raise VerificationError(
+                    f"support of orbit {orbit} is not a union of grid "
+                    f"sets (n={n}, d={d})")
             self.orbits.setdefault(s, []).append(Orbit(tuple(orbit), J_O, Q))
         for s in self.orbits:
             self.orbits[s].sort(key=lambda o: o.J_O[0])
@@ -319,23 +329,28 @@ def tau_Q(Q1, Q2, n):
     return out
 
 
+def _relative_weyl_shape(label):
+    """The factors (2·d0, t_s) of W_d^I, one per block size s ascending,
+    and the group order ∏_s (2·d0)^{t_s} t_s!."""
+    factors = tuple((2 * label.d0, ts) for _, ts in sorted(label.t.items()))
+    order = 1
+    for c, ts in factors:
+        order *= c ** ts * factorial(ts)
+    return factors, order
+
+
 def relative_weyl(label):
     """W_d^I = ∏_s C_{2d0} wr S_{t_s}, with concrete generators.
 
     Per block size s the generators are w'_{Q_i^s} (one 2d0-cycle
     product per orbit) and the adjacent swaps τ_{Q_i^s, Q_{i+1}^s}.
     """
-    factors, gens = [], []
-    order = 1
-    for s, orbs in sorted(label.orbits.items()):
-        ts = len(orbs)
-        factors.append((2 * label.d0, ts))
-        order *= (2 * label.d0) ** ts * factorial(ts)
-        for o in orbs:
-            gens.append(wprime_Q(o.Q, label.n))
-        for o1, o2 in zip(orbs, orbs[1:]):
-            gens.append(tau_Q(o1.Q, o2.Q, label.n))
-    return RelativeWeylDescriptor(tuple(factors), tuple(gens), order)
+    factors, order = _relative_weyl_shape(label)
+    gens = []
+    for _, orbs in sorted(label.orbits.items()):
+        gens += [wprime_Q(o.Q, label.n) for o in orbs]
+        gens += [tau_Q(o1.Q, o2.Q, label.n) for o1, o2 in zip(orbs, orbs[1:])]
+    return RelativeWeylDescriptor(factors, tuple(gens), order)
 
 
 def verify_relative_weyl(label):
@@ -388,7 +403,7 @@ def verify_relative_weyl(label):
 
 def label_record(label, q=None):
     """JSON-ready record for one label; order included when q given."""
-    rw = relative_weyl(label)
+    factors, _ = _relative_weyl_shape(label)
     return {
         "n": label.n,
         "d": label.d,
@@ -397,6 +412,6 @@ def label_record(label, q=None):
         "I_minus1": list(label.I_minus1),
         "I": [list(b) for b in label.I],
         "t": {str(s): ts for s, ts in sorted(label.t.items())},
-        "relative_weyl": [list(f) for f in rw.factors],
+        "relative_weyl": [list(f) for f in factors],
         "order": levi_structure(label, q).order if q is not None else None,
     }

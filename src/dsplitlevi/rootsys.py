@@ -28,7 +28,7 @@ import re
 from collections import namedtuple
 from math import factorial
 
-from .signedperm import SignedPerm, group_closure, iota
+from .signedperm import SignedPerm, VerificationError, group_closure, iota
 
 
 class NotParabolic(ValueError):
@@ -78,9 +78,8 @@ def apply_to_root(x, root):
     if x.n != len(root):
         raise ValueError("rank mismatch between permutation and root")
     out = [0] * len(root)
-    for i, c in enumerate(root, start=1):
+    for c, v in zip(root, x.img):
         if c:
-            v = x(i)
             out[abs(v) - 1] = c if v > 0 else -c
     return tuple(out)
 
@@ -312,7 +311,10 @@ def classify_parabolic(sys, roots):
     table = {}
     for label in _standard_labels(sys):
         key = frozenset(parabolic_roots(sys, label))
-        assert key not in table, f"label collision at {label}"
+        if key in table:
+            raise VerificationError(
+                f"standard labels {table[key]} and {label} of type "
+                f"{sys.kind}{sys.n} give the same subsystem")
         table[key] = label
     flipped = {}
     if sys.kind == "D":

@@ -19,6 +19,15 @@ Besides the group operations the module provides
 * brute-force closure / normalizer routines used to verify the
   structural formulas on small ranks, and the generator sets for
   products of block wreath subgroups and their predicted normalizers.
+
+Every input path validates: ``SignedPerm(...)``, :meth:`from_cycles`,
+:func:`wprime`, :func:`tau` and :func:`iota` reject anything that is not
+a signed permutation.  Products, inverses, powers and the bar projection
+of validated operands are signed permutations by construction, so they
+build their results with the unchecked :func:`_trusted` and compose by
+lookup in the left factor's signed image table.  Nothing else may call
+:func:`_trusted`: the invariant is that only group operations on
+already-validated operands reach it.
 """
 
 from __future__ import annotations
@@ -26,11 +35,22 @@ from __future__ import annotations
 import itertools
 import re
 from collections import namedtuple
+from functools import lru_cache
 from math import factorial
+from operator import neg
 
 
 class ClosureExceedsCap(RuntimeError):
     """Raised when a brute-force closure grows past its element cap."""
+
+
+class VerificationError(AssertionError):
+    """A computed result failed the check that guards it.
+
+    Raised explicitly, so the check survives ``python -O``; a subclass of
+    AssertionError, so callers that collect failed checks by catching
+    AssertionError still see it.
+    """
 
 
 _CYCLES_RE = re.compile(r"\(([^()]*)\)")
@@ -39,14 +59,24 @@ _CYCLES_RE = re.compile(r"\(([^()]*)\)")
 class SignedPerm:
     """A signed permutation, stored by the images of 1..n."""
 
-    __slots__ = ("img",)
+    __slots__ = ("img", "_t")
 
     def __init__(self, img):
         img = tuple(img)
         n = len(img)
-        if sorted(abs(v) for v in img) != list(range(1, n + 1)):
+        if sorted(map(abs, img)) != list(range(1, n + 1)):
             raise ValueError(f"not a signed permutation: {img!r}")
         self.img = img
+        self._t = None
+
+    def _table(self):
+        """The images of every signed point: ``t[i] = σ(i)`` for
+        -n ≤ i ≤ n, i ≠ 0 (negative indices count from the end), built
+        on first use."""
+        t = self._t
+        if t is None:
+            t = self._t = _signed_table(self.img)
+        return t
 
     # -- basic protocol ----------------------------------------------------
 
@@ -76,7 +106,7 @@ class SignedPerm:
 
     @classmethod
     def identity(cls, n):
-        return cls(range(1, n + 1))
+        return _trusted(tuple(range(1, n + 1)))
 
     def is_identity(self):
         return self.img == tuple(range(1, self.n + 1))
@@ -85,9 +115,10 @@ class SignedPerm:
         """(self∘other)(x) = self(other(x))."""
         if not isinstance(other, SignedPerm):
             return NotImplemented
-        if self.n != other.n:
+        if len(self.img) != len(other.img):
             raise ValueError(f"rank mismatch: {self.n} vs {other.n}")
-        return SignedPerm(self(v) for v in other.img)
+        t = self._t or self._table()
+        return _trusted(tuple(map(t.__getitem__, other.img)))
 
     def inv(self):
         img = [0] * self.n
@@ -96,7 +127,7 @@ class SignedPerm:
                 img[v - 1] = i
             else:
                 img[-v - 1] = -i
-        return SignedPerm(img)
+        return _trusted(tuple(img))
 
     def __pow__(self, k):
         if k < 0:
@@ -124,7 +155,7 @@ class SignedPerm:
 
     def bar(self):
         """The underlying plain permutation |σ| (a signed perm with +images)."""
-        return SignedPerm(abs(v) for v in self.img)
+        return _trusted(tuple(map(abs, self.img)))
 
     def sign(self, i):
         """ε(i) with σ·e_i = ε(i)·e_{bar(i)}, i.e. the sign of σ(i)."""
@@ -134,6 +165,7 @@ class SignedPerm:
 
     def cycles(self):
         """All cycles of the action on {±1..±n}, fixed points included."""
+        t = self._table()
         seen, out = set(), []
         for start in itertools.chain(range(1, self.n + 1),
                                      range(-1, -self.n - 1, -1)):
@@ -141,11 +173,11 @@ class SignedPerm:
                 continue
             cyc = [start]
             seen.add(start)
-            p = self(start)
+            p = t[start]
             while p != start:
                 cyc.append(p)
                 seen.add(p)
-                p = self(p)
+                p = t[p]
             out.append(tuple(cyc))
         return out
 
@@ -196,6 +228,23 @@ class SignedPerm:
                     if img.setdefault(x, y) != y:
                         raise ValueError(f"inconsistent cycles in {text!r}")
         return cls(img.get(i, i) for i in range(1, n + 1))
+
+
+def _signed_table(img):
+    return (0,) + img + tuple(map(neg, reversed(img)))
+
+
+def _trusted(img):
+    """A SignedPerm on the tuple ``img`` without validation.
+
+    Only for results of group operations on validated operands, which are
+    signed permutations by construction; input goes through
+    ``SignedPerm(...)``.
+    """
+    p = object.__new__(SignedPerm)
+    p.img = img
+    p._t = None
+    return p
 
 
 def compose(a, b):
@@ -367,27 +416,28 @@ def group_closure(gens, cap=20000):
     n = gens[0].n
     if any(g.n != n for g in gens):
         raise ValueError("generators have mixed ranks")
-    elems = [SignedPerm.identity(n)]
-    seen = {elems[0]}
-    i = 0
-    while i < len(elems):
-        x = elems[i]
-        i += 1
-        for g in gens:
-            y = x * g
+    imgs = [g.img for g in gens]
+    elems = [tuple(range(1, n + 1))]
+    seen = set(elems)
+    for x in elems:
+        lookup = _signed_table(x).__getitem__
+        for img in imgs:
+            y = tuple(map(lookup, img))
             if y not in seen:
                 if len(elems) >= cap:
                     raise ClosureExceedsCap(f"closure exceeds cap {cap}")
                 seen.add(y)
                 elems.append(y)
-    return elems
+    return [_trusted(x) for x in elems]
 
 
+@lru_cache(maxsize=None)
 def signed_symmetric_group(n):
-    """The full group of signed permutations of rank n (order 2^n n!)."""
+    """The full group of signed permutations of rank n (order 2^n n!),
+    built once per rank and shared, hence an immutable tuple."""
     gens = [iota((1,), n)]
     gens += [tau((i,), (i + 1,), n) for i in range(1, n)]
-    return group_closure(gens, cap=2 ** n * factorial(n))
+    return tuple(group_closure(gens, cap=2 ** n * factorial(n)))
 
 
 def brute_normalizer(H, G):

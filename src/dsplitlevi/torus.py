@@ -27,6 +27,7 @@ from math import gcd
 from sympy import Poly, Symbol, factorint, isprime
 
 from .levi import compute_d0
+from .signedperm import VerificationError
 
 
 def _digits(code, p, k):
@@ -369,7 +370,9 @@ def z_plus(orbit):
             sign = one if ((d0 + j) // 2) % 2 == 0 else minus
             coords[pt] = sign * psi ** (-(q ** ((d0 + j) // 2)))
     out = TorusElem(coords)
-    assert lang_map(out, orbit) == theta(orbit, minus)
+    if lang_map(out, orbit) != theta(orbit, minus):
+        raise VerificationError(
+            f"Lang image of z_plus is not theta(-1) (q={q}, d={orbit.d})")
     return out
 
 
@@ -390,16 +393,27 @@ def conj_center_action(orbit):
     act_zp = _conj_action(zp, orbit)
     if d0 % 2 == 0:
         gen = theta(orbit, orbit.psi)
-        assert _conj_action(gen, orbit) == theta(orbit, orbit.psi ** q)
-        assert act_zp == zp * theta(orbit, orbit.psi ** (N // 2))
+        if _conj_action(gen, orbit) != theta(orbit, orbit.psi ** q):
+            raise VerificationError(
+                f"cycling does not raise theta(psi) to the power q = {q} "
+                f"(d={orbit.d}, N={N})")
+        if act_zp != zp * theta(orbit, orbit.psi ** (N // 2)):
+            raise VerificationError(
+                f"cycling does not multiply z_plus by theta(psi^(N/2)) "
+                f"(q={q}, d={orbit.d}, N={N})")
         return {"d0_parity": "even", "theta_exponent": q,
                 "z_plus_picks_up": N // 2}
     if orbit.d % 2 == 0:
         m = q + q ** d0 + 1
     else:
         m = ((d0 + 1) // 2) * (q ** d0 - 1) - q ** ((d0 + 1) // 2)
-    assert act_zp == zp ** m
-    assert zp ** (2 * N) == orbit.identity() and zp ** N != orbit.identity()
+    if act_zp != zp ** m:
+        raise VerificationError(
+            f"cycling does not raise z_plus to the power {m} "
+            f"(q={q}, d={orbit.d}, N={N})")
+    if zp ** (2 * N) != orbit.identity() or zp ** N == orbit.identity():
+        raise VerificationError(
+            f"z_plus does not have order 2N = {2 * N} (q={q}, d={orbit.d})")
     return {"d0_parity": "odd", "z_plus_order": 2 * N,
             "exponent": m % (2 * N),
             "commutator_exponent": (m - 1) % (2 * N)}

@@ -9,6 +9,7 @@ inertia/extendibility search are checked on classical instances.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from dsplitlevi.chartab import (
     restrict,
 )
 from dsplitlevi.cyclo import CycNum
-from dsplitlevi.extweyl import build_VdI
+from dsplitlevi.extweyl import build_VdI, chevalley_generator, matrix_closure
 from dsplitlevi.levi import LeviLabel
 from dsplitlevi.signedperm import SignedPerm, group_closure, signed_symmetric_group
 
@@ -76,6 +77,55 @@ class TestFiniteGroup:
         for rep, elems in zip(data.reps, data.classes):
             first = min(G.index[x] for x in elems)
             assert G.elements[first] == rep
+
+
+def _restarting_generators(elements):
+    """Greedy generator choice that recloses ⟨gens⟩ from the identity
+    after every new generator: the reference for _reduce_generators."""
+    ident = elements[0] * elements[0].inv()
+    gens, known = [], {ident}
+    for x in elements:
+        if x in known:
+            continue
+        gens.append(x)
+        known, queue = {ident}, [ident]
+        while queue:
+            y = queue.pop()
+            for g in gens:
+                if y * g not in known:
+                    known.add(y * g)
+                    queue.append(y * g)
+        if len(known) == len(elements):
+            break
+    return tuple(gens)
+
+
+class TestReduceGenerators:
+    def _lists(self):
+        rng = random.Random(5)
+        for elems in (list(signed_symmetric_group(3)), list(s4().elements),
+                      matrix_closure([chevalley_generator("n", r, 1)
+                                      for r in ((1, -1), (0, 2))])):
+            yield elems
+            for _ in range(3):
+                rest = elems[1:]
+                rng.shuffle(rest)
+                yield elems[:1] + rest
+
+    def test_same_generators_as_restarting_closure(self):
+        for elems in self._lists():
+            assert FiniteGroup(elems).generators == \
+                _restarting_generators(elems)
+
+    def test_non_closed_list_rejected(self):
+        # Closed under inverses, not under products: {e, (1,2), (1,3)}.
+        elems = [SignedPerm.identity(3), sp("(1,2)", 3), sp("(1,3)", 3)]
+        with pytest.raises(ValueError, match="not closed under multiplication"):
+            FiniteGroup(elems)
+        # A subgroup plus an involution it does not normalise.
+        H = group_closure([sp("(1,2)", 4), sp("(3,4)", 4)])
+        with pytest.raises(ValueError, match="not closed under multiplication"):
+            FiniteGroup(H + [sp("(2,3)", 4)])
 
 
 class TestCharacterTable:

@@ -7,6 +7,9 @@ report), 2 invalid flags.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -136,6 +139,52 @@ class TestVerify:
         report = json.loads(result.output)
         assert report["pass"] is False
         assert report["failures"] == [{"n": 2, "detail": "synthetic"}]
+
+
+# Run in a fresh interpreter under ``python -O`` (asserts stripped): corrupt
+# one input of a verification suite and report how the command ended.
+_UNDER_O = """
+import sys
+from click.testing import CliRunner
+from dsplitlevi import cli, extweyl, torus
+from dsplitlevi.signedperm import SignedPerm
+
+if sys.argv[1] == "extweyl":
+    extweyl.wprime = lambda J, n: SignedPerm.identity(n)
+    args = ["verify", "extweyl", "--n", "2", "--d", "2"]
+else:
+    torus._conj_action = lambda h, orbit: h
+    args = ["verify", "torus", "--q", "3", "--d", "1"]
+result = CliRunner().invoke(cli.main, args)
+print(sys.flags.optimize, result.exit_code, type(result.exception).__name__)
+print(result.output)
+"""
+
+
+class TestChecksUnderOptimize:
+    def _run(self, suite):
+        import dsplitlevi
+
+        src = os.path.dirname(os.path.dirname(dsplitlevi.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", _UNDER_O, suite],
+                              env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        status, output = proc.stdout.split("\n", 1)
+        return status.split(), output
+
+    def test_corrupted_lift_raises(self):
+        # c_1 no longer projects onto the replaced w'_J.
+        status, _ = self._run("extweyl")
+        assert status == ["1", "1", "VerificationError"]
+
+    def test_torus_suite_reports_failed_exponent_check(self):
+        status, output = self._run("torus")
+        assert status == ["1", "1", "SystemExit"]
+        report = json.loads(output)
+        assert report["pass"] is False
+        assert report["failures"][0]["check"] == "conjugation_exponents"
 
 
 class TestKinva:

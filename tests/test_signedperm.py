@@ -8,10 +8,13 @@ test.
 """
 
 import itertools
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dsplitlevi import signedperm
+from dsplitlevi.levi import sylow_twist_w
 from dsplitlevi.signedperm import (
     ClosureExceedsCap,
     SignedPerm,
@@ -82,7 +85,7 @@ class TestCompose:
         a, b, c = triple
         assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
-    @given(st.integers(2, 5).flatmap(lambda n: signed_perms(n)))
+    @given(st.integers(1, 6).flatmap(lambda n: signed_perms(n)))
     def test_inverse_law(self, x):
         e = SignedPerm.identity(x.n)
         assert compose(x, x.inv()) == e
@@ -336,3 +339,106 @@ class TestBlockWreathNormalizer:
                         block_wreath_normalizer_generators(blocks, signed, n))
                     assert set(brute_normalizer(H, G)) == set(predicted), (
                         blocks, signed)
+
+
+# ---------------------------------------------------------------------------
+# the product kernel: table-lookup composition on unchecked results
+# ---------------------------------------------------------------------------
+
+def _reference_image(a, b):
+    """a∘b computed point by point through the public, range-checked call."""
+    return tuple(a(b(i)) for i in range(1, a.n + 1))
+
+
+def _validating_trusted(img):
+    """Stands in for the unchecked constructor and validates every image."""
+    return SignedPerm(img)
+
+
+ranked_pairs = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(signed_perms(n), signed_perms(n)))
+
+
+class TestKernel:
+    @given(ranked_pairs)
+    def test_product_acts_as_composition_on_every_signed_point(self, pair):
+        a, b = pair
+        ab = a * b
+        for x in range(1, a.n + 1):
+            assert ab(x) == a(b(x))
+            assert ab(-x) == a(b(-x))
+
+    @given(ranked_pairs)
+    def test_products_equal_and_hash_as_validated_permutations(self, pair):
+        a, b = pair
+        for got, img in ((a * b, _reference_image(a, b)),
+                         (a.bar(), tuple(abs(v) for v in a.img))):
+            ref = SignedPerm(img)
+            assert got == ref and got.img == img
+            assert hash(got) == hash(ref) == hash(img)
+            assert len({got, ref}) == 1
+
+    @given(st.integers(1, 6).flatmap(signed_perms), st.integers(-7, 7))
+    def test_powers_are_repeated_products(self, a, k):
+        expected = SignedPerm.identity(a.n)
+        for _ in range(abs(k)):
+            expected = expected * (a if k >= 0 else a.inv())
+        assert a ** k == expected
+
+    @given(ranked_pairs, st.integers(-3, 5))
+    def test_kernel_results_pass_validation(self, pair, k):
+        a, b = pair
+        fast = (a * b, a.inv(), a.bar(), a ** k, SignedPerm.identity(a.n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(signedperm, "_trusted", _validating_trusted)
+            checked = (a * b, a.inv(), a.bar(), a ** k,
+                       SignedPerm.identity(a.n))
+        assert fast == checked
+
+    def test_closure_results_pass_validation(self):
+        gens = [wprime((1, 2), 3), tau((2,), (3,), 3)]
+        fast = group_closure(gens)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(signedperm, "_trusted", _validating_trusted)
+            assert group_closure(gens) == fast
+
+    def test_mixed_ranks_rejected(self):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            wprime((1, 2), 2) * wprime((1, 2), 3)
+        with pytest.raises(ValueError, match="mixed ranks"):
+            group_closure([iota((1,), 2), iota((1,), 3)])
+
+    @pytest.mark.parametrize("build", [
+        lambda: SignedPerm((1, 1)),
+        lambda: SignedPerm((1, 3)),
+        lambda: SignedPerm((0, 2)),
+        lambda: SignedPerm((2, -2)),
+        lambda: SignedPerm.from_cycles("(1,4)", 3),
+        lambda: SignedPerm.from_cycles("(1,2)(2,3)", 3),
+        lambda: SignedPerm.from_cycles("(1,-1,2)", 3),
+        lambda: wprime((), 3),
+        lambda: wprime((2, 1), 3),
+        lambda: wprime((1, 4), 3),
+        lambda: tau((1,), (1, 2), 3),
+        lambda: tau((1, 2), (2, 3), 3),
+        lambda: tau((0,), (1,), 3),
+        lambda: iota((3, 3), 3),
+    ], ids=["repeat", "range", "zero", "sign-pair", "cycle-range",
+            "cycle-clash", "cycle-inconsistent", "wprime-empty",
+            "wprime-order", "wprime-range", "tau-size", "tau-overlap",
+            "tau-range", "iota-repeat"])
+    def test_public_constructors_still_validate(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_fixed_groups_are_built_once_and_immutable(self):
+        for n in (1, 2, 3):
+            G = signed_symmetric_group(n)
+            assert G is signed_symmetric_group(n)
+            assert isinstance(G, tuple) and len(G) == 2 ** n * factorial(n)
+            assert G[0].is_identity()
+            with pytest.raises(TypeError):
+                G[0] = G[-1]
+        for n, d in itertools.product(range(1, 6), range(1, 7)):
+            assert sylow_twist_w(n, d) == sylow_twist_w(n, d)
+            assert sylow_twist_w(n, d) is sylow_twist_w(n, d)
