@@ -22,12 +22,9 @@ import math
 from sympy import factorint, isprime
 
 from .cyclo import CycNum, CycVector, zeta
+from .signedperm import ClosureExceedsCap, closure
 
-DEFAULT_CAP = 10000
-
-
-class CapExceeded(Exception):
-    """A group enumeration grew past the configured size cap."""
+DEFAULT_GROUP_CAP = 10000
 
 
 # ---------------------------------------------------------------------------
@@ -60,12 +57,12 @@ class FiniteGroup:
     __slots__ = ("elements", "index", "identity", "generators", "order",
                  "_classes", "_exponent")
 
-    def __init__(self, elements, generators=None, cap=DEFAULT_CAP):
+    def __init__(self, elements, generators=None, cap=DEFAULT_GROUP_CAP):
         elements = list(elements)
         if not elements:
             raise ValueError("a group needs at least one element")
         if len(elements) > cap:
-            raise CapExceeded(
+            raise ClosureExceedsCap(
                 f"group of order {len(elements)} exceeds cap {cap}")
         index = {}
         for pos, x in enumerate(elements):
@@ -93,30 +90,14 @@ class FiniteGroup:
         self._exponent = None
 
     @classmethod
-    def generate(cls, gens, cap=DEFAULT_CAP):
+    def generate(cls, gens, cap=DEFAULT_GROUP_CAP):
         """The subgroup generated by ``gens``, enumerated by breadth-first
         search starting at the identity (a deterministic order)."""
         gens = list(gens)
         if not gens:
             raise ValueError("need at least one generator")
-        ident = gens[0] * gens[0].inv()
-        elements = [ident]
-        seen = {ident}
-        queue = [ident]
-        while queue:
-            nxt = []
-            for x in queue:
-                for g in gens:
-                    y = x * g
-                    if y not in seen:
-                        seen.add(y)
-                        elements.append(y)
-                        nxt.append(y)
-                        if len(elements) > cap:
-                            raise CapExceeded(
-                                f"generated group exceeds cap {cap}")
-            queue = nxt
-        return cls(elements, generators=gens, cap=cap)
+        identity = gens[0] * gens[0].inv()
+        return cls(closure(gens, identity, cap), generators=gens, cap=cap)
 
     def _reduce_generators(self):
         """A short generating sequence found greedily; doubles as a check
@@ -544,10 +525,11 @@ def _value_key(row):
 _TABLE_CACHE = {}
 
 
-def character_table(G, cap=DEFAULT_CAP):
+def character_table(G, cap=DEFAULT_GROUP_CAP):
     """The exact character table of ``G`` (see :class:`CharacterTable`)."""
     if G.order > cap:
-        raise CapExceeded(f"group of order {G.order} exceeds cap {cap}")
+        raise ClosureExceedsCap(
+            f"group of order {G.order} exceeds cap {cap}")
     cache_key = G.elements
     cached = _TABLE_CACHE.get(cache_key)
     if cached is not None:
@@ -711,7 +693,7 @@ def inner(phi, psi):
 # inertia groups and extendibility
 # ---------------------------------------------------------------------------
 
-def inertia_and_extendibility(H, N, theta, cap=DEFAULT_CAP):
+def inertia_and_extendibility(H, N, theta, cap=DEFAULT_GROUP_CAP):
     """For a normal subgroup N of H and a class function theta on N:
     the inertia group H_theta = {h : theta^h = theta}, whether theta
     extends to H_theta, and a witness extension (or None).

@@ -13,7 +13,9 @@ JSON (sorted keys, fixed separators) is the canonical machine format;
 same report, so all three are byte-identical across repeated runs with
 the same flags.  Exit status: 0 when every requested check passes, 1
 when a verification fails (failure records stay in the report), 2 on
-invalid flags.
+invalid flags or when a group grows past its brute-force cap (``--cap``;
+by default 20000 elements for closures and 10000 for character tables):
+then one line naming the cap goes to stderr and nothing to stdout.
 """
 
 import itertools
@@ -24,7 +26,7 @@ from math import factorial
 
 import click
 
-from .chartab import FiniteGroup, character_table
+from .chartab import DEFAULT_GROUP_CAP, FiniteGroup, character_table
 from .cliff import cuspidal_gate, enumerate_char_labels, kinva_check, stab_lambda
 from .cyclo import check_eq1
 from .extweyl import (IntMatrix, build_twist_elements, chevalley_generator,
@@ -33,15 +35,13 @@ from .levi import (check_odd_prime_power, concrete_parabolic_roots,
                    enumerate_labels, label_record, relative_weyl,
                    sylow_twist_w, verify_relative_weyl)
 from .rootsys import build_root_system, is_stable_under
-from .signedperm import (SignedPerm, block_wreath_generators,
+from .signedperm import (DEFAULT_CLOSURE_CAP, ClosureExceedsCap, SignedPerm,
+                         block_wreath_generators,
                          block_wreath_normalizer_generators, brute_centralizer,
                          brute_normalizer, centralizer_type, group_closure,
                          set_partitions, signed_symmetric_group)
 from .torus import (TorusElem, TwistedOrbit, central_stabilizer_jump,
                     conj_center_action, lang_map, theta, z_plus)
-
-DEFAULT_CLOSURE_CAP = 20000
-DEFAULT_GROUP_CAP = 10000
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +469,22 @@ PRESETS = {
 # commands
 # ---------------------------------------------------------------------------
 
-@click.group()
+class _CapHit(click.ClickException):
+    exit_code = 2
+
+
+class _Main(click.Group):
+    """Turns a cap hit in any command into one line on stderr and exit 2:
+    the input is too large for the desk, not a failed check."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ClosureExceedsCap as exc:
+            raise _CapHit(f"{exc}; a larger --cap allows it") from None
+
+
+@click.group(cls=_Main)
 def main():
     """Exact enumeration and brute-force verification of d-split Levi
     combinatorics in type C."""

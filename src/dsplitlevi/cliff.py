@@ -25,9 +25,11 @@ From a label the module produces concrete signed-permutation groups:
 import itertools
 from math import factorial
 
-from .chartab import FiniteGroup, character_table, ClassFunction, restrict, inner
+from .chartab import (DEFAULT_GROUP_CAP, ClassFunction, FiniteGroup,
+                      character_table, inner, restrict)
 from .levi import tau_Q, wprime_Q
-from .signedperm import SignedPerm, group_closure, set_partitions
+from .signedperm import (SignedPerm, VerificationError, group_closure,
+                         set_partitions)
 
 _NU_VERIFY_BOUND = 5000
 
@@ -239,60 +241,51 @@ def _build_W(parts, two_d0, n):
     return gens, tags, order, abstract
 
 
-def _extend_sign(gens, values, n, order):
-    """Extend a ±1 assignment on generators to the whole closure,
-    asserting multiplicative consistency; returns the sign map."""
-    if not gens:
-        return {SignedPerm.identity(n): 1}
-    elements = group_closure(list(gens))
-    if len(elements) != order:
-        raise AssertionError("closure order disagrees with the formula")
-    ident = SignedPerm.identity(n)
-    signs = {ident: 1}
-    queue = [ident]
-    while queue:
-        nxt = []
-        for x in queue:
-            vx = signs[x]
-            for g, vg in zip(gens, values):
-                y = x * g
-                vy = vx * vg
-                if y in signs:
-                    if signs[y] != vy:
-                        raise AssertionError(
-                            "sign assignment on generators is inconsistent")
-                else:
-                    signs[y] = vy
-                    nxt.append(y)
-        queue = nxt
-    return signs
-
-
-def _build_nu(parts, two_d0, ltilde_full, n, w_gens, w_tags, w_order,
-              w_abstract):
+def _build_nu(parts, ltilde_full, w_gens, w_tags, w_order, w_abstract, key):
     """The ±1 values on the W_lambda generators and the kernel data."""
     values = []
     for (idx, kind), g in zip(w_tags, w_gens):
         part = parts[idx]
         if kind == "cyclic" and ltilde_full and part.in_r1:
             if part.c % 2:
-                raise AssertionError("jump class with odd stabilizer order")
+                raise VerificationError(
+                    f"jump class with odd stabilizer order in {key}")
             values.append(-1)
         else:
             values.append(1)
     values = tuple(values)
     if all(v == 1 for v in values):
         return values, list(w_gens), w_order, w_abstract
+    kgens = _sign_kernel(w_gens, values, w_order, key)
+    return values, kgens, w_order // 2, f"ker(nu) < {w_abstract}"
+
+
+def _sign_kernel(w_gens, values, w_order, key):
+    """Generators of the kernel of the sign character taking ``values``
+    (not all +1) on ``w_gens``, checked up to _NU_VERIFY_BOUND.
+
+    The kernel is generated by the +1 generators, g0² and g0·g for the
+    other -1 generators g, where g0 is the first -1 generator.  The check
+    asks that W = ⟨w_gens⟩ has order w_order and K0 = ⟨kgens⟩ order
+    w_order / 2.  Then K0 ≤ W has index 2, so it is normal.  Every -1
+    generator lies in g0·K0, and g0 ∉ K0, because otherwise W = ⟨K0, g0⟩
+    would be K0.  So W → W/K0 ≅ {±1} is a homomorphism taking the given
+    values on the generators, with kernel K0."""
     g0 = next(g for g, v in zip(w_gens, values) if v == -1)
     kgens = [g for g, v in zip(w_gens, values) if v == 1]
     kgens.append(g0 * g0)
     kgens.extend(g0 * g for g, v in zip(w_gens, values)
                  if v == -1 and g != g0)
     if w_order <= _NU_VERIFY_BOUND:
-        signs = _extend_sign(w_gens, values, n, w_order)
-        if sum(1 for v in signs.values() if v == 1) != w_order // 2:
-            raise AssertionError("sign character kernel has wrong index")
-    return values, kgens, w_order // 2, f"ker(nu) < {w_abstract}"
+        if len(group_closure(w_gens)) != w_order:
+            raise VerificationError(
+                f"closure order of W_lambda disagrees with the formula "
+                f"{w_order} in {key}")
+        if len(group_closure(kgens)) != w_order // 2:
+            raise VerificationError(
+                f"sign assignment {values} on the generators is not a "
+                f"character with kernel of index 2 in {key}")
+    return kgens
 
 
 def _build_K(parts, two_d0, n, w_gens, nu_values):
@@ -364,8 +357,8 @@ def nu_lambda(label):
     n = label.levi.n
     w_gens, w_tags, w_order, w_abstract = _build_W(parts, label.two_d0, n)
     values, kgens, korder, kabstract = _build_nu(
-        parts, label.two_d0, label.ltilde_full, n, w_gens, w_tags,
-        w_order, w_abstract)
+        parts, label.ltilde_full, w_gens, w_tags, w_order, w_abstract,
+        _canonical_structure(label))
     return values, SubgroupPresentation(kgens, kabstract, korder)
 
 
@@ -378,8 +371,9 @@ def k_lambda(label):
     parts = _parts_from_label(label)
     n = label.levi.n
     w_gens, w_tags, w_order, w_abstract = _build_W(parts, label.two_d0, n)
-    values, _, _, _ = _build_nu(parts, label.two_d0, label.ltilde_full, n,
-                                w_gens, w_tags, w_order, w_abstract)
+    values, _, _, _ = _build_nu(parts, label.ltilde_full, w_gens, w_tags,
+                                w_order, w_abstract,
+                                _canonical_structure(label))
     gens, order, abstract = _build_K(parts, label.two_d0, n, w_gens, values)
     return SubgroupPresentation(gens, abstract, order)
 
@@ -445,7 +439,7 @@ def _as_group(gens, n, cap):
 _KINVA_MEMO = {}
 
 
-def kinva_check(label, cap=10000):
+def kinva_check(label, cap=DEFAULT_GROUP_CAP):
     """Brute-force invariance report for a label.
 
     Realizes ker(nu) inside W_lambda inside the normalizer closure K as
@@ -486,22 +480,26 @@ def _kinva_groups(key, cap):
     parts, n = _synthesize_parts(key)
     w_gens, w_tags, w_order, w_abstract = _build_W(parts, two_d0, n)
     nu_values, ker_gens, ker_order, _ = _build_nu(
-        parts, two_d0, ltilde_full, n, w_gens, w_tags, w_order, w_abstract)
+        parts, ltilde_full, w_gens, w_tags, w_order, w_abstract, key)
     k_gens, k_order, _ = _build_K(parts, two_d0, n, w_gens, nu_values)
 
     W = _as_group(w_gens, n, cap)
     ker = _as_group(ker_gens, n, cap)
     K = _as_group(k_gens, n, cap)
     if W.order != w_order or ker.order != ker_order or K.order != k_order:
-        raise AssertionError("closure order disagrees with the formula")
+        raise VerificationError(
+            f"closure orders {(W.order, ker.order, K.order)} disagree with "
+            f"the formulas {(w_order, ker_order, k_order)} in {key}")
     for k in K.generators:
         ki = k.inv()
         for g in W.generators:
             if ki * g * k not in W.index:
-                raise AssertionError("K does not normalize W_lambda")
+                raise VerificationError(
+                    f"K does not normalize W_lambda in {key}")
         for g in ker.generators:
             if ki * g * k not in ker.index:
-                raise AssertionError("K does not normalize ker(nu)")
+                raise VerificationError(
+                    f"K does not normalize ker(nu) in {key}")
     return W, ker, K
 
 

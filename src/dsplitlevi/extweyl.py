@@ -21,7 +21,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .levi import compute_d0, sylow_twist_w, tau_Q, wprime_Q
-from .signedperm import SignedPerm, VerificationError, grid_set, tau, wprime
+from .signedperm import (DEFAULT_CLOSURE_CAP, SignedPerm, VerificationError,
+                         closure, grid_set, tau, wprime)
 
 
 class IntMatrix:
@@ -112,11 +113,7 @@ class IntMatrix:
         return f"IntMatrix({self.rows!r})"
 
 
-class ClosureExceedsCap(RuntimeError):
-    pass
-
-
-def matrix_closure(gens, cap=20000):
+def matrix_closure(gens, cap=DEFAULT_CLOSURE_CAP):
     """Every element of the group generated by gens, identity first."""
     gens = list(gens)
     if not gens:
@@ -124,20 +121,7 @@ def matrix_closure(gens, cap=20000):
     dim = gens[0].dim
     if any(g.dim != dim for g in gens):
         raise ValueError("generators have mixed dimensions")
-    elems = [IntMatrix.identity(dim)]
-    seen = {elems[0]}
-    i = 0
-    while i < len(elems):
-        x = elems[i]
-        i += 1
-        for g in gens:
-            y = x * g
-            if y not in seen:
-                if len(elems) >= cap:
-                    raise ClosureExceedsCap(f"closure exceeds cap {cap}")
-                seen.add(y)
-                elems.append(y)
-    return elems
+    return closure(gens, IntMatrix.identity(dim), cap)
 
 
 # ---------------------------------------------------------------------------

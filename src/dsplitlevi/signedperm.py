@@ -16,6 +16,9 @@ Besides the group operations the module provides
 * the cycle statistics (m1 = self-paired cycles, m2 = paired cycle
   pairs) that determine the centralizer of an element, with the
   predicted centralizer order;
+* :func:`closure`, the one breadth-first enumeration of ⟨gens⟩ in the
+  package (signed permutations, matrices and abstract finite groups all
+  go through it), with its cap exception :class:`ClosureExceedsCap`;
 * brute-force closure / normalizer routines used to verify the
   structural formulas on small ranks, and the generator sets for
   products of block wreath subgroups and their predicted normalizers.
@@ -40,8 +43,12 @@ from math import factorial
 from operator import neg
 
 
+DEFAULT_CLOSURE_CAP = 20000
+
+
 class ClosureExceedsCap(RuntimeError):
-    """Raised when a brute-force closure grows past its element cap."""
+    """A brute-force enumeration grew past its element cap; the one cap
+    exception of the package."""
 
 
 class VerificationError(AssertionError):
@@ -64,7 +71,8 @@ class SignedPerm:
     def __init__(self, img):
         img = tuple(img)
         n = len(img)
-        if sorted(map(abs, img)) != list(range(1, n + 1)):
+        if (any(type(v) is not int for v in img)
+                or sorted(map(abs, img)) != list(range(1, n + 1))):
             raise ValueError(f"not a signed permutation: {img!r}")
         self.img = img
         self._t = None
@@ -408,7 +416,25 @@ def make_generator(kind, n, *args):
 # brute force: closure, normalizer, standard groups
 # ---------------------------------------------------------------------------
 
-def group_closure(gens, cap=20000):
+def closure(gens, identity, cap):
+    """Every element of ⟨gens⟩, ``identity`` first, in breadth-first
+    order: the list is its own queue, and each element x is followed by
+    the new products x * g.  Raises ClosureExceedsCap when an element
+    past ``cap`` appears.  Works for any hashable elements with ``*``."""
+    elems = [identity]
+    seen = {identity}
+    for x in elems:
+        for g in gens:
+            y = x * g
+            if y not in seen:
+                if len(elems) >= cap:
+                    raise ClosureExceedsCap(f"closure exceeds cap {cap}")
+                seen.add(y)
+                elems.append(y)
+    return elems
+
+
+def group_closure(gens, cap=DEFAULT_CLOSURE_CAP):
     """Every element of ⟨gens⟩, identity first, in breadth-first order."""
     gens = list(gens)
     if not gens:
@@ -416,19 +442,7 @@ def group_closure(gens, cap=20000):
     n = gens[0].n
     if any(g.n != n for g in gens):
         raise ValueError("generators have mixed ranks")
-    imgs = [g.img for g in gens]
-    elems = [tuple(range(1, n + 1))]
-    seen = set(elems)
-    for x in elems:
-        lookup = _signed_table(x).__getitem__
-        for img in imgs:
-            y = tuple(map(lookup, img))
-            if y not in seen:
-                if len(elems) >= cap:
-                    raise ClosureExceedsCap(f"closure exceeds cap {cap}")
-                seen.add(y)
-                elems.append(y)
-    return [_trusted(x) for x in elems]
+    return closure(gens, SignedPerm.identity(n), cap)
 
 
 @lru_cache(maxsize=None)

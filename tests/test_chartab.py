@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dsplitlevi.chartab import (
-    CapExceeded,
     ClassFunction,
     FiniteGroup,
     _verify_orthogonality,
@@ -29,7 +28,12 @@ from dsplitlevi.chartab import (
 from dsplitlevi.cyclo import CycNum
 from dsplitlevi.extweyl import build_VdI, chevalley_generator, matrix_closure
 from dsplitlevi.levi import LeviLabel
-from dsplitlevi.signedperm import SignedPerm, group_closure, signed_symmetric_group
+from dsplitlevi.signedperm import (
+    ClosureExceedsCap,
+    SignedPerm,
+    group_closure,
+    signed_symmetric_group,
+)
 
 
 def sp(text, n):
@@ -48,6 +52,38 @@ def s4():
     return grp(sp("(1,2)", 4), sp("(1,2,3,4)", 4))
 
 
+def _generated_elements(gens, cap):
+    return FiniteGroup.generate(gens, cap=cap).elements
+
+
+class TestClosureCap:
+    """Every enumeration of ⟨gens⟩ admits a group of order m under
+    cap=m and raises the one cap exception under cap=m-1."""
+
+    @pytest.mark.parametrize("enumerate_, gens, m", [
+        (group_closure, [sp("(1,-1)", 3), sp("(1,2)", 3), sp("(2,3)", 3)],
+         48),
+        (matrix_closure,
+         [chevalley_generator("n", (1, -1), 1),
+          chevalley_generator("n", (0, 2), 1)], 32),
+        (_generated_elements, [sp("(1,2)", 4), sp("(1,2,3,4)", 4)], 24),
+    ], ids=["group_closure", "matrix_closure", "FiniteGroup.generate"])
+    def test_boundary(self, enumerate_, gens, m):
+        elements = enumerate_(gens, cap=m)
+        assert len(elements) == len(set(elements)) == m
+        with pytest.raises(ClosureExceedsCap):
+            enumerate_(gens, cap=m - 1)
+
+    def test_explicit_groups_raise_the_same_class(self):
+        G = s4()
+        assert FiniteGroup(G.elements, cap=24).order == 24
+        with pytest.raises(ClosureExceedsCap):
+            FiniteGroup(G.elements, cap=23)
+        assert len(character_table(G, cap=24).degrees) == 5
+        with pytest.raises(ClosureExceedsCap):
+            character_table(G, cap=23)
+
+
 class TestFiniteGroup:
     def test_generate_identity_first(self):
         G = s3()
@@ -55,7 +91,7 @@ class TestFiniteGroup:
         assert G.elements[0] == SignedPerm.identity(3)
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(ClosureExceedsCap):
             FiniteGroup.generate([sp("(1,2)", 4), sp("(1,2,3,4)", 4)], cap=10)
 
     def test_exponent(self):
@@ -223,7 +259,7 @@ class TestCharacterTable:
         assert t1.degrees == t2.degrees
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(ClosureExceedsCap):
             character_table(s3(), cap=2)
 
 

@@ -3,18 +3,22 @@
 The JSON output is the canonical machine format; every invocation with
 fixed flags must be byte-identical across runs.  Exit codes: 0 all
 checks pass, 1 a verification failed (with the failure records in the
-report), 2 invalid flags.
+report), 2 invalid flags or a brute-force cap hit.
 """
 
+import ast
 import json
 import os
+from pathlib import Path
 import subprocess
 import sys
 
 import pytest
 from click.testing import CliRunner
 
+import dsplitlevi
 import dsplitlevi.cli as cli
+from dsplitlevi import cliff
 from dsplitlevi.cli import main, parse_grid
 
 
@@ -163,8 +167,6 @@ print(result.output)
 
 class TestChecksUnderOptimize:
     def _run(self, suite):
-        import dsplitlevi
-
         src = os.path.dirname(os.path.dirname(dsplitlevi.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -185,6 +187,36 @@ class TestChecksUnderOptimize:
         report = json.loads(output)
         assert report["pass"] is False
         assert report["failures"][0]["check"] == "conjugation_exponents"
+
+    def test_package_has_no_assert_statements(self):
+        # python -O strips assert statements, and with them the check.
+        found = []
+        for path in sorted(Path(dsplitlevi.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name}:{node.lineno}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+        assert found == []
+
+
+class TestCapExit:
+    @pytest.mark.parametrize("args, cap", [
+        (("verify", "normalizers", "--n", "2", "--cap", "3"), 3),
+        (("kinva", "--n", "2", "--d", "1", "--cap", "2"), 2),
+        (("chartab", "--group", "s4", "--cap", "5"), 5),
+    ], ids=["verify", "kinva", "chartab"])
+    def test_cap_hit_exits_2_with_one_line(self, args, cap, monkeypatch):
+        # A memoized report needs no enumeration, so start from none.
+        monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
+        result = invoke(*args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and f"exceeds cap {cap}" in lines[0]
+
+    def test_below_the_cap_runs(self):
+        assert run_json("chartab", "--group", "s4", "--cap", "24")["order"] == 24
 
 
 class TestKinva:

@@ -17,10 +17,14 @@ from dsplitlevi.chartab import character_table, inner, restrict
 from dsplitlevi.cliff import (
     CharClassDescriptor,
     CharLabel,
+    _build_nu,
+    _build_W,
     _canonical_structure,
     _kinva_compute,
     _kinva_groups,
     _kinva_search,
+    _sign_kernel,
+    _synthesize_parts,
     cuspidal_gate,
     enumerate_char_labels,
     k_lambda,
@@ -29,7 +33,7 @@ from dsplitlevi.cliff import (
     stab_lambda,
 )
 from dsplitlevi.levi import LeviLabel, enumerate_labels, wprime_Q
-from dsplitlevi.signedperm import SignedPerm, group_closure
+from dsplitlevi.signedperm import SignedPerm, VerificationError, group_closure
 
 
 def D(i, s, c, z=1):
@@ -410,20 +414,84 @@ def kinva_oracle(W, ker, K):
     return stabilizers, xi_ids
 
 
+def rank3_structures():
+    """Every structure at rank <= 3, gate-failing ones included."""
+    return sorted({_canonical_structure(label)
+                   for n in (1, 2, 3) for d in range(1, 9)
+                   for levi in enumerate_labels(n, d)
+                   for label in enumerate_char_labels(levi)})
+
+
 def test_class_permutation_search_matches_oracle():
     # Every structure at rank <= 3, gate-failing ones included: those
     # have characters without a witness.
-    structures = {_canonical_structure(label)
-                  for n in (1, 2, 3) for d in range(1, 9)
-                  for levi in enumerate_labels(n, d)
-                  for label in enumerate_char_labels(levi)}
+    structures = rank3_structures()
     assert len(structures) == 204
-    for key in sorted(structures):
+    for key in structures:
         W, ker, K = _kinva_groups(key, 10000)
         stabilizers, xi_ids = kinva_oracle(W, ker, K)
         assert _kinva_search(W, ker, K, 10000) == (stabilizers, xi_ids), key
         witnesses = _kinva_compute(key, 10000)["witnesses"]
         assert [w["xi_id"] for w in witnesses] == xi_ids, key
+
+
+def sign_extension_oracle(gens, values, order):
+    """Whether the +-1 ``values`` on ``gens`` extend to a sign character
+    of <gens> whose kernel has index 2, by propagating the signs along a
+    breadth-first search and rejecting any element reached with both."""
+    elements = group_closure(gens)
+    if len(elements) != order:
+        return False
+    signs = {elements[0]: 1}
+    queue = [elements[0]]
+    while queue:
+        nxt = []
+        for x in queue:
+            for g, vg in zip(gens, values):
+                y = x * g
+                if y not in signs:
+                    signs[y] = signs[x] * vg
+                    nxt.append(y)
+                elif signs[y] != signs[x] * vg:
+                    return False
+        queue = nxt
+    return sum(1 for v in signs.values() if v == 1) == order // 2
+
+
+def sign_kernel_accepts(gens, values, order):
+    try:
+        _sign_kernel(gens, values, order, "test")
+    except VerificationError:
+        return False
+    return True
+
+
+class TestSignCharacterCheck:
+    def test_order_three_generator_sent_to_minus_one(self):
+        g = SignedPerm.from_cycles("(1,2,3)", 3)
+        assert not sign_extension_oracle([g], (-1,), 3)
+        assert not sign_kernel_accepts([g], (-1,), 3)
+
+    @pytest.mark.parametrize("values", [(1, -1), (-1, 1)])
+    def test_generator_listed_with_both_signs(self, values):
+        g = SignedPerm.from_cycles("(1,2,-1,-2)", 2)
+        assert not sign_extension_oracle([g, g], values, 4)
+        assert not sign_kernel_accepts([g, g], values, 4)
+
+    def test_every_rank3_assignment_is_accepted(self):
+        checked = 0
+        for key in rank3_structures():
+            two_d0, ltilde_full, _ = key
+            parts, n = _synthesize_parts(key)
+            w_gens, w_tags, w_order, w_abstract = _build_W(parts, two_d0, n)
+            values = _build_nu(parts, ltilde_full, w_gens, w_tags, w_order,
+                               w_abstract, key)[0]
+            if all(v == 1 for v in values):
+                continue
+            assert sign_extension_oracle(w_gens, values, w_order), key
+            assert sign_kernel_accepts(w_gens, values, w_order), key
+            checked += 1
+        assert checked == 36
 
 
 class TestCuspidalGate:

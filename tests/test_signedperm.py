@@ -413,6 +413,7 @@ class TestKernel:
         lambda: SignedPerm((1, 3)),
         lambda: SignedPerm((0, 2)),
         lambda: SignedPerm((2, -2)),
+        lambda: SignedPerm((1.0, 2)),
         lambda: SignedPerm.from_cycles("(1,4)", 3),
         lambda: SignedPerm.from_cycles("(1,2)(2,3)", 3),
         lambda: SignedPerm.from_cycles("(1,-1,2)", 3),
@@ -423,10 +424,10 @@ class TestKernel:
         lambda: tau((1, 2), (2, 3), 3),
         lambda: tau((0,), (1,), 3),
         lambda: iota((3, 3), 3),
-    ], ids=["repeat", "range", "zero", "sign-pair", "cycle-range",
-            "cycle-clash", "cycle-inconsistent", "wprime-empty",
-            "wprime-order", "wprime-range", "tau-size", "tau-overlap",
-            "tau-range", "iota-repeat"])
+    ], ids=["repeat", "range", "zero", "sign-pair", "non-integer",
+            "cycle-range", "cycle-clash", "cycle-inconsistent",
+            "wprime-empty", "wprime-order", "wprime-range", "tau-size",
+            "tau-overlap", "tau-range", "iota-repeat"])
     def test_public_constructors_still_validate(self, build):
         with pytest.raises(ValueError):
             build()
