@@ -2,6 +2,8 @@
 
 The package is organised bottom-up:
 
+- ``arith``: small exact integer routines (primality, factorisation,
+  prime powers) and the exception for inputs past a desk bound.
 - ``signedperm``: the group of signed permutations of {±1, ..., ±n},
   centralizer shapes, canonical cycle generators, brute-force closures
   and normalizers.
@@ -27,6 +29,7 @@ The package is organised bottom-up:
 __version__ = "0.1.0"
 
 __all__ = [
+    "arith",
     "signedperm",
     "rootsys",
     "cyclo",

@@ -19,8 +19,7 @@ normal subgroup extends to its stabiliser.
 
 import math
 
-from sympy import factorint, isprime
-
+from .arith import factorint, isprime
 from .cyclo import CycNum, CycVector, zeta
 from .signedperm import ClosureExceedsCap, closure
 

@@ -13,9 +13,11 @@ JSON (sorted keys, fixed separators) is the canonical machine format;
 same report, so all three are byte-identical across repeated runs with
 the same flags.  Exit status: 0 when every requested check passes, 1
 when a verification fails (failure records stay in the report), 2 on
-invalid flags or when a group grows past its brute-force cap (``--cap``;
-by default 20000 elements for closures and 10000 for character tables):
-then one line naming the cap goes to stderr and nothing to stdout.
+invalid flags, when a group grows past its brute-force cap (``--cap``;
+by default 20000 elements for closures and 10000 for character tables),
+or when an input is past a fixed bound (q below 2^64, fields of at most
+``torus.FIELD_ORDER_BOUND`` elements): then one line naming the cap or
+bound goes to stderr and nothing to stdout.
 """
 
 import itertools
@@ -26,6 +28,7 @@ from math import factorial
 
 import click
 
+from .arith import InputTooLarge
 from .chartab import DEFAULT_GROUP_CAP, FiniteGroup, character_table
 from .cliff import cuspidal_gate, enumerate_char_labels, kinva_check, stab_lambda
 from .cyclo import check_eq1
@@ -150,21 +153,16 @@ GRID = GridParam()
 
 
 def _validate_q(ctx, param, value):
+    """Each q (one value or a grid) must be an odd prime power; a q past
+    the bound raises InputTooLarge, which the command group turns into
+    exit 2."""
     if value is None:
         return None
-    try:
-        check_odd_prime_power(value)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
-    return value
-
-
-def _validate_q_grid(ctx, param, value):
-    if value is None:
-        return None
-    for q in value:
+    for q in (value,) if isinstance(value, int) else value:
         try:
             check_odd_prime_power(q)
+        except InputTooLarge:
+            raise
         except ValueError as exc:
             raise click.BadParameter(str(exc))
     return value
@@ -282,16 +280,21 @@ def _embedded_simple_roots(n, l):
 
 def _extended_weyl_group(n, l, cap):
     """Closure of the simple-root monomial lifts of the rank-l
-    subsystem, cached per (n, l); order 4^l l!."""
+    subsystem, cached per (n, l); order 4^l l!.  A cached group past
+    ``cap`` raises as its closure would."""
     key = (n, l)
-    if key not in _VL_CACHE:
+    group = _VL_CACHE.get(key)
+    if group is None:
         if l == 0:
-            _VL_CACHE[key] = (IntMatrix.identity(2 * n),)
+            group = (IntMatrix.identity(2 * n),)
         else:
             gens = [chevalley_generator("n", r, 1)
                     for r in _embedded_simple_roots(n, l)]
-            _VL_CACHE[key] = tuple(matrix_closure(gens, cap=cap))
-    return _VL_CACHE[key]
+            group = tuple(matrix_closure(gens, cap=cap))
+        _VL_CACHE[key] = group
+    if len(group) > cap:
+        raise ClosureExceedsCap(f"closure exceeds cap {cap}")
+    return group
 
 
 def _embed_signed(perm, n):
@@ -469,19 +472,22 @@ PRESETS = {
 # commands
 # ---------------------------------------------------------------------------
 
-class _CapHit(click.ClickException):
+class _TooLarge(click.ClickException):
     exit_code = 2
 
 
 class _Main(click.Group):
-    """Turns a cap hit in any command into one line on stderr and exit 2:
-    the input is too large for the desk, not a failed check."""
+    """Turns a cap hit or an input past a bound in any command into one
+    line on stderr and exit 2: the input is too large for the desk, not
+    a failed check."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except ClosureExceedsCap as exc:
-            raise _CapHit(f"{exc}; a larger --cap allows it") from None
+            raise _TooLarge(f"{exc}; a larger --cap allows it") from None
+        except InputTooLarge as exc:
+            raise _TooLarge(str(exc)) from None
 
 
 @click.group(cls=_Main)
@@ -543,7 +549,7 @@ def relweyl(n, d, do_check, fmt):
 @click.option("--d", "ds", type=GRID, default=None,
               help="Twist-order grid.")
 @click.option("--q", "qs", type=GRID, default=None,
-              callback=_validate_q_grid, help="Prime-power grid.")
+              callback=_validate_q, help="Prime-power grid.")
 @_cap_option
 @_format_option
 def verify(suite, ns, ds, qs, cap, fmt):

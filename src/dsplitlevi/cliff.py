@@ -28,8 +28,8 @@ from math import factorial
 from .chartab import (DEFAULT_GROUP_CAP, ClassFunction, FiniteGroup,
                       character_table, inner, restrict)
 from .levi import tau_Q, wprime_Q
-from .signedperm import (SignedPerm, VerificationError, group_closure,
-                         set_partitions)
+from .signedperm import (ClosureExceedsCap, SignedPerm, VerificationError,
+                         group_closure, set_partitions)
 
 _NU_VERIFY_BOUND = 5000
 
@@ -449,12 +449,18 @@ def kinva_check(label, cap=DEFAULT_GROUP_CAP):
     report depends only on the abstract class structure of the label
     (results are memoized on it) and is JSON-serializable:
     {label, W_lambda_order, ker_index, xi0_count, pass, witnesses}.
+    A memoized report keeps the largest order its groups reached, so a
+    cap below it raises as the computation itself would.
     """
     _require_normalized(label)
     key = _canonical_structure(label)
-    if key not in _KINVA_MEMO:
-        _KINVA_MEMO[key] = _kinva_compute(key, cap)
-    report = dict(_KINVA_MEMO[key])
+    memo = _KINVA_MEMO.get(key)
+    if memo is None:
+        memo = _KINVA_MEMO[key] = _kinva_compute(key, cap)
+    largest, report = memo
+    if cap < largest:
+        raise ClosureExceedsCap(f"closure exceeds cap {cap}")
+    report = dict(report)
     report["witnesses"] = [dict(w) for w in report["witnesses"]]
     report["label"] = label.key()
     return report
@@ -463,7 +469,7 @@ def kinva_check(label, cap=DEFAULT_GROUP_CAP):
 def _kinva_compute(key, cap):
     W, ker, K = _kinva_groups(key, cap)
     _, xi_ids = _kinva_search(W, ker, K, cap)
-    return {
+    return max(W.order, ker.order, K.order), {
         "W_lambda_order": W.order,
         "ker_index": W.order // ker.order,
         "xi0_count": len(xi_ids),

@@ -1,13 +1,14 @@
 """Exact arithmetic in cyclotomic fields and the eigenspace subspace test.
 
 ``CycNum`` represents an element of Q(ζ_d) as a rational coefficient
-vector in the power basis 1, ζ, ..., ζ^{φ(d)-1} of Q[x]/(Φ_d).  All
-arithmetic is exact.  A coefficient is an ``int`` whenever it is
-integral and a ``Fraction`` otherwise, so cyclotomic integers (such as
-character values) never leave the integers: Φ_d is monic, and
-reduction modulo it needs subtraction only.  Fractions enter only
-through division, where inversion uses the extended Euclidean algorithm
-against Φ_d.
+vector in the power basis 1, ζ, ..., ζ^{φ(d)-1} of Q[x]/(Φ_d), where
+Φ_d is built in the integers as x^d - 1 divided by the Φ_k of the
+proper divisors k of d.  All arithmetic is exact.  A coefficient is an
+``int`` whenever it is integral and a ``Fraction`` otherwise, so
+cyclotomic integers (such as character values) never leave the
+integers: Φ_d is monic, and reduction modulo it needs subtraction only.
+Fractions enter only through division, where inversion uses the
+extended Euclidean algorithm against Φ_d.
 
 On top of that the module provides the eigenspace of a signed
 permutation for the eigenvalue ζ_d^k, solved exactly, and the subspace
@@ -25,8 +26,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-import sympy
-
 
 # ---------------------------------------------------------------------------
 # polynomial helpers over Q (coefficient lists, ascending degree)
@@ -34,9 +33,22 @@ import sympy
 
 @lru_cache(maxsize=None)
 def _cyclotomic(d):
-    """Coefficients of Φ_d, ascending, as a tuple of ints."""
-    coeffs = sympy.Poly(sympy.cyclotomic_poly(d, sympy.Symbol("x"))).all_coeffs()
-    return tuple(int(c) for c in reversed(coeffs))
+    """Coefficients of Φ_d, ascending, as a tuple of ints: x^d - 1
+    divided by Φ_k for every proper divisor k of d.  Each Φ_k is monic,
+    so the exact division stays in the integers."""
+    poly = [-1] + [0] * (d - 1) + [1]
+    for k in range(1, d):
+        if d % k == 0:
+            divisor = _cyclotomic(k)
+            m = len(divisor) - 1
+            quotient = [0] * (len(poly) - m)
+            for i in range(len(quotient) - 1, -1, -1):
+                c = quotient[i] = poly[i + m]
+                if c:
+                    for j, b in enumerate(divisor, i):
+                        poly[j] -= c * b
+            poly = quotient
+    return tuple(poly)
 
 
 def _exact(c):

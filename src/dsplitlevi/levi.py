@@ -24,8 +24,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 
-from sympy import factorint
-
+from .arith import InputTooLarge, prime_power
 from .rootsys import is_stable_under, reflection_perm
 from .signedperm import (
     SignedPerm,
@@ -280,12 +279,21 @@ def gl_order(s, Q, eps):
     return out
 
 
+# q past this bound is refused before any factorisation starts.
+Q_BOUND = 2 ** 64
+
+
 def check_odd_prime_power(q):
-    """Raise ValueError unless q is an odd prime power."""
+    """(p, m) with q = p^m for an odd prime p; ValueError for any other
+    q, and InputTooLarge for q at or past Q_BOUND."""
+    if isinstance(q, int) and q >= Q_BOUND:
+        raise InputTooLarge(f"q = {q} is past the bound 2^64 on q")
     if not isinstance(q, int) or q < 3 or q % 2 == 0:
         raise ValueError(f"q must be an odd prime power, got {q!r}")
-    if len(factorint(q)) != 1:
+    pm = prime_power(q)
+    if pm is None:
         raise ValueError(f"q = {q} is not a prime power")
+    return pm
 
 
 LeviStructure = namedtuple(

@@ -7,10 +7,12 @@ permutation, inverting on sign flips; composed with the q-power
 Frobenius this yields the Lang map h -> h^-1 (wF)(h) on one orbit.
 
 Everything is exact and deterministic: the field F_{p^k} is presented
-by the lexicographically least monic irreducible modulus, the
-canonical generator is the least-encoded element of full order, and
+by the lexicographically least monic irreducible modulus, chosen by
+Rabin's irreducibility test over F_p (Rabin, SIAM J. Comput. 9, 1980),
+the canonical generator is the least-encoded element of full order, and
 psi is the prescribed power of that generator with
-psi^(q^d0 - eps) = (-1)^d0.
+psi^(q^d0 - eps) = (-1)^d0.  A field past FIELD_ORDER_BOUND elements
+raises InputTooLarge before any table is built.
 
 The kernel of the Lang map is parametrised by theta (a bijection from
 the cyclic group of order q^d0 - eps), z_plus is the distinguished
@@ -24,10 +26,24 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from sympy import Poly, Symbol, factorint, isprime
-
-from .levi import compute_d0
+from .arith import InputTooLarge, factorint, isprime
+from .levi import check_odd_prime_power, compute_d0
 from .signedperm import VerificationError
+
+# Fq keeps exp/log tables with one entry per nonzero element, so field
+# orders are capped (F_{3^12}, 531441 elements, takes 7.7 s and 118 MB to
+# tabulate on a 2-vCPU VM).  The largest field the default grids and the
+# tests use is F_{5^6} (q = 5, d = 3; 15625 elements).
+FIELD_ORDER_BOUND = 2 ** 20
+
+
+def _check_field_order(p, k):
+    """Raise InputTooLarge, before anything is built, if p^k is past
+    FIELD_ORDER_BOUND (p >= 2, so a k past the bound's bit length is)."""
+    if k > FIELD_ORDER_BOUND.bit_length() or p ** k > FIELD_ORDER_BOUND:
+        raise InputTooLarge(
+            f"field of order {p}^{k} is past the bound "
+            f"{FIELD_ORDER_BOUND} on field order")
 
 
 def _digits(code, p, k):
@@ -38,16 +54,64 @@ def _digits(code, p, k):
     return tuple(out)
 
 
+def _fp_rem(a, f, p):
+    """a mod f over F_p (ascending coefficient lists), trimmed."""
+    a = [c % p for c in a]
+    inv = pow(f[-1], p - 2, p)
+    m = len(f) - 1
+    for i in range(len(a) - 1, m - 1, -1):
+        c = a[i] * inv % p
+        if c:
+            for j, b in enumerate(f, i - m):
+                a[j] = (a[j] - c * b) % p
+    a = a[:m]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _fp_mulmod(a, b, f, p):
+    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _fp_rem(prod, f, p)
+
+
+def _is_irreducible(f, p):
+    """Rabin's test for a monic f of degree k over F_p: x^(p^k) = x
+    mod f, and gcd(x^(p^(k/r)) - x, f) = 1 for every prime r | k."""
+    k = len(f) - 1
+    x = _fp_rem([0, 1], f, p)
+    frob = [x]                       # frob[j] = x^(p^j) mod f
+    for _ in range(k):
+        out, base, e = [1], frob[-1], p
+        while e:
+            if e & 1:
+                out = _fp_mulmod(out, base, f, p)
+            base = _fp_mulmod(base, base, f, p)
+            e >>= 1
+        frob.append(out)
+    if frob[k] != x:
+        return False
+    for r in factorint(k):            # k >= 2 here, so x mod f is x
+        g = frob[k // r] + [0, 0]
+        g[1] -= 1
+        g = _fp_rem(g, f, p)
+        h = list(f)
+        while g:
+            h, g = g, _fp_rem(h, g, p)
+        if len(h) > 1:
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def _least_irreducible(p, k):
-    x = Symbol("x")
     for code in range(p ** k):
-        coeffs = _digits(code, p, k)
-        if k == 1:
-            return coeffs + (1,)
-        sym = Poly([1] + list(reversed(coeffs)), x, modulus=p)
-        if sym.is_irreducible:
-            return coeffs + (1,)
+        coeffs = _digits(code, p, k) + (1,)
+        if _is_irreducible(coeffs, p):
+            return coeffs
     raise AssertionError("no irreducible polynomial found")
 
 
@@ -127,15 +191,17 @@ class Fq:
     """The field F_{p^k}, p an odd prime, with deterministic presentation.
 
     The modulus is the lexicographically least monic irreducible of
-    degree k (coefficients compared low-degree first); exp/log tables
-    for the least full-order element make all arithmetic O(1).
+    degree k (coefficients compared low-degree first, irreducibility by
+    Rabin's test); exp/log tables for the least full-order element make
+    all arithmetic O(1), so the order p^k is at most FIELD_ORDER_BOUND.
     """
 
     def __init__(self, p, k):
-        if p % 2 == 0 or not isprime(p):
-            raise ValueError(f"base must be an odd prime, got {p}")
         if k < 1:
             raise ValueError("extension degree must be positive")
+        _check_field_order(p, k)
+        if p % 2 == 0 or not isprime(p):
+            raise ValueError(f"base must be an odd prime, got {p}")
         self.p, self.k = p, k
         self.order = p ** k
         self.poly = _least_irreducible(p, k)
@@ -280,12 +346,10 @@ class TwistedOrbit:
     """
 
     def __init__(self, q, d, points=None):
-        fac = factorint(q)
-        if len(fac) != 1 or q % 2 == 0 or q < 3:
-            raise ValueError(f"q must be an odd prime power, got {q}")
-        (self.p, self.m), = fac.items()
+        self.p, self.m = check_odd_prime_power(q)
         self.q, self.d = q, d
         self.d0 = compute_d0("BCD", d)
+        _check_field_order(self.p, self.m * 2 * self.d0)
         self.epsilon = -1 if d % 2 == 0 else 1
         self.N = q ** self.d0 - self.epsilon
         if points is None:

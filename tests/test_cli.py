@@ -18,8 +18,9 @@ from click.testing import CliRunner
 
 import dsplitlevi
 import dsplitlevi.cli as cli
-from dsplitlevi import cliff
+from dsplitlevi import cliff, levi, torus
 from dsplitlevi.cli import main, parse_grid
+from dsplitlevi.signedperm import ClosureExceedsCap
 
 
 def invoke(*args):
@@ -199,6 +200,37 @@ class TestChecksUnderOptimize:
         assert found == []
 
 
+class TestNoSympy:
+    """sympy cost most of the start-up of every command; the package's
+    integer routines replace it, and it stays a test-only dependency."""
+
+    def test_cli_import_loads_no_sympy(self):
+        src = os.path.dirname(os.path.dirname(dsplitlevi.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, dsplitlevi.cli; print(sorted(m for m in "
+                "sys.modules if m.split('.')[0] in ('sympy', 'mpmath')))")
+        proc = subprocess.run([sys.executable, "-B", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        assert proc.stdout.strip() == "[]"
+
+    def test_package_does_not_import_sympy(self):
+        found = []
+        for path in sorted(Path(dsplitlevi.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno}" for name in names
+                          if name.split(".")[0] == "sympy"]
+        assert found == []
+
+
 class TestCapExit:
     @pytest.mark.parametrize("args, cap", [
         (("verify", "normalizers", "--n", "2", "--cap", "3"), 3),
@@ -217,6 +249,66 @@ class TestCapExit:
 
     def test_below_the_cap_runs(self):
         assert run_json("chartab", "--group", "s4", "--cap", "24")["order"] == 24
+
+    @pytest.mark.parametrize("args", [
+        ("kinva", "--n", "2", "--d", "1"),
+        ("verify", "extweyl", "--n", "2", "--d", "1"),
+    ], ids=["kinva", "extweyl"])
+    def test_memoized_run_respects_a_smaller_cap(self, args, monkeypatch):
+        # Cold, kinva exceeds cap 2 and extweyl (V_2, order 32) cap 31.
+        monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
+        monkeypatch.setattr(cli, "_VL_CACHE", {})
+        cap = ("--cap", "2" if args[0] == "kinva" else "31")
+        cold = invoke(*args, *cap)
+        assert invoke(*args).exit_code == 0
+        warm = invoke(*args, *cap)
+        assert cold.exit_code == warm.exit_code == 2
+        assert cold.stderr == warm.stderr and "exceeds cap" in warm.stderr
+
+
+class TestExtendedWeylCache:
+    def test_cached_group_respects_cap(self, monkeypatch):
+        # V_2 inside Sp(4) has order 4^2 * 2! = 32.
+        def outcome(cap):
+            try:
+                return len(cli._extended_weyl_group(2, 2, cap))
+            except ClosureExceedsCap as exc:
+                return str(exc)
+
+        for cap, expected in ((31, "closure exceeds cap 31"), (32, 32)):
+            monkeypatch.setattr(cli, "_VL_CACHE", {})
+            cold = outcome(cap)
+            outcome(32)
+            warm = outcome(cap)
+            assert warm == cold == expected
+
+
+class TestInputBounds:
+    """Inputs past a documented bound exit 2 with one line naming it,
+    before any factorisation or field table starts."""
+
+    @staticmethod
+    def refuse(*args):
+        raise RuntimeError("work started")
+
+    def _exit_2_naming(self, args, bound):
+        result = invoke(*args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and bound in lines[0]
+
+    @pytest.mark.parametrize("command", [
+        ("levis", "--n", "2", "--d", "4"), ("verify", "torus")],
+        ids=["levis", "verify-torus"])
+    def test_q_bound(self, command, monkeypatch):
+        monkeypatch.setattr(levi, "prime_power", self.refuse)
+        self._exit_2_naming(command + ("--q", str(2 ** 64 + 1)), "2^64")
+
+    def test_field_order_bound(self, monkeypatch):
+        monkeypatch.setattr(torus, "_field", self.refuse)
+        self._exit_2_naming(("verify", "torus", "--q", "3", "--d", "100"),
+                            str(torus.FIELD_ORDER_BOUND))
 
 
 class TestKinva:

@@ -33,7 +33,9 @@ from dsplitlevi.cliff import (
     stab_lambda,
 )
 from dsplitlevi.levi import LeviLabel, enumerate_labels, wprime_Q
-from dsplitlevi.signedperm import SignedPerm, VerificationError, group_closure
+from dsplitlevi import cliff
+from dsplitlevi.signedperm import (ClosureExceedsCap, SignedPerm,
+                                   VerificationError, group_closure)
 
 
 def D(i, s, c, z=1):
@@ -368,6 +370,31 @@ class TestKinvaCheck:
         label = CharLabel(L24(), {1: (D(1, 1, 4, 2),)})
         assert kinva_check(label) == kinva_check(label)
 
+    def test_memo_hit_respects_cap(self, monkeypatch):
+        # A label whose K is larger than its W_lambda: the memo must keep
+        # the largest group order reached, not the reported one.
+        monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
+        label = next(
+            cl for levi in enumerate_labels(2, 1)
+            for cl in enumerate_char_labels(levi)
+            if kinva_check(cl)["W_lambda_order"]
+            < cliff._KINVA_MEMO[_canonical_structure(cl)][0])
+        order = cliff._KINVA_MEMO[_canonical_structure(label)][0]
+
+        def outcome(cap):
+            try:
+                return kinva_check(label, cap=cap)
+            except ClosureExceedsCap as exc:
+                return str(exc)
+
+        for cap in (order - 1, order):
+            kinva_check(label)
+            warm = outcome(cap)
+            monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
+            cold = outcome(cap)
+            assert warm == cold
+            assert isinstance(cold, str) is (cap < order)
+
     def test_gate_implies_pass_sweep(self):
         checked = 0
         for n, d in [(2, 1), (2, 2), (2, 4), (3, 1), (3, 3), (4, 4)]:
@@ -431,7 +458,8 @@ def test_class_permutation_search_matches_oracle():
         W, ker, K = _kinva_groups(key, 10000)
         stabilizers, xi_ids = kinva_oracle(W, ker, K)
         assert _kinva_search(W, ker, K, 10000) == (stabilizers, xi_ids), key
-        witnesses = _kinva_compute(key, 10000)["witnesses"]
+        _, report = _kinva_compute(key, 10000)
+        witnesses = report["witnesses"]
         assert [w["xi_id"] for w in witnesses] == xi_ids, key
 
 

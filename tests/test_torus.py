@@ -11,7 +11,10 @@ import itertools
 
 import pytest
 
+from dsplitlevi import torus
+from dsplitlevi.arith import InputTooLarge
 from dsplitlevi.torus import (
+    FIELD_ORDER_BOUND,
     Fq,
     TorusElem,
     TwistedOrbit,
@@ -78,6 +81,18 @@ class TestFq:
         with pytest.raises(ValueError):
             Fq(2, 3)
 
+    def test_field_order_bound(self, monkeypatch):
+        # Refused before the modulus search or any table starts.
+        def no_work(p, k):
+            raise RuntimeError("field construction started")
+        monkeypatch.setattr(torus, "_least_irreducible", no_work)
+        assert 5 ** 6 <= FIELD_ORDER_BOUND < 101 ** 6
+        for p, k in ((101, 6), (3, 10 ** 9), (10 ** 30 + 57, 1)):
+            with pytest.raises(InputTooLarge, match="bound"):
+                Fq(p, k)
+        with pytest.raises(RuntimeError):
+            Fq(3, 12)
+
 
 class TestTwistedOrbit:
     def test_q3_d2(self):
@@ -120,6 +135,14 @@ class TestTwistedOrbit:
         with pytest.raises(ValueError):
             TwistedOrbit(15, 2)
         TwistedOrbit(9, 2)
+
+    def test_field_order_bound(self, monkeypatch):
+        def no_field(p, k):
+            raise RuntimeError("field construction started")
+        monkeypatch.setattr(torus, "_field", no_field)
+        for q, d in ((101, 3), (3, 10 ** 9), (2 ** 64 + 1, 1)):
+            with pytest.raises(InputTooLarge, match="bound"):
+                TwistedOrbit(q, d)
 
 
 class TestTorusElem:
