@@ -21,7 +21,7 @@ import math
 
 from .arith import factorint, isprime
 from .cyclo import CycNum, CycVector, zeta
-from .signedperm import ClosureExceedsCap, closure
+from .signedperm import ClosureExceedsCap, VerificationError, closure
 
 DEFAULT_GROUP_CAP = 10000
 
@@ -270,7 +270,7 @@ def _coords_in_basis(basis, pivots, vec, l):
         if c:
             vec = [(a - c * b) % l for a, b in zip(vec, row)]
     if any(v % l for v in vec):
-        raise AssertionError("vector not in subspace (class matrices "
+        raise VerificationError("vector not in subspace (class matrices "
                              "should commute)")
     return coords
 
@@ -465,17 +465,19 @@ def _split_eigenvectors(G, data, l):
                     new_spaces.append((new_basis, new_pivots))
                     found += len(new_basis)
             if found != k:
-                raise AssertionError("class matrix failed to diagonalise")
+                raise VerificationError("class matrix failed to diagonalise")
         # Regroup: distinct lines stay separate; nothing to merge because
         # eigenspace splitting only refines.
         spaces = new_spaces
     lines = []
     for basis, _ in spaces:
         if len(basis) != 1:
-            raise AssertionError("class matrices did not separate characters")
+            raise VerificationError(
+                "class matrices did not separate characters")
         u = basis[0]
         if u[0] % l == 0:
-            raise AssertionError("eigenvector vanishes on the identity class")
+            raise VerificationError(
+                "eigenvector vanishes on the identity class")
         inv = pow(u[0], l - 2, l)
         lines.append(tuple((c * inv) % l for c in u))
     return lines
@@ -543,7 +545,7 @@ def character_table(G, cap=DEFAULT_GROUP_CAP):
 
     omegas = _split_eigenvectors(G, data, l)
     if len(omegas) != r:
-        raise AssertionError("wrong number of eigenvector lines")
+        raise VerificationError("wrong number of eigenvector lines")
 
     inv_class = [data.class_of[rep.inv()] for rep in data.reps]
     size_inv = [pow(s, l - 2, l) for s in data.sizes]
@@ -556,10 +558,10 @@ def character_table(G, cap=DEFAULT_GROUP_CAP):
         d = next((d for d in range(1, max_degree + 1)
                   if (d * d) % l == target), None)
         if d is None:
-            raise AssertionError("no degree matches the orthogonality sum")
+            raise VerificationError("no degree matches the orthogonality sum")
         degrees.append(d)
     if sum(d * d for d in degrees) != G.order:
-        raise AssertionError("degree squares do not sum to the group order")
+        raise VerificationError("degree squares do not sum to the group order")
 
     # Power maps: class of rep_j^s for every s mod e.
     power_class = []
@@ -593,13 +595,14 @@ def character_table(G, cap=DEFAULT_GROUP_CAP):
                 m = (acc * e_inv) % l
                 if m:
                     if m > max_degree:
-                        raise AssertionError(
+                        raise VerificationError(
                             "root-of-unity multiplicity fails lift bound")
                     val = val + zetas[k] * m
                 zk = (zk * zinv) % l
             row.append(val)
         if row[0] != d:
-            raise AssertionError("lifted degree disagrees with modular degree")
+            raise VerificationError(
+                "lifted degree disagrees with modular degree")
         rows.append(row)
 
     order_rows = sorted(range(r), key=lambda t: (degrees[t],
@@ -609,7 +612,7 @@ def character_table(G, cap=DEFAULT_GROUP_CAP):
 
     _verify_orthogonality(G, data, values)
     if any(G.order % d for d in degrees):
-        raise AssertionError("some degree does not divide the group order")
+        raise VerificationError("some degree does not divide the group order")
 
     table = CharacterTable(G, e, l, degrees, values)
     _TABLE_CACHE[cache_key] = table
@@ -626,7 +629,7 @@ def _verify_orthogonality(G, data, values):
         for t2 in range(t1, len(values)):
             want = G.order if t1 == t2 else 0
             if weighted.dot(conj_rows[t2]) != want:
-                raise AssertionError("row orthogonality fails")
+                raise VerificationError("row orthogonality fails")
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ when a verification fails (failure records stay in the report), 2 on
 invalid flags, when a group grows past its brute-force cap (``--cap``;
 by default 20000 elements for closures and 10000 for character tables),
 or when an input is past a fixed bound (q below 2^64, fields of at most
-``torus.FIELD_ORDER_BOUND`` elements): then one line naming the cap or
-bound goes to stderr and nothing to stdout.
+``torus.FIELD_ORDER_BOUND`` elements, at most ``LANG_TUPLE_BOUND``
+tuples in ``verify torus``): then one line naming the cap or bound goes
+to stderr and nothing to stdout.
 """
 
 import itertools
@@ -34,9 +35,9 @@ from .cliff import cuspidal_gate, enumerate_char_labels, kinva_check, stab_lambd
 from .cyclo import check_eq1
 from .extweyl import (IntMatrix, build_twist_elements, chevalley_generator,
                       matrix_closure, rho)
-from .levi import (check_odd_prime_power, concrete_parabolic_roots,
-                   enumerate_labels, label_record, relative_weyl,
-                   sylow_twist_w, verify_relative_weyl)
+from .levi import (check_odd_prime_power, compute_d0,
+                   concrete_parabolic_roots, enumerate_labels, label_record,
+                   relative_weyl, sylow_twist_w, verify_relative_weyl)
 from .rootsys import build_root_system, is_stable_under
 from .signedperm import (DEFAULT_CLOSURE_CAP, ClosureExceedsCap, SignedPerm,
                          block_wreath_generators,
@@ -263,9 +264,6 @@ def _suite_eq1(grids, cap):
     return checked, failures
 
 
-_VL_CACHE = {}
-
-
 def _embedded_simple_roots(n, l):
     roots = []
     for i in range(1, l):
@@ -280,21 +278,12 @@ def _embedded_simple_roots(n, l):
 
 def _extended_weyl_group(n, l, cap):
     """Closure of the simple-root monomial lifts of the rank-l
-    subsystem, cached per (n, l); order 4^l l!.  A cached group past
-    ``cap`` raises as its closure would."""
-    key = (n, l)
-    group = _VL_CACHE.get(key)
-    if group is None:
-        if l == 0:
-            group = (IntMatrix.identity(2 * n),)
-        else:
-            gens = [chevalley_generator("n", r, 1)
-                    for r in _embedded_simple_roots(n, l)]
-            group = tuple(matrix_closure(gens, cap=cap))
-        _VL_CACHE[key] = group
-    if len(group) > cap:
-        raise ClosureExceedsCap(f"closure exceeds cap {cap}")
-    return group
+    subsystem; order 4^l l!."""
+    if l == 0:
+        return [IntMatrix.identity(2 * n)]
+    gens = [chevalley_generator("n", r, 1)
+            for r in _embedded_simple_roots(n, l)]
+    return matrix_closure(gens, cap=cap)
 
 
 def _embed_signed(perm, n):
@@ -348,12 +337,24 @@ def _suite_extweyl(grids, cap):
     return checked, failures
 
 
+LANG_TUPLE_BOUND = 2 ** 20
+
+
 def _suite_torus(grids, cap):
     """Fixed points of the twisted Frobenius: the Theta bijection onto
     the Lang kernel (enumerated in full where d0 <= 2; beyond that the
     coordinate space is out of desk range), the Lang image of the
     half-point, the closed-form conjugation exponents, and the
-    stabilizer jump at order two."""
+    stabilizer jump at order two.  The enumeration walks
+    (q^(2 d0) - 1)^d0 tuples; a grid with a case past LANG_TUPLE_BOUND
+    raises InputTooLarge before any work starts."""
+    for q, d in itertools.product(grids["q"], grids["d"]):
+        d0 = compute_d0("BCD", d)
+        tuples = (q ** (2 * d0) - 1) ** d0 if d0 <= 2 else 0
+        if tuples > LANG_TUPLE_BOUND:
+            raise InputTooLarge(
+                f"verify torus at q={q}, d={d} would enumerate {tuples} "
+                f"tuples, past the bound {LANG_TUPLE_BOUND}")
     checked, failures = 0, []
 
     def fail(kind, q, d, **data):

@@ -325,10 +325,6 @@ class CycVector:
             raise ValueError("mixed conductors in vector")
         self.entries = entries
 
-    @classmethod
-    def from_ints(cls, vec, d):
-        return cls(CycNum.from_rational(c, d) for c in vec)
-
     @property
     def d(self):
         return self.entries[0].d

@@ -5,8 +5,13 @@ the diagonal h_alpha(t) are realised as 2n x 2n integer matrices in the
 symplectic basis e_1..e_n, f_1..f_n with <e_i, f_i> = 1.  Only t = +-1
 is ever needed, so every constructed element has entries in {0, +-1}.
 
-rho projects a signed monomial matrix onto the signed permutation of
-its pattern (f_i read as e_{-i}); its kernel is the diagonal 2-group.
+Every n_alpha, h_alpha and product of them is signed monomial,
+M e_j = +-e_pi(j), so IntMatrix holds it as the rank-2n SignedPerm
+j+1 -> +-(pi(j)+1) and multiplies, inverts and powers it there; only
+the x_alpha(+-1) multiply as dense rows.  Rows are built only when
+read, and equality and hash compare that image, so they agree however
+a matrix was made.  rho reads the image as a signed permutation of
+rank n (f_i read as e_{-i}); its kernel is the diagonal 2-group.
 
 build_twist_elements constructs the distinguished lift v of the Sylow
 twist together with the grid-set elements c_i (lifting the long signed
@@ -26,61 +31,59 @@ from .signedperm import (DEFAULT_CLOSURE_CAP, SignedPerm, VerificationError,
 
 
 class IntMatrix:
-    """Hashable square integer matrix; product is composition."""
+    """Hashable square integer matrix; product is composition.  A signed
+    monomial one is held as its SignedPerm (see the module docstring)."""
 
-    __slots__ = ("rows", "_hash")
+    __slots__ = ("_perm", "_rows")
 
     def __init__(self, rows):
         rows = tuple(tuple(int(x) for x in r) for r in rows)
         if any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square")
-        self.rows = rows
-        self._hash = hash(rows)
+        self._rows = rows
+        self._perm = _monomial_perm(rows)
+
+    @classmethod
+    def _of_perm(cls, perm):
+        m = object.__new__(cls)
+        m._perm, m._rows = perm, None
+        return m
 
     @classmethod
     def identity(cls, dim):
-        return cls(tuple(tuple(int(i == j) for j in range(dim))
-                         for i in range(dim)))
+        return cls._of_perm(SignedPerm.identity(dim))
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self._rows) if self._perm is None else self._perm.n
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            img = self._perm.img
+            self._rows = tuple(tuple(v // i if abs(v) == i else 0 for v in img)
+                               for i in range(1, len(img) + 1))
+        return self._rows
 
     def __mul__(self, other):
+        if self._perm is not None and other._perm is not None:
+            return IntMatrix._of_perm(self._perm * other._perm)
         cols = tuple(zip(*other.rows))
         return IntMatrix(tuple(
             tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
             for row in self.rows))
 
-    def is_signed_monomial(self):
-        seen_rows = set()
-        for j in range(self.dim):
-            col = [self.rows[i][j] for i in range(self.dim)]
-            nz = [(i, v) for i, v in enumerate(col) if v]
-            if len(nz) != 1 or nz[0][1] not in (1, -1) or nz[0][0] in seen_rows:
-                return False
-            seen_rows.add(nz[0][0])
-        return True
+    def _signed_perm(self):
+        if self._perm is None:
+            raise ValueError("not a signed monomial matrix")
+        return self._perm
 
     def inv(self):
-        """Inverse, available exactly for signed monomial matrices
-        (they are orthogonal, so the inverse is the transpose)."""
-        if not self.is_signed_monomial():
-            raise ValueError("inverse implemented for signed monomial "
-                             "matrices only")
-        return IntMatrix(tuple(zip(*self.rows)))
+        """Inverse, available exactly for signed monomial matrices."""
+        return IntMatrix._of_perm(self._signed_perm().inv())
 
     def __pow__(self, k):
-        if k < 0:
-            return self.inv() ** (-k)
-        out = IntMatrix.identity(self.dim)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return IntMatrix._of_perm(self._signed_perm() ** k)
 
     def conj(self, g):
         """g^-1 * self * g, matching the signed-permutation convention."""
@@ -103,14 +106,27 @@ class IntMatrix:
                     return False
         return True
 
+    def _key(self):
+        return self._rows if self._perm is None else self._perm
+
     def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.rows == other.rows
+        return isinstance(other, IntMatrix) and self._key() == other._key()
 
     def __hash__(self):
-        return self._hash
+        return hash(self._key())
 
     def __repr__(self):
         return f"IntMatrix({self.rows!r})"
+
+
+def _monomial_perm(rows):
+    """The SignedPerm of a matrix with M e_j = ±e_i in every column j
+    (j+1 -> ±(i+1)), or None when ``rows`` is not signed monomial."""
+    cols = [[(i, v) for i, v in enumerate(col, 1) if v] for col in zip(*rows)]
+    if any(len(c) != 1 or c[0][1] not in (1, -1) for c in cols):
+        return None
+    img = [i * v for ((i, v),) in cols]
+    return SignedPerm(img) if len(set(map(abs, img))) == len(img) else None
 
 
 def matrix_closure(gens, cap=DEFAULT_CLOSURE_CAP):
@@ -187,22 +203,13 @@ def chevalley_generator(kind, root, t):
 
 def rho(m):
     """Signed permutation of the monomial pattern, f_i read as e_{-i}."""
-    if not m.is_signed_monomial():
-        raise ValueError("rho needs a signed monomial matrix")
-    dim = m.dim
-    if dim % 2:
+    pos = [abs(v) - 1 for v in m._signed_perm().img]
+    if len(pos) % 2:
         raise ValueError("odd dimension is not symplectic")
-    n = dim // 2
-    pos = []
-    for j in range(dim):
-        pos.append(next(i for i in range(dim) if m.rows[i][j]))
-    for i in range(n):
-        partner = pos[i] + n if pos[i] < n else pos[i] - n
-        if pos[i + n] != partner:
-            raise ValueError("monomial pattern breaks the symplectic pairing")
-    img = tuple(pos[i] + 1 if pos[i] < n else -(pos[i] - n + 1)
-                for i in range(n))
-    return SignedPerm(img)
+    n = len(pos) // 2
+    if any(pos[i + n] != (pos[i] + n) % (2 * n) for i in range(n)):
+        raise ValueError("monomial pattern breaks the symplectic pairing")
+    return SignedPerm(p + 1 if p < n else n - p - 1 for p in pos[:n])
 
 
 # ---------------------------------------------------------------------------

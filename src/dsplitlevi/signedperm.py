@@ -325,15 +325,6 @@ class CentralizerType:
     def __repr__(self):
         return f"CentralizerType(m1={self.m1}, m2={self.m2}, order={self.order})"
 
-    def describe(self):
-        parts = [f"C{2 * i} wr S{c}" for i, c in self.m1.items()]
-        for i, c in self.m2.items():
-            if i % 2 == 1:
-                parts.append(f"C{2 * i} wr S{c}")
-            else:
-                parts.append(f"(C2 x C{i}) wr S{c}")
-        return " x ".join(parts) if parts else "1"
-
 
 def centralizer_type(s):
     """The (m1, m2) statistics of ``s`` and its predicted centralizer order."""

@@ -112,7 +112,7 @@ def _least_irreducible(p, k):
         coeffs = _digits(code, p, k) + (1,)
         if _is_irreducible(coeffs, p):
             return coeffs
-    raise AssertionError("no irreducible polynomial found")
+    raise VerificationError("no irreducible polynomial found")
 
 
 class FqElem:
@@ -261,7 +261,7 @@ class Fq:
                 continue
             if all(self._cpow(c, self._N // r) != one for r in primes):
                 return c
-        raise AssertionError("no generator found")
+        raise VerificationError("no generator found")
 
     def _check(self, other):
         if not isinstance(other, FqElem) or other.field.p != self.p \

@@ -31,6 +31,7 @@ from dsplitlevi.levi import LeviLabel
 from dsplitlevi.signedperm import (
     ClosureExceedsCap,
     SignedPerm,
+    VerificationError,
     group_closure,
     signed_symmetric_group,
 )
@@ -249,7 +250,7 @@ class TestCharacterTable:
             for j in range(len(row)):
                 bad = [list(r) for r in table.values]
                 bad[t][j] = bad[t][j] + 1
-                with pytest.raises(AssertionError):
+                with pytest.raises(VerificationError):
                     _verify_orthogonality(G, data, bad)
 
     def test_deterministic(self):

@@ -7,11 +7,13 @@ report), 2 invalid flags or a brute-force cap hit.
 """
 
 import ast
+import importlib
 import json
 import os
 from pathlib import Path
 import subprocess
 import sys
+import types
 
 import pytest
 from click.testing import CliRunner
@@ -20,7 +22,6 @@ import dsplitlevi
 import dsplitlevi.cli as cli
 from dsplitlevi import cliff, levi, torus
 from dsplitlevi.cli import main, parse_grid
-from dsplitlevi.signedperm import ClosureExceedsCap
 
 
 def invoke(*args):
@@ -200,6 +201,24 @@ class TestChecksUnderOptimize:
         assert found == []
 
 
+class TestTracedNames:
+    def test_every_traced_name_resolves(self):
+        # perfbench/tracing.py wraps these names by lookup, so deleting or
+        # renaming one must fail here and not only in perfbench/selftest.py.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        tracing = types.ModuleType("tracing")
+        exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)
+        missing = []
+        for module, names in tracing.LAYERS.items():
+            mod = importlib.import_module(f"{tracing.PACKAGE}.{module}")
+            for name in names:
+                try:
+                    tracing._originals(mod, name)
+                except (AttributeError, KeyError):
+                    missing.append(f"{module}.{name}")
+        assert missing == []
+
+
 class TestNoSympy:
     """sympy cost most of the start-up of every command; the package's
     integer routines replace it, and it stays a test-only dependency."""
@@ -257,30 +276,12 @@ class TestCapExit:
     def test_memoized_run_respects_a_smaller_cap(self, args, monkeypatch):
         # Cold, kinva exceeds cap 2 and extweyl (V_2, order 32) cap 31.
         monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
-        monkeypatch.setattr(cli, "_VL_CACHE", {})
         cap = ("--cap", "2" if args[0] == "kinva" else "31")
         cold = invoke(*args, *cap)
         assert invoke(*args).exit_code == 0
         warm = invoke(*args, *cap)
         assert cold.exit_code == warm.exit_code == 2
         assert cold.stderr == warm.stderr and "exceeds cap" in warm.stderr
-
-
-class TestExtendedWeylCache:
-    def test_cached_group_respects_cap(self, monkeypatch):
-        # V_2 inside Sp(4) has order 4^2 * 2! = 32.
-        def outcome(cap):
-            try:
-                return len(cli._extended_weyl_group(2, 2, cap))
-            except ClosureExceedsCap as exc:
-                return str(exc)
-
-        for cap, expected in ((31, "closure exceeds cap 31"), (32, 32)):
-            monkeypatch.setattr(cli, "_VL_CACHE", {})
-            cold = outcome(cap)
-            outcome(32)
-            warm = outcome(cap)
-            assert warm == cold == expected
 
 
 class TestInputBounds:
@@ -304,6 +305,12 @@ class TestInputBounds:
     def test_q_bound(self, command, monkeypatch):
         monkeypatch.setattr(levi, "prime_power", self.refuse)
         self._exit_2_naming(command + ("--q", str(2 ** 64 + 1)), "2^64")
+
+    def test_lang_tuple_bound(self, monkeypatch):
+        # q=9, d=4 would enumerate (9^4 - 1)^2, about 43M tuples.
+        monkeypatch.setattr(cli, "lang_map", self.refuse)
+        self._exit_2_naming(("verify", "torus", "--q", "3,9", "--d", "4"),
+                            str(cli.LANG_TUPLE_BOUND))
 
     def test_field_order_bound(self, monkeypatch):
         monkeypatch.setattr(torus, "_field", self.refuse)

@@ -7,8 +7,10 @@ matrices and against brute-force closures at small rank.
 """
 
 import itertools
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsplitlevi.extweyl import (
     IntMatrix,
@@ -70,6 +72,76 @@ class TestIntMatrix:
         assert IntMatrix.identity(4).is_symplectic()
         assert mat((0, 1), (-1, 0)).is_symplectic()
         assert not mat((1, 0), (0, -1)).is_symplectic()
+
+
+def dense(a, b):
+    """The plain integer product of two row tuples."""
+    size = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(size))
+                       for j in range(size)) for i in range(size))
+
+
+def dense_identity(size):
+    return tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
+
+
+def transpose(rows):
+    return tuple(zip(*rows))
+
+
+@lru_cache(maxsize=None)
+def lift_pool(n):
+    """(matrix, reference rows) for n_alpha(+-1), h_alpha(+-1) and every
+    build_twist_elements output at rank n.  The Chevalley references
+    are dense products of the x_alpha rows (a monomial inverse is its
+    transpose); a twist element is its own reference."""
+    roots = build_root_system("C", n).roots if n > 1 else ((2,), (-2,))
+    pool = []
+    for root, t in itertools.product(roots, (1, -1)):
+        neg = tuple(-c for c in root)
+        x = [chevalley_generator("x", r, s).rows
+             for r, s in ((root, t), (neg, -t), (root, t), (root, 1),
+                          (neg, -1), (root, 1))]
+        n_t = dense(dense(x[0], x[1]), x[2])
+        n_1 = dense(dense(x[3], x[4]), x[5])
+        pool.append((chevalley_generator("n", root, t), n_t))
+        pool.append((chevalley_generator("h", root, t),
+                     dense(n_t, transpose(n_1))))
+    for d in range(1, 7):
+        te = build_twist_elements(n, d)
+        for m in (te.v0, te.v, te.v_prime, *te.c, *te.p, *te.h,
+                  *te.p_pair.values()):
+            pool.append((m, m.rows))
+    return tuple(pool)
+
+
+class TestAgainstDenseProducts:
+    """Monomial storage against plain integer products of the rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_words(self, data):
+        n = data.draw(st.integers(1, 3))
+        word = data.draw(st.lists(st.sampled_from(lift_pool(n)),
+                                  min_size=1, max_size=6))
+        m, ref = IntMatrix.identity(2 * n), dense_identity(2 * n)
+        for g, g_ref in word:
+            assert g.rows == g_ref
+            m, ref = m * g, dense(ref, g_ref)
+            assert m.rows == ref
+        assert dense(m.rows, m.inv().rows) == dense_identity(2 * n)
+        k = data.draw(st.integers(-4, 4))
+        power = dense_identity(2 * n)
+        for _ in range(abs(k)):
+            power = dense(power, ref if k > 0 else transpose(ref))
+        assert (m ** k).rows == power
+        rebuilt = IntMatrix(m.rows)
+        assert rebuilt == m and hash(rebuilt) == hash(m)
+
+    def test_pow_of_non_monomial_raises(self):
+        for k in (-1, 0, 2):
+            with pytest.raises(ValueError):
+                chevalley_generator("x", (1, -1), 1) ** k
 
 
 class TestChevalleyGenerators:
