@@ -15,7 +15,8 @@ the same flags.  Exit status: 0 when every requested check passes, 1
 when a verification fails (failure records stay in the report), 2 on
 invalid flags, when a group grows past its brute-force cap (``--cap``;
 by default 20000 elements for closures and 10000 for character tables),
-or when an input is past a fixed bound (q below 2^64, fields of at most
+or when an input is past a fixed bound (q below 2^64, at most
+``levi.LABEL_COUNT_BOUND`` Levi labels at one (n, d), fields of at most
 ``torus.FIELD_ORDER_BOUND`` elements, at most ``LANG_TUPLE_BOUND``
 tuples in ``verify torus``): then one line naming the cap or bound goes
 to stderr and nothing to stdout.
@@ -52,14 +53,19 @@ from .torus import (TorusElem, TwistedOrbit, central_stabilizer_jump,
 # rendering
 # ---------------------------------------------------------------------------
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj):
     """The canonical machine encoding: sorted keys, no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def _cell(value):
     if isinstance(value, str):
         return value
+    if type(value) is int:
+        return str(value)
     return canonical_json(value)
 
 

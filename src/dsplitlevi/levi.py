@@ -10,6 +10,21 @@ sign on every block.  These are precisely the parabolic subsystems
 picked out by the eigenspace test of :mod:`dsplitlevi.cyclo`, which the
 test-suite checks in both directions.
 
+Each grid set J_i = grid_set(d0, a, i), 1 ≤ i ≤ a = l/d0, is one
+bar(w)-cycle.  Every point past l is fixed by bar(w) (there is none
+when d0 = 1), so no block of an orbit of length d0 holds it.  Hence
+I₋₁ = ∪_{i∈T} J_i ∪ {l+1..n} for a subset T of {1..a}, and each orbit
+of blocks spans the grid sets J_i, i ∈ S, of one group S of a set
+partition of the rest of {1..a}.  Its blocks are transversals of those grid
+sets, and the constant-sign condition leaves only the aligned ones,
+{J_i(j) : i ∈ S} for j = 1..d0.  The labels at (n, d) are therefore
+counted by the Bell number Bell(a+1).  :func:`enumerate_labels` builds
+them from (T, partition) with no search, and refuses a count past
+``LABEL_COUNT_BOUND`` before building any.  It constructs each label
+through a trusted path of :class:`LeviLabel` that skips the per-label
+checks; the orbit checks run once per group instead.  A label built
+by calling ``LeviLabel(...)`` is checked in full.
+
 Each orbit of size-s blocks spans s grid sets; the corresponding Q-sets
 (ordered grid-set families) generate one C_{2d0} wr S_{t_s} factor of
 the relative Weyl group, realised concretely inside the signed
@@ -31,6 +46,7 @@ from .signedperm import (
     VerificationError,
     grid_set,
     group_closure,
+    set_partitions,
     signed_symmetric_group,
     tau,
     wprime,
@@ -82,23 +98,69 @@ def sylow_twist_w(n, d):
 Orbit = namedtuple("Orbit", ["blocks", "J_O", "Q"])
 
 
+def _check_rank(n, d):
+    """ValueError unless n and d are positive ints (bools refused)."""
+    for name, value in (("n", n), ("d", d)):
+        if type(value) is not int or value < 1:
+            raise ValueError(f"{name} must be a positive int, got {value!r}")
+
+
+def _shape(n, d):
+    """(d0, l, a, w) at (n, d): l = a·d0 is the largest multiple of d0
+    up to n and w the twist."""
+    d0 = compute_d0("BCD", d)
+    a = n // d0
+    return d0, a * d0, a, sylow_twist_w(n, d)
+
+
+def _grid_orbit(orbit, d0, a, n, d):
+    """The Orbit of a list of blocks permuted cyclically by bar(w), with
+    its grid indices J_O and Q-sets; VerificationError unless the blocks
+    are transversals of those grid sets and exactly cover them."""
+    underline = sorted(set().union(*orbit))
+    J_O = tuple(i for i in underline if i <= a)
+    if len(J_O) != len(orbit[0]):
+        raise VerificationError(
+            f"blocks of orbit {orbit} are not grid transversals "
+            f"(n={n}, d={d})")
+    Q = tuple(grid_set(d0, a, i) for i in J_O)
+    if sorted(set().union(*Q)) != underline:
+        raise VerificationError(
+            f"support of orbit {orbit} is not a union of grid "
+            f"sets (n={n}, d={d})")
+    return Orbit(tuple(orbit), J_O, Q)
+
+
 class LeviLabel:
     """A validated d-split Levi label (I₋₁, I) at rank n.
 
     Derived data: the twist w, per-size block orbits with their grid
     index sets J_O and Q-sets (the grid sets underlying the orbit,
     ascending), and the orbit counts t = {s: t_s}.
+
+    ``LeviLabel(n, d, I_minus1, I)`` checks every condition.  The
+    keyword ``_built`` is the trusted path of :func:`enumerate_labels`
+    alone: ``((d0, l, a, w), orbits)`` for the sorted ``I_minus1`` and
+    ``I`` it constructed, whose orbits it has already checked.
     """
 
     __slots__ = ("n", "d", "d0", "l", "a", "w", "I_minus1", "I", "orbits", "t")
 
-    def __init__(self, n, d, I_minus1, I):
+    def __init__(self, n, d, I_minus1, I, _built=None):
         self.n, self.d = n, d
-        self.d0 = compute_d0("BCD", d)
-        self.l = (n // self.d0) * self.d0
-        self.a = self.l // self.d0 if self.l else 0
-        self.w = sylow_twist_w(n, d)
+        if _built is not None:
+            (self.d0, self.l, self.a, self.w), self.orbits = _built
+            self.I_minus1, self.I = I_minus1, I
+            self.t = {s: len(v) for s, v in sorted(self.orbits.items())}
+            return
+        _check_rank(n, d)
+        self.d0, self.l, self.a, self.w = _shape(n, d)
 
+        I_minus1 = tuple(I_minus1)
+        I = [tuple(b) for b in I]
+        for p in itertools.chain(I_minus1, *I):
+            if type(p) is not int:
+                raise ValueError(f"points must be ints, got {p!r}")
         I_minus1 = tuple(sorted(I_minus1))
         if len(set(I_minus1)) != len(I_minus1) or not all(
                 1 <= i <= n for i in I_minus1):
@@ -140,19 +202,8 @@ class LeviLabel:
                 raise ValueError(
                     f"orbit of block {b!r} has length {len(orbit)}, "
                     f"need exactly d0 = {self.d0}")
-            underline = sorted(set().union(*orbit))
-            J_O = tuple(i for i in underline if i <= self.a)
-            s = len(b)
-            if len(J_O) != s:
-                raise VerificationError(
-                    f"blocks of orbit {orbit} are not grid transversals "
-                    f"(n={n}, d={d})")
-            Q = tuple(grid_set(self.d0, self.a, i) for i in J_O)
-            if sorted(set().union(*Q)) != underline:
-                raise VerificationError(
-                    f"support of orbit {orbit} is not a union of grid "
-                    f"sets (n={n}, d={d})")
-            self.orbits.setdefault(s, []).append(Orbit(tuple(orbit), J_O, Q))
+            self.orbits.setdefault(len(b), []).append(
+                _grid_orbit(orbit, self.d0, self.a, n, d))
         for s in self.orbits:
             self.orbits[s].sort(key=lambda o: o.J_O[0])
         self.t = {s: len(v) for s, v in sorted(self.orbits.items())}
@@ -175,54 +226,79 @@ class LeviLabel:
                 f"I_minus1={self.I_minus1}, I={self.I})")
 
 
-def _partitions_of(points):
-    if not points:
-        return [()]
-    first, rest = points[0], points[1:]
-    out = []
-    for k in range(len(rest) + 1):
-        for tail in itertools.combinations(rest, k):
-            block = (first,) + tail
-            remaining = tuple(p for p in rest if p not in tail)
-            for sub in _partitions_of(remaining):
-                out.append(tuple(sorted((block,) + sub, key=min)))
-    return out
+# enumerate_labels refuses an (n, d) with more labels than this, before
+# building any: Bell(10) = 115975 (n = 9 at d0 = 1) is admitted, Bell(11)
+# = 678570 is not.
+LABEL_COUNT_BOUND = 2 ** 17
+
+
+def _bell(m):
+    """The Bell number B_m, by the Bell triangle."""
+    row = [1]
+    for _ in range(m):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
 
 
 def enumerate_labels(n, d, dedup=False):
     """All valid labels at (n, d), in sorted order.
 
+    Built from the parametrisation of the module docstring, one label
+    per set partition of {1..a+1}: the block of 1 gives T (grid index
+    i is point i + 1), every other block a group.  Each group's orbit
+    is walked along bar(w) and checked once per call, then shared by
+    every label that contains it.  Raises InputTooLarge before building
+    any label when the count Bell(a+1) is past LABEL_COUNT_BOUND.
+
     With ``dedup`` set, keeps one label per structural signature
     (|I₋₁|, {s: t_s}) — the data determining the Levi up to conjugacy.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    w = sylow_twist_w(n, d)
-    bar = w.bar()
-    cycles = []
-    seen = set()
-    for start in range(1, n + 1):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        p = bar(start)
-        while p != start:
-            cyc.append(p)
-            seen.add(p)
-            p = bar(p)
-        cycles.append(tuple(sorted(cyc)))
+    _check_rank(n, d)
+    shape = d0, l, a, w = _shape(n, d)
+    count = _bell(a + 1)
+    if count > LABEL_COUNT_BOUND:
+        raise InputTooLarge(
+            f"n={n}, d={d} has {count} Levi labels, past the bound "
+            f"{LABEL_COUNT_BOUND} on the label count")
+    img, bar = w.img, w.bar().img
+    tail = tuple(range(l + 1, n + 1))
+
+    @lru_cache(maxsize=None)
+    def minus1(first):
+        return tuple(sorted(itertools.chain(
+            tail, *(grid_set(d0, a, i - 1) for i in first[1:]))))
+
+    @lru_cache(maxsize=None)
+    def orbit(group):
+        # The blocks {J_i(j) : i ∈ S}, j = 1..d0, walked from J_i(1) = i.
+        S = tuple(i - 1 for i in group)
+        blocks = [S]
+        cur = tuple(sorted(bar[i - 1] for i in S))
+        while cur != S:
+            blocks.append(cur)
+            cur = tuple(sorted(bar[i - 1] for i in cur))
+        if len(blocks) != d0:
+            raise VerificationError(
+                f"group {S} gives an orbit of {len(blocks)} blocks, not "
+                f"d0 = {d0} (n={n}, d={d})")
+        if any(len({img[i - 1] > 0 for i in b}) > 1 for b in blocks):
+            raise VerificationError(
+                f"w is not of constant sign on the orbit of group {S} "
+                f"(n={n}, d={d})")
+        return _grid_orbit(blocks, d0, a, n, d)
+
     labels = []
-    for k in range(len(cycles) + 1):
-        for chosen in itertools.combinations(range(len(cycles)), k):
-            I_minus1 = tuple(sorted(itertools.chain.from_iterable(
-                cycles[i] for i in chosen)))
-            rest = tuple(p for p in range(1, n + 1) if p not in I_minus1)
-            for blocks in _partitions_of(rest):
-                try:
-                    labels.append(LeviLabel(n, d, I_minus1, blocks))
-                except ValueError:
-                    continue
+    for first, *groups in set_partitions(a + 1):
+        orbits = {}
+        for g in groups:
+            orbits.setdefault(len(g), []).append(orbit(g))
+        I = tuple(sorted(itertools.chain.from_iterable(
+            o.blocks for v in orbits.values() for o in v)))
+        labels.append(LeviLabel(n, d, minus1(first), I,
+                                _built=(shape, orbits)))
     labels.sort(key=lambda lab: (lab.I_minus1, lab.I))
     if dedup:
         kept, sigs = [], set()

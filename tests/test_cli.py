@@ -17,6 +17,7 @@ import types
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import dsplitlevi
 import dsplitlevi.cli as cli
@@ -312,6 +313,16 @@ class TestInputBounds:
         self._exit_2_naming(("verify", "torus", "--q", "3,9", "--d", "4"),
                             str(cli.LANG_TUPLE_BOUND))
 
+    @pytest.mark.parametrize("command", [
+        ("levis", "--n", "10", "--d", "1"),
+        ("levis", "--n", "20", "--d", "4"),
+        ("relweyl", "--n", "10", "--d", "1", "--no-check")],
+        ids=["levis-d1", "levis-d4", "relweyl"])
+    def test_label_count_bound(self, command, monkeypatch):
+        # Bell(11) = 678570 labels, past the bound.
+        monkeypatch.setattr(levi.LeviLabel, "__init__", self.refuse)
+        self._exit_2_naming(command, str(levi.LABEL_COUNT_BOUND))
+
     def test_field_order_bound(self, monkeypatch):
         monkeypatch.setattr(torus, "_field", self.refuse)
         self._exit_2_naming(("verify", "torus", "--q", "3", "--d", "100"),
@@ -396,3 +407,21 @@ class TestDeterminism:
         parsed = json.loads(out)
         assert out.strip() == json.dumps(parsed, sort_keys=True,
                                          separators=(",", ":"))
+
+
+# Every non-str value a report record can hold: ints of any size and sign,
+# bools, None, and lists and str-keyed dicts of these (and of strs).
+_RECORD_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(min_value=-2 ** 300, max_value=2 ** 300),
+    lambda inner: st.lists(inner | st.text(), max_size=4)
+    | st.dictionaries(st.text(), inner | st.text(), max_size=4),
+    max_leaves=12)
+
+
+class TestCellRendering:
+    @given(_RECORD_VALUES)
+    @settings(max_examples=300)
+    def test_cell_is_canonical_json(self, value):
+        assert cli._cell(value) == cli.canonical_json(value) == json.dumps(
+            value, sort_keys=True, separators=(",", ":"))

@@ -10,6 +10,7 @@ import itertools
 
 import pytest
 
+from dsplitlevi import levi
 from dsplitlevi.cyclo import check_eq1
 from dsplitlevi.levi import (
     LeviLabel,
@@ -25,7 +26,7 @@ from dsplitlevi.levi import (
     verify_relative_weyl,
 )
 from dsplitlevi.rootsys import build_root_system, is_stable_under
-from dsplitlevi.signedperm import SignedPerm, group_closure
+from dsplitlevi.signedperm import SignedPerm, group_closure, set_partitions
 
 def sp(text, n):
     return SignedPerm.from_cycles(text, n)
@@ -122,15 +123,30 @@ class TestEnumerate:
         assert len(enumerate_labels(2, 1)) == 5
         assert len(enumerate_labels(2, 1, dedup=True)) == 4
 
+    INVALID = [
+        (2, 4, (1,), ((2,),)),          # I_minus1 not bar-stable
+        (2, 4, (), ((1, 2),)),          # orbit length 1, need 2
+        (2, 1, (1,), ((1,),)),          # overlap
+        (2, 1, (), ((1,),)),            # complement not covered
+        (0, 1, (), ()),                 # rank below 1
+        (-1, 1, (), ()),
+        (1, True, (1,), ()),            # bool d
+        (True, 1, (1,), ()),            # bool n
+        (2, 1.0, (1, 2), ()),           # float d
+        (2, 1, (1.0,), ((2,),)),        # float point in I_minus1
+        (2, 1, (1,), ((2.0,),)),        # float point in a block
+        (2, 1, (True,), ((2,),)),       # bool point
+    ]
+
     def test_invalid_labels_rejected(self):
+        for args in self.INVALID:
+            with pytest.raises(ValueError):
+                LeviLabel(*args)
+
+    @pytest.mark.parametrize("args", [(0, 1), (1, 0), (True, 1), (2, 1.0)])
+    def test_invalid_rank_or_twist_rejected(self, args):
         with pytest.raises(ValueError):
-            LeviLabel(2, 4, (1,), ((2,),))      # I_minus1 not bar-stable
-        with pytest.raises(ValueError):
-            LeviLabel(2, 4, (), ((1, 2),))      # orbit length 1, need 2
-        with pytest.raises(ValueError):
-            LeviLabel(2, 1, (1,), ((1,),))      # overlap
-        with pytest.raises(ValueError):
-            LeviLabel(2, 1, (), ((1,),))        # complement not covered
+            enumerate_labels(*args)
 
     def test_derived_data_rank4_d4(self):
         lab = LeviLabel(4, 4, (), ((1, 2), (3, 4)))
@@ -157,6 +173,79 @@ class TestEnumerate:
                     continue
                 assert check_eq1(w, d, roots, sys) == (pair in enumerated), (
                     d, pair)
+
+
+def _slots(lab):
+    return (lab.n, lab.d, lab.d0, lab.l, lab.a, lab.w, lab.I_minus1, lab.I,
+            list(lab.orbits.items()), list(lab.t.items()))
+
+
+def _oracle_labels(n, d):
+    """Construct and reject: every bar(w)-stable I_minus1 (a union of
+    bar(w)-cycles) with every set partition of the rest, kept when the
+    validating constructor accepts it."""
+    bar = sylow_twist_w(n, d).bar()
+    cycles, seen = [], set()
+    for start in range(1, n + 1):
+        if start in seen:
+            continue
+        cyc, p = [start], bar(start)
+        while p != start:
+            cyc.append(p)
+            p = bar(p)
+        seen.update(cyc)
+        cycles.append(cyc)
+    labels = []
+    for k in range(len(cycles) + 1):
+        for chosen in itertools.combinations(cycles, k):
+            I_minus1 = tuple(sorted(itertools.chain.from_iterable(chosen)))
+            rest = tuple(p for p in range(1, n + 1) if p not in I_minus1)
+            for blocks in _partitions_of(rest):
+                try:
+                    labels.append(LeviLabel(n, d, I_minus1, blocks))
+                except ValueError:
+                    continue
+    return sorted(labels, key=lambda lab: (lab.I_minus1, lab.I))
+
+
+class TestConstructionAgainstOracle:
+    """enumerate_labels builds the labels from the parametrisation; the
+    construct-and-reject search above must agree with it slot by slot."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_same_labels_same_order(self, n):
+        for d in range(1, 9):
+            built = enumerate_labels(n, d)
+            assert [_slots(lab) for lab in built] == [
+                _slots(lab) for lab in _oracle_labels(n, d)], (n, d)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_count_is_bell(self, n):
+        for d in range(1, 9):
+            a = n // compute_d0("BCD", d)
+            assert len(enumerate_labels(n, d)) == len(
+                set_partitions(a + 1)), (n, d)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_trusted_equals_public(self, n):
+        for d in range(1, 9):
+            for lab in enumerate_labels(n, d):
+                public = LeviLabel(n, d, lab.I_minus1, lab.I)
+                assert lab == public and hash(lab) == hash(public)
+                assert _slots(lab) == _slots(public)
+
+    @pytest.mark.parametrize("n, d", [(9, 1), (19, 4)])
+    def test_largest_count_is_admitted(self, n, d, monkeypatch):
+        # a = 9: Bell(10) = 115975 labels, under the bound (a = 10 is
+        # refused: TestInputBounds in test_cli.py).
+        class Admitted(Exception):
+            pass
+
+        def admitted(m):
+            raise Admitted
+        monkeypatch.setattr(levi, "set_partitions", admitted)
+        with pytest.raises(Admitted):
+            enumerate_labels(n, d)
 
 
 def _all_concrete_pairs(n):
