@@ -1,4 +1,5 @@
-"""Small exact integer routines: primality, factorisation, prime powers.
+"""Small exact routines: primality, factorisation, prime powers, and
+the package's one kernel of polynomials over F_p.
 
 The package needs these only for small integers: the odd prime power q
 of a finite group of Lie type, l - 1 for a Dixon prime l, and the order
@@ -7,6 +8,11 @@ division and serves those small n only.  ``isprime`` is a deterministic
 Miller-Rabin test and ``prime_power`` takes integer k-th roots, so both
 answer at once for every n below 2^64, where trial division would run
 for hours.
+
+``fp_mul``, ``fp_divmod``, ``fp_gcd`` and ``fp_powmod`` take integer
+coefficient lists, lowest degree first, and return them reduced modulo
+the prime p with no trailing zeros (the zero polynomial is []).  The
+modular character tables and the finite fields of the torus share them.
 """
 
 # Miller-Rabin with the first twelve prime bases has no strong
@@ -84,3 +90,65 @@ def prime_power(q):
         if r > 1 and r ** k == q:
             return (r, k) if isprime(r) else None
     return None
+
+
+def _fp(a, p):
+    """a reduced modulo p, trailing zeros trimmed."""
+    a = [c % p for c in a]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def fp_mul(a, b, p):
+    """The product a·b over F_p."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1) if b else []
+    for i, y in enumerate(b):
+        if y:
+            for j, x in enumerate(a, i):
+                out[j] += x * y
+    return _fp(out, p)
+
+
+def fp_divmod(a, b, p):
+    """(quotient, remainder) of a by b != 0 over F_p, with
+    deg remainder < deg b.  Each step cancels the top term of a; the
+    remainder is reduced modulo p once, at the end."""
+    while b and not b[-1] % p:
+        b = b[:-1]
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv = pow(b[-1], -1, p)
+    m = len(b) - 1
+    a = list(a)
+    quot = [0] * max(0, len(a) - m)
+    for i in range(len(a) - 1, m - 1, -1):
+        c = quot[i - m] = a[i] * inv % p
+        if c:
+            for j, y in enumerate(b, i - m):
+                a[j] -= c * y
+    while quot and not quot[-1]:
+        quot.pop()
+    return quot, _fp(a[:m], p)
+
+
+def fp_gcd(a, b, p):
+    """The monic gcd of a and b over F_p ([] when both are zero)."""
+    a, b = _fp(a, p), _fp(b, p)
+    while b:
+        a, b = b, fp_divmod(a, b, p)[1]
+    return fp_divmod(a, a[-1:], p)[0] if a else a
+
+
+def fp_powmod(a, e, f, p):
+    """a^e modulo f over F_p, for e >= 0, by repeated squaring."""
+    out, base = fp_divmod([1], f, p)[1], fp_divmod(a, f, p)[1]
+    while e:
+        if e & 1:
+            out = fp_divmod(fp_mul(out, base, p), f, p)[1]
+        e >>= 1
+        if e:
+            base = fp_divmod(fp_mul(base, base, p), f, p)[1]
+    return out

@@ -19,7 +19,7 @@ normal subgroup extends to its stabiliser.
 
 import math
 
-from .arith import factorint, isprime
+from .arith import factorint, fp_divmod, fp_gcd, fp_mul, isprime
 from .cyclo import CycNum, CycVector, zeta
 from .signedperm import ClosureExceedsCap, VerificationError, closure
 
@@ -297,58 +297,6 @@ def _matvec(mat, vec, l):
     return tuple(sum(a * b for a, b in zip(row, vec)) % l for row in mat)
 
 
-def _poly_trim(p, l):
-    p = [c % l for c in p]
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a, b, l):
-    a = _poly_trim(a, l)
-    b = _poly_trim(b, l)
-    inv = pow(b[-1], l - 2, l)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        f = (a[-1] * inv) % l
-        shift = len(a) - len(b)
-        q[shift] = f
-        a = [(c - f * d) % l for c, d in
-             zip(a, [0] * shift + b)] if shift else \
-            [(c - f * d) % l for c, d in zip(a, b)]
-        a = _poly_trim(a, l)
-        if not a:
-            break
-    return q, a
-
-
-def _poly_gcd(a, b, l):
-    a = _poly_trim(a, l)
-    b = _poly_trim(b, l)
-    while b:
-        _, r = _poly_divmod(a, b, l)
-        a, b = b, r
-    inv = pow(a[-1], l - 2, l)
-    return [(c * inv) % l for c in a]
-
-
-def _poly_mul(a, b, l):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % l
-    return out
-
-
-def _poly_lcm(a, b, l):
-    g = _poly_gcd(a, b, l)
-    q, r = _poly_divmod(_poly_mul(a, b, l), g, l)
-    if r:
-        raise ArithmeticError("gcd does not divide the product mod l")
-    return q
-
-
 def _minpoly_of_vector(mat, v, l):
     """Monic minimal polynomial of ``mat`` at the vector ``v`` (Krylov)."""
     basis = []          # echelon rows
@@ -382,7 +330,10 @@ def _eigenvalues(mat, l):
     for i in range(n):
         v = [0] * n
         v[i] = 1
-        minpoly = _poly_lcm(minpoly, _minpoly_of_vector(mat, v, l), l)
+        mv = _minpoly_of_vector(mat, v, l)
+        # lcm(minpoly, mv) = minpoly / gcd(minpoly, mv) * mv
+        minpoly = fp_mul(fp_divmod(minpoly, fp_gcd(minpoly, mv, l), l)[0],
+                         mv, l)
         if len(minpoly) == n + 1:
             break
     return [x for x in range(l)
@@ -509,9 +460,6 @@ class CharacterTable:
             self._characters = [ClassFunction(self.group, row)
                                 for row in self.values]
         return self._characters
-
-    def conjugate(self, value):
-        return value.conjugate()
 
     def __repr__(self):
         return (f"CharacterTable(order={self.group.order}, "

@@ -355,7 +355,7 @@ def _suite_torus(grids, cap):
     (q^(2 d0) - 1)^d0 tuples; a grid with a case past LANG_TUPLE_BOUND
     raises InputTooLarge before any work starts."""
     for q, d in itertools.product(grids["q"], grids["d"]):
-        d0 = compute_d0("BCD", d)
+        d0 = compute_d0(d)
         tuples = (q ** (2 * d0) - 1) ** d0 if d0 <= 2 else 0
         if tuples > LANG_TUPLE_BOUND:
             raise InputTooLarge(

@@ -7,8 +7,10 @@ proper divisors k of d.  All arithmetic is exact.  A coefficient is an
 ``int`` whenever it is integral and a ``Fraction`` otherwise, so
 cyclotomic integers (such as character values) never leave the
 integers: Φ_d is monic, and reduction modulo it needs subtraction only.
-Fractions enter only through division, where inversion uses the
-extended Euclidean algorithm against Φ_d.
+Fractions enter only through division.  The inverse is taken by the
+Galois norm: with x = den·a integral, 1/a = den·∏ σ_k(x) / N(x), the
+product over the nontrivial automorphisms ζ ↦ ζ^k and N(x) a nonzero
+integer, so no polynomial division over Q is needed.
 
 On top of that the module provides the eigenspace of a signed
 permutation for the eigenvalue ζ_d^k, solved exactly, and the subspace
@@ -24,11 +26,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+
+from .signedperm import VerificationError
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over Q (coefficient lists, ascending degree)
+# integer polynomial helpers (coefficient lists, ascending degree)
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -59,62 +63,13 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def _ptrim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
 def _pmul(a, b):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _ptrim(out)
-
-
-def _pdivmod(a, b):
-    a = _ptrim(list(a))
-    b = _ptrim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = Fraction(1) / b[-1]
-    while len(a) >= len(b) and _ptrim(a):
-        k = len(a) - len(b)
-        f = a[-1] * inv
-        q[k] = f
-        for i, c in enumerate(b):
-            a[k + i] -= f * c
-        _ptrim(a)
-    return _ptrim(q), a
-
-
-def _pext_gcd(a, b):
-    """(g, u, v) with u·a + v·b = g, g the monic gcd."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while _ptrim(list(r1)):
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _ptrim([x - y for x, y in _pzip(s0, _pmul(q, s1))])
-        t0, t1 = t1, _ptrim([x - y for x, y in _pzip(t0, _pmul(q, t1))])
-    if r0:
-        # A Fraction lead keeps int / int from turning into a float.
-        lead = Fraction(r0[-1])
-        r0 = [c / lead for c in r0]
-        s0 = [c / lead for c in s0]
-        t0 = [c / lead for c in t0]
-    return r0, s0, t0
-
-
-def _pzip(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return zip(a, b)
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +163,27 @@ class CycNum:
     __rmul__ = __mul__
 
     def inv(self):
+        """1/a by the Galois norm.  With den the lcm of the coefficient
+        denominators, x = den·a has integer coefficients, and with
+        y = ∏ σ_k(x) over 1 < k < d prime to d the norm N(x) = x·y is a
+        nonzero integer, so 1/a = den·y / N(x)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         if self.is_rational():
             return CycNum.from_rational(1 / Fraction(self.coeffs[0]), self.d)
-        g, u, _ = _pext_gcd(list(self.coeffs), list(_cyclotomic(self.d)))
-        if len(g) != 1:
-            raise ArithmeticError("element not invertible (Φ_d not coprime?)")
-        return CycNum._from_poly([c / g[0] for c in u], self.d)
+        d = self.d
+        den = lcm(*(Fraction(c).denominator for c in self.coeffs))
+        x = CycNum(d, [c * den for c in self.coeffs])
+        y = x.galois(d - 1).coeffs
+        for k in range(2, d - 1):
+            if gcd(k, d) == 1:
+                y = CycNum._from_poly(_pmul(y, x.galois(k).coeffs), d).coeffs
+        norm = CycNum._from_poly(_pmul(x.coeffs, y), d)
+        if not norm.is_rational():
+            raise VerificationError(
+                f"norm of {self!r} from Q(ζ_{d}) is not rational: {norm!r}")
+        scale = Fraction(den, norm.coeffs[0])
+        return CycNum(d, [c * scale for c in y])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

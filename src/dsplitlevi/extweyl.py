@@ -243,7 +243,7 @@ def build_twist_elements(n, d):
     """
     if n < 1:
         raise ValueError("n must be positive")
-    d0 = compute_d0("BCD", d)
+    d0 = compute_d0(d)
     l = (n // d0) * d0
     dim = 2 * n
     ident = IntMatrix.identity(dim)

@@ -53,26 +53,11 @@ from .signedperm import (
 )
 
 
-def compute_d0(kind, d):
-    """Order of q modulo the relevant cyclotomic condition, per type.
-
-    kind "BCD": d odd -> d, d even -> d/2.
-    kind "A":   d.
-    kind "2A":  4|d -> d;  d ≡ 2 (mod 4) -> d/2;  d odd -> 2d.
-    """
+def compute_d0(d):
+    """d0 for the twist order d in type C: d for odd d, d/2 for even d."""
     if d < 1:
         raise ValueError("d must be positive")
-    if kind == "BCD":
-        return d if d % 2 else d // 2
-    if kind == "A":
-        return d
-    if kind == "2A":
-        if d % 4 == 0:
-            return d
-        if d % 2 == 0:
-            return d // 2
-        return 2 * d
-    raise ValueError(f"unknown kind {kind!r} (use A, 2A or BCD)")
+    return d if d % 2 else d // 2
 
 
 @lru_cache(maxsize=None)
@@ -80,7 +65,7 @@ def sylow_twist_w(n, d):
     """The distinguished twist: ∏_i w_{J_i} over the grid sets of {1..l},
     with w_J = w'_J for even d and (w'_J)^2 for odd d; identity outside.
     Built once per (n, d)."""
-    d0 = compute_d0("BCD", d)
+    d0 = compute_d0(d)
     l = (n // d0) * d0
     if l == 0:
         return SignedPerm.identity(n)
@@ -108,7 +93,7 @@ def _check_rank(n, d):
 def _shape(n, d):
     """(d0, l, a, w) at (n, d): l = a·d0 is the largest multiple of d0
     up to n and w the twist."""
-    d0 = compute_d0("BCD", d)
+    d0 = compute_d0(d)
     a = n // d0
     return d0, a * d0, a, sylow_twist_w(n, d)
 
@@ -243,7 +228,7 @@ def _bell(m):
     return row[0]
 
 
-def enumerate_labels(n, d, dedup=False):
+def enumerate_labels(n, d):
     """All valid labels at (n, d), in sorted order.
 
     Built from the parametrisation of the module docstring, one label
@@ -252,9 +237,6 @@ def enumerate_labels(n, d, dedup=False):
     is walked along bar(w) and checked once per call, then shared by
     every label that contains it.  Raises InputTooLarge before building
     any label when the count Bell(a+1) is past LABEL_COUNT_BOUND.
-
-    With ``dedup`` set, keeps one label per structural signature
-    (|I₋₁|, {s: t_s}) — the data determining the Levi up to conjugacy.
     """
     _check_rank(n, d)
     shape = d0, l, a, w = _shape(n, d)
@@ -300,14 +282,6 @@ def enumerate_labels(n, d, dedup=False):
         labels.append(LeviLabel(n, d, minus1(first), I,
                                 _built=(shape, orbits)))
     labels.sort(key=lambda lab: (lab.I_minus1, lab.I))
-    if dedup:
-        kept, sigs = [], set()
-        for lab in labels:
-            sig = (len(lab.I_minus1), tuple(sorted(lab.t.items())))
-            if sig not in sigs:
-                sigs.add(sig)
-                kept.append(lab)
-        labels = kept
     return labels
 
 
@@ -359,9 +333,12 @@ def gl_order(s, Q, eps):
 Q_BOUND = 2 ** 64
 
 
+@lru_cache(maxsize=64, typed=True)
 def check_odd_prime_power(q):
     """(p, m) with q = p^m for an odd prime p; ValueError for any other
-    q, and InputTooLarge for q at or past Q_BOUND."""
+    q, and InputTooLarge for q at or past Q_BOUND.  Cached by value and
+    type, so a command that checks one q per label factors it once,
+    while 3.0 or True never hit the entry of 3 or 1."""
     if isinstance(q, int) and q >= Q_BOUND:
         raise InputTooLarge(f"q = {q} is past the bound 2^64 on q")
     if not isinstance(q, int) or q < 3 or q % 2 == 0:

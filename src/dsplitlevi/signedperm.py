@@ -389,20 +389,6 @@ def grid_set(k, m, i):
     return tuple(i + j * m for j in range(k))
 
 
-def make_generator(kind, n, *args):
-    """Dispatch constructor: wprime(J) | tau(J, J′) | iota(J) | grid(k, m, i)."""
-    if kind == "wprime":
-        return wprime(args[0], n)
-    if kind == "tau":
-        return tau(args[0], args[1], n)
-    if kind == "iota":
-        return iota(args[0], n)
-    if kind == "grid":
-        k, m, i = args
-        return wprime(grid_set(k, m, i), n)
-    raise ValueError(f"unknown generator kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # brute force: closure, normalizer, standard groups
 # ---------------------------------------------------------------------------

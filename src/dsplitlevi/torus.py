@@ -11,8 +11,10 @@ by the lexicographically least monic irreducible modulus, chosen by
 Rabin's irreducibility test over F_p (Rabin, SIAM J. Comput. 9, 1980),
 the canonical generator is the least-encoded element of full order, and
 psi is the prescribed power of that generator with
-psi^(q^d0 - eps) = (-1)^d0.  A field past FIELD_ORDER_BOUND elements
-raises InputTooLarge before any table is built.
+psi^(q^d0 - eps) = (-1)^d0.  The polynomial arithmetic over F_p behind
+these (Rabin's test, the generator search, the exp table) is the one
+kernel of :mod:`dsplitlevi.arith`.  A field past FIELD_ORDER_BOUND
+elements raises InputTooLarge before any table is built.
 
 The kernel of the Lang map is parametrised by theta (a bijection from
 the cyclic group of order q^d0 - eps), z_plus is the distinguished
@@ -26,7 +28,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .arith import InputTooLarge, factorint, isprime
+from .arith import (InputTooLarge, factorint, fp_divmod, fp_gcd, fp_mul,
+                    fp_powmod, isprime)
 from .levi import check_odd_prime_power, compute_d0
 from .signedperm import VerificationError
 
@@ -54,54 +57,19 @@ def _digits(code, p, k):
     return tuple(out)
 
 
-def _fp_rem(a, f, p):
-    """a mod f over F_p (ascending coefficient lists), trimmed."""
-    a = [c % p for c in a]
-    inv = pow(f[-1], p - 2, p)
-    m = len(f) - 1
-    for i in range(len(a) - 1, m - 1, -1):
-        c = a[i] * inv % p
-        if c:
-            for j, b in enumerate(f, i - m):
-                a[j] = (a[j] - c * b) % p
-    a = a[:m]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_mulmod(a, b, f, p):
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] += x * y
-    return _fp_rem(prod, f, p)
-
-
 def _is_irreducible(f, p):
     """Rabin's test for a monic f of degree k over F_p: x^(p^k) = x
     mod f, and gcd(x^(p^(k/r)) - x, f) = 1 for every prime r | k."""
     k = len(f) - 1
-    x = _fp_rem([0, 1], f, p)
-    frob = [x]                       # frob[j] = x^(p^j) mod f
+    frob = [fp_divmod([0, 1], f, p)[1]]      # frob[j] = x^(p^j) mod f
     for _ in range(k):
-        out, base, e = [1], frob[-1], p
-        while e:
-            if e & 1:
-                out = _fp_mulmod(out, base, f, p)
-            base = _fp_mulmod(base, base, f, p)
-            e >>= 1
-        frob.append(out)
-    if frob[k] != x:
+        frob.append(fp_powmod(frob[-1], p, f, p))
+    if frob[k] != frob[0]:
         return False
     for r in factorint(k):            # k >= 2 here, so x mod f is x
         g = frob[k // r] + [0, 0]
         g[1] -= 1
-        g = _fp_rem(g, f, p)
-        h = list(f)
-        while g:
-            h, g = g, _fp_rem(h, g, p)
-        if len(h) > 1:
+        if len(fp_gcd(g, f, p)) > 1:
             return False
     return True
 
@@ -207,59 +175,22 @@ class Fq:
         self.poly = _least_irreducible(p, k)
         self._N = self.order - 1
 
-        # reduction table: x^j mod poly for j = k .. 2k-2
-        red = []
-        cur = [(-c) % p for c in self.poly[:k]]      # x^k
-        red.append(tuple(cur))
-        for _ in range(k - 2):
-            top = cur[-1]
-            shifted = [0] + cur[:-1]
-            cur = [(shifted[i] - top * self.poly[i]) % p for i in range(k)]
-            red.append(tuple(cur))
-        self._red = red
-
         g0 = self._find_generator()
-        exp = [tuple([1] + [0] * (k - 1))]
+        g = fp_divmod(g0, self.poly, p)[1]          # g0, trimmed
+        exp, cur = [(1,) + (0,) * (k - 1)], [1]
         for _ in range(self._N - 1):
-            exp.append(self._mul_coeffs(exp[-1], g0))
+            cur = fp_divmod(fp_mul(cur, g, p), self.poly, p)[1]
+            exp.append(tuple(cur) + (0,) * (k - len(cur)))
         self._exp = exp
         self._log = {c: i for i, c in enumerate(exp)}
         self._gen = FqElem(self, g0)
 
-    def _mul_coeffs(self, a, b):
-        p, k = self.p, self.k
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        out = [c % p for c in prod[:k]]
-        for j in range(k, 2 * k - 1):
-            c = prod[j] % p
-            if c:
-                row = self._red[j - k]
-                for i in range(k):
-                    out[i] = (out[i] + c * row[i]) % p
-        return tuple(out)
-
-    def _cpow(self, c, e):
-        out = tuple([1] + [0] * (self.k - 1))
-        base = c
-        while e:
-            if e & 1:
-                out = self._mul_coeffs(out, base)
-            base = self._mul_coeffs(base, base)
-            e >>= 1
-        return out
-
     def _find_generator(self):
-        one = tuple([1] + [0] * (self.k - 1))
         primes = list(factorint(self._N))
         for code in range(2, self.order):
             c = _digits(code, self.p, self.k)
-            if not any(c):
-                continue
-            if all(self._cpow(c, self._N // r) != one for r in primes):
+            if any(c) and all(fp_powmod(c, self._N // r, self.poly, self.p)
+                              != [1] for r in primes):
                 return c
         raise VerificationError("no generator found")
 
@@ -348,7 +279,7 @@ class TwistedOrbit:
     def __init__(self, q, d, points=None):
         self.p, self.m = check_odd_prime_power(q)
         self.q, self.d = q, d
-        self.d0 = compute_d0("BCD", d)
+        self.d0 = compute_d0(d)
         _check_field_order(self.p, self.m * 2 * self.d0)
         self.epsilon = -1 if d % 2 == 0 else 1
         self.N = q ** self.d0 - self.epsilon

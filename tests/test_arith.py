@@ -1,18 +1,21 @@
 """Tests for the small exact integer routines and the sympy-free
 replacements built on them: Φ_d in the integers, trial-division
 factorisation, Miller-Rabin primality, prime powers by integer roots,
-and Rabin's irreducibility test over F_p.
+the polynomial kernel over F_p, and Rabin's irreducibility test.
 
 The differential tests compare each routine with sympy over the ranges
 the package uses; they are skipped where sympy is not installed.
 """
 
 import time
+from itertools import zip_longest
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dsplitlevi import levi
-from dsplitlevi.arith import InputTooLarge, factorint, isprime, prime_power
+from dsplitlevi.arith import (InputTooLarge, factorint, fp_divmod, fp_gcd,
+                              fp_mul, fp_powmod, isprime, prime_power)
 from dsplitlevi.cyclo import _cyclotomic
 from dsplitlevi.levi import check_odd_prime_power
 from dsplitlevi.torus import _digits, _is_irreducible, _least_irreducible
@@ -65,6 +68,68 @@ class TestIntegerRoutines:
     def test_primality_range_is_explicit(self):
         with pytest.raises(ValueError):
             isprime(10 ** 30 + 57)
+
+
+@st.composite
+def fp_polys(draw):
+    """A prime p and three polynomials over F_p, the second nonzero; the
+    coefficients are drawn past p and negative, as callers may pass."""
+    p = draw(st.sampled_from([3, 5, 7, 97]))
+    poly = st.lists(st.integers(-2 * p, 2 * p), max_size=7)
+    a, b, c = draw(poly), draw(poly), draw(poly)
+    if not any(x % p for x in b):
+        b = b + [1]
+    return p, a, b, c
+
+
+def _reduced(a, p):
+    """Whether a is a kernel output: coefficients in [0, p), no
+    trailing zero."""
+    return all(0 <= x < p for x in a) and (not a or a[-1] != 0)
+
+
+def _norm(a, p):
+    """a as a kernel output (a·1 over F_p)."""
+    return fp_mul(a, [1], p)
+
+
+class TestFpKernel:
+    @given(fp_polys())
+    def test_division_with_remainder(self, case):
+        p, a, b, _ = case
+        quot, rem = fp_divmod(a, b, p)
+        assert _reduced(quot, p) and _reduced(rem, p)
+        assert len(rem) < len(_norm(b, p))
+        qb = fp_mul(quot, b, p)
+        assert _norm([x + y for x, y in zip_longest(qb, rem, fillvalue=0)],
+                     p) == _norm(a, p)
+
+    @given(fp_polys())
+    def test_gcd_is_monic_and_divides_both(self, case):
+        p, a, b, c = case
+        g = fp_gcd(fp_mul(a, c, p), fp_mul(b, c, p), p)
+        assert _reduced(g, p)
+        if not g:
+            assert not fp_mul(a, c, p) and not fp_mul(b, c, p)
+            return
+        assert g[-1] == 1
+        assert fp_divmod(fp_mul(a, c, p), g, p)[1] == []
+        assert fp_divmod(fp_mul(b, c, p), g, p)[1] == []
+        # c divides both products, so it divides their gcd.
+        if any(x % p for x in c):
+            assert fp_divmod(g, c, p)[1] == []
+
+    @given(fp_polys(), st.integers(0, 40))
+    def test_powmod_is_repeated_multiply_and_reduce(self, case, e):
+        p, a, f, _ = case
+        want = fp_divmod([1], f, p)[1]
+        for _ in range(e):
+            want = fp_divmod(fp_mul(want, a, p), f, p)[1]
+        assert fp_powmod(a, e, f, p) == want
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            fp_divmod([1, 2], [0, 3], 3)
 
 
 class TestAgainstSympy:

@@ -234,7 +234,7 @@ class TestCharacterTable:
             for r2 in table.values:
                 total = CycNum.zero(e)
                 for j, size in enumerate(data.sizes):
-                    total = total + r1[j] * table.conjugate(r2[j]) * size
+                    total = total + r1[j] * r2[j].conjugate() * size
                 want = G.order if r1 is r2 else 0
                 assert total == want
 

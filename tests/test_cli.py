@@ -78,6 +78,30 @@ class TestLevis:
     def test_missing_required_flag(self):
         assert invoke("levis", "--n", "2").exit_code == 2
 
+    def test_q_is_factored_once_per_command(self, monkeypatch):
+        calls, prime_power = [], levi.prime_power
+
+        def counted(q):
+            calls.append(q)
+            return prime_power(q)
+
+        monkeypatch.setattr(levi, "prime_power", counted)
+        levi.check_odd_prime_power.cache_clear()
+        report = run_json("levis", "--n", "7", "--d", "1", "--q", "5")
+        assert report["count"] > 1000
+        assert calls == [5]
+        # The cache keys on type as well: a float or bool equal to a
+        # cached q is still refused (untyped, q=3.0 would hit q=3).
+        check = levi.check_odd_prime_power
+        assert check(3) == check(q=3) == (3, 1)
+        with pytest.raises(ValueError):
+            check(1)
+        for bad in (3.0, True):
+            with pytest.raises(ValueError):
+                check(bad)
+            with pytest.raises(ValueError):
+                check(q=bad)
+
     def test_tsv_and_text_render(self):
         tsv = invoke("levis", "--n", "2", "--d", "4", "--format", "tsv")
         assert tsv.exit_code == 0

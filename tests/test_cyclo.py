@@ -78,7 +78,8 @@ class TestCycNum:
         assert a + b == b + a
         assert a * b == b * a
 
-    @given(st.sampled_from([2, 3, 4, 5, 8, 12]).flatmap(lambda d: cycnums(d)))
+    @given(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 24]).flatmap(
+        lambda d: cycnums(d)))
     def test_multiplicative_inverse(self, a):
         if a.is_zero():
             return

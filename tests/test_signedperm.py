@@ -27,7 +27,6 @@ from dsplitlevi.signedperm import (
     grid_set,
     group_closure,
     iota,
-    make_generator,
     set_partitions,
     signed_symmetric_group,
     tau,
@@ -193,12 +192,6 @@ class TestMakeGenerator:
         assert grid_set(2, 3, 1) == (1, 4)
         assert grid_set(2, 3, 3) == (3, 6)
         assert grid_set(3, 2, 2) == (2, 4, 6)
-
-    def test_make_generator_dispatch(self):
-        assert make_generator("wprime", 3, (1, 2, 3)) == wprime((1, 2, 3), 3)
-        assert make_generator("tau", 2, (1,), (2,)) == tau((1,), (2,), 2)
-        assert make_generator("iota", 3, (1, 3)) == iota((1, 3), 3)
-        assert make_generator("grid", 2, 2, 1, 1) == wprime((1, 2), 2)
 
     def test_wprime_has_order_2k(self):
         for k in (1, 2, 3):
