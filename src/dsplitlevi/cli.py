@@ -417,6 +417,9 @@ SUITES = {
               {"q": (3, 5), "d": (1, 2, 3, 4)}),
 }
 
+# The suites that build the root system of type C_n, which needs n >= 2.
+TYPE_C_SUITES = ("eq1", "extweyl")
+
 
 # ---------------------------------------------------------------------------
 # preset groups
@@ -479,7 +482,9 @@ PRESETS = {
 # commands
 # ---------------------------------------------------------------------------
 
-class _TooLarge(click.ClickException):
+class _Refused(click.ClickException):
+    """One line on stderr and exit 2: the input is refused, not a failed
+    check."""
     exit_code = 2
 
 
@@ -492,9 +497,9 @@ class _Main(click.Group):
         try:
             return super().invoke(ctx)
         except ClosureExceedsCap as exc:
-            raise _TooLarge(f"{exc}; a larger --cap allows it") from None
+            raise _Refused(f"{exc}; a larger --cap allows it") from None
         except InputTooLarge as exc:
-            raise _TooLarge(str(exc)) from None
+            raise _Refused(str(exc)) from None
 
 
 @click.group(cls=_Main)
@@ -568,6 +573,9 @@ def verify(suite, ns, ds, qs, cap, fmt):
             raise click.UsageError(
                 f"suite {suite!r} does not take --{name}")
     grids = {name: given[name] or defaults[name] for name in takes}
+    if suite in TYPE_C_SUITES and grids["n"][0] < 2:
+        raise _Refused(f"suite {suite!r} needs --n >= 2 (type C_n), "
+                       f"got n = {grids['n'][0]}")
     checked, failures = runner(grids, cap)
     report = {"command": "verify", "suite": suite,
               "grid": {name: list(grids[name]) for name in takes},

@@ -38,17 +38,18 @@ import itertools
 from collections import namedtuple
 from functools import lru_cache
 from math import factorial
+from operator import neg
 
 from .arith import InputTooLarge, prime_power
-from .rootsys import is_stable_under, reflection_perm
+from .rootsys import apply_to_root, reflection_perm
 from .signedperm import (
     SignedPerm,
     VerificationError,
+    check_index_set,
     grid_set,
     group_closure,
     set_partitions,
     signed_symmetric_group,
-    tau,
     wprime,
 )
 
@@ -374,20 +375,47 @@ RelativeWeylDescriptor = namedtuple(
     "RelativeWeylDescriptor", ["factors", "generators", "order"])
 
 
+def _disjoint_index_sets(sets, n):
+    """The index sets as tuples; ValueError unless each is an index set
+    of 1..n and no two meet."""
+    sets = [check_index_set(J, n) for J in sets]
+    points = [p for J in sets for p in J]
+    if len(set(points)) != len(points):
+        raise ValueError(f"overlapping index sets: {sets!r}")
+    return sets
+
+
 def wprime_Q(Q, n):
-    """Product of the long signed cycles over the grid sets of one Q-set."""
-    out = SignedPerm.identity(n)
-    for J in Q:
-        out = out * wprime(J, n)
-    return out
+    """w'_Q = ∏_{J∈Q} w'_J, the long signed cycles over the grid sets of
+    one Q-set.  The grid sets are disjoint, so the image is written in
+    one pass; ValueError if two of them meet."""
+    img = list(range(1, n + 1))
+    for J in _disjoint_index_sets(Q, n):
+        for a, b in zip(J, J[1:]):
+            img[a - 1] = b
+        img[J[-1] - 1] = -J[0]
+    return SignedPerm(img)
 
 
 def tau_Q(Q1, Q2, n):
-    """Signed swap of two Q-sets, pairing their grid sets positionwise."""
-    out = SignedPerm.identity(n)
+    """τ_{Q1,Q2} = ∏_i τ_{Q1(i),Q2(i)}, the signed swap of two Q-sets
+    pairing their grid sets positionwise; the identity when Q1 = Q2.
+    The grid sets of two swapped Q-sets are disjoint, so the image is
+    written in one pass; ValueError if two of them meet or paired sizes
+    differ."""
+    Q1, Q2 = tuple(map(tuple, Q1)), tuple(map(tuple, Q2))
+    if Q1 == Q2:
+        _disjoint_index_sets(Q1, n)
+        return SignedPerm.identity(n)
+    if len(Q1) != len(Q2) or any(
+            len(J1) != len(J2) for J1, J2 in zip(Q1, Q2)):
+        raise ValueError(f"size mismatch: {Q1!r} vs {Q2!r}")
+    _disjoint_index_sets(Q1 + Q2, n)
+    img = list(range(1, n + 1))
     for J1, J2 in zip(Q1, Q2):
-        out = out * tau(J1, J2, n)
-    return out
+        for a, b in zip(J1, J2):
+            img[a - 1], img[b - 1] = b, a
+    return SignedPerm(img)
 
 
 def _relative_weyl_shape(label):
@@ -414,24 +442,51 @@ def relative_weyl(label):
     return RelativeWeylDescriptor(factors, tuple(gens), order)
 
 
+# verify_relative_weyl enumerates the whole signed group; past this
+# rank it is refused.
+VERIFY_RANK_LIMIT = 4
+
+
+@lru_cache(maxsize=VERIFY_RANK_LIMIT)
+def _root_action(n):
+    """The index of every root of C_n, and for each g of
+    signed_symmetric_group(n), in its order, the permutation of root
+    indices g induces.  Built once per rank."""
+    roots = concrete_parabolic_roots(n, range(1, n + 1), ())
+    index = {r: k for k, r in enumerate(roots)}
+    actions = tuple(tuple(index[apply_to_root(g, r)] for r in roots)
+                    for g in signed_symmetric_group(n))
+    return index, actions
+
+
 def verify_relative_weyl(label):
     """Brute-force check of the relative Weyl group on rank ≤ 4.
 
-    Computes Stab(Φ_L) inside the full signed group, its cosets modulo
-    W_L, the fixed cosets under conjugation by w, and confirms that the
-    W_d^I generators centralize w and biject onto those fixed cosets
-    with the predicted order.
+    Computes Stab(Φ_L) inside the full signed group, by the action of
+    every element on the root indices of C_n, and W_L, the closure of
+    the reflections in Φ_L.  Then it forms the cosets of Stab(Φ_L)
+    modulo W_L and the cosets fixed under conjugation by w, and confirms
+    that the W_d^I generators centralize w and biject onto those fixed
+    cosets with the predicted order.  It reads the label's I₋₁, I and
+    w only, never its orbits or Q-sets.
     """
-    if label.n > 4:
-        raise ValueError("brute-force verification is limited to rank <= 4")
+    if label.n > VERIFY_RANK_LIMIT:
+        raise ValueError("brute-force verification is limited to rank "
+                         f"<= {VERIFY_RANK_LIMIT}")
     n = label.n
     G = signed_symmetric_group(n)
     roots = concrete_parabolic_roots(n, label.I_minus1, label.I)
     if roots:
-        WL = group_closure([reflection_perm(r, n) for r in roots])
+        # r_α = r_{-α}: one reflection per pair ±α.
+        WL = group_closure([reflection_perm(r, n) for r in roots
+                            if r > tuple(map(neg, r))])
     else:
         WL = [SignedPerm.identity(n)]
-    stab = [g for g in G if is_stable_under(roots, g)]
+    index, actions = _root_action(n)
+    ks = [index[r] for r in roots]
+    inside = set(ks)
+    stab = [g for g, act in zip(G, actions)
+            if inside.issuperset(map(act.__getitem__, ks))]
 
     coset = {}
     reps = []

@@ -196,25 +196,25 @@ class SignedPerm:
         the smaller positive point is written; self-paired cycles are
         rotated to start at their smallest positive point.  Fixed signed
         points are omitted; the identity renders as ``"()"``.
+
+        One walk from each positive point not yet met, in ascending
+        order: every earlier walk covered a cycle and its negative, so
+        the start is the smallest positive point of the cycle it walks
+        and of that cycle's negative, and the cycles come out sorted.
         """
-        reps, used = [], set()
-        for cyc in self.cycles():
-            if len(cyc) == 1 or frozenset(cyc) in used:
+        t = self._t or self._table()
+        met, out = set(), []
+        for start in range(1, len(self.img) + 1):
+            p = t[start]
+            if p == start or start in met:
                 continue
-            used.add(frozenset(cyc))
-            neg = tuple(-c for c in cyc)
-            if frozenset(neg) == frozenset(cyc):
-                chosen = cyc
-            else:
-                used.add(frozenset(neg))
-                pool = min(c for c in cyc + neg if c > 0)
-                chosen = cyc if pool in cyc else neg
-            start = chosen.index(min(c for c in chosen if c > 0))
-            reps.append(chosen[start:] + chosen[:start])
-        if not reps:
-            return "()"
-        reps.sort(key=lambda c: c[0])
-        return "".join("(" + ",".join(map(str, c)) + ")" for c in reps)
+            cyc = [start]
+            while p != start:
+                cyc.append(p)
+                p = t[p]
+            met.update(map(abs, cyc))
+            out.append("(" + ",".join(map(str, cyc)) + ")")
+        return "".join(out) or "()"
 
     @classmethod
     def from_cycles(cls, text, n):
@@ -343,16 +343,19 @@ def centralizer_type(s):
 # canonical generators
 # ---------------------------------------------------------------------------
 
-def _check_index_set(J, n):
+def check_index_set(J, n):
+    """``J`` as a tuple; ValueError unless it is a non-empty ascending
+    set of int points of 1..n."""
     J = tuple(J)
-    if not J or any(not 1 <= j <= n for j in J) or list(J) != sorted(set(J)):
+    if (not J or any(type(j) is not int or not 1 <= j <= n for j in J)
+            or list(J) != sorted(set(J))):
         raise ValueError(f"not an index set within 1..{n}: {J!r}")
     return J
 
 
 def wprime(J, n):
     """The 2k-cycle (J(1), ..., J(k), -J(1), ..., -J(k))."""
-    J = _check_index_set(J, n)
+    J = check_index_set(J, n)
     img = {J[i]: J[i + 1] for i in range(len(J) - 1)}
     img[J[-1]] = -J[0]
     return SignedPerm(img.get(i, i) for i in range(1, n + 1))
@@ -360,7 +363,7 @@ def wprime(J, n):
 
 def tau(J, Jp, n):
     """∏_i (J(i), J′(i))(-J(i), -J′(i)); identity when J = J′."""
-    J, Jp = _check_index_set(J, n), _check_index_set(Jp, n)
+    J, Jp = check_index_set(J, n), check_index_set(Jp, n)
     if J == Jp:
         return SignedPerm.identity(n)
     if len(J) != len(Jp):
@@ -374,7 +377,7 @@ def tau(J, Jp, n):
 
 def iota(J, n):
     """∏_{i∈J} (i, -i): sign flips on J."""
-    J = _check_index_set(J, n)
+    J = check_index_set(J, n)
     return SignedPerm(-i if i in set(J) else i for i in range(1, n + 1))
 
 

@@ -7,6 +7,7 @@ report), 2 invalid flags or a brute-force cap hit.
 """
 
 import ast
+import hashlib
 import importlib
 import json
 import os
@@ -126,6 +127,143 @@ class TestRelweyl:
         assert all(rec["verified"] is None for rec in report["labels"])
         assert report["pass"] is True
 
+    # sha256 of the stdout of ``relweyl --n N --d D --format F``, taken
+    # from the earlier implementation (Stab(Φ_L) by is_stable_under,
+    # Q-set generators as products of w'_J and τ factors, cycle
+    # notation by frozenset pairing); the reports must not change.
+    GOLDEN = {
+        (1, 1, "json"):
+            "3d0008718264b4ec6a9061d5bd8d81b46af8fb9cdaa6a90e4ec469bc2eb5c256",
+        (1, 1, "tsv"):
+            "52c4bac18de0b3285888799796e3c9ab926d8e391dea4e704a1f6a59b434e264",
+        (1, 1, "text"):
+            "fc6a39f9ce9c6ccea9c444b402078bc205e4e1833dfb712813662010fddb9a59",
+        (1, 2, "json"):
+            "243a59751c449123e427730c12783dc2b8c3ef81bb41fdcb4ee4f6667696e5cd",
+        (1, 2, "tsv"):
+            "fb1e5858f25dbbc0e9a3da16fc217d84dbc0cb79a9dacb92c845ee650a8cca36",
+        (1, 2, "text"):
+            "b7e39ef107a2d335d3e0ccd517ce10530caf205ccc3045fdc5f1b6b783dbfc6a",
+        (1, 3, "json"):
+            "7d493b74eaeee515d4bb89a32d1350fb7135573b50da250322ccb4c5583c5105",
+        (1, 3, "tsv"):
+            "f65c83d7c48c6a13d7f60a682233a31fdcbb4f9216cbafae0028b836eb8d85a5",
+        (1, 3, "text"):
+            "9b4342183e0edc5697da8422baf3d2624492a368bc35f5162a84b9274297b4f6",
+        (1, 4, "json"):
+            "bf31d9743a51b8e5f25271abcab3ecd3d3cd65ceee2d2667c3b2c36728859a30",
+        (1, 4, "tsv"):
+            "58b2af57ec6b9e0f26e78ca59b589cec6475a00879eadce79224bcac4f58322b",
+        (1, 4, "text"):
+            "eb89c5df34ed8b2058e3db88699221c587a6504aa52d601f8a6d7efc66246854",
+        (1, 6, "json"):
+            "c24b64b90984cc099eaba363c3ed5de73cdf3c5f0cef84cd17e6a2cc5bfda715",
+        (1, 6, "tsv"):
+            "ada1cb57b3d57802f39315831bbfc3948cd345a721b533658f781c0505527102",
+        (1, 6, "text"):
+            "f3eb54eb803311ea8bbec9a4ac9261e91561d3e57d4d4fc1c9fbc025ede34c50",
+        (2, 1, "json"):
+            "f03ed47fa852d47625b120705ab91ecc37bb4d6c56b73284d72b2c3a6f786e8f",
+        (2, 1, "tsv"):
+            "fd8bd5ef806b45f9a04f7de1a7450d3c8428c7dbb3209de95b61e4f86621f2b4",
+        (2, 1, "text"):
+            "e32ee8e2bcd737cb6a81ff883229da1c475c59d7238897c2f50288513495c430",
+        (2, 2, "json"):
+            "103e677fd4adb91a446acd454fb77ad28e1fe3531ae2bdb2a36ab081e7a6363e",
+        (2, 2, "tsv"):
+            "6e70030ae71c0e8e0f49e80162999008053d5f06dc48bea5f307f3826883f580",
+        (2, 2, "text"):
+            "440f2ea021025f79eb89a6a91754f11a78650b792501e34b6958ad0d65578219",
+        (2, 3, "json"):
+            "c8417e131aa187101b8d78a24aaef02d50130db54f0bd80db063adea0f346e94",
+        (2, 3, "tsv"):
+            "cbe96e81c9a1bccb1e9a0f6bdc9bc4b0eb9b77ef71ed1371b4b766c93514abc0",
+        (2, 3, "text"):
+            "201d4adeb94d55b950a87247b34a1aa60e8a00fc348bb21b9a105fc2896f3a2f",
+        (2, 4, "json"):
+            "76cbf6f18af44024aa3cd69abad9ef47578271baa309cf40b7b7aa6c20db6c5b",
+        (2, 4, "tsv"):
+            "4e56dcfd8035f9df8a353a448dc85ad5995c2837308aba2add2ed6bb3cf9382e",
+        (2, 4, "text"):
+            "2e05d3f02874ed45845daa1c332fefa61c2ba4d6e24110337f43d92e9fb60cee",
+        (2, 6, "json"):
+            "3811a8804fd4d5f2d7bf92f36a5a03e7df4975d685eaa8f462990cdf0747f6c4",
+        (2, 6, "tsv"):
+            "1aad765e1c31dcb9c8ddd59a7706a4e82b482bb952101b7f60bf96b01ba89c36",
+        (2, 6, "text"):
+            "1b4981d4d6c3da9107e3179a55e863b54686edc028a56517c397fc12f159230c",
+        (3, 1, "json"):
+            "2558186a8d92ad91f7969ae3dbe0622b1417255f5ba12ea5f2e96c9e36bacec2",
+        (3, 1, "tsv"):
+            "d5ce68039a0464fe125c4276022de0fd6fdb725566fe0d3e0343b1850242e619",
+        (3, 1, "text"):
+            "7cff28c2ad3038be1964040d25c7f624c05f8440751aa9c4ad19e87c630d4016",
+        (3, 2, "json"):
+            "50f42a318b4242ef7e299d9591ed06f04fb24cdb46650de8ecc2cba609f6b047",
+        (3, 2, "tsv"):
+            "33185cf8aaf8d7ae04f23007d64e8adc3d911e22bbf3f0eb17417e5dd6d36952",
+        (3, 2, "text"):
+            "33e6a93d67752e3668dd53c00c47ed83d2f53eac8ee02d3c3b8665cc181aecc6",
+        (3, 3, "json"):
+            "2ef25f9992136ffec6ad39b0f9ce1071823225226056e7719e9b849db4be216e",
+        (3, 3, "tsv"):
+            "5afea4ba9115ef41c91d6a13d585bcfe8712adede7e8868f6c3b06db2d533101",
+        (3, 3, "text"):
+            "ecbbf25482934bd1f0815c0f6551e7e76aefcd5e6dc79da912814dfb01c10a5e",
+        (3, 4, "json"):
+            "9257c1349a4cda36cfb8efd64a9e01ec424a86d838ee5b0695501c97831fb0d8",
+        (3, 4, "tsv"):
+            "a1ed787cff7d1fc30f6585e8fc3fe3f250733383f916371b5d271e3355fc7fd4",
+        (3, 4, "text"):
+            "043a47edd3138e0ca6cdbe3671060fbf82b7965037d561daf2429e8d18bd88cb",
+        (3, 6, "json"):
+            "d2ed17e5d0f526b26375e277865f81b510e1a3201d99081e34c8b8d5dae4a932",
+        (3, 6, "tsv"):
+            "d0d43767a4554fa631bcb6f81ddf8f93fed55ba29f7f73529a415f4d59d127dd",
+        (3, 6, "text"):
+            "9be7752526fcf0d58e70a95a83ecfdcebb441aa5902d75516ec252d24bade6b7",
+        (4, 1, "json"):
+            "3b72c7a4a62f24cf2861b77f8a1cb130c16683e3e619f9d8638c6f135065edf8",
+        (4, 1, "tsv"):
+            "460b1f83f10e524a1c6513a8ebd14f5146b04e27da6a1651463837d8433091ea",
+        (4, 1, "text"):
+            "928285d94df88033e85bb4bd2baa5fb46783d3d103a717d85d5f98caaab5f5e0",
+        (4, 2, "json"):
+            "8a4b8720f75778046d1031743e522572fb22744e1295a9c268326f5a02197666",
+        (4, 2, "tsv"):
+            "7dff9b52b61c62bd848a77285ee144b18969b179b87466909aeac4efe761e33d",
+        (4, 2, "text"):
+            "ad8be6817b31e8e57e1d127fa46237e1bcefe954a377fc4aa237ac2f0e3bfad2",
+        (4, 3, "json"):
+            "0367a9daeed1e7dc74929d505b850a95764269f97a18213e1ef5c540bd9b64f9",
+        (4, 3, "tsv"):
+            "16facff96328a039cd6a9dd46a540f30e9d0bb50ed570db628a1df2baf405bfb",
+        (4, 3, "text"):
+            "fda7884389f73f25d9a611b133e6d7814dffc2acbceb0e1f6be8be0aad3b48b9",
+        (4, 4, "json"):
+            "f399702fb4943f995e6c920ba500fa2e8d2f675ab3d776ec75dc2f76da9ff46a",
+        (4, 4, "tsv"):
+            "a0369e9a522ac0040afc5b0d6d25c1114882deff5f9996571cdf55e4a4f60a5a",
+        (4, 4, "text"):
+            "00cf0dcfa0d8ceed17b351293fa34dc18220cec27290812070a25e531900bfd0",
+        (4, 6, "json"):
+            "2c2df8bd4faf9396e47ece08140a663f69706c22ff8fa97f72b4723876dedb29",
+        (4, 6, "tsv"):
+            "7bf2ffcd7269f1eddc2bd4625fd25162a31c10d973617ee05269adce71a9b5ae",
+        (4, 6, "text"):
+            "e7d297360aa258278dbc36311cf2c30597c4bf428a7c7c23fbfdacd0ced8e7ec",
+    }
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_reports_match_golden_digests(self, n):
+        for d in (1, 2, 3, 4, 6):
+            for fmt in ("json", "tsv", "text"):
+                result = invoke("relweyl", "--n", str(n), "--d", str(d),
+                                "--format", fmt)
+                assert result.exit_code == 0, (n, d, fmt)
+                digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+                assert digest == self.GOLDEN[n, d, fmt], (n, d, fmt)
+
 
 class TestVerify:
     def test_centralizers_small(self):
@@ -159,6 +297,22 @@ class TestVerify:
 
     def test_rejects_even_q(self):
         assert invoke("verify", "torus", "--q", "2..3").exit_code == 2
+
+    @pytest.mark.parametrize("args", [
+        ("eq1", "--n", "1", "--d", "1"),
+        ("eq1", "--n", "1..5", "--d", "1..10"),
+        ("extweyl", "--n", "1..3"),
+    ], ids=["eq1", "eq1-wide", "extweyl"])
+    def test_rank_one_grid_exits_2_before_work(self, args, monkeypatch):
+        # Type C_n needs n >= 2: refused with one line, not a traceback.
+        def refuse(*a):
+            raise RuntimeError("work started")
+        monkeypatch.setattr(cli, "build_root_system", refuse)
+        result = invoke("verify", *args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and "--n >= 2" in lines[0]
 
     def test_failure_exits_one_with_record(self, monkeypatch):
         def broken(grids, cap):

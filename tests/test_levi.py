@@ -26,7 +26,14 @@ from dsplitlevi.levi import (
     verify_relative_weyl,
 )
 from dsplitlevi.rootsys import build_root_system, is_stable_under
-from dsplitlevi.signedperm import SignedPerm, group_closure, set_partitions
+from dsplitlevi.signedperm import (
+    SignedPerm,
+    group_closure,
+    set_partitions,
+    signed_symmetric_group,
+    tau,
+    wprime,
+)
 
 def sp(text, n):
     return SignedPerm.from_cycles(text, n)
@@ -359,6 +366,63 @@ class TestRelativeWeyl:
                     assert len(group_closure(rw.generators)) == rw.order
 
 
+def _wprime_Q_by_factors(Q, n):
+    """w'_Q as the product of its w'_J factors, each validated."""
+    out = SignedPerm.identity(n)
+    for J in Q:
+        out = out * wprime(J, n)
+    return out
+
+
+def _tau_Q_by_factors(Q1, Q2, n):
+    """τ_{Q1,Q2} as the product of its τ_{J1,J2} factors, each validated."""
+    out = SignedPerm.identity(n)
+    for J1, J2 in zip(Q1, Q2):
+        out = out * tau(J1, J2, n)
+    return out
+
+
+class TestQSetGenerators:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equal_to_product_of_factors(self, n):
+        for d in range(1, 9):
+            for lab in enumerate_labels(n, d):
+                for orbs in lab.orbits.values():
+                    for o in orbs:
+                        assert levi.wprime_Q(o.Q, n) == _wprime_Q_by_factors(
+                            o.Q, n), (d, lab, o)
+                    for o1, o2 in zip(orbs, orbs[1:]):
+                        assert levi.tau_Q(o1.Q, o2.Q, n) == _tau_Q_by_factors(
+                            o1.Q, o2.Q, n), (d, lab, o1, o2)
+
+    def test_same_Q_set_swaps_to_identity(self):
+        Q = ((1, 4), (2, 5))
+        assert levi.tau_Q(Q, Q, 6) == SignedPerm.identity(6)
+
+    @pytest.mark.parametrize("Q", [
+        ((1, 3), (3, 5)),               # two grid sets meet
+        ((1, 3), (1, 3)),               # a grid set repeated
+        ((2, 1),),                      # not ascending
+        ((1, 7),),                      # past the rank
+        ((),),                          # empty
+        ((1.0, 4),),                    # not int points
+    ])
+    def test_wprime_Q_refuses_bad_sets(self, Q):
+        with pytest.raises(ValueError):
+            levi.wprime_Q(Q, 6)
+
+    @pytest.mark.parametrize("Q1, Q2", [
+        (((1, 4),), ((2, 5), (3, 6))),  # different numbers of sets
+        (((1, 4),), ((2, 5, 6),)),      # paired sets of different sizes
+        (((1, 4),), ((4, 5),)),         # the two Q-sets meet
+        (((1, 4), (2, 5)), ((3, 6), (2, 5))),
+        (((1, 2), (1, 3)), ((4, 5), (6, 6))),
+    ])
+    def test_tau_Q_refuses_bad_sets(self, Q1, Q2):
+        with pytest.raises(ValueError):
+            levi.tau_Q(Q1, Q2, 6)
+
+
 class TestVerify:
     def test_rank2_d4(self):
         assert verify_relative_weyl(LeviLabel(2, 4, (), ((1,), (2,))))
@@ -369,11 +433,62 @@ class TestVerify:
     def test_rank3_d2(self):
         assert verify_relative_weyl(LeviLabel(3, 2, (), ((1,), (2,), (3,))))
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_all_labels_verify(self, n):
         for d in (1, 2, 3, 4, 6, 8):
             for lab in enumerate_labels(n, d):
                 assert verify_relative_weyl(lab), (n, d, lab)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_corrupted_descriptors_fail(self, n, monkeypatch):
+        # The oracle must see through a descriptor with a generator that
+        # matters dropped, one generator replaced by an element that
+        # does not centralize w, or a wrong order.
+        G = signed_symmetric_group(n)
+        e = SignedPerm.identity(n)
+        seen = {"dropped": 0, "foreign": 0, "order": 0}
+        for d in (1, 2, 3, 4, 6, 8):
+            w = sylow_twist_w(n, d)
+            foreign = next((g for g in G if g * w != w * g), None)
+            for lab in enumerate_labels(n, d):
+                rw = relative_weyl(lab)
+                bad = {"order": rw._replace(order=2 * rw.order)}
+                if rw.generators:
+                    rest = rw.generators[:-1]
+                    assert len(group_closure(rest or (e,))) < rw.order
+                    bad["dropped"] = rw._replace(generators=rest)
+                    if foreign is not None:
+                        bad["foreign"] = rw._replace(
+                            generators=(foreign,) + rw.generators[1:])
+                for kind, desc in bad.items():
+                    monkeypatch.setattr(levi, "relative_weyl",
+                                        lambda lab, desc=desc: desc)
+                    assert not verify_relative_weyl(lab), (kind, d, lab)
+                    seen[kind] += 1
+        assert all(seen.values()), seen
+
+    def test_oracle_reads_no_orbits(self, monkeypatch):
+        # Stab(Φ_L), W_L and the cosets come from I₋₁, I and w alone: the
+        # oracle still passes every label with its orbits deleted.
+        for d in (1, 2, 3, 4, 6, 8):
+            for lab in enumerate_labels(4, d):
+                rw = relative_weyl(lab)
+                bare = LeviLabel(4, d, lab.I_minus1, lab.I)
+                del bare.orbits, bare.t
+                monkeypatch.setattr(levi, "relative_weyl",
+                                    lambda lab, rw=rw: rw)
+                assert verify_relative_weyl(bare), (d, lab)
+
+    def test_non_centralizing_generator_in_the_right_coset_fails(self,
+                                                                 monkeypatch):
+        # w'_{(2,4)}·(1,-1) lies in the coset w'_{(2,4)}·W_L and has the
+        # same order, so only the centralizer check can reject it.
+        lab = LeviLabel(4, 4, (1, 3), ((2,), (4,)))
+        rw = relative_weyl(lab)
+        assert rw.generators == (sp("(2,4,-2,-4)", 4),)
+        bad = rw._replace(generators=(sp("(2,4,-2,-4)(1,-1)", 4),))
+        monkeypatch.setattr(levi, "relative_weyl", lambda lab: bad)
+        assert not verify_relative_weyl(lab)
 
     def test_rank_cap(self):
         with pytest.raises(ValueError):

@@ -116,6 +116,19 @@ class TestCycleNotation:
     def test_roundtrip(self, x):
         assert SignedPerm.from_cycles(x.to_cycles(), x.n) == x
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_agrees_with_cycle_data_on_every_element(self, n):
+        # cycle_data picks and rotates the written cycles on its own
+        # (frozenset pairing, rotation, sort); to_cycles walks once.
+        for x in signed_symmetric_group(n):
+            data = cycle_data(x)
+            written = sorted((c for c in data.self_paired + data.paired
+                              if len(c) > 1), key=lambda c: c[0])
+            expected = "".join(
+                "(" + ",".join(map(str, c)) + ")" for c in written) or "()"
+            assert x.to_cycles() == expected, x.img
+            assert SignedPerm.from_cycles(expected, n) == x
+
 
 # ---------------------------------------------------------------------------
 # bar projection, signs, cycle classification
