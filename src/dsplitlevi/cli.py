@@ -18,7 +18,8 @@ by default 20000 elements for closures and 10000 for character tables),
 or when an input is past a fixed bound (q below 2^64, at most
 ``levi.LABEL_COUNT_BOUND`` Levi labels at one (n, d), fields of at most
 ``torus.FIELD_ORDER_BOUND`` elements, at most ``LANG_TUPLE_BOUND``
-tuples in ``verify torus``): then one line naming the cap or bound goes
+tuples in ``verify torus``, a checked ``relweyl`` at rank at most
+``levi.VERIFY_RANK_LIMIT``): then one line naming the cap or bound goes
 to stderr and nothing to stdout.
 """
 
@@ -36,7 +37,7 @@ from .cliff import cuspidal_gate, enumerate_char_labels, kinva_check, stab_lambd
 from .cyclo import check_eq1
 from .extweyl import (IntMatrix, build_twist_elements, chevalley_generator,
                       matrix_closure, rho)
-from .levi import (check_odd_prime_power, compute_d0,
+from .levi import (VERIFY_RANK_LIMIT, check_odd_prime_power, compute_d0,
                    concrete_parabolic_roots, enumerate_labels, label_record,
                    relative_weyl, sylow_twist_w, verify_relative_weyl)
 from .rootsys import build_root_system, is_stable_under
@@ -529,19 +530,27 @@ def levis(n, d, q, fmt):
 @click.option("--d", type=click.IntRange(min=1), required=True)
 @click.option("--check/--no-check", "do_check", default=True,
               help="Brute-force verification of each descriptor "
-                   "(available for rank at most 4).")
+                   f"(rank at most {VERIFY_RANK_LIMIT}; larger ranks "
+                   "need --no-check).")
 @_format_option
 def relweyl(n, d, do_check, fmt):
     """Relative Weyl group descriptors of every label at (n, d)."""
-    records, ok = [], True
+    if do_check and n > VERIFY_RANK_LIMIT:
+        raise _Refused(f"the brute-force check covers rank n <= "
+                       f"{VERIFY_RANK_LIMIT}, got n = {n}; --no-check lists "
+                       "the descriptors unchecked")
+    records, ok, cycles = [], True, {}
     for lab in enumerate_labels(n, d):
         rw = relative_weyl(lab)
+        # Labels share generators: render each distinct one once.
+        gens = [cycles.get(g) or cycles.setdefault(g, g.to_cycles())
+                for g in rw.generators]
         rec = {"I_minus1": list(lab.I_minus1),
                "I": [list(b) for b in lab.I],
                "factors": [list(f) for f in rw.factors],
                "order": rw.order,
-               "generators": [g.to_cycles() for g in rw.generators]}
-        if do_check and n <= 4:
+               "generators": gens}
+        if do_check:
             rec["verified"] = bool(verify_relative_weyl(lab))
             ok = ok and rec["verified"]
         else:

@@ -30,6 +30,29 @@ Each orbit of size-s blocks spans s grid sets; the corresponding Q-sets
 the relative Weyl group, realised concretely inside the signed
 permutation group and verified against a brute-force fixed-point
 computation on rank ≤ 4.
+
+A report does each piece of shared work once.  The fixed-point order
+depends on the label only through its shape (|I₋₁|, t, d0, ε, q), and
+W_d^I's factors and order only through (d0, t); both are cached by
+that key, so ``sp_order`` and ``gl_order`` run once per shape.  The
+generators of W_d^I depend only on its Q-sets: ``relative_weyl`` builds
+w'_Q once per Q-set and τ once per adjacent pair, and every label with
+those Q-sets shares the (immutable) SignedPerms.  The public
+``wprime_Q`` and ``tau_Q`` stay uncached and validate every call.  Every
+cache is an ``lru_cache`` keyed by value with a fixed bound:
+``TWIST_CACHE_SIZE`` twists, one per (n, d); ``SHAPE_CACHE_SIZE`` shapes
+for each shape cache (the 115975 labels at the largest admitted (n, d) =
+(9, 1) have 97); ``QSET_CACHE_SIZE`` Q-sets, and as many pairs (at
+(9, 1): 2^9 - 1 = 511 Q-sets and 1569 pairs of disjoint Q-sets of one
+size); the root action of ``VERIFY_RANK_LIMIT`` ranks; 64 values of q.
+
+The oracle :func:`verify_relative_weyl` needs W_L and Stab(Φ_L) for
+the root set Φ_L of I₋₁ and I.  W_L is generated by the reflections in
+a base Δ of Φ_L, and Φ_L = W_L·Δ (Humphreys, *Reflection Groups and
+Coxeter Groups*, §1.5).  So g maps Φ_L onto itself exactly when g(Δ)
+⊂ Φ_L: then g conjugates each simple reflection into W_L, so
+g(Φ_L) = (g W_L g⁻¹)·g(Δ) ⊂ Φ_L.  The oracle finds Δ from the root set
+alone and reads only I₋₁, I and w.
 """
 
 from __future__ import annotations
@@ -38,7 +61,7 @@ import itertools
 from collections import namedtuple
 from functools import lru_cache
 from math import factorial
-from operator import neg
+from operator import add, mul
 
 from .arith import InputTooLarge, prime_power
 from .rootsys import apply_to_root, reflection_perm
@@ -54,6 +77,12 @@ from .signedperm import (
 )
 
 
+# Bounds of the lru_caches (see the module docstring).
+TWIST_CACHE_SIZE = 128
+SHAPE_CACHE_SIZE = 256
+QSET_CACHE_SIZE = 2048
+
+
 def compute_d0(d):
     """d0 for the twist order d in type C: d for odd d, d/2 for even d."""
     if d < 1:
@@ -61,7 +90,7 @@ def compute_d0(d):
     return d if d % 2 else d // 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TWIST_CACHE_SIZE)
 def sylow_twist_w(n, d):
     """The distinguished twist: ∏_i w_{J_i} over the grid sets of {1..l},
     with w_J = w'_J for even d and (w'_J)^2 for odd d; identity outside.
@@ -354,17 +383,23 @@ LeviStructure = namedtuple(
     "LeviStructure", ["sp_rank", "gl_parts", "epsilon", "d0", "q", "t", "order"])
 
 
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _structure_order(sp_rank, gl_parts, d0, eps, q):
+    """|Sp_{2·sp_rank}(q)| · ∏_s |GL_s(ε q^{d0})|^{t_s}, once per shape."""
+    order = sp_order(sp_rank, q)
+    for s, ts in gl_parts:
+        order *= gl_order(s, q ** d0, eps) ** ts
+    return order
+
+
 def levi_structure(label, q):
     """Fixed-point structure Sp_{2|I₋₁|}(q) × ∏_s GL_s(ε q^{d0})^{t_s}
     with ε = (-1)^{d+1}, and its exact order at the odd prime power q."""
     check_odd_prime_power(q)
-    eps = label.epsilon
-    order = sp_order(len(label.I_minus1), q)
+    eps, sp_rank = label.epsilon, len(label.I_minus1)
     gl_parts = tuple(sorted(label.t.items()))
-    for s, ts in gl_parts:
-        order *= gl_order(s, q ** label.d0, eps) ** ts
-    return LeviStructure(len(label.I_minus1), gl_parts, eps, label.d0, q,
-                         dict(label.t), order)
+    return LeviStructure(sp_rank, gl_parts, eps, label.d0, q, dict(label.t),
+                         _structure_order(sp_rank, gl_parts, label.d0, eps, q))
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +453,28 @@ def tau_Q(Q1, Q2, n):
     return SignedPerm(img)
 
 
-def _relative_weyl_shape(label):
-    """The factors (2·d0, t_s) of W_d^I, one per block size s ascending,
-    and the group order ∏_s (2·d0)^{t_s} t_s!."""
-    factors = tuple((2 * label.d0, ts) for _, ts in sorted(label.t.items()))
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _relative_weyl_shape(d0, t):
+    """The factors (2·d0, t_s) of W_d^I for the sorted pairs t = ((s,
+    t_s), ...), one per block size s ascending, and the group order
+    ∏_s (2·d0)^{t_s} t_s!; once per shape."""
+    factors = tuple((2 * d0, ts) for _, ts in t)
     order = 1
     for c, ts in factors:
         order *= c ** ts * factorial(ts)
     return factors, order
+
+
+@lru_cache(maxsize=QSET_CACHE_SIZE)
+def _orbit_generator(Q, n):
+    """w'_Q, built and validated once per Q-set."""
+    return wprime_Q(Q, n)
+
+
+@lru_cache(maxsize=QSET_CACHE_SIZE)
+def _swap_generator(Q1, Q2, n):
+    """τ_{Q1,Q2}, built and validated once per pair of Q-sets."""
+    return tau_Q(Q1, Q2, n)
 
 
 def relative_weyl(label):
@@ -433,12 +482,16 @@ def relative_weyl(label):
 
     Per block size s the generators are w'_{Q_i^s} (one 2d0-cycle
     product per orbit) and the adjacent swaps τ_{Q_i^s, Q_{i+1}^s}.
+    The generators are shared with every other label that has the same
+    Q-sets; a SignedPerm is immutable.
     """
-    factors, order = _relative_weyl_shape(label)
-    gens = []
+    factors, order = _relative_weyl_shape(
+        label.d0, tuple(sorted(label.t.items())))
+    n, gens = label.n, []
     for _, orbs in sorted(label.orbits.items()):
-        gens += [wprime_Q(o.Q, label.n) for o in orbs]
-        gens += [tau_Q(o1.Q, o2.Q, label.n) for o1, o2 in zip(orbs, orbs[1:])]
+        gens += [_orbit_generator(o.Q, n) for o in orbs]
+        gens += [_swap_generator(o1.Q, o2.Q, n)
+                 for o1, o2 in zip(orbs, orbs[1:])]
     return RelativeWeylDescriptor(factors, tuple(gens), order)
 
 
@@ -459,34 +512,52 @@ def _root_action(n):
     return index, actions
 
 
+def _simple_roots(roots):
+    """A base of the root system ``roots`` (a tuple of C_n roots): the
+    roots r with f(r) > 0, f(v) = Σ_i (n + 1 - i)·v_i, that are not a sum
+    of two such roots.  No root of C_n lies on f = 0, so these positive
+    roots form a positive system and its indecomposable roots a base."""
+    weights = range(len(roots[0]), 0, -1)
+    pos = [r for r in roots if sum(map(mul, weights, r)) > 0]
+    sums = {tuple(map(add, a, b)) for a, b in itertools.combinations(pos, 2)}
+    return [r for r in pos if r not in sums]
+
+
+def _parabolic_groups(n, roots):
+    """(Stab(Φ_L), W_L) inside signed_symmetric_group(n) for the root
+    set Φ_L = ``roots``.  W_L is the closure of the reflections in a
+    base Δ of Φ_L, and g lies in Stab(Φ_L) when g(Δ) ⊂ Φ_L: then
+    g W_L g⁻¹ ⊂ W_L, and Φ_L = W_L·Δ."""
+    if not roots:
+        return list(signed_symmetric_group(n)), [SignedPerm.identity(n)]
+    base = _simple_roots(roots)
+    WL = group_closure([reflection_perm(r, n) for r in base])
+    index, actions = _root_action(n)
+    inside = {index[r] for r in roots}
+    ks = [index[r] for r in base]
+    stab = [g for g, act in zip(signed_symmetric_group(n), actions)
+            if inside.issuperset(map(act.__getitem__, ks))]
+    return stab, WL
+
+
 def verify_relative_weyl(label):
     """Brute-force check of the relative Weyl group on rank ≤ 4.
 
     Computes Stab(Φ_L) inside the full signed group, by the action of
     every element on the root indices of C_n, and W_L, the closure of
-    the reflections in Φ_L.  Then it forms the cosets of Stab(Φ_L)
-    modulo W_L and the cosets fixed under conjugation by w, and confirms
-    that the W_d^I generators centralize w and biject onto those fixed
-    cosets with the predicted order.  It reads the label's I₋₁, I and
-    w only, never its orbits or Q-sets.
+    the reflections in a base of Φ_L (see :func:`_parabolic_groups`).
+    Then it forms the cosets of Stab(Φ_L) modulo W_L and the cosets
+    fixed under conjugation by w, and confirms that the W_d^I generators
+    centralize w and biject onto those fixed cosets with the predicted
+    order.  It reads the label's I₋₁, I and w only, never its orbits or
+    Q-sets.
     """
     if label.n > VERIFY_RANK_LIMIT:
         raise ValueError("brute-force verification is limited to rank "
                          f"<= {VERIFY_RANK_LIMIT}")
     n = label.n
-    G = signed_symmetric_group(n)
-    roots = concrete_parabolic_roots(n, label.I_minus1, label.I)
-    if roots:
-        # r_α = r_{-α}: one reflection per pair ±α.
-        WL = group_closure([reflection_perm(r, n) for r in roots
-                            if r > tuple(map(neg, r))])
-    else:
-        WL = [SignedPerm.identity(n)]
-    index, actions = _root_action(n)
-    ks = [index[r] for r in roots]
-    inside = set(ks)
-    stab = [g for g, act in zip(G, actions)
-            if inside.issuperset(map(act.__getitem__, ks))]
+    stab, WL = _parabolic_groups(
+        n, concrete_parabolic_roots(n, label.I_minus1, label.I))
 
     coset = {}
     reps = []
@@ -518,8 +589,10 @@ def verify_relative_weyl(label):
 # ---------------------------------------------------------------------------
 
 def label_record(label, q=None):
-    """JSON-ready record for one label; order included when q given."""
-    factors, _ = _relative_weyl_shape(label)
+    """JSON-ready record for one label; order included when q given.
+    Every list and dict in it is new, though its shape is cached."""
+    t = tuple(sorted(label.t.items()))
+    factors, _ = _relative_weyl_shape(label.d0, t)
     return {
         "n": label.n,
         "d": label.d,
@@ -527,7 +600,7 @@ def label_record(label, q=None):
         "epsilon": label.epsilon,
         "I_minus1": list(label.I_minus1),
         "I": [list(b) for b in label.I],
-        "t": {str(s): ts for s, ts in sorted(label.t.items())},
+        "t": {str(s): ts for s, ts in t},
         "relative_weyl": [list(f) for f in factors],
         "order": levi_structure(label, q).order if q is not None else None,
     }

@@ -113,6 +113,113 @@ class TestLevis:
         assert text.exit_code == 0
         assert "count: 2" in text.output
 
+    # sha256 of the stdout of ``levis --n N --d D --q Q --format F``, with
+    # Q = (3, 5, 9)[N % 3] as in the benchmark's query mix, taken before
+    # label shapes and orders were cached; the reports must not change.
+    GOLDEN = {
+        (5, 1, "json"):
+            "5cd9c0d1339428eeedfe889a1a5499b0a504bcf07dc7b75547bc63f6a4f6cedf",
+        (5, 1, "tsv"):
+            "52571202e2369c4b9a899aa942466d46df39ca535062a3d6f359de9dbe4b75d0",
+        (5, 1, "text"):
+            "e20d256b37ef13446c790d93515cb58b0a70b96b0cc63ced0d43205396b4ec77",
+        (5, 2, "json"):
+            "d3aa65d1d99a228eaec43ebe8e04457c57452b38964bf087ecf6fa061d22520f",
+        (5, 2, "tsv"):
+            "a08104ff7d6fe0b435c36a4effcc78ff7484b7b1f099f1fb7dd2acd0961d3687",
+        (5, 2, "text"):
+            "66fa878896791d99a8f894a7bae89012c6bf17da0622d1892ee8cd6a36b863d9",
+        (5, 3, "json"):
+            "ec6473280926e1606d9170c2cc8c1ecf5353c04f228ac106120d1cc275a596a0",
+        (5, 3, "tsv"):
+            "2bbe724b5a0155cf05575880ba65b2934a2699d923e8369b8a9f86cf475accab",
+        (5, 3, "text"):
+            "dc41a8385a718e8eea3df0ed79f1bf5b8d72ca8a34a6c6845f818f440b3fedfd",
+        (5, 4, "json"):
+            "decf33d8d144ce3213fd3bf1af53293e75729f795097a82b2ba35cc9dd18bfff",
+        (5, 4, "tsv"):
+            "c08c134686c846bd89b6d111f5fc04a6e84dfa6c8887f5ffb71b2c64e953e186",
+        (5, 4, "text"):
+            "cf24038c26d203a5415509d7217a8f33dc182b80ea11913da6e3292c42c93b4d",
+        (5, 6, "json"):
+            "4ce717adafe43d23af45a0315f380649ee77db79afc4ae27830a507341ab2458",
+        (5, 6, "tsv"):
+            "89122f567a2a55110d01a4d1c20f9ebb1ec528cae830f6a9c104da61f5c0a88e",
+        (5, 6, "text"):
+            "aa0d84e162806eca4a37f55307067aaf193b830cfda66d0c27a2dfa90b449732",
+        (6, 1, "json"):
+            "22a15d8442a464172708d939704548cdca0ef4b1864d44f1055b3d317b976ca2",
+        (6, 1, "tsv"):
+            "936c8d50e034c67ff2b6b4f2e5d6be1e0fefee1cc46dc5caeb94c00793d0ec28",
+        (6, 1, "text"):
+            "4fa9a407e58f1fa6fd59df971da3893c519359c481c844a5cdeed387a89a2264",
+        (6, 2, "json"):
+            "46818342fc06585b8ab341713779fdf131de18e66b8a2dde99346d3c7fc26c61",
+        (6, 2, "tsv"):
+            "ed1372478c41a4848c04b47d58b52a2770418e46f0684261264c739953799679",
+        (6, 2, "text"):
+            "9997df1f8c67186d79239813589c2098918322360b5321fee953429a068760a1",
+        (6, 3, "json"):
+            "057a5e233b04eeb4af572b46326d8ba5b1c36d521182d0fe3645dc9a99c44843",
+        (6, 3, "tsv"):
+            "4e5fc20dd83a71a0a7b399bfc83ae5a10fc223880ea104cb60083cee9fd940b7",
+        (6, 3, "text"):
+            "b609cbd64dde0e2964c393384679cf173ccc05403494540acb4299d101a4b156",
+        (6, 4, "json"):
+            "0c8921f44312833044b9d096177fd760048e09ce5c123d9167fc55cd720b0275",
+        (6, 4, "tsv"):
+            "ed79b05fb3ea3222bf182c03952318a1336382dcebb5653cf3b963c19ef62e17",
+        (6, 4, "text"):
+            "667d0e914e0a42f9dd2fa1ac065389df5b600ff8c43fe94d90e8cbb82eda0f88",
+        (6, 6, "json"):
+            "1e46d9e8aeca6d616d404824a150aa7e905de4954a2f3dfc1b0725b547b18560",
+        (6, 6, "tsv"):
+            "0dd3ce42c26d73c838fa2f186efc036463d565313389834e275b3cd81bc34094",
+        (6, 6, "text"):
+            "9f660425e71ebc99879a13777800da98d2d73f5a8b2a79d187f0228a6a899861",
+        (7, 1, "json"):
+            "a589ea012fd1f6e8281ca943f29787c3b4401ca447a29347fba36eea7a4dc7eb",
+        (7, 1, "tsv"):
+            "0124301e0d71d129591cf527d45e380c2263d3ae265900a130c4197b097baeb2",
+        (7, 1, "text"):
+            "b77f8abfaf4a021873b042bdb5dcc04a13834276566a5f415202010aef6f3df7",
+        (7, 2, "json"):
+            "4dbe9702d6c59e38b9a8663d247770b18eb755d979f55f5cac6e48dddb7b118b",
+        (7, 2, "tsv"):
+            "a3e9d4409f9a3ccb7cffa69aef161232475e2d9ff369cbe5ceb6adb046b22715",
+        (7, 2, "text"):
+            "4ec51dcf60ac0d5f332dc9a3a602cb7a7847374ca0b6a202cd90913f24d87858",
+        (7, 3, "json"):
+            "8a58d8a3f5061a361f097292d6ea7c0fcdbc5460abd009232752be1746423109",
+        (7, 3, "tsv"):
+            "4b1dffe4d99b00d311a7888695be32eb391187a2d4e987e5435c25752af7b5e3",
+        (7, 3, "text"):
+            "1e258da47e527dc3f80d7f8c67e39f45985aa837c03c23d0c540425526b4dbf4",
+        (7, 4, "json"):
+            "1ae16dd8ac1390a7aa3079206fbdebdb248a674c6cca68c709bb4bb583aa5252",
+        (7, 4, "tsv"):
+            "7e5f31fc9120176563e953b664d8b67d045a098b928faa97ab1ee804b328c38d",
+        (7, 4, "text"):
+            "1474705e33e6424d53436cf24223d300f3a5bf04236959348bdd531602c3e3b8",
+        (7, 6, "json"):
+            "370d626554b4d23356d65ee10e2b803b877cf3df66d9e001c8bffade7f2bc300",
+        (7, 6, "tsv"):
+            "327905c0a56ec345a169c0c745f05c2f24b705b9ff9e456edbcb2a0c29917814",
+        (7, 6, "text"):
+            "18e7dcadbcba1f0c620ca1c6be008ea52e366bce0f5dca50240d7f67a7b57925",
+    }
+
+    @pytest.mark.parametrize("n", range(5, 8))
+    def test_reports_match_golden_digests(self, n):
+        q = (3, 5, 9)[n % 3]
+        for d in (1, 2, 3, 4, 6):
+            for fmt in ("json", "tsv", "text"):
+                result = invoke("levis", "--n", str(n), "--d", str(d),
+                                "--q", str(q), "--format", fmt)
+                assert result.exit_code == 0, (n, d, fmt)
+                digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+                assert digest == self.GOLDEN[n, d, fmt], (n, d, fmt)
+
 
 class TestRelweyl:
     def test_verified_labels(self):
@@ -263,6 +370,98 @@ class TestRelweyl:
                 assert result.exit_code == 0, (n, d, fmt)
                 digest = hashlib.sha256(result.stdout_bytes).hexdigest()
                 assert digest == self.GOLDEN[n, d, fmt], (n, d, fmt)
+
+    # sha256 of the stdout of ``relweyl --n N --d D --no-check --format
+    # F``, taken before Q-set generators and their cycle strings were
+    # cached; the reports must not change.
+    GOLDEN_NO_CHECK = {
+        (5, 1, "json"):
+            "1067c7fbd477b7e7efe086053facd42c2eff682dfdf89c95b47bd14fea25811a",
+        (5, 1, "tsv"):
+            "dd657f0bf9abcf06f2abb0ae3b83b07fc74642da4c5bfa2376a90f53d2227fbe",
+        (5, 1, "text"):
+            "6369a6e38eaa5a3bd44ee06ae1a837d984401c70b4fed9fac6e524864ba9341c",
+        (5, 2, "json"):
+            "e4042b79360144ba23fb9c327b0c4854aa5f46d6cdb00a7b605c79de0a66fdcd",
+        (5, 2, "tsv"):
+            "757cf374e602b5baf8e5496bbd596336ab08e58663733388c7df1237b7102a53",
+        (5, 2, "text"):
+            "d4c94c13d64dac87cbec8c990b011e588451a35d8e6d918c53233434b35624b6",
+        (5, 3, "json"):
+            "d105889e4376ed292b4e10bfad816b1029a7d3ace6bf23e2a50c5cd34dd3b0a7",
+        (5, 3, "tsv"):
+            "ff7df21c8eded816349a6cf707f58f34c46c54deb1a61f3f42ee8672b7303aae",
+        (5, 3, "text"):
+            "e55638455b858dcfdf9caae1dd6a49451f95e8512106c9901236523dcd982dba",
+        (5, 4, "json"):
+            "206be1db47c92a4a7c914f2e04e7c6a88931625a0fd134a174e84079703befcd",
+        (5, 4, "tsv"):
+            "c87bfe5a32466fc6aa0d0c584375d8f92a9cca57bc08255977938745bef3339d",
+        (5, 4, "text"):
+            "49aeb7f0f972d76dff830ceb130ca1c8c2e2d195055f4608cb7b0ae7a16511fe",
+        (5, 6, "json"):
+            "be47fdb75fac540ce991ce7f50685d49a5055a4f4fb719ca3a9088fb09c988e6",
+        (5, 6, "tsv"):
+            "e4e91fe6ed1141a4cd82375a37f9619811b5f16b2ee538091bd77d0343a3295a",
+        (5, 6, "text"):
+            "f2bff5b511e57e6dd1ad870c20c2f79255e4312a9687c18e2b6b26bc8601b310",
+        (6, 1, "json"):
+            "ad04983c82af22c25e9d0fa015a1ed3443142c2fd875439883e662a494db5300",
+        (6, 1, "tsv"):
+            "fbec47b5435e46931bca57f8eadfd2c2a8a13da667f5611f5fb4a6876f3f5222",
+        (6, 1, "text"):
+            "f4f91d31e179a00049e67f10664782755961f4d0ace5bfd3d7fc3ff33faf3b09",
+        (6, 2, "json"):
+            "b6a9f0ec47590c96fca15f9f3b725e3da9532ab97285e8d8d521a15a34096137",
+        (6, 2, "tsv"):
+            "9646101c6aa98a54eb54d63b8305f1b50d41746c5e03e38e3ce385ba52b828c7",
+        (6, 2, "text"):
+            "e0cbd9a1c700a70ce97bda83cf62d0a89819cd61da7bdb3273c910f626e15e96",
+        (6, 3, "json"):
+            "f8b8f45da046b0e679b6fa2eeabf2aa22876f488633fbdd6cb3e43f11a6e01cb",
+        (6, 3, "tsv"):
+            "6c6e18787ca33789b337317c6de3837243d7076b356b6d7bf4cb841347d2d1f8",
+        (6, 3, "text"):
+            "0380231533b811fc98fe72b5a1155109072ca0c87727e13d7a4a3224ebde5b56",
+        (6, 4, "json"):
+            "e68878f21821f72a75bb537bb78b3e162c77d509d5000623ecc8ebfd2528a944",
+        (6, 4, "tsv"):
+            "aa9fe8009d1b90a78dc83ab28cefb19a6a2fccf53fd22918f2b1b772eb70f81b",
+        (6, 4, "text"):
+            "192f794e561b736453db0231953b890650b29fef2001abab35e417118a999899",
+        (6, 6, "json"):
+            "02cee2ebbe7f02a36063349037b7fdb8eb59b86a3577e7930e2b830d5def1f8d",
+        (6, 6, "tsv"):
+            "b002adf04d5ef2d3bb75ce56a6783abcad076638f4e1c97c1b55d83add86fb72",
+        (6, 6, "text"):
+            "f326bd0648da16d6e3ba8782ac0de1031002ece2aad3003fe76cf09176e43f90",
+    }
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_unchecked_reports_match_golden_digests(self, n):
+        for d in (1, 2, 3, 4, 6):
+            for fmt in ("json", "tsv", "text"):
+                result = invoke("relweyl", "--n", str(n), "--d", str(d),
+                                "--no-check", "--format", fmt)
+                assert result.exit_code == 0, (n, d, fmt)
+                digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+                assert digest == self.GOLDEN_NO_CHECK[n, d, fmt], (n, d, fmt)
+
+    def test_check_past_the_rank_limit_exits_2(self, monkeypatch):
+        # The check covers rank <= VERIFY_RANK_LIMIT only; above it the
+        # command refuses before building a label instead of reporting
+        # an unchecked pass.
+        def refuse(*args):
+            raise RuntimeError("work started")
+        monkeypatch.setattr(levi.LeviLabel, "__init__", refuse)
+        monkeypatch.setattr(cli, "enumerate_labels", refuse)
+        limit = levi.VERIFY_RANK_LIMIT
+        result = invoke("relweyl", "--n", str(limit + 1), "--d", "1")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert f"<= {limit}" in lines[0] and "--no-check" in lines[0]
 
 
 class TestVerify:

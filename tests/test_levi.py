@@ -25,7 +25,8 @@ from dsplitlevi.levi import (
     sylow_twist_w,
     verify_relative_weyl,
 )
-from dsplitlevi.rootsys import build_root_system, is_stable_under
+from dsplitlevi.rootsys import (build_root_system, is_stable_under,
+                                reflection_perm)
 from dsplitlevi.signedperm import (
     SignedPerm,
     group_closure,
@@ -495,6 +496,37 @@ class TestVerify:
             verify_relative_weyl(LeviLabel(5, 1, tuple(range(1, 6)), ()))
 
 
+def _reference_groups(n, roots):
+    """(Stab(Φ_L), W_L) as the oracle first computed them: g is kept
+    when it maps every root of Φ_L into Φ_L, and W_L is the closure of
+    the distinct reflections in Φ_L."""
+    index, actions = levi._root_action(n)
+    inside = {index[r] for r in roots}
+    stab = [g for g, act in zip(signed_symmetric_group(n), actions)
+            if inside.issuperset(act[k] for k in inside)]
+    refl = {reflection_perm(r, n) for r in roots}
+    WL = group_closure(sorted(refl)) if refl else [SignedPerm.identity(n)]
+    return stab, WL
+
+
+class TestOracleBase:
+    """The oracle closes W_L over a base of Φ_L and tests Stab(Φ_L) on
+    the base alone; both must agree with the all-roots computations."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_base_gives_the_same_groups(self, n):
+        for d in (1, 2, 3, 4, 6, 8):
+            for lab in enumerate_labels(n, d):
+                roots = concrete_parabolic_roots(n, lab.I_minus1, lab.I)
+                stab, WL = levi._parabolic_groups(n, roots)
+                ref_stab, ref_WL = _reference_groups(n, roots)
+                assert stab == ref_stab, (d, lab)
+                assert set(WL) == set(ref_WL) and len(WL) == len(ref_WL)
+                if roots:
+                    rank = len(lab.I_minus1) + sum(len(b) - 1 for b in lab.I)
+                    assert len(levi._simple_roots(roots)) == rank, (d, lab)
+
+
 class TestRecord:
     def test_json_record(self):
         lab = LeviLabel(2, 4, (), ((1,), (2,)))
@@ -510,3 +542,59 @@ class TestRecord:
         rec = label_record(LeviLabel(2, 4, (1, 2), ()))
         assert rec["order"] is None
         assert rec["I_minus1"] == [1, 2]
+
+
+def _containers(obj):
+    """Every list and dict reachable from ``obj``, the object included."""
+    if isinstance(obj, dict):
+        return [obj] + [c for v in obj.values() for c in _containers(v)]
+    if isinstance(obj, list):
+        return [obj] + [c for v in obj for c in _containers(v)]
+    return []
+
+
+class TestMemos:
+    """Shapes, orders and Q-set generators are cached by value; what a
+    caller receives must not alias what another caller receives."""
+
+    def test_records_share_no_mutable_object(self):
+        labels = enumerate_labels(4, 1)
+        records = [label_record(lab, 3) for lab in labels]
+        ids = [id(c) for rec in records for c in _containers(rec)]
+        assert len(ids) == len(set(ids))
+        # Labels with |I₋₁| = 3 and one singleton block share a shape.
+        same = [i for i, lab in enumerate(labels)
+                if lab.t == {1: 1} and len(lab.I_minus1) == 3][:2]
+        assert len(same) == 2
+        first, second = (records[i] for i in same)
+        expected = label_record(labels[same[1]], 3)
+        first["t"]["1"] = 99
+        first["relative_weyl"][0][1] = 99
+        first["relative_weyl"].append([0, 0])
+        assert second == expected
+        assert label_record(labels[same[0]], 3)["t"] == {"1": 1}
+        assert label_record(labels[same[0]], 3)["relative_weyl"] == [[2, 1]]
+        structure = levi_structure(labels[same[0]], 3)
+        structure.t[1] = 99
+        assert levi_structure(labels[same[0]], 3).t == {1: 1}
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_generators_equal_uncached(self, n):
+        for d in range(1, 9):
+            for lab in enumerate_labels(n, d):
+                expected = []
+                for _, orbs in sorted(lab.orbits.items()):
+                    expected += [levi.wprime_Q(o.Q, n) for o in orbs]
+                    expected += [levi.tau_Q(o1.Q, o2.Q, n)
+                                 for o1, o2 in zip(orbs, orbs[1:])]
+                assert relative_weyl(lab).generators == tuple(expected), (
+                    d, lab)
+
+    def test_levi_caches_are_bounded(self):
+        cached = {name: fn for name, fn in vars(levi).items()
+                  if hasattr(fn, "cache_info")
+                  and fn.__module__ == levi.__name__}
+        assert "sylow_twist_w" in cached and "_orbit_generator" in cached
+        unbounded = [name for name, fn in cached.items()
+                     if fn.cache_parameters()["maxsize"] is None]
+        assert unbounded == []
