@@ -7,9 +7,9 @@ The package is organised bottom-up:
 - ``signedperm``: the group of signed permutations of {±1, ..., ±n},
   centralizer shapes, canonical cycle generators, brute-force closures
   and normalizers.
-- ``rootsys``: root systems of classical type (A/B/C/D) as explicit
-  integer vectors, parabolic subsystems and their classification up to
-  Weyl-group conjugacy.
+- ``rootsys``: the root system of type C_n as explicit integer
+  vectors, reflections as signed permutations and their action on
+  roots.
 - ``cyclo``: exact cyclotomic arithmetic (Q adjoined a root of unity)
   and eigenspace computations for integer matrices.
 - ``levi``: d-split Levi labels in type C, Sylow twists, relative Weyl
@@ -19,7 +19,7 @@ The package is organised bottom-up:
 - ``torus``: the twisted maximal torus as coordinate tuples over an
   exact finite field, Lang maps, fixed points, central actions.
 - ``chartab``: exact character tables (Dixon's method), restriction,
-  induction, inertia groups and extendibility tests.
+  inner products, inertia groups and extendibility tests.
 - ``cliff``: stabilizers of Levi-side characters in the relative Weyl
   group, the sign character of the index-2 covering, the K(lambda)
   subgroup and the invariance criterion.

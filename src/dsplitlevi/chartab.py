@@ -12,7 +12,7 @@ over the power maps.  Row orthogonality, which implies column
 orthogonality for a square table, is re-verified exactly before a table
 is returned.
 
-Induction, restriction and inner products of class functions are exact,
+Restriction and inner products of class functions are exact,
 and :func:`inertia_and_extendibility` decides whether a character of a
 normal subgroup extends to its stabiliser.
 """
@@ -204,10 +204,6 @@ class ClassFunction:
             raise ValueError("one value per conjugacy class required")
         self.group = group
         self.values = values
-
-    @property
-    def degree(self):
-        return self.values[0]
 
     def value_at(self, element):
         data = self.group.conjugacy_classes()
@@ -581,7 +577,7 @@ def _verify_orthogonality(G, data, values):
 
 
 # ---------------------------------------------------------------------------
-# induction, restriction, inner products
+# restriction, inner products
 # ---------------------------------------------------------------------------
 
 def restrict(chi, H):
@@ -594,31 +590,6 @@ def restrict(chi, H):
             raise ValueError("H is not a subgroup of the domain of chi")
     return ClassFunction(H, tuple(chi.values[gdata.class_of[rep]]
                                   for rep in hdata.reps))
-
-
-def induce(theta, G):
-    """The induced class function Ind_H^G(theta), where H = theta.group."""
-    H = theta.group
-    for x in H.elements:
-        if x not in G.index:
-            raise ValueError("the domain of theta is not a subgroup of G")
-    hdata = H.conjugacy_classes()
-    value_at = {}
-    for j, orb in enumerate(hdata.classes):
-        for y in orb:
-            value_at[y] = theta.values[j]
-    gdata = G.conjugacy_classes()
-    d = theta.values[0].d
-    out = []
-    for rep in gdata.reps:
-        total = CycNum.zero(d)
-        for x in G.elements:
-            y = x * rep * x.inv()
-            v = value_at.get(y)
-            if v is not None:
-                total = total + v
-        out.append(total / H.order)
-    return ClassFunction(G, tuple(out))
 
 
 def inner(phi, psi):

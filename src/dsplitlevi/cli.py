@@ -14,8 +14,10 @@ same report, so all three are byte-identical across repeated runs with
 the same flags.  Exit status: 0 when every requested check passes, 1
 when a verification fails (failure records stay in the report), 2 on
 invalid flags, when a group grows past its brute-force cap (``--cap``;
-by default 20000 elements for closures and 10000 for character tables),
-or when an input is past a fixed bound (q below 2^64, at most
+by default 20000 elements for closures and 10000 for character tables;
+``verify centralizers`` and ``verify normalizers`` check the signed
+group of the largest ``--n``, of order 2^n n!, before any work), or
+when an input is past a fixed bound (q below 2^64, at most
 ``levi.LABEL_COUNT_BOUND`` Levi labels at one (n, d), fields of at most
 ``torus.FIELD_ORDER_BOUND`` elements, at most ``LANG_TUPLE_BOUND``
 tuples in ``verify torus``, a checked ``relweyl`` at rank at most
@@ -189,11 +191,23 @@ _cap_option = click.option(
 # verification suites
 # ---------------------------------------------------------------------------
 
+def _signed_groups(ns, cap):
+    """(n, the signed group of rank n) for each n of the grid.  The
+    suites walk each group once per element or per subgroup, so a grid
+    whose largest group (order 2^n n!) is past the closure cap is
+    refused before any group is built."""
+    top = max(ns)
+    order = 2 ** top * factorial(top)
+    if order > cap:
+        raise ClosureExceedsCap(f"the signed group of rank {top} has "
+                                f"order {order}, which exceeds cap {cap}")
+    return [(n, signed_symmetric_group(n)) for n in ns]
+
+
 def _suite_centralizers(grids, cap):
     """Brute-force centralizer order against the cycle-type formula."""
     checked, failures = 0, []
-    for n in grids["n"]:
-        G = signed_symmetric_group(n)
+    for n, G in _signed_groups(grids["n"], cap):
         for x in G:
             checked += 1
             brute = len(brute_centralizer(x, G))
@@ -207,10 +221,8 @@ def _suite_centralizers(grids, cap):
 def _suite_normalizers(grids, cap):
     """Brute-force normalizer of each block wreath product against the
     predicted generator closure, over all partitions and sign flags."""
-    cap = cap or DEFAULT_CLOSURE_CAP
     checked, failures = 0, []
-    for n in grids["n"]:
-        G = signed_symmetric_group(n)
+    for n, G in _signed_groups(grids["n"], cap):
         for blocks in set_partitions(n):
             for signed in itertools.product((False, True),
                                             repeat=len(blocks)):
@@ -248,7 +260,7 @@ def _suite_eq1(grids, cap):
     cyclotomic eigenspace test accepts it."""
     checked, failures = 0, []
     for n in grids["n"]:
-        system = build_root_system("C", n)
+        system = build_root_system(n)
         pairs = _concrete_pairs(n)
         for d in grids["d"]:
             w = sylow_twist_w(n, d)
@@ -301,21 +313,20 @@ def _suite_extweyl(grids, cap):
     """Exact matrix identities of the monomial lifts: squares of the
     lifts, the lifted swaps, centrality of the long product, the image
     of the twist centralizer, and the diagonal kernel order."""
-    cap = cap or DEFAULT_CLOSURE_CAP
     checked, failures = 0, []
 
     def fail(kind, **data):
         failures.append({"relation": kind, **data})
 
     for n in grids["n"]:
-        system = build_root_system("C", n)
-        for root in system.roots:
+        system = build_root_system(n)
+        for root in system:
             checked += 1
             n_mat = chevalley_generator("n", root, 1)
             if n_mat * n_mat != chevalley_generator("h", root, -1):
                 fail("n_squared", n=n, root=list(root))
         checked += 1
-        h_gens = [chevalley_generator("h", r, -1) for r in system.roots]
+        h_gens = [chevalley_generator("h", r, -1) for r in system]
         if len(matrix_closure(h_gens, cap=cap)) != 2 ** n:
             fail("h_group_order", n=n)
         for d in grids["d"]:
@@ -585,7 +596,7 @@ def verify(suite, ns, ds, qs, cap, fmt):
     if suite in TYPE_C_SUITES and grids["n"][0] < 2:
         raise _Refused(f"suite {suite!r} needs --n >= 2 (type C_n), "
                        f"got n = {grids['n'][0]}")
-    checked, failures = runner(grids, cap)
+    checked, failures = runner(grids, cap or DEFAULT_CLOSURE_CAP)
     report = {"command": "verify", "suite": suite,
               "grid": {name: list(grids[name]) for name in takes},
               "checked": checked, "failures": failures,

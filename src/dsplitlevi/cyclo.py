@@ -423,7 +423,8 @@ def check_eq1(pi, d, roots, ambient):
     """The exact double-perp test for a root subset against a twist.
 
     Computes U = V(π, ζ_d) ∩ roots^⊥ by exact linear algebra, then
-    U^⊥ ∩ Φ, and reports whether that equals the input set.
+    U^⊥ ∩ Φ with Φ the ``ambient`` roots, and reports whether that
+    equals the input set.
     """
     roots = [tuple(r) for r in roots]
     V = eigenspace_basis(pi, d, 1)
@@ -435,22 +436,6 @@ def check_eq1(pi, d, roots, ambient):
             for c, b in zip(combo[1:], V[1:]):
                 u = u + b.scale(c)
             U.append(u)
-    perp = {beta for beta in ambient.roots
+    perp = {beta for beta in ambient
             if all(u.dot(beta).is_zero() for u in U)}
     return perp == set(roots)
-
-
-def primitive_power_sign_check(pi, d):
-    """ζ^k avoids ±ε_{π^k}(i) for all 0 < k < d0 and all i, exactly.
-
-    d0 is d for odd d and d/2 for even d (the type B/C/D convention).
-    """
-    d0 = d if d % 2 else d // 2
-    for k in range(1, d0):
-        zk = zeta(d, k)
-        pk = pi ** k
-        for i in range(1, pi.n + 1):
-            e = pk.sign(i)
-            if zk == CycNum.from_rational(e, d) or zk == CycNum.from_rational(-e, d):
-                return False
-    return True

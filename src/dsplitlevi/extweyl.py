@@ -89,23 +89,6 @@ class IntMatrix:
         """g^-1 * self * g, matching the signed-permutation convention."""
         return g.inv() * self * g
 
-    def is_symplectic(self):
-        """Preserves the form <e_i, f_i> = 1 = -<f_i, e_i> exactly."""
-        if self.dim % 2:
-            return False
-        n = self.dim // 2
-
-        def form(u, v):
-            return sum(u[k] * v[n + k] - u[n + k] * v[k] for k in range(n))
-
-        cols = tuple(zip(*self.rows))
-        for i in range(2 * n):
-            for j in range(2 * n):
-                want = 1 if j == i + n else (-1 if i == j + n else 0)
-                if form(cols[i], cols[j]) != want:
-                    return False
-        return True
-
     def _key(self):
         return self._rows if self._perm is None else self._perm
 

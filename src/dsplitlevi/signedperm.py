@@ -255,11 +255,6 @@ def _trusted(img):
     return p
 
 
-def compose(a, b):
-    """(a∘b)(x) = a(b(x)); the project-wide composition convention."""
-    return a * b
-
-
 # ---------------------------------------------------------------------------
 # cycle statistics and centralizer shapes
 # ---------------------------------------------------------------------------

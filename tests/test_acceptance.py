@@ -87,7 +87,7 @@ def test_03_label_classification_equals_eigenspace_test():
     never enumerated; under 60 s."""
     start = time.monotonic()
     for n in (2, 3, 4):
-        system = build_root_system("C", n)
+        system = build_root_system(n)
         pairs = _concrete_pairs(n)
         for d in range(1, 9):
             w = sylow_twist_w(n, d)
@@ -138,11 +138,11 @@ def test_05_extended_weyl_matrix_relations():
     2^n."""
     vl_cache = {}
     for n in (2, 3, 4):
-        system = build_root_system("C", n)
-        for root in system.roots:
+        system = build_root_system(n)
+        for root in system:
             n_mat = chevalley_generator("n", root, 1)
             assert n_mat * n_mat == chevalley_generator("h", root, -1)
-        h_gens = [chevalley_generator("h", r, -1) for r in system.roots]
+        h_gens = [chevalley_generator("h", r, -1) for r in system]
         assert len(matrix_closure(h_gens)) == 2 ** n
         for d in range(1, 7):
             te = build_twist_elements(n, d)

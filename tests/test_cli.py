@@ -14,6 +14,7 @@ import os
 from pathlib import Path
 import subprocess
 import sys
+import time
 import types
 
 import pytest
@@ -583,18 +584,25 @@ class TestTracedNames:
     def test_every_traced_name_resolves(self):
         # perfbench/tracing.py wraps these names by lookup, so deleting or
         # renaming one must fail here and not only in perfbench/selftest.py.
+        # A name that resolves only as an import from another module would
+        # be traced, and timed, under the wrong layer.
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
         tracing = types.ModuleType("tracing")
         exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)
-        missing = []
+        missing, misplaced = [], []
         for module, names in tracing.LAYERS.items():
-            mod = importlib.import_module(f"{tracing.PACKAGE}.{module}")
+            qualified = f"{tracing.PACKAGE}.{module}"
+            mod = importlib.import_module(qualified)
             for name in names:
                 try:
-                    tracing._originals(mod, name)
+                    _, _, raw = tracing._originals(mod, name)
                 except (AttributeError, KeyError):
                     missing.append(f"{module}.{name}")
-        assert missing == []
+                    continue
+                # a click command is defined where its callback is
+                if getattr(raw, "callback", raw).__module__ != qualified:
+                    misplaced.append(f"{module}.{name}")
+        assert missing == [] and misplaced == []
 
 
 class TestNoSympy:
@@ -660,6 +668,48 @@ class TestCapExit:
         warm = invoke(*args, *cap)
         assert cold.exit_code == warm.exit_code == 2
         assert cold.stderr == warm.stderr and "exceeds cap" in warm.stderr
+
+
+class TestSignedGroupBound:
+    """verify centralizers|normalizers walk the signed group of every
+    rank in the grid; the largest, of order 2^n n!, must be within the
+    closure cap before any work starts."""
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(self, monkeypatch):
+        def build(n):
+            raise self.Admitted
+        monkeypatch.setattr(cli, "signed_symmetric_group", build)
+
+    @pytest.mark.parametrize("suite", ["centralizers", "normalizers"])
+    def test_largest_rank_is_admitted(self, suite, monkeypatch):
+        # n = 5: 3840 elements, under the default cap 20000.
+        self.admitted(monkeypatch)
+        result = invoke("verify", suite, "--n", "2..5")
+        assert isinstance(result.exception, self.Admitted)
+
+    @pytest.mark.parametrize("suite", ["centralizers", "normalizers"])
+    def test_smallest_refused_rank_exits_2_at_once(self, suite, monkeypatch):
+        # n = 6: 46080 elements; unchecked, centralizers alone would
+        # take about 4·10^9 products.
+        self.admitted(monkeypatch)
+        start = time.perf_counter()
+        result = invoke("verify", suite, "--n", "2..6")
+        elapsed = time.perf_counter() - start
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert "rank 6" in lines[0] and "exceeds cap 20000" in lines[0]
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("suite", ["centralizers", "normalizers"])
+    def test_larger_cap_admits_rank_6(self, suite, monkeypatch):
+        self.admitted(monkeypatch)
+        result = invoke("verify", suite, "--n", "6", "--cap", "50000")
+        assert isinstance(result.exception, self.Admitted)
 
 
 class TestInputBounds:

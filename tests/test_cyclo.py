@@ -18,10 +18,10 @@ from dsplitlevi.cyclo import (
     CycVector,
     check_eq1,
     eigenspace_basis,
-    primitive_power_sign_check,
     zeta,
 )
-from dsplitlevi.rootsys import build_root_system, is_stable_under, parabolic_roots
+from dsplitlevi.levi import concrete_parabolic_roots
+from dsplitlevi.rootsys import build_root_system, is_stable_under
 from dsplitlevi.signedperm import SignedPerm, set_partitions, wprime
 
 
@@ -193,25 +193,26 @@ class TestEigenspace:
 
 class TestCheckEq1:
     def test_empty_label_passes_for_regular_twist(self):
-        c2 = build_root_system("C", 2)
+        c2 = build_root_system(2)
         assert check_eq1(sp("(1,2,-1,-2)", 2), 4, [], c2)
 
     def test_full_system_always_passes(self):
-        c2 = build_root_system("C", 2)
-        assert check_eq1(sp("(1,2,-1,-2)", 2), 4, c2.roots, c2)
+        c2 = build_root_system(2)
+        assert check_eq1(sp("(1,2,-1,-2)", 2), 4, c2, c2)
 
     def test_unstable_block_fails(self):
-        c2 = build_root_system("C", 2)
-        roots = parabolic_roots(c2, (2, ((1, 2),)))
+        c2 = build_root_system(2)
+        roots = concrete_parabolic_roots(2, (), ((1, 2),))
         assert not check_eq1(sp("(1,2,-1,-2)", 2), 4, roots, c2)
 
     def test_blocks_at_d2_pass(self):
         # w = iota at d=2 (d0=1): every block sits in an orbit of length
         # 1 = d0, and both the singleton and the two-element label pass.
-        c2 = build_root_system("C", 2)
+        c2 = build_root_system(2)
         w = sp("(1,-1)(2,-2)", 2)
-        assert check_eq1(w, 2, parabolic_roots(c2, (2, ((1,), (2,)))), c2)
-        two_block = parabolic_roots(c2, (2, ((1, 2),)))
+        assert check_eq1(w, 2, concrete_parabolic_roots(2, (), ((1,), (2,))),
+                         c2)
+        two_block = concrete_parabolic_roots(2, (), ((1, 2),))
         assert is_stable_under(two_block, w)
         assert check_eq1(w, 2, two_block, c2)
 
@@ -219,12 +220,12 @@ class TestCheckEq1:
         # At d=8 the rank is too small to twist (w = identity), so the
         # singleton blocks sit in orbits of length 1 != d0 = 4 and fail,
         # while the m=0 label (the full system) still passes.
-        c2 = build_root_system("C", 2)
+        c2 = build_root_system(2)
         w = SignedPerm.identity(2)
-        bad = parabolic_roots(c2, (2, ((1,), (2,))))
+        bad = concrete_parabolic_roots(2, (), ((1,), (2,)))
         assert is_stable_under(bad, w)
         assert not check_eq1(w, 8, bad, c2)
-        assert check_eq1(w, 8, c2.roots, c2)
+        assert check_eq1(w, 8, c2, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +241,22 @@ def sylow_twist_oracle(n, d):
     w0 = wprime(tuple(range(1, l + 1)), n)
     wp = w0 ** (l // d0)
     return wp if d % 2 == 0 else wp * wp
+
+
+def primitive_power_sign_check(pi, d):
+    """ζ^k avoids ±ε_{π^k}(i) for all 0 < k < d0 and all i, exactly.
+
+    d0 is d for odd d and d/2 for even d (the type B/C/D convention).
+    """
+    d0 = d if d % 2 else d // 2
+    for k in range(1, d0):
+        zk = zeta(d, k)
+        pk = pi ** k
+        for i in range(1, pi.n + 1):
+            e = pk.sign(i)
+            if zk == CycNum.from_rational(e, d) or zk == CycNum.from_rational(-e, d):
+                return False
+    return True
 
 
 class TestPrimitivePowerSign:
@@ -289,12 +306,12 @@ def orbit_length_criterion(w, m, blocks, d, n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_eq1_matches_orbit_criterion(n):
-    sys = build_root_system("C", n)
+    sys = build_root_system(n)
     for d in range(1, 9):
         w = sylow_twist_oracle(n, d)
         for m in range(n + 1):
             for blocks in set_partitions(m) if m else [()]:
-                roots = parabolic_roots(sys, (m, blocks))
+                roots = concrete_parabolic_roots(n, range(m + 1, n + 1), blocks)
                 if not is_stable_under(roots, w):
                     continue
                 assert check_eq1(w, d, roots, sys) == orbit_length_criterion(

@@ -159,7 +159,7 @@ class TestEnumerate:
     def test_completeness_against_eq1(self, n):
         # Both directions of the classification: a stable concrete pair
         # is enumerated exactly when the eigenspace test passes.
-        sys = build_root_system("C", n)
+        sys = build_root_system(n)
         for d in range(1, 9):
             w = sylow_twist_w(n, d)
             enumerated = {(lab.I_minus1, lab.I)

@@ -22,7 +22,6 @@ from dsplitlevi.signedperm import (
     block_wreath_normalizer_generators,
     brute_normalizer,
     centralizer_type,
-    compose,
     cycle_data,
     grid_set,
     group_closure,
@@ -55,40 +54,40 @@ def signed_perms(n):
 class TestCompose:
     def test_involution_squares_to_identity(self):
         x = sp("(1,-1)", 1)
-        assert compose(x, x) == SignedPerm.identity(1)
+        assert x * x == SignedPerm.identity(1)
 
     def test_four_cycle_squares_to_double_sign_flip(self):
         # (1,2,-1,-2)^2: 1 -> 2 -> -1, 2 -> -1 -> -2, hence (1,-1)(2,-2).
         x = sp("(1,2,-1,-2)", 2)
-        assert compose(x, x) == sp("(1,-1)(2,-2)", 2)
+        assert x * x == sp("(1,-1)(2,-2)", 2)
 
     def test_identity_laws(self):
         x = sp("(1,2,-1,-2)(3,-3)", 3)
         e = SignedPerm.identity(3)
-        assert compose(x, e) == x
-        assert compose(e, x) == x
+        assert x * e == x
+        assert e * x == x
 
     def test_composition_convention_is_a_after_b(self):
         # a = (1,2)(-1,-2), b = (2,-2): (a∘b)(2) = a(-2) = -1.
         a = sp("(1,2)", 2)
         b = sp("(2,-2)", 2)
-        assert compose(a, b)(2) == -1
-        assert compose(b, a)(2) == 1
+        assert (a * b)(2) == -1
+        assert (b * a)(2) == 1
 
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            compose(SignedPerm.identity(2), SignedPerm.identity(3))
+            SignedPerm.identity(2) * SignedPerm.identity(3)
 
     @given(st.integers(2, 5).flatmap(lambda n: st.tuples(*(signed_perms(n),) * 3)))
     def test_associativity(self, triple):
         a, b, c = triple
-        assert compose(compose(a, b), c) == compose(a, compose(b, c))
+        assert (a * b) * c == a * (b * c)
 
     @given(st.integers(1, 6).flatmap(lambda n: signed_perms(n)))
     def test_inverse_law(self, x):
         e = SignedPerm.identity(x.n)
-        assert compose(x, x.inv()) == e
-        assert compose(x.inv(), x) == e
+        assert x * x.inv() == e
+        assert x.inv() * x == e
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +158,7 @@ class TestCycleData:
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(signed_perms(n), signed_perms(n))))
     def test_bar_is_a_homomorphism(self, pair):
         a, b = pair
-        assert compose(a, b).bar() == compose(a.bar(), b.bar())
+        assert (a * b).bar() == a.bar() * b.bar()
 
     def test_kernel_of_bar_has_order_two_to_the_n(self):
         for n in (1, 2, 3):
@@ -212,7 +211,7 @@ class TestMakeGenerator:
 
     def test_tau_conjugates_wprime_to_wprime(self):
         t = tau((1, 2), (3, 4), 4)
-        assert compose(t, t).is_identity()
+        assert (t * t).is_identity()
         assert wprime((1, 2), 4).conj(t) == wprime((3, 4), 4)
 
     def test_tau_chain_identity_on_grid_partitions(self):
@@ -227,7 +226,7 @@ class TestMakeGenerator:
                 for jp in range(j + 1, m):
                     conjugator = SignedPerm.identity(n)
                     for t in adj[j + 1:jp]:
-                        conjugator = compose(conjugator, t)
+                        conjugator = conjugator * t
                     assert adj[j].conj(conjugator) == tau(J[j], J[jp], n), (k, m, j, jp)
 
 
@@ -236,7 +235,7 @@ class TestMakeGenerator:
 # ---------------------------------------------------------------------------
 
 def brute_centralizer(x, G):
-    return [g for g in G if compose(g, x) == compose(x, g)]
+    return [g for g in G if g * x == x * g]
 
 
 class TestCentralizerType:
