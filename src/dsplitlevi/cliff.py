@@ -26,10 +26,10 @@ import itertools
 from math import factorial
 
 from .chartab import (DEFAULT_GROUP_CAP, ClassFunction, FiniteGroup,
-                      character_table, inner, restrict)
+                      _root_of_unity, character_table, inner, restrict)
 from .levi import tau_Q, wprime_Q
 from .signedperm import (ClosureExceedsCap, SignedPerm, VerificationError,
-                         group_closure, set_partitions)
+                         closure, group_closure, set_partitions)
 
 _NU_VERIFY_BOUND = 5000
 
@@ -423,10 +423,38 @@ def _class_permutation(k, group):
     return tuple(data.class_of[k * (rep * ki)] for rep in data.reps)
 
 
+class _ClassAction(tuple):
+    """The pair of permutations an element of K induces on the classes
+    of ker and of W.  Conjugation is a homomorphism into the class
+    permutations, so the product composes: (x·g)[j] = x[g[j]]."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        return _ClassAction(tuple(p[i] for i in q)
+                            for p, q in zip(self, other))
+
+
 def _is_invariant(cf, perm):
     """Whether x -> cf(k x k^{-1}) equals cf, for k acting on the
     classes by ``perm``."""
     return ClassFunction(cf.group, [cf.values[i] for i in perm]) == cf
+
+
+def _residue(value, z, E, l):
+    """The image of a cyclotomic integer of conductor d | E in F_l under
+    ζ_d -> z^(E/d), for z of order E."""
+    if E % value.d:
+        raise VerificationError(
+            f"conductor {value.d} does not divide the exponent {E}")
+    w = pow(z, E // value.d, l)
+    out = 0
+    for c in reversed(value.coeffs):
+        if type(c) is not int:
+            raise VerificationError(f"character value {value!r} is not "
+                                    "a cyclotomic integer")
+        out = (out * w + c) % l
+    return out
 
 
 def _as_group(gens, n, cap):
@@ -436,6 +464,10 @@ def _as_group(gens, n, cap):
     return FiniteGroup.generate(gens, cap=cap)
 
 
+# Reports kept, keyed by class structure.  Past the bound the oldest
+# entry is dropped.  A kinva_sample pass meets 470 structures and test_09
+# 556, so neither evicts.
+_KINVA_MEMO_BOUND = 2048
 _KINVA_MEMO = {}
 
 
@@ -445,9 +477,14 @@ def kinva_check(label, cap=DEFAULT_GROUP_CAP):
     Realizes ker(nu) inside W_lambda inside the normalizer closure K as
     concrete permutation groups, and checks for every irreducible
     character xi0 of the kernel that some constituent of its induction
-    to W_lambda is invariant under the stabilizer of xi0 in K.  The
-    report depends only on the abstract class structure of the label
-    (results are memoized on it) and is JSON-serializable:
+    to W_lambda is invariant under the stabilizer of xi0 in K.  K acts
+    through its image in the permutations of the classes of ker and W;
+    the multiplicities are read off residues modulo the prime of W's
+    character table, checked by Frobenius reciprocity, and each witness
+    is confirmed by an exact inner product (see :func:`_kinva_search`).
+    The report depends only on the abstract class structure of the label
+    (results are memoized on it, for at most ``_KINVA_MEMO_BOUND``
+    structures) and is JSON-serializable:
     {label, W_lambda_order, ker_index, xi0_count, pass, witnesses}.
     A memoized report keeps the largest order its groups reached, so a
     cap below it raises as the computation itself would.
@@ -456,7 +493,10 @@ def kinva_check(label, cap=DEFAULT_GROUP_CAP):
     key = _canonical_structure(label)
     memo = _KINVA_MEMO.get(key)
     if memo is None:
-        memo = _KINVA_MEMO[key] = _kinva_compute(key, cap)
+        memo = _kinva_compute(key, cap)
+        if len(_KINVA_MEMO) >= _KINVA_MEMO_BOUND:
+            del _KINVA_MEMO[next(iter(_KINVA_MEMO))]
+        _KINVA_MEMO[key] = memo
     largest, report = memo
     if cap < largest:
         raise ClosureExceedsCap(f"closure exceeds cap {cap}")
@@ -510,39 +550,73 @@ def _kinva_groups(key, cap):
 
 
 def _kinva_search(W, ker, K, cap):
-    """For every irreducible xi0 of ker (in table order): the indices
-    into ``K.elements`` of its stabilizer, and the first constituent of
-    its induction to W that the stabilizer fixes (None if there is none).
+    """For every irreducible xi0 of ker (in table order): the image of
+    its stabilizer in K, as the set of its class actions (see
+    :class:`_ClassAction`), and the first constituent of its induction
+    to W that the stabilizer fixes (None if there is none).
 
-    Each k in K acts on classes by a permutation, computed once: on the
-    classes of ker for every k, on those of W when k is first needed.
-    Elements inducing the same permutation of ker's classes are tested
-    together."""
+    K acts through its image in the class permutations of ker and W,
+    closed from the actions of K's generators, so no element of K is
+    conjugated.  The stabilizer of xi0 is the set of actions whose ker
+    half fixes xi0; their W halves act on the constituents.
+
+    The multiplicities <xi0, Res chi> are integers in [0, chi(1)], and
+    chi(1) < l for the prime l of W's table (l = 1 mod E = exp W and
+    l does not divide |W|).  So they are all read off residues mod l,
+    taken along ζ_e -> z^(E/e) for z of order E.  Each xi0 must satisfy
+    Frobenius reciprocity, sum of m_chi chi(1) = [W:ker] xi0(1), and
+    each witness's multiplicity is confirmed by one exact inner
+    product; a mismatch raises VerificationError."""
     ker_table = character_table(ker, cap=cap)
     w_table = character_table(W, cap=cap)
-    restrictions = [restrict(chi, ker) for chi in w_table.characters]
+    l, E = w_table.prime, w_table.exponent
+    z = _root_of_unity(l, E)
+    kdata = ker.conjugacy_classes()
+    wdata = W.conjugacy_classes()
 
-    ker_actions = {}
-    for idx, k in enumerate(K.elements):
-        ker_actions.setdefault(_class_permutation(k, ker), []).append(idx)
-    w_perms = {}
+    # <xi0, Res chi> = sum over ker's classes of |C| xi0 conj(chi) / |ker|;
+    # conj(chi) reduces along z^-1, which also has order E.
+    zbar = pow(z, l - 2, l)
+    fused = [wdata.class_of[rep] for rep in kdata.reps]
+    chi_bars = [[_residue(row[j], zbar, E, l) for j in fused]
+                for row in w_table.values]
+    scale = pow(ker.order, l - 2, l)
+    xi_rows = [[_residue(v, z, E, l) * size * scale % l
+                for v, size in zip(row, kdata.sizes)]
+               for row in ker_table.values]
+    index = W.order // ker.order
+
+    identity = _ClassAction((tuple(range(len(kdata.reps))),
+                             tuple(range(len(wdata.reps)))))
+    actions = closure([_ClassAction((_class_permutation(k, ker),
+                                     _class_permutation(k, W)))
+                       for k in K.generators], identity, cap)
+    ker_halves = {a[0] for a in actions}
 
     stabilizers, xi_ids = [], []
-    for xi0 in ker_table.characters:
-        stabilizer = sorted(idx for perm, idxs in ker_actions.items()
-                            if _is_invariant(xi0, perm) for idx in idxs)
-        for idx in stabilizer:
-            if idx not in w_perms:
-                w_perms[idx] = _class_permutation(K.elements[idx], W)
-        acting = {w_perms[idx] for idx in stabilizer}
-        xi_id = None
-        for i, (chi, res) in enumerate(zip(w_table.characters,
-                                           restrictions)):
-            if inner(xi0, res) > 0 and all(_is_invariant(chi, perm)
-                                           for perm in acting):
-                xi_id = i
-                break
-        stabilizers.append(tuple(stabilizer))
+    for xi0, row, degree in zip(ker_table.characters, xi_rows,
+                                ker_table.degrees):
+        mults = [sum(a * b for a, b in zip(row, bar)) % l
+                 for bar in chi_bars]
+        if (any(m > d for m, d in zip(mults, w_table.degrees))
+                or sum(m * d for m, d in zip(mults, w_table.degrees))
+                != index * degree):
+            raise VerificationError(
+                f"multiplicities {mults} mod {l} break Frobenius "
+                f"reciprocity for a character of degree {degree}")
+        fixing = {p for p in ker_halves if _is_invariant(xi0, p)}
+        stabilizer = frozenset(a for a in actions if a[0] in fixing)
+        acting = {a[1] for a in stabilizer}
+        xi_id = next((i for i, (chi, m) in enumerate(
+                          zip(w_table.characters, mults))
+                      if m and all(_is_invariant(chi, p) for p in acting)),
+                     None)
+        if xi_id is not None and inner(
+                xi0, restrict(w_table.characters[xi_id], ker)) != mults[xi_id]:
+            raise VerificationError(
+                f"multiplicity {mults[xi_id]} mod {l} disagrees with the "
+                f"exact inner product")
+        stabilizers.append(stabilizer)
         xi_ids.append(xi_id)
     return stabilizers, xi_ids
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from dsplitlevi import chartab
 from dsplitlevi.chartab import (
     ClassFunction,
     FiniteGroup,
@@ -261,6 +262,20 @@ class TestCharacterTable:
     def test_cap(self):
         with pytest.raises(ClosureExceedsCap):
             character_table(s3(), cap=2)
+
+    def test_cache_bound_drops_the_oldest(self, monkeypatch):
+        monkeypatch.setattr(chartab, "_TABLE_CACHE", {})
+        monkeypatch.setattr(chartab, "_TABLE_CACHE_BOUND", 2)
+        groups = [s3(), s4(), grp(sp("(1,2,3,4,5)", 5))]
+        tables = [character_table(G) for G in groups]
+        assert list(chartab._TABLE_CACHE) == [G.elements for G in groups[1:]]
+        again = character_table(groups[0])
+        assert again is not tables[0]
+        assert (again.degrees, again.values) == (tables[0].degrees,
+                                                 tables[0].values)
+        assert list(chartab._TABLE_CACHE) == [groups[2].elements,
+                                              groups[0].elements]
+        assert character_table(groups[0]) is again
 
 
 def _cycnum(d):

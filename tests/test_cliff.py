@@ -13,7 +13,10 @@ import json
 
 import pytest
 
-from dsplitlevi.chartab import character_table, inner, restrict
+from dsplitlevi.arith import factorint
+from dsplitlevi.chartab import (CharacterTable, ClassFunction,
+                                 _root_of_unity, character_table, inner,
+                                 restrict)
 from dsplitlevi.cliff import (
     CharClassDescriptor,
     CharLabel,
@@ -33,7 +36,7 @@ from dsplitlevi.cliff import (
     stab_lambda,
 )
 from dsplitlevi.levi import LeviLabel, enumerate_labels, wprime_Q
-from dsplitlevi import cliff
+from dsplitlevi import chartab, cliff
 from dsplitlevi.signedperm import (ClosureExceedsCap, SignedPerm,
                                    VerificationError, group_closure)
 
@@ -395,6 +398,43 @@ class TestKinvaCheck:
             assert warm == cold
             assert isinstance(cold, str) is (cap < order)
 
+    def test_memo_bound_drops_the_oldest(self, monkeypatch):
+        labels = {}
+        for levi in enumerate_labels(2, 4):
+            for cl in enumerate_char_labels(levi):
+                labels.setdefault(_canonical_structure(cl), cl)
+        labels = list(labels.values())[:5]
+        monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
+        unbounded = [kinva_check(cl) for cl in labels]
+        monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
+        monkeypatch.setattr(cliff, "_KINVA_MEMO_BOUND", 3)
+        assert [kinva_check(cl) for cl in labels] == unbounded
+        keys = [_canonical_structure(cl) for cl in labels]
+        assert list(cliff._KINVA_MEMO) == keys[2:]
+        assert kinva_check(labels[0]) == unbounded[0]
+        assert list(cliff._KINVA_MEMO) == keys[3:] + keys[:1]
+
+    def test_reaches_traced_chartab_functions(self, monkeypatch):
+        # perfbench's selftest needs a span of each of these on the
+        # kinva_sample workload, which reaches them only through here.
+        calls = dict.fromkeys(("inner", "restrict", "__eq__"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("inner", "restrict"):
+            for module in (chartab, cliff):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+        monkeypatch.setattr(ClassFunction, "__eq__",
+                            counted("__eq__", ClassFunction.__eq__))
+        monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
+        kinva_check(CharLabel(L24(), {1: (D(1, 1, 4, 2),)}))
+        assert all(calls.values()), calls
+
     def test_gate_implies_pass_sweep(self):
         checked = 0
         for n, d in [(2, 1), (2, 2), (2, 4), (3, 1), (3, 3), (4, 4)]:
@@ -424,11 +464,24 @@ def conjugation_fixes(cf, k, group):
                for rep, v in zip(data.reps, cf.values))
 
 
+def conjugation_action(k, group):
+    """The permutation j -> class of k rep_j k^-1 of the classes of
+    ``group``, by looking the conjugate up in the class member lists."""
+    data = group.conjugacy_classes()
+    class_at = {y: j for j, members in enumerate(data.classes)
+                for y in members}
+    ki = k.inv()
+    return tuple(class_at[k * rep * ki] for rep in data.reps)
+
+
 def kinva_oracle(W, ker, K):
-    """Stabilizers (indices into K.elements) and witnesses by direct
-    conjugation of every character by every element of K."""
+    """Stabilizers (indices into K.elements), their images in the class
+    permutations of ker and W, and witnesses, by direct conjugation of
+    every character by every element of K."""
     w_chars = character_table(W).characters
-    stabilizers, xi_ids = [], []
+    actions = [(conjugation_action(k, ker), conjugation_action(k, W))
+               for k in K.elements]
+    stabilizers, images, xi_ids = [], [], []
     for xi0 in character_table(ker).characters:
         stab = tuple(i for i, k in enumerate(K.elements)
                      if conjugation_fixes(xi0, k, ker))
@@ -437,8 +490,9 @@ def kinva_oracle(W, ker, K):
                       and all(conjugation_fixes(chi, K.elements[s], W)
                               for s in stab)), None)
         stabilizers.append(stab)
+        images.append({actions[s] for s in stab})
         xi_ids.append(xi_id)
-    return stabilizers, xi_ids
+    return actions, stabilizers, images, xi_ids
 
 
 def rank3_structures():
@@ -456,11 +510,77 @@ def test_class_permutation_search_matches_oracle():
     assert len(structures) == 204
     for key in structures:
         W, ker, K = _kinva_groups(key, 10000)
-        stabilizers, xi_ids = kinva_oracle(W, ker, K)
-        assert _kinva_search(W, ker, K, 10000) == (stabilizers, xi_ids), key
+        actions, stabilizers, images, xi_ids = kinva_oracle(W, ker, K)
+        found_images, found_ids = _kinva_search(W, ker, K, 10000)
+        assert found_images == images, key
+        assert found_ids == xi_ids, key
+        # The image determines the stabilizer: its preimage in K is
+        # exactly the set of elements fixing xi0.
+        for image, stab in zip(found_images, stabilizers):
+            assert tuple(i for i, a in enumerate(actions)
+                         if a in image) == stab, key
         _, report = _kinva_compute(key, 10000)
         witnesses = report["witnesses"]
         assert [w["xi_id"] for w in witnesses] == xi_ids, key
+
+
+def wrong_order_roots():
+    """Roots of unity of the wrong order for the residue map: 1, and
+    z^p for the least prime p dividing the exponent."""
+    def one(l, e):
+        return 1
+
+    def power(l, e):
+        p = min(factorint(e), default=1)
+        return pow(_root_of_unity(l, e), p, l)
+
+    return [one, power]
+
+
+class TestSearchChecks:
+    """A broken residue map must raise or leave the answer unchanged."""
+
+    def test_corrupted_w_entry_raises(self, monkeypatch):
+        # Every class of W that meets ker feeds the multiplicities; one
+        # entry off by one there must break a check.
+        checked = 0
+        for key in rank3_structures():
+            W, ker, K = _kinva_groups(key, 10000)
+            table = character_table(W)
+            for j, rep in enumerate(W.conjugacy_classes().reps):
+                if rep not in ker.index:
+                    continue
+                t = j % len(table.values)
+                values = [list(row) for row in table.values]
+                values[t][j] = values[t][j] + 1
+                bad = CharacterTable(W, table.exponent, table.prime,
+                                     table.degrees,
+                                     tuple(map(tuple, values)))
+                monkeypatch.setattr(
+                    cliff, "character_table",
+                    lambda G, cap, bad=bad, W=W:
+                        bad if G is W else character_table(G, cap=cap))
+                with pytest.raises(VerificationError):
+                    _kinva_search(W, ker, K, 10000)
+                checked += 1
+        assert checked == 557
+
+    @pytest.mark.parametrize("root", wrong_order_roots(),
+                             ids=["one", "power"])
+    def test_root_of_wrong_order(self, monkeypatch, root):
+        groups = {key: _kinva_groups(key, 10000)
+                  for key in rank3_structures()}
+        truth = {key: _kinva_search(*g, 10000) for key, g in groups.items()}
+        monkeypatch.setattr(cliff, "_root_of_unity", root)
+        raised = set()
+        for key, g in groups.items():
+            try:
+                found = _kinva_search(*g, 10000)
+            except VerificationError:
+                raised.add(key)
+            else:
+                assert found == truth[key], key
+        assert (6, True, ((1, ((1, 6, 1),)),)) in raised
 
 
 def sign_extension_oracle(gens, values, order):
