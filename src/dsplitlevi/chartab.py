@@ -12,9 +12,12 @@ over the power maps.  Row orthogonality, which implies column
 orthogonality for a square table, is re-verified exactly before a table
 is returned.
 
-Restriction and inner products of class functions are exact,
-and :func:`inertia_and_extendibility` decides whether a character of a
-normal subgroup extends to its stabiliser.
+Restriction and inner products of class functions are exact.
+:func:`class_permutation` is the package's one conjugation action on
+the classes of a normal subgroup, shared by the invariance search of
+:mod:`dsplitlevi.cliff` and :func:`inertia_and_extendibility`, which
+decides whether a character of a normal subgroup extends to its
+stabiliser.
 """
 
 import math
@@ -256,7 +259,7 @@ def _rref(rows, l):
     return [tuple(r) for r in rows[:rank]], pivots
 
 
-def _coords_in_basis(basis, pivots, vec, l):
+def _coords_in_basis(G, basis, pivots, vec, l):
     """Coordinates of ``vec`` in an RREF ``basis``; vec must lie in it."""
     vec = list(vec)
     coords = []
@@ -266,8 +269,8 @@ def _coords_in_basis(basis, pivots, vec, l):
         if c:
             vec = [(a - c * b) % l for a, b in zip(vec, row)]
     if any(v % l for v in vec):
-        raise VerificationError("vector not in subspace (class matrices "
-                             "should commute)")
+        raise _table_error(G, l, "vector not in subspace (class matrices "
+                                 "should commute)")
     return coords
 
 
@@ -340,6 +343,11 @@ def _eigenvalues(mat, l):
 # the modular character-table algorithm
 # ---------------------------------------------------------------------------
 
+def _table_error(G, l, what):
+    """The VerificationError of a failed table check, naming |G| and l."""
+    return VerificationError(f"{what} (group order {G.order}, prime l = {l})")
+
+
 def _dixon_prime(order, exponent):
     t = 1
     while True:
@@ -388,7 +396,7 @@ def _split_eigenvectors(G, data, l):
                 new_spaces.append((basis, pivots))
                 continue
             # Action on coordinates: images of basis rows, re-expressed.
-            action = [_coords_in_basis(basis, pivots,
+            action = [_coords_in_basis(G, basis, pivots,
                                        _matvec(mat, b, l), l)
                       for b in basis]
             # Coordinate rows transform by right multiplication, so we
@@ -412,19 +420,19 @@ def _split_eigenvectors(G, data, l):
                     new_spaces.append((new_basis, new_pivots))
                     found += len(new_basis)
             if found != k:
-                raise VerificationError("class matrix failed to diagonalise")
+                raise _table_error(G, l, "class matrix failed to diagonalise")
         # Regroup: distinct lines stay separate; nothing to merge because
         # eigenspace splitting only refines.
         spaces = new_spaces
     lines = []
     for basis, _ in spaces:
         if len(basis) != 1:
-            raise VerificationError(
-                "class matrices did not separate characters")
+            raise _table_error(G, l,
+                               "class matrices did not separate characters")
         u = basis[0]
         if u[0] % l == 0:
-            raise VerificationError(
-                "eigenvector vanishes on the identity class")
+            raise _table_error(G, l,
+                               "eigenvector vanishes on the identity class")
         inv = pow(u[0], l - 2, l)
         lines.append(tuple((c * inv) % l for c in u))
     return lines
@@ -493,7 +501,7 @@ def character_table(G, cap=DEFAULT_GROUP_CAP):
 
     omegas = _split_eigenvectors(G, data, l)
     if len(omegas) != r:
-        raise VerificationError("wrong number of eigenvector lines")
+        raise _table_error(G, l, "wrong number of eigenvector lines")
 
     inv_class = [data.class_of[rep.inv()] for rep in data.reps]
     size_inv = [pow(s, l - 2, l) for s in data.sizes]
@@ -506,10 +514,11 @@ def character_table(G, cap=DEFAULT_GROUP_CAP):
         d = next((d for d in range(1, max_degree + 1)
                   if (d * d) % l == target), None)
         if d is None:
-            raise VerificationError("no degree matches the orthogonality sum")
+            raise _table_error(G, l, "no degree matches the orthogonality sum")
         degrees.append(d)
     if sum(d * d for d in degrees) != G.order:
-        raise VerificationError("degree squares do not sum to the group order")
+        raise _table_error(G, l,
+                           "degree squares do not sum to the group order")
 
     # Power maps: class of rep_j^s for every s mod e.
     power_class = []
@@ -543,14 +552,14 @@ def character_table(G, cap=DEFAULT_GROUP_CAP):
                 m = (acc * e_inv) % l
                 if m:
                     if m > max_degree:
-                        raise VerificationError(
-                            "root-of-unity multiplicity fails lift bound")
+                        raise _table_error(
+                            G, l, "root-of-unity multiplicity fails lift bound")
                     val = val + zetas[k] * m
                 zk = (zk * zinv) % l
             row.append(val)
         if row[0] != d:
-            raise VerificationError(
-                "lifted degree disagrees with modular degree")
+            raise _table_error(
+                G, l, "lifted degree disagrees with modular degree")
         rows.append(row)
 
     order_rows = sorted(range(r), key=lambda t: (degrees[t],
@@ -558,9 +567,9 @@ def character_table(G, cap=DEFAULT_GROUP_CAP):
     degrees = tuple(degrees[t] for t in order_rows)
     values = tuple(tuple(rows[t]) for t in order_rows)
 
-    _verify_orthogonality(G, data, values)
+    _verify_orthogonality(G, data, values, l)
     if any(G.order % d for d in degrees):
-        raise VerificationError("some degree does not divide the group order")
+        raise _table_error(G, l, "some degree does not divide the group order")
 
     table = CharacterTable(G, e, l, degrees, values)
     if len(_TABLE_CACHE) >= _TABLE_CACHE_BOUND:
@@ -569,7 +578,7 @@ def character_table(G, cap=DEFAULT_GROUP_CAP):
     return table
 
 
-def _verify_orthogonality(G, data, values):
+def _verify_orthogonality(G, data, values, l):
     """Row orthogonality X·D·X̄ᵀ = |G|·I, with D the diagonal of class
     sizes.  For a square table this also gives column orthogonality:
     X is invertible and X̄ᵀ·X = |G|·D⁻¹, so columns are not rechecked."""
@@ -579,7 +588,7 @@ def _verify_orthogonality(G, data, values):
         for t2 in range(t1, len(values)):
             want = G.order if t1 == t2 else 0
             if weighted.dot(conj_rows[t2]) != want:
-                raise VerificationError("row orthogonality fails")
+                raise _table_error(G, l, "row orthogonality fails")
 
 
 # ---------------------------------------------------------------------------
@@ -617,17 +626,35 @@ def inner(phi, psi):
 
 
 # ---------------------------------------------------------------------------
-# inertia groups and extendibility
+# the conjugation action on classes, inertia groups and extendibility
 # ---------------------------------------------------------------------------
+
+def class_permutation(k, N):
+    """The permutation of the classes of ``N`` (which k normalizes)
+    induced by conjugation: j -> class of k rep_j k^{-1}."""
+    data = N.conjugacy_classes()
+    ki = k.inv()
+    # k·(rep·k⁻¹) looks points up in k and in rep, whose tables persist.
+    return tuple(data.class_of[k * (rep * ki)] for rep in data.reps)
+
+
+def is_invariant(cf, perm):
+    """Whether x -> cf(k x k^{-1}) equals cf, for k acting on the
+    classes by ``perm`` (see :func:`class_permutation`)."""
+    return ClassFunction(cf.group, [cf.values[i] for i in perm]) == cf
+
 
 def inertia_and_extendibility(H, N, theta, cap=DEFAULT_GROUP_CAP):
     """For a normal subgroup N of H and a class function theta on N:
     the inertia group H_theta = {h : theta^h = theta}, whether theta
     extends to H_theta, and a witness extension (or None).
 
-    ``theta^h(n) = theta(h n h^{-1})``; extendibility is decided by an
-    exhaustive search through Irr(H_theta) for a character whose
-    restriction to N equals theta exactly.
+    ``theta^h(n) = theta(h n h^{-1})``, read off h's
+    :func:`class_permutation`; H_theta keeps H's element order.  N's
+    generators suffice for normality, as conjugation is an automorphism.
+    Extendibility is decided by an exhaustive search through
+    Irr(H_theta) for a character whose restriction to N equals theta
+    exactly.
     """
     if theta.group.elements != N.elements:
         raise ValueError("theta must be a class function on N")
@@ -636,24 +663,13 @@ def inertia_and_extendibility(H, N, theta, cap=DEFAULT_GROUP_CAP):
             raise ValueError("N is not a subgroup of H")
     for g in H.generators:
         gi = g.inv()
-        for x in N.elements:
+        for x in N.generators:
             if g * x * gi not in N.index:
                 raise ValueError("N is not normal in H")
 
-    ndata = N.conjugacy_classes()
-    value_at = {}
-    for j, orb in enumerate(ndata.classes):
-        for y in orb:
-            value_at[y] = theta.values[j]
-
-    stab = []
-    for h in H.elements:
-        hi = h.inv()
-        if all(value_at[h * rep * hi] == theta.values[j]
-               for j, rep in enumerate(ndata.reps)):
-            stab.append(h)
-    H_theta = FiniteGroup(stab, cap=cap)
-
+    H_theta = FiniteGroup([h for h in H.elements
+                           if is_invariant(theta, class_permutation(h, N))],
+                          cap=cap)
     table = character_table(H_theta, cap=cap)
     for chi in table.characters:
         if restrict(chi, N) == theta:

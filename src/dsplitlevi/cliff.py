@@ -23,10 +23,12 @@ From a label the module produces concrete signed-permutation groups:
 """
 
 import itertools
+from collections import namedtuple
 from math import factorial
 
-from .chartab import (DEFAULT_GROUP_CAP, ClassFunction, FiniteGroup,
-                      _root_of_unity, character_table, inner, restrict)
+from .chartab import (DEFAULT_GROUP_CAP, FiniteGroup, _root_of_unity,
+                      character_table, class_permutation, inner,
+                      is_invariant, restrict)
 from .levi import tau_Q, wprime_Q
 from .signedperm import (ClosureExceedsCap, SignedPerm, VerificationError,
                          closure, group_closure, set_partitions)
@@ -158,9 +160,9 @@ class CharLabel:
                   "Im1=" + ",".join(map(str, levi.I_minus1)),
                   "I=" + "|".join(",".join(map(str, b)) for b in levi.I),
                   f"lt{int(self.ltilde_full)}"]
-        for s in sorted(self.assignment):
+        for s, descs in self.assignment.items():
             cell = ";".join(f"{d.id}:c{d.stab_order}:z{d.central_order}"
-                            for d in self.assignment[s])
+                            for d in descs)
             pieces.append(f"s{s}[{cell}]")
         return " ".join(pieces)
 
@@ -199,22 +201,13 @@ def _require_normalized(label):
 # Q-sets of the orbits in its J index set.
 # ---------------------------------------------------------------------------
 
-class _Part:
-    __slots__ = ("s", "c", "central", "in_r1", "Qs")
-
-    def __init__(self, s, c, central, in_r1, Qs):
-        self.s = s
-        self.c = c
-        self.central = central
-        self.in_r1 = in_r1
-        self.Qs = Qs
+_Part = namedtuple("_Part", ["s", "c", "central", "in_r1", "Qs"])
 
 
 def _parts_from_label(label):
     two_d0 = label.two_d0
     parts = []
-    for s in sorted(label.levi.orbits):
-        orbs = label.levi.orbits[s]
+    for s, orbs in label.levi.orbits.items():
         for desc, J in label.j_sets(s):
             parts.append(_Part(s, desc.stab_order, desc.central_order,
                                desc.in_R1(two_d0),
@@ -385,7 +378,7 @@ def k_lambda(label):
 def _canonical_structure(label):
     """The abstract class structure the invariance outcome depends on."""
     struct = []
-    for s in sorted(label.levi.orbits):
+    for s in label.levi.orbits:
         cell = tuple(sorted((len(J), desc.stab_order, desc.central_order)
                             for desc, J in label.j_sets(s)))
         struct.append((s, cell))
@@ -414,15 +407,6 @@ def _synthesize_parts(structure_key):
     return parts, max(next_pt - 1, 1)
 
 
-def _class_permutation(k, group):
-    """The permutation of the classes of ``group`` (which k normalizes)
-    induced by conjugation: j -> class of k rep_j k^{-1}."""
-    data = group.conjugacy_classes()
-    ki = k.inv()
-    # k·(rep·k⁻¹) looks points up in k and in rep, whose tables persist.
-    return tuple(data.class_of[k * (rep * ki)] for rep in data.reps)
-
-
 class _ClassAction(tuple):
     """The pair of permutations an element of K induces on the classes
     of ker and of W.  Conjugation is a homomorphism into the class
@@ -433,12 +417,6 @@ class _ClassAction(tuple):
     def __mul__(self, other):
         return _ClassAction(tuple(p[i] for i in q)
                             for p, q in zip(self, other))
-
-
-def _is_invariant(cf, perm):
-    """Whether x -> cf(k x k^{-1}) equals cf, for k acting on the
-    classes by ``perm``."""
-    return ClassFunction(cf.group, [cf.values[i] for i in perm]) == cf
 
 
 def _residue(value, z, E, l):
@@ -457,13 +435,6 @@ def _residue(value, z, E, l):
     return out
 
 
-def _as_group(gens, n, cap):
-    gens = list(gens)
-    if not gens:
-        gens = [SignedPerm.identity(n)]
-    return FiniteGroup.generate(gens, cap=cap)
-
-
 # Reports kept, keyed by class structure.  Past the bound the oldest
 # entry is dropped.  A kinva_sample pass meets 470 structures and test_09
 # 556, so neither evicts.
@@ -474,8 +445,9 @@ _KINVA_MEMO = {}
 def kinva_check(label, cap=DEFAULT_GROUP_CAP):
     """Brute-force invariance report for a label.
 
-    Realizes ker(nu) inside W_lambda inside the normalizer closure K as
-    concrete permutation groups, and checks for every irreducible
+    Realizes ker(nu) inside W_lambda as concrete permutation groups and
+    the normalizer closure K by its generators and order (see
+    :func:`_kinva_groups`), and checks for every irreducible
     character xi0 of the kernel that some constituent of its induction
     to W_lambda is invariant under the stabilizer of xi0 in K.  K acts
     through its image in the permutations of the classes of ker and W;
@@ -507,9 +479,9 @@ def kinva_check(label, cap=DEFAULT_GROUP_CAP):
 
 
 def _kinva_compute(key, cap):
-    W, ker, K = _kinva_groups(key, cap)
-    _, xi_ids = _kinva_search(W, ker, K, cap)
-    return max(W.order, ker.order, K.order), {
+    W, ker, k_gens, k_order = _kinva_groups(key, cap)
+    _, xi_ids = _kinva_search(W, ker, k_gens, cap)
+    return max(W.order, k_order), {
         "W_lambda_order": W.order,
         "ker_index": W.order // ker.order,
         "xi0_count": len(xi_ids),
@@ -520,8 +492,13 @@ def _kinva_compute(key, cap):
 
 
 def _kinva_groups(key, cap):
-    """W_lambda, ker(nu) and K for a structure, checked against the
-    order formulas and for normality."""
+    """W_lambda and ker(nu) as groups, and K as its generators and order,
+    for a structure; checked against the order formulas and for
+    normality.
+
+    ker is W itself when nu is trivial.  K is only counted, by closing
+    its generators under ``cap``: the search acts through their class
+    permutations and never reads K's elements."""
     two_d0, ltilde_full, _ = key
     parts, n = _synthesize_parts(key)
     w_gens, w_tags, w_order, w_abstract = _build_W(parts, two_d0, n)
@@ -529,36 +506,34 @@ def _kinva_groups(key, cap):
         parts, ltilde_full, w_gens, w_tags, w_order, w_abstract, key)
     k_gens, k_order, _ = _build_K(parts, two_d0, n, w_gens, nu_values)
 
-    W = _as_group(w_gens, n, cap)
-    ker = _as_group(ker_gens, n, cap)
-    K = _as_group(k_gens, n, cap)
-    if W.order != w_order or ker.order != ker_order or K.order != k_order:
+    identity = SignedPerm.identity(n)
+    W = FiniteGroup.generate(w_gens or [identity], cap=cap)
+    ker = (W if all(v == 1 for v in nu_values)
+           else FiniteGroup.generate(ker_gens, cap=cap))
+    k_count = len(closure(k_gens, identity, cap))
+    if W.order != w_order or ker.order != ker_order or k_count != k_order:
         raise VerificationError(
-            f"closure orders {(W.order, ker.order, K.order)} disagree with "
+            f"closure orders {(W.order, ker.order, k_count)} disagree with "
             f"the formulas {(w_order, ker_order, k_order)} in {key}")
-    for k in K.generators:
+    for k in k_gens:
         ki = k.inv()
-        for g in W.generators:
-            if ki * g * k not in W.index:
-                raise VerificationError(
-                    f"K does not normalize W_lambda in {key}")
-        for g in ker.generators:
-            if ki * g * k not in ker.index:
-                raise VerificationError(
-                    f"K does not normalize ker(nu) in {key}")
-    return W, ker, K
+        for G, name in ((W, "W_lambda"), (ker, "ker(nu)")):
+            if any(ki * g * k not in G.index for g in G.generators):
+                raise VerificationError(f"K does not normalize {name} in {key}")
+    return W, ker, k_gens, k_count
 
 
-def _kinva_search(W, ker, K, cap):
+def _kinva_search(W, ker, k_gens, cap):
     """For every irreducible xi0 of ker (in table order): the image of
-    its stabilizer in K, as the set of its class actions (see
+    its stabilizer in K = <k_gens>, as the set of its class actions (see
     :class:`_ClassAction`), and the first constituent of its induction
     to W that the stabilizer fixes (None if there is none).
 
-    K acts through its image in the class permutations of ker and W,
-    closed from the actions of K's generators, so no element of K is
-    conjugated.  The stabilizer of xi0 is the set of actions whose ker
-    half fixes xi0; their W halves act on the constituents.
+    K acts through its image in the class permutations of ker and W
+    (:func:`~dsplitlevi.chartab.class_permutation`), closed from the
+    actions of ``k_gens``, so no element of K is formed or conjugated.
+    The stabilizer of xi0 is the set of actions whose ker half fixes
+    xi0; their W halves act on the constituents.
 
     The multiplicities <xi0, Res chi> are integers in [0, chi(1)], and
     chi(1) < l for the prime l of W's table (l = 1 mod E = exp W and
@@ -588,9 +563,9 @@ def _kinva_search(W, ker, K, cap):
 
     identity = _ClassAction((tuple(range(len(kdata.reps))),
                              tuple(range(len(wdata.reps)))))
-    actions = closure([_ClassAction((_class_permutation(k, ker),
-                                     _class_permutation(k, W)))
-                       for k in K.generators], identity, cap)
+    actions = closure([_ClassAction((class_permutation(k, ker),
+                                     class_permutation(k, W)))
+                       for k in k_gens], identity, cap)
     ker_halves = {a[0] for a in actions}
 
     stabilizers, xi_ids = [], []
@@ -604,12 +579,12 @@ def _kinva_search(W, ker, K, cap):
             raise VerificationError(
                 f"multiplicities {mults} mod {l} break Frobenius "
                 f"reciprocity for a character of degree {degree}")
-        fixing = {p for p in ker_halves if _is_invariant(xi0, p)}
+        fixing = {p for p in ker_halves if is_invariant(xi0, p)}
         stabilizer = frozenset(a for a in actions if a[0] in fixing)
         acting = {a[1] for a in stabilizer}
         xi_id = next((i for i, (chi, m) in enumerate(
                           zip(w_table.characters, mults))
-                      if m and all(_is_invariant(chi, p) for p in acting)),
+                      if m and all(is_invariant(chi, p) for p in acting)),
                      None)
         if xi_id is not None and inner(
                 xi0, restrict(w_table.characters[xi_id], ker)) != mults[xi_id]:
@@ -663,10 +638,8 @@ def enumerate_char_labels(levi, central_orders=(1, 2)):
     exhaustive up to those semantics.  Deterministic order.
     """
     two_d0 = 2 * levi.d0
-    sizes = sorted(levi.orbits)
     per_size = []
-    for s in sizes:
-        t_s = len(levi.orbits[s])
+    for s, t_s in levi.t.items():
         options = []
         for partition in set_partitions(t_s):
             params = tuple(itertools.product(_divisors(two_d0),
@@ -680,6 +653,6 @@ def enumerate_char_labels(levi, central_orders=(1, 2)):
                 options.append(tuple(descs))
         per_size.append(options)
     for choice in itertools.product(*per_size):
-        assignment = dict(zip(sizes, choice))
+        assignment = dict(zip(levi.t, choice))
         for ltilde_full in (True, False):
             yield CharLabel(levi, assignment, ltilde_full=ltilde_full)

@@ -35,11 +35,12 @@ from .signedperm import VerificationError
 # integer polynomial helpers (coefficient lists, ascending degree)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _cyclotomic(d):
     """Coefficients of Φ_d, ascending, as a tuple of ints: x^d - 1
     divided by Φ_k for every proper divisor k of d.  Each Φ_k is monic,
-    so the exact division stays in the integers."""
+    so the exact division stays in the integers.  Kept for 1024
+    conductors: the test suite meets 200, a benchmark pass at most 11."""
     poly = [-1] + [0] * (d - 1) + [1]
     for k in range(1, d):
         if d % k == 0:

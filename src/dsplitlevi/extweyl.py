@@ -333,8 +333,7 @@ def build_VdI(label):
     n = label.n
     ident = IntMatrix.identity(2 * n)
     gens, hs = [], []
-    for s in sorted(label.orbits):
-        orbs = label.orbits[s]
+    for s, orbs in label.orbits.items():
         ts = len(orbs)
         etas = []
         for j in range(s):

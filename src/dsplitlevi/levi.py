@@ -151,7 +151,8 @@ class LeviLabel:
 
     Derived data: the twist w, per-size block orbits with their grid
     index sets J_O and Q-sets (the grid sets underlying the orbit,
-    ascending), and the orbit counts t = {s: t_s}.
+    ascending), and the orbit counts t = {s: t_s}, both by ascending s
+    (a size's orbits by J_O[0]), so no consumer sorts them again.
 
     ``LeviLabel(n, d, I_minus1, I)`` checks every condition.  The
     keyword ``_built`` is the trusted path of :func:`enumerate_labels`
@@ -164,9 +165,9 @@ class LeviLabel:
     def __init__(self, n, d, I_minus1, I, _built=None):
         self.n, self.d = n, d
         if _built is not None:
-            (self.d0, self.l, self.a, self.w), self.orbits = _built
+            (self.d0, self.l, self.a, self.w), orbits = _built
             self.I_minus1, self.I = I_minus1, I
-            self.t = {s: len(v) for s, v in sorted(self.orbits.items())}
+            self._set_orbits(orbits)
             return
         _check_rank(n, d)
         self.d0, self.l, self.a, self.w = _shape(n, d)
@@ -201,7 +202,7 @@ class LeviLabel:
             if frozenset(bar[i - 1] for i in b) not in blockset:
                 raise ValueError(f"bar(w) does not permute the blocks: {b!r}")
 
-        self.orbits = {}
+        orbits = {}
         seen = set()
         for b in blocks:
             if b in seen:
@@ -217,11 +218,16 @@ class LeviLabel:
                 raise ValueError(
                     f"orbit of block {b!r} has length {len(orbit)}, "
                     f"need exactly d0 = {self.d0}")
-            self.orbits.setdefault(len(b), []).append(
+            orbits.setdefault(len(b), []).append(
                 _grid_orbit(orbit, self.d0, self.a, n, d))
-        for s in self.orbits:
-            self.orbits[s].sort(key=lambda o: o.J_O[0])
-        self.t = {s: len(v) for s, v in sorted(self.orbits.items())}
+        for v in orbits.values():
+            v.sort(key=lambda o: o.J_O[0])
+        self._set_orbits(orbits)
+
+    def _set_orbits(self, orbits):
+        """Store ``orbits`` and t with the block sizes ascending."""
+        self.orbits = dict(sorted(orbits.items()))
+        self.t = {s: len(v) for s, v in self.orbits.items()}
 
     @property
     def epsilon(self):
@@ -397,7 +403,7 @@ def levi_structure(label, q):
     with ε = (-1)^{d+1}, and its exact order at the odd prime power q."""
     check_odd_prime_power(q)
     eps, sp_rank = label.epsilon, len(label.I_minus1)
-    gl_parts = tuple(sorted(label.t.items()))
+    gl_parts = tuple(label.t.items())
     return LeviStructure(sp_rank, gl_parts, eps, label.d0, q, dict(label.t),
                          _structure_order(sp_rank, gl_parts, label.d0, eps, q))
 
@@ -485,10 +491,9 @@ def relative_weyl(label):
     The generators are shared with every other label that has the same
     Q-sets; a SignedPerm is immutable.
     """
-    factors, order = _relative_weyl_shape(
-        label.d0, tuple(sorted(label.t.items())))
+    factors, order = _relative_weyl_shape(label.d0, tuple(label.t.items()))
     n, gens = label.n, []
-    for _, orbs in sorted(label.orbits.items()):
+    for orbs in label.orbits.values():
         gens += [_orbit_generator(o.Q, n) for o in orbs]
         gens += [_swap_generator(o1.Q, o2.Q, n)
                  for o1, o2 in zip(orbs, orbs[1:])]
@@ -591,7 +596,7 @@ def verify_relative_weyl(label):
 def label_record(label, q=None):
     """JSON-ready record for one label; order included when q given.
     Every list and dict in it is new, though its shape is cached."""
-    t = tuple(sorted(label.t.items()))
+    t = tuple(label.t.items())
     factors, _ = _relative_weyl_shape(label.d0, t)
     return {
         "n": label.n,

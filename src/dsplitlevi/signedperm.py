@@ -420,10 +420,11 @@ def group_closure(gens, cap=DEFAULT_CLOSURE_CAP):
     return closure(gens, SignedPerm.identity(n), cap)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def signed_symmetric_group(n):
     """The full group of signed permutations of rank n (order 2^n n!),
-    built once per rank and shared, hence an immutable tuple."""
+    built once per rank and shared, hence an immutable tuple.  Eight
+    ranks are kept; the default cap admits n <= 5."""
     gens = [iota((1,), n)]
     gens += [tau((i,), (i + 1,), n) for i in range(1, n)]
     return tuple(group_closure(gens, cap=2 ** n * factorial(n)))
@@ -458,7 +459,8 @@ def brute_centralizer(x, G):
 # ---------------------------------------------------------------------------
 
 def set_partitions(n):
-    """All partitions of {1..n}, blocks sorted, blocks ordered by minimum."""
+    """All partitions of {1..n}, blocks sorted, blocks ordered by minimum
+    as built: each point joins a block at its end or opens the last one."""
     parts = [[]]
     for x in range(1, n + 1):
         nxt = []
@@ -467,7 +469,7 @@ def set_partitions(n):
                 nxt.append(p[:i] + [p[i] + (x,)] + p[i + 1:])
             nxt.append(p + [(x,)])
         parts = nxt
-    return [tuple(sorted(p, key=min)) for p in parts]
+    return [tuple(p) for p in parts]
 
 
 def block_wreath_generators(blocks, signed, n):

@@ -74,13 +74,14 @@ def _is_irreducible(f, p):
     return True
 
 
-@lru_cache(maxsize=None)
+# 64 moduli are kept; the test suite needs 6, a benchmark pass 3.
+@lru_cache(maxsize=64)
 def _least_irreducible(p, k):
     for code in range(p ** k):
         coeffs = _digits(code, p, k) + (1,)
         if _is_irreducible(coeffs, p):
             return coeffs
-    raise VerificationError("no irreducible polynomial found")
+    raise VerificationError(f"no irreducible polynomial (p = {p}, k = {k})")
 
 
 class FqElem:
@@ -192,7 +193,7 @@ class Fq:
             if any(c) and all(fp_powmod(c, self._N // r, self.poly, self.p)
                               != [1] for r in primes):
                 return c
-        raise VerificationError("no generator found")
+        raise VerificationError(f"no generator (p = {self.p}, k = {self.k})")
 
     def _check(self, other):
         if not isinstance(other, FqElem) or other.field.p != self.p \
@@ -221,7 +222,9 @@ class Fq:
         return [self.from_int(code) for code in range(1, self.order)]
 
 
-@lru_cache(maxsize=None)
+# 16 fields are kept, as each holds tables of up to FIELD_ORDER_BOUND
+# entries; the test suite builds 6, a benchmark pass 3.
+@lru_cache(maxsize=16)
 def _field(p, k):
     return Fq(p, k)
 

@@ -27,7 +27,7 @@ from dsplitlevi.chartab import (
 )
 from dsplitlevi.cyclo import CycNum
 from dsplitlevi.extweyl import build_VdI, chevalley_generator, matrix_closure
-from dsplitlevi.levi import LeviLabel
+from dsplitlevi.levi import LeviLabel, enumerate_labels
 from dsplitlevi.signedperm import (
     ClosureExceedsCap,
     SignedPerm,
@@ -35,6 +35,7 @@ from dsplitlevi.signedperm import (
     group_closure,
     signed_symmetric_group,
 )
+from test_acceptance import _c2_wreath, _c3_wreath, _c4_wreath
 
 
 def sp(text, n):
@@ -245,13 +246,30 @@ class TestCharacterTable:
         # Only rows are rechecked; a wrong entry must still be caught.
         table = character_table(G)
         data = G.conjugacy_classes()
-        _verify_orthogonality(G, data, table.values)
+        l = table.prime
+        _verify_orthogonality(G, data, table.values, l)
         for t, row in enumerate(table.values):
             for j in range(len(row)):
                 bad = [list(r) for r in table.values]
                 bad[t][j] = bad[t][j] + 1
-                with pytest.raises(VerificationError):
-                    _verify_orthogonality(G, data, bad)
+                with pytest.raises(VerificationError) as err:
+                    _verify_orthogonality(G, data, bad, l)
+                assert str(err.value) == (f"row orthogonality fails (group "
+                                          f"order {G.order}, prime l = {l})")
+
+    def test_corrupted_class_matrix_names_order_and_prime(self,
+                                                           monkeypatch):
+        # Zero class matrices split nothing, so S3's three characters
+        # stay in one eigenspace.
+        G = s3()
+        monkeypatch.setattr(chartab, "_TABLE_CACHE", {})
+        monkeypatch.setattr(chartab, "_class_matrix",
+                            lambda G, data, j, l: [[0] * 3 for _ in range(3)])
+        with pytest.raises(VerificationError) as err:
+            character_table(G)
+        l = chartab._dixon_prime(6, 6)
+        assert str(err.value) == ("class matrices did not separate "
+                                  f"characters (group order 6, prime l = {l})")
 
     def test_deterministic(self):
         t1 = character_table(s4())
@@ -425,3 +443,64 @@ class TestInertiaExtendibility:
         theta = character_table(H).characters[0]
         with pytest.raises(ValueError):
             inertia_and_extendibility(G, H, theta)
+
+    def test_subgroup_required(self):
+        G = grp(sp("(1,2)", 3))
+        N = grp(sp("(1,2,3)", 3))
+        theta = character_table(N).characters[0]
+        with pytest.raises(ValueError, match="not a subgroup"):
+            inertia_and_extendibility(G, N, theta)
+
+
+def elementwise_stabiliser(H, N, theta):
+    """H_theta in H's element order, by conjugating every class
+    representative of N by every h and looking the value up in a table
+    over N's elements (the loop inertia_and_extendibility ran before it
+    used class_permutation)."""
+    ndata = N.conjugacy_classes()
+    value_at = {y: theta.values[j] for j, orb in enumerate(ndata.classes)
+                for y in orb}
+    stab = []
+    for h in H.elements:
+        hi = h.inv()
+        if all(value_at[h * rep * hi] == v
+               for rep, v in zip(ndata.reps, theta.values)):
+            stab.append(h)
+    return stab
+
+
+def inertia_pairs():
+    """(H, N) for the wreath products of acceptance test_08 and the lifted
+    shapes of acceptance test_06 at rank <= 3, with |H| <= 100: C3 wr S3
+    (order 162) and the order-384 groups (C4 wr S3 and three rank-3
+    lifts) would take several seconds, every theta checked twice."""
+    pairs = [build(m) for build in (_c2_wreath, _c3_wreath, _c4_wreath)
+             for m in (1, 2, 3)]
+    seen = set()
+    for n in (1, 2, 3):
+        for d in range(1, 9):
+            for label in enumerate_labels(n, d):
+                shape = (n, d, tuple(label.t.items()))
+                if label.I and shape not in seen:
+                    seen.add(shape)
+                    gens, hs = build_VdI(label)
+                    pairs.append((FiniteGroup.generate(list(gens)),
+                                  FiniteGroup.generate(list(hs))))
+    return [(H, N) for H, N in pairs if H.order <= 100]
+
+
+def test_inertia_group_matches_elementwise_stabiliser():
+    checked = proper = 0
+    for H, N in inertia_pairs():
+        for theta in character_table(N).characters:
+            stab, extends, witness = inertia_and_extendibility(H, N, theta)
+            want = elementwise_stabiliser(H, N, theta)
+            assert list(stab.elements) == want
+            # The witness is the first character of H_theta's table that
+            # restricts to theta.
+            first = next((chi for chi in character_table(stab).characters
+                          if restrict(chi, N) == theta), None)
+            assert extends == (first is not None) and witness is first
+            checked += 1
+            proper += len(want) < H.order
+    assert (checked, proper) == (102, 34)

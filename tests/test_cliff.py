@@ -14,7 +14,7 @@ import json
 import pytest
 
 from dsplitlevi.arith import factorint
-from dsplitlevi.chartab import (CharacterTable, ClassFunction,
+from dsplitlevi.chartab import (CharacterTable, ClassFunction, FiniteGroup,
                                  _root_of_unity, character_table, inner,
                                  restrict)
 from dsplitlevi.cliff import (
@@ -474,6 +474,12 @@ def conjugation_action(k, group):
     return tuple(class_at[k * rep * ki] for rep in data.reps)
 
 
+def closed_K(k_gens, W):
+    """K = <k_gens> as an explicit group, closed here from the generators
+    that _kinva_groups returns (the search itself never forms K)."""
+    return FiniteGroup.generate(list(k_gens) or [W.identity], cap=10000)
+
+
 def kinva_oracle(W, ker, K):
     """Stabilizers (indices into K.elements), their images in the class
     permutations of ker and W, and witnesses, by direct conjugation of
@@ -509,9 +515,11 @@ def test_class_permutation_search_matches_oracle():
     structures = rank3_structures()
     assert len(structures) == 204
     for key in structures:
-        W, ker, K = _kinva_groups(key, 10000)
+        W, ker, k_gens, k_order = _kinva_groups(key, 10000)
+        K = closed_K(k_gens, W)
+        assert K.order == k_order, key
         actions, stabilizers, images, xi_ids = kinva_oracle(W, ker, K)
-        found_images, found_ids = _kinva_search(W, ker, K, 10000)
+        found_images, found_ids = _kinva_search(W, ker, k_gens, 10000)
         assert found_images == images, key
         assert found_ids == xi_ids, key
         # The image determines the stabilizer: its preimage in K is
@@ -522,6 +530,42 @@ def test_class_permutation_search_matches_oracle():
         _, report = _kinva_compute(key, 10000)
         witnesses = report["witnesses"]
         assert [w["xi_id"] for w in witnesses] == xi_ids, key
+
+
+class TestKinvaGroups:
+    def test_ker_is_w_exactly_when_nu_is_trivial(self):
+        # A trivial nu has kernel W; a nontrivial one has index 2.
+        trivial = 0
+        structures = rank3_structures()
+        for key in structures:
+            W, ker, _, _ = _kinva_groups(key, 10000)
+            assert (ker is W) == (ker.order == W.order), key
+            trivial += ker is W
+        assert 0 < trivial < len(structures)
+
+    # nu is nontrivial here (ker has index 2) and K is twice W.
+    KEY = (2, True, ((1, ((1, 1, 1), (1, 2, 1), (1, 2, 2))),))
+
+    def test_wrong_k_order_formula_raises(self, monkeypatch):
+        key = self.KEY
+        assert _kinva_groups(key, 10000)[3] == 8
+        build_K = cliff._build_K
+
+        def off_by_one(*args):
+            gens, order, abstract = build_K(*args)
+            return gens, order + 1, abstract
+
+        monkeypatch.setattr(cliff, "_build_K", off_by_one)
+        with pytest.raises(VerificationError, match="formulas"):
+            _kinva_groups(key, 10000)
+
+    def test_k_closure_respects_the_cap(self):
+        key = self.KEY
+        W, ker, _, k_order = _kinva_groups(key, 10000)
+        assert ker.order < W.order < k_order
+        with pytest.raises(ClosureExceedsCap):
+            _kinva_groups(key, k_order - 1)
+        assert _kinva_groups(key, k_order)[3] == k_order
 
 
 def wrong_order_roots():
@@ -545,7 +589,7 @@ class TestSearchChecks:
         # entry off by one there must break a check.
         checked = 0
         for key in rank3_structures():
-            W, ker, K = _kinva_groups(key, 10000)
+            W, ker, k_gens, _ = _kinva_groups(key, 10000)
             table = character_table(W)
             for j, rep in enumerate(W.conjugacy_classes().reps):
                 if rep not in ker.index:
@@ -561,14 +605,14 @@ class TestSearchChecks:
                     lambda G, cap, bad=bad, W=W:
                         bad if G is W else character_table(G, cap=cap))
                 with pytest.raises(VerificationError):
-                    _kinva_search(W, ker, K, 10000)
+                    _kinva_search(W, ker, k_gens, 10000)
                 checked += 1
         assert checked == 557
 
     @pytest.mark.parametrize("root", wrong_order_roots(),
                              ids=["one", "power"])
     def test_root_of_wrong_order(self, monkeypatch, root):
-        groups = {key: _kinva_groups(key, 10000)
+        groups = {key: _kinva_groups(key, 10000)[:3]
                   for key in rank3_structures()}
         truth = {key: _kinva_search(*g, 10000) for key, g in groups.items()}
         monkeypatch.setattr(cliff, "_root_of_unity", root)

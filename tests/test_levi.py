@@ -6,10 +6,13 @@ and sign conditions), textbook group orders (|GL2(3)| = 48,
 |Sp4(3)| = 51840, |GU1(9)| = 10), and relative Weyl group shapes.
 """
 
+import importlib
 import itertools
+import pkgutil
 
 import pytest
 
+import dsplitlevi
 from dsplitlevi import levi
 from dsplitlevi.cyclo import check_eq1
 from dsplitlevi.levi import (
@@ -245,6 +248,23 @@ class TestConstructionAgainstOracle:
         monkeypatch.setattr(levi, "set_partitions", admitted)
         with pytest.raises(Admitted):
             enumerate_labels(n, d)
+
+
+class TestOrderByConstruction:
+    """Consumers read LeviLabel.orbits and t without sorting them."""
+
+    def test_orbits_ascend_on_both_paths(self):
+        for n in range(1, 8):
+            for d in range(1, 9):
+                for lab in enumerate_labels(n, d):
+                    # The checked path gets its blocks in reverse order.
+                    public = LeviLabel(n, d, lab.I_minus1[::-1], lab.I[::-1])
+                    for label in (lab, public):
+                        assert list(label.orbits) == sorted(label.orbits)
+                        assert list(label.t) == list(label.orbits)
+                        for orbs in label.orbits.values():
+                            firsts = [o.J_O[0] for o in orbs]
+                            assert firsts == sorted(firsts), (n, d, lab)
 
 
 def _all_concrete_pairs(n):
@@ -590,11 +610,18 @@ class TestMemos:
                 assert relative_weyl(lab).generators == tuple(expected), (
                     d, lab)
 
-    def test_levi_caches_are_bounded(self):
-        cached = {name: fn for name, fn in vars(levi).items()
-                  if hasattr(fn, "cache_info")
-                  and fn.__module__ == levi.__name__}
-        assert "sylow_twist_w" in cached and "_orbit_generator" in cached
+    def test_module_caches_are_bounded(self):
+        # Every lru_cache a dsplitlevi module holds has a finite bound.
+        cached = {}
+        for info in pkgutil.iter_modules(dsplitlevi.__path__):
+            module = importlib.import_module(f"dsplitlevi.{info.name}")
+            cached.update((f"{info.name}.{name}", fn)
+                          for name, fn in vars(module).items()
+                          if hasattr(fn, "cache_parameters")
+                          and fn.__module__ == module.__name__)
+        assert {"levi.sylow_twist_w", "levi._orbit_generator",
+                "signedperm.signed_symmetric_group", "cyclo._cyclotomic",
+                "torus._least_irreducible", "torus._field"} <= set(cached)
         unbounded = [name for name, fn in cached.items()
                      if fn.cache_parameters()["maxsize"] is None]
         assert unbounded == []

@@ -334,6 +334,15 @@ class TestBlockWreathNormalizer:
             assert len(parts) == bell
             assert len(set(map(tuple, parts))) == bell
 
+    def test_set_partitions_are_ordered_as_built(self):
+        for n in range(1, 9):
+            parts = set_partitions(n)
+            assert len(set(parts)) == len(parts)
+            for p in parts:
+                assert all(list(b) == sorted(b) for b in p)
+                assert [min(b) for b in p] == sorted(min(b) for b in p)
+                assert sorted(x for b in p for x in b) == list(range(1, n + 1))
+
     def test_prediction_matches_brute_force_rank_le_3(self):
         for n in (1, 2, 3):
             G = signed_symmetric_group(n)

@@ -13,6 +13,7 @@ import pytest
 
 from dsplitlevi import torus
 from dsplitlevi.arith import InputTooLarge
+from dsplitlevi.signedperm import VerificationError
 from dsplitlevi.torus import (
     FIELD_ORDER_BOUND,
     Fq,
@@ -92,6 +93,17 @@ class TestFq:
                 Fq(p, k)
         with pytest.raises(RuntimeError):
             Fq(3, 12)
+
+    def test_failed_searches_name_p_and_k(self, monkeypatch):
+        modulus = torus._least_irreducible(3, 2)
+        monkeypatch.setattr(torus, "_is_irreducible", lambda f, p: False)
+        with pytest.raises(VerificationError, match=r"\(p = 3, k = 2\)"):
+            torus._least_irreducible.__wrapped__(3, 2)
+        # With every power reading 1, no candidate has full order.
+        monkeypatch.setattr(torus, "_least_irreducible", lambda p, k: modulus)
+        monkeypatch.setattr(torus, "fp_powmod", lambda *args: [1])
+        with pytest.raises(VerificationError, match=r"\(p = 3, k = 2\)"):
+            Fq(3, 2)
 
 
 class TestTwistedOrbit:
