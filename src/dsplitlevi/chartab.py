@@ -21,6 +21,7 @@ stabiliser.
 """
 
 import math
+from fractions import Fraction
 
 from .arith import factorint, fp_divmod, fp_gcd, fp_mul, isprime
 from .cyclo import CycNum, CycVector, zeta
@@ -57,7 +58,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("elements", "index", "identity", "generators", "order",
-                 "_classes", "_exponent")
+                 "_classes", "_exponent", "_actions")
 
     def __init__(self, elements, generators=None, cap=DEFAULT_GROUP_CAP):
         elements = list(elements)
@@ -90,6 +91,7 @@ class FiniteGroup:
         self.generators = tuple(generators)
         self._classes = None
         self._exponent = None
+        self._actions = {}
 
     @classmethod
     def generate(cls, gens, cap=DEFAULT_GROUP_CAP):
@@ -608,21 +610,34 @@ def restrict(chi, H):
 
 
 def inner(phi, psi):
-    """The exact inner product <phi, psi> of two class functions on the
-    same group; returns an int for characters, else a Fraction."""
+    """The exact inner product <phi, psi> = |G|⁻¹ Σ |C|·phi·conj(psi) of
+    two class functions on the same group; returns an int for
+    characters, else a Fraction.
+
+    With D the lcm of the conductors, each value is promoted to Q(ζ_D)
+    and the sum is taken once as D coefficients modulo x^D - 1, where
+    conj sends ζ^k to ζ^(-k): ζ_D has order D, so this is exact.  It is
+    reduced modulo Φ_D once at the end, which is exact too, as Φ_D
+    divides x^D - 1; only its rational part is divided by |G|."""
     if phi.group.elements != psi.group.elements:
         raise ValueError("class functions live on different groups")
     data = phi.group.conjugacy_classes()
     D = math.lcm(*(v.d for v in phi.values), *(v.d for v in psi.values))
-    total = CycNum.zero(D)
-    for j, size in enumerate(data.sizes):
-        total = total + (phi.values[j].promote(D)
-                         * psi.values[j].conjugate().promote(D) * size)
-    value = total / phi.group.order
-    if not value.is_rational():
+    acc = [0] * D
+    for size, a, b in zip(data.sizes, phi.values, psi.values):
+        b = b.promote(D).coeffs
+        for i, x in enumerate(a.promote(D).coeffs):
+            if x:
+                x *= size
+                for k, y in enumerate(b):
+                    if y:
+                        acc[(i - k) % D] += x * y
+    total = CycNum._from_poly(acc, D)
+    if not total.is_rational():
         raise ArithmeticError("inner product of class functions must be "
                               "rational")
-    return value.coeffs[0]
+    value = Fraction(total.coeffs[0], phi.group.order)
+    return value.numerator if value.denominator == 1 else value
 
 
 # ---------------------------------------------------------------------------
@@ -644,14 +659,36 @@ def is_invariant(cf, perm):
     return ClassFunction(cf.group, [cf.values[i] for i in perm]) == cf
 
 
+# Overgroups H whose class permutations are kept on a group N; past the
+# bound the oldest is dropped.  The acceptance checks loop over every θ
+# of one (H, N), so that pair pays for its class action once.
+_ACTIONS_PER_GROUP = 4
+
+
+def _class_permutations(H, N):
+    """:func:`class_permutation` of every h ∈ H on N, in H's element
+    order; computed once per (H, N) and kept on N for its last
+    ``_ACTIONS_PER_GROUP`` overgroups (keyed by the H object)."""
+    actions = N._actions
+    perms = actions.get(H)
+    if perms is None:
+        perms = tuple(class_permutation(h, N) for h in H.elements)
+        if len(actions) >= _ACTIONS_PER_GROUP:
+            del actions[next(iter(actions))]
+        actions[H] = perms
+    return perms
+
+
 def inertia_and_extendibility(H, N, theta, cap=DEFAULT_GROUP_CAP):
     """For a normal subgroup N of H and a class function theta on N:
     the inertia group H_theta = {h : theta^h = theta}, whether theta
     extends to H_theta, and a witness extension (or None).
 
     ``theta^h(n) = theta(h n h^{-1})``, read off h's
-    :func:`class_permutation`; H_theta keeps H's element order.  N's
-    generators suffice for normality, as conjugation is an automorphism.
+    :func:`class_permutation`, computed once per (H, N) for every θ
+    (see :func:`_class_permutations`); H_theta keeps H's element order.
+    N's generators suffice for normality, as conjugation is an
+    automorphism.
     Extendibility is decided by an exhaustive search through
     Irr(H_theta) for a character whose restriction to N equals theta
     exactly.
@@ -667,9 +704,9 @@ def inertia_and_extendibility(H, N, theta, cap=DEFAULT_GROUP_CAP):
             if g * x * gi not in N.index:
                 raise ValueError("N is not normal in H")
 
-    H_theta = FiniteGroup([h for h in H.elements
-                           if is_invariant(theta, class_permutation(h, N))],
-                          cap=cap)
+    H_theta = FiniteGroup([h for h, perm in zip(H.elements,
+                                                _class_permutations(H, N))
+                           if is_invariant(theta, perm)], cap=cap)
     table = character_table(H_theta, cap=cap)
     for chi in table.characters:
         if restrict(chi, N) == theta:

@@ -41,8 +41,10 @@ those Q-sets shares the (immutable) SignedPerms.  The public
 ``wprime_Q`` and ``tau_Q`` stay uncached and validate every call.  Every
 cache is an ``lru_cache`` keyed by value with a fixed bound:
 ``TWIST_CACHE_SIZE`` twists, one per (n, d); ``SHAPE_CACHE_SIZE`` shapes
-for each shape cache (the 115975 labels at the largest admitted (n, d) =
-(9, 1) have 97); ``QSET_CACHE_SIZE`` Q-sets, and as many pairs (at
+for each shape cache (the fixed-point key (|I₋₁|, t, d0, ε, q) takes 297
+values per q over the labels at n ≤ 7 and d ∈ {1, 2, 3, 4, 6}, so 891
+for q ∈ {3, 5, 9}, and 762 per q at n ≤ 9 and d ≤ 12, where W_d^I's key
+(d0, t) takes 129); ``QSET_CACHE_SIZE`` Q-sets, and as many pairs (at
 (9, 1): 2^9 - 1 = 511 Q-sets and 1569 pairs of disjoint Q-sets of one
 size); the root action of ``VERIFY_RANK_LIMIT`` ranks; 64 values of q.
 
@@ -79,7 +81,7 @@ from .signedperm import (
 
 # Bounds of the lru_caches (see the module docstring).
 TWIST_CACHE_SIZE = 128
-SHAPE_CACHE_SIZE = 256
+SHAPE_CACHE_SIZE = 1024
 QSET_CACHE_SIZE = 2048
 
 

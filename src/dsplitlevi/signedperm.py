@@ -19,18 +19,20 @@ Besides the group operations the module provides
 * :func:`closure`, the one breadth-first enumeration of ⟨gens⟩ in the
   package (signed permutations, matrices and abstract finite groups all
   go through it), with its cap exception :class:`ClosureExceedsCap`;
+  signed permutations close on bare image tuples, each element's signed
+  table built once, and are wrapped as SignedPerms only at the end;
 * brute-force closure / normalizer routines used to verify the
   structural formulas on small ranks, and the generator sets for
   products of block wreath subgroups and their predicted normalizers.
 
 Every input path validates: ``SignedPerm(...)``, :meth:`from_cycles`,
 :func:`wprime`, :func:`tau` and :func:`iota` reject anything that is not
-a signed permutation.  Products, inverses, powers and the bar projection
-of validated operands are signed permutations by construction, so they
-build their results with the unchecked :func:`_trusted` and compose by
-lookup in the left factor's signed image table.  Nothing else may call
-:func:`_trusted`: the invariant is that only group operations on
-already-validated operands reach it.
+a signed permutation.  Products, inverses, powers, the bar projection
+and the closure of validated operands are signed permutations by
+construction, so they build their results with the unchecked
+:func:`_trusted` and compose by lookup in the left factor's signed
+image table.  Nothing else may call :func:`_trusted`: the invariant is
+that only group operations on already-validated operands reach it.
 """
 
 from __future__ import annotations
@@ -395,7 +397,13 @@ def closure(gens, identity, cap):
     """Every element of ⟨gens⟩, ``identity`` first, in breadth-first
     order: the list is its own queue, and each element x is followed by
     the new products x * g.  Raises ClosureExceedsCap when an element
-    past ``cap`` appears.  Works for any hashable elements with ``*``."""
+    past ``cap`` appears.  Works for any hashable elements with ``*``.
+
+    Signed permutations close on their image tuples: x * g is x's signed
+    table looked up along g's images, the same tuple ``__mul__`` builds,
+    so the list and its order are those of the loop on elements."""
+    if type(identity) is SignedPerm:
+        return _signed_closure(gens, identity, cap)
     elems = [identity]
     seen = {identity}
     for x in elems:
@@ -407,6 +415,25 @@ def closure(gens, identity, cap):
                 seen.add(y)
                 elems.append(y)
     return elems
+
+
+def _signed_closure(gens, identity, cap):
+    n = len(identity.img)
+    imgs = [g.img for g in gens]
+    if any(len(g) != n for g in imgs):
+        raise ValueError("generators and identity have mixed ranks")
+    elems = [identity.img]
+    seen = {identity.img}
+    for x in elems:
+        t = _signed_table(x).__getitem__
+        for g in imgs:
+            y = tuple(map(t, g))
+            if y not in seen:
+                if len(elems) >= cap:
+                    raise ClosureExceedsCap(f"closure exceeds cap {cap}")
+                seen.add(y)
+                elems.append(y)
+    return [identity] + [_trusted(y) for y in elems[1:]]
 
 
 def group_closure(gens, cap=DEFAULT_CLOSURE_CAP):

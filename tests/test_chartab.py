@@ -21,10 +21,12 @@ from dsplitlevi.chartab import (
     FiniteGroup,
     _verify_orthogonality,
     character_table,
+    class_permutation,
     inertia_and_extendibility,
     inner,
     restrict,
 )
+from dsplitlevi.cli import PRESETS
 from dsplitlevi.cyclo import CycNum
 from dsplitlevi.extweyl import build_VdI, chevalley_generator, matrix_closure
 from dsplitlevi.levi import LeviLabel, enumerate_labels
@@ -302,6 +304,24 @@ def _cycnum(d):
         lambda coeffs: CycNum(d, coeffs))
 
 
+_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+def promote_conjugate_inner(phi, psi):
+    """<phi, psi> by whole CycNums: each value promoted to the common
+    conductor, ψ's conjugated by the Galois map ζ -> ζ^-1, multiplied
+    and added class by class; the oracle of ``inner``."""
+    D = math.lcm(*(v.d for v in phi.values + psi.values))
+    total = CycNum.zero(D)
+    for a, b, size in zip(phi.values, psi.values,
+                          phi.group.conjugacy_classes().sizes):
+        total = total + a.promote(D) * b.conjugate().promote(D) * size
+    value = total / phi.group.order
+    if not value.is_rational():
+        raise ArithmeticError("inner product is not rational")
+    return value.coeffs[0]
+
+
 class TestClassFunctionEquality:
     @given(st.lists(_cycnum(4), min_size=4, max_size=4),
            st.lists(st.one_of(st.none(), _cycnum(4), _cycnum(12)),
@@ -385,6 +405,57 @@ class TestInduceRestrict:
         for c1, c2 in itertools.product(table.characters, repeat=2):
             assert inner(c1, c2) == (1 if c1 is c2 else 0)
 
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_inner_matches_promote_conjugate_oracle_on_presets(self, name):
+        table = character_table(PRESETS[name]())
+        for c1, c2 in itertools.product(table.characters, repeat=2):
+            got, want = inner(c1, c2), promote_conjugate_inner(c1, c2)
+            assert (got, type(got)) == (want, type(want))
+            assert got == (1 if c1 is c2 else 0)
+
+    @given(st.lists(st.tuples(_fraction, _fraction), min_size=4,
+                    max_size=4),
+           st.lists(st.sampled_from((1, 3, 4, 6, 12)), min_size=8,
+                    max_size=8))
+    def test_inner_matches_oracle_with_fractions_and_mixed_conductors(
+            self, weights, conductors):
+        # Rational combinations of the characters of C4, each value
+        # written at its own conductor: the rational ones at 1, 3, 4, 6
+        # or 12, the others at 4 or 12.
+        G = grp(sp("(1,2,-1,-2)", 2))
+        chars = character_table(G).characters
+
+        def combination(ws, ds):
+            values = []
+            for j, d in enumerate(ds):
+                v = sum((w * chi.values[j] for w, chi in zip(ws, chars)),
+                        CycNum.zero(4))
+                if v.is_rational():
+                    values.append(CycNum.from_rational(v.coeffs[0], d))
+                else:
+                    values.append(v.promote(12 if d % 3 == 0 else 4))
+            return ClassFunction(G, values)
+
+        phi = combination([w for w, _ in weights], conductors[:4])
+        psi = combination([w for _, w in weights], conductors[4:])
+        got, want = inner(phi, psi), promote_conjugate_inner(phi, psi)
+        assert (got, type(got)) == (want, type(want))
+        assert got == sum(a * b for a, b in weights)
+
+    @given(st.lists(st.one_of(_cycnum(4), _cycnum(3), _cycnum(12)),
+                    min_size=8, max_size=8))
+    def test_inner_refuses_irrational_products_as_the_oracle_does(
+            self, values):
+        G = grp(sp("(1,2,-1,-2)", 2))
+        phi, psi = ClassFunction(G, values[:4]), ClassFunction(G, values[4:])
+        try:
+            want = promote_conjugate_inner(phi, psi)
+        except ArithmeticError:
+            with pytest.raises(ArithmeticError):
+                inner(phi, psi)
+        else:
+            assert inner(phi, psi) == want
+
     def test_subgroup_mismatch(self):
         G = s3()
         H = grp(sp("(1,-1)", 3))
@@ -450,6 +521,31 @@ class TestInertiaExtendibility:
         theta = character_table(N).characters[0]
         with pytest.raises(ValueError, match="not a subgroup"):
             inertia_and_extendibility(G, N, theta)
+
+    def test_class_permutations_once_per_pair_and_bounded(self,
+                                                          monkeypatch):
+        calls = []
+
+        def counted(k, N):
+            calls.append(k)
+            return class_permutation(k, N)
+
+        monkeypatch.setattr(chartab, "class_permutation", counted)
+        monkeypatch.setattr(chartab, "_ACTIONS_PER_GROUP", 2)
+        N = grp(sp("(1,2,3)", 3))
+        Hs = [s3() for _ in range(3)]
+        thetas = character_table(N).characters
+        assert len(thetas) == 3
+        for theta in thetas:
+            inertia_and_extendibility(Hs[0], N, theta)
+        assert calls == list(Hs[0].elements)
+        for H in Hs[1:]:
+            inertia_and_extendibility(H, N, thetas[1])
+        assert list(N._actions) == Hs[1:]
+        del calls[:]
+        inertia_and_extendibility(Hs[0], N, thetas[0])
+        assert len(calls) == Hs[0].order
+        assert list(N._actions) == [Hs[2], Hs[0]]
 
 
 def elementwise_stabiliser(H, N, theta):

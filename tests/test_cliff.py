@@ -35,6 +35,7 @@ from dsplitlevi.cliff import (
     nu_lambda,
     stab_lambda,
 )
+from dsplitlevi.cyclo import CycNum
 from dsplitlevi.levi import LeviLabel, enumerate_labels, wprime_Q
 from dsplitlevi import chartab, cliff
 from dsplitlevi.signedperm import (ClosureExceedsCap, SignedPerm,
@@ -416,8 +417,9 @@ class TestKinvaCheck:
 
     def test_reaches_traced_chartab_functions(self, monkeypatch):
         # perfbench's selftest needs a span of each of these on the
-        # kinva_sample workload, which reaches them only through here.
-        calls = dict.fromkeys(("inner", "restrict", "__eq__"), 0)
+        # kinva_sample workload, which reaches them only through here;
+        # it reaches CycNum.promote through inner.
+        calls = dict.fromkeys(("inner", "restrict", "__eq__", "promote"), 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -431,6 +433,8 @@ class TestKinvaCheck:
                                     counted(name, getattr(module, name)))
         monkeypatch.setattr(ClassFunction, "__eq__",
                             counted("__eq__", ClassFunction.__eq__))
+        monkeypatch.setattr(CycNum, "promote",
+                            counted("promote", CycNum.promote))
         monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
         kinva_check(CharLabel(L24(), {1: (D(1, 1, 4, 2),)}))
         assert all(calls.values()), calls

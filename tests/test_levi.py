@@ -610,6 +610,19 @@ class TestMemos:
                 assert relative_weyl(lab).generators == tuple(expected), (
                     d, lab)
 
+    def test_shape_cache_holds_a_command_mix(self):
+        # The levis reports at n <= 7, d in {1, 2, 3, 4, 6} and q in
+        # {3, 5, 9} evict no shape: every miss is still cached.
+        levi._structure_order.cache_clear()
+        for n in range(1, 8):
+            for d in (1, 2, 3, 4, 6):
+                labels = enumerate_labels(n, d)
+                for q in (3, 5, 9):
+                    for label in labels:
+                        label_record(label, q)
+        info = levi._structure_order.cache_info()
+        assert info.misses == info.currsize == 891
+
     def test_module_caches_are_bounded(self):
         # Every lru_cache a dsplitlevi module holds has a finite bound.
         cached = {}

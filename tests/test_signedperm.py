@@ -22,6 +22,7 @@ from dsplitlevi.signedperm import (
     block_wreath_normalizer_generators,
     brute_normalizer,
     centralizer_type,
+    closure,
     cycle_data,
     grid_set,
     group_closure,
@@ -301,6 +302,59 @@ class TestClosure:
         gens = [wprime((1, 2), 2), iota((1,), 2)]
         assert group_closure(gens) == group_closure(gens)
         assert group_closure(gens)[0].is_identity()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.lists(signed_perms(n), min_size=1, max_size=3)))
+    def test_image_tuple_path_matches_generic_loop(self, gens):
+        identity = SignedPerm.identity(gens[0].n)
+        cap = 3000
+        try:
+            want = generic_closure(gens, identity, cap)
+        except ClosureExceedsCap:
+            with pytest.raises(ClosureExceedsCap):
+                closure(gens, identity, cap)
+            return
+        got = closure(gens, identity, cap)
+        assert [x.img for x in got] == [x.img for x in want]
+        assert got[0] is identity
+        assert all(type(x) is SignedPerm for x in got)
+        assert closure(gens, identity, len(want)) == got
+        if len(want) > 1:
+            with pytest.raises(ClosureExceedsCap):
+                closure(gens, identity, len(want) - 1)
+
+    def test_image_tuple_path_on_block_wreaths_at_rank_6(self):
+        # Random generators at rank 6 almost always pass the cap, so the
+        # complete groups there come from the block wreath products.
+        identity = SignedPerm.identity(6)
+        for blocks in set_partitions(6):
+            signed = [len(J) == 1 for J in blocks]
+            gens = block_wreath_generators(blocks, signed, 6)
+            want = generic_closure(gens, identity, 20000)
+            got = closure(gens, identity, 20000)
+            assert [x.img for x in got] == [x.img for x in want], blocks
+
+    def test_image_tuple_path_refuses_mixed_ranks(self):
+        with pytest.raises(ValueError, match="mixed ranks"):
+            closure([iota((1,), 3)], SignedPerm.identity(2), 100)
+
+
+def generic_closure(gens, identity, cap):
+    """The breadth-first loop on elements, which ``closure`` runs for
+    every element type but signed permutations: the oracle of their
+    image-tuple path."""
+    elems = [identity]
+    seen = {identity}
+    for x in elems:
+        for g in gens:
+            y = x * g
+            if y not in seen:
+                if len(elems) >= cap:
+                    raise ClosureExceedsCap(f"closure exceeds cap {cap}")
+                seen.add(y)
+                elems.append(y)
+    return elems
 
 
 class TestBruteNormalizer:
