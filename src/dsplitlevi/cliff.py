@@ -435,11 +435,24 @@ def _residue(value, z, E, l):
     return out
 
 
-# Reports kept, keyed by class structure.  Past the bound the oldest
-# entry is dropped.  A kinva_sample pass meets 470 structures and test_09
-# 556, so neither evicts.
+# Two memos, both dropping their oldest entry past _KINVA_MEMO_BOUND.
+# _KINVA_MEMO maps a class structure to its report.  _KINVA_GROUPS maps
+# the concrete input the cold work reads (the rank and the image tuples
+# of the generators of W_lambda, of ker(nu) or None when ker is W, and
+# of K) to the closure orders |W|, |ker|, |K| and the witnesses.  A
+# descriptor's central order reaches that input only through its jump
+# flag and ltilde_full only through nu, so structures share it: a
+# kinva_sample pass meets 470 structures with 105 concrete inputs, and
+# test_09 556 structures with 138.  Neither memo evicts there.
 _KINVA_MEMO_BOUND = 2048
 _KINVA_MEMO = {}
+_KINVA_GROUPS = {}
+
+
+def _remember(memo, key, value):
+    if len(memo) >= _KINVA_MEMO_BOUND:
+        del memo[next(iter(memo))]
+    memo[key] = value
 
 
 def kinva_check(label, cap=DEFAULT_GROUP_CAP):
@@ -455,20 +468,22 @@ def kinva_check(label, cap=DEFAULT_GROUP_CAP):
     character table, checked by Frobenius reciprocity, and each witness
     is confirmed by an exact inner product (see :func:`_kinva_search`).
     The report depends only on the abstract class structure of the label
-    (results are memoized on it, for at most ``_KINVA_MEMO_BOUND``
-    structures) and is JSON-serializable:
+    and is JSON-serializable:
     {label, W_lambda_order, ker_index, xi0_count, pass, witnesses}.
-    A memoized report keeps the largest order its groups reached, so a
-    cap below it raises as the computation itself would.
+
+    Results are memoized at two levels, each for at most
+    ``_KINVA_MEMO_BOUND`` entries: the report on the class structure,
+    and the closure orders and witnesses on the concrete generators the
+    structure yields (see :func:`_kinva_compute`).  A memoized result
+    keeps the largest order its groups reached, so a cap below it
+    raises as the computation itself would.
     """
     _require_normalized(label)
     key = _canonical_structure(label)
     memo = _KINVA_MEMO.get(key)
     if memo is None:
         memo = _kinva_compute(key, cap)
-        if len(_KINVA_MEMO) >= _KINVA_MEMO_BOUND:
-            del _KINVA_MEMO[next(iter(_KINVA_MEMO))]
-        _KINVA_MEMO[key] = memo
+        _remember(_KINVA_MEMO, key, memo)
     largest, report = memo
     if cap < largest:
         raise ClosureExceedsCap(f"closure exceeds cap {cap}")
@@ -479,11 +494,36 @@ def kinva_check(label, cap=DEFAULT_GROUP_CAP):
 
 
 def _kinva_compute(key, cap):
-    W, ker, k_gens, k_order = _kinva_groups(key, cap)
-    _, xi_ids = _kinva_search(W, ker, k_gens, cap)
-    return max(W.order, k_order), {
-        "W_lambda_order": W.order,
-        "ker_index": W.order // ker.order,
+    """The report of a structure and the largest order its groups reach.
+
+    The groups and the search run once per concrete input (see
+    ``_KINVA_GROUPS``).  Every structure, on a hit as on a miss, checks
+    the closure orders against its own formulas, and raises
+    ClosureExceedsCap exactly when a cold run would: when ``cap`` is
+    below |W| or |K| (the tables are capped by |W|, and the class
+    actions of K are at most |K|)."""
+    gens, formulas = _kinva_inputs(key)
+    n, w_gens, ker_gens, k_gens = gens
+    concrete = (n, tuple(g.img for g in w_gens),
+                None if ker_gens is None else tuple(g.img for g in ker_gens),
+                tuple(g.img for g in k_gens))
+    found = _KINVA_GROUPS.get(concrete)
+    if found is None:
+        W, ker, k_count = _kinva_groups(gens, cap, key)
+        _, xi_ids = _kinva_search(W, ker, k_gens, cap)
+        found = (W.order, ker.order, k_count, xi_ids)
+        _remember(_KINVA_GROUPS, concrete, found)
+    w_count, ker_count, k_count, xi_ids = found
+    largest = max(w_count, k_count)
+    if cap < largest:
+        raise ClosureExceedsCap(f"closure exceeds cap {cap}")
+    if (w_count, ker_count, k_count) != formulas:
+        raise VerificationError(
+            f"closure orders {(w_count, ker_count, k_count)} disagree with "
+            f"the formulas {formulas} in {key}")
+    return largest, {
+        "W_lambda_order": w_count,
+        "ker_index": w_count // ker_count,
         "xi0_count": len(xi_ids),
         "pass": all(xi_id is not None for xi_id in xi_ids),
         "witnesses": [{"xi0_id": xi0_id, "xi_id": xi_id}
@@ -491,36 +531,41 @@ def _kinva_compute(key, cap):
     }
 
 
-def _kinva_groups(key, cap):
-    """W_lambda and ker(nu) as groups, and K as its generators and order,
-    for a structure; checked against the order formulas and for
-    normality.
-
-    ker is W itself when nu is trivial.  K is only counted, by closing
-    its generators under ``cap``: the search acts through their class
-    permutations and never reads K's elements."""
+def _kinva_inputs(key):
+    """The concrete input of a structure: (n, generators of W_lambda,
+    of ker(nu) or None when nu is trivial, of K), and the formula orders
+    of W, ker and K."""
     two_d0, ltilde_full, _ = key
     parts, n = _synthesize_parts(key)
     w_gens, w_tags, w_order, w_abstract = _build_W(parts, two_d0, n)
     nu_values, ker_gens, ker_order, _ = _build_nu(
         parts, ltilde_full, w_gens, w_tags, w_order, w_abstract, key)
     k_gens, k_order, _ = _build_K(parts, two_d0, n, w_gens, nu_values)
+    if all(v == 1 for v in nu_values):
+        ker_gens = None
+    return (n, w_gens, ker_gens, k_gens), (w_order, ker_order, k_order)
 
+
+def _kinva_groups(gens, cap, key):
+    """W_lambda and ker(nu) as groups and the order of K, from the
+    generators of :func:`_kinva_inputs`; K's generators are checked to
+    normalize W and ker.
+
+    ker is W itself when nu is trivial.  K is only counted, by closing
+    its generators under ``cap``: the search acts through their class
+    permutations and never reads K's elements."""
+    n, w_gens, ker_gens, k_gens = gens
     identity = SignedPerm.identity(n)
     W = FiniteGroup.generate(w_gens or [identity], cap=cap)
-    ker = (W if all(v == 1 for v in nu_values)
+    ker = (W if ker_gens is None
            else FiniteGroup.generate(ker_gens, cap=cap))
     k_count = len(closure(k_gens, identity, cap))
-    if W.order != w_order or ker.order != ker_order or k_count != k_order:
-        raise VerificationError(
-            f"closure orders {(W.order, ker.order, k_count)} disagree with "
-            f"the formulas {(w_order, ker_order, k_order)} in {key}")
     for k in k_gens:
         ki = k.inv()
         for G, name in ((W, "W_lambda"), (ker, "ker(nu)")):
             if any(ki * g * k not in G.index for g in G.generators):
                 raise VerificationError(f"K does not normalize {name} in {key}")
-    return W, ker, k_gens, k_count
+    return W, ker, k_count
 
 
 def _kinva_search(W, ker, k_gens, cap):

@@ -645,6 +645,7 @@ class TestCapExit:
     def test_cap_hit_exits_2_with_one_line(self, args, cap, monkeypatch):
         # A memoized report needs no enumeration, so start from none.
         monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
+        monkeypatch.setattr(cliff, "_KINVA_GROUPS", {})
         result = invoke(*args)
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
@@ -662,6 +663,7 @@ class TestCapExit:
     def test_memoized_run_respects_a_smaller_cap(self, args, monkeypatch):
         # Cold, kinva exceeds cap 2 and extweyl (V_2, order 32) cap 31.
         monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
+        monkeypatch.setattr(cliff, "_KINVA_GROUPS", {})
         cap = ("--cap", "2" if args[0] == "kinva" else "31")
         cold = invoke(*args, *cap)
         assert invoke(*args).exit_code == 0
@@ -786,6 +788,24 @@ class TestKinva:
 
     def test_rank_bound(self):
         assert invoke("kinva", "--n", "5", "--d", "1").exit_code == 2
+
+    def test_search_runs_once_per_concrete_input(self, monkeypatch):
+        # kinva --n 4 --d 1 checks 3,536 labels of 440 structures, which
+        # yield 107 concrete inputs: the groups and the search run once
+        # for each, from empty memos.
+        monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
+        monkeypatch.setattr(cliff, "_KINVA_GROUPS", {})
+        searches = []
+        search = cliff._kinva_search
+
+        def counted(*args):
+            searches.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(cliff, "_kinva_search", counted)
+        assert run_json("kinva", "--n", "4", "--d", "1")["checked"] == 3536
+        assert len(cliff._KINVA_MEMO) == 440
+        assert len(searches) == len(cliff._KINVA_GROUPS) == 107
 
 
 class TestChartab:

@@ -25,6 +25,7 @@ from dsplitlevi.cliff import (
     _canonical_structure,
     _kinva_compute,
     _kinva_groups,
+    _kinva_inputs,
     _kinva_search,
     _sign_kernel,
     _synthesize_parts,
@@ -378,6 +379,7 @@ class TestKinvaCheck:
         # A label whose K is larger than its W_lambda: the memo must keep
         # the largest group order reached, not the reported one.
         monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
+        monkeypatch.setattr(cliff, "_KINVA_GROUPS", {})
         label = next(
             cl for levi in enumerate_labels(2, 1)
             for cl in enumerate_char_labels(levi)
@@ -395,6 +397,7 @@ class TestKinvaCheck:
             kinva_check(label)
             warm = outcome(cap)
             monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
+            monkeypatch.setattr(cliff, "_KINVA_GROUPS", {})
             cold = outcome(cap)
             assert warm == cold
             assert isinstance(cold, str) is (cap < order)
@@ -406,8 +409,10 @@ class TestKinvaCheck:
                 labels.setdefault(_canonical_structure(cl), cl)
         labels = list(labels.values())[:5]
         monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
+        monkeypatch.setattr(cliff, "_KINVA_GROUPS", {})
         unbounded = [kinva_check(cl) for cl in labels]
         monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
+        monkeypatch.setattr(cliff, "_KINVA_GROUPS", {})
         monkeypatch.setattr(cliff, "_KINVA_MEMO_BOUND", 3)
         assert [kinva_check(cl) for cl in labels] == unbounded
         keys = [_canonical_structure(cl) for cl in labels]
@@ -436,6 +441,7 @@ class TestKinvaCheck:
         monkeypatch.setattr(CycNum, "promote",
                             counted("promote", CycNum.promote))
         monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
+        monkeypatch.setattr(cliff, "_KINVA_GROUPS", {})
         kinva_check(CharLabel(L24(), {1: (D(1, 1, 4, 2),)}))
         assert all(calls.values()), calls
 
@@ -478,9 +484,17 @@ def conjugation_action(k, group):
     return tuple(class_at[k * rep * ki] for rep in data.reps)
 
 
+def structure_groups(key, cap=10000):
+    """W, ker, K's generators and K's count for a structure, as the cold
+    path of _kinva_compute builds them."""
+    gens, _ = _kinva_inputs(key)
+    W, ker, k_count = _kinva_groups(gens, cap, key)
+    return W, ker, gens[3], k_count
+
+
 def closed_K(k_gens, W):
     """K = <k_gens> as an explicit group, closed here from the generators
-    that _kinva_groups returns (the search itself never forms K)."""
+    that _kinva_inputs builds (the search itself never forms K)."""
     return FiniteGroup.generate(list(k_gens) or [W.identity], cap=10000)
 
 
@@ -505,12 +519,21 @@ def kinva_oracle(W, ker, K):
     return actions, stabilizers, images, xi_ids
 
 
+def rank3_labels():
+    """One label per structure at rank <= 3, gate-failing ones included,
+    in structure order."""
+    labels = {}
+    for n in (1, 2, 3):
+        for d in range(1, 9):
+            for levi in enumerate_labels(n, d):
+                for label in enumerate_char_labels(levi):
+                    labels.setdefault(_canonical_structure(label), label)
+    return [labels[key] for key in sorted(labels)]
+
+
 def rank3_structures():
     """Every structure at rank <= 3, gate-failing ones included."""
-    return sorted({_canonical_structure(label)
-                   for n in (1, 2, 3) for d in range(1, 9)
-                   for levi in enumerate_labels(n, d)
-                   for label in enumerate_char_labels(levi)})
+    return [_canonical_structure(label) for label in rank3_labels()]
 
 
 def test_class_permutation_search_matches_oracle():
@@ -519,7 +542,7 @@ def test_class_permutation_search_matches_oracle():
     structures = rank3_structures()
     assert len(structures) == 204
     for key in structures:
-        W, ker, k_gens, k_order = _kinva_groups(key, 10000)
+        W, ker, k_gens, k_order = structure_groups(key)
         K = closed_K(k_gens, W)
         assert K.order == k_order, key
         actions, stabilizers, images, xi_ids = kinva_oracle(W, ker, K)
@@ -542,7 +565,7 @@ class TestKinvaGroups:
         trivial = 0
         structures = rank3_structures()
         for key in structures:
-            W, ker, _, _ = _kinva_groups(key, 10000)
+            W, ker, _, _ = structure_groups(key)
             assert (ker is W) == (ker.order == W.order), key
             trivial += ker is W
         assert 0 < trivial < len(structures)
@@ -552,7 +575,7 @@ class TestKinvaGroups:
 
     def test_wrong_k_order_formula_raises(self, monkeypatch):
         key = self.KEY
-        assert _kinva_groups(key, 10000)[3] == 8
+        assert structure_groups(key)[3] == 8
         build_K = cliff._build_K
 
         def off_by_one(*args):
@@ -561,15 +584,125 @@ class TestKinvaGroups:
 
         monkeypatch.setattr(cliff, "_build_K", off_by_one)
         with pytest.raises(VerificationError, match="formulas"):
-            _kinva_groups(key, 10000)
+            _kinva_compute(key, 10000)
 
     def test_k_closure_respects_the_cap(self):
         key = self.KEY
-        W, ker, _, k_order = _kinva_groups(key, 10000)
+        W, ker, _, k_order = structure_groups(key)
         assert ker.order < W.order < k_order
         with pytest.raises(ClosureExceedsCap):
-            _kinva_groups(key, k_order - 1)
-        assert _kinva_groups(key, k_order)[3] == k_order
+            structure_groups(key, k_order - 1)
+        assert structure_groups(key, k_order)[3] == k_order
+
+
+def concrete_key(key):
+    """The concrete input a structure's cold work reads: the rank and
+    the image tuples of the generators of W, of ker (None when ker is W)
+    and of K."""
+    (n, w_gens, ker_gens, k_gens), _ = _kinva_inputs(key)
+    images = [None if gens is None else tuple(g.img for g in gens)
+              for gens in (w_gens, ker_gens, k_gens)]
+    return (n, *images)
+
+
+class TestConcreteMemo:
+    """Structures with one concrete input share one run of the groups
+    and the search; every structure still checks its own formulas and
+    its cap."""
+
+    @staticmethod
+    def empty_memos(monkeypatch):
+        monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
+        monkeypatch.setattr(cliff, "_KINVA_GROUPS", {})
+
+    # Two structures that differ only in a central order that is not a
+    # jump (c = 2 does not contain the Sylow 2-subgroup of C4): W = C2,
+    # nu trivial, K of order 4.
+    def pair(self):
+        return [CharLabel(L24(), {1: (D(1, 1, 2, z),)}) for z in (1, 2)]
+
+    def test_sharing_is_exact(self, monkeypatch):
+        labels = rank3_labels()
+        self.empty_memos(monkeypatch)
+        shared = [kinva_check(label) for label in labels]
+        assert len(cliff._KINVA_GROUPS) < len(labels) == 204
+        cold = []
+        for label in labels:
+            self.empty_memos(monkeypatch)
+            cold.append(kinva_check(label))
+        assert shared == cold
+
+    def test_non_jump_central_order_shares_one_entry(self, monkeypatch):
+        first, second = self.pair()
+        assert _canonical_structure(first) != _canonical_structure(second)
+        self.empty_memos(monkeypatch)
+        report = kinva_check(first)
+        tables = []
+        monkeypatch.setattr(cliff, "character_table",
+                            lambda G, cap: tables.append(G))
+        shared = kinva_check(second)
+        assert tables == []
+        assert len(cliff._KINVA_MEMO) == 2 and len(cliff._KINVA_GROUPS) == 1
+        assert shared["label"] != report["label"]
+        assert {**shared, "label": None} == {**report, "label": None}
+
+    def test_wrong_formula_on_a_hit_raises(self, monkeypatch):
+        first, second = self.pair()
+        self.empty_memos(monkeypatch)
+        kinva_check(first)
+        build_K = cliff._build_K
+
+        def off_by_one(*args):
+            gens, order, abstract = build_K(*args)
+            return gens, order + 1, abstract
+
+        def no_search(*args):
+            raise AssertionError("the search ran on a concrete hit")
+
+        monkeypatch.setattr(cliff, "_build_K", off_by_one)
+        monkeypatch.setattr(cliff, "_kinva_search", no_search)
+        with pytest.raises(VerificationError, match="formulas"):
+            kinva_check(second)
+
+    def test_cap_on_a_hit_raises_as_a_cold_run(self, monkeypatch):
+        first, second = self.pair()
+
+        def outcome(cap):
+            # A run over the cap leaves no report of its structure behind.
+            try:
+                found = kinva_check(second, cap=cap)
+            except ClosureExceedsCap as exc:
+                found = str(exc)
+            stored = _canonical_structure(second) in cliff._KINVA_MEMO
+            return found, stored
+
+        self.empty_memos(monkeypatch)
+        report = kinva_check(first)
+        k_order = cliff._KINVA_MEMO[_canonical_structure(first)][0]
+        assert report["W_lambda_order"] < k_order == 4
+        for cap in (k_order - 1, k_order):
+            self.empty_memos(monkeypatch)
+            cold = outcome(cap)
+            self.empty_memos(monkeypatch)
+            kinva_check(first)
+            warm = outcome(cap)
+            assert warm == cold
+            assert isinstance(warm[0], str) is (cap < k_order)
+            assert warm[1] is (cap >= k_order)
+
+    def test_bound_drops_the_oldest(self, monkeypatch):
+        keys = {}
+        for key in rank3_structures():
+            keys.setdefault(concrete_key(key), key)
+        concrete, keys = list(keys)[:5], list(keys.values())[:5]
+        self.empty_memos(monkeypatch)
+        unbounded = [_kinva_compute(key, 10000) for key in keys]
+        self.empty_memos(monkeypatch)
+        monkeypatch.setattr(cliff, "_KINVA_MEMO_BOUND", 3)
+        assert [_kinva_compute(key, 10000) for key in keys] == unbounded
+        assert list(cliff._KINVA_GROUPS) == concrete[2:]
+        assert _kinva_compute(keys[0], 10000) == unbounded[0]
+        assert list(cliff._KINVA_GROUPS) == concrete[3:] + concrete[:1]
 
 
 def wrong_order_roots():
@@ -593,7 +726,7 @@ class TestSearchChecks:
         # entry off by one there must break a check.
         checked = 0
         for key in rank3_structures():
-            W, ker, k_gens, _ = _kinva_groups(key, 10000)
+            W, ker, k_gens, _ = structure_groups(key)
             table = character_table(W)
             for j, rep in enumerate(W.conjugacy_classes().reps):
                 if rep not in ker.index:
@@ -616,7 +749,7 @@ class TestSearchChecks:
     @pytest.mark.parametrize("root", wrong_order_roots(),
                              ids=["one", "power"])
     def test_root_of_wrong_order(self, monkeypatch, root):
-        groups = {key: _kinva_groups(key, 10000)[:3]
+        groups = {key: structure_groups(key)[:3]
                   for key in rank3_structures()}
         truth = {key: _kinva_search(*g, 10000) for key, g in groups.items()}
         monkeypatch.setattr(cliff, "_root_of_unity", root)
