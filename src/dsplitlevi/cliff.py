@@ -195,13 +195,15 @@ def _require_normalized(label):
 # the shared generator calculus
 #
 # Both the concrete path (from a CharLabel) and the canonical path used
-# by the invariance check (synthesized from the abstract class
+# by the invariance check (synthesized from the key of the class
 # structure) reduce to a list of "parts": one part per descriptor
-# class, carrying the GL-size, stabilizer order, jump flag, and the
-# Q-sets of the orbits in its J index set.
+# class, carrying the GL-size, stabilizer order, a flag, and the
+# Q-sets of the orbits in its J index set.  The flag says whether nu
+# is -1 on the part's cyclic generators: the class is a jump and the
+# index-two cover is full.
 # ---------------------------------------------------------------------------
 
-_Part = namedtuple("_Part", ["s", "c", "central", "in_r1", "Qs"])
+_Part = namedtuple("_Part", ["s", "c", "flag", "Qs"])
 
 
 def _parts_from_label(label):
@@ -209,8 +211,8 @@ def _parts_from_label(label):
     parts = []
     for s, orbs in label.levi.orbits.items():
         for desc, J in label.j_sets(s):
-            parts.append(_Part(s, desc.stab_order, desc.central_order,
-                               desc.in_R1(two_d0),
+            parts.append(_Part(s, desc.stab_order,
+                               label.ltilde_full and desc.in_R1(two_d0),
                                tuple(orbs[i - 1].Q for i in J)))
     return parts
 
@@ -234,12 +236,12 @@ def _build_W(parts, two_d0, n):
     return gens, tags, order, abstract
 
 
-def _build_nu(parts, ltilde_full, w_gens, w_tags, w_order, w_abstract, key):
+def _build_nu(parts, w_gens, w_tags, w_order, w_abstract, key):
     """The ±1 values on the W_lambda generators and the kernel data."""
     values = []
     for (idx, kind), g in zip(w_tags, w_gens):
         part = parts[idx]
-        if kind == "cyclic" and ltilde_full and part.in_r1:
+        if kind == "cyclic" and part.flag:
             if part.c % 2:
                 raise VerificationError(
                     f"jump class with odd stabilizer order in {key}")
@@ -282,7 +284,10 @@ def _sign_kernel(w_gens, values, w_order, key):
 
 
 def _build_K(parts, two_d0, n, w_gens, nu_values):
-    """Generators and order of the normalizer closure Z.W : S."""
+    """Generators and order of the normalizer closure Z.W : S.
+
+    When nu is nontrivial the cover is full, so a part's flag is its
+    jump flag, and the swaps keep the jump family."""
     gens = []
     order = 1
     zw_factors = []
@@ -301,7 +306,7 @@ def _build_K(parts, two_d0, n, w_gens, nu_values):
     for idx, part in enumerate(parts):
         key = (part.s, len(part.Qs), part.c)
         if filtering:
-            key = key + (part.in_r1,)
+            key = key + (part.flag,)
         families.setdefault(key, []).append(idx)
     swap_sizes = []
     for key in sorted(families):
@@ -350,7 +355,7 @@ def nu_lambda(label):
     n = label.levi.n
     w_gens, w_tags, w_order, w_abstract = _build_W(parts, label.two_d0, n)
     values, kgens, korder, kabstract = _build_nu(
-        parts, label.ltilde_full, w_gens, w_tags, w_order, w_abstract,
+        parts, w_gens, w_tags, w_order, w_abstract,
         _canonical_structure(label))
     return values, SubgroupPresentation(kgens, kabstract, korder)
 
@@ -364,8 +369,7 @@ def k_lambda(label):
     parts = _parts_from_label(label)
     n = label.levi.n
     w_gens, w_tags, w_order, w_abstract = _build_W(parts, label.two_d0, n)
-    values, _, _, _ = _build_nu(parts, label.ltilde_full, w_gens, w_tags,
-                                w_order, w_abstract,
+    values, _, _, _ = _build_nu(parts, w_gens, w_tags, w_order, w_abstract,
                                 _canonical_structure(label))
     gens, order, abstract = _build_K(parts, label.two_d0, n, w_gens, values)
     return SubgroupPresentation(gens, abstract, order)
@@ -385,16 +389,31 @@ def _canonical_structure(label):
     return (label.two_d0, label.ltilde_full, tuple(struct))
 
 
-def _synthesize_parts(structure_key):
-    """A canonical concrete realization of an abstract class structure,
-    on freshly allocated points; guarantees the invariance report is a
-    function of the structure only."""
-    two_d0, _, struct = structure_key
+def _kinva_key(structure):
+    """What the invariance check reads of a class structure:
+    (2d0, ((s, ((m, c, flag), ...)), ...)) in the structure's order,
+    where flag is whether nu is -1 on the class's cyclic generators.
+    The empty structure is the trivial group at every 2d0, so it has
+    one key."""
+    two_d0, ltilde_full, struct = structure
+    if not struct:
+        return (2, ())
+    return (two_d0, tuple(
+        (s, tuple((m, c, ltilde_full and _is_jump(c, central, two_d0))
+                  for m, c, central in cell))
+        for s, cell in struct))
+
+
+def _synthesize_parts(key):
+    """A canonical concrete realization of a :func:`_kinva_key`, on
+    freshly allocated points; guarantees the invariance report is a
+    function of the key only."""
+    two_d0, struct = key
     d0 = two_d0 // 2
     parts = []
     next_pt = 1
     for s, cell in struct:
-        for m, c, central in cell:
+        for m, c, flag in cell:
             Qs = []
             for _ in range(m):
                 grids = []
@@ -402,8 +421,7 @@ def _synthesize_parts(structure_key):
                     grids.append(tuple(range(next_pt, next_pt + d0)))
                     next_pt += d0
                 Qs.append(tuple(grids))
-            parts.append(_Part(s, c, central, _is_jump(c, central, two_d0),
-                               tuple(Qs)))
+            parts.append(_Part(s, c, flag, tuple(Qs)))
     return parts, max(next_pt - 1, 1)
 
 
@@ -435,24 +453,14 @@ def _residue(value, z, E, l):
     return out
 
 
-# Two memos, both dropping their oldest entry past _KINVA_MEMO_BOUND.
-# _KINVA_MEMO maps a class structure to its report.  _KINVA_GROUPS maps
-# the concrete input the cold work reads (the rank and the image tuples
-# of the generators of W_lambda, of ker(nu) or None when ker is W, and
-# of K) to the closure orders |W|, |ker|, |K| and the witnesses.  A
-# descriptor's central order reaches that input only through its jump
-# flag and ltilde_full only through nu, so structures share it: a
-# kinva_sample pass meets 470 structures with 105 concrete inputs, and
-# test_09 556 structures with 138.  Neither memo evicts there.
+# The invariance reports, keyed on _kinva_key and dropping the oldest
+# entry past _KINVA_MEMO_BOUND.  The key determines the generators, as
+# _synthesize_parts reads nothing else: a central order reaches them
+# only through the jump flag, and ltilde_full only through nu.  So a
+# kinva_sample pass meets 470 structures but computes 105 reports, and
+# test_09 556 structures but 138.  Neither evicts.
 _KINVA_MEMO_BOUND = 2048
 _KINVA_MEMO = {}
-_KINVA_GROUPS = {}
-
-
-def _remember(memo, key, value):
-    if len(memo) >= _KINVA_MEMO_BOUND:
-        del memo[next(iter(memo))]
-    memo[key] = value
 
 
 def kinva_check(label, cap=DEFAULT_GROUP_CAP):
@@ -467,23 +475,23 @@ def kinva_check(label, cap=DEFAULT_GROUP_CAP):
     the multiplicities are read off residues modulo the prime of W's
     character table, checked by Frobenius reciprocity, and each witness
     is confirmed by an exact inner product (see :func:`_kinva_search`).
-    The report depends only on the abstract class structure of the label
-    and is JSON-serializable:
+    The report depends only on the :func:`_kinva_key` of the label's
+    class structure, which determines the generators, and is
+    JSON-serializable:
     {label, W_lambda_order, ker_index, xi0_count, pass, witnesses}.
 
-    Results are memoized at two levels, each for at most
-    ``_KINVA_MEMO_BOUND`` entries: the report on the class structure,
-    and the closure orders and witnesses on the concrete generators the
-    structure yields (see :func:`_kinva_compute`).  A memoized result
-    keeps the largest order its groups reached, so a cap below it
-    raises as the computation itself would.
+    Reports are memoized on that key for at most ``_KINVA_MEMO_BOUND``
+    keys.  A memoized report keeps the largest order its groups
+    reached, so a cap below it raises as the computation itself would.
     """
     _require_normalized(label)
-    key = _canonical_structure(label)
+    key = _kinva_key(_canonical_structure(label))
     memo = _KINVA_MEMO.get(key)
     if memo is None:
         memo = _kinva_compute(key, cap)
-        _remember(_KINVA_MEMO, key, memo)
+        if len(_KINVA_MEMO) >= _KINVA_MEMO_BOUND:
+            del _KINVA_MEMO[next(iter(_KINVA_MEMO))]
+        _KINVA_MEMO[key] = memo
     largest, report = memo
     if cap < largest:
         raise ClosureExceedsCap(f"closure exceeds cap {cap}")
@@ -494,36 +502,19 @@ def kinva_check(label, cap=DEFAULT_GROUP_CAP):
 
 
 def _kinva_compute(key, cap):
-    """The report of a structure and the largest order its groups reach.
-
-    The groups and the search run once per concrete input (see
-    ``_KINVA_GROUPS``).  Every structure, on a hit as on a miss, checks
-    the closure orders against its own formulas, and raises
-    ClosureExceedsCap exactly when a cold run would: when ``cap`` is
-    below |W| or |K| (the tables are capped by |W|, and the class
-    actions of K are at most |K|)."""
+    """The report of a key and the largest order its groups reach,
+    max(|W|, |K|): the tables are capped by |W|, and the class actions
+    of K are at most |K|.  The closure orders must equal the formulas."""
     gens, formulas = _kinva_inputs(key)
-    n, w_gens, ker_gens, k_gens = gens
-    concrete = (n, tuple(g.img for g in w_gens),
-                None if ker_gens is None else tuple(g.img for g in ker_gens),
-                tuple(g.img for g in k_gens))
-    found = _KINVA_GROUPS.get(concrete)
-    if found is None:
-        W, ker, k_count = _kinva_groups(gens, cap, key)
-        _, xi_ids = _kinva_search(W, ker, k_gens, cap)
-        found = (W.order, ker.order, k_count, xi_ids)
-        _remember(_KINVA_GROUPS, concrete, found)
-    w_count, ker_count, k_count, xi_ids = found
-    largest = max(w_count, k_count)
-    if cap < largest:
-        raise ClosureExceedsCap(f"closure exceeds cap {cap}")
-    if (w_count, ker_count, k_count) != formulas:
+    W, ker, k_count = _kinva_groups(gens, cap, key)
+    if (W.order, ker.order, k_count) != formulas:
         raise VerificationError(
-            f"closure orders {(w_count, ker_count, k_count)} disagree with "
+            f"closure orders {(W.order, ker.order, k_count)} disagree with "
             f"the formulas {formulas} in {key}")
-    return largest, {
-        "W_lambda_order": w_count,
-        "ker_index": w_count // ker_count,
+    _, xi_ids = _kinva_search(W, ker, gens[3], cap)
+    return max(W.order, k_count), {
+        "W_lambda_order": W.order,
+        "ker_index": W.order // ker.order,
         "xi0_count": len(xi_ids),
         "pass": all(xi_id is not None for xi_id in xi_ids),
         "witnesses": [{"xi0_id": xi0_id, "xi_id": xi_id}
@@ -532,14 +523,14 @@ def _kinva_compute(key, cap):
 
 
 def _kinva_inputs(key):
-    """The concrete input of a structure: (n, generators of W_lambda,
-    of ker(nu) or None when nu is trivial, of K), and the formula orders
+    """The concrete input of a key: (n, generators of W_lambda, of
+    ker(nu) or None when nu is trivial, of K), and the formula orders
     of W, ker and K."""
-    two_d0, ltilde_full, _ = key
+    two_d0 = key[0]
     parts, n = _synthesize_parts(key)
     w_gens, w_tags, w_order, w_abstract = _build_W(parts, two_d0, n)
     nu_values, ker_gens, ker_order, _ = _build_nu(
-        parts, ltilde_full, w_gens, w_tags, w_order, w_abstract, key)
+        parts, w_gens, w_tags, w_order, w_abstract, key)
     k_gens, k_order, _ = _build_K(parts, two_d0, n, w_gens, nu_values)
     if all(v == 1 for v in nu_values):
         ker_gens = None

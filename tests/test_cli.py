@@ -645,7 +645,6 @@ class TestCapExit:
     def test_cap_hit_exits_2_with_one_line(self, args, cap, monkeypatch):
         # A memoized report needs no enumeration, so start from none.
         monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
-        monkeypatch.setattr(cliff, "_KINVA_GROUPS", {})
         result = invoke(*args)
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
@@ -663,7 +662,6 @@ class TestCapExit:
     def test_memoized_run_respects_a_smaller_cap(self, args, monkeypatch):
         # Cold, kinva exceeds cap 2 and extweyl (V_2, order 32) cap 31.
         monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
-        monkeypatch.setattr(cliff, "_KINVA_GROUPS", {})
         cap = ("--cap", "2" if args[0] == "kinva" else "31")
         cold = invoke(*args, *cap)
         assert invoke(*args).exit_code == 0
@@ -791,10 +789,9 @@ class TestKinva:
 
     def test_search_runs_once_per_concrete_input(self, monkeypatch):
         # kinva --n 4 --d 1 checks 3,536 labels of 440 structures, which
-        # yield 107 concrete inputs: the groups and the search run once
-        # for each, from empty memos.
+        # have 107 keys: the groups and the search run once for each,
+        # from an empty memo.
         monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
-        monkeypatch.setattr(cliff, "_KINVA_GROUPS", {})
         searches = []
         search = cliff._kinva_search
 
@@ -804,8 +801,84 @@ class TestKinva:
 
         monkeypatch.setattr(cliff, "_kinva_search", counted)
         assert run_json("kinva", "--n", "4", "--d", "1")["checked"] == 3536
-        assert len(cliff._KINVA_MEMO) == 440
-        assert len(searches) == len(cliff._KINVA_GROUPS) == 107
+        assert len(searches) == len(cliff._KINVA_MEMO) == 107
+
+    # sha256 of the stdout of ``kinva --n N --d D --full``, taken before
+    # the reports were memoized on one key; the reports must not change.
+    GOLDEN = {
+        (1, 1):
+            "8bc607620ceb288b5340cd2b1f047dafd9a41c2508d82803d2dc2f696d3bf109",
+        (1, 2):
+            "f44644f55d2e85d1e53534baa2ca5e447ca176aeb5ba8a94fe2852c01dc646e9",
+        (1, 3):
+            "f6cd8050109a9b15dfa1bacc6e291e299ff1bc6fe824913a3e5f47441b2f4429",
+        (1, 4):
+            "673d02469e9749dd32ba2184c796757b8981d31fb45266e5099e6f8752414991",
+        (1, 5):
+            "8b95ea624f61600d4e02a5a759b76a3972a9d69a9281a90f093f8cb6995ba5c5",
+        (1, 6):
+            "af23623b08d9cba3d23cbb01ca25a78fac50670d5b23facbc46b93860d92cce3",
+        (1, 7):
+            "4a2977bce3fe77f44dae870da0b57f664eeb01df76ccaacd55964806e2eed062",
+        (1, 8):
+            "50e4f79f5237f7276e003df678f523669fb47cc3a30166671f7276cff2308f97",
+        (2, 1):
+            "29405a27b8ad8ae0aa8b8bafb6551a43f04a965b563a56f5a9e67a88da44cbef",
+        (2, 2):
+            "e3dd77c76121e24b4d250823a60589242f927634def3fa3bdd8c4486c5943901",
+        (2, 3):
+            "dc4b822b339372cb9fb78d8645230b883be804326f241cd27493f9b0d1914bd5",
+        (2, 4):
+            "1b09d2b7b807801c3483d04a2c5f6fefc2a89493aeeba23dd369ffd3d50477ea",
+        (2, 5):
+            "12cccc44eb3cf37fc263bd738241d7ed8a284f45fdf8bcfb8217667160ac6505",
+        (2, 6):
+            "79a477c3a289abe94c54dd20fbceee78c496d13ef9f4a743390c04d7904f7335",
+        (2, 7):
+            "50df7bddbddc7c207199cbec8fbcff0dd79f7f4ceb91bd7bc295fbdbd76410dd",
+        (2, 8):
+            "943e2c374aeaf30ea5ff935e119d6c4c41e88b69573787c84c05ede4c787e225",
+        (3, 1):
+            "45d069a21e40c9a07a1fd34ab4e23e98efdfcda858e8eb5947ae9c0f2a4dff5c",
+        (3, 2):
+            "03ac5dbc8a0ed6afadf7f533f3f6e3dbf64ff43c8e986362c336c71d2978f8b4",
+        (3, 3):
+            "a257a03368e1e7225f219528688a807573df4a7addf418b754280ee47233cce6",
+        (3, 4):
+            "5beca3bac0f53b2bae59cce7de5b54bf133336f4c8444acc165275e05432512d",
+        (3, 5):
+            "f61cbfe4b5f97c65bbd42277f8b8eee4a62980c634e72471eca51fe778775d96",
+        (3, 6):
+            "da2dd8748b6005ee1f94192a9485e6f64197d35f713a5dc0b101c43db93c5712",
+        (3, 7):
+            "d623086a62429c43a1836d3658cd6e603dfdf07ade2597f6adfd7b1441312535",
+        (3, 8):
+            "800ab940f40250ba9aa4ddb61cfa05230103817df8af3c308b42a568ae590b62",
+        (4, 1):
+            "3a8b419f2bcdf7433f801d0f6c144058fd4b860c284fcfd0f07c5fe3874afe09",
+        (4, 2):
+            "cfed13bbebdf98a6127c1677b49bd191cb8c3d0b9eaff84d766d6dd9a1631df6",
+        (4, 3):
+            "e368b7b4fc4ad8178db9e89b8fe001495bded557ea2edc2f550173b5a4569e08",
+        (4, 4):
+            "8ffe869a0df7e4839b4e8b7f0bc0d79e677028da3d37b9d8e850250bc64f700b",
+        (4, 5):
+            "8712d0957de2d9c349c9d56520b910703a7b4f1d19e1013bc39d844b0a921007",
+        (4, 6):
+            "ab2632027e56a43574917400f3543b71004b68281ec4d11b87dd20b58fbde98f",
+        (4, 7):
+            "6fed4ace4dabcc0852dc213a89819661c589c2d4e6af0cf7eb81bf6ddcb827a6",
+        (4, 8):
+            "7d54a962110b8cfdb3cb93f55e74fd6669553038ffae177b8a63723dc932c087",
+    }
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_reports_match_golden_digests(self, n):
+        for d in range(1, 9):
+            result = invoke("kinva", "--n", str(n), "--d", str(d), "--full")
+            assert result.exit_code == 0, (n, d)
+            digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+            assert digest == self.GOLDEN[n, d], (n, d)
 
 
 class TestChartab:

@@ -20,12 +20,14 @@ from dsplitlevi.chartab import (CharacterTable, ClassFunction, FiniteGroup,
 from dsplitlevi.cliff import (
     CharClassDescriptor,
     CharLabel,
+    _build_K,
     _build_nu,
     _build_W,
     _canonical_structure,
     _kinva_compute,
     _kinva_groups,
     _kinva_inputs,
+    _kinva_key,
     _kinva_search,
     _sign_kernel,
     _synthesize_parts,
@@ -379,13 +381,12 @@ class TestKinvaCheck:
         # A label whose K is larger than its W_lambda: the memo must keep
         # the largest group order reached, not the reported one.
         monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
-        monkeypatch.setattr(cliff, "_KINVA_GROUPS", {})
         label = next(
             cl for levi in enumerate_labels(2, 1)
             for cl in enumerate_char_labels(levi)
             if kinva_check(cl)["W_lambda_order"]
-            < cliff._KINVA_MEMO[_canonical_structure(cl)][0])
-        order = cliff._KINVA_MEMO[_canonical_structure(label)][0]
+            < cliff._KINVA_MEMO[_kinva_key(_canonical_structure(cl))][0])
+        order = cliff._KINVA_MEMO[_kinva_key(_canonical_structure(label))][0]
 
         def outcome(cap):
             try:
@@ -397,7 +398,6 @@ class TestKinvaCheck:
             kinva_check(label)
             warm = outcome(cap)
             monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
-            monkeypatch.setattr(cliff, "_KINVA_GROUPS", {})
             cold = outcome(cap)
             assert warm == cold
             assert isinstance(cold, str) is (cap < order)
@@ -406,16 +406,13 @@ class TestKinvaCheck:
         labels = {}
         for levi in enumerate_labels(2, 4):
             for cl in enumerate_char_labels(levi):
-                labels.setdefault(_canonical_structure(cl), cl)
-        labels = list(labels.values())[:5]
+                labels.setdefault(_kinva_key(_canonical_structure(cl)), cl)
+        keys, labels = list(labels)[:5], list(labels.values())[:5]
         monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
-        monkeypatch.setattr(cliff, "_KINVA_GROUPS", {})
         unbounded = [kinva_check(cl) for cl in labels]
         monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
-        monkeypatch.setattr(cliff, "_KINVA_GROUPS", {})
         monkeypatch.setattr(cliff, "_KINVA_MEMO_BOUND", 3)
         assert [kinva_check(cl) for cl in labels] == unbounded
-        keys = [_canonical_structure(cl) for cl in labels]
         assert list(cliff._KINVA_MEMO) == keys[2:]
         assert kinva_check(labels[0]) == unbounded[0]
         assert list(cliff._KINVA_MEMO) == keys[3:] + keys[:1]
@@ -441,7 +438,6 @@ class TestKinvaCheck:
         monkeypatch.setattr(CycNum, "promote",
                             counted("promote", CycNum.promote))
         monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
-        monkeypatch.setattr(cliff, "_KINVA_GROUPS", {})
         kinva_check(CharLabel(L24(), {1: (D(1, 1, 4, 2),)}))
         assert all(calls.values()), calls
 
@@ -484,9 +480,10 @@ def conjugation_action(k, group):
     return tuple(class_at[k * rep * ki] for rep in data.reps)
 
 
-def structure_groups(key, cap=10000):
+def structure_groups(structure, cap=10000):
     """W, ker, K's generators and K's count for a structure, as the cold
-    path of _kinva_compute builds them."""
+    path of _kinva_compute builds them from its key."""
+    key = _kinva_key(structure)
     gens, _ = _kinva_inputs(key)
     W, ker, k_count = _kinva_groups(gens, cap, key)
     return W, ker, gens[3], k_count
@@ -519,11 +516,11 @@ def kinva_oracle(W, ker, K):
     return actions, stabilizers, images, xi_ids
 
 
-def rank3_labels():
-    """One label per structure at rank <= 3, gate-failing ones included,
-    in structure order."""
+def structure_labels(max_n):
+    """The first label of each structure at rank <= max_n and d <= 8,
+    gate-failing ones included, in structure order."""
     labels = {}
-    for n in (1, 2, 3):
+    for n in range(1, max_n + 1):
         for d in range(1, 9):
             for levi in enumerate_labels(n, d):
                 for label in enumerate_char_labels(levi):
@@ -533,7 +530,7 @@ def rank3_labels():
 
 def rank3_structures():
     """Every structure at rank <= 3, gate-failing ones included."""
-    return [_canonical_structure(label) for label in rank3_labels()]
+    return [_canonical_structure(label) for label in structure_labels(3)]
 
 
 def test_class_permutation_search_matches_oracle():
@@ -554,7 +551,7 @@ def test_class_permutation_search_matches_oracle():
         for image, stab in zip(found_images, stabilizers):
             assert tuple(i for i, a in enumerate(actions)
                          if a in image) == stab, key
-        _, report = _kinva_compute(key, 10000)
+        _, report = _kinva_compute(_kinva_key(key), 10000)
         witnesses = report["witnesses"]
         assert [w["xi_id"] for w in witnesses] == xi_ids, key
 
@@ -571,11 +568,11 @@ class TestKinvaGroups:
         assert 0 < trivial < len(structures)
 
     # nu is nontrivial here (ker has index 2) and K is twice W.
-    KEY = (2, True, ((1, ((1, 1, 1), (1, 2, 1), (1, 2, 2))),))
+    STRUCTURE = (2, True, ((1, ((1, 1, 1), (1, 2, 1), (1, 2, 2))),))
 
     def test_wrong_k_order_formula_raises(self, monkeypatch):
-        key = self.KEY
-        assert structure_groups(key)[3] == 8
+        structure = self.STRUCTURE
+        assert structure_groups(structure)[3] == 8
         build_K = cliff._build_K
 
         def off_by_one(*args):
@@ -584,36 +581,24 @@ class TestKinvaGroups:
 
         monkeypatch.setattr(cliff, "_build_K", off_by_one)
         with pytest.raises(VerificationError, match="formulas"):
-            _kinva_compute(key, 10000)
+            _kinva_compute(_kinva_key(structure), 10000)
 
     def test_k_closure_respects_the_cap(self):
-        key = self.KEY
-        W, ker, _, k_order = structure_groups(key)
+        structure = self.STRUCTURE
+        W, ker, _, k_order = structure_groups(structure)
         assert ker.order < W.order < k_order
         with pytest.raises(ClosureExceedsCap):
-            structure_groups(key, k_order - 1)
-        assert structure_groups(key, k_order)[3] == k_order
-
-
-def concrete_key(key):
-    """The concrete input a structure's cold work reads: the rank and
-    the image tuples of the generators of W, of ker (None when ker is W)
-    and of K."""
-    (n, w_gens, ker_gens, k_gens), _ = _kinva_inputs(key)
-    images = [None if gens is None else tuple(g.img for g in gens)
-              for gens in (w_gens, ker_gens, k_gens)]
-    return (n, *images)
+            structure_groups(structure, k_order - 1)
+        assert structure_groups(structure, k_order)[3] == k_order
 
 
 class TestConcreteMemo:
-    """Structures with one concrete input share one run of the groups
-    and the search; every structure still checks its own formulas and
-    its cap."""
+    """Structures with one key share one report, computed once; every
+    label still meets its cap."""
 
     @staticmethod
-    def empty_memos(monkeypatch):
+    def empty_memo(monkeypatch):
         monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
-        monkeypatch.setattr(cliff, "_KINVA_GROUPS", {})
 
     # Two structures that differ only in a central order that is not a
     # jump (c = 2 does not contain the Sylow 2-subgroup of C4): W = C2,
@@ -622,87 +607,89 @@ class TestConcreteMemo:
         return [CharLabel(L24(), {1: (D(1, 1, 2, z),)}) for z in (1, 2)]
 
     def test_sharing_is_exact(self, monkeypatch):
-        labels = rank3_labels()
-        self.empty_memos(monkeypatch)
+        labels = structure_labels(3)
+        self.empty_memo(monkeypatch)
         shared = [kinva_check(label) for label in labels]
-        assert len(cliff._KINVA_GROUPS) < len(labels) == 204
+        assert len(cliff._KINVA_MEMO) < len(labels) == 204
         cold = []
         for label in labels:
-            self.empty_memos(monkeypatch)
+            self.empty_memo(monkeypatch)
             cold.append(kinva_check(label))
         assert shared == cold
 
     def test_non_jump_central_order_shares_one_entry(self, monkeypatch):
         first, second = self.pair()
-        assert _canonical_structure(first) != _canonical_structure(second)
-        self.empty_memos(monkeypatch)
+        structures = [_canonical_structure(cl) for cl in (first, second)]
+        assert structures[0] != structures[1]
+        assert _kinva_key(structures[0]) == _kinva_key(structures[1])
+        self.empty_memo(monkeypatch)
         report = kinva_check(first)
-        tables = []
-        monkeypatch.setattr(cliff, "character_table",
-                            lambda G, cap: tables.append(G))
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a memo hit built a group")
+
+        # A hit synthesizes no generators and computes no table.
+        for name in ("_synthesize_parts", "_build_K", "character_table"):
+            monkeypatch.setattr(cliff, name, no_build)
         shared = kinva_check(second)
-        assert tables == []
-        assert len(cliff._KINVA_MEMO) == 2 and len(cliff._KINVA_GROUPS) == 1
+        assert len(cliff._KINVA_MEMO) == 1
         assert shared["label"] != report["label"]
         assert {**shared, "label": None} == {**report, "label": None}
 
-    def test_wrong_formula_on_a_hit_raises(self, monkeypatch):
-        first, second = self.pair()
-        self.empty_memos(monkeypatch)
-        kinva_check(first)
-        build_K = cliff._build_K
-
-        def off_by_one(*args):
-            gens, order, abstract = build_K(*args)
-            return gens, order + 1, abstract
-
-        def no_search(*args):
-            raise AssertionError("the search ran on a concrete hit")
-
-        monkeypatch.setattr(cliff, "_build_K", off_by_one)
-        monkeypatch.setattr(cliff, "_kinva_search", no_search)
-        with pytest.raises(VerificationError, match="formulas"):
-            kinva_check(second)
-
     def test_cap_on_a_hit_raises_as_a_cold_run(self, monkeypatch):
         first, second = self.pair()
+        key = _kinva_key(_canonical_structure(second))
 
         def outcome(cap):
-            # A run over the cap leaves no report of its structure behind.
             try:
-                found = kinva_check(second, cap=cap)
+                return kinva_check(second, cap=cap)
             except ClosureExceedsCap as exc:
-                found = str(exc)
-            stored = _canonical_structure(second) in cliff._KINVA_MEMO
-            return found, stored
+                return str(exc)
 
-        self.empty_memos(monkeypatch)
+        self.empty_memo(monkeypatch)
         report = kinva_check(first)
-        k_order = cliff._KINVA_MEMO[_canonical_structure(first)][0]
+        k_order = cliff._KINVA_MEMO[key][0]
         assert report["W_lambda_order"] < k_order == 4
         for cap in (k_order - 1, k_order):
-            self.empty_memos(monkeypatch)
+            self.empty_memo(monkeypatch)
             cold = outcome(cap)
-            self.empty_memos(monkeypatch)
+            # A run over the cap leaves no report behind.
+            assert (key in cliff._KINVA_MEMO) is (cap >= k_order)
+            self.empty_memo(monkeypatch)
             kinva_check(first)
             warm = outcome(cap)
+            assert list(cliff._KINVA_MEMO) == [key]
             assert warm == cold
-            assert isinstance(warm[0], str) is (cap < k_order)
-            assert warm[1] is (cap >= k_order)
+            assert isinstance(warm, str) is (cap < k_order)
 
-    def test_bound_drops_the_oldest(self, monkeypatch):
-        keys = {}
-        for key in rank3_structures():
-            keys.setdefault(concrete_key(key), key)
-        concrete, keys = list(keys)[:5], list(keys.values())[:5]
-        self.empty_memos(monkeypatch)
-        unbounded = [_kinva_compute(key, 10000) for key in keys]
-        self.empty_memos(monkeypatch)
-        monkeypatch.setattr(cliff, "_KINVA_MEMO_BOUND", 3)
-        assert [_kinva_compute(key, 10000) for key in keys] == unbounded
-        assert list(cliff._KINVA_GROUPS) == concrete[2:]
-        assert _kinva_compute(keys[0], 10000) == unbounded[0]
-        assert list(cliff._KINVA_GROUPS) == concrete[3:] + concrete[:1]
+    @staticmethod
+    def factors(abstract):
+        """An abstract type with the factors of each product sorted: a
+        label lists its classes in orbit order, a key in cell order."""
+        kernel = abstract.startswith("ker(nu) < ")
+        return kernel, tuple(tuple(sorted(side.split(" x "))) for side in
+                             abstract.removeprefix("ker(nu) < ").split(" : "))
+
+    def test_key_determines_the_groups(self):
+        # W_lambda, ker(nu) and K of a label have the orders and types
+        # of those synthesized from its key, for every structure at rank
+        # <= 4, gate-failing ones included.
+        labels = structure_labels(4)
+        assert len(labels) == 676
+        for label in labels:
+            key = _kinva_key(_canonical_structure(label))
+            parts, n = _synthesize_parts(key)
+            w_gens, w_tags, w_order, w_abstract = _build_W(parts, key[0], n)
+            values, _, ker_order, ker_abstract = _build_nu(
+                parts, w_gens, w_tags, w_order, w_abstract, key)
+            _, k_order, k_abstract = _build_K(parts, key[0], n, w_gens,
+                                              values)
+            synthesized = [(w_order, w_abstract), (ker_order, ker_abstract),
+                           (k_order, k_abstract)]
+            found = [stab_lambda(label), nu_lambda(label)[1], k_lambda(label)]
+            assert ([(G.order, self.factors(G.abstract_type)) for G in found]
+                    == [(order, self.factors(abstract))
+                        for order, abstract in synthesized]), label
 
 
 def wrong_order_roots():
@@ -809,16 +796,16 @@ class TestSignCharacterCheck:
 
     def test_every_rank3_assignment_is_accepted(self):
         checked = 0
-        for key in rank3_structures():
-            two_d0, ltilde_full, _ = key
+        for structure in rank3_structures():
+            key = _kinva_key(structure)
             parts, n = _synthesize_parts(key)
-            w_gens, w_tags, w_order, w_abstract = _build_W(parts, two_d0, n)
-            values = _build_nu(parts, ltilde_full, w_gens, w_tags, w_order,
-                               w_abstract, key)[0]
+            w_gens, w_tags, w_order, w_abstract = _build_W(parts, key[0], n)
+            values = _build_nu(parts, w_gens, w_tags, w_order, w_abstract,
+                               key)[0]
             if all(v == 1 for v in values):
                 continue
-            assert sign_extension_oracle(w_gens, values, w_order), key
-            assert sign_kernel_accepts(w_gens, values, w_order), key
+            assert sign_extension_oracle(w_gens, values, w_order), structure
+            assert sign_kernel_accepts(w_gens, values, w_order), structure
             checked += 1
         assert checked == 36
 
