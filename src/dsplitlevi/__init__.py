@@ -16,8 +16,9 @@ The package is organised bottom-up:
   groups and their brute verification.
 - ``extweyl``: Chevalley generators of Sp(2n) as exact matrices, the
   extended Weyl group, and the matrix lifts of the relative Weyl group.
-- ``torus``: the twisted maximal torus as coordinate tuples over an
-  exact finite field, Lang maps, fixed points, central actions.
+- ``torus``: the twisted maximal torus as coordinate tuples of
+  discrete logs in the cyclic unit group of a finite field, Lang maps,
+  fixed points, central actions.
 - ``chartab``: exact character tables (Dixon's method), restriction,
   inner products, inertia groups and extendibility tests.
 - ``cliff``: stabilizers of Levi-side characters in the relative Weyl

@@ -2,17 +2,16 @@
 the package's one kernel of polynomials over F_p.
 
 The package needs these only for small integers: the odd prime power q
-of a finite group of Lie type, l - 1 for a Dixon prime l, and the order
-p^k - 1 of a field's multiplicative group.  ``factorint`` is trial
-division and serves those small n only.  ``isprime`` is a deterministic
-Miller-Rabin test and ``prime_power`` takes integer k-th roots, so both
-answer at once for every n below 2^64, where trial division would run
-for hours.
+of a finite group of Lie type and l - 1 for a Dixon prime l.
+``factorint`` is trial division and serves those small n only.
+``isprime`` is a deterministic Miller-Rabin test and ``prime_power``
+takes integer k-th roots, so both answer at once for every n below
+2^64, where trial division would run for hours.
 
-``fp_mul``, ``fp_divmod``, ``fp_gcd`` and ``fp_powmod`` take integer
-coefficient lists, lowest degree first, and return them reduced modulo
-the prime p with no trailing zeros (the zero polynomial is []).  The
-modular character tables and the finite fields of the torus share them.
+``fp_mul``, ``fp_divmod`` and ``fp_gcd`` take integer coefficient
+lists, lowest degree first, and return them reduced modulo the prime p
+with no trailing zeros (the zero polynomial is []).  The modular
+character tables use them.
 """
 
 # Miller-Rabin with the first twelve prime bases has no strong
@@ -141,14 +140,3 @@ def fp_gcd(a, b, p):
         a, b = b, fp_divmod(a, b, p)[1]
     return fp_divmod(a, a[-1:], p)[0] if a else a
 
-
-def fp_powmod(a, e, f, p):
-    """a^e modulo f over F_p, for e >= 0, by repeated squaring."""
-    out, base = fp_divmod([1], f, p)[1], fp_divmod(a, f, p)[1]
-    while e:
-        if e & 1:
-            out = fp_divmod(fp_mul(out, base, p), f, p)[1]
-        e >>= 1
-        if e:
-            base = fp_divmod(fp_mul(base, base, p), f, p)[1]
-    return out

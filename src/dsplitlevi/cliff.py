@@ -111,9 +111,9 @@ class CharLabel:
     subgroup is all of the cover (it rescales the sign character).
     """
 
-    __slots__ = ("levi", "assignment", "ltilde_full", "normalized")
+    __slots__ = ("levi", "assignment", "ltilde_full")
 
-    def __init__(self, levi, assignment, ltilde_full=True, normalized=True):
+    def __init__(self, levi, assignment, ltilde_full=True):
         if set(assignment) != set(levi.orbits):
             raise ValueError("assignment must cover exactly the orbit sizes "
                              f"{sorted(levi.orbits)}")
@@ -134,7 +134,6 @@ class CharLabel:
         self.levi = levi
         self.assignment = clean
         self.ltilde_full = bool(ltilde_full)
-        self.normalized = bool(normalized)
 
     @property
     def two_d0(self):
@@ -183,12 +182,6 @@ class SubgroupPresentation:
     def __repr__(self):
         return (f"SubgroupPresentation({self.abstract_type!r}, "
                 f"order={self.order})")
-
-
-def _require_normalized(label):
-    if not label.normalized:
-        raise ValueError(
-            "label must be normalized to registry representatives")
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +329,6 @@ def stab_lambda(label):
     """The inertia subgroup W_lambda: per descriptor class, the order-c
     subgroups of the orbit cycles plus the block swaps inside its J
     index set; a direct product of C_c wr S_m factors."""
-    _require_normalized(label)
     parts = _parts_from_label(label)
     n = label.levi.n
     gens, _, order, abstract = _build_W(parts, label.two_d0, n)
@@ -350,7 +342,6 @@ def nu_lambda(label):
     classes (when the index-two cover is full), +1 on swaps; returns
     (values aligned with ``stab_lambda(label).generators``, kernel
     presentation)."""
-    _require_normalized(label)
     parts = _parts_from_label(label)
     n = label.levi.n
     w_gens, w_tags, w_order, w_abstract = _build_W(parts, label.two_d0, n)
@@ -365,7 +356,6 @@ def k_lambda(label):
     diagonal full cycle per descriptor class and S swaps classes of
     equal shape (restricted to preserve the jump family when the sign
     character is nontrivial)."""
-    _require_normalized(label)
     parts = _parts_from_label(label)
     n = label.levi.n
     w_gens, w_tags, w_order, w_abstract = _build_W(parts, label.two_d0, n)
@@ -484,7 +474,6 @@ def kinva_check(label, cap=DEFAULT_GROUP_CAP):
     keys.  A memoized report keeps the largest order its groups
     reached, so a cap below it raises as the computation itself would.
     """
-    _require_normalized(label)
     key = _kinva_key(_canonical_structure(label))
     memo = _KINVA_MEMO.get(key)
     if memo is None:
@@ -645,7 +634,6 @@ def cuspidal_gate(label):
     set (the order-two central character is unique).  Labels passing
     the gate satisfy the hypotheses of the invariance criterion.
     """
-    _require_normalized(label)
     two_d0 = label.two_d0
     for s, descs in label.assignment.items():
         if s >= 2 and any(d.in_R1(two_d0) for d in descs):

@@ -1,0 +1,181 @@
+"""Named source mutants and the tests that must catch them.
+
+Each mutant replaces one exact fragment of one file of
+``src/dsplitlevi`` and names the tests that must fail on the result.
+Run from anywhere, with pytest installed:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+For each mutant the runner copies ``src/`` to a temporary directory,
+applies the replacement there, and runs the mutant's tests in a
+subprocess with PYTHONPATH at the copy.  It prints one line per mutant,
+then the mutants that survive (a named test passed on them), and exits
+1 if any survives.  ``tests/test_mutants.py`` checks in tier-1 that
+every fragment still occurs exactly once in ``src/``; the runs
+themselves are too slow for tier-1.
+
+A surviving mutant is a finding about the tests, not a reason to drop
+it from the list.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "dsplitlevi"
+
+Mutant = namedtuple("Mutant", "name file fragment replacement tests")
+
+CLIFF = "tests/test_cliff.py::"
+TORUS = "tests/test_torus.py::"
+CLI = "tests/test_cli.py::"
+ACCEPT = "tests/test_acceptance.py::"
+
+MUTANTS = [
+    # The Clifford memo key (cliff._kinva_key): its flag drops
+    # ltilde_full, its flag drops the jump, and its 2d0 is fixed at 2.
+    Mutant("kinva_key_flag_without_ltilde", "cliff.py",
+           "ltilde_full and _is_jump(c, central, two_d0)",
+           "_is_jump(c, central, two_d0)",
+           [CLIFF + "TestConcreteMemo::test_key_determines_the_groups",
+            CLIFF + "TestSearchChecks::test_corrupted_w_entry_raises",
+            CLIFF + "TestSignCharacterCheck::"
+                    "test_every_rank3_assignment_is_accepted",
+            CLI + "TestKinva::test_reports_match_golden_digests[1]"]),
+    Mutant("kinva_key_flag_without_jump", "cliff.py",
+           "ltilde_full and _is_jump(c, central, two_d0)",
+           "ltilde_full",
+           [CLIFF + "TestConcreteMemo::test_key_determines_the_groups",
+            CLIFF + "TestConcreteMemo::test_sharing_is_exact",
+            CLIFF + "TestKinvaGroups::"
+                    "test_ker_is_w_exactly_when_nu_is_trivial",
+            CLI + "TestKinva::test_reports_match_golden_digests[1]",
+            ACCEPT + "test_09_invariance_criterion_exhaustive"]),
+    Mutant("kinva_key_without_two_d0", "cliff.py",
+           "return (two_d0, tuple(",
+           "return (2, tuple(",
+           [CLIFF + "TestConcreteMemo::test_key_determines_the_groups",
+            CLIFF + "TestKinvaCheck::test_single_jump_orbit_report",
+            CLI + "TestDeterminism::test_byte_identical[kinva --n 2 --d 4]",
+            ACCEPT + "test_09_invariance_criterion_exhaustive"]),
+    # The twisted torus on discrete logs.
+    Mutant("lang_map_even_d_frobenius_sign", "torus.py",
+           "out = [u[d0 - 1] ** (-q) * u[0].inv()]",
+           "out = [u[d0 - 1] ** q * u[0].inv()]",
+           [TORUS + "TestLangMap::test_fixed_points_q3_d2",
+            TORUS + "TestLangMap::test_kernel_count_small_grid",
+            TORUS + "TestTheta::test_bijection_onto_kernel",
+            CLI + "TestVerify::test_torus_small",
+            ACCEPT + "test_07_twisted_torus_fixed_points"]),
+    Mutant("psi_exponent_off_by_one", "torus.py",
+           "self.psi = FqElem(e, self.M)",
+           "self.psi = FqElem(e + 1, self.M)",
+           [TORUS + "TestTwistedOrbit::test_q3_d2",
+            TORUS + "TestTwistedOrbit::test_psi_defining_identity",
+            CLI + "TestVerify::test_torus_small",
+            ACCEPT + "test_07_twisted_torus_fixed_points"]),
+    Mutant("theta_odd_coordinate_sign", "torus.py",
+           "coords.append(t ** (-(q ** ((d0 + j) // 2))))",
+           "coords.append(t ** (q ** ((d0 + j) // 2)))",
+           [TORUS + "TestTheta::test_image_in_kernel_beyond_enumeration",
+            TORUS + "TestCentralStabilizerJump::"
+                    "test_jump_iff_order_two_on_grid",
+            ACCEPT + "test_07_twisted_torus_fixed_points"]),
+    Mutant("minus_one_of_order_four", "torus.py",
+           "return FqElem(self.log + self.M // 2, self.M)",
+           "return FqElem(self.log + self.M // 4, self.M)",
+           [TORUS + "TestFq::test_pow_and_order",
+            TORUS + "TestFq::test_field_axioms_f9",
+            TORUS + "TestTwistedOrbit::test_psi_defining_identity",
+            ACCEPT + "test_07_twisted_torus_fixed_points"]),
+    Mutant("cycling_without_inversion", "torus.py",
+           "return TorusElem(h.coords[1:] + (h.coords[0].inv(),))",
+           "return TorusElem(h.coords[1:] + (h.coords[0],))",
+           [TORUS + "TestConjCenterAction::test_q3_d2_inversion",
+            TORUS + "TestConjCenterAction::test_d0_even_form",
+            CLI + "TestVerify::test_torus_small",
+            ACCEPT + "test_07_twisted_torus_fixed_points"]),
+    Mutant("z_plus_even_d0_without_signs", "torus.py",
+           "coords.append(one if j % 2 == 0 else minus)",
+           "coords.append(one)",
+           [TORUS + "TestZPlus::test_lang_of_z_plus_is_z",
+            TORUS + "TestZPlus::test_square_trivial_when_d0_even",
+            TORUS + "TestConjCenterAction::test_d0_even_form",
+            ACCEPT + "test_07_twisted_torus_fixed_points"]),
+    Mutant("unit_equality_ignores_field", "torus.py",
+           "self.log == other.log\n                and self.M == other.M",
+           "self.log == other.log",
+           [TORUS + "TestTheta::test_order_condition_enforced"]),
+    Mutant("half_point_failure_raises", "cli.py",
+           'fail("lang_of_half_point", q, d, detail=str(exc))',
+           "raise",
+           [CLI + "TestChecksUnderOptimize::"
+                  "test_torus_suite_reports_failed_half_point_check"]),
+]
+
+
+def apply(mutant, package):
+    """Replace the mutant's fragment in the copy of the package at
+    ``package``; the fragment must occur there exactly once."""
+    path = Path(package) / mutant.file
+    text = path.read_text()
+    if text.count(mutant.fragment) != 1:
+        raise ValueError(f"{mutant.name}: fragment occurs "
+                         f"{text.count(mutant.fragment)} times")
+    path.write_text(text.replace(mutant.fragment, mutant.replacement))
+
+
+def run(mutant):
+    """The named tests that pass on the mutant (empty: it is killed)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src)
+        apply(mutant, src / "dsplitlevi")
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "--tb=no", "-rA", *mutant.tests],
+            cwd=ROOT, env=env, capture_output=True, text=True)
+    outcome = {}
+    for line in proc.stdout.splitlines():
+        word, _, rest = line.partition(" ")
+        if word in ("PASSED", "FAILED", "ERROR"):
+            outcome[rest.split(" - ")[0]] = word
+    missing = [t for t in mutant.tests if t not in outcome]
+    if missing:
+        raise RuntimeError(f"{mutant.name}: not run: {missing}\n"
+                           f"{proc.stdout}{proc.stderr}")
+    return [t for t in mutant.tests if outcome[t] == "PASSED"]
+
+
+def main(names):
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        sys.exit(f"unknown mutants: {sorted(unknown)}")
+    start = time.perf_counter()
+    survivors = []
+    for mutant in chosen:
+        passed = run(mutant)
+        print(f"{mutant.name}: " + (f"SURVIVED ({len(passed)} of "
+                                    f"{len(mutant.tests)} tests pass)"
+                                    if passed else "killed"), flush=True)
+        if passed:
+            survivors.append((mutant.name, passed))
+    print(f"{len(chosen)} mutants, {len(survivors)} survived, "
+          f"{time.perf_counter() - start:.1f} s")
+    for name, passed in survivors:
+        print(f"survivor {name}: " + ", ".join(passed))
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -215,23 +215,20 @@ def test_07_twisted_torus_fixed_points():
     for q in (3, 5):
         for d in (1, 2, 3, 4):
             orb = TwistedOrbit(q, d)
-            one = orb.field.one()
-            assert lang_map(z_plus(orb), orb) == theta(orb, -one), (q, d)
+            assert lang_map(z_plus(orb), orb) == theta(orb, -orb.one), (q, d)
             conj_center_action(orb)
             for o in range(1, orb.N + 1):
                 if orb.N % o == 0:
                     assert central_stabilizer_jump(orb, o) is (o == 2), (
                         q, d, o)
             if orb.d0 <= 2:
-                ident = TorusElem({k: one for k in orb.points})
+                ident, units = orb.identity(), orb.units()
                 kernel = set()
-                for combo in itertools.product(
-                        orb.field.nonzero_elements(), repeat=orb.d0):
-                    h = TorusElem(dict(zip(orb.points, combo)))
+                for combo in itertools.product(units, repeat=orb.d0):
+                    h = TorusElem(combo)
                     if lang_map(h, orb) == ident:
                         kernel.add(h)
-                roots = [t for t in orb.field.nonzero_elements()
-                         if t ** orb.N == one]
+                roots = [t for t in units if t ** orb.N == orb.one]
                 image = {theta(orb, t) for t in roots}
                 assert len(roots) == len(image) == orb.N, (q, d)
                 assert image == kernel, (q, d)

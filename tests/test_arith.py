@@ -1,7 +1,7 @@
 """Tests for the small exact integer routines and the sympy-free
 replacements built on them: Φ_d in the integers, trial-division
 factorisation, Miller-Rabin primality, prime powers by integer roots,
-the polynomial kernel over F_p, and Rabin's irreducibility test.
+and the polynomial kernel over F_p.
 
 The differential tests compare each routine with sympy over the ranges
 the package uses; they are skipped where sympy is not installed.
@@ -15,10 +15,9 @@ from hypothesis import given, strategies as st
 
 from dsplitlevi import levi
 from dsplitlevi.arith import (InputTooLarge, factorint, fp_divmod, fp_gcd,
-                              fp_mul, fp_powmod, isprime, prime_power)
+                              fp_mul, isprime, prime_power)
 from dsplitlevi.cyclo import _cyclotomic
 from dsplitlevi.levi import check_odd_prime_power
-from dsplitlevi.torus import _digits, _is_irreducible, _least_irreducible
 
 # Primes and prime powers below 2^64, with their (p, m).
 LARGE = [
@@ -119,14 +118,6 @@ class TestFpKernel:
         if any(x % p for x in c):
             assert fp_divmod(g, c, p)[1] == []
 
-    @given(fp_polys(), st.integers(0, 40))
-    def test_powmod_is_repeated_multiply_and_reduce(self, case, e):
-        p, a, f, _ = case
-        want = fp_divmod([1], f, p)[1]
-        for _ in range(e):
-            want = fp_divmod(fp_mul(want, a, p), f, p)[1]
-        assert fp_powmod(a, e, f, p) == want
-
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             fp_divmod([1, 2], [0, 3], 3)
@@ -152,25 +143,3 @@ class TestAgainstSympy:
             fac = sympy.factorint(q)
             assert expected == (tuple(fac.items())[0]
                                 if len(fac) == 1 else None), q
-
-    @pytest.mark.parametrize("p", [3, 5, 7])
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_irreducibility_of_every_monic(self, sympy, p, k):
-        x = sympy.Symbol("x")
-        for code in range(p ** k):
-            f = _digits(code, p, k) + (1,)
-            poly = sympy.Poly(list(reversed(f)), x, modulus=p)
-            assert _is_irreducible(f, p) == poly.is_irreducible, (p, f)
-
-    # Fields F_{q^(2 d0)} of the default `verify torus` grid (q = 3, 5;
-    # d = 1..4) and of tests/test_torus.py (also q = 9, and Fq(3, 2),
-    # Fq(3, 4), Fq(5, 2)).
-    @pytest.mark.parametrize("p, k", [(3, 2), (3, 4), (3, 6),
-                                      (5, 2), (5, 4), (5, 6)])
-    def test_least_irreducible(self, sympy, p, k):
-        x = sympy.Symbol("x")
-        for code in range(p ** k):
-            f = _digits(code, p, k) + (1,)
-            if sympy.Poly(list(reversed(f)), x, modulus=p).is_irreducible:
-                break
-        assert _least_irreducible(p, k) == f

@@ -537,8 +537,12 @@ from dsplitlevi.signedperm import SignedPerm
 if sys.argv[1] == "extweyl":
     extweyl.wprime = lambda J, n: SignedPerm.identity(n)
     args = ["verify", "extweyl", "--n", "2", "--d", "2"]
+elif sys.argv[1] == "z_plus":
+    # z_plus's own check of its Lang image now fails.
+    torus.lang_map = lambda h, orbit: h
+    args = ["verify", "torus", "--q", "3", "--d", "1"]
 else:
-    torus._conj_action = lambda h, orbit: h
+    torus._conj_action = lambda h: h
     args = ["verify", "torus", "--q", "3", "--d", "1"]
 result = CliRunner().invoke(cli.main, args)
 print(sys.flags.optimize, result.exit_code, type(result.exception).__name__)
@@ -569,6 +573,17 @@ class TestChecksUnderOptimize:
         assert report["pass"] is False
         assert report["failures"][0]["check"] == "conjugation_exponents"
 
+    def test_torus_suite_reports_failed_half_point_check(self):
+        # A failed check inside z_plus is a failure record, not a
+        # traceback, in each of the three checks that call z_plus.
+        status, output = self._run("z_plus")
+        assert status == ["1", "1", "SystemExit"]
+        report = json.loads(output)
+        assert report["pass"] is False
+        assert [f["check"] for f in report["failures"]] == [
+            "lang_of_half_point", "conjugation_exponents", "stabilizer_jump"]
+        assert all("z_plus" in f["detail"] for f in report["failures"])
+
     def test_package_has_no_assert_statements(self):
         # python -O strips assert statements, and with them the check.
         found = []
@@ -580,15 +595,21 @@ class TestChecksUnderOptimize:
         assert found == []
 
 
+def _tracing():
+    """perfbench/tracing.py, loaded without importing perfbench."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tracing = types.ModuleType("tracing")
+    exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)
+    return tracing
+
+
 class TestTracedNames:
     def test_every_traced_name_resolves(self):
         # perfbench/tracing.py wraps these names by lookup, so deleting or
         # renaming one must fail here and not only in perfbench/selftest.py.
         # A name that resolves only as an import from another module would
         # be traced, and timed, under the wrong layer.
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-        tracing = types.ModuleType("tracing")
-        exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)
+        tracing = _tracing()
         missing, misplaced = [], []
         for module, names in tracing.LAYERS.items():
             qualified = f"{tracing.PACKAGE}.{module}"
@@ -603,6 +624,33 @@ class TestTracedNames:
                 if getattr(raw, "callback", raw).__module__ != qualified:
                     misplaced.append(f"{module}.{name}")
         assert missing == [] and misplaced == []
+
+    def test_verify_torus_reaches_every_traced_torus_name(self, monkeypatch):
+        # perfbench's selftest needs a span of each traced torus name on
+        # the query_mix workload, which reaches torus only through this
+        # one command.  Names bound in cli as well are counted there too.
+        names = _tracing().LAYERS["torus"]
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            if "." in name:
+                cls, attr = name.split(".")
+                owner = getattr(torus, cls)
+                monkeypatch.setattr(owner, attr,
+                                    counted(name, owner.__dict__[attr]))
+                continue
+            fn = getattr(torus, name)
+            for module in (torus, cli):
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counted(name, fn))
+        assert invoke("verify", "torus", "--q", "3").exit_code == 0
+        assert all(calls.values()), calls
 
 
 class TestNoSympy:
@@ -751,7 +799,7 @@ class TestInputBounds:
         self._exit_2_naming(command, str(levi.LABEL_COUNT_BOUND))
 
     def test_field_order_bound(self, monkeypatch):
-        monkeypatch.setattr(torus, "_field", self.refuse)
+        monkeypatch.setattr(torus, "FqElem", self.refuse)
         self._exit_2_naming(("verify", "torus", "--q", "3", "--d", "100"),
                             str(torus.FIELD_ORDER_BOUND))
 

@@ -633,8 +633,8 @@ class TestMemos:
                           if hasattr(fn, "cache_parameters")
                           and fn.__module__ == module.__name__)
         assert {"levi.sylow_twist_w", "levi._orbit_generator",
-                "signedperm.signed_symmetric_group", "cyclo._cyclotomic",
-                "torus._least_irreducible", "torus._field"} <= set(cached)
+                "signedperm.signed_symmetric_group",
+                "cyclo._cyclotomic"} <= set(cached)
         unbounded = [name for name, fn in cached.items()
                      if fn.cache_parameters()["maxsize"] is None]
         assert unbounded == []

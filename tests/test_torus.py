@@ -1,10 +1,9 @@
-"""Tests for twisted-torus fixed-point arithmetic over finite fields.
+"""Tests for twisted-torus fixed-point arithmetic on discrete logs.
 
-The finite-field layer is pinned to deterministic choices (least
-irreducible modulus, least generator); the Lang map, the kernel
-parametrisation theta, the square root z_plus and the cycling action
-on the centre are checked against hand-computed values at q = 3 and
-by full enumeration on small grids.
+Field elements are discrete logs to an abstract generator; the Lang
+map, the kernel parametrisation theta, the square root z_plus and the
+cycling action on the centre are checked against hand-computed values
+at q = 3 and by full enumeration on small grids.
 """
 
 import itertools
@@ -13,10 +12,9 @@ import pytest
 
 from dsplitlevi import torus
 from dsplitlevi.arith import InputTooLarge
-from dsplitlevi.signedperm import VerificationError
 from dsplitlevi.torus import (
     FIELD_ORDER_BOUND,
-    Fq,
+    FqElem,
     TorusElem,
     TwistedOrbit,
     central_stabilizer_jump,
@@ -28,118 +26,78 @@ from dsplitlevi.torus import (
 
 
 class TestFq:
-    def test_f9_modulus_and_generator(self):
-        F = Fq(3, 2)
-        assert F.order == 9
-        assert F.poly == (1, 0, 1)          # x^2 + 1
-        g = F.canonical_generator()
-        assert g.to_int() == 4              # 1 + x
-        assert g.order() == 8
-
-    def test_f81_modulus(self):
-        F = Fq(3, 4)
-        assert F.poly == (2, 1, 0, 0, 1)    # x^4 + x + 2
-        g = F.canonical_generator()
-        assert g.order() == 80
-
-    def test_least_generator_is_least(self):
-        F = Fq(3, 2)
-        g = F.canonical_generator()
-        for code in range(2, g.to_int()):
-            e = F.from_int(code)
-            assert e.is_zero() or e.order() < 8
-
-    def test_field_axioms_f9(self):
-        F = Fq(3, 2)
-        els = F.elements()
-        assert len(els) == 9
-        for a, b in itertools.product(els, repeat=2):
-            assert (a + b) == (b + a)
-            assert (a * b) == (b * a)
-        one = F.one()
-        for a in els:
-            if not a.is_zero():
-                assert a * a.inv() == one
-        for a, b, c in itertools.product(els[:4], els[:4], els):
-            assert (a + b) * c == a * c + b * c
-
-    def test_int_roundtrip(self):
-        F = Fq(5, 2)
-        for code in range(25):
-            assert F.from_int(code).to_int() == code
+    """F_9^x on discrete logs: g = FqElem(1, 8) generates it."""
 
     def test_pow_and_order(self):
-        F = Fq(3, 2)
-        g = F.canonical_generator()
-        assert g ** 8 == F.one()
+        g, one = FqElem(1, 8), FqElem(0, 8)
+        assert g ** 8 == one
         assert g ** -1 == g.inv()
         assert (g ** 4).order() == 2
-        assert (g ** 4) == F.from_int(2)    # the constant -1
+        assert g ** 4 == -one               # -1 is g^(M/2)
+        assert g.order() == 8 and one.order() == 1
+
+    def test_field_axioms_f9(self):
+        # The multiplicative axioms: F_9^x is an abelian group.
+        els = [FqElem(a, 8) for a in range(8)]
+        one = FqElem(0, 8)
+        assert len(set(els)) == 8
+        for a, b in itertools.product(els, repeat=2):
+            assert a * b == b * a
+            assert a * b in els
+        for a, b, c in itertools.product(els, repeat=3):
+            assert (a * b) * c == a * (b * c)
+        for a in els:
+            assert a * one == a and a * a.inv() == one
+            assert -(-a) == a and -a == a * -one
+        with pytest.raises(ValueError, match="mixed-field"):
+            els[1] * FqElem(1, 80)
 
     def test_rejects_even_characteristic(self):
-        with pytest.raises(ValueError):
-            Fq(4, 1)
-        with pytest.raises(ValueError):
-            Fq(2, 3)
+        # The working field F_{q^(2 d0)} is never of characteristic 2.
+        for q in (2, 4, 8):
+            with pytest.raises(ValueError):
+                TwistedOrbit(q, 1)
 
-    def test_field_order_bound(self, monkeypatch):
-        # Refused before the modulus search or any table starts.
-        def no_work(p, k):
-            raise RuntimeError("field construction started")
-        monkeypatch.setattr(torus, "_least_irreducible", no_work)
+    def test_field_order_bound(self):
         assert 5 ** 6 <= FIELD_ORDER_BOUND < 101 ** 6
         for p, k in ((101, 6), (3, 10 ** 9), (10 ** 30 + 57, 1)):
             with pytest.raises(InputTooLarge, match="bound"):
-                Fq(p, k)
-        with pytest.raises(RuntimeError):
-            Fq(3, 12)
-
-    def test_failed_searches_name_p_and_k(self, monkeypatch):
-        modulus = torus._least_irreducible(3, 2)
-        monkeypatch.setattr(torus, "_is_irreducible", lambda f, p: False)
-        with pytest.raises(VerificationError, match=r"\(p = 3, k = 2\)"):
-            torus._least_irreducible.__wrapped__(3, 2)
-        # With every power reading 1, no candidate has full order.
-        monkeypatch.setattr(torus, "_least_irreducible", lambda p, k: modulus)
-        monkeypatch.setattr(torus, "fp_powmod", lambda *args: [1])
-        with pytest.raises(VerificationError, match=r"\(p = 3, k = 2\)"):
-            Fq(3, 2)
+                torus._check_field_order(p, k)
+        torus._check_field_order(3, 12)
 
 
 class TestTwistedOrbit:
     def test_q3_d2(self):
         orb = TwistedOrbit(3, 2)
         assert orb.d0 == 1 and orb.epsilon == -1 and orb.N == 4
-        assert orb.points == (1,)
-        assert orb.field.order == 9
-        g = orb.field.canonical_generator()
-        assert orb.psi == g and orb.psi.order() == 8
+        assert orb.M == 8                   # F_9^x
+        assert orb.psi == FqElem(1, 8) and orb.psi.order() == 8
 
     def test_q3_d1(self):
         orb = TwistedOrbit(3, 1)
         assert orb.d0 == 1 and orb.epsilon == 1 and orb.N == 2
-        g = orb.field.canonical_generator()
+        g = FqElem(1, orb.M)
         assert orb.psi == g * g and orb.psi.order() == 4
 
     def test_q3_d4(self):
         orb = TwistedOrbit(3, 4)
         assert orb.d0 == 2 and orb.N == 10
-        assert orb.points == (1, 2)
-        assert orb.field.order == 81
-        g = orb.field.canonical_generator()
+        assert orb.M == 80                  # F_81^x
+        assert orb.identity() == TorusElem((orb.one, orb.one))
+        g = FqElem(1, orb.M)
         assert orb.psi == g ** 8 and orb.psi.order() == 10
 
     def test_psi_defining_identity(self):
         for q, d in itertools.product((3, 5), (1, 2, 3, 4)):
             orb = TwistedOrbit(q, d)
-            sign = orb.field.one() if orb.d0 % 2 == 0 else -orb.field.one()
+            sign = orb.one if orb.d0 % 2 == 0 else -orb.one
             assert orb.psi ** orb.N == sign
 
-    def test_custom_points(self):
-        orb = TwistedOrbit(3, 4, points=(2, 5))
-        assert orb.points == (2, 5)
-        with pytest.raises(ValueError):
-            TwistedOrbit(3, 4, points=(1, 2, 3))
+    def test_units(self):
+        orb = TwistedOrbit(3, 2)
+        units = orb.units()
+        assert len(set(units)) == orb.M == 8
+        assert units[0] == orb.one and units[1].order() == 8
 
     def test_q_validation(self):
         with pytest.raises(ValueError):
@@ -149,131 +107,128 @@ class TestTwistedOrbit:
         TwistedOrbit(9, 2)
 
     def test_field_order_bound(self, monkeypatch):
-        def no_field(p, k):
-            raise RuntimeError("field construction started")
-        monkeypatch.setattr(torus, "_field", no_field)
+        def no_element(*args):
+            raise RuntimeError("field element built")
+        monkeypatch.setattr(torus, "FqElem", no_element)
         for q, d in ((101, 3), (3, 10 ** 9), (2 ** 64 + 1, 1)):
             with pytest.raises(InputTooLarge, match="bound"):
                 TwistedOrbit(q, d)
 
 
 class TestTorusElem:
-    def test_rejects_zero_coordinate(self):
-        F = Fq(3, 2)
-        with pytest.raises(ValueError):
-            TorusElem({1: F.zero()})
-
     def test_pointwise_product(self):
-        F = Fq(3, 2)
-        g = F.canonical_generator()
-        a = TorusElem({1: g})
-        assert a * a == TorusElem({1: g * g})
-        assert a * a.inv() == TorusElem({1: F.one()})
+        g, one = FqElem(1, 8), FqElem(0, 8)
+        a = TorusElem((g, g ** 3))
+        assert a * a == TorusElem((g * g, g ** 6))
+        assert a * a.inv() == TorusElem((one, one))
+        assert a ** 3 == a * a * a
+        with pytest.raises(ValueError):
+            a * TorusElem((g,))
+
+
+def lang_kernel(orb):
+    """ker(lang_map) by walking every coordinate tuple."""
+    ident = orb.identity()
+    return {h for h in map(TorusElem, itertools.product(orb.units(),
+                                                        repeat=orb.d0))
+            if lang_map(h, orb) == ident}
+
+
+def nth_roots(orb):
+    return [t for t in orb.units() if t ** orb.N == orb.one]
 
 
 class TestLangMap:
     def test_identity_killed(self):
         orb = TwistedOrbit(3, 2)
-        ident = TorusElem({1: orb.field.one()})
-        assert lang_map(ident, orb) == ident
+        assert lang_map(orb.identity(), orb) == orb.identity()
 
     def test_fixed_points_q3_d2(self):
         orb = TwistedOrbit(3, 2)
-        ident = TorusElem({1: orb.field.one()})
-        fixed = [t for t in orb.field.nonzero_elements()
-                 if lang_map(TorusElem({1: t}), orb) == ident]
+        fixed = [t for t in orb.units()
+                 if lang_map(TorusElem((t,)), orb) == orb.identity()]
         assert len(fixed) == 4
-        assert all(t ** 4 == orb.field.one() for t in fixed)
+        assert all(t ** 4 == orb.one for t in fixed)
 
     def test_psi_maps_to_z(self):
         orb = TwistedOrbit(3, 2)
-        image = lang_map(TorusElem({1: orb.psi}), orb)
-        assert image == theta(orb, -orb.field.one())
+        image = lang_map(TorusElem((orb.psi,)), orb)
+        assert image == theta(orb, -orb.one)
 
     def test_unsupported_coordinates(self):
         orb = TwistedOrbit(3, 2)
         with pytest.raises(ValueError):
-            lang_map(TorusElem({2: orb.field.one()}), orb)
+            lang_map(TorusElem((orb.one, orb.one)), orb)
 
     def test_kernel_count_small_grid(self):
         for q, d in ((3, 1), (3, 2), (3, 4), (5, 1), (5, 2)):
             orb = TwistedOrbit(q, d)
-            ident = TorusElem({k: orb.field.one() for k in orb.points})
-            count = 0
-            for combo in itertools.product(orb.field.nonzero_elements(),
-                                           repeat=orb.d0):
-                h = TorusElem(dict(zip(orb.points, combo)))
-                if lang_map(h, orb) == ident:
-                    count += 1
-            assert count == orb.N
+            assert len(lang_kernel(orb)) == orb.N
 
 
 class TestTheta:
     def test_one_maps_to_identity(self):
         orb = TwistedOrbit(3, 2)
-        assert theta(orb, orb.field.one()) == TorusElem({1: orb.field.one()})
+        assert theta(orb, orb.one) == orb.identity()
 
     def test_minus_one_is_z(self):
         for q, d in itertools.product((3, 5), (1, 2, 3, 4)):
             orb = TwistedOrbit(q, d)
-            z = theta(orb, -orb.field.one())
-            minus = -orb.field.one()
-            assert all(z.coords[k] == minus for k in orb.points)
+            z = theta(orb, -orb.one)
+            assert z.coords == (-orb.one,) * orb.d0
 
     def test_bijection_onto_kernel(self):
         for q, d in ((3, 1), (3, 2), (3, 4), (5, 2)):
             orb = TwistedOrbit(q, d)
-            ident = TorusElem({k: orb.field.one() for k in orb.points})
-            kernel = set()
-            for combo in itertools.product(orb.field.nonzero_elements(),
-                                           repeat=orb.d0):
-                h = TorusElem(dict(zip(orb.points, combo)))
-                if lang_map(h, orb) == ident:
-                    kernel.add(h)
-            roots = [t for t in orb.field.nonzero_elements()
-                     if t ** orb.N == orb.field.one()]
+            roots = nth_roots(orb)
             image = {theta(orb, t) for t in roots}
             assert len(image) == len(roots) == orb.N
-            assert image == kernel
+            assert image == lang_kernel(orb)
+
+    def test_image_in_kernel_beyond_enumeration(self):
+        # d0 >= 3, where the kernel is not enumerated: theta lands in it,
+        # injectively.
+        for q, d in ((3, 3), (5, 3), (3, 5), (3, 6)):
+            orb = TwistedOrbit(q, d)
+            assert orb.d0 >= 3
+            image = {theta(orb, t) for t in nth_roots(orb)}
+            assert len(image) == orb.N
+            assert all(lang_map(h, orb) == orb.identity() for h in image)
 
     def test_order_condition_enforced(self):
         orb = TwistedOrbit(3, 2)
-        g = orb.field.canonical_generator()
         with pytest.raises(ValueError):
-            theta(orb, g)
+            theta(orb, FqElem(1, orb.M))
         with pytest.raises(ValueError):
-            theta(orb, orb.field.zero())
+            theta(orb, FqElem(0, 80))           # a unit of another field
 
 
 class TestZPlus:
     def test_q3_d2_is_psi(self):
         orb = TwistedOrbit(3, 2)
-        assert z_plus(orb) == TorusElem({1: orb.psi})
+        assert z_plus(orb) == TorusElem((orb.psi,))
 
     def test_lang_of_z_plus_is_z(self):
         for q, d in itertools.product((3, 5), (1, 2, 3, 4)):
             orb = TwistedOrbit(q, d)
-            assert lang_map(z_plus(orb), orb) == theta(orb, -orb.field.one())
+            assert lang_map(z_plus(orb), orb) == theta(orb, -orb.one)
 
     def test_square_trivial_when_d0_even(self):
         for q in (3, 5):
             orb = TwistedOrbit(q, 4)
             zp = z_plus(orb)
-            ident = TorusElem({k: orb.field.one() for k in orb.points})
-            assert zp * zp == ident
+            assert zp * zp == orb.identity()
 
     def test_square_generates_kernel_when_d0_odd(self):
         orb = TwistedOrbit(3, 2)
         zp = z_plus(orb)
         sq = zp * zp
         powers = set()
-        cur = TorusElem({1: orb.field.one()})
+        cur = orb.identity()
         for _ in range(orb.N):
             powers.add(cur)
             cur = cur * sq
-        roots = [t for t in orb.field.nonzero_elements()
-                 if t ** orb.N == orb.field.one()]
-        assert powers == {theta(orb, t) for t in roots}
+        assert powers == {theta(orb, t) for t in nth_roots(orb)}
 
 
 class TestConjCenterAction:
