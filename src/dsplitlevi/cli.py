@@ -11,7 +11,15 @@ Subcommands
 JSON (sorted keys, fixed separators) is the canonical machine format;
 ``--format tsv`` and ``--format text`` are derived renderings of the
 same report, so all three are byte-identical across repeated runs with
-the same flags.  Exit status: 0 when every requested check passes, 1
+the same flags.  A report is its head fields plus one table of records
+under a key; one writer per format writes it to stdout as it goes,
+encoding CHUNK_RECORDS records per write.  ``levis`` hands its writer
+an iterator: each label is built and recorded only when its chunk is
+written, so its memory does not grow with the Bell(a+1) labels.  The
+other commands pass lists (``relweyl``'s ``pass`` precedes its labels
+in TSV, and ``verify`` failures take the union of their keys as TSV
+columns).  A refused input is refused before the first byte.  Exit
+status: 0 when every requested check passes, 1
 when a verification fails (failure records stay in the report), 2 on
 invalid flags, when a group grows past its brute-force cap (``--cap``;
 by default 20000 elements for closures and 10000 for character tables;
@@ -40,8 +48,9 @@ from .cyclo import check_eq1
 from .extweyl import (IntMatrix, build_twist_elements, chevalley_generator,
                       matrix_closure, rho)
 from .levi import (VERIFY_RANK_LIMIT, check_odd_prime_power, compute_d0,
-                   concrete_parabolic_roots, enumerate_labels, label_record,
-                   relative_weyl, sylow_twist_w, verify_relative_weyl)
+                   concrete_parabolic_roots, enumerate_labels, label_count,
+                   label_record, relative_weyl, sylow_twist_w,
+                   verify_relative_weyl)
 from .rootsys import build_root_system, is_stable_under
 from .signedperm import (DEFAULT_CLOSURE_CAP, ClosureExceedsCap, SignedPerm,
                          block_wreath_generators,
@@ -58,6 +67,9 @@ from .torus import (TorusElem, TwistedOrbit, central_stabilizer_jump,
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
+# Records encoded and written to stdout at a time.
+CHUNK_RECORDS = 128
+
 
 def canonical_json(obj):
     """The canonical machine encoding: sorted keys, no whitespace."""
@@ -72,55 +84,95 @@ def _cell(value):
     return canonical_json(value)
 
 
-def _record_list_key(report):
-    for key in sorted(report):
-        value = report[key]
-        if (isinstance(value, list) and value
-                and all(isinstance(r, dict) for r in value)):
-            return key
-    return None
+def _out(text):
+    click.echo(text, nl=False)
 
 
-def render_tsv(report):
-    """Tab-separated rendering: '#'-prefixed scalars, then one record
-    table (the first list-of-objects field in key order)."""
-    records_key = _record_list_key(report)
-    lines = []
-    for key in sorted(report):
-        if key == records_key:
-            continue
-        lines.append(f"# {key}\t{_cell(report[key])}")
-    if records_key is not None:
-        records = report[records_key]
-        cols = sorted({c for rec in records for c in rec})
-        lines.append("\t".join(cols))
-        for rec in records:
-            lines.append("\t".join(
-                _cell(rec[c]) if c in rec else "" for c in cols))
-    return "\n".join(lines)
+def _chunks(records):
+    """The records in lists of CHUNK_RECORDS (the last one shorter)."""
+    records = iter(records)
+    while chunk := list(itertools.islice(records, CHUNK_RECORDS)):
+        yield chunk
 
 
-def render_text(report):
-    """Line-per-field rendering derived from the canonical JSON."""
-    lines = []
-    for key in sorted(report):
-        value = report[key]
-        if (isinstance(value, list) and value
-                and all(isinstance(r, dict) for r in value)):
-            lines.append(f"{key}:")
-            lines.extend("  " + canonical_json(r) for r in value)
-        else:
-            lines.append(f"{key}: {_cell(value)}")
-    return "\n".join(lines)
+def _split(head, key):
+    """The head fields by name, split where the record key sorts."""
+    fields = sorted(head.items())
+    at = len(fields) if key is None else sum(k < key for k, _ in fields)
+    return fields[:at], fields[at:]
 
 
-def _emit(report, fmt):
-    if fmt == "json":
-        click.echo(canonical_json(report))
-    elif fmt == "tsv":
-        click.echo(render_tsv(report))
+def render_json(head, key, records):
+    """Canonical JSON of the report.  The head fields on either side of
+    the key are encoded with an empty table in its place, and the
+    records go between its brackets, one chunk per write."""
+    if key is None:
+        lead, tail = canonical_json(head), ""
     else:
-        click.echo(render_text(report))
+        before, after = _split(head, key)
+        lead = canonical_json({**dict(before), key: []})[:-2]
+        tail = canonical_json({key: [], **dict(after)})[
+            len(canonical_json(key)) + 3:]
+    sep = ""
+    for chunk in _chunks(records):
+        _out(lead + sep + canonical_json(chunk)[1:-1])
+        lead, sep = "", ","
+    _out(lead + tail + "\n")
+
+
+def render_tsv(head, key, records):
+    """Tab-separated rendering: '#'-prefixed head fields, then the
+    records as one table.  Its columns are the sorted union of the
+    records' keys for a list, and the keys of the first record, which
+    every record has, for an iterator."""
+    lines = [f"# {k}\t{_cell(v)}" for k, v in sorted(head.items())]
+    if key is not None:
+        if isinstance(records, list):
+            cols = sorted({c for rec in records for c in rec})
+        else:
+            records = iter(records)
+            first = next(records)
+            records = itertools.chain((first,), records)
+            cols = sorted(first)
+        lines.append("\t".join(cols))
+    lead = "\n".join(lines)
+    for chunk in _chunks(records):
+        _out(lead + "".join(["\n" + "\t".join([
+            _cell(rec[c]) if c in rec else "" for c in cols])
+            for rec in chunk]))
+        lead = ""
+    _out(lead + "\n")
+
+
+def render_text(head, key, records):
+    """Line-per-field rendering; each record on its own indented line,
+    as canonical JSON."""
+    before, after = _split(head, key)
+    lines = [f"{k}: {_cell(v)}" for k, v in before]
+    if key is not None:
+        lines.append(f"{key}:")
+    lead = "\n".join(lines)
+    for chunk in _chunks(records):
+        _out(lead + "".join(["\n  " + canonical_json(rec) for rec in chunk]))
+        lead = ""
+    _out(lead + "".join(f"\n{k}: {_cell(v)}" for k, v in after) + "\n")
+
+
+def _emit(fmt, head, key=None, records=()):
+    """Write the report: the fields of ``head`` and, under ``key``, the
+    records (dicts), in sorted key order.  ``records`` is a list, or an
+    iterator that yields at least one record; each writer holds one
+    chunk of records at a time and writes the head with the first.  An
+    empty list is an empty-list field of the head, as in the whole
+    report."""
+    if key is not None and not records:
+        head, key = {**head, key: []}, None
+    if fmt == "json":
+        render_json(head, key, records)
+    elif fmt == "tsv":
+        render_tsv(head, key, records)
+    else:
+        render_text(head, key, records)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +463,9 @@ def _suite_torus(grids, cap):
             checked += 1
             divisors = [o for o in range(1, orb.N + 1) if orb.N % o == 0]
             try:
-                bad = [o for o in divisors
-                       if central_stabilizer_jump(orb, o) is not (o == 2)]
+                jumps = central_stabilizer_jump(orb, divisors)
+                bad = [o for o, jump in zip(divisors, jumps)
+                       if jump is not (o == 2)]
             except AssertionError as exc:
                 fail("stabilizer_jump", q, d, detail=str(exc))
             else:
@@ -536,10 +589,10 @@ def main():
 @_format_option
 def levis(n, d, q, fmt):
     """Enumerate the d-split Levi labels of rank n."""
-    records = [label_record(lab, q) for lab in enumerate_labels(n, d)]
-    report = {"command": "levis", "n": n, "d": d, "q": q,
-              "count": len(records), "labels": records}
-    _emit(report, fmt)
+    labels = enumerate_labels(n, d)
+    head = {"command": "levis", "n": n, "d": d, "q": q,
+            "count": label_count(n, d)}
+    _emit(fmt, head, "labels", (label_record(lab, q) for lab in labels))
 
 
 @main.command()
@@ -573,9 +626,9 @@ def relweyl(n, d, do_check, fmt):
         else:
             rec["verified"] = None
         records.append(rec)
-    report = {"command": "relweyl", "n": n, "d": d, "count": len(records),
-              "pass": ok, "labels": records}
-    _emit(report, fmt)
+    head = {"command": "relweyl", "n": n, "d": d, "count": len(records),
+            "pass": ok}
+    _emit(fmt, head, "labels", records)
     if not ok:
         sys.exit(1)
 
@@ -603,11 +656,10 @@ def verify(suite, ns, ds, qs, cap, fmt):
         raise _Refused(f"suite {suite!r} needs --n >= 2 (type C_n), "
                        f"got n = {grids['n'][0]}")
     checked, failures = runner(grids, cap or DEFAULT_CLOSURE_CAP)
-    report = {"command": "verify", "suite": suite,
-              "grid": {name: list(grids[name]) for name in takes},
-              "checked": checked, "failures": failures,
-              "pass": not failures}
-    _emit(report, fmt)
+    head = {"command": "verify", "suite": suite,
+            "grid": {name: list(grids[name]) for name in takes},
+            "checked": checked, "pass": not failures}
+    _emit(fmt, head, "failures", failures)
     if failures:
         sys.exit(1)
 
@@ -643,14 +695,15 @@ def kinva(n, d, sample_size, seed, wmax, full, cap, fmt):
     reports = [kinva_check(c, cap=cap or DEFAULT_GROUP_CAP)
                for c in candidates]
     failures = [r["label"] for r in reports if not r["pass"]]
-    report = {"command": "kinva", "n": n, "d": d, "wmax": wmax,
-              "random": sample_size,
-              "seed": seed if sample_size is not None else None,
-              "candidates": examined, "checked": len(reports),
-              "failures": failures, "pass": not failures}
+    head = {"command": "kinva", "n": n, "d": d, "wmax": wmax,
+            "random": sample_size,
+            "seed": seed if sample_size is not None else None,
+            "candidates": examined, "checked": len(reports),
+            "failures": failures, "pass": not failures}
     if full:
-        report["reports"] = reports
-    _emit(report, fmt)
+        _emit(fmt, head, "reports", reports)
+    else:
+        _emit(fmt, head)
     if failures:
         sys.exit(1)
 
@@ -665,13 +718,13 @@ def chartab(name, cap, fmt):
     G = PRESETS[name]()
     table = character_table(G, cap=cap or DEFAULT_GROUP_CAP)
     data = G.conjugacy_classes()
-    report = {"command": "chartab", "group": name, "order": G.order,
-              "exponent": table.exponent,
-              "classes": [{"rep": rep.to_cycles(), "size": size}
-                          for rep, size in zip(data.reps, data.sizes)],
-              "degrees": list(table.degrees),
-              "rows": [[repr(v) for v in row] for row in table.values]}
-    _emit(report, fmt)
+    head = {"command": "chartab", "group": name, "order": G.order,
+            "exponent": table.exponent,
+            "degrees": list(table.degrees),
+            "rows": [[repr(v) for v in row] for row in table.values]}
+    _emit(fmt, head, "classes",
+          [{"rep": rep.to_cycles(), "size": size}
+           for rep, size in zip(data.reps, data.sizes)])
 
 
 if __name__ == "__main__":

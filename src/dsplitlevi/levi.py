@@ -18,12 +18,17 @@ of blocks spans the grid sets J_i, i ∈ S, of one group S of a set
 partition of the rest of {1..a}.  Its blocks are transversals of those grid
 sets, and the constant-sign condition leaves only the aligned ones,
 {J_i(j) : i ∈ S} for j = 1..d0.  The labels at (n, d) are therefore
-counted by the Bell number Bell(a+1).  :func:`enumerate_labels` builds
-them from (T, partition) with no search, and refuses a count past
-``LABEL_COUNT_BOUND`` before building any.  It constructs each label
-through a trusted path of :class:`LeviLabel` that skips the per-label
-checks; the orbit checks run once per group instead.  A label built
-by calling ``LeviLabel(...)`` is checked in full.
+counted by the Bell number Bell(a+1) (:func:`label_count`).
+:func:`enumerate_labels` builds them from (T, partition) with no
+search, and refuses a count past ``LABEL_COUNT_BOUND`` before building
+any.  It hands the labels out one at a time in sorted order, each
+built only when it is reached: by T in the order of I₋₁, and within
+one T from sorted light keys, so a report that writes them as it goes
+holds one label and at most Bell(a) keys, not Bell(a+1) labels.  It
+constructs each label through a trusted path of :class:`LeviLabel`
+that skips the per-label checks; the orbit checks run once per group,
+before the first label is handed out.  A label built by calling
+``LeviLabel(...)`` is checked in full.
 
 Each orbit of size-s blocks spans s grid sets; the corresponding Q-sets
 (ordered grid-set families) generate one C_{2d0} wr S_{t_s} factor of
@@ -266,35 +271,41 @@ def _bell(m):
     return row[0]
 
 
-def enumerate_labels(n, d):
-    """All valid labels at (n, d), in sorted order.
-
-    Built from the parametrisation of the module docstring, one label
-    per set partition of {1..a+1}: the block of 1 gives T (grid index
-    i is point i + 1), every other block a group.  Each group's orbit
-    is walked along bar(w) and checked once per call, then shared by
-    every label that contains it.  Raises InputTooLarge before building
-    any label when the count Bell(a+1) is past LABEL_COUNT_BOUND.
-    """
+def label_count(n, d):
+    """The number Bell(a+1) of labels at (n, d); InputTooLarge when it
+    is past LABEL_COUNT_BOUND."""
     _check_rank(n, d)
-    shape = d0, l, a, w = _shape(n, d)
-    count = _bell(a + 1)
+    count = _bell(n // compute_d0(d) + 1)
     if count > LABEL_COUNT_BOUND:
         raise InputTooLarge(
             f"n={n}, d={d} has {count} Levi labels, past the bound "
             f"{LABEL_COUNT_BOUND} on the label count")
+    return count
+
+
+def enumerate_labels(n, d):
+    """An iterator over all valid labels at (n, d), in sorted order.
+
+    Built from the parametrisation of the module docstring: a subset T
+    of the grid indices {1..a} and a set partition of the rest into
+    groups.  The orbit of every group is walked along bar(w) and
+    checked once, before this returns, then shared by every label that
+    contains it.  Distinct T give distinct I₋₁, so the labels come T by
+    T in the order of I₋₁, and within one T in the order of I, sorted
+    from light keys; each label is built only when the iterator
+    reaches it.  A caller that writes one label at a time holds at
+    most the Bell(a) keys of one T, never the labels.  Raises
+    InputTooLarge before any work when the count Bell(a+1) is past
+    LABEL_COUNT_BOUND (see :func:`label_count`).
+    """
+    label_count(n, d)
+    shape = d0, l, a, w = _shape(n, d)
     img, bar = w.img, w.bar().img
     tail = tuple(range(l + 1, n + 1))
+    points = range(1, a + 1)
 
-    @lru_cache(maxsize=None)
-    def minus1(first):
-        return tuple(sorted(itertools.chain(
-            tail, *(grid_set(d0, a, i - 1) for i in first[1:]))))
-
-    @lru_cache(maxsize=None)
-    def orbit(group):
+    def orbit(S):
         # The blocks {J_i(j) : i ∈ S}, j = 1..d0, walked from J_i(1) = i.
-        S = tuple(i - 1 for i in group)
         blocks = [S]
         cur = tuple(sorted(bar[i - 1] for i in S))
         while cur != S:
@@ -310,17 +321,31 @@ def enumerate_labels(n, d):
                 f"(n={n}, d={d})")
         return _grid_orbit(blocks, d0, a, n, d)
 
-    labels = []
-    for first, *groups in set_partitions(a + 1):
-        orbits = {}
-        for g in groups:
-            orbits.setdefault(len(g), []).append(orbit(g))
-        I = tuple(sorted(itertools.chain.from_iterable(
-            o.blocks for v in orbits.values() for o in v)))
-        labels.append(LeviLabel(n, d, minus1(first), I,
-                                _built=(shape, orbits)))
-    labels.sort(key=lambda lab: (lab.I_minus1, lab.I))
-    return labels
+    def minus1(T):
+        return tuple(sorted(itertools.chain(
+            tail, *(grid_set(d0, a, i) for i in T))))
+
+    subsets = [T for k in range(a + 1)
+               for T in itertools.combinations(points, k)]
+    orbits = {S: orbit(S) for S in subsets[1:]}
+
+    def labels():
+        for I_minus1, T in sorted((minus1(T), T) for T in subsets):
+            # rest[j] is the j-th grid index outside T.
+            rest = (0, *(i for i in points if i not in T))
+            keys = []
+            for blocks in set_partitions(len(rest) - 1):
+                groups = [tuple(map(rest.__getitem__, b)) for b in blocks]
+                keys.append((tuple(sorted(itertools.chain.from_iterable(
+                    orbits[g].blocks for g in groups))), groups))
+            keys.sort()
+            for I, groups in keys:
+                by_size = {}
+                for g in groups:
+                    by_size.setdefault(len(g), []).append(orbits[g])
+                yield LeviLabel(n, d, I_minus1, I, _built=(shape, by_size))
+
+    return labels()
 
 
 def concrete_parabolic_roots(n, I_minus1, blocks):

@@ -33,9 +33,9 @@ from .signedperm import VerificationError
 
 # Nothing is tabulated, but TwistedOrbit.units lists all q^(2 d0) - 1
 # units, which `verify torus` walks, and central_stabilizer_jump
-# searches up to q^d0 + 1 exponents per divisor it is asked about, so
-# field orders are capped.  The largest field the default grids and the
-# tests use is F_{5^6} (q = 5, d = 3; 15625 elements).
+# searches up to q^d0 + 1 exponents twice per call, so field orders are
+# capped.  The largest field the default grids and the tests use is
+# F_{5^6} (q = 5, d = 3; 15625 elements).
 FIELD_ORDER_BOUND = 2 ** 20
 
 
@@ -252,12 +252,15 @@ def conj_center_action(orbit):
             "commutator_exponent": (m - 1) % (2 * N)}
 
 
-def central_stabilizer_jump(orbit, eta_order):
-    """Whether a character of order eta_order on the cyclic centre is
-    fixed by the cycling action yet pairs nontrivially with the
-    commutator [x^-1, z_plus] (the stabilizer-jump criterion)."""
-    if eta_order < 1 or orbit.N % eta_order:
-        raise ValueError(f"order {eta_order} does not divide {orbit.N}")
+def central_stabilizer_jump(orbit, eta_orders):
+    """For each order in the sequence eta_orders, whether a character
+    of that order on the cyclic centre is fixed by the cycling action
+    yet pairs nontrivially with the commutator [x^-1, z_plus] (the
+    stabilizer-jump criterion).  The two discrete logs it reads depend
+    on the orbit alone, so they are found once per call."""
+    for o in eta_orders:
+        if o < 1 or orbit.N % o:
+            raise ValueError(f"order {o} does not divide {orbit.N}")
     t0 = orbit.psi if orbit.d0 % 2 == 0 else orbit.psi ** 2
     z_gen = theta(orbit, t0)
     act_gen = _conj_action(z_gen)
@@ -274,4 +277,4 @@ def central_stabilizer_jump(orbit, eta_order):
 
     M = log_in_kernel(act_gen, "the cycled centre generator")
     c = log_in_kernel(comm, "the commutator with z_plus")
-    return (M - 1) % eta_order == 0 and c % eta_order != 0
+    return tuple((M - 1) % o == 0 and c % o != 0 for o in eta_orders)

@@ -35,6 +35,7 @@ Mutant = namedtuple("Mutant", "name file fragment replacement tests")
 
 CLIFF = "tests/test_cliff.py::"
 TORUS = "tests/test_torus.py::"
+LEVI = "tests/test_levi.py::"
 CLI = "tests/test_cli.py::"
 ACCEPT = "tests/test_acceptance.py::"
 
@@ -48,7 +49,8 @@ MUTANTS = [
             CLIFF + "TestSearchChecks::test_corrupted_w_entry_raises",
             CLIFF + "TestSignCharacterCheck::"
                     "test_every_rank3_assignment_is_accepted",
-            CLI + "TestKinva::test_reports_match_golden_digests[1]"]),
+            CLI + "TestKinva::test_reports_match_golden_digests[1]",
+            ACCEPT + "test_09_invariance_criterion_exhaustive"]),
     Mutant("kinva_key_flag_without_jump", "cliff.py",
            "ltilde_full and _is_jump(c, central, two_d0)",
            "ltilde_full",
@@ -113,6 +115,40 @@ MUTANTS = [
            "self.log == other.log\n                and self.M == other.M",
            "self.log == other.log",
            [TORUS + "TestTheta::test_order_condition_enforced"]),
+    # Streamed reports: the label order and laziness of
+    # enumerate_labels, and the chunked writers.
+    Mutant("label_sort_key_reordered", "levi.py",
+           "sorted((minus1(T), T) for T in subsets)",
+           "sorted(((minus1(T), T) for T in subsets), key=lambda e: e[1])",
+           [LEVI + "TestEnumerate::test_deterministic_order",
+            LEVI + "TestConstructionAgainstOracle::"
+                   "test_same_labels_same_order[4]",
+            CLI + "TestLevis::test_reports_match_golden_digests[5]"]),
+    Mutant("label_sort_within_subset_dropped", "levi.py",
+           "keys.sort()",
+           "pass",
+           [LEVI + "TestEnumerate::test_deterministic_order",
+            LEVI + "TestConstructionAgainstOracle::"
+                   "test_same_labels_same_order[4]",
+            CLI + "TestLevis::test_reports_match_golden_digests[5]"]),
+    Mutant("labels_built_up_front", "levi.py",
+           "return labels()",
+           "return iter(list(labels()))",
+           [LEVI + "TestEnumerate::test_labels_are_built_when_reached",
+            CLI + "TestLevis::test_report_streams_in_bounded_memory[json]"]),
+    Mutant("chunk_separator_dropped", "cli.py",
+           'lead, sep = "", ","',
+           'lead, sep = "", ""',
+           [CLI + "TestStreamingWriters::"
+                  "test_writers_match_the_whole_report",
+            CLI + "TestLevis::test_reports_match_golden_digests[5]"]),
+    Mutant("json_head_after_labels", "cli.py",
+           "else sum(k < key for k, _ in fields)",
+           "else 0",
+           [CLI + "TestStreamingWriters::"
+                  "test_writers_match_the_whole_report",
+            CLI + "TestDeterminism::test_json_is_canonical",
+            CLI + "TestLevis::test_reports_match_golden_digests[5]"]),
     Mutant("half_point_failure_raises", "cli.py",
            'fail("lang_of_half_point", q, d, detail=str(exc))',
            "raise",

@@ -6,6 +6,7 @@ budgets are asserted where the contract pins one.  Run with ``-v`` to
 get one pass/fail line per criterion.
 """
 
+import hashlib
 import itertools
 import json
 import time
@@ -217,10 +218,11 @@ def test_07_twisted_torus_fixed_points():
             orb = TwistedOrbit(q, d)
             assert lang_map(z_plus(orb), orb) == theta(orb, -orb.one), (q, d)
             conj_center_action(orb)
-            for o in range(1, orb.N + 1):
-                if orb.N % o == 0:
-                    assert central_stabilizer_jump(orb, o) is (o == 2), (
-                        q, d, o)
+            divisors = [o for o in range(1, orb.N + 1) if orb.N % o == 0]
+            jumps = central_stabilizer_jump(orb, divisors)
+            assert len(jumps) == len(divisors), (q, d)
+            for o, jump in zip(divisors, jumps):
+                assert jump is (o == 2), (q, d, o)
             if orb.d0 <= 2:
                 ident, units = orb.identity(), orb.units()
                 kernel = set()
@@ -305,13 +307,20 @@ def test_08_character_tables_and_wreath_extendibility():
                 assert witness is not None
 
 
+# sha256 over the canonical JSON of test_09's 8368 reports, one line
+# each in enumeration order, taken before the reports were checked here.
+INVARIANCE_REPORTS_SHA256 = (
+    "d93c5c724689b2289cbb54b8eef4830c558bfc7da2db496c1ab4b40788e654a4")
+
+
 def test_09_invariance_criterion_exhaustive():
     """Every character label passing the cuspidality gate with inertia
     order at most 10000, over all enumerated labels at rank <= 4 and
-    twist order <= 8, passes the brute-force invariance check; under
-    300 s."""
+    twist order <= 8, passes the brute-force invariance check, and the
+    reports (orders included) are unchanged; under 300 s."""
     start = time.monotonic()
     checked = 0
+    reports = hashlib.sha256()
     for n in (1, 2, 3, 4):
         for d in range(1, 9):
             for lev in enumerate_labels(n, d):
@@ -322,8 +331,12 @@ def test_09_invariance_criterion_exhaustive():
                         continue
                     report = kinva_check(clabel)
                     assert report["pass"], report["label"]
+                    reports.update(json.dumps(
+                        report, sort_keys=True,
+                        separators=(",", ":")).encode() + b"\n")
                     checked += 1
     assert checked == 8368
+    assert reports.hexdigest() == INVARIANCE_REPORTS_SHA256
     assert time.monotonic() - start < 300
 
 

@@ -15,7 +15,9 @@ from pathlib import Path
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
@@ -220,6 +222,21 @@ class TestLevis:
                 assert result.exit_code == 0, (n, d, fmt)
                 digest = hashlib.sha256(result.stdout_bytes).hexdigest()
                 assert digest == self.GOLDEN[n, d, fmt], (n, d, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv", "text"])
+    def test_report_streams_in_bounded_memory(self, fmt):
+        # 4,140 labels.  Holding every label, every record and the whole
+        # rendered string peaked at 8.0-8.8 MiB; streaming holds one
+        # chunk of records and the sorted label keys.
+        tracemalloc.start()
+        try:
+            result = invoke("levis", "--n", "7", "--d", "1", "--q", "5",
+                            "--format", fmt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0
+        assert peak < 4 * 2 ** 20, peak
 
 
 class TestRelweyl:
@@ -993,3 +1010,84 @@ class TestCellRendering:
     def test_cell_is_canonical_json(self, value):
         assert cli._cell(value) == cli.canonical_json(value) == json.dumps(
             value, sort_keys=True, separators=(",", ":"))
+
+
+def _is_table(value):
+    return (isinstance(value, list) and bool(value)
+            and all(isinstance(r, dict) for r in value))
+
+
+def _whole_tsv(report):
+    """TSV of a whole report: '#'-prefixed fields, then its one table
+    (the first non-empty list of dicts by key) under the union of the
+    records' keys."""
+    key = next((k for k in sorted(report) if _is_table(report[k])), None)
+    lines = [f"# {k}\t{cli._cell(v)}" for k, v in sorted(report.items())
+             if k != key]
+    if key is not None:
+        cols = sorted({c for rec in report[key] for c in rec})
+        lines.append("\t".join(cols))
+        lines += ["\t".join(cli._cell(rec[c]) if c in rec else ""
+                             for c in cols) for rec in report[key]]
+    return "\n".join(lines)
+
+
+def _whole_text(report):
+    """Text of a whole report: a line per field, a table's records each
+    on its own indented line."""
+    lines = []
+    for k, v in sorted(report.items()):
+        if _is_table(v):
+            lines += [f"{k}:"] + ["  " + json.dumps(
+                r, sort_keys=True, separators=(",", ":")) for r in v]
+        else:
+            lines.append(f"{k}: {cli._cell(v)}")
+    return "\n".join(lines)
+
+
+class TestStreamingWriters:
+    """Each writer, given a report's head fields, its record key and its
+    records as a list or an iterator, writes the bytes of the whole
+    report's rendering, whatever the chunk size."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_writers_match_the_whole_report(self, data):
+        names = st.text(max_size=3)
+        head = data.draw(st.dictionaries(
+            names, _RECORD_VALUES.filter(lambda v: not _is_table(v)),
+            max_size=4))
+        key = data.draw(names.filter(lambda k: k not in head))
+        stream = data.draw(st.booleans())
+        if stream:
+            # An iterator yields at least one record, and its records
+            # all have the keys of the first.
+            cols = data.draw(st.lists(names, unique=True, max_size=3))
+            records = data.draw(st.lists(st.fixed_dictionaries(
+                {c: _RECORD_VALUES for c in cols}), min_size=1, max_size=6))
+        else:
+            records = data.draw(st.lists(st.dictionaries(
+                names, _RECORD_VALUES, max_size=3), max_size=6))
+        report = {**head, key: records}
+        expected = {
+            "json": json.dumps(report, sort_keys=True, separators=(",", ":")),
+            "tsv": _whole_tsv(report), "text": _whole_text(report)}
+        for fmt, text in expected.items():
+            out = []
+            chunk = data.draw(st.integers(min_value=1, max_value=3))
+            with mock.patch.object(cli, "_out", out.append), \
+                    mock.patch.object(cli, "CHUNK_RECORDS", chunk):
+                cli._emit(fmt, head, key,
+                          iter(records) if stream else records)
+            assert "".join(out) == text + "\n", fmt
+
+    def test_head_alone(self):
+        head = {"b": [1], "a": None, "c": []}
+        expected = {
+            "json": json.dumps(head, sort_keys=True, separators=(",", ":")),
+            "tsv": _whole_tsv(head), "text": _whole_text(head)}
+        for fmt, text in expected.items():
+            out = []
+            with mock.patch.object(cli, "_out", out.append):
+                cli._emit(fmt, head)
+            assert "".join(out) == text + "\n", fmt

@@ -123,7 +123,22 @@ class TestEnumerate:
         assert a == sorted(a)
 
     def test_label_count_at_rank_two(self):
-        assert len(enumerate_labels(2, 1)) == 5
+        assert len(list(enumerate_labels(2, 1))) == 5
+
+    def test_labels_are_built_when_reached(self, monkeypatch):
+        built, init = [], LeviLabel.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LeviLabel, "__init__", counted)
+        labels = enumerate_labels(5, 1)
+        assert built == []
+        first = next(labels)
+        assert len(built) == 1 and first.I_minus1 == ()
+        assert 1 + sum(1 for _ in labels) == levi.label_count(5, 1) == 203
+        assert len(built) == 203
 
     INVALID = [
         (2, 4, (1,), ((2,),)),          # I_minus1 not bar-stable
@@ -225,7 +240,7 @@ class TestConstructionAgainstOracle:
     def test_count_is_bell(self, n):
         for d in range(1, 9):
             a = n // compute_d0(d)
-            assert len(enumerate_labels(n, d)) == len(
+            assert len(list(enumerate_labels(n, d))) == len(
                 set_partitions(a + 1)), (n, d)
 
     @pytest.mark.parametrize("n", range(1, 8))
@@ -247,7 +262,7 @@ class TestConstructionAgainstOracle:
             raise Admitted
         monkeypatch.setattr(levi, "set_partitions", admitted)
         with pytest.raises(Admitted):
-            enumerate_labels(n, d)
+            next(enumerate_labels(n, d))
 
 
 class TestOrderByConstruction:
@@ -578,7 +593,7 @@ class TestMemos:
     caller receives must not alias what another caller receives."""
 
     def test_records_share_no_mutable_object(self):
-        labels = enumerate_labels(4, 1)
+        labels = list(enumerate_labels(4, 1))
         records = [label_record(lab, 3) for lab in labels]
         ids = [id(c) for rec in records for c in _containers(rec)]
         assert len(ids) == len(set(ids))
@@ -616,7 +631,7 @@ class TestMemos:
         levi._structure_order.cache_clear()
         for n in range(1, 8):
             for d in (1, 2, 3, 4, 6):
-                labels = enumerate_labels(n, d)
+                labels = list(enumerate_labels(n, d))
                 for q in (3, 5, 9):
                     for label in labels:
                         label_record(label, q)

@@ -266,18 +266,44 @@ class TestConjCenterAction:
 class TestCentralStabilizerJump:
     def test_q3_d2_examples(self):
         orb = TwistedOrbit(3, 2)
-        assert central_stabilizer_jump(orb, 2) is True
-        assert central_stabilizer_jump(orb, 1) is False
-        assert central_stabilizer_jump(orb, 4) is False
+        jumps = central_stabilizer_jump(orb, [2, 1, 4])
+        assert len(jumps) == 3
+        assert jumps[0] is True
+        assert jumps[1] is False
+        assert jumps[2] is False
+        assert central_stabilizer_jump(orb, []) == ()
 
     def test_invalid_order(self):
         orb = TwistedOrbit(3, 2)
         with pytest.raises(ValueError):
-            central_stabilizer_jump(orb, 3)
+            central_stabilizer_jump(orb, [3])
+        with pytest.raises(ValueError):
+            central_stabilizer_jump(orb, [2, 3])
 
     def test_jump_iff_order_two_on_grid(self):
         for q, d in itertools.product((3, 5), (1, 2, 3, 4)):
             orb = TwistedOrbit(q, d)
             divisors = [o for o in range(1, orb.N + 1) if orb.N % o == 0]
-            for o in divisors:
-                assert central_stabilizer_jump(orb, o) is (o == 2), (q, d, o)
+            jumps = central_stabilizer_jump(orb, divisors)
+            assert len(jumps) == len(divisors), (q, d)
+            for o, jump in zip(divisors, jumps):
+                assert jump is (o == 2), (q, d, o)
+
+    def test_logs_are_found_once_per_call(self, monkeypatch):
+        # theta is evaluated for t0 and then once per exponent tried by
+        # each of the two discrete-log searches, however many orders
+        # are asked about.
+        orb = TwistedOrbit(9, 3)
+        divisors = [o for o in range(1, orb.N + 1) if orb.N % o == 0]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return theta(*args)
+
+        monkeypatch.setattr(torus, "theta", counted)
+        central_stabilizer_jump(orb, [1])
+        one = len(calls)
+        calls.clear()
+        central_stabilizer_jump(orb, divisors)
+        assert len(divisors) == 16 and len(calls) == one
