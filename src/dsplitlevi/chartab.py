@@ -95,8 +95,10 @@ class FiniteGroup:
 
     @classmethod
     def generate(cls, gens, cap=DEFAULT_GROUP_CAP):
-        """The subgroup generated by ``gens``, enumerated by breadth-first
-        search starting at the identity (a deterministic order)."""
+        """The subgroup generated by the signed permutations ``gens``,
+        enumerated by breadth-first search starting at the identity (a
+        deterministic order).  A matrix group is
+        ``FiniteGroup(matrix_closure(gens), generators=gens)``."""
         gens = list(gens)
         if not gens:
             raise ValueError("need at least one generator")

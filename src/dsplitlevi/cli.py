@@ -26,15 +26,19 @@ by default 20000 elements for closures and 10000 for character tables;
 ``verify centralizers`` and ``verify normalizers`` check the signed
 group of the largest ``--n``, of order 2^n n!, before any work), or
 when an input is past a fixed bound (q below 2^64, at most
-``levi.LABEL_COUNT_BOUND`` Levi labels at one (n, d), fields of at most
+``GRID_VALUE_BOUND`` values in a grid, at most
+``levi.LABEL_COUNT_BOUND`` Levi labels at one (n, d) and concrete
+pairs at one rank in ``verify eq1``, fields of at most
 ``torus.FIELD_ORDER_BOUND`` elements, at most ``LANG_TUPLE_BOUND``
 tuples in ``verify torus``, a checked ``relweyl`` at rank at most
 ``levi.VERIFY_RANK_LIMIT``): then one line naming the cap or bound goes
-to stderr and nothing to stdout.
+to stderr and nothing to stdout.  A run whose stdout is closed early
+ends with status 141 (128 + SIGPIPE) and nothing on stderr.
 """
 
 import itertools
 import json
+import os
 import random
 import sys
 from math import factorial
@@ -179,21 +183,32 @@ def _emit(fmt, head, key=None, records=()):
 # flag parsing
 # ---------------------------------------------------------------------------
 
+# A grid lists at most this many values, counted from the range ends
+# before any value is listed (a value in two items counts twice).  Every
+# suite runs at least one check per value and the default grids hold at
+# most 8, while listing `1..100000000` alone would exhaust memory.
+GRID_VALUE_BOUND = 2 ** 10
+
+
 def parse_grid(text):
-    """Parse a grid expression: '4', '2..5', '1,3,5', '1..2,4'."""
-    values = set()
+    """Parse a grid expression: '4', '2..5', '1,3,5', '1..2,4'.
+    InputTooLarge past GRID_VALUE_BOUND values."""
+    items = []
     for piece in str(text).split(","):
         piece = piece.strip()
         if not piece:
             raise ValueError(f"empty item in grid {text!r}")
-        if ".." in piece:
-            lo, _, hi = piece.partition("..")
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError(f"descending range {piece!r}")
-            values.update(range(lo, hi + 1))
-        else:
-            values.add(int(piece))
+        lo, dots, hi = piece.partition("..")
+        lo = int(lo)
+        hi = int(hi) if dots else lo
+        if hi < lo:
+            raise ValueError(f"descending range {piece!r}")
+        items.append(range(lo, hi + 1))
+    count = sum(map(len, items))
+    if count > GRID_VALUE_BOUND:
+        raise InputTooLarge(f"grid {text!r} lists {count} values, past the "
+                            f"bound {GRID_VALUE_BOUND} on a grid")
+    values = set().union(*items)
     if not values or min(values) < 1:
         raise ValueError(f"grid {text!r} must contain positive integers")
     return tuple(sorted(values))
@@ -207,6 +222,8 @@ class GridParam(click.ParamType):
             return value
         try:
             return parse_grid(value)
+        except InputTooLarge:
+            raise
         except ValueError as exc:
             self.fail(str(exc), param, ctx)
 
@@ -310,6 +327,9 @@ def _suite_eq1(grids, cap):
     """Both directions of the label classification: a twist-stable
     concrete parabolic label is enumerated exactly when the exact
     cyclotomic eigenspace test accepts it."""
+    # Rank n has Bell(n+1) concrete pairs, its label count at d = 1, so
+    # the largest rank is held to that bound before any pair is built.
+    label_count(max(grids["n"]), 1)
     checked, failures = 0, []
     for n in grids["n"]:
         system = build_root_system(n)
@@ -562,7 +582,8 @@ class _Refused(click.ClickException):
 class _Main(click.Group):
     """Turns a cap hit or an input past a bound in any command into one
     line on stderr and exit 2: the input is too large for the desk, not
-    a failed check."""
+    a failed check.  A reader that closes stdout early ends the command
+    with status 141 and nothing on stderr, as SIGPIPE would."""
 
     def invoke(self, ctx):
         try:
@@ -571,6 +592,11 @@ class _Main(click.Group):
             raise _Refused(f"{exc}; a larger --cap allows it") from None
         except InputTooLarge as exc:
             raise _Refused(str(exc)) from None
+        except BrokenPipeError:
+            # Point stdout at the null device, so that the interpreter's
+            # last flush of what is still buffered cannot fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(141)  # 128 + SIGPIPE (13)
 
 
 @click.group(cls=_Main)

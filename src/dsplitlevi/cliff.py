@@ -33,8 +33,6 @@ from .levi import tau_Q, wprime_Q
 from .signedperm import (ClosureExceedsCap, SignedPerm, VerificationError,
                          closure, group_closure, set_partitions)
 
-_NU_VERIFY_BOUND = 5000
-
 
 def _sylow2(m):
     """Order of the Sylow 2-subgroup of a cyclic group of order m."""
@@ -211,76 +209,62 @@ def _parts_from_label(label):
 
 
 def _build_W(parts, two_d0, n):
-    """Generators, order, abstract type, and generator tags of W_lambda."""
-    gens, tags, factors = [], [], []
+    """Generators of W_lambda with nu's ±1 value on each, its order and
+    abstract type.  nu is -1 exactly on the cyclic generators of a
+    flagged part."""
+    gens, values, factors = [], [], []
     order = 1
-    for idx, part in enumerate(parts):
+    for part in parts:
         m = len(part.Qs)
         order *= part.c ** m * factorial(m)
         factors.append(f"C{part.c}wrS{m}")
         if part.c > 1:
             for Q in part.Qs:
                 gens.append(wprime_Q(Q, n) ** (two_d0 // part.c))
-                tags.append((idx, "cyclic"))
+                values.append(-1 if part.flag else 1)
         for Q1, Q2 in zip(part.Qs, part.Qs[1:]):
             gens.append(tau_Q(Q1, Q2, n))
-            tags.append((idx, "tau"))
-    abstract = " x ".join(factors) if factors else "1"
-    return gens, tags, order, abstract
-
-
-def _build_nu(parts, w_gens, w_tags, w_order, w_abstract, key):
-    """The ±1 values on the W_lambda generators and the kernel data."""
-    values = []
-    for (idx, kind), g in zip(w_tags, w_gens):
-        part = parts[idx]
-        if kind == "cyclic" and part.flag:
-            if part.c % 2:
-                raise VerificationError(
-                    f"jump class with odd stabilizer order in {key}")
-            values.append(-1)
-        else:
             values.append(1)
-    values = tuple(values)
-    if all(v == 1 for v in values):
-        return values, list(w_gens), w_order, w_abstract
-    kgens = _sign_kernel(w_gens, values, w_order, key)
-    return values, kgens, w_order // 2, f"ker(nu) < {w_abstract}"
+    abstract = " x ".join(factors) if factors else "1"
+    return gens, tuple(values), order, abstract
 
 
-def _sign_kernel(w_gens, values, w_order, key):
+def _sign_kernel(w_gens, values):
     """Generators of the kernel of the sign character taking ``values``
-    (not all +1) on ``w_gens``, checked up to _NU_VERIFY_BOUND.
-
-    The kernel is generated by the +1 generators, g0² and g0·g for the
-    other -1 generators g, where g0 is the first -1 generator.  The check
-    asks that W = ⟨w_gens⟩ has order w_order and K0 = ⟨kgens⟩ order
-    w_order / 2.  Then K0 ≤ W has index 2, so it is normal.  Every -1
-    generator lies in g0·K0, and g0 ∉ K0, because otherwise W = ⟨K0, g0⟩
-    would be K0.  So W → W/K0 ≅ {±1} is a homomorphism taking the given
-    values on the generators, with kernel K0."""
+    (not all +1) on ``w_gens``: the +1 generators, g0² and g0·g for the
+    other -1 generators g, where g0 is the first -1 generator.  They
+    generate that kernel exactly when :func:`_check_orders` passes."""
     g0 = next(g for g, v in zip(w_gens, values) if v == -1)
     kgens = [g for g, v in zip(w_gens, values) if v == 1]
     kgens.append(g0 * g0)
     kgens.extend(g0 * g for g, v in zip(w_gens, values)
                  if v == -1 and g != g0)
-    if w_order <= _NU_VERIFY_BOUND:
-        if len(group_closure(w_gens)) != w_order:
-            raise VerificationError(
-                f"closure order of W_lambda disagrees with the formula "
-                f"{w_order} in {key}")
-        if len(group_closure(kgens)) != w_order // 2:
-            raise VerificationError(
-                f"sign assignment {values} on the generators is not a "
-                f"character with kernel of index 2 in {key}")
     return kgens
 
 
-def _build_K(parts, two_d0, n, w_gens, nu_values):
+def _check_orders(found, formulas, key):
+    """Raise unless the closure orders ``found`` equal the formula
+    orders, which start with those of W_lambda and ker(nu).
+
+    For a nontrivial nu this is the check that its values on the
+    generators of W are a character with kernel K0 = ⟨kgens⟩ (see
+    :func:`_sign_kernel`): |⟨w_gens⟩| = |W| and |K0| = |W| / 2.  Then
+    K0 ≤ W has index 2, so it is normal.  Every -1 generator lies in
+    g0·K0, and g0 ∉ K0, because otherwise W = ⟨K0, g0⟩ would be K0.  So
+    W → W/K0 ≅ {±1} is a homomorphism taking the given values on the
+    generators, with kernel K0."""
+    if found != formulas:
+        raise VerificationError(
+            f"closure orders {found} disagree with the formulas "
+            f"{formulas} in {key}")
+
+
+def _build_K(parts, two_d0, n, w_gens):
     """Generators and order of the normalizer closure Z.W : S.
 
-    When nu is nontrivial the cover is full, so a part's flag is its
-    jump flag, and the swaps keep the jump family."""
+    A flag makes nu -1 on its part's cyclic generators, so nu is
+    nontrivial exactly when some part is flagged; then the swaps keep
+    the flagged family."""
     gens = []
     order = 1
     zw_factors = []
@@ -294,7 +278,7 @@ def _build_K(parts, two_d0, n, w_gens, nu_values):
         zw_factors.append(f"(C{two_d0}.C{part.c}wrS{m})")
     gens.extend(w_gens)
 
-    filtering = any(v == -1 for v in nu_values)
+    filtering = any(part.flag for part in parts)
     families = {}
     for idx, part in enumerate(parts):
         key = (part.s, len(part.Qs), part.c)
@@ -341,14 +325,18 @@ def nu_lambda(label):
     The character is -1 exactly on the cyclic generators of jump
     classes (when the index-two cover is full), +1 on swaps; returns
     (values aligned with ``stab_lambda(label).generators``, kernel
-    presentation)."""
+    presentation).  A nontrivial character is checked by closing W and
+    the kernel under the default closure cap (see :func:`_check_orders`)."""
     parts = _parts_from_label(label)
     n = label.levi.n
-    w_gens, w_tags, w_order, w_abstract = _build_W(parts, label.two_d0, n)
-    values, kgens, korder, kabstract = _build_nu(
-        parts, w_gens, w_tags, w_order, w_abstract,
-        _canonical_structure(label))
-    return values, SubgroupPresentation(kgens, kabstract, korder)
+    w_gens, values, w_order, w_abstract = _build_W(parts, label.two_d0, n)
+    if all(v == 1 for v in values):
+        return values, SubgroupPresentation(w_gens, w_abstract, w_order)
+    kgens = _sign_kernel(w_gens, values)
+    _check_orders((len(group_closure(w_gens)), len(group_closure(kgens))),
+                  (w_order, w_order // 2), label)
+    return values, SubgroupPresentation(kgens, f"ker(nu) < {w_abstract}",
+                                        w_order // 2)
 
 
 def k_lambda(label):
@@ -358,10 +346,8 @@ def k_lambda(label):
     character is nontrivial)."""
     parts = _parts_from_label(label)
     n = label.levi.n
-    w_gens, w_tags, w_order, w_abstract = _build_W(parts, label.two_d0, n)
-    values, _, _, _ = _build_nu(parts, w_gens, w_tags, w_order, w_abstract,
-                                _canonical_structure(label))
-    gens, order, abstract = _build_K(parts, label.two_d0, n, w_gens, values)
+    w_gens, _, _, _ = _build_W(parts, label.two_d0, n)
+    gens, order, abstract = _build_K(parts, label.two_d0, n, w_gens)
     return SubgroupPresentation(gens, abstract, order)
 
 
@@ -413,18 +399,6 @@ def _synthesize_parts(key):
                 Qs.append(tuple(grids))
             parts.append(_Part(s, c, flag, tuple(Qs)))
     return parts, max(next_pt - 1, 1)
-
-
-class _ClassAction(tuple):
-    """The pair of permutations an element of K induces on the classes
-    of ker and of W.  Conjugation is a homomorphism into the class
-    permutations, so the product composes: (x·g)[j] = x[g[j]]."""
-
-    __slots__ = ()
-
-    def __mul__(self, other):
-        return _ClassAction(tuple(p[i] for i in q)
-                            for p, q in zip(self, other))
 
 
 def _residue(value, z, E, l):
@@ -493,13 +467,11 @@ def kinva_check(label, cap=DEFAULT_GROUP_CAP):
 def _kinva_compute(key, cap):
     """The report of a key and the largest order its groups reach,
     max(|W|, |K|): the tables are capped by |W|, and the class actions
-    of K are at most |K|.  The closure orders must equal the formulas."""
+    of K are at most |K|.  The closure orders must equal the formulas
+    (see :func:`_check_orders`), so W and ker are closed once."""
     gens, formulas = _kinva_inputs(key)
     W, ker, k_count = _kinva_groups(gens, cap, key)
-    if (W.order, ker.order, k_count) != formulas:
-        raise VerificationError(
-            f"closure orders {(W.order, ker.order, k_count)} disagree with "
-            f"the formulas {formulas} in {key}")
+    _check_orders((W.order, ker.order, k_count), formulas, key)
     _, xi_ids = _kinva_search(W, ker, gens[3], cap)
     return max(W.order, k_count), {
         "W_lambda_order": W.order,
@@ -517,13 +489,12 @@ def _kinva_inputs(key):
     of W, ker and K."""
     two_d0 = key[0]
     parts, n = _synthesize_parts(key)
-    w_gens, w_tags, w_order, w_abstract = _build_W(parts, two_d0, n)
-    nu_values, ker_gens, ker_order, _ = _build_nu(
-        parts, w_gens, w_tags, w_order, w_abstract, key)
-    k_gens, k_order, _ = _build_K(parts, two_d0, n, w_gens, nu_values)
-    if all(v == 1 for v in nu_values):
-        ker_gens = None
-    return (n, w_gens, ker_gens, k_gens), (w_order, ker_order, k_order)
+    w_gens, values, w_order, _ = _build_W(parts, two_d0, n)
+    k_gens, k_order, _ = _build_K(parts, two_d0, n, w_gens)
+    if all(v == 1 for v in values):
+        return (n, w_gens, None, k_gens), (w_order, w_order, k_order)
+    return ((n, w_gens, _sign_kernel(w_gens, values), k_gens),
+            (w_order, w_order // 2, k_order))
 
 
 def _kinva_groups(gens, cap, key):
@@ -550,9 +521,10 @@ def _kinva_groups(gens, cap, key):
 
 def _kinva_search(W, ker, k_gens, cap):
     """For every irreducible xi0 of ker (in table order): the image of
-    its stabilizer in K = <k_gens>, as the set of its class actions (see
-    :class:`_ClassAction`), and the first constituent of its induction
-    to W that the stabilizer fixes (None if there is none).
+    its stabilizer in K = <k_gens>, as the set of its class actions
+    (pairs of permutations of the classes of ker and of W), and the
+    first constituent of its induction to W that the stabilizer fixes
+    (None if there is none).
 
     K acts through its image in the class permutations of ker and W
     (:func:`~dsplitlevi.chartab.class_permutation`), closed from the
@@ -586,11 +558,16 @@ def _kinva_search(W, ker, k_gens, cap):
                for row in ker_table.values]
     index = W.order // ker.order
 
-    identity = _ClassAction((tuple(range(len(kdata.reps))),
-                             tuple(range(len(wdata.reps)))))
-    actions = closure([_ClassAction((class_permutation(k, ker),
-                                     class_permutation(k, W)))
-                       for k in k_gens], identity, cap)
+    # An action is one signed permutation with no sign changes, on ker's
+    # classes as points 1..r and W's as r+1..r+|W's classes|, so one
+    # product composes both halves; the pairs are read back afterwards.
+    r = len(kdata.reps)
+    actions = closure([SignedPerm(
+        [j + 1 for j in class_permutation(k, ker)]
+        + [r + 1 + j for j in class_permutation(k, W)]) for k in k_gens],
+        SignedPerm.identity(r + len(wdata.reps)), cap)
+    actions = [(tuple(v - 1 for v in a.img[:r]),
+                tuple(v - 1 - r for v in a.img[r:])) for a in actions]
     ker_halves = {a[0] for a in actions}
 
     stabilizers, xi_ids = [], []

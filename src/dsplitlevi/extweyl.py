@@ -113,14 +113,16 @@ def _monomial_perm(rows):
 
 
 def matrix_closure(gens, cap=DEFAULT_CLOSURE_CAP):
-    """Every element of the group generated by gens, identity first."""
+    """Every element of the group generated by the signed monomial
+    matrices gens, identity first: the closure of their rank-2n
+    SignedPerms, each wrapped once.  ValueError for a generator that is
+    not signed monomial."""
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    dim = gens[0].dim
-    if any(g.dim != dim for g in gens):
-        raise ValueError("generators have mixed dimensions")
-    return closure(gens, IntMatrix.identity(dim), cap)
+    perms = closure([g._signed_perm() for g in gens],
+                    SignedPerm.identity(gens[0].dim), cap)
+    return [IntMatrix._of_perm(p) for p in perms]
 
 
 # ---------------------------------------------------------------------------

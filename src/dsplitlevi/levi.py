@@ -260,10 +260,13 @@ class LeviLabel:
 LABEL_COUNT_BOUND = 2 ** 17
 
 
-def _bell(m):
-    """The Bell number B_m, by the Bell triangle."""
+def _bell(m, bound):
+    """The Bell number B_m by the Bell triangle, or the first Bell number
+    past ``bound`` (B_m is then past it too): a huge m stops at once."""
     row = [1]
     for _ in range(m):
+        if row[0] > bound:
+            break
         nxt = [row[-1]]
         for x in row:
             nxt.append(nxt[-1] + x)
@@ -275,11 +278,12 @@ def label_count(n, d):
     """The number Bell(a+1) of labels at (n, d); InputTooLarge when it
     is past LABEL_COUNT_BOUND."""
     _check_rank(n, d)
-    count = _bell(n // compute_d0(d) + 1)
+    m = n // compute_d0(d) + 1
+    count = _bell(m, LABEL_COUNT_BOUND)
     if count > LABEL_COUNT_BOUND:
         raise InputTooLarge(
-            f"n={n}, d={d} has {count} Levi labels, past the bound "
-            f"{LABEL_COUNT_BOUND} on the label count")
+            f"n={n}, d={d} has Bell({m}) >= {count} Levi labels, past "
+            f"the bound {LABEL_COUNT_BOUND} on the label count")
     return count
 
 

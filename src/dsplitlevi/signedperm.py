@@ -17,10 +17,11 @@ Besides the group operations the module provides
   pairs) that determine the centralizer of an element, with the
   predicted centralizer order;
 * :func:`closure`, the one breadth-first enumeration of ⟨gens⟩ in the
-  package (signed permutations, matrices and abstract finite groups all
-  go through it), with its cap exception :class:`ClosureExceedsCap`;
-  signed permutations close on bare image tuples, each element's signed
-  table built once, and are wrapped as SignedPerms only at the end;
+  package, with its cap exception :class:`ClosureExceedsCap`; it takes
+  signed permutations only (the monomial matrices of ``extweyl`` and
+  the class actions of ``cliff`` close as signed permutations), closes
+  them on bare image tuples, each element's signed table built once,
+  and wraps them as SignedPerms only at the end;
 * brute-force closure / normalizer routines used to verify the
   structural formulas on small ranks, and the generator sets for
   products of block wreath subgroups and their predicted normalizers.
@@ -394,30 +395,15 @@ def grid_set(k, m, i):
 # ---------------------------------------------------------------------------
 
 def closure(gens, identity, cap):
-    """Every element of ⟨gens⟩, ``identity`` first, in breadth-first
-    order: the list is its own queue, and each element x is followed by
-    the new products x * g.  Raises ClosureExceedsCap when an element
-    past ``cap`` appears.  Works for any hashable elements with ``*``.
+    """Every element of ⟨gens⟩ for signed permutations ``gens`` of the
+    rank of ``identity``, ``identity`` first, in breadth-first order:
+    the list is its own queue, and each element x is followed by the
+    new products x * g.  Raises ClosureExceedsCap when an element past
+    ``cap`` appears.
 
-    Signed permutations close on their image tuples: x * g is x's signed
-    table looked up along g's images, the same tuple ``__mul__`` builds,
-    so the list and its order are those of the loop on elements."""
-    if type(identity) is SignedPerm:
-        return _signed_closure(gens, identity, cap)
-    elems = [identity]
-    seen = {identity}
-    for x in elems:
-        for g in gens:
-            y = x * g
-            if y not in seen:
-                if len(elems) >= cap:
-                    raise ClosureExceedsCap(f"closure exceeds cap {cap}")
-                seen.add(y)
-                elems.append(y)
-    return elems
-
-
-def _signed_closure(gens, identity, cap):
+    The loop runs on image tuples: x * g is x's signed table looked up
+    along g's images, the tuple ``__mul__`` builds, and the elements
+    are wrapped as SignedPerms once, at the end."""
     n = len(identity.img)
     imgs = [g.img for g in gens]
     if any(len(g) != n for g in imgs):
@@ -441,10 +427,7 @@ def group_closure(gens, cap=DEFAULT_CLOSURE_CAP):
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    n = gens[0].n
-    if any(g.n != n for g in gens):
-        raise ValueError("generators have mixed ranks")
-    return closure(gens, SignedPerm.identity(n), cap)
+    return closure(gens, SignedPerm.identity(gens[0].n), cap)
 
 
 @lru_cache(maxsize=8)

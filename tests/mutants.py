@@ -67,6 +67,33 @@ MUTANTS = [
             CLIFF + "TestKinvaCheck::test_single_jump_orbit_report",
             CLI + "TestDeterminism::test_byte_identical[kinva --n 2 --d 4]",
             ACCEPT + "test_09_invariance_criterion_exhaustive"]),
+    # The Clifford groups: nu's value on a flagged cyclic generator of
+    # W, K's swap filter read off the flags, and where W's classes sit
+    # in the one signed permutation that acts on both class sets.
+    Mutant("nu_value_on_flagged_cyclic", "cliff.py",
+           "-1 if part.flag else 1",
+           "1",
+           [CLIFF + "TestNuLambda::test_jump_kernel_index2",
+            CLIFF + "TestKinvaCheck::test_single_jump_orbit_report",
+            CLIFF + "TestSignCharacterCheck::"
+                    "test_every_rank3_assignment_is_accepted",
+            CLI + "TestKinva::test_reports_match_golden_digests[1]",
+            ACCEPT + "test_09_invariance_criterion_exhaustive"]),
+    Mutant("swap_filter_without_flags", "cliff.py",
+           "filtering = any(part.flag for part in parts)",
+           "filtering = False",
+           [CLIFF + "TestKLambda::test_swap_breaking_r1_family_excluded",
+            CLIFF + "TestKinvaGroups::test_k_closure_respects_the_cap",
+            CLIFF + "TestConcreteMemo::test_sharing_is_exact",
+            CLI + "TestKinva::test_reports_match_golden_digests[2]",
+            ACCEPT + "test_09_invariance_criterion_exhaustive"]),
+    Mutant("w_class_offset_in_action", "cliff.py",
+           "r + 1 + j",
+           "1 + j",
+           [CLIFF + "test_class_permutation_search_matches_oracle",
+            CLIFF + "TestKinvaCheck::test_single_jump_orbit_report",
+            CLI + "TestKinva::test_reports_match_golden_digests[1]",
+            ACCEPT + "test_09_invariance_criterion_exhaustive"]),
     # The twisted torus on discrete logs.
     Mutant("lang_map_even_d_frobenius_sign", "torus.py",
            "out = [u[d0 - 1] ** (-q) * u[0].inv()]",

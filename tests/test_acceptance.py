@@ -194,8 +194,8 @@ def test_06_extended_weyl_cover_maximal_extendibility():
                     continue
                 seen.add(key)
                 gens, hs = build_VdI(lab)
-                V = FiniteGroup.generate(list(gens))
-                H = FiniteGroup.generate(list(hs))
+                V = FiniteGroup(matrix_closure(gens), generators=gens)
+                H = FiniteGroup(matrix_closure(hs), generators=hs)
                 assert V.order == order, (key, V.order, order)
                 for th in character_table(H).characters:
                     stab, extends, witness = inertia_and_extendibility(

@@ -488,8 +488,8 @@ class TestInertiaExtendibility:
     def test_lifted_relative_weyl_label(self):
         label = LeviLabel(2, 4, (), ((1,), (2,)))
         gens, hs = build_VdI(label)
-        V = FiniteGroup.generate(list(gens))
-        H = FiniteGroup.generate(list(hs))
+        V = FiniteGroup(matrix_closure(gens), generators=gens)
+        H = FiniteGroup(matrix_closure(hs), generators=hs)
         assert V.order == 8 and H.order == 2
         for theta in character_table(H).characters:
             stab, extends, witness = inertia_and_extendibility(V, H, theta)
@@ -580,8 +580,9 @@ def inertia_pairs():
                 if label.I and shape not in seen:
                     seen.add(shape)
                     gens, hs = build_VdI(label)
-                    pairs.append((FiniteGroup.generate(list(gens)),
-                                  FiniteGroup.generate(list(hs))))
+                    pairs.append(
+                        (FiniteGroup(matrix_closure(gens), generators=gens),
+                         FiniteGroup(matrix_closure(hs), generators=hs)))
     return [(H, N) for H, N in pairs if H.order <= 100]
 
 

@@ -26,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 import dsplitlevi
 import dsplitlevi.cli as cli
 from dsplitlevi import cliff, levi, torus
+from dsplitlevi.arith import InputTooLarge
 from dsplitlevi.cli import main, parse_grid
 
 
@@ -60,6 +61,19 @@ class TestGridParsing:
     def test_invalid_grid_is_usage_error(self):
         assert invoke("verify", "eq1", "--n", "abc").exit_code == 2
         assert invoke("verify", "eq1", "--n", "3..1").exit_code == 2
+
+    def test_value_bound_is_counted_from_the_range_ends(self, monkeypatch):
+        bound = cli.GRID_VALUE_BOUND
+        assert len(parse_grid(f"1..{bound}")) == bound
+        # Counted before any value is listed: no set is built.
+        monkeypatch.setattr(cli, "set", self.no_set, raising=False)
+        for text in (f"1..{bound + 1}", f"1..{bound},1", "1..100000000"):
+            with pytest.raises(InputTooLarge, match=str(bound)):
+                parse_grid(text)
+
+    @staticmethod
+    def no_set(*args):
+        raise AssertionError("a grid past the bound was listed")
 
 
 class TestLevis:
@@ -815,10 +829,59 @@ class TestInputBounds:
         monkeypatch.setattr(levi.LeviLabel, "__init__", self.refuse)
         self._exit_2_naming(command, str(levi.LABEL_COUNT_BOUND))
 
+    @pytest.mark.parametrize("command", [
+        ("levis", "--n", "100000", "--d", "1"),
+        ("relweyl", "--n", "100000", "--d", "1", "--no-check")],
+        ids=["levis", "relweyl"])
+    def test_huge_rank_is_refused_at_once(self, command, monkeypatch):
+        # The Bell triangle stops at the first number past the bound; in
+        # full it would take hours at n = 100000.
+        monkeypatch.setattr(levi.LeviLabel, "__init__", self.refuse)
+        start = time.perf_counter()
+        self._exit_2_naming(command, str(levi.LABEL_COUNT_BOUND))
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("d", ["1", "3"])
+    def test_eq1_pair_bound(self, d, monkeypatch):
+        # Rank 10 has Bell(11) = 678570 concrete pairs; no --d admits it.
+        monkeypatch.setattr(cli, "_concrete_pairs", self.refuse)
+        monkeypatch.setattr(cli, "build_root_system", self.refuse)
+        self._exit_2_naming(("verify", "eq1", "--n", "2,10", "--d", d),
+                            str(levi.LABEL_COUNT_BOUND))
+
+    def test_grid_value_bound(self, monkeypatch):
+        monkeypatch.setattr(cli, "signed_symmetric_group", self.refuse)
+        start = time.perf_counter()
+        self._exit_2_naming(
+            ("verify", "centralizers", "--n", "1..100000000"),
+            str(cli.GRID_VALUE_BOUND))
+        assert time.perf_counter() - start < 0.5
+
     def test_field_order_bound(self, monkeypatch):
         monkeypatch.setattr(torus, "FqElem", self.refuse)
         self._exit_2_naming(("verify", "torus", "--q", "3", "--d", "100"),
                             str(torus.FIELD_ORDER_BOUND))
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_ends_with_sigpipe_status(self):
+        # 141 = 128 + SIGPIPE, as a shell reports a writer killed by it;
+        # 1 would claim a failed check.
+        src = os.path.dirname(os.path.dirname(dsplitlevi.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dsplitlevi.cli", "levis", "--n", "8",
+             "--d", "1", "--format", "text"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 141
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.stderr.close()
 
 
 class TestKinva:

@@ -21,9 +21,9 @@ from dsplitlevi.cliff import (
     CharClassDescriptor,
     CharLabel,
     _build_K,
-    _build_nu,
     _build_W,
     _canonical_structure,
+    _check_orders,
     _kinva_compute,
     _kinva_groups,
     _kinva_inputs,
@@ -674,11 +674,11 @@ class TestConcreteMemo:
         for label in labels:
             key = _kinva_key(_canonical_structure(label))
             parts, n = _synthesize_parts(key)
-            w_gens, w_tags, w_order, w_abstract = _build_W(parts, key[0], n)
-            values, _, ker_order, ker_abstract = _build_nu(
-                parts, w_gens, w_tags, w_order, w_abstract, key)
-            _, k_order, k_abstract = _build_K(parts, key[0], n, w_gens,
-                                              values)
+            w_gens, _, w_order, w_abstract = _build_W(parts, key[0], n)
+            _, k_order, k_abstract = _build_K(parts, key[0], n, w_gens)
+            ker_order = _kinva_inputs(key)[1][1]
+            ker_abstract = (w_abstract if ker_order == w_order
+                            else f"ker(nu) < {w_abstract}")
             synthesized = [(w_order, w_abstract), (ker_order, ker_abstract),
                            (k_order, k_abstract)]
             found = [stab_lambda(label), nu_lambda(label)[1], k_lambda(label)]
@@ -770,8 +770,10 @@ def sign_extension_oracle(gens, values, order):
 
 
 def sign_kernel_accepts(gens, values, order):
+    found = (len(group_closure(gens)),
+             len(group_closure(_sign_kernel(gens, values))))
     try:
-        _sign_kernel(gens, values, order, "test")
+        _check_orders(found, (order, order // 2), "test")
     except VerificationError:
         return False
     return True
@@ -794,9 +796,7 @@ class TestSignCharacterCheck:
         for structure in rank3_structures():
             key = _kinva_key(structure)
             parts, n = _synthesize_parts(key)
-            w_gens, w_tags, w_order, w_abstract = _build_W(parts, key[0], n)
-            values = _build_nu(parts, w_gens, w_tags, w_order, w_abstract,
-                               key)[0]
+            w_gens, values, w_order, _ = _build_W(parts, key[0], n)
             if all(v == 1 for v in values):
                 continue
             assert sign_extension_oracle(w_gens, values, w_order), structure

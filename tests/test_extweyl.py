@@ -26,8 +26,11 @@ from dsplitlevi.levi import (
     relative_weyl,
     sylow_twist_w,
 )
+from dsplitlevi.cli import SUITES, _embedded_simple_roots
 from dsplitlevi.rootsys import build_root_system
-from dsplitlevi.signedperm import SignedPerm, group_closure, tau, wprime
+from dsplitlevi.signedperm import (DEFAULT_CLOSURE_CAP, SignedPerm,
+                                   group_closure, tau, wprime)
+from test_signedperm import generic_closure
 
 
 def sp(text, n):
@@ -214,6 +217,40 @@ class TestChevalleyGenerators:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             chevalley_generator("y", (2, 0), 1)
+
+
+class TestMatrixClosure:
+    @staticmethod
+    def verify_extweyl_generators():
+        """The generator lists that ``verify extweyl`` closes on its
+        default grid: the h_alpha(-1) of C_n, and the simple-root lifts of
+        each rank-l subsystem."""
+        _, _, grids = SUITES["extweyl"]
+        for n in grids["n"]:
+            yield [chevalley_generator("h", r, -1)
+                   for r in build_root_system(n)]
+            for l in sorted({build_twist_elements(n, d).l
+                             for d in grids["d"]} - {0}):
+                yield [chevalley_generator("n", r, 1)
+                       for r in _embedded_simple_roots(n, l)]
+
+    def test_matches_the_loop_on_matrices(self):
+        # Same elements in the same order as the breadth-first loop on
+        # the matrices themselves.
+        checked = 0
+        for gens in self.verify_extweyl_generators():
+            identity = IntMatrix.identity(gens[0].dim)
+            want = generic_closure(gens, identity, DEFAULT_CLOSURE_CAP)
+            got = matrix_closure(gens)
+            assert [g.rows for g in got] == [g.rows for g in want]
+            checked += len(got)
+        assert checked == 7004
+
+    def test_non_monomial_generator_raises(self):
+        gens = [chevalley_generator("n", (1, -1), 1),
+                chevalley_generator("x", (1, -1), 1)]
+        with pytest.raises(ValueError, match="not a signed monomial"):
+            matrix_closure(gens)
 
 
 class TestRho:

@@ -341,9 +341,11 @@ class TestClosure:
 
 
 def generic_closure(gens, identity, cap):
-    """The breadth-first loop on elements, which ``closure`` runs for
-    every element type but signed permutations: the oracle of their
-    image-tuple path."""
+    """The breadth-first loop on elements, for any hashable elements
+    with ``*``: the oracle of ``closure``, which takes signed
+    permutations only and runs on their image tuples, and of
+    ``extweyl.matrix_closure``, which closes monomial matrices as
+    signed permutations."""
     elems = [identity]
     seen = {identity}
     for x in elems:
