@@ -1032,6 +1032,45 @@ class TestChartab:
     def test_unknown_preset(self):
         assert invoke("chartab", "--group", "m11").exit_code == 2
 
+    # sha256 of the stdout of ``chartab --group G --format json``, taken
+    # before the Dixon path was reworked; every table must stay the same.
+    GOLDEN = {
+        "c2wrs2":
+            "8c3ca39a1a28e5117241166dde29e346a867ed3be0503fe399d0d20b801dc2b3",
+        "c2wrs3":
+            "b919fcd2c502990a36b1031a87c04b040406b5b69e3512a2af1571da03529fe9",
+        "c3wrs2":
+            "4fa00abfaa54b9516e0b157ebe116d643a80b4f25f3987c346ee89dd9ec4f4ca",
+        "c3wrs3":
+            "d9e9c4c1001afe4bb9bab7ec8c885c48cc0d744584b230b22761381b33a841e6",
+        "c4":
+            "84cba275967fcd6b6a30953df78bf00822055a131cbe6cfb588bf4acec14d01c",
+        "c4wrs2":
+            "49299aee6b0719cc41c6a7b6b2e788b2ae6e5e39767d665a9faad853ad74e578",
+        "c4wrs3":
+            "e38e8e6c8c95f773640314e1cea78a998d072b2604a0ff8036d04a3869ea8727",
+        "c6":
+            "26249decd63c0124a825b64d9c899dfc22a32497c3d79afce9045ab6a7253b71",
+        "d8":
+            "1e2e3a59b3f85705f73fcdabe64f9f498390e95d5cfb669d4f1274ad42c71e6b",
+        "q8":
+            "7eae0e3205068f720fc02057ad02d82531cf58d133dda22dff18fc9aabad4b3c",
+        "s3":
+            "0b2c12412c4d4c2083d49290220ae855a3a359339d5820279b4d9593cf4ee162",
+        "s4":
+            "c1ed10316104681a31d619f67503f93ce6d4fdf331acaa87f91146cdf33e1037",
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_tables_match_golden_digests(self, name):
+        result = invoke("chartab", "--group", name, "--format", "json")
+        assert result.exit_code == 0, name
+        digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+        assert digest == self.GOLDEN[name]
+
+    def test_every_preset_has_a_digest(self):
+        assert set(self.GOLDEN) == set(cli.PRESETS)
+
 
 class TestDeterminism:
     CASES = [
