@@ -21,10 +21,11 @@ stabiliser.
 """
 
 import math
+import operator
 from fractions import Fraction
 
-from .arith import factorint, fp_divmod, fp_gcd, fp_mul, isprime
-from .cyclo import CycNum, CycVector, zeta
+from .arith import factorint, isprime
+from .cyclo import CycNum
 from .signedperm import ClosureExceedsCap, VerificationError, closure
 
 DEFAULT_GROUP_CAP = 10000
@@ -58,7 +59,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("elements", "index", "identity", "generators", "order",
-                 "_classes", "_exponent", "_actions")
+                 "_classes", "_powers", "_actions")
 
     def __init__(self, elements, generators=None, cap=DEFAULT_GROUP_CAP):
         elements = list(elements)
@@ -90,7 +91,7 @@ class FiniteGroup:
                 generators = (ident,)
         self.generators = tuple(generators)
         self._classes = None
-        self._exponent = None
+        self._powers = None
         self._actions = {}
 
     @classmethod
@@ -138,24 +139,28 @@ class FiniteGroup:
             raise ValueError("element list is not closed under multiplication")
         return tuple(gens) if gens else (self.identity,)
 
-    def element_order(self, x):
-        k = 1
-        cur = x
-        while cur != self.identity:
-            cur = cur * x
-            k += 1
-        return k
+    def power_classes(self):
+        """For each class representative g, of order o, the classes of
+        g^0, g^1, ..., g^(o-1)."""
+        if self._powers is None:
+            data = self.conjugacy_classes()
+            rows = []
+            for rep in data.reps:
+                row, cur = [0], rep
+                while cur != self.identity:
+                    row.append(data.class_of[cur])
+                    cur = cur * rep
+                rows.append(tuple(row))
+            self._powers = tuple(rows)
+        return self._powers
 
     def exponent(self):
-        if self._exponent is None:
-            data = self.conjugacy_classes()
-            self._exponent = math.lcm(
-                *(self.element_order(r) for r in data.reps))
-        return self._exponent
+        return math.lcm(*map(len, self.power_classes()))
 
     def conjugacy_classes(self):
         if self._classes is not None:
             return self._classes
+        conjugators = [(g.inv(), g) for g in self.generators]
         seen = set()
         classes = []
         for x in self.elements:
@@ -167,8 +172,8 @@ class FiniteGroup:
             while queue:
                 nxt = []
                 for y in queue:
-                    for g in self.generators:
-                        z = g.inv() * y * g
+                    for gi, g in conjugators:
+                        z = gi * y * g
                         if z not in seen:
                             seen.add(z)
                             orbit.append(z)
@@ -244,103 +249,140 @@ def _rref(rows, l):
     """Reduced row echelon form mod l; returns (rows, pivot columns)."""
     rows = [list(r) for r in rows]
     pivots = []
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        for i in range(rank, len(rows)):
+            if rows[i][col]:
+                break
+        else:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        rows[rank], rows[i] = rows[i], rows[rank]
         inv = pow(rows[rank][col], l - 2, l)
-        rows[rank] = [(v * inv) % l for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % l
-                           for a, b in zip(rows[i], rows[rank])]
+        top = rows[rank] = [(v * inv) % l for v in rows[rank]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != rank:
+                rows[i] = [(a - f * b) % l for a, b in zip(row, top)]
         pivots.append(col)
-        rank += 1
-    return [tuple(r) for r in rows[:rank]], pivots
+    return [tuple(r) for r in rows[:len(pivots)]], pivots
 
 
-def _coords_in_basis(G, basis, pivots, vec, l):
-    """Coordinates of ``vec`` in an RREF ``basis``; vec must lie in it."""
-    vec = list(vec)
-    coords = []
-    for row, p in zip(basis, pivots):
-        c = vec[p] % l
-        coords.append(c)
+def _combine(coeffs, basis, l):
+    """The combination sum of c·b over ``basis`` mod l."""
+    out = [0] * len(basis[0])
+    for c, row in zip(coeffs, basis):
         if c:
-            vec = [(a - c * b) % l for a, b in zip(vec, row)]
-    if any(v % l for v in vec):
-        raise _table_error(G, l, "vector not in subspace (class matrices "
-                                 "should commute)")
-    return coords
+            out = [a + c * b for a, b in zip(out, row)]
+    return tuple([v % l for v in out])
 
 
-def _kernel(mat, l):
-    """Basis (RREF rows) of the right kernel of a square matrix mod l."""
+def _eigenspace(mat, lam, l):
+    """The kernel of mat - λ mod l, for a square matrix, as (basis,
+    pivots) in RREF.  The matrix is reduced with its columns taken last
+    to first, so the vector of each free column is 0 before it, 1 at it
+    and 0 at the other free columns: the free columns are the pivots."""
     n = len(mat)
-    rows, pivots = _rref(mat, l)
+    shifted = []
+    for s, row in enumerate(mat):
+        row = row[::-1]
+        row[n - 1 - s] = (row[n - 1 - s] - lam) % l
+        shifted.append(row)
+    rows, pivots = _rref(shifted, l)
+    free = [f for f in range(n - 1, -1, -1) if f not in pivots]
     basis = []
-    pivot_set = set(pivots)
-    for free in range(n):
-        if free in pivot_set:
-            continue
+    for f in free:
         v = [0] * n
-        v[free] = 1
+        v[f] = 1
         for row, p in zip(rows, pivots):
-            v[p] = (-row[free]) % l
-        basis.append(tuple(v))
-    reduced, _ = _rref(basis, l) if basis else ([], [])
-    return reduced
+            v[p] = -row[f] % l
+        basis.append(tuple(v[::-1]))
+    return basis, [n - 1 - f for f in free]
 
 
 def _matvec(mat, vec, l):
-    return tuple(sum(a * b for a, b in zip(row, vec)) % l for row in mat)
+    return tuple(sum(map(operator.mul, row, vec)) % l for row in mat)
 
 
-def _minpoly_of_vector(mat, v, l):
-    """Monic minimal polynomial of ``mat`` at the vector ``v`` (Krylov)."""
-    basis = []          # echelon rows
-    combos = []         # same combination expressed over powers of mat
-    cur = tuple(c % l for c in v)
-    power = 0
+def _minpoly_of_vector(mat, i, l):
+    """Monic minimal polynomial of ``mat`` at the i-th coordinate vector
+    v, from its Krylov sequence, and the vectors v, mat·v, ..., up to
+    its degree."""
+    reduced = []        # (pivot, echelon row with 1 there, its combination)
+    krylov = [tuple(int(k == i) for k in range(len(mat)))]
     while True:
-        vec = list(cur)
-        combo = [0] * (power + 1)
-        combo[power] = 1
-        for row, rcombo in zip(basis, combos):
-            p = next((i for i, c in enumerate(row) if c), None)
-            if p is not None and vec[p]:
-                f = (vec[p] * pow(row[p], l - 2, l)) % l
+        vec = list(krylov[-1])
+        combo = [0] * len(reduced) + [1]     # over the powers of mat
+        for p, row, rcombo in reduced:
+            f = vec[p]
+            if f:
                 vec = [(a - f * b) % l for a, b in zip(vec, row)]
-                for i, c in enumerate(rcombo):
-                    combo[i] = (combo[i] - f * c) % l
-        if not any(vec):
-            inv = pow(combo[-1], l - 2, l)
-            return [(c * inv) % l for c in combo]
-        basis.append(tuple(vec))
-        combos.append(combo)
-        cur = _matvec(mat, cur, l)
-        power += 1
+                for k, c in enumerate(rcombo):
+                    combo[k] = (combo[k] - f * c) % l
+        p = next((k for k, c in enumerate(vec) if c), None)
+        if p is None:
+            return combo, krylov[:-1]
+        inv = pow(vec[p], l - 2, l)
+        reduced.append((p, [(a * inv) % l for a in vec],
+                        [(c * inv) % l for c in combo]))
+        krylov.append(_matvec(mat, krylov[-1], l))
 
 
-def _eigenvalues(mat, l):
-    """All eigenvalues in F_l of a diagonalisable square matrix."""
+def _is_root(poly, x, l):
+    acc = 0
+    for c in reversed(poly):
+        acc = (acc * x + c) % l
+    return acc == 0
+
+
+def _deflate(poly, lam, l):
+    """poly / (x - λ) mod l for a root λ, by synthetic division."""
+    q, c = [], 0
+    for a in reversed(poly[1:]):
+        c = (a + lam * c) % l
+        q.append(c)
+    return q[::-1]
+
+
+def _line(vec, l):
+    """The line of a nonzero vector as (basis, pivots) in RREF."""
+    p = next(k for k, c in enumerate(vec) if c)
+    inv = pow(vec[p], l - 2, l)
+    return [tuple([(c * inv) % l for c in vec])], [p]
+
+
+def _eigenspaces(mat, l):
+    """The eigenspaces of a square matrix over F_l, each as (basis,
+    pivots) in RREF, found lazily from the Krylov minimal polynomial p
+    of one coordinate vector v at a time: its roots are eigenvalues,
+    whose kernels are taken until they fill the space.  If p has as many
+    roots as the space has dimensions, they are all the eigenvalues and
+    each eigenspace is the line of q(mat)·v, for q = p / (x - λ).  If
+    mat is not diagonalisable over F_l the coordinate vectors run out
+    first, and the dimensions fall short of the space's."""
     n = len(mat)
-    minpoly = [1]
+    spaces, seen, found = [], [], 0
     for i in range(n):
-        v = [0] * n
-        v[i] = 1
-        mv = _minpoly_of_vector(mat, v, l)
-        # lcm(minpoly, mv) = minpoly / gcd(minpoly, mv) * mv
-        minpoly = fp_mul(fp_divmod(minpoly, fp_gcd(minpoly, mv, l), l)[0],
-                         mv, l)
-        if len(minpoly) == n + 1:
+        if found == n:
             break
-    return [x for x in range(l)
-            if sum(c * pow(x, k, l) for k, c in enumerate(minpoly)) % l == 0]
+        poly, krylov = _minpoly_of_vector(mat, i, l)
+        roots = []
+        for x in range(l):
+            if len(roots) == len(poly) - 1:     # no more roots
+                break
+            if _is_root(poly, x, l):
+                roots.append(x)
+        if len(roots) == n:
+            return [_line(_combine(_deflate(poly, lam, l), krylov, l), l)
+                    for lam in roots]
+        for lam in roots:
+            if lam not in seen:
+                seen.append(lam)
+                space = _eigenspace(mat, lam, l)
+                spaces.append(space)
+                found += len(space[0])
+    return spaces
 
 
 # ---------------------------------------------------------------------------
@@ -392,37 +434,39 @@ def _split_eigenvectors(G, data, l):
     for j in range(1, r):
         if all(len(basis) == 1 for basis, _ in spaces):
             break
-        mat = _class_matrix(G, data, j, l)
+        # M_j·b combines the columns of M_j by the entries of b.
+        columns = list(zip(*_class_matrix(G, data, j, l)))
         new_spaces = []
         for basis, pivots in spaces:
             k = len(basis)
             if k == 1:
                 new_spaces.append((basis, pivots))
                 continue
-            # Action on coordinates: images of basis rows, re-expressed.
-            action = [_coords_in_basis(G, basis, pivots,
-                                       _matvec(mat, b, l), l)
-                      for b in basis]
+            # Action on coordinates: an image's coordinates in the RREF
+            # basis are its entries at the pivots, and it lies in the span
+            # iff their combination of the basis rows matches it at every
+            # other column too.
+            rest = [(c, [b[c] for b in basis])
+                    for c in range(r) if c not in pivots]
+            action = []
+            for b in basis:
+                image = _combine(b, columns, l)
+                coords = [image[p] for p in pivots]
+                if any((sum(map(operator.mul, coords, at)) - image[c]) % l
+                       for c, at in rest):
+                    raise _table_error(G, l, "vector not in subspace (class "
+                                             "matrices should commute)")
+                action.append(coords)
             # Coordinate rows transform by right multiplication, so we
-            # need left eigenvectors of `action`, i.e. kernels of the
-            # transpose shifted by each eigenvalue.
-            trans = [[action[i][s] for i in range(k)] for s in range(k)]
+            # need left eigenvectors of `action`, i.e. the eigenspaces of
+            # its transpose.  An RREF basis of coordinate rows combines
+            # the RREF basis rows into RREF rows, with pivots among theirs.
+            trans = [list(col) for col in zip(*action)]
             found = 0
-            for lam in _eigenvalues(trans, l):
-                shifted = [[(v - (lam if i == s else 0)) % l
-                            for i, v in enumerate(row)]
-                           for s, row in enumerate(trans)]
-                vecs = []
-                for gamma in _kernel(shifted, l):
-                    vec = [0] * r
-                    for c, b in zip(gamma, basis):
-                        if c:
-                            vec = [(a + c * bb) % l for a, bb in zip(vec, b)]
-                    vecs.append(vec)
-                if vecs:
-                    new_basis, new_pivots = _rref(vecs, l)
-                    new_spaces.append((new_basis, new_pivots))
-                    found += len(new_basis)
+            for gammas, gpivots in _eigenspaces(trans, l):
+                new_spaces.append(([_combine(g, basis, l) for g in gammas],
+                                   [pivots[c] for c in gpivots]))
+                found += len(gammas)
             if found != k:
                 raise _table_error(G, l, "class matrix failed to diagonalise")
         # Regroup: distinct lines stay separate; nothing to merge because
@@ -474,11 +518,6 @@ class CharacterTable:
                 f"degrees={list(self.degrees)})")
 
 
-def _value_key(row):
-    return tuple(tuple((c.numerator, c.denominator) for c in v.coeffs)
-                 for v in row)
-
-
 # Tables kept, keyed by element list.  Past the bound the oldest entry is
 # dropped.  A kinva_sample pass keeps 64 tables and the whole test suite
 # 184, so neither evicts.
@@ -499,15 +538,15 @@ def character_table(G, cap=DEFAULT_GROUP_CAP):
     data = G.conjugacy_classes()
     r = len(data.reps)
     e = G.exponent()
+    powers = G.power_classes()   # rep_j^s lies in class powers[j][s]
     l = _dixon_prime(G.order, e)
     z = _root_of_unity(l, e)
-    zinv = pow(z, l - 2, l)
 
     omegas = _split_eigenvectors(G, data, l)
     if len(omegas) != r:
         raise _table_error(G, l, "wrong number of eigenvector lines")
 
-    inv_class = [data.class_of[rep.inv()] for rep in data.reps]
+    inv_class = [pw[-1] for pw in powers]     # g⁻¹ = g^(o-1)
     size_inv = [pow(s, l - 2, l) for s in data.sizes]
     max_degree = math.isqrt(G.order)
 
@@ -524,52 +563,78 @@ def character_table(G, cap=DEFAULT_GROUP_CAP):
         raise _table_error(G, l,
                            "degree squares do not sum to the group order")
 
-    # Power maps: class of rep_j^s for every s mod e.
-    power_class = []
-    for rep in data.reps:
-        row = []
-        cur = G.identity
-        for _ in range(e):
-            row.append(data.class_of[cur])
-            cur = cur * rep
-        power_class.append(row)
+    # Galois classes of columns: for s prime to e, g^s holds the value
+    # σ_s(χ(g)) (ζ_e ↦ ζ_e^s).  The first column of each Galois class is
+    # lifted; source[c] = (j, s) fills each other column c in from the
+    # lifted column j, and the first filled column of each class is
+    # lifted as well, to check the map.
+    source = [None] * r
+    for j, pw in enumerate(powers):
+        if source[j] is None:
+            source[j] = (j, 1)
+            for s in range(2, e):
+                c = pw[s % len(pw)]
+                if source[c] is None and math.gcd(s, e) == 1:
+                    source[c] = (j, s)
+    checked = {}
+    for c, (j, _) in enumerate(source):
+        if c != j:
+            checked.setdefault(j, c)
 
-    # Character values mod l, then Fourier inversion over the power map
-    # lifts each value to a non-negative integer combination of e-th
-    # roots of unity (the root multiplicities are at most the degree,
-    # hence unambiguous below l).
-    e_inv = pow(e, l - 2, l)
-    zetas = [zeta(e, k) for k in range(e)]
-    rows = []
-    for om, d in zip(omegas, degrees):
-        modvals = [(d * om[j] * size_inv[j]) % l for j in range(r)]
-        row = []
-        for j in range(r):
-            val = CycNum.zero(e)
-            zk = 1  # z^{-k*s} accumulator, stepped by zinv^s per k
-            for k in range(e):
-                acc = 0
-                zs = 1
-                for s in range(e):
-                    acc += modvals[power_class[j][s]] * zs
-                    zs = (zs * zk) % l
-                m = (acc * e_inv) % l
-                if m:
-                    if m > max_degree:
-                        raise _table_error(
-                            G, l, "root-of-unity multiplicity fails lift bound")
-                    val = val + zetas[k] * m
-                zk = (zk * zinv) % l
-            row.append(val)
-        if row[0] != d:
+    # Fourier inversion over the powers of g: m_k = o⁻¹ Σ_s χ(g^s)
+    # z^(-k·s·e/o) is the multiplicity of the eigenvalue ζ_o^k of g in
+    # the representation, an integer in [0, χ(1)] read off exactly below
+    # l; the multiplicities sum to χ(1), and χ(g) = Σ_k m_k ζ_o^k.
+    fourier = {}
+    for o in {len(pw) for pw in powers}:
+        zo = pow(z, e // o * (l - 2), l)   # z^(-e/o), of order o
+        fourier[o] = (pow(o, l - 2, l),
+                      [[pow(zo, k * s % o, l) for s in range(o)]
+                       for k in range(o)])
+
+    modrows = [[(d * om[j] * size_inv[j]) % l for j in range(r)]
+               for om, d in zip(omegas, degrees)]
+    lifted = {}     # one CycNum per distinct coefficient list
+
+    def lift(j):
+        """Column j of the table, lifted from the residues."""
+        pw = powers[j]
+        o_inv, wave = fourier[len(pw)]
+        step = e // len(pw)
+        column = []
+        for modvals, d in zip(modrows, degrees):
+            vals = [modvals[c] for c in pw]
+            poly = [0] * e
+            for k, wk in enumerate(wave):
+                m = sum(map(operator.mul, vals, wk)) * o_inv % l
+                if m > max_degree:
+                    raise _table_error(
+                        G, l, "root-of-unity multiplicity fails lift bound")
+                poly[k * step] = m
+            if sum(poly) != d:
+                raise _table_error(
+                    G, l, "lifted degree disagrees with modular degree")
+            key = tuple(poly)
+            if key not in lifted:
+                lifted[key] = CycNum._from_poly(poly, e)
+            column.append(lifted[key])
+        return column
+
+    columns = []
+    for c, (j, s) in enumerate(source):
+        columns.append(lift(c) if j == c else
+                       [v.galois(s) for v in columns[j]])
+    for c in checked.values():
+        if [v.coeffs for v in lift(c)] != [v.coeffs for v in columns[c]]:
             raise _table_error(
-                G, l, "lifted degree disagrees with modular degree")
-        rows.append(row)
+                G, l, "Galois image disagrees with the lifted value")
+    rows = list(zip(*columns))
 
-    order_rows = sorted(range(r), key=lambda t: (degrees[t],
-                                                 _value_key(rows[t])))
+    # Lifted values have integer coefficients, which order the rows.
+    order_rows = sorted(range(r), key=lambda t: (
+        degrees[t], [v.coeffs for v in rows[t]]))
     degrees = tuple(degrees[t] for t in order_rows)
-    values = tuple(tuple(rows[t]) for t in order_rows)
+    values = tuple(rows[t] for t in order_rows)
 
     _verify_orthogonality(G, data, values, l)
     if any(G.order % d for d in degrees):
@@ -584,14 +649,43 @@ def character_table(G, cap=DEFAULT_GROUP_CAP):
 
 def _verify_orthogonality(G, data, values, l):
     """Row orthogonality X·D·X̄ᵀ = |G|·I, with D the diagonal of class
-    sizes.  For a square table this also gives column orthogonality:
-    X is invertible and X̄ᵀ·X = |G|·D⁻¹, so columns are not rechecked."""
-    conj_rows = [tuple(v.conjugate() for v in row) for row in values]
-    for t1, row in enumerate(values):
-        weighted = CycVector([v * size for v, size in zip(row, data.sizes)])
+    sizes, for every pair of rows t1 <= t2.  For a square table this
+    also gives column orthogonality: X is invertible and X̄ᵀ·X = |G|·D⁻¹,
+    so columns are not rechecked.
+
+    As in :func:`inner`, each pair is summed on integer coefficient
+    lists modulo x^e - 1, which is exact as ζ_e has order e, and reduced
+    modulo Φ_e once."""
+    e = values[0][0].d
+    phi = len(values[0][0].coeffs)
+    conj = {}       # the conjugate of each distinct value
+    for row in values:
+        for v in row:
+            if v.coeffs not in conj:
+                conj[v.coeffs] = v.conjugate().coeffs
+
+    def by_power(rows):
+        """Each row as (i, the i-th coefficients along the row), for
+        the i where some coefficient is nonzero."""
+        out = []
+        for row in rows:
+            parts = ((i, [c[i] for c in row]) for i in range(phi))
+            out.append([(i, part) for i, part in parts if any(part)])
+        return out
+
+    weighted = by_power([[size * x for x in v.coeffs]
+                         for v, size in zip(row, data.sizes)]
+                        for row in values)
+    conj_rows = by_power([conj[v.coeffs] for v in row] for row in values)
+    for t1, row in enumerate(weighted):
         for t2 in range(t1, len(values)):
-            want = G.order if t1 == t2 else 0
-            if weighted.dot(conj_rows[t2]) != want:
+            acc = [0] * e
+            for i, a in row:
+                for k, b in conj_rows[t2]:
+                    acc[(i + k) % e] += sum(map(operator.mul, a, b))
+            if any(acc[1:]):    # a constant is already reduced
+                acc = CycNum._from_poly(acc, e).coeffs
+            if acc[0] != (G.order if t1 == t2 else 0) or any(acc[1:]):
                 raise _table_error(G, l, "row orthogonality fails")
 
 

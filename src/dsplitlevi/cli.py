@@ -28,7 +28,8 @@ group of the largest ``--n``, of order 2^n n!, before any work), or
 when an input is past a fixed bound (q below 2^64, at most
 ``GRID_VALUE_BOUND`` values in a grid, at most
 ``levi.LABEL_COUNT_BOUND`` Levi labels at one (n, d) and concrete
-pairs at one rank in ``verify eq1``, fields of at most
+pairs at one rank in ``verify eq1``, at most ``levi.EQ1_PAIR_BOUND``
+concrete pairs at d0 = 1 over a ``verify eq1`` grid, fields of at most
 ``torus.FIELD_ORDER_BOUND`` elements, at most ``LANG_TUPLE_BOUND``
 tuples in ``verify torus``, a checked ``relweyl`` at rank at most
 ``levi.VERIFY_RANK_LIMIT``): then one line naming the cap or bound goes
@@ -51,9 +52,9 @@ from .cliff import cuspidal_gate, enumerate_char_labels, kinva_check, stab_lambd
 from .cyclo import check_eq1
 from .extweyl import (IntMatrix, build_twist_elements, chevalley_generator,
                       matrix_closure, rho)
-from .levi import (VERIFY_RANK_LIMIT, check_odd_prime_power, compute_d0,
-                   concrete_parabolic_roots, enumerate_labels, label_count,
-                   label_record, relative_weyl, sylow_twist_w,
+from .levi import (EQ1_PAIR_BOUND, VERIFY_RANK_LIMIT, check_odd_prime_power,
+                   compute_d0, concrete_parabolic_roots, enumerate_labels,
+                   label_count, label_record, relative_weyl, sylow_twist_w,
                    verify_relative_weyl)
 from .rootsys import build_root_system, is_stable_under
 from .signedperm import (DEFAULT_CLOSURE_CAP, ClosureExceedsCap, SignedPerm,
@@ -330,6 +331,14 @@ def _suite_eq1(grids, cap):
     # Rank n has Bell(n+1) concrete pairs, its label count at d = 1, so
     # the largest rank is held to that bound before any pair is built.
     label_count(max(grids["n"]), 1)
+    # At d0 = 1 every pair reaches the exact eigenspace test, the costly
+    # part, so the grid's pairs there are held to EQ1_PAIR_BOUND too.
+    tested = sum(label_count(n, 1) for n in grids["n"] for d in grids["d"]
+                 if compute_d0(d) == 1)
+    if tested > EQ1_PAIR_BOUND:
+        raise InputTooLarge(
+            f"verify eq1 would test {tested} concrete pairs at d0 = 1, "
+            f"past the bound {EQ1_PAIR_BOUND} on eq1 pairs")
     checked, failures = 0, []
     for n in grids["n"]:
         system = build_root_system(n)

@@ -33,6 +33,7 @@ PACKAGE = ROOT / "src" / "dsplitlevi"
 
 Mutant = namedtuple("Mutant", "name file fragment replacement tests")
 
+CHARTAB = "tests/test_chartab.py::TestCharacterTable::"
 CLIFF = "tests/test_cliff.py::"
 TORUS = "tests/test_torus.py::"
 LEVI = "tests/test_levi.py::"
@@ -40,6 +41,32 @@ CLI = "tests/test_cli.py::"
 ACCEPT = "tests/test_acceptance.py::"
 
 MUTANTS = [
+    # The exact character table: the lazy eigenvalue search relies on
+    # the diagonalisation raise, the lift on its two raises and the
+    # Galois fill on its check, and the orthogonality recheck must run
+    # off the diagonal.
+    Mutant("diagonalise_raise_dropped", "chartab.py",
+           "if found != k:",
+           "if False:",
+           [CHARTAB + "test_jordan_block_fails_to_diagonalise"]),
+    Mutant("lift_bound_dropped", "chartab.py",
+           "if m > max_degree:",
+           "if False:",
+           [CHARTAB + "test_non_root_of_unity_fails_lift_bound"]),
+    Mutant("lifted_degree_dropped", "chartab.py",
+           "if sum(poly) != d:",
+           "if False:",
+           [CHARTAB + "test_trivial_root_fails_lifted_degree"]),
+    Mutant("galois_check_dropped", "chartab.py",
+           "if [v.coeffs for v in lift(c)] != "
+           "[v.coeffs for v in columns[c]]:",
+           "if False:",
+           [CHARTAB + "test_wrong_galois_map_is_caught"]),
+    Mutant("orthogonality_diagonal_only", "chartab.py",
+           "for t2 in range(t1, len(values)):",
+           "for t2 in range(t1, t1 + 1):",
+           [CHARTAB + "test_entry_times_root_of_unity_rejected[s4]",
+            CHARTAB + "test_entry_times_root_of_unity_rejected[q8]"]),
     # The Clifford memo key (cliff._kinva_key): its flag drops
     # ltilde_full, its flag drops the jump, and its 2d0 is fixed at 2.
     Mutant("kinva_key_flag_without_ltilde", "cliff.py",

@@ -27,7 +27,7 @@ from dsplitlevi.chartab import (
     restrict,
 )
 from dsplitlevi.cli import PRESETS
-from dsplitlevi.cyclo import CycNum
+from dsplitlevi.cyclo import CycNum, zeta
 from dsplitlevi.extweyl import build_VdI, chevalley_generator, matrix_closure
 from dsplitlevi.levi import LeviLabel, enumerate_labels
 from dsplitlevi.signedperm import (
@@ -272,6 +272,81 @@ class TestCharacterTable:
         l = chartab._dixon_prime(6, 6)
         assert str(err.value) == ("class matrices did not separate "
                                   f"characters (group order 6, prime l = {l})")
+
+    @pytest.mark.parametrize("G", [s4(), grp(
+        sp("(1,2,-1,-2)(3,4,-3,-4)", 4), sp("(1,3,-1,-3)(2,-4,-2,4)", 4))],
+        ids=["s4", "q8"])
+    def test_entry_times_root_of_unity_rejected(self, G):
+        # ζ_e·χ(g) keeps every norm, so only an off-diagonal pair breaks.
+        table = character_table(G)
+        data = G.conjugacy_classes()
+        l = table.prime
+        root = zeta(table.exponent)
+        for t, row in enumerate(table.values):
+            for j in range(len(row)):
+                if not row[j]:
+                    continue
+                bad = [list(r) for r in table.values]
+                bad[t][j] = bad[t][j] * root
+                chi = ClassFunction(G, bad[t])
+                assert inner(chi, chi) == 1
+                with pytest.raises(VerificationError) as err:
+                    _verify_orthogonality(G, data, bad, l)
+                assert str(err.value) == (f"row orthogonality fails (group "
+                                          f"order {G.order}, prime l = {l})")
+
+    def test_jordan_block_fails_to_diagonalise(self, monkeypatch):
+        # A Jordan block on S3's three classes has one eigenvalue and a
+        # one-dimensional eigenspace, so no search fills the space.
+        monkeypatch.setattr(chartab, "_TABLE_CACHE", {})
+        monkeypatch.setattr(chartab, "_class_matrix", lambda G, data, j, l:
+                            [[2, 1, 0], [0, 2, 1], [0, 0, 2]])
+        with pytest.raises(VerificationError) as err:
+            character_table(s3())
+        l = chartab._dixon_prime(6, 6)
+        assert str(err.value) == ("class matrix failed to diagonalise "
+                                  f"(group order 6, prime l = {l})")
+
+    def _table_with_root(self, G, root, monkeypatch):
+        """The table of G computed with ``root(z, l)`` in place of the
+        root of unity z of order exp(G) mod l."""
+        found = chartab._root_of_unity
+        monkeypatch.setattr(chartab, "_TABLE_CACHE", {})
+        monkeypatch.setattr(chartab, "_root_of_unity",
+                            lambda l, e: root(found(l, e), l))
+        return character_table(G)
+
+    def test_non_root_of_unity_fails_lift_bound(self, monkeypatch):
+        # z + 1 is no root of unity of order 4 mod 13, so the Fourier
+        # inversion returns residues past every degree.
+        with pytest.raises(VerificationError) as err:
+            self._table_with_root(grp(sp("(1,2)", 2), sp("(1,-1)", 2)),
+                                  lambda z, l: (z + 1) % l, monkeypatch)
+        assert str(err.value) == ("root-of-unity multiplicity fails lift "
+                                  "bound (group order 8, prime l = 13)")
+
+    def test_trivial_root_fails_lifted_degree(self, monkeypatch):
+        # With z = 1 every multiplicity of an element g is the average of
+        # χ over ⟨g⟩: small, but not summing to χ(1).
+        with pytest.raises(VerificationError) as err:
+            self._table_with_root(s3(), lambda z, l: 1, monkeypatch)
+        assert str(err.value) == ("lifted degree disagrees with modular "
+                                  "degree (group order 6, prime l = 7)")
+
+    def test_wrong_galois_map_is_caught(self, monkeypatch):
+        # Filled columns of C3 would repeat χ(g) at g^2.
+        class Unmapped(CycNum):
+            __slots__ = ()
+
+            def galois(self, k):
+                return self
+
+        monkeypatch.setattr(chartab, "_TABLE_CACHE", {})
+        monkeypatch.setattr(chartab, "CycNum", Unmapped)
+        with pytest.raises(VerificationError) as err:
+            character_table(grp(sp("(1,2,3)", 3)))
+        assert str(err.value) == ("Galois image disagrees with the lifted "
+                                  "value (group order 3, prime l = 7)")
 
     def test_deterministic(self):
         t1 = character_table(s4())

@@ -849,6 +849,26 @@ class TestInputBounds:
         self._exit_2_naming(("verify", "eq1", "--n", "2,10", "--d", d),
                             str(levi.LABEL_COUNT_BOUND))
 
+    @pytest.mark.parametrize("args", [
+        ("--n", "8"), ("--n", "8", "--d", "2..5"), ("--n", "2..9", "--d", "1")],
+        ids=["n8", "n8-d2", "n2-9-d1"])
+    def test_eq1_pairs_at_d0_1_bound(self, args, monkeypatch):
+        # Bell(9) = 21147 pairs at n = 8 for each of d = 1 and 2, and
+        # Bell(10) = 115975 at n = 9, which the label bound admits.
+        monkeypatch.setattr(cli, "_concrete_pairs", self.refuse)
+        monkeypatch.setattr(cli, "build_root_system", self.refuse)
+        monkeypatch.setattr(cli, "check_eq1", self.refuse)
+        self._exit_2_naming(("verify", "eq1") + args,
+                            str(levi.EQ1_PAIR_BOUND))
+
+    @pytest.mark.parametrize("args", [
+        ("--n", "7"), ("--n", "8", "--d", "3..8")], ids=["n7", "n8-d0-above-1"])
+    def test_eq1_admits_grids_within_the_pair_bound(self, args, monkeypatch):
+        # 2 * Bell(8) = 8280 pairs at n = 7; no pair at d0 = 1 for d >= 3.
+        monkeypatch.setattr(cli, "build_root_system", self.refuse)
+        result = invoke("verify", "eq1", *args)
+        assert isinstance(result.exception, RuntimeError)
+
     def test_grid_value_bound(self, monkeypatch):
         monkeypatch.setattr(cli, "signed_symmetric_group", self.refuse)
         start = time.perf_counter()
