@@ -8,10 +8,11 @@ of a finite group of Lie type and l - 1 for a Dixon prime l.
 takes integer k-th roots, so both answer at once for every n below
 2^64, where trial division would run for hours.
 
-``fp_mul``, ``fp_divmod`` and ``fp_gcd`` take integer coefficient
-lists, lowest degree first, and return them reduced modulo the prime p
-with no trailing zeros (the zero polynomial is []).  The modular
-character tables use them.
+``fp_mul`` and ``fp_divmod`` take integer coefficient lists, lowest
+degree first, and return them reduced modulo the prime p with no
+trailing zeros (the zero polynomial is []).  The modular character
+tables divide minimal polynomials by their linear factors with
+``fp_divmod``; ``fp_mul`` is the product its tests check it against.
 """
 
 # Miller-Rabin with the first twelve prime bases has no strong
@@ -131,12 +132,3 @@ def fp_divmod(a, b, p):
     while quot and not quot[-1]:
         quot.pop()
     return quot, _fp(a[:m], p)
-
-
-def fp_gcd(a, b, p):
-    """The monic gcd of a and b over F_p ([] when both are zero)."""
-    a, b = _fp(a, p), _fp(b, p)
-    while b:
-        a, b = b, fp_divmod(a, b, p)[1]
-    return fp_divmod(a, a[-1:], p)[0] if a else a
-

@@ -3,14 +3,25 @@
 A :class:`FiniteGroup` wraps an explicit list of group elements (any
 hashable objects with ``*`` and ``.inv()``, e.g. signed permutations or
 integer matrices).  :func:`character_table` computes its full ordinary
-character table by the classical modular method: the class-sum matrices
-are simultaneously diagonalised over a prime field F_l with l = 1 mod
-exp(G) and l^2 > 4|G|, degrees are recovered from the second
-orthogonality relation, and the character values are lifted to exact
-cyclotomic numbers of conductor exp(G) via discrete Fourier inversion
-over the power maps.  Row orthogonality, which implies column
-orthogonality for a square table, is re-verified exactly before a table
-is returned.
+character table by Dixon's modular method, in three steps.
+
+* The class-sum matrices are simultaneously diagonalised over a prime
+  field F_l with l = 1 mod exp(G) and l^2 > 4|G|.  Each space not yet
+  split finds its eigenvalues lazily: the roots of the Krylov minimal
+  polynomial of one coordinate vector at a time, whose eigenspaces are
+  taken until they fill the space.  A space that falls short is not
+  diagonalisable, and the table check fails.
+* Degrees are recovered from the second orthogonality relation, and
+  the values are lifted to exact cyclotomic numbers of conductor
+  exp(G) by Fourier inversion over the powers of each class
+  representative, on plain integer coefficient lists.  Since
+  χ(g^s) = σ_s(χ(g)) for s prime to exp(G), one column per Galois class
+  is lifted and the others are filled in by ``CycNum.galois``; one
+  filled column per class is lifted as well, to check the map.
+* Row orthogonality, which implies column orthogonality for a square
+  table, is re-verified exactly before a table is returned: each pair
+  of rows is summed on integer lists modulo x^e - 1 and reduced
+  modulo Φ_e once, as :func:`inner` does.
 
 Restriction and inner products of class functions are exact.
 :func:`class_permutation` is the package's one conjugation action on
@@ -24,7 +35,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .arith import factorint, isprime
+from .arith import factorint, fp_divmod, isprime
 from .cyclo import CycNum
 from .signedperm import ClosureExceedsCap, VerificationError, closure
 
@@ -336,15 +347,6 @@ def _is_root(poly, x, l):
     return acc == 0
 
 
-def _deflate(poly, lam, l):
-    """poly / (x - λ) mod l for a root λ, by synthetic division."""
-    q, c = [], 0
-    for a in reversed(poly[1:]):
-        c = (a + lam * c) % l
-        q.append(c)
-    return q[::-1]
-
-
 def _line(vec, l):
     """The line of a nonzero vector as (basis, pivots) in RREF."""
     p = next(k for k, c in enumerate(vec) if c)
@@ -374,7 +376,8 @@ def _eigenspaces(mat, l):
             if _is_root(poly, x, l):
                 roots.append(x)
         if len(roots) == n:
-            return [_line(_combine(_deflate(poly, lam, l), krylov, l), l)
+            return [_line(_combine(fp_divmod(poly, [-lam, 1], l)[0],
+                                   krylov, l), l)
                     for lam in roots]
         for lam in roots:
             if lam not in seen:

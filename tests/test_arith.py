@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dsplitlevi import levi
-from dsplitlevi.arith import (InputTooLarge, factorint, fp_divmod, fp_gcd,
-                              fp_mul, isprime, prime_power)
+from dsplitlevi.arith import (InputTooLarge, factorint, fp_divmod, fp_mul,
+                              isprime, prime_power)
 from dsplitlevi.cyclo import _cyclotomic
 from dsplitlevi.levi import check_odd_prime_power
 
@@ -71,14 +71,14 @@ class TestIntegerRoutines:
 
 @st.composite
 def fp_polys(draw):
-    """A prime p and three polynomials over F_p, the second nonzero; the
+    """A prime p and two polynomials over F_p, the second nonzero; the
     coefficients are drawn past p and negative, as callers may pass."""
     p = draw(st.sampled_from([3, 5, 7, 97]))
     poly = st.lists(st.integers(-2 * p, 2 * p), max_size=7)
-    a, b, c = draw(poly), draw(poly), draw(poly)
+    a, b = draw(poly), draw(poly)
     if not any(x % p for x in b):
         b = b + [1]
-    return p, a, b, c
+    return p, a, b
 
 
 def _reduced(a, p):
@@ -95,28 +95,13 @@ def _norm(a, p):
 class TestFpKernel:
     @given(fp_polys())
     def test_division_with_remainder(self, case):
-        p, a, b, _ = case
+        p, a, b = case
         quot, rem = fp_divmod(a, b, p)
         assert _reduced(quot, p) and _reduced(rem, p)
         assert len(rem) < len(_norm(b, p))
         qb = fp_mul(quot, b, p)
         assert _norm([x + y for x, y in zip_longest(qb, rem, fillvalue=0)],
                      p) == _norm(a, p)
-
-    @given(fp_polys())
-    def test_gcd_is_monic_and_divides_both(self, case):
-        p, a, b, c = case
-        g = fp_gcd(fp_mul(a, c, p), fp_mul(b, c, p), p)
-        assert _reduced(g, p)
-        if not g:
-            assert not fp_mul(a, c, p) and not fp_mul(b, c, p)
-            return
-        assert g[-1] == 1
-        assert fp_divmod(fp_mul(a, c, p), g, p)[1] == []
-        assert fp_divmod(fp_mul(b, c, p), g, p)[1] == []
-        # c divides both products, so it divides their gcd.
-        if any(x % p for x in c):
-            assert fp_divmod(g, c, p)[1] == []
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
