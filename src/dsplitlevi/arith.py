@@ -1,5 +1,5 @@
 """Small exact routines: primality, factorisation, prime powers, and
-the package's one kernel of polynomials over F_p.
+the package's one division of polynomials over F_p.
 
 The package needs these only for small integers: the odd prime power q
 of a finite group of Lie type and l - 1 for a Dixon prime l.
@@ -8,11 +8,10 @@ of a finite group of Lie type and l - 1 for a Dixon prime l.
 takes integer k-th roots, so both answer at once for every n below
 2^64, where trial division would run for hours.
 
-``fp_mul`` and ``fp_divmod`` take integer coefficient lists, lowest
-degree first, and return them reduced modulo the prime p with no
-trailing zeros (the zero polynomial is []).  The modular character
-tables divide minimal polynomials by their linear factors with
-``fp_divmod``; ``fp_mul`` is the product its tests check it against.
+``fp_divmod`` takes integer coefficient lists, lowest degree first,
+and returns them reduced modulo the prime p with no trailing zeros
+(the zero polynomial is []).  The modular character tables divide
+minimal polynomials by their linear factors with it.
 """
 
 # Miller-Rabin with the first twelve prime bases has no strong
@@ -98,18 +97,6 @@ def _fp(a, p):
     while a and not a[-1]:
         a.pop()
     return a
-
-
-def fp_mul(a, b, p):
-    """The product a·b over F_p."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = [0] * (len(a) + len(b) - 1) if b else []
-    for i, y in enumerate(b):
-        if y:
-            for j, x in enumerate(a, i):
-                out[j] += x * y
-    return _fp(out, p)
 
 
 def fp_divmod(a, b, p):

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dsplitlevi import levi
-from dsplitlevi.arith import (InputTooLarge, factorint, fp_divmod, fp_mul,
-                              isprime, prime_power)
+from dsplitlevi.arith import (InputTooLarge, factorint, fp_divmod, isprime,
+                              prime_power)
 from dsplitlevi.cyclo import _cyclotomic
 from dsplitlevi.levi import check_odd_prime_power
 
@@ -88,8 +88,20 @@ def _reduced(a, p):
 
 
 def _norm(a, p):
-    """a as a kernel output (a·1 over F_p)."""
-    return fp_mul(a, [1], p)
+    """a as a kernel output: reduced modulo p, trailing zeros trimmed."""
+    a = [c % p for c in a]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _times(a, b, p):
+    """The product a·b over F_p, as a kernel output."""
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return _norm(out, p)
 
 
 class TestFpKernel:
@@ -99,7 +111,7 @@ class TestFpKernel:
         quot, rem = fp_divmod(a, b, p)
         assert _reduced(quot, p) and _reduced(rem, p)
         assert len(rem) < len(_norm(b, p))
-        qb = fp_mul(quot, b, p)
+        qb = _times(quot, b, p)
         assert _norm([x + y for x, y in zip_longest(qb, rem, fillvalue=0)],
                      p) == _norm(a, p)
 
