@@ -850,8 +850,8 @@ class TestInputBounds:
                             str(levi.LABEL_COUNT_BOUND))
 
     @pytest.mark.parametrize("args", [
-        ("--n", "8"), ("--n", "8", "--d", "2..5"), ("--n", "2..9", "--d", "1")],
-        ids=["n8", "n8-d2", "n2-9-d1"])
+        ("--n", "8"), ("--n", "8", "--d", "2..5"),
+        ("--n", "2..9", "--d", "1")], ids=["n8", "n8-d2", "n2-9-d1"])
     def test_eq1_pairs_at_d0_1_bound(self, args, monkeypatch):
         # Bell(9) = 21147 pairs at n = 8 for each of d = 1 and 2, and
         # Bell(10) = 115975 at n = 9, which the label bound admits.
@@ -862,7 +862,8 @@ class TestInputBounds:
                             str(levi.EQ1_PAIR_BOUND))
 
     @pytest.mark.parametrize("args", [
-        ("--n", "7"), ("--n", "8", "--d", "3..8")], ids=["n7", "n8-d0-above-1"])
+        ("--n", "7"), ("--n", "8", "--d", "3..8")],
+        ids=["n7", "n8-d0-above-1"])
     def test_eq1_admits_grids_within_the_pair_bound(self, args, monkeypatch):
         # 2 * Bell(8) = 8280 pairs at n = 7; no pair at d0 = 1 for d >= 3.
         monkeypatch.setattr(cli, "build_root_system", self.refuse)
