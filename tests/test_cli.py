@@ -519,6 +519,74 @@ class TestVerify:
         report = run_json("verify", "torus", "--q", "3", "--d", "1..2")
         assert report["pass"] is True and report["checked"] == 8
 
+    # sha256 of the stdout of ``verify SUITE ARGS --format F``, taken
+    # before the brute-force oracles moved onto image tuples and the
+    # Chevalley generators were cached; every report must stay the same.
+    GOLDEN = {
+        ("centralizers --n 2", "json"):
+            "13e8b36de27570a0508ab924a9ff79bdc73cc95bba8e60bcd279967becbd05c4",
+        ("centralizers --n 2", "tsv"):
+            "e6895dd92d4aa8ad7a9e25a9a2c6fdac65251a903508c4e45bef6fc5affba886",
+        ("centralizers --n 2", "text"):
+            "167cb65b65223effb5dba33d63a5044942a89ede12934a33251ef2c03a1a8a42",
+        ("centralizers --n 3", "json"):
+            "83e31c6c04fc2d74d3f975690462fb5245aeeb51108a5c3c2e08ca7f216a59f9",
+        ("centralizers --n 3", "tsv"):
+            "b29e862efb3d8d1323885b6f82f1601ccdc7646f0b63045ef9a147fceb587545",
+        ("centralizers --n 3", "text"):
+            "80cacbf39a37d8fb35c85bec3661719662f89a010ecaeb03de26c5e5076f8569",
+        ("normalizers --n 2", "json"):
+            "ff9f80cd9a8cef3ac1ac9682affb88040750258e971b2f17a6fff53c93298d3e",
+        ("normalizers --n 2", "tsv"):
+            "b2b2b7cddfc4df5408449da0ee01f5ee09533c801fb5f150db8b3101a361db2c",
+        ("normalizers --n 2", "text"):
+            "97db9087153251f5b6961f1ef8cf17d4b25e987b5c4ce91654ee612e5423695d",
+        ("normalizers --n 3", "json"):
+            "5d617ab548f06f295750d4a706b666d800d60be5104f2435f7d3fe5e7d00bed3",
+        ("normalizers --n 3", "tsv"):
+            "98fe16f5edc8924aa665f2676af76a9ac69f5d8ca1ec97b67d7f5e9e8dc03b1d",
+        ("normalizers --n 3", "text"):
+            "8902319e897e1e465a030ae30d42809c6dada0eeb5815396869404d708899572",
+        ("eq1 --n 2", "json"):
+            "cdbe48b6c7149ede5f082c69acaa59f5ce0b4694b671e8d75502e893d9b462c2",
+        ("eq1 --n 2", "tsv"):
+            "51e5099341664d2d5b44fbca89316325915183e556a798c0899c168e73a41797",
+        ("eq1 --n 2", "text"):
+            "23ad19444b36ffc0e14e37aebd01d917d66d7cf8539f12bdd47e34dcae445a65",
+        ("eq1 --n 3", "json"):
+            "17848aed022d2a21d75d4840861056292a051d6473c21e56300a100dfb8cea63",
+        ("eq1 --n 3", "tsv"):
+            "d09f82081cf80951e77df2b7af9fa57b655c7e00dd46de59398f06d900262c8c",
+        ("eq1 --n 3", "text"):
+            "2b1ff6f7158eb77bdc13267602aac18e47fd9509d0ceba4b6b9b8132f71860c1",
+        ("extweyl --n 2", "json"):
+            "0e3496b2b9304b5feebb63505b60181e3c52d85eeb0f7bf65274e7d5214634a1",
+        ("extweyl --n 2", "tsv"):
+            "1d4978a6f81e48f862b4d8799eb82808caecf3651b0c16421072c18f953ddb9b",
+        ("extweyl --n 2", "text"):
+            "2de11c147a07bbdf26b6e39b4a7c8f2210f398797b577262b586982841be676e",
+        ("extweyl --n 3", "json"):
+            "15b75d9535084238bb92cd09338cd256fa0f4ca65f9b2e9a8bdb6beb6b8772b4",
+        ("extweyl --n 3", "tsv"):
+            "eec4c2602416dbb1105af5b300b24065d28acf04852c667cd9c5c2fa4978e02a",
+        ("extweyl --n 3", "text"):
+            "432d2577dbf31575fa7e1c81fa2d232e26016b41f668c7f820f34a94808d96c3",
+        ("torus --q 3", "json"):
+            "a8b2adf24f3a5f78a42c05c4a2efb2e456f7a0d185ddda26d54c488f95338b70",
+        ("torus --q 3", "tsv"):
+            "d0832fd47b9fc65e224392751f88b743debe6600d6eb0ad6786a22a03a1f54c0",
+        ("torus --q 3", "text"):
+            "df58371614df823304bb5641653de1ce90e5c14c3160c1c34a26b7c2f0164c5f",
+    }
+
+    @pytest.mark.parametrize("args, fmt", sorted(GOLDEN),
+                             ids=lambda v: v.replace(" --", "-").replace(" ", ""))
+    def test_reports_match_golden_digests(self, args, fmt):
+        result = invoke("verify", *args.split(), "--format", fmt)
+        assert result.exit_code == 0, (args, fmt)
+        digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+        assert digest == self.GOLDEN[args, fmt], (args, fmt)
+
     def test_unknown_suite(self):
         assert invoke("verify", "nonsense").exit_code == 2
 
