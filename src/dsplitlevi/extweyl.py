@@ -13,6 +13,11 @@ read, and equality and hash compare that image, so they agree however
 a matrix was made.  rho reads the image as a signed permutation of
 rank n (f_i read as e_{-i}); its kernel is the diagonal 2-group.
 
+chevalley_generator builds each (kind, root, t) once: an lru_cache of
+``CHEVALLEY_CACHE_SIZE`` = 512 matrices keeps them, more than the 348
+generators of C_2, C_3 and C_4 together.  Only generators are cached,
+never a group: every closure is built afresh under its caller's cap.
+
 build_twist_elements constructs the distinguished lift v of the Sylow
 twist together with the grid-set elements c_i (lifting the long signed
 cycles), p_k (lifting the grid-set swaps) and their derived chain
@@ -24,6 +29,8 @@ relative Weyl group computed by :mod:`dsplitlevi.levi`.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
+from operator import mul
 
 from .levi import compute_d0, sylow_twist_w, tau_Q, wprime_Q
 from .signedperm import (DEFAULT_CLOSURE_CAP, SignedPerm, VerificationError,
@@ -69,9 +76,8 @@ class IntMatrix:
         if self._perm is not None and other._perm is not None:
             return IntMatrix._of_perm(self._perm * other._perm)
         cols = tuple(zip(*other.rows))
-        return IntMatrix(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.rows))
+        return IntMatrix(tuple(tuple(sum(map(mul, row, col)) for col in cols)
+                               for row in self.rows))
 
     def _signed_perm(self):
         if self._perm is None:
@@ -169,21 +175,32 @@ def chevalley_generator(kind, root, t):
     """x_alpha(t), n_alpha(t) or h_alpha(t) as an integer matrix, t = +-1.
 
     n_alpha(t) = x_alpha(t) x_{-alpha}(-1/t) x_alpha(t) and
-    h_alpha(t) = n_alpha(t) n_alpha(1)^-1.
+    h_alpha(t) = n_alpha(t) n_alpha(1)^-1.  Each (kind, root, t) is
+    built once and shared (see the module docstring); an IntMatrix is
+    immutable.
     """
     if t not in (1, -1):
         raise ValueError(f"integer matrices need t in {{1, -1}}, got {t!r}")
+    root = tuple(root)
     _root_entries(root)
+    if kind not in ("x", "n", "h"):
+        raise ValueError(f"kind must be one of x, n, h, got {kind!r}")
+    return _generator(kind, root, t)
+
+
+# 3 kinds * 2 signs * (8 + 18 + 32) roots = 348 generators at ranks 2-4.
+CHEVALLEY_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=CHEVALLEY_CACHE_SIZE)
+def _generator(kind, root, t):
+    """chevalley_generator on checked arguments, ``root`` a tuple."""
     if kind == "x":
         return _x_matrix(root, t)
-    neg = tuple(-c for c in root)
-    n_t = _x_matrix(root, t) * _x_matrix(neg, -t) * _x_matrix(root, t)
     if kind == "n":
-        return n_t
-    if kind == "h":
-        n_1 = _x_matrix(root, 1) * _x_matrix(neg, -1) * _x_matrix(root, 1)
-        return n_t * n_1.inv()
-    raise ValueError(f"kind must be one of x, n, h, got {kind!r}")
+        neg = tuple(-c for c in root)
+        return _x_matrix(root, t) * _x_matrix(neg, -t) * _x_matrix(root, t)
+    return _generator("n", root, t) * _generator("n", root, 1).inv()
 
 
 def rho(m):

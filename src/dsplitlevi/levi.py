@@ -71,7 +71,7 @@ from math import factorial
 from operator import add, mul
 
 from .arith import InputTooLarge, prime_power
-from .rootsys import apply_to_root, reflection_perm
+from .rootsys import reflection_perm
 from .signedperm import (
     SignedPerm,
     VerificationError,
@@ -544,16 +544,32 @@ def relative_weyl(label):
 VERIFY_RANK_LIMIT = 4
 
 
+def _root_points(root):
+    """The signed points p, q with root = e_p + e_q, e_{-i} = -e_i; a
+    long root ±2e_i is one point taken twice."""
+    return tuple(p for i, c in enumerate(root, 1) if c
+                 for p in [i if c > 0 else -i] * abs(c))
+
+
 @lru_cache(maxsize=VERIFY_RANK_LIMIT)
 def _root_action(n):
     """The index of every root of C_n, and for each g of
     signed_symmetric_group(n), in its order, the permutation of root
-    indices g induces.  Built once per rank."""
+    indices g induces.  Built once per rank from each g's signed table:
+    g maps e_p + e_q to e_{g(p)} + e_{g(q)}."""
     roots = concrete_parabolic_roots(n, range(1, n + 1), ())
     index = {r: k for k, r in enumerate(roots)}
-    actions = tuple(tuple(index[apply_to_root(g, r)] for r in roots)
-                    for g in signed_symmetric_group(n))
-    return index, actions
+    points = [_root_points(r) for r in roots]
+    by_points = {}
+    for k, (p, q) in enumerate(points):
+        by_points[p, q] = by_points[q, p] = k
+    ps, qs = zip(*points)
+    actions = []
+    for g in signed_symmetric_group(n):
+        t = g.table().__getitem__
+        actions.append(tuple(map(by_points.__getitem__,
+                                 zip(map(t, ps), map(t, qs)))))
+    return index, tuple(actions)
 
 
 def _simple_roots(roots):
@@ -603,28 +619,35 @@ def verify_relative_weyl(label):
     stab, WL = _parabolic_groups(
         n, concrete_parabolic_roots(n, label.I_minus1, label.I))
 
+    # The walk runs on image tuples: g * h is g's signed table looked up
+    # along h's images, and coset maps each element to its coset's first
+    # element met in stab.
+    wl = [h.img for h in WL]
     coset = {}
     reps = []
     for g in stab:
-        if g in coset:
+        if g.img in coset:
             continue
         reps.append(g)
-        for h in WL:
-            coset[g * h] = g
+        t = g.table().__getitem__
+        for h in wl:
+            coset[tuple(map(t, h))] = g.img
     w = label.w
-    wi = w.inv()
-    fixed = {r for r in reps if coset[wi * r * w] == r}
+    wi, wimg = w.inv().table().__getitem__, w.img
+    fixed = {r.img for r in reps
+             if coset[tuple(map(wi, map(r.table().__getitem__, wimg)))]
+             == r.img}
 
     rw = relative_weyl(label)
     if len(fixed) != rw.order:
         return False
     for g in rw.generators:
-        if g * w != w * g or g not in coset:
+        if g * w != w * g or g.img not in coset:
             return False
     V = group_closure(rw.generators) if rw.generators else [SignedPerm.identity(n)]
     if len(V) != rw.order:
         return False
-    images = {coset[v] for v in V}
+    images = {coset[v.img] for v in V}
     return len(images) == len(V) and images == fixed
 
 

@@ -80,10 +80,12 @@ class SignedPerm:
         self.img = img
         self._t = None
 
-    def _table(self):
+    def table(self):
         """The images of every signed point: ``t[i] = σ(i)`` for
         -n ≤ i ≤ n, i ≠ 0 (negative indices count from the end), built
-        on first use."""
+        on first use.  The one accessor of the table: the brute-force
+        oracles here and in ``levi`` compose image tuples by looking
+        them up in it, as :func:`closure` does."""
         t = self._t
         if t is None:
             t = self._t = _signed_table(self.img)
@@ -128,7 +130,7 @@ class SignedPerm:
             return NotImplemented
         if len(self.img) != len(other.img):
             raise ValueError(f"rank mismatch: {self.n} vs {other.n}")
-        t = self._t or self._table()
+        t = self._t or self.table()
         return _trusted(tuple(map(t.__getitem__, other.img)))
 
     def inv(self):
@@ -176,7 +178,7 @@ class SignedPerm:
 
     def cycles(self):
         """All cycles of the action on {±1..±n}, fixed points included."""
-        t = self._table()
+        t = self.table()
         seen, out = set(), []
         for start in itertools.chain(range(1, self.n + 1),
                                      range(-1, -self.n - 1, -1)):
@@ -205,7 +207,7 @@ class SignedPerm:
         the start is the smallest positive point of the cycle it walks
         and of that cycle's negative, and the cycles come out sorted.
         """
-        t = self._t or self._table()
+        t = self._t or self.table()
         met, out = set(), []
         for start in range(1, len(self.img) + 1):
             p = t[start]
@@ -440,28 +442,54 @@ def signed_symmetric_group(n):
     return tuple(group_closure(gens, cap=2 ** n * factorial(n)))
 
 
+def _check_rank(img, n):
+    """ValueError, as a product would raise, unless ``img`` has rank n."""
+    if len(img) != n:
+        raise ValueError(f"rank mismatch: {len(img)} vs {n}")
+
+
 def brute_normalizer(H, G):
-    """{g ∈ G : H^g = H} by exhaustive check; H must be a subgroup of G."""
+    """{g ∈ G : H^g = H} by exhaustive check; H must be a subgroup of G.
+
+    Every a * b for a, b ∈ H and every g⁻¹ * h * g for g ∈ G, h ∈ H is
+    formed on image tuples, by lookup in the left factor's signed
+    table, and looked up among H's images."""
     H, G = list(H), list(G)
     hset, gset = set(H), set(G)
     if not hset <= gset:
         raise ValueError("H is not contained in G")
-    if SignedPerm.identity(H[0].n) not in hset:
+    n = H[0].n
+    if SignedPerm.identity(n) not in hset:
         raise ValueError("H does not contain the identity")
-    for a, b in itertools.product(H, H):
-        if a * b not in hset:
-            raise ValueError("H is not closed under composition")
+    imgs = [h.img for h in H]
+    for b in imgs:
+        if len(b) != n:
+            raise ValueError(f"rank mismatch: {n} vs {len(b)}")
+    himgs = set(imgs)
+    tables = [h.table().__getitem__ for h in H]
+    for t in tables:
+        for b in imgs:
+            if tuple(map(t, b)) not in himgs:
+                raise ValueError("H is not closed under composition")
     out = []
     for g in G:
-        gi = g.inv()
-        if all(gi * h * g in hset for h in H):
+        _check_rank(g.img, n)
+        gi, gimg = g.inv().table().__getitem__, g.img
+        if all(tuple(map(gi, map(t, gimg))) in himgs for t in tables):
             out.append(g)
     return out
 
 
 def brute_centralizer(x, G):
-    """{g ∈ G : gx = xg} by exhaustive check."""
-    return [g for g in G if g * x == x * g]
+    """{g ∈ G : gx = xg} by exhaustive check, both products formed on
+    image tuples by lookup in the left factor's signed table."""
+    ximg, tx = x.img, x.table().__getitem__
+    out = []
+    for g in G:
+        _check_rank(g.img, len(ximg))
+        if tuple(map(g.table().__getitem__, ximg)) == tuple(map(tx, g.img)):
+            out.append(g)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,8 @@ CHARTAB = "tests/test_chartab.py::TestCharacterTable::"
 CLIFF = "tests/test_cliff.py::"
 TORUS = "tests/test_torus.py::"
 LEVI = "tests/test_levi.py::"
+SIGNEDPERM = "tests/test_signedperm.py::"
+EXTWEYL = "tests/test_extweyl.py::"
 CLI = "tests/test_cli.py::"
 ACCEPT = "tests/test_acceptance.py::"
 
@@ -169,6 +171,64 @@ MUTANTS = [
            "self.log == other.log\n                and self.M == other.M",
            "self.log == other.log",
            [TORUS + "TestTheta::test_order_condition_enforced"]),
+    # The brute-force oracles on image tuples: the normalizer's closure
+    # check and two-sided conjugation, the centralizer's two products,
+    # the root action's pairing of signed points with roots, and the
+    # relative Weyl check's comparison of cosets.
+    Mutant("normalizer_closure_check_dropped", "signedperm.py",
+           "if tuple(map(t, b)) not in himgs:",
+           "if False:",
+           [SIGNEDPERM + "TestImageTupleOracles::"
+                         "test_non_closed_set_rejected"]),
+    Mutant("normalizer_one_sided_conjugation", "signedperm.py",
+           "tuple(map(gi, map(t, gimg))) in himgs",
+           "tuple(map(t, gimg)) in himgs",
+           [SIGNEDPERM + "TestImageTupleOracles::"
+                         "test_normalizer_matches_products[2]",
+            SIGNEDPERM + "TestBruteNormalizer::test_single_flip_subgroup",
+            SIGNEDPERM + "TestBlockWreathNormalizer::"
+                         "test_prediction_matches_brute_force_rank_le_3",
+            CLI + "TestVerify::test_reports_match_golden_digests"
+                  "[normalizers-n2-json]",
+            ACCEPT + "test_02_block_wreath_normalizers"]),
+    Mutant("centralizer_one_sided_product", "signedperm.py",
+           "tuple(map(g.table().__getitem__, ximg)) == tuple(map(tx, g.img))",
+           "tuple(map(tx, g.img)) == tuple(map(tx, g.img))",
+           [SIGNEDPERM + "TestImageTupleOracles::"
+                         "test_centralizer_matches_products[2]",
+            CLI + "TestVerify::test_reports_match_golden_digests"
+                  "[centralizers-n2-json]",
+            ACCEPT + "test_01_centralizer_order_formula"]),
+    Mutant("root_action_pairing_sign", "levi.py",
+           "by_points[p, q] = by_points[q, p] = k",
+           "by_points[p, q] = by_points[q, p] = -k",
+           [LEVI + "TestRootAction::test_equals_apply_to_root[2]",
+            LEVI + "TestVerify::test_all_labels_verify[3]",
+            LEVI + "TestOracleBase::test_base_gives_the_same_groups[3]",
+            ACCEPT + "test_04_relative_weyl_groups_brute_verified"]),
+    Mutant("relative_weyl_cosets_by_count", "levi.py",
+           "return len(images) == len(V) and images == fixed",
+           "return len(images) == len(V) and len(images) == len(fixed)",
+           [LEVI + "TestVerify::test_cosets_are_compared_not_counted"]),
+    # The Chevalley generator cache: a key that ignores t hands out the
+    # first sign's matrix for both.
+    Mutant("chevalley_key_without_t", "extweyl.py",
+           "@lru_cache(maxsize=CHEVALLEY_CACHE_SIZE)\n"
+           "def _generator(kind, root, t):",
+           "def _keyed_without_t(fn):\n"
+           "    memo = {}\n"
+           "    def get(kind, root, t):\n"
+           "        if (kind, root) not in memo:\n"
+           "            memo[kind, root] = fn(kind, root, t)\n"
+           "        return memo[kind, root]\n"
+           "    return get\n\n\n"
+           "@_keyed_without_t\n"
+           "def _generator(kind, root, t):",
+           [EXTWEYL + "TestGeneratorCache::"
+                      "test_cached_generators_equal_fresh_products[2]",
+            EXTWEYL + "TestChevalleyGenerators::test_rank_one_n_matrix",
+            CLI + "TestVerify::test_reports_match_golden_digests"
+                  "[extweyl-n2-json]"]),
     # Streamed reports: the label order and laziness of
     # enumerate_labels, and the chunked writers.
     Mutant("label_sort_key_reordered", "levi.py",

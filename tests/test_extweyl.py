@@ -12,6 +12,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dsplitlevi import extweyl
 from dsplitlevi.extweyl import (
     IntMatrix,
     build_twist_elements,
@@ -217,6 +218,40 @@ class TestChevalleyGenerators:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             chevalley_generator("y", (2, 0), 1)
+
+
+class TestGeneratorCache:
+    """Each (kind, root, t) is built once; the shared matrices must be
+    the dense x-products, built afresh here without the cache."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cached_generators_equal_fresh_products(self, n):
+        for root in build_root_system(n):
+            neg = tuple(-c for c in root)
+            x = {(r, s): extweyl._x_matrix(r, s).rows
+                 for r in (root, neg) for s in (1, -1)}
+            n_1 = dense(dense(x[root, 1], x[neg, -1]), x[root, 1])
+            for t in (1, -1):
+                n_t = dense(dense(x[root, t], x[neg, -t]), x[root, t])
+                assert chevalley_generator("n", root, t).rows == n_t
+                assert (chevalley_generator("h", root, t).rows
+                        == dense(n_t, transpose(n_1)))
+
+    def test_each_generator_is_built_once(self):
+        root = (1, 0, -1)
+        for kind, t in itertools.product("xnh", (1, -1)):
+            first = chevalley_generator(kind, root, t)
+            assert chevalley_generator(kind, list(root), t) is first
+
+    def test_ranks_2_to_4_fit_the_bound(self):
+        extweyl._generator.cache_clear()
+        for n in (2, 3, 4):
+            for root, kind, t in itertools.product(
+                    build_root_system(n), "xnh", (1, -1)):
+                chevalley_generator(kind, root, t)
+        info = extweyl._generator.cache_info()
+        assert info.currsize == info.misses == 348
+        assert info.maxsize == extweyl.CHEVALLEY_CACHE_SIZE >= 348
 
 
 class TestMatrixClosure:

@@ -9,6 +9,7 @@ and sign conditions), textbook group orders (|GL2(3)| = 48,
 import importlib
 import itertools
 import pkgutil
+import types
 
 import pytest
 
@@ -28,8 +29,8 @@ from dsplitlevi.levi import (
     sylow_twist_w,
     verify_relative_weyl,
 )
-from dsplitlevi.rootsys import (build_root_system, is_stable_under,
-                                reflection_perm)
+from dsplitlevi.rootsys import (apply_to_root, build_root_system,
+                                is_stable_under, reflection_perm)
 from dsplitlevi.signedperm import (
     SignedPerm,
     group_closure,
@@ -526,9 +527,32 @@ class TestVerify:
         monkeypatch.setattr(levi, "relative_weyl", lambda lab: bad)
         assert not verify_relative_weyl(lab)
 
+    def test_cosets_are_compared_not_counted(self, monkeypatch):
+        # ι_1 does not stabilise Φ_L = {±(e1-e2)}, so of the four cosets
+        # of W_L in Stab(Φ_L) only those of () and (3,-3) are fixed.
+        # ⟨ι_3⟩ maps onto them; ⟨ι_{1,2}⟩ has the same order and
+        # centralizes ι_1 too, but its cosets are () and (1,-2).
+        bare = types.SimpleNamespace(n=3, I_minus1=(), I=((1, 2), (3,)),
+                                     w=sp("(1,-1)", 3))
+        for gen, ok in (("(3,-3)", True), ("(1,-1)(2,-2)", False)):
+            desc = levi.RelativeWeylDescriptor(((2, 1),), (sp(gen, 3),), 2)
+            monkeypatch.setattr(levi, "relative_weyl", lambda lab: desc)
+            assert verify_relative_weyl(bare) is ok, gen
+
     def test_rank_cap(self):
         with pytest.raises(ValueError):
             verify_relative_weyl(LeviLabel(5, 1, tuple(range(1, 6)), ()))
+
+
+class TestRootAction:
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_equals_apply_to_root(self, n):
+        # Built from signed tables; apply_to_root is the reference.
+        roots = concrete_parabolic_roots(n, range(1, n + 1), ())
+        index = {r: k for k, r in enumerate(roots)}
+        assert levi._root_action(n) == (index, tuple(
+            tuple(index[apply_to_root(g, r)] for r in roots)
+            for g in signed_symmetric_group(n)))
 
 
 def _reference_groups(n, roots):
@@ -648,7 +672,7 @@ class TestMemos:
                           if hasattr(fn, "cache_parameters")
                           and fn.__module__ == module.__name__)
         assert {"levi.sylow_twist_w", "levi._orbit_generator",
-                "signedperm.signed_symmetric_group",
+                "extweyl._generator", "signedperm.signed_symmetric_group",
                 "cyclo._cyclotomic"} <= set(cached)
         unbounded = [name for name, fn in cached.items()
                      if fn.cache_parameters()["maxsize"] is None]

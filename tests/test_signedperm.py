@@ -20,6 +20,7 @@ from dsplitlevi.signedperm import (
     SignedPerm,
     block_wreath_generators,
     block_wreath_normalizer_generators,
+    brute_centralizer as table_centralizer,
     brute_normalizer,
     centralizer_type,
     closure,
@@ -376,6 +377,65 @@ class TestBruteNormalizer:
         G = signed_symmetric_group(2)
         with pytest.raises(ValueError):
             brute_normalizer([sp("(1,2)", 2)], G)  # not closed (no identity)
+
+
+def product_normalizer(H, G):
+    """{g ∈ G : H^g = H} on SignedPerm products, with H's closure
+    checked pair by pair: the oracle of ``brute_normalizer``, which
+    forms the same products on image tuples."""
+    H, G = list(H), list(G)
+    hset = set(H)
+    for a, b in itertools.product(H, H):
+        if a * b not in hset:
+            raise ValueError("H is not closed under composition")
+    return [g for g in G if all(g.inv() * h * g in hset for h in H)]
+
+
+def grid_subgroups(n):
+    """The block wreath products of the acceptance grid at rank n and
+    the cyclic subgroups of the rank-n signed group."""
+    for blocks in set_partitions(n):
+        for signed in itertools.product([False, True], repeat=len(blocks)):
+            yield group_closure(block_wreath_generators(blocks, signed, n))
+    for x in signed_symmetric_group(n):
+        yield group_closure([x])
+
+
+class TestImageTupleOracles:
+    """brute_normalizer and brute_centralizer walk image tuples; they
+    must return what the SignedPerm products give, in the same order."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_normalizer_matches_products(self, n):
+        G = signed_symmetric_group(n)
+        for H in grid_subgroups(n):
+            assert brute_normalizer(H, G) == product_normalizer(H, G), H
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_centralizer_matches_products(self, n):
+        G = signed_symmetric_group(n)
+        for x in G:
+            assert table_centralizer(x, G) == brute_centralizer(x, G), x
+
+    def test_non_closed_set_rejected(self):
+        # The identity is there, so only the closure check can see that
+        # (1,2)∘(2,-2) is missing.
+        G = signed_symmetric_group(2)
+        H = [SignedPerm.identity(2), sp("(1,2)", 2), sp("(2,-2)", 2)]
+        with pytest.raises(ValueError, match="not closed"):
+            product_normalizer(H, G)
+        with pytest.raises(ValueError, match="not closed"):
+            brute_normalizer(H, G)
+
+    def test_rank_mismatch_rejected(self):
+        G2, G3 = signed_symmetric_group(2), signed_symmetric_group(3)
+        e2 = [SignedPerm.identity(2)]
+        with pytest.raises(ValueError, match="rank mismatch: 2 vs 3"):
+            brute_normalizer(e2 + [G3[0]], G2 + G3)
+        with pytest.raises(ValueError, match="rank mismatch: 3 vs 2"):
+            brute_normalizer(e2, G2 + G3)
+        with pytest.raises(ValueError, match="rank mismatch: 3 vs 2"):
+            table_centralizer(G2[-1], G3)
 
 
 # ---------------------------------------------------------------------------
