@@ -198,8 +198,8 @@ def _generator(kind, root, t):
     if kind == "x":
         return _x_matrix(root, t)
     if kind == "n":
-        neg = tuple(-c for c in root)
-        return _x_matrix(root, t) * _x_matrix(neg, -t) * _x_matrix(root, t)
+        x = _generator("x", root, t)
+        return x * _generator("x", tuple(-c for c in root), -t) * x
     return _generator("n", root, t) * _generator("n", root, 1).inv()
 
 

@@ -22,8 +22,9 @@ Besides the group operations the module provides
   the class actions of ``cliff`` close as signed permutations), closes
   them on bare image tuples, each element's signed table built once,
   and wraps them as SignedPerms only at the end;
-* brute-force closure / normalizer routines used to verify the
-  structural formulas on small ranks, and the generator sets for
+* brute-force normalizer / centralizer routines used to verify the
+  structural formulas on small ranks, which also compose image tuples
+  through :meth:`SignedPerm.table`, and the generator sets for
   products of block wreath subgroups and their predicted normalizers.
 
 Every input path validates: ``SignedPerm(...)``, :meth:`from_cycles`,
