@@ -44,7 +44,7 @@ import re
 from collections import namedtuple
 from functools import lru_cache
 from math import factorial
-from operator import neg
+from operator import eq, neg
 
 
 DEFAULT_CLOSURE_CAP = 20000
@@ -443,12 +443,6 @@ def signed_symmetric_group(n):
     return tuple(group_closure(gens, cap=2 ** n * factorial(n)))
 
 
-def _check_rank(img, n):
-    """ValueError, as a product would raise, unless ``img`` has rank n."""
-    if len(img) != n:
-        raise ValueError(f"rank mismatch: {len(img)} vs {n}")
-
-
 def brute_normalizer(H, G):
     """{g ∈ G : H^g = H} by exhaustive check; H must be a subgroup of G.
 
@@ -474,21 +468,25 @@ def brute_normalizer(H, G):
                 raise ValueError("H is not closed under composition")
     out = []
     for g in G:
-        _check_rank(g.img, n)
-        gi, gimg = g.inv().table().__getitem__, g.img
+        gimg = g.img
+        if len(gimg) != n:
+            raise ValueError(f"rank mismatch: {len(gimg)} vs {n}")
+        gi = g.inv().table().__getitem__
         if all(tuple(map(gi, map(t, gimg))) in himgs for t in tables):
             out.append(g)
     return out
 
 
 def brute_centralizer(x, G):
-    """{g ∈ G : gx = xg} by exhaustive check, both products formed on
-    image tuples by lookup in the left factor's signed table."""
+    """{g ∈ G : gx = xg} by exhaustive check, point by point: g(x(i))
+    against x(g(i)), each looked up in the left factor's signed table."""
     ximg, tx = x.img, x.table().__getitem__
     out = []
     for g in G:
-        _check_rank(g.img, len(ximg))
-        if tuple(map(g.table().__getitem__, ximg)) == tuple(map(tx, g.img)):
+        gimg = g.img
+        if len(gimg) != len(ximg):
+            raise ValueError(f"rank mismatch: {len(gimg)} vs {len(ximg)}")
+        if all(map(eq, map(g.table().__getitem__, ximg), map(tx, gimg))):
             out.append(g)
     return out
 
