@@ -12,13 +12,19 @@ JSON (sorted keys, fixed separators) is the canonical machine format;
 ``--format tsv`` and ``--format text`` are derived renderings of the
 same report, so all three are byte-identical across repeated runs with
 the same flags.  A report is its head fields plus one table of records
-under a key; one writer per format writes it to stdout as it goes,
-encoding CHUNK_RECORDS records per write.  ``levis`` hands its writer
-an iterator: each label is built and recorded only when its chunk is
-written, so its memory does not grow with the Bell(a+1) labels.  The
-other commands pass lists (``relweyl``'s ``pass`` precedes its labels
-in TSV, and ``verify`` failures take the union of their keys as TSV
-columns).  A refused input is refused before the first byte.  Exit
+under a key; one writer per format writes it to stdout as it goes, one
+write per chunk of CHUNK_RECORDS records, the head with the first and
+the tail with the last.  The writers only join encoded text.  The
+records of ``verify``, ``kinva`` and ``chartab`` are dicts, encoded by
+one helper (one encoder call per chunk in JSON; ``verify`` failures
+take the union of their keys as TSV columns).  ``levis`` and
+``relweyl`` hand over rows already encoded in the requested format,
+assembled from text encoded once per request for each label shape,
+I_minus1, block and generator (see "label rows" below).  ``levis``
+hands over an iterator: each label is built and encoded only when its
+chunk is written, so its memory does not grow with the Bell(a+1)
+labels; ``relweyl`` holds its labels until ``pass`` is known.  A
+refused input is refused before the first byte.  Exit
 status: 0 when every requested check passes, 1
 when a verification fails (failure records stay in the report), 2 on
 invalid flags, when a group grows past its brute-force cap (``--cap``;
@@ -42,6 +48,7 @@ import json
 import os
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 from math import factorial
 
 import click
@@ -75,6 +82,9 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 # Records encoded and written to stdout at a time.
 CHUNK_RECORDS = 128
 
+# The text between two encoded rows of a table, by format.
+_ROW_SEP = {"json": ",", "tsv": "\n", "text": "\n  "}
+
 
 def canonical_json(obj):
     """The canonical machine encoding: sorted keys, no whitespace."""
@@ -107,77 +117,228 @@ def _split(head, key):
     return fields[:at], fields[at:]
 
 
-def render_json(head, key, records):
+def _write(lead, chunks, sep, tail):
+    """Write lead, the chunks joined by sep, then tail and a newline: one
+    write per chunk, the lead going out with the first chunk and the
+    tail with the last."""
+    text = lead
+    for i, chunk in enumerate(chunks):
+        if i:
+            _out(text)
+            text = sep + chunk
+        else:
+            text += chunk
+    _out(text + tail + "\n")
+
+
+def render_json(head, key, chunks):
     """Canonical JSON of the report.  The head fields on either side of
     the key are encoded with an empty table in its place, and the
-    records go between its brackets, one chunk per write."""
+    chunks of encoded records go between its brackets."""
     if key is None:
         lead, tail = canonical_json(head), ""
     else:
         before, after = _split(head, key)
         lead = canonical_json({**dict(before), key: []})[:-2]
-        tail = canonical_json({key: [], **dict(after)})[
-            len(canonical_json(key)) + 3:]
-    sep = ""
-    for chunk in _chunks(records):
-        _out(lead + sep + canonical_json(chunk)[1:-1])
-        lead, sep = "", ","
-    _out(lead + tail + "\n")
+        tail = "]," + canonical_json(dict(after))[1:] if after else "]}"
+    _write(lead, chunks, ",", tail)
 
 
-def render_tsv(head, key, records):
+def render_tsv(head, key, cols, chunks):
     """Tab-separated rendering: '#'-prefixed head fields, then the
-    records as one table.  Its columns are the sorted union of the
-    records' keys for a list, and the keys of the first record, which
-    every record has, for an iterator."""
+    records as one table under the columns ``cols``."""
     lines = [f"# {k}\t{_cell(v)}" for k, v in sorted(head.items())]
     if key is not None:
-        if isinstance(records, list):
-            cols = sorted({c for rec in records for c in rec})
-        else:
-            records = iter(records)
-            first = next(records)
-            records = itertools.chain((first,), records)
-            cols = sorted(first)
-        lines.append("\t".join(cols))
-    lead = "\n".join(lines)
-    for chunk in _chunks(records):
-        _out(lead + "".join(["\n" + "\t".join([
-            _cell(rec[c]) if c in rec else "" for c in cols])
-            for rec in chunk]))
-        lead = ""
-    _out(lead + "\n")
+        lines += ["\t".join(cols), ""]
+    _write("\n".join(lines), chunks, "\n", "")
 
 
-def render_text(head, key, records):
+def render_text(head, key, chunks):
     """Line-per-field rendering; each record on its own indented line,
     as canonical JSON."""
     before, after = _split(head, key)
     lines = [f"{k}: {_cell(v)}" for k, v in before]
     if key is not None:
-        lines.append(f"{key}:")
-    lead = "\n".join(lines)
-    for chunk in _chunks(records):
-        _out(lead + "".join(["\n  " + canonical_json(rec) for rec in chunk]))
-        lead = ""
-    _out(lead + "".join(f"\n{k}: {_cell(v)}" for k, v in after) + "\n")
+        lines.append(f"{key}:\n  ")
+    _write("\n".join(lines), chunks, "\n  ",
+           "".join(f"\n{k}: {_cell(v)}" for k, v in after))
 
 
-def _emit(fmt, head, key=None, records=()):
-    """Write the report: the fields of ``head`` and, under ``key``, the
-    records (dicts), in sorted key order.  ``records`` is a list, or an
-    iterator that yields at least one record; each writer holds one
-    chunk of records at a time and writes the head with the first.  An
-    empty list is an empty-list field of the head, as in the whole
-    report."""
+def _row(fmt, rec, cols):
+    """A dict record as a row of fmt: its canonical JSON in JSON and
+    text, its cells under the columns ``cols`` in TSV (empty where it
+    has no such key)."""
+    if fmt == "tsv":
+        return "\t".join([_cell(rec[c]) if c in rec else "" for c in cols])
+    return canonical_json(rec)
+
+
+def _encode_records(fmt, records):
+    """(cols, chunks) for dict records: the TSV columns, and the records
+    encoded in fmt, one string per chunk of CHUNK_RECORDS records, with
+    one encoder call per chunk in JSON.  The TSV columns are the sorted
+    union of the records' keys for a list, and the keys of the first
+    record, which every record has, for an iterator."""
+    if fmt == "json":
+        return None, (canonical_json(chunk)[1:-1]
+                      for chunk in _chunks(records))
+    cols = None
+    if fmt == "tsv" and isinstance(records, list):
+        cols = sorted({c for rec in records for c in rec})
+    elif fmt == "tsv":
+        records = iter(records)
+        first = next(records)
+        records = itertools.chain((first,), records)
+        cols = sorted(first)
+    rows = (_row(fmt, rec, cols) for rec in records)
+    return cols, map(_ROW_SEP[fmt].join, _chunks(rows))
+
+
+def _emit(fmt, head, key=None, records=(), cols=None):
+    """Write the report: the fields of ``head`` and, under ``key``, a
+    table of records, in sorted key order.  The records are dicts, or,
+    when ``cols`` lists the table's columns, rows already encoded in
+    fmt: a JSON object in JSON and text, tab-separated cells in TSV.
+    ``records`` is a list, or an iterator that yields at least one
+    record; each writer holds one chunk at a time, writes the head with
+    the first and the tail with the last.  An empty list is an
+    empty-list field of the head, as in the whole report."""
+    chunks = ()
     if key is not None and not records:
         head, key = {**head, key: []}, None
+    elif key is not None:
+        if cols is None:
+            cols, chunks = _encode_records(fmt, records)
+        else:
+            chunks = map(_ROW_SEP[fmt].join, _chunks(records))
     if fmt == "json":
-        render_json(head, key, records)
+        render_json(head, key, chunks)
     elif fmt == "tsv":
-        render_tsv(head, key, records)
+        render_tsv(head, key, cols, chunks)
     else:
-        render_text(head, key, records)
+        render_text(head, key, chunks)
+
+
+# ---------------------------------------------------------------------------
+# label rows
+# ---------------------------------------------------------------------------
+#
+# At one (n, d) most of a levis or relweyl record is fixed by its label's
+# shape, so these two commands hand _emit rows already encoded in the
+# requested format, assembled from text encoded once per request: the
+# shape's fields, each I_minus1, each block of I and each generator.
+# label_record and _relweyl_record stay the one source of the fields,
+# each encoded generically for the first label of its shape.  A row
+# starts with I and I_minus1, which sort before every lowercase name.
+
+def _points(points):
+    """Canonical JSON of a sequence of ints."""
+    return "[" + ",".join(map(str, points)) + "]"
+
+
+class _Memo(dict):
+    """fn at each key, computed when first looked up; one serves one
+    request."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _label_lead(fmt):
+    """A function from a label to the start of its row in fmt, its I and
+    I_minus1: each block of I and each I_minus1 is encoded once."""
+    start, mid = ("", "\t") if fmt == "tsv" else ('{"I":', ',"I_minus1":')
+    blocks = _Memo(_points)
+    minus1 = _Memo(lambda points: mid + _points(points))
+    return lambda lab: (start + "[" + ",".join(map(blocks.__getitem__, lab.I))
+                        + "]" + minus1[lab.I_minus1])
+
+
+def _levis_rows(fmt, labels, q):
+    """(cols, rows): the columns of label_record, and each label's record
+    at q as a row of fmt.  At one (n, d) the label's t fixes every field
+    but I and I_minus1 (|I_minus1| is n - d0 * sum of s * t_s), so the
+    first label with a given t is encoded in full and the others reuse
+    the text of its row after its I and I_minus1."""
+    labels = iter(labels)
+    first = next(labels)
+    rec = label_record(first, q)
+    cols = sorted(rec)
+    lead, shapes = _label_lead(fmt), {}
+
+    def rows():
+        for lab in itertools.chain((first,), labels):
+            key = tuple(lab.t.items())
+            start = lead(lab)
+            shape = shapes.get(key)
+            if shape is None:
+                row = _row(fmt, rec if lab is first else label_record(lab, q),
+                           cols)
+                shape = shapes[key] = row[len(start):]
+            yield start + shape
+
+    return cols, rows()
+
+
+def _relweyl_record(label, verified):
+    """The relweyl record of a label: its W_d^I descriptor and the
+    brute-force verdict (None when unchecked)."""
+    rw = relative_weyl(label)
+    return {"I_minus1": list(label.I_minus1),
+            "I": [list(b) for b in label.I],
+            "factors": [list(f) for f in rw.factors],
+            "order": rw.order,
+            "generators": [g.to_cycles() for g in rw.generators],
+            "verified": verified}
+
+
+def _fields(fmt, rec, cols):
+    """The fields ``cols`` of ``rec`` (a run of its sorted columns, not
+    the first) as they stand in a row of fmt: JSON members, each after
+    a comma and with one encoder call, in JSON and text; cells, each
+    after a tab, in TSV."""
+    if fmt == "tsv":
+        return "".join(["\t" + _cell(rec[c]) for c in cols])
+    return "," + canonical_json({c: rec[c] for c in cols})[1:-1]
+
+
+def _relweyl_rows(fmt, entries):
+    """(cols, rows) for (label, verified) pairs: the columns of
+    _relweyl_record, and each label's record as a row of fmt.  Its
+    factors and order depend on W_d^I's factors alone and verified takes
+    at most two values in a report, so those fields are encoded once
+    per pair of them, from the record of the first label with it; each
+    generator's cycle string is encoded once."""
+    entries = iter(entries)
+    first = next(entries)
+    rec = _relweyl_record(*first)
+    cols = sorted(rec)
+    lead, shapes = _label_lead(fmt), {}
+    gens, end = ("\t[", "") if fmt == "tsv" else (',"generators":[', "}")
+    # The encoder's own encoding of a str, without an encoder call.
+    cycles = _Memo(lambda g: encode_basestring_ascii(g.to_cycles()))
+
+    def rows():
+        for lab, verified in itertools.chain((first,), entries):
+            rw = relative_weyl(lab)
+            key = rw.factors, verified
+            shape = shapes.get(key)
+            if shape is None:
+                r = rec if lab is first[0] else _relweyl_record(lab, verified)
+                shape = shapes[key] = (_fields(fmt, r, ["factors"]),
+                                       _fields(fmt, r, ["order", "verified"])
+                                       + end)
+            yield (lead(lab) + shape[0] + gens
+                   + ",".join(map(cycles.__getitem__, rw.generators))
+                   + "]" + shape[1])
+
+    return cols, rows()
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +562,7 @@ def _suite_extweyl(grids, cap):
 
     for n in grids["n"]:
         system = build_root_system(n)
+        closed = {}  # V_l by l, closed once per rank, as its elements' perms
         for root in system:
             checked += 1
             n_mat = chevalley_generator("n", root, 1)
@@ -417,21 +579,26 @@ def _suite_extweyl(grids, cap):
                 if p * p != te.h[k] * te.h[k + 1]:
                     fail("p_squared", n=n, d=d, k=k + 1)
             l = te.l
-            Vl = _extended_weyl_group(n, l, cap)
+            if l not in closed:
+                closed[l] = {g.signed_perm(): g
+                             for g in _extended_weyl_group(n, l, cap)}
+            Vl = closed[l]
             checked += 1
             if l and len(Vl) != 4 ** l * factorial(l):
                 fail("extended_weyl_order", n=n, d=d, l=l)
-            Vd = [g for g in Vl if g * te.v == te.v * g]
+            # Monomial matrices commute exactly when the signed
+            # permutations they are held as do.
+            Vd = brute_centralizer(te.v.signed_perm(), Vl)
             checked += 1
-            if any(te.v_prime * g != g * te.v_prime for g in Vd):
+            if len(brute_centralizer(te.v_prime.signed_perm(), Vd)) != len(Vd):
                 fail("v_prime_central", n=n, d=d)
             checked += 1
             if l:
                 w = sylow_twist_w(n, d)
                 ambient = [_embed_signed(g, n)
                            for g in signed_symmetric_group(l)]
-                cent = {g for g in ambient if g * w == w * g}
-                if {rho(g) for g in Vd} != cent:
+                cent = set(brute_centralizer(w, ambient))
+                if {rho(Vl[g]) for g in Vd} != cent:
                     fail("rho_image", n=n, d=d)
     return checked, failures
 
@@ -627,7 +794,8 @@ def levis(n, d, q, fmt):
     labels = enumerate_labels(n, d)
     head = {"command": "levis", "n": n, "d": d, "q": q,
             "count": label_count(n, d)}
-    _emit(fmt, head, "labels", (label_record(lab, q) for lab in labels))
+    cols, rows = _levis_rows(fmt, labels, q)
+    _emit(fmt, head, "labels", rows, cols)
 
 
 @main.command()
@@ -644,26 +812,15 @@ def relweyl(n, d, do_check, fmt):
         raise _Refused(f"the brute-force check covers rank n <= "
                        f"{VERIFY_RANK_LIMIT}, got n = {n}; --no-check lists "
                        "the descriptors unchecked")
-    records, ok, cycles = [], True, {}
+    entries, ok = [], True
     for lab in enumerate_labels(n, d):
-        rw = relative_weyl(lab)
-        # Labels share generators: render each distinct one once.
-        gens = [cycles.get(g) or cycles.setdefault(g, g.to_cycles())
-                for g in rw.generators]
-        rec = {"I_minus1": list(lab.I_minus1),
-               "I": [list(b) for b in lab.I],
-               "factors": [list(f) for f in rw.factors],
-               "order": rw.order,
-               "generators": gens}
-        if do_check:
-            rec["verified"] = bool(verify_relative_weyl(lab))
-            ok = ok and rec["verified"]
-        else:
-            rec["verified"] = None
-        records.append(rec)
-    head = {"command": "relweyl", "n": n, "d": d, "count": len(records),
+        verified = bool(verify_relative_weyl(lab)) if do_check else None
+        ok = ok and verified is not False
+        entries.append((lab, verified))
+    head = {"command": "relweyl", "n": n, "d": d, "count": len(entries),
             "pass": ok}
-    _emit(fmt, head, "labels", records)
+    cols, rows = _relweyl_rows(fmt, entries)
+    _emit(fmt, head, "labels", rows, cols)
     if not ok:
         sys.exit(1)
 

@@ -79,17 +79,18 @@ class IntMatrix:
         return IntMatrix(tuple(tuple(sum(map(mul, row, col)) for col in cols)
                                for row in self.rows))
 
-    def _signed_perm(self):
+    def signed_perm(self):
+        """The rank-2n SignedPerm a signed monomial matrix is held as."""
         if self._perm is None:
             raise ValueError("not a signed monomial matrix")
         return self._perm
 
     def inv(self):
         """Inverse, available exactly for signed monomial matrices."""
-        return IntMatrix._of_perm(self._signed_perm().inv())
+        return IntMatrix._of_perm(self.signed_perm().inv())
 
     def __pow__(self, k):
-        return IntMatrix._of_perm(self._signed_perm() ** k)
+        return IntMatrix._of_perm(self.signed_perm() ** k)
 
     def conj(self, g):
         """g^-1 * self * g, matching the signed-permutation convention."""
@@ -126,7 +127,7 @@ def matrix_closure(gens, cap=DEFAULT_CLOSURE_CAP):
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    perms = closure([g._signed_perm() for g in gens],
+    perms = closure([g.signed_perm() for g in gens],
                     SignedPerm.identity(gens[0].dim), cap)
     return [IntMatrix._of_perm(p) for p in perms]
 
@@ -205,7 +206,7 @@ def _generator(kind, root, t):
 
 def rho(m):
     """Signed permutation of the monomial pattern, f_i read as e_{-i}."""
-    pos = [abs(v) - 1 for v in m._signed_perm().img]
+    pos = [abs(v) - 1 for v in m.signed_perm().img]
     if len(pos) % 2:
         raise ValueError("odd dimension is not symplectic")
     n = len(pos) // 2

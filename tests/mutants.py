@@ -210,6 +210,12 @@ MUTANTS = [
            "return len(images) == len(V) and images == fixed",
            "return len(images) == len(V) and len(images) == len(fixed)",
            [LEVI + "TestVerify::test_cosets_are_compared_not_counted"]),
+    # The label classification's exact eigenspace test: a root set that
+    # its double perpendicular only contains passes.
+    Mutant("eq1_vacuous_superset", "cyclo.py",
+           "return perp == set(roots)",
+           "return perp >= set(roots)",
+           [ACCEPT + "test_03_label_classification_equals_eigenspace_test"]),
     # The Chevalley generator cache: a key that ignores t hands out the
     # first sign's matrix for both.
     Mutant("chevalley_key_without_t", "extweyl.py",
@@ -251,8 +257,8 @@ MUTANTS = [
            [LEVI + "TestEnumerate::test_labels_are_built_when_reached",
             CLI + "TestLevis::test_report_streams_in_bounded_memory[json]"]),
     Mutant("chunk_separator_dropped", "cli.py",
-           'lead, sep = "", ","',
-           'lead, sep = "", ""',
+           '_write(lead, chunks, ",", tail)',
+           '_write(lead, chunks, "", tail)',
            [CLI + "TestStreamingWriters::"
                   "test_writers_match_the_whole_report",
             CLI + "TestLevis::test_reports_match_golden_digests[5]"]),
@@ -263,6 +269,21 @@ MUTANTS = [
                   "test_writers_match_the_whole_report",
             CLI + "TestDeterminism::test_json_is_canonical",
             CLI + "TestLevis::test_reports_match_golden_digests[5]"]),
+    # Label rows: the text after a levis row's I and I_minus1 is keyed on
+    # the label's t, block sizes included (|I_minus1| follows from t at
+    # one (n, d), so dropping it from the key changes nothing), and a
+    # relweyl row's fields after the generators on the verdict too.
+    Mutant("levi_row_shape_key_without_block_sizes", "cli.py",
+           "key = tuple(lab.t.items())",
+           "key = tuple(lab.t.values())",
+           [CLI + "TestLabelRows::test_levis_rows_are_the_records[json]",
+            CLI + "TestLabelRows::test_levis_rows_are_the_records[tsv]",
+            CLI + "TestLevis::test_reports_match_golden_digests[5]"]),
+    Mutant("relweyl_row_key_without_verdict", "cli.py",
+           "key = rw.factors, verified",
+           "key = rw.factors",
+           [CLI + "TestLabelRows::test_relweyl_rows_are_the_records[json]",
+            CLI + "TestLabelRows::test_relweyl_rows_are_the_records[text]"]),
     Mutant("half_point_failure_raises", "cli.py",
            'fail("lang_of_half_point", q, d, detail=str(exc))',
            "raise",
