@@ -200,9 +200,10 @@ def _emit(fmt, head, key=None, records=(), cols=None):
     when ``cols`` lists the table's columns, rows already encoded in
     fmt: a JSON object in JSON and text, tab-separated cells in TSV.
     ``records`` is a list, or an iterator that yields at least one
-    record; each writer holds one chunk at a time, writes the head with
-    the first and the tail with the last.  An empty list is an
-    empty-list field of the head, as in the whole report."""
+    record; a writer holds at most two chunks of it at a time (the one
+    it is about to write and the next, so that the last goes out with
+    the tail).  An empty list is an empty-list field of the head, as in
+    the whole report."""
     chunks = ()
     if key is not None and not records:
         head, key = {**head, key: []}, None
