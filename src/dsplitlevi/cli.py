@@ -29,16 +29,15 @@ status: 0 when every requested check passes, 1
 when a verification fails (failure records stay in the report), 2 on
 invalid flags, when a group grows past its brute-force cap (``--cap``;
 by default 20000 elements for closures and 10000 for character tables;
-``verify centralizers`` and ``verify normalizers`` check the signed
-group of the largest ``--n``, of order 2^n n!, before any work), or
-when an input is past a fixed bound (q below 2^64, at most
-``GRID_VALUE_BOUND`` values in a grid, at most
+a command that enumerates groups checks the order of the largest, by
+``signedperm.check_order``, before any work, so the default caps admit
+rank 5 and refuse rank 6), or when an input is past a fixed bound (q
+below 2^64, at most ``GRID_VALUE_BOUND`` values in a grid, at most
 ``levi.LABEL_COUNT_BOUND`` Levi labels at one (n, d) and concrete
 pairs at one rank in ``verify eq1``, at most ``levi.EQ1_PAIR_BOUND``
 concrete pairs at d0 = 1 over a ``verify eq1`` grid, fields of at most
 ``torus.FIELD_ORDER_BOUND`` elements, at most ``LANG_TUPLE_BOUND``
-tuples in ``verify torus``, a checked ``relweyl`` at rank at most
-``levi.VERIFY_RANK_LIMIT``): then one line naming the cap or bound goes
+tuples in ``verify torus``): then one line naming the cap or bound goes
 to stderr and nothing to stdout.  A run whose stdout is closed early
 ends with status 141 (128 + SIGPIPE) and nothing on stderr.
 """
@@ -59,16 +58,16 @@ from .cliff import cuspidal_gate, enumerate_char_labels, kinva_check, stab_lambd
 from .cyclo import check_eq1
 from .extweyl import (IntMatrix, build_twist_elements, chevalley_generator,
                       matrix_closure, rho)
-from .levi import (EQ1_PAIR_BOUND, VERIFY_RANK_LIMIT, check_odd_prime_power,
-                   compute_d0, concrete_parabolic_roots, enumerate_labels,
-                   label_count, label_record, relative_weyl, sylow_twist_w,
+from .levi import (EQ1_PAIR_BOUND, check_odd_prime_power, compute_d0,
+                   concrete_parabolic_roots, enumerate_labels, label_count,
+                   label_record, relative_weyl, sylow_twist_w,
                    verify_relative_weyl)
 from .rootsys import build_root_system, is_stable_under
 from .signedperm import (DEFAULT_CLOSURE_CAP, ClosureExceedsCap, SignedPerm,
                          block_wreath_generators,
                          block_wreath_normalizer_generators, brute_centralizer,
-                         brute_normalizer, centralizer_type, group_closure,
-                         set_partitions, signed_symmetric_group)
+                         brute_normalizer, centralizer_type, check_order,
+                         group_closure, set_partitions, signed_symmetric_group)
 from .torus import (TorusElem, TwistedOrbit, central_stabilizer_jump,
                     conj_center_action, lang_map, theta, z_plus)
 
@@ -174,35 +173,27 @@ def _row(fmt, rec, cols):
 
 
 def _encode_records(fmt, records):
-    """(cols, chunks) for dict records: the TSV columns, and the records
-    encoded in fmt, one string per chunk of CHUNK_RECORDS records, with
-    one encoder call per chunk in JSON.  The TSV columns are the sorted
-    union of the records' keys for a list, and the keys of the first
-    record, which every record has, for an iterator."""
+    """(cols, chunks) for a list of dict records: the TSV columns, the
+    sorted union of the records' keys, and the records encoded in fmt,
+    one string per chunk of CHUNK_RECORDS records, with one encoder call
+    per chunk in JSON."""
     if fmt == "json":
         return None, (canonical_json(chunk)[1:-1]
                       for chunk in _chunks(records))
-    cols = None
-    if fmt == "tsv" and isinstance(records, list):
-        cols = sorted({c for rec in records for c in rec})
-    elif fmt == "tsv":
-        records = iter(records)
-        first = next(records)
-        records = itertools.chain((first,), records)
-        cols = sorted(first)
+    cols = sorted({c for r in records for c in r}) if fmt == "tsv" else None
     rows = (_row(fmt, rec, cols) for rec in records)
     return cols, map(_ROW_SEP[fmt].join, _chunks(rows))
 
 
 def _emit(fmt, head, key=None, records=(), cols=None):
     """Write the report: the fields of ``head`` and, under ``key``, a
-    table of records, in sorted key order.  The records are dicts, or,
-    when ``cols`` lists the table's columns, rows already encoded in
-    fmt: a JSON object in JSON and text, tab-separated cells in TSV.
-    ``records`` is a list, or an iterator that yields at least one
-    record; a writer holds at most two chunks of it at a time (the one
-    it is about to write and the next, so that the last goes out with
-    the tail).  An empty list is an empty-list field of the head, as in
+    table of records, in sorted key order.  The records are a list of
+    dicts, or, when ``cols`` lists the table's columns, rows already
+    encoded in fmt: a JSON object in JSON and text, tab-separated cells
+    in TSV, as a list or an iterator that yields at least one row.  A
+    writer holds at most two chunks of them at a time (the one it is
+    about to write and the next, so that the last goes out with the
+    tail).  An empty list is an empty-list field of the head, as in
     the whole report."""
     chunks = ()
     if key is not None and not records:
@@ -429,10 +420,8 @@ def _signed_groups(ns, cap):
     whose largest group (order 2^n n!) is past the closure cap is
     refused before any group is built."""
     top = max(ns)
-    order = 2 ** top * factorial(top)
-    if order > cap:
-        raise ClosureExceedsCap(f"the signed group of rank {top} has "
-                                f"order {order}, which exceeds cap {cap}")
+    check_order(f"the signed group of rank {top}", range(2, 2 * top + 1, 2),
+                cap)
     return [(n, signed_symmetric_group(n)) for n in ns]
 
 
@@ -555,7 +544,14 @@ def _embed_signed(perm, n):
 def _suite_extweyl(grids, cap):
     """Exact matrix identities of the monomial lifts: squares of the
     lifts, the lifted swaps, centrality of the long product, the image
-    of the twist centralizer, and the diagonal kernel order."""
+    of the twist centralizer, and the diagonal kernel order.  Its
+    groups, of order 2^n and 4^l l!, must fit the cap before any work."""
+    for n in grids["n"]:
+        check_order(f"the diagonal group of rank {n}",
+                    itertools.repeat(2, n), cap)
+        for l in sorted({n // d0 * d0 for d0 in map(compute_d0, grids["d"])}):
+            check_order(f"the extended Weyl group V_{l}",
+                        range(4, 4 * l + 1, 4), cap)
     checked, failures = 0, []
 
     def fail(kind, **data):
@@ -803,16 +799,18 @@ def levis(n, d, q, fmt):
 @click.option("--n", type=click.IntRange(min=1), required=True)
 @click.option("--d", type=click.IntRange(min=1), required=True)
 @click.option("--check/--no-check", "do_check", default=True,
-              help="Brute-force verification of each descriptor "
-                   f"(rank at most {VERIFY_RANK_LIMIT}; larger ranks "
-                   "need --no-check).")
+              help="Brute-force verification of each descriptor (the "
+                   "signed group of rank n must be within the default "
+                   "closure cap, so n <= 5; larger ranks need --no-check).")
 @_format_option
 def relweyl(n, d, do_check, fmt):
     """Relative Weyl group descriptors of every label at (n, d)."""
-    if do_check and n > VERIFY_RANK_LIMIT:
-        raise _Refused(f"the brute-force check covers rank n <= "
-                       f"{VERIFY_RANK_LIMIT}, got n = {n}; --no-check lists "
-                       "the descriptors unchecked")
+    if do_check:
+        try:
+            check_order(f"the signed group of rank {n}",
+                        range(2, 2 * n + 1, 2), DEFAULT_CLOSURE_CAP)
+        except ClosureExceedsCap as exc:
+            raise _Refused(f"{exc}; --no-check skips the check") from None
     entries, ok = [], True
     for lab in enumerate_labels(n, d):
         verified = bool(verify_relative_weyl(lab)) if do_check else None
@@ -858,7 +856,7 @@ def verify(suite, ns, ds, qs, cap, fmt):
 
 
 @main.command()
-@click.option("--n", type=click.IntRange(min=1, max=4), required=True)
+@click.option("--n", type=click.IntRange(min=1), required=True)
 @click.option("--d", type=click.IntRange(min=1), required=True)
 @click.option("--random", "sample_size", type=click.IntRange(min=1),
               default=None,
@@ -874,6 +872,9 @@ def verify(suite, ns, ds, qs, cap, fmt):
 @_format_option
 def kinva(n, d, sample_size, seed, wmax, full, cap, fmt):
     """Invariance criterion on every gate-passing character label."""
+    # Every group the checks build lies inside the signed group of rank n.
+    cap = cap or DEFAULT_GROUP_CAP
+    check_order(f"the signed group of rank {n}", range(2, 2 * n + 1, 2), cap)
     candidates = []
     for lev in enumerate_labels(n, d):
         for clabel in enumerate_char_labels(lev):
@@ -885,8 +886,7 @@ def kinva(n, d, sample_size, seed, wmax, full, cap, fmt):
         rng = random.Random(seed)
         candidates = rng.sample(candidates,
                                 min(sample_size, len(candidates)))
-    reports = [kinva_check(c, cap=cap or DEFAULT_GROUP_CAP)
-               for c in candidates]
+    reports = [kinva_check(c, cap=cap) for c in candidates]
     failures = [r["label"] for r in reports if not r["pass"]]
     head = {"command": "kinva", "n": n, "d": d, "wmax": wmax,
             "random": sample_size,

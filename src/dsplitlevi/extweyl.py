@@ -14,16 +14,17 @@ a matrix was made.  rho reads the image as a signed permutation of
 rank n (f_i read as e_{-i}); its kernel is the diagonal 2-group.
 
 chevalley_generator builds each (kind, root, t) once: an lru_cache of
-``CHEVALLEY_CACHE_SIZE`` = 512 matrices keeps them, more than the 348
-generators of C_2, C_3 and C_4 together.  Only generators are cached,
-never a group: every closure is built afresh under its caller's cap.
+``CHEVALLEY_CACHE_SIZE`` = 1024 matrices keeps them, more than the 648
+generators of C_2 to C_5 together.  Only generators are cached, never a
+group: every closure is built afresh under its caller's cap.
 
 build_twist_elements constructs the distinguished lift v of the Sylow
 twist together with the grid-set elements c_i (lifting the long signed
 cycles), p_k (lifting the grid-set swaps) and their derived chain
 conjugates; build_VdI replicates them across the block orbits of a
 Levi label, producing matrix generators that project exactly onto the
-relative Weyl group computed by :mod:`dsplitlevi.levi`.
+relative Weyl group computed by :mod:`dsplitlevi.levi`, at any rank:
+only the closures its callers take of them are capped.
 """
 
 from __future__ import annotations
@@ -189,8 +190,8 @@ def chevalley_generator(kind, root, t):
     return _generator(kind, root, t)
 
 
-# 3 kinds * 2 signs * (8 + 18 + 32) roots = 348 generators at ranks 2-4.
-CHEVALLEY_CACHE_SIZE = 512
+# 3 kinds * 2 signs * (8 + 18 + 32 + 50) roots = 648 generators, ranks 2-5.
+CHEVALLEY_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=CHEVALLEY_CACHE_SIZE)
@@ -347,8 +348,6 @@ def build_VdI(label):
     by the injection x -> prod_j x^(eta_j), where eta_j chains the
     p-swaps taking grid set i to the j-th grid set of the i-th orbit.
     """
-    if label.n > 4:
-        raise ValueError("matrix construction is limited to rank <= 4")
     te = build_twist_elements(label.n, label.d)
     n = label.n
     ident = IntMatrix.identity(2 * n)

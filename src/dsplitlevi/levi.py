@@ -34,7 +34,7 @@ Each orbit of size-s blocks spans s grid sets; the corresponding Q-sets
 (ordered grid-set families) generate one C_{2d0} wr S_{t_s} factor of
 the relative Weyl group, realised concretely inside the signed
 permutation group and verified against a brute-force fixed-point
-computation on rank ≤ 4.
+computation at every rank whose signed group fits the closure cap.
 
 A report does each piece of shared work once.  The fixed-point order
 depends on the label only through its shape (|I₋₁|, t, d0, ε, q), and
@@ -51,7 +51,8 @@ values per q over the labels at n ≤ 7 and d ∈ {1, 2, 3, 4, 6}, so 891
 for q ∈ {3, 5, 9}, and 762 per q at n ≤ 9 and d ≤ 12, where W_d^I's key
 (d0, t) takes 129); ``QSET_CACHE_SIZE`` Q-sets, and as many pairs (at
 (9, 1): 2^9 - 1 = 511 Q-sets and 1569 pairs of disjoint Q-sets of one
-size); the root action of ``VERIFY_RANK_LIMIT`` ranks; 64 values of q.
+size); the root action of each rank ``signed_symmetric_group`` keeps;
+64 values of q.
 
 The oracle :func:`verify_relative_weyl` needs W_L and Stab(Φ_L) for
 the root set Φ_L of I₋₁ and I.  W_L is generated by the reflections in
@@ -73,9 +74,11 @@ from operator import add, mul
 from .arith import InputTooLarge, prime_power
 from .rootsys import reflection_perm
 from .signedperm import (
+    DEFAULT_CLOSURE_CAP,
     SignedPerm,
     VerificationError,
     check_index_set,
+    check_order,
     grid_set,
     group_closure,
     set_partitions,
@@ -539,11 +542,6 @@ def relative_weyl(label):
     return RelativeWeylDescriptor(factors, tuple(gens), order)
 
 
-# verify_relative_weyl enumerates the whole signed group; past this
-# rank it is refused.
-VERIFY_RANK_LIMIT = 4
-
-
 def _root_points(root):
     """The signed points p, q with root = e_p + e_q, e_{-i} = -e_i; a
     long root ±2e_i is one point taken twice."""
@@ -551,7 +549,7 @@ def _root_points(root):
                  for p in [i if c > 0 else -i] * abs(c))
 
 
-@lru_cache(maxsize=VERIFY_RANK_LIMIT)
+@lru_cache(maxsize=signed_symmetric_group.cache_parameters()["maxsize"])
 def _root_action(n):
     """The index of every root of C_n, and for each g of
     signed_symmetric_group(n), in its order, the permutation of root
@@ -601,7 +599,7 @@ def _parabolic_groups(n, roots):
 
 
 def verify_relative_weyl(label):
-    """Brute-force check of the relative Weyl group on rank ≤ 4.
+    """Brute-force check of the relative Weyl group on rank ≤ 5.
 
     Computes Stab(Φ_L) inside the full signed group, by the action of
     every element on the root indices of C_n, and W_L, the closure of
@@ -610,12 +608,11 @@ def verify_relative_weyl(label):
     fixed under conjugation by w, and confirms that the W_d^I generators
     centralize w and biject onto those fixed cosets with the predicted
     order.  It reads the label's I₋₁, I and w only, never its orbits or
-    Q-sets.
+    Q-sets.  Past rank 5 it raises ClosureExceedsCap before any work.
     """
-    if label.n > VERIFY_RANK_LIMIT:
-        raise ValueError("brute-force verification is limited to rank "
-                         f"<= {VERIFY_RANK_LIMIT}")
     n = label.n
+    check_order(f"the signed group of rank {n}", range(2, 2 * n + 1, 2),
+                DEFAULT_CLOSURE_CAP)
     stab, WL = _parabolic_groups(
         n, concrete_parabolic_roots(n, label.I_minus1, label.I))
 

@@ -21,7 +21,8 @@ Besides the group operations the module provides
   signed permutations only (the monomial matrices of ``extweyl`` and
   the class actions of ``cliff`` close as signed permutations), closes
   them on bare image tuples, each element's signed table built once,
-  and wraps them as SignedPerms only at the end;
+  and wraps them as SignedPerms only at the end; :func:`check_order`
+  raises it before any enumeration, from a group's order;
 * brute-force normalizer / centralizer routines used to verify the
   structural formulas on small ranks, which also compose image tuples
   through :meth:`SignedPerm.table`, and the generator sets for
@@ -431,6 +432,18 @@ def group_closure(gens, cap=DEFAULT_CLOSURE_CAP):
     if not gens:
         raise ValueError("need at least one generator")
     return closure(gens, SignedPerm.identity(gens[0].n), cap)
+
+
+def check_order(group, factors, cap):
+    """The order of ``group``, the product of ``factors``, or
+    ClosureExceedsCap at the first partial product past ``cap``, so a
+    huge order is never formed or printed."""
+    order = 1
+    for f in factors:
+        order *= f
+        if order > cap:
+            raise ClosureExceedsCap(f"{group} exceeds cap {cap}")
+    return order
 
 
 @lru_cache(maxsize=8)

@@ -289,6 +289,34 @@ MUTANTS = [
            "raise",
            [CLI + "TestChecksUnderOptimize::"
                   "test_torus_suite_reports_failed_half_point_check"]),
+    # The order check before any work: a group of exactly the cap's order
+    # is admitted, verify extweyl checks its groups up front, and kinva
+    # checks the signed group of its rank before enumerating labels.
+    Mutant("order_check_admits_equal", "signedperm.py",
+           "if order > cap:",
+           "if order >= cap:",
+           [CLI + "TestOrderCheck::test_at_the_cap_runs"]),
+    Mutant("extweyl_upfront_check_dropped", "cli.py",
+           '    for n in grids["n"]:\n'
+           '        check_order(f"the diagonal group of rank {n}",\n'
+           "                    itertools.repeat(2, n), cap)\n"
+           "        for l in sorted({n // d0 * d0 for d0 in "
+           'map(compute_d0, grids["d"])}):\n'
+           '            check_order(f"the extended Weyl group V_{l}",\n'
+           "                        range(4, 4 * l + 1, 4), cap)\n",
+           "",
+           [CLI + "TestOrderCheck::test_refused_at_once[extweyl-15-16]",
+            CLI + "TestOrderCheck::test_refused_at_once[extweyl-40-1]",
+            CLI + "TestOrderCheck::"
+                  "test_extweyl_checks_every_extended_weyl_group"]),
+    Mutant("kinva_rank_check_dropped", "cli.py",
+           'check_order(f"the signed group of rank {n}", '
+           "range(2, 2 * n + 1, 2), cap)",
+           "pass",
+           [CLI + "TestOrderCheck::"
+                  "test_one_below_the_cap_exits_2_before_work[kinva]",
+            CLI + "TestOrderCheck::test_refused_at_once[kinva-6]",
+            CLI + "TestKinva::test_rank_bound"]),
 ]
 
 

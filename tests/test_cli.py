@@ -480,20 +480,52 @@ class TestRelweyl:
                 assert digest == self.GOLDEN_NO_CHECK[n, d, fmt], (n, d, fmt)
 
     def test_check_past_the_rank_limit_exits_2(self, monkeypatch):
-        # The check covers rank <= VERIFY_RANK_LIMIT only; above it the
-        # command refuses before building a label instead of reporting
-        # an unchecked pass.
+        # The check walks the signed group of rank n, which must be
+        # within the default closure cap: rank 5 (3840 elements) is
+        # admitted, and rank 6 (46080) is refused before a label is
+        # built instead of reporting an unchecked pass.
+        class Admitted(Exception):
+            pass
+
         def refuse(*args):
-            raise RuntimeError("work started")
+            raise Admitted
         monkeypatch.setattr(levi.LeviLabel, "__init__", refuse)
         monkeypatch.setattr(cli, "enumerate_labels", refuse)
-        limit = levi.VERIFY_RANK_LIMIT
-        result = invoke("relweyl", "--n", str(limit + 1), "--d", "1")
+        result = invoke("relweyl", "--n", "5", "--d", "1")
+        assert isinstance(result.exception, Admitted)
+        result = invoke("relweyl", "--n", "6", "--d", "1")
         assert result.exit_code == 2
         assert result.stdout == ""
         lines = result.stderr.splitlines()
         assert len(lines) == 1
-        assert f"<= {limit}" in lines[0] and "--no-check" in lines[0]
+        assert "rank 6" in lines[0] and "exceeds cap 20000" in lines[0]
+        assert "--no-check" in lines[0]
+
+    @staticmethod
+    def unchecked(fmt, report):
+        """A checked report with each verdict true read as null: the
+        unchecked report, if every verdict was true."""
+        if fmt != "tsv":
+            return report.replace(b'"verified":true', b'"verified":null')
+        lines = report.split(b"\n")
+        for i, line in enumerate(lines):
+            # verified is the last column; "# pass" is a head field.
+            if line.endswith(b"\ttrue") and not line.startswith(b"#"):
+                lines[i] = line[:-4] + b"null"
+        return b"\n".join(lines)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+    def test_checked_rank_5_is_the_unchecked_report_verified(self, d):
+        # Rank 5 is checked since its signed group fits the default
+        # closure cap; the report is the pinned unchecked one with
+        # every label verified.
+        for fmt in ("json", "tsv", "text"):
+            result = invoke("relweyl", "--n", "5", "--d", str(d),
+                            "--format", fmt)
+            assert result.exit_code == 0, (d, fmt)
+            digest = hashlib.sha256(
+                self.unchecked(fmt, result.stdout_bytes)).hexdigest()
+            assert digest == self.GOLDEN_NO_CHECK[5, d, fmt], (d, fmt)
 
 
 class TestVerify:
@@ -933,6 +965,92 @@ class TestSignedGroupBound:
         assert isinstance(result.exception, self.Admitted)
 
 
+class TestOrderCheck:
+    """Each command that enumerates a group checks the order of the
+    largest one against its cap before any work, one partial product
+    at a time: a group of exactly the cap's order is admitted, one
+    element more is refused, and a refusal takes under a second, with
+    one stderr line and nothing on stdout, however large the group."""
+
+    class Started(Exception):
+        pass
+
+    def sentinel(self, monkeypatch):
+        """Raise Started wherever a group, root system or label would
+        first be built."""
+        def start(*args, **kwargs):
+            raise self.Started
+        for name in ("signed_symmetric_group", "build_root_system",
+                     "enumerate_labels"):
+            monkeypatch.setattr(cli, name, start)
+        monkeypatch.setattr(levi.LeviLabel, "__init__", start)
+
+    def test_at_the_cap_runs(self):
+        # The signed group of rank 3 has 2^3 3! = 48 elements, and every
+        # group kinva builds at rank 3 lies inside it, so no cap is hit
+        # midway.
+        result = invoke("verify", "centralizers", "--n", "3", "--cap", "48")
+        assert result.exit_code == 0, result.output
+        report = run_json("kinva", "--n", "3", "--d", "1", "--cap", "48")
+        assert report["pass"] is True
+        assert report["checked"] == report["candidates"] > 0
+
+    @pytest.mark.parametrize("args", [
+        ("verify", "centralizers", "--n", "3"),
+        ("kinva", "--n", "3", "--d", "1")], ids=["centralizers", "kinva"])
+    def test_one_below_the_cap_exits_2_before_work(self, args, monkeypatch):
+        self.sentinel(monkeypatch)
+        result = invoke(*args, "--cap", "47")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert "rank 3" in lines[0] and "exceeds cap 47" in lines[0]
+
+    def test_kinva_larger_cap_admits_rank_6(self, monkeypatch):
+        self.sentinel(monkeypatch)
+        result = invoke("kinva", "--n", "6", "--d", "1", "--cap", "50000")
+        assert isinstance(result.exception, self.Started)
+
+    @pytest.mark.parametrize("args, group, cap", [
+        # 2^1500 1500! has over 4,300 digits: formatting it would fail.
+        (("verify", "centralizers", "--n", "1500"),
+         "signed group of rank 1500", 20000),
+        (("verify", "extweyl", "--n", "15", "--d", "16"),
+         "diagonal group of rank 15", 20000),
+        (("verify", "extweyl", "--n", "40", "--d", "1"),
+         "diagonal group of rank 40", 20000),
+        (("kinva", "--n", "6", "--d", "1"), "signed group of rank 6", 10000),
+        (("relweyl", "--n", "6", "--d", "1"),
+         "signed group of rank 6", 20000),
+    ], ids=["centralizers-1500", "extweyl-15-16", "extweyl-40-1",
+            "kinva-6", "relweyl-6"])
+    def test_refused_at_once(self, args, group, cap, monkeypatch):
+        self.sentinel(monkeypatch)
+        start = time.perf_counter()
+        result = invoke(*args)
+        elapsed = time.perf_counter() - start
+        assert result.exit_code == 2, result.exception
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert group in lines[0] and f"exceeds cap {cap}" in lines[0]
+        assert elapsed < 1.0
+
+    def test_extweyl_checks_every_extended_weyl_group(self, monkeypatch):
+        # The diagonal group of rank 5 has 32 elements, but V_5, of
+        # order 4^5 5! = 122880, is past the default cap.
+        self.sentinel(monkeypatch)
+        result = invoke("verify", "extweyl", "--n", "5", "--d", "1..2")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert "V_5 exceeds cap 20000" in lines[0]
+        result = invoke("verify", "extweyl", "--n", "5", "--d", "3")
+        assert isinstance(result.exception, self.Started)
+
+
 class TestInputBounds:
     """Inputs past a documented bound exit 2 with one line naming it,
     before any factorisation or field table starts."""
@@ -1075,8 +1193,24 @@ class TestKinva:
         big = run_json("kinva", "--n", "2", "--d", "1")
         assert small["candidates"] < big["candidates"]
 
-    def test_rank_bound(self):
-        assert invoke("kinva", "--n", "5", "--d", "1").exit_code == 2
+    def test_rank_bound(self, monkeypatch):
+        # Every group the checks build lies inside the signed group of
+        # rank n, which must be within the cap: at the default cap 10000
+        # rank 5 (3840 elements) is admitted and rank 6 (46080) exits 2
+        # before a label is enumerated.
+        class Admitted(Exception):
+            pass
+
+        def admit(*args):
+            raise Admitted
+        monkeypatch.setattr(cli, "enumerate_labels", admit)
+        result = invoke("kinva", "--n", "5", "--d", "1")
+        assert isinstance(result.exception, Admitted)
+        result = invoke("kinva", "--n", "6", "--d", "1")
+        assert result.exit_code == 2
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert "rank 6" in lines[0] and "exceeds cap 10000" in lines[0]
 
     def test_search_runs_once_per_concrete_input(self, monkeypatch):
         # kinva --n 4 --d 1 checks 3,536 labels of 440 structures, which
@@ -1170,6 +1304,26 @@ class TestKinva:
             assert result.exit_code == 0, (n, d)
             digest = hashlib.sha256(result.stdout_bytes).hexdigest()
             assert digest == self.GOLDEN[n, d], (n, d)
+
+    # sha256 of the stdout of ``kinva --n 5 --d D --full``, taken with
+    # the earlier code, which refused rank 5 on the command line, once
+    # that bound was lifted.  d = 1 and d = 2 (31,132 labels in all, 6-7
+    # s each) are left to a manual run.
+    GOLDEN_RANK_5 = {
+        3: "35da76d5dd6e047e26e81688aa8685828724a3e74efc1b399ce86b577c375611",
+        4: "0714a81a2cddd0354890c23b2e73d7900405951da5b3d67ad93fd355e41fd501",
+        5: "b353c284796fb91efbf2252dcefdcd1dc8ba9b371b97fa092611805888c9df13",
+        6: "212e5dce996b4672a49daa00e3668e34ef74d98b74240cdacf98fd7bc6d45314",
+        8: "91b1f5ce8eb4b16361e139ccb23a7f354c5a544f5267d6d0719ca623eed51d95",
+        10: "237ad56c93c4f82c26dd512d5513a22edde73f105da0639016b0d1ab472ff611",
+    }
+
+    @pytest.mark.parametrize("d", sorted(GOLDEN_RANK_5))
+    def test_rank_5_reports_match_golden_digests(self, d):
+        result = invoke("kinva", "--n", "5", "--d", str(d), "--full")
+        assert result.exit_code == 0, d
+        digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+        assert digest == self.GOLDEN_RANK_5[d], d
 
 
 class TestChartab:
@@ -1312,8 +1466,9 @@ def _whole_text(report):
 
 class TestStreamingWriters:
     """Each writer, given a report's head fields, its record key and its
-    records as a list or an iterator, writes the bytes of the whole
-    report's rendering, whatever the chunk size."""
+    records (a list of dicts, or rows as a list or an iterator), writes
+    the bytes of the whole report's rendering, whatever the chunk
+    size."""
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -1323,16 +1478,8 @@ class TestStreamingWriters:
             names, _RECORD_VALUES.filter(lambda v: not _is_table(v)),
             max_size=4))
         key = data.draw(names.filter(lambda k: k not in head))
-        stream = data.draw(st.booleans())
-        if stream:
-            # An iterator yields at least one record, and its records
-            # all have the keys of the first.
-            cols = data.draw(st.lists(names, unique=True, max_size=3))
-            records = data.draw(st.lists(st.fixed_dictionaries(
-                {c: _RECORD_VALUES for c in cols}), min_size=1, max_size=6))
-        else:
-            records = data.draw(st.lists(st.dictionaries(
-                names, _RECORD_VALUES, max_size=3), max_size=6))
+        records = data.draw(st.lists(st.dictionaries(
+            names, _RECORD_VALUES, max_size=3), max_size=6))
         report = {**head, key: records}
         expected = {
             "json": json.dumps(report, sort_keys=True, separators=(",", ":")),
@@ -1342,8 +1489,7 @@ class TestStreamingWriters:
             chunk = data.draw(st.integers(min_value=1, max_value=3))
             with mock.patch.object(cli, "_out", out.append), \
                     mock.patch.object(cli, "CHUNK_RECORDS", chunk):
-                cli._emit(fmt, head, key,
-                          iter(records) if stream else records)
+                cli._emit(fmt, head, key, records)
             assert "".join(out) == text + "\n", fmt
 
     @given(st.data())

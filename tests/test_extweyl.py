@@ -29,8 +29,8 @@ from dsplitlevi.levi import (
 )
 from dsplitlevi.cli import SUITES, _embedded_simple_roots
 from dsplitlevi.rootsys import build_root_system
-from dsplitlevi.signedperm import (DEFAULT_CLOSURE_CAP, SignedPerm,
-                                   group_closure, tau, wprime)
+from dsplitlevi.signedperm import (DEFAULT_CLOSURE_CAP, ClosureExceedsCap,
+                                   SignedPerm, group_closure, tau, wprime)
 from test_signedperm import generic_closure
 
 
@@ -243,15 +243,15 @@ class TestGeneratorCache:
             first = chevalley_generator(kind, root, t)
             assert chevalley_generator(kind, list(root), t) is first
 
-    def test_ranks_2_to_4_fit_the_bound(self):
+    def test_ranks_2_to_5_fit_the_bound(self):
         extweyl._generator.cache_clear()
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5):
             for root, kind, t in itertools.product(
                     build_root_system(n), "xnh", (1, -1)):
                 chevalley_generator(kind, root, t)
         info = extweyl._generator.cache_info()
-        assert info.currsize == info.misses == 348
-        assert info.maxsize == extweyl.CHEVALLEY_CACHE_SIZE >= 348
+        assert info.currsize == info.misses == 648
+        assert info.maxsize == extweyl.CHEVALLEY_CACHE_SIZE >= 648
 
 
 class TestMatrixClosure:
@@ -428,9 +428,26 @@ class TestBuildVdI:
         assert gens == () and hs == ()
 
     def test_rank_cap(self):
-        label = LeviLabel(5, 1, tuple(range(1, 6)), ())
-        with pytest.raises(ValueError):
-            build_VdI(label)
+        # build_VdI only builds generators, at any rank; the closure of
+        # them is what stays under the cap.  The rank-5 torus lifts to
+        # 2^5 (2^5 5!) = 122880 matrices, past the default cap 20000.
+        label = LeviLabel(5, 1, (), ((1,), (2,), (3,), (4,), (5,)))
+        gens, hs = build_VdI(label)
+        assert len(matrix_closure(hs)) == 2 ** 5
+        with pytest.raises(ClosureExceedsCap):
+            matrix_closure(gens)
+        assert build_VdI(LeviLabel(5, 1, tuple(range(1, 6)), ())) == ((), ())
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_rank_5_generators_lift_the_relative_weyl_group(self, d):
+        # Every generator of V_d^I is a diagonal h (ρ-image the
+        # identity) or lifts the relative Weyl generator in its place.
+        ident = SignedPerm.identity(5)
+        for label in enumerate_labels(5, d):
+            gens, hs = build_VdI(label)
+            assert all(rho(h) == ident for h in hs)
+            assert (tuple(rho(g) for g in gens if g not in hs)
+                    == relative_weyl(label).generators), label
 
     def test_sweep_small_rank(self):
         for n, d in itertools.product((2, 3), (1, 2, 3, 4)):

@@ -32,6 +32,7 @@ from dsplitlevi.levi import (
 from dsplitlevi.rootsys import (apply_to_root, build_root_system,
                                 is_stable_under, reflection_perm)
 from dsplitlevi.signedperm import (
+    ClosureExceedsCap,
     SignedPerm,
     group_closure,
     set_partitions,
@@ -539,9 +540,17 @@ class TestVerify:
             monkeypatch.setattr(levi, "relative_weyl", lambda lab: desc)
             assert verify_relative_weyl(bare) is ok, gen
 
-    def test_rank_cap(self):
-        with pytest.raises(ValueError):
-            verify_relative_weyl(LeviLabel(5, 1, tuple(range(1, 6)), ()))
+    def test_rank_cap(self, monkeypatch):
+        # The oracle walks the signed group of the label's rank, which
+        # must be within the default closure cap: rank 5 (3840 elements)
+        # is checked, rank 6 (46080) is refused before any work.
+        assert verify_relative_weyl(LeviLabel(5, 1, tuple(range(1, 6)), ()))
+
+        def work(*args):
+            raise RuntimeError("work started")
+        monkeypatch.setattr(levi, "_parabolic_groups", work)
+        with pytest.raises(ClosureExceedsCap, match="rank 6 exceeds cap"):
+            verify_relative_weyl(LeviLabel(6, 1, tuple(range(1, 7)), ()))
 
 
 class TestRootAction:
@@ -553,6 +562,10 @@ class TestRootAction:
         assert levi._root_action(n) == (index, tuple(
             tuple(index[apply_to_root(g, r)] for r in roots)
             for g in signed_symmetric_group(n)))
+
+    def test_keeps_the_ranks_of_the_groups_it_walks(self):
+        assert (levi._root_action.cache_parameters()["maxsize"]
+                == signed_symmetric_group.cache_parameters()["maxsize"])
 
 
 def _reference_groups(n, roots):
