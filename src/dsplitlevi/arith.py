@@ -1,5 +1,4 @@
-"""Small exact routines: primality, factorisation, prime powers, and
-the package's one division of polynomials over F_p.
+"""Small exact routines: primality, factorisation and prime powers.
 
 The package needs these only for small integers: the odd prime power q
 of a finite group of Lie type and l - 1 for a Dixon prime l.
@@ -7,11 +6,6 @@ of a finite group of Lie type and l - 1 for a Dixon prime l.
 ``isprime`` is a deterministic Miller-Rabin test and ``prime_power``
 takes integer k-th roots, so both answer at once for every n below
 2^64, where trial division would run for hours.
-
-``fp_divmod`` takes integer coefficient lists, lowest degree first,
-and returns them reduced modulo the prime p with no trailing zeros
-(the zero polynomial is []).  The modular character tables divide
-minimal polynomials by their linear factors with it.
 """
 
 # Miller-Rabin with the first twelve prime bases has no strong
@@ -90,32 +84,3 @@ def prime_power(q):
             return (r, k) if isprime(r) else None
     return None
 
-
-def _fp(a, p):
-    """a reduced modulo p, trailing zeros trimmed."""
-    a = [c % p for c in a]
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def fp_divmod(a, b, p):
-    """(quotient, remainder) of a by b != 0 over F_p, with
-    deg remainder < deg b.  Each step cancels the top term of a; the
-    remainder is reduced modulo p once, at the end."""
-    while b and not b[-1] % p:
-        b = b[:-1]
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv = pow(b[-1], -1, p)
-    m = len(b) - 1
-    a = list(a)
-    quot = [0] * max(0, len(a) - m)
-    for i in range(len(a) - 1, m - 1, -1):
-        c = quot[i - m] = a[i] * inv % p
-        if c:
-            for j, y in enumerate(b, i - m):
-                a[j] -= c * y
-    while quot and not quot[-1]:
-        quot.pop()
-    return quot, _fp(a[:m], p)

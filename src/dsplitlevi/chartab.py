@@ -14,10 +14,8 @@ character table by Dixon's modular method, in three steps.
 * Degrees are recovered from the second orthogonality relation, and
   the values are lifted to exact cyclotomic numbers of conductor
   exp(G) by Fourier inversion over the powers of each class
-  representative, on plain integer coefficient lists.  Since
-  χ(g^s) = σ_s(χ(g)) for s prime to exp(G), one column per Galois class
-  is lifted and the others are filled in by ``CycNum.galois``; one
-  filled column per class is lifted as well, to check the map.
+  representative, on plain integer coefficient lists, one column at a
+  time.
 * Row orthogonality, which implies column orthogonality for a square
   table, is re-verified exactly before a table is returned: each pair
   of rows is summed on integer lists modulo x^e - 1 and reduced
@@ -35,7 +33,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .arith import factorint, fp_divmod, isprime
+from .arith import factorint, isprime
 from .cyclo import CycNum
 from .signedperm import ClosureExceedsCap, VerificationError, closure
 
@@ -318,12 +316,12 @@ def _matvec(mat, vec, l):
 
 def _minpoly_of_vector(mat, i, l):
     """Monic minimal polynomial of ``mat`` at the i-th coordinate vector
-    v, from its Krylov sequence, and the vectors v, mat·v, ..., up to
-    its degree."""
+    v: the first power mat^k·v of its Krylov sequence that depends on
+    the ones before gives its coefficients."""
     reduced = []        # (pivot, echelon row with 1 there, its combination)
-    krylov = [tuple(int(k == i) for k in range(len(mat)))]
+    krylov = tuple(int(k == i) for k in range(len(mat)))
     while True:
-        vec = list(krylov[-1])
+        vec = list(krylov)
         combo = [0] * len(reduced) + [1]     # over the powers of mat
         for p, row, rcombo in reduced:
             f = vec[p]
@@ -333,11 +331,11 @@ def _minpoly_of_vector(mat, i, l):
                     combo[k] = (combo[k] - f * c) % l
         p = next((k for k, c in enumerate(vec) if c), None)
         if p is None:
-            return combo, krylov[:-1]
+            return combo
         inv = pow(vec[p], l - 2, l)
         reduced.append((p, [(a * inv) % l for a in vec],
                         [(c * inv) % l for c in combo]))
-        krylov.append(_matvec(mat, krylov[-1], l))
+        krylov = _matvec(mat, krylov, l)
 
 
 def _is_root(poly, x, l):
@@ -347,38 +345,25 @@ def _is_root(poly, x, l):
     return acc == 0
 
 
-def _line(vec, l):
-    """The line of a nonzero vector as (basis, pivots) in RREF."""
-    p = next(k for k, c in enumerate(vec) if c)
-    inv = pow(vec[p], l - 2, l)
-    return [tuple([(c * inv) % l for c in vec])], [p]
-
-
 def _eigenspaces(mat, l):
     """The eigenspaces of a square matrix over F_l, each as (basis,
     pivots) in RREF, found lazily from the Krylov minimal polynomial p
     of one coordinate vector v at a time: its roots are eigenvalues,
-    whose kernels are taken until they fill the space.  If p has as many
-    roots as the space has dimensions, they are all the eigenvalues and
-    each eigenspace is the line of q(mat)·v, for q = p / (x - λ).  If
-    mat is not diagonalisable over F_l the coordinate vectors run out
-    first, and the dimensions fall short of the space's."""
+    whose kernels are taken until they fill the space.  If mat is not
+    diagonalisable over F_l the coordinate vectors run out first, and
+    the dimensions fall short of the space's."""
     n = len(mat)
     spaces, seen, found = [], [], 0
     for i in range(n):
         if found == n:
             break
-        poly, krylov = _minpoly_of_vector(mat, i, l)
+        poly = _minpoly_of_vector(mat, i, l)
         roots = []
         for x in range(l):
             if len(roots) == len(poly) - 1:     # no more roots
                 break
             if _is_root(poly, x, l):
                 roots.append(x)
-        if len(roots) == n:
-            return [_line(_combine(fp_divmod(poly, [-lam, 1], l)[0],
-                                   krylov, l), l)
-                    for lam in roots]
         for lam in roots:
             if lam not in seen:
                 seen.append(lam)
@@ -566,24 +551,6 @@ def character_table(G, cap=DEFAULT_GROUP_CAP):
         raise _table_error(G, l,
                            "degree squares do not sum to the group order")
 
-    # Galois classes of columns: for s prime to e, g^s holds the value
-    # σ_s(χ(g)) (ζ_e ↦ ζ_e^s).  The first column of each Galois class is
-    # lifted; source[c] = (j, s) fills each other column c in from the
-    # lifted column j, and the first filled column of each class is
-    # lifted as well, to check the map.
-    source = [None] * r
-    for j, pw in enumerate(powers):
-        if source[j] is None:
-            source[j] = (j, 1)
-            for s in range(2, e):
-                c = pw[s % len(pw)]
-                if source[c] is None and math.gcd(s, e) == 1:
-                    source[c] = (j, s)
-    checked = {}
-    for c, (j, _) in enumerate(source):
-        if c != j:
-            checked.setdefault(j, c)
-
     # Fourier inversion over the powers of g: m_k = o⁻¹ Σ_s χ(g^s)
     # z^(-k·s·e/o) is the multiplicity of the eigenvalue ζ_o^k of g in
     # the representation, an integer in [0, χ(1)] read off exactly below
@@ -623,15 +590,7 @@ def character_table(G, cap=DEFAULT_GROUP_CAP):
             column.append(lifted[key])
         return column
 
-    columns = []
-    for c, (j, s) in enumerate(source):
-        columns.append(lift(c) if j == c else
-                       [v.galois(s) for v in columns[j]])
-    for c in checked.values():
-        if [v.coeffs for v in lift(c)] != [v.coeffs for v in columns[c]]:
-            raise _table_error(
-                G, l, "Galois image disagrees with the lifted value")
-    rows = list(zip(*columns))
+    rows = list(zip(*map(lift, range(r))))
 
     # Lifted values have integer coefficients, which order the rows.
     order_rows = sorted(range(r), key=lambda t: (

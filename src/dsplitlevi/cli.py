@@ -67,7 +67,8 @@ from .signedperm import (DEFAULT_CLOSURE_CAP, ClosureExceedsCap, SignedPerm,
                          block_wreath_generators,
                          block_wreath_normalizer_generators, brute_centralizer,
                          brute_normalizer, centralizer_type, check_order,
-                         group_closure, set_partitions, signed_symmetric_group)
+                         check_signed_group, group_closure, set_partitions,
+                         signed_symmetric_group)
 from .torus import (TorusElem, TwistedOrbit, central_stabilizer_jump,
                     conj_center_action, lang_map, theta, z_plus)
 
@@ -419,9 +420,7 @@ def _signed_groups(ns, cap):
     suites walk each group once per element or per subgroup, so a grid
     whose largest group (order 2^n n!) is past the closure cap is
     refused before any group is built."""
-    top = max(ns)
-    check_order(f"the signed group of rank {top}", range(2, 2 * top + 1, 2),
-                cap)
+    check_signed_group(max(ns), cap)
     return [(n, signed_symmetric_group(n)) for n in ns]
 
 
@@ -807,8 +806,7 @@ def relweyl(n, d, do_check, fmt):
     """Relative Weyl group descriptors of every label at (n, d)."""
     if do_check:
         try:
-            check_order(f"the signed group of rank {n}",
-                        range(2, 2 * n + 1, 2), DEFAULT_CLOSURE_CAP)
+            check_signed_group(n, DEFAULT_CLOSURE_CAP)
         except ClosureExceedsCap as exc:
             raise _Refused(f"{exc}; --no-check skips the check") from None
     entries, ok = [], True
@@ -874,7 +872,7 @@ def kinva(n, d, sample_size, seed, wmax, full, cap, fmt):
     """Invariance criterion on every gate-passing character label."""
     # Every group the checks build lies inside the signed group of rank n.
     cap = cap or DEFAULT_GROUP_CAP
-    check_order(f"the signed group of rank {n}", range(2, 2 * n + 1, 2), cap)
+    check_signed_group(n, cap)
     candidates = []
     for lev in enumerate_labels(n, d):
         for clabel in enumerate_char_labels(lev):

@@ -78,7 +78,7 @@ from .signedperm import (
     SignedPerm,
     VerificationError,
     check_index_set,
-    check_order,
+    check_signed_group,
     grid_set,
     group_closure,
     set_partitions,
@@ -611,8 +611,7 @@ def verify_relative_weyl(label):
     Q-sets.  Past rank 5 it raises ClosureExceedsCap before any work.
     """
     n = label.n
-    check_order(f"the signed group of rank {n}", range(2, 2 * n + 1, 2),
-                DEFAULT_CLOSURE_CAP)
+    check_signed_group(n, DEFAULT_CLOSURE_CAP)
     stab, WL = _parabolic_groups(
         n, concrete_parabolic_roots(n, label.I_minus1, label.I))
 

@@ -22,7 +22,8 @@ Besides the group operations the module provides
   the class actions of ``cliff`` close as signed permutations), closes
   them on bare image tuples, each element's signed table built once,
   and wraps them as SignedPerms only at the end; :func:`check_order`
-  raises it before any enumeration, from a group's order;
+  raises it before any enumeration, from a group's order, and
+  :func:`check_signed_group` for the signed group of a rank;
 * brute-force normalizer / centralizer routines used to verify the
   structural formulas on small ranks, which also compose image tuples
   through :meth:`SignedPerm.table`, and the generator sets for
@@ -444,6 +445,13 @@ def check_order(group, factors, cap):
         if order > cap:
             raise ClosureExceedsCap(f"{group} exceeds cap {cap}")
     return order
+
+
+def check_signed_group(rank, cap):
+    """:func:`check_order` of the signed group of ``rank``, of order
+    2^rank rank!."""
+    return check_order(f"the signed group of rank {rank}",
+                       range(2, 2 * rank + 1, 2), cap)
 
 
 @lru_cache(maxsize=8)

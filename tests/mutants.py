@@ -41,12 +41,13 @@ SIGNEDPERM = "tests/test_signedperm.py::"
 EXTWEYL = "tests/test_extweyl.py::"
 CLI = "tests/test_cli.py::"
 ACCEPT = "tests/test_acceptance.py::"
+ROOTSYS = "tests/test_rootsys.py::"
+ARITH = "tests/test_arith.py::TestIntegerRoutines::"
 
 MUTANTS = [
     # The exact character table: the lazy eigenvalue search relies on
-    # the diagonalisation raise, the lift on its two raises and the
-    # Galois fill on its check, and the orthogonality recheck must run
-    # off the diagonal.
+    # the diagonalisation raise, the lift on its two raises, and the
+    # orthogonality recheck must run off the diagonal.
     Mutant("diagonalise_raise_dropped", "chartab.py",
            "if found != k:",
            "if False:",
@@ -59,11 +60,6 @@ MUTANTS = [
            "if sum(poly) != d:",
            "if False:",
            [CHARTAB + "test_trivial_root_fails_lifted_degree"]),
-    Mutant("galois_check_dropped", "chartab.py",
-           "if [v.coeffs for v in lift(c)] != "
-           "[v.coeffs for v in columns[c]]:",
-           "if False:",
-           [CHARTAB + "test_wrong_galois_map_is_caught"]),
     Mutant("orthogonality_diagonal_only", "chartab.py",
            "for t2 in range(t1, len(values)):",
            "for t2 in range(t1, t1 + 1):",
@@ -171,6 +167,34 @@ MUTANTS = [
            "self.log == other.log\n                and self.M == other.M",
            "self.log == other.log",
            [TORUS + "TestTheta::test_order_condition_enforced"]),
+    # The root system of type C: the reflection in a long root 2e_i
+    # flips the sign of i, and stability is checked root by root.
+    Mutant("long_root_reflection_without_sign", "rootsys.py",
+           "img[i - 1] = -i",
+           "img[i - 1] = i",
+           [ROOTSYS + "TestReflections::test_table",
+            ROOTSYS + "TestReflections::"
+                      "test_weyl_group_of_type_c_is_signed_symmetric",
+            ROOTSYS + "TestReflections::"
+                      "test_perm_action_matches_linear_reflection"]),
+    Mutant("stability_always_true", "rootsys.py",
+           "return all(apply_to_root(x, r) in rootset for r in rootset)",
+           "return True",
+           [ROOTSYS + "TestStability::test_sign_flip_breaks_a_block",
+            ROOTSYS + "TestStability::"
+                      "test_matches_blockwise_criterion_exhaustively"]),
+    # The small-integer routines: a perfect power's base must be prime,
+    # and Miller-Rabin needs more than the bases 2, 3, 5 and 7, to which
+    # 3215031751 is a strong pseudoprime.
+    Mutant("prime_power_composite_base", "arith.py",
+           "return (r, k) if isprime(r) else None",
+           "return (r, k)",
+           [ARITH + "test_large_prime_powers"
+                    "[14975624970497949696-None]"]),
+    Mutant("miller_rabin_four_bases", "arith.py",
+           "for a in _MR_BASES:",
+           "for a in _MR_BASES[:4]:",
+           [ARITH + "test_large_prime_powers[3215031751-None]"]),
     # The brute-force oracles on image tuples: the normalizer's closure
     # check and two-sided conjugation, the centralizer's two products,
     # the root action's pairing of signed points with roots, and the
@@ -310,8 +334,7 @@ MUTANTS = [
             CLI + "TestOrderCheck::"
                   "test_extweyl_checks_every_extended_weyl_group"]),
     Mutant("kinva_rank_check_dropped", "cli.py",
-           'check_order(f"the signed group of rank {n}", '
-           "range(2, 2 * n + 1, 2), cap)",
+           "check_signed_group(n, cap)",
            "pass",
            [CLI + "TestOrderCheck::"
                   "test_one_below_the_cap_exits_2_before_work[kinva]",

@@ -1,21 +1,18 @@
 """Tests for the small exact integer routines and the sympy-free
 replacements built on them: Φ_d in the integers, trial-division
-factorisation, Miller-Rabin primality, prime powers by integer roots,
-and the polynomial kernel over F_p.
+factorisation, Miller-Rabin primality and prime powers by integer
+roots.
 
 The differential tests compare each routine with sympy over the ranges
 the package uses; they are skipped where sympy is not installed.
 """
 
 import time
-from itertools import zip_longest
 
 import pytest
-from hypothesis import given, strategies as st
 
 from dsplitlevi import levi
-from dsplitlevi.arith import (InputTooLarge, factorint, fp_divmod, isprime,
-                              prime_power)
+from dsplitlevi.arith import InputTooLarge, factorint, isprime, prime_power
 from dsplitlevi.cyclo import _cyclotomic
 from dsplitlevi.levi import check_odd_prime_power
 
@@ -67,57 +64,6 @@ class TestIntegerRoutines:
     def test_primality_range_is_explicit(self):
         with pytest.raises(ValueError):
             isprime(10 ** 30 + 57)
-
-
-@st.composite
-def fp_polys(draw):
-    """A prime p and two polynomials over F_p, the second nonzero; the
-    coefficients are drawn past p and negative, as callers may pass."""
-    p = draw(st.sampled_from([3, 5, 7, 97]))
-    poly = st.lists(st.integers(-2 * p, 2 * p), max_size=7)
-    a, b = draw(poly), draw(poly)
-    if not any(x % p for x in b):
-        b = b + [1]
-    return p, a, b
-
-
-def _reduced(a, p):
-    """Whether a is a kernel output: coefficients in [0, p), no
-    trailing zero."""
-    return all(0 <= x < p for x in a) and (not a or a[-1] != 0)
-
-
-def _norm(a, p):
-    """a as a kernel output: reduced modulo p, trailing zeros trimmed."""
-    a = [c % p for c in a]
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _times(a, b, p):
-    """The product a·b over F_p, as a kernel output."""
-    out = [0] * (len(a) + len(b))
-    for i, x in enumerate(a):
-        for j, y in enumerate(b, i):
-            out[j] += x * y
-    return _norm(out, p)
-
-
-class TestFpKernel:
-    @given(fp_polys())
-    def test_division_with_remainder(self, case):
-        p, a, b = case
-        quot, rem = fp_divmod(a, b, p)
-        assert _reduced(quot, p) and _reduced(rem, p)
-        assert len(rem) < len(_norm(b, p))
-        qb = _times(quot, b, p)
-        assert _norm([x + y for x, y in zip_longest(qb, rem, fillvalue=0)],
-                     p) == _norm(a, p)
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            fp_divmod([1, 2], [0, 3], 3)
 
 
 class TestAgainstSympy:

@@ -7,6 +7,7 @@ construction.  Induction, restriction, inner products and the
 inertia/extendibility search are checked on classical instances.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -17,6 +18,7 @@ from hypothesis import given, strategies as st
 
 from dsplitlevi import chartab
 from dsplitlevi.chartab import (
+    DEFAULT_GROUP_CAP,
     ClassFunction,
     FiniteGroup,
     _verify_orthogonality,
@@ -27,6 +29,14 @@ from dsplitlevi.chartab import (
     restrict,
 )
 from dsplitlevi.cli import PRESETS
+from dsplitlevi.cliff import (
+    _canonical_structure,
+    _kinva_groups,
+    _kinva_inputs,
+    _kinva_key,
+    cuspidal_gate,
+    enumerate_char_labels,
+)
 from dsplitlevi.cyclo import CycNum, zeta
 from dsplitlevi.extweyl import build_VdI, chevalley_generator, matrix_closure
 from dsplitlevi.levi import LeviLabel, enumerate_labels
@@ -333,21 +343,6 @@ class TestCharacterTable:
         assert str(err.value) == ("lifted degree disagrees with modular "
                                   "degree (group order 6, prime l = 7)")
 
-    def test_wrong_galois_map_is_caught(self, monkeypatch):
-        # Filled columns of C3 would repeat χ(g) at g^2.
-        class Unmapped(CycNum):
-            __slots__ = ()
-
-            def galois(self, k):
-                return self
-
-        monkeypatch.setattr(chartab, "_TABLE_CACHE", {})
-        monkeypatch.setattr(chartab, "CycNum", Unmapped)
-        with pytest.raises(VerificationError) as err:
-            character_table(grp(sp("(1,2,3)", 3)))
-        assert str(err.value) == ("Galois image disagrees with the lifted "
-                                  "value (group order 3, prime l = 7)")
-
     def test_deterministic(self):
         t1 = character_table(s4())
         t2 = character_table(s4())
@@ -371,6 +366,46 @@ class TestCharacterTable:
         assert list(chartab._TABLE_CACHE) == [groups[2].elements,
                                               groups[0].elements]
         assert character_table(groups[0]) is again
+
+
+def _kinva_sweep_groups(grid):
+    """The distinct W_λ and ker(ν) that ``kinva`` builds on a grid of
+    (n, d), one per element list, in order of first appearance."""
+    keys, groups = set(), {}
+    for n, d in grid:
+        for lev in enumerate_labels(n, d):
+            for label in enumerate_char_labels(lev):
+                key = _kinva_key(_canonical_structure(label))
+                if not cuspidal_gate(label) or key in keys:
+                    continue
+                keys.add(key)
+                gens, _ = _kinva_inputs(key)
+                W, ker, _ = _kinva_groups(gens, DEFAULT_GROUP_CAP, key)
+                for G in (W, ker):
+                    groups.setdefault(G.elements, G)
+    return list(groups.values())
+
+
+class TestKinvaSweepTables:
+    # At rank 4, d = 1, 2, 3, 8 give 2d0 = 2, 4, 6, 8: 85 groups of
+    # order up to 384 and exponent up to 24, most of them in no preset.
+    GRID = [(4, 1), (4, 2), (4, 3), (4, 8)]
+    # sha256 over every table's order, exponent, degrees and value
+    # coefficients, taken before the Krylov shortcut and the Galois
+    # column fill were removed from character_table.
+    GOLDEN = "76ff3d60bbb4a366677dc1bdd35604a18aad2b5ff04f8ab71672befd626c7e71"
+
+    def test_tables_match_golden_digest(self):
+        groups = _kinva_sweep_groups(self.GRID)
+        assert {G.exponent() for G in groups} >= {3, 6, 8, 12, 24}
+        digest = hashlib.sha256()
+        for G in groups:
+            table = character_table(G)
+            digest.update(repr((G.order, table.exponent, table.degrees,
+                                [[v.coeffs for v in row]
+                                 for row in table.values])).encode())
+        assert len(groups) == 85
+        assert digest.hexdigest() == self.GOLDEN
 
 
 def _cycnum(d):

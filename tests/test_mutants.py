@@ -1,7 +1,8 @@
 """The named mutants of tests/mutants.py stay applicable as the code
 moves: each fragment occurs exactly once in src/, in the file the
-mutant names, and each named test is defined.  Running the mutants is
-a separate command (python tests/mutants.py)."""
+mutant names, each named test is defined, and every module has a
+mutant.  Running the mutants is a separate command (python
+tests/mutants.py)."""
 
 import re
 
@@ -13,6 +14,11 @@ from mutants import MUTANTS, PACKAGE, ROOT
 def test_names_are_unique():
     names = [m.name for m in MUTANTS]
     assert len(names) == len(set(names))
+
+
+def test_every_module_has_a_mutant():
+    modules = {path.name for path in PACKAGE.glob("*.py")} - {"__init__.py"}
+    assert modules - {m.file for m in MUTANTS} == set()
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
