@@ -21,6 +21,13 @@ character table by Dixon's modular method, in three steps.
   of rows is summed on integer lists modulo x^e - 1 and reduced
   modulo Φ_e once, as :func:`inner` does.
 
+Every step reads the group only through its multiplication table in
+element order, so tables are cached by a key that fixes that table:
+the identity's position and each generator's right action on element
+positions, checked to generate the group (:func:`_table_key`).
+Isomorphic groups whose element lists line up, as the W_λ and ker(ν)
+of different labels often do, share one Dixon run.
+
 Restriction and inner products of class functions are exact.
 :func:`class_permutation` is the package's one conjugation action on
 the classes of a normal subgroup, shared by the invariance search of
@@ -64,11 +71,12 @@ class FiniteGroup:
     conjugacy class of each element is found by orbit search under
     conjugation by the stored generators; the representative of a class
     is its earliest member in element-list order, and the class of the
-    identity is always listed first.
+    identity is always listed first.  :func:`character_table` keeps the
+    group's table on it, and checks that the generators generate it.
     """
 
     __slots__ = ("elements", "index", "identity", "generators", "order",
-                 "_classes", "_powers", "_actions")
+                 "_classes", "_powers", "_actions", "_table")
 
     def __init__(self, elements, generators=None, cap=DEFAULT_GROUP_CAP):
         elements = list(elements)
@@ -102,6 +110,7 @@ class FiniteGroup:
         self._classes = None
         self._powers = None
         self._actions = {}
+        self._table = None
 
     @classmethod
     def generate(cls, gens, cap=DEFAULT_GROUP_CAP):
@@ -191,7 +200,12 @@ class FiniteGroup:
             classes.append(orbit)
         # The identity's class goes first; all others keep discovery order.
         j0 = next(j for j, orb in enumerate(classes) if orb[0] == self.identity)
-        classes = [classes[j0]] + classes[:j0] + classes[j0 + 1:]
+        self._set_classes([classes[j0]] + classes[:j0] + classes[j0 + 1:])
+        return self._classes
+
+    def _set_classes(self, classes):
+        """Keep ``classes``, lists of elements with the identity's first
+        and each representative first in its list."""
         reps = tuple(orb[0] for orb in classes)
         sizes = tuple(len(orb) for orb in classes)
         class_of = {}
@@ -201,7 +215,6 @@ class FiniteGroup:
         self._classes = ClassData(reps, sizes,
                                   tuple(tuple(orb) for orb in classes),
                                   class_of)
-        return self._classes
 
 
 # ---------------------------------------------------------------------------
@@ -506,22 +519,72 @@ class CharacterTable:
                 f"degrees={list(self.degrees)})")
 
 
-# Tables kept, keyed by element list.  Past the bound the oldest entry is
-# dropped.  A kinva_sample pass keeps 64 tables and the whole test suite
-# 184, so neither evicts.
+# A structure's conjugacy classes as element positions, exponent, prime,
+# degrees and values, keyed by :func:`_table_key` and shared by every
+# group with that key.  Past the bound the oldest entry is dropped.  A
+# kinva_sample pass keeps 11 structures and the whole test suite 70, so
+# neither evicts.
 _TABLE_CACHE_BOUND = 512
 _TABLE_CACHE = {}
 
 
+def _table_key(G):
+    """The position of G's identity and, for each generator g, its right
+    action on element positions: the tuple of ``index[x * g]`` over the
+    elements x.
+
+    The identity's orbit under these actions must cover every position,
+    or the generators do not generate G and VerificationError is raised.
+    Then each element is a word in the generators, read off a path from
+    the identity's position, and the key gives the position of every
+    product x * y by applying y's word to x's position: it fixes the
+    multiplication table in element order."""
+    index = G.index
+    try:
+        actions = tuple(tuple([index[x * g] for x in G.elements])
+                        for g in G.generators)
+    except KeyError:
+        raise VerificationError(
+            f"the element list is not closed under its generators "
+            f"(group order {G.order})") from None
+    start = index[G.identity]
+    reached, queue = {start}, [start]
+    for i in queue:
+        for action in actions:
+            j = action[i]
+            if j not in reached:
+                reached.add(j)
+                queue.append(j)
+    if len(reached) != G.order:
+        raise VerificationError(
+            f"the generators do not generate the group (they reach "
+            f"{len(reached)} of its {G.order} elements)")
+    return start, actions
+
+
 def character_table(G, cap=DEFAULT_GROUP_CAP):
-    """The exact character table of ``G`` (see :class:`CharacterTable`)."""
+    """The exact character table of ``G`` (see :class:`CharacterTable`).
+
+    A repeat call on the same group returns the same table.  Tables are
+    cached by :func:`_table_key`, which fixes G's multiplication table in
+    element order.  The classes (found by conjugating with the
+    generators, whose positions the key gives), the prime, the degrees
+    and every value depend on that table alone, so a group with the key
+    of one computed before gets its classes, exponent, prime, degrees
+    and values, with no Dixon run and no class search."""
     if G.order > cap:
         raise ClosureExceedsCap(
             f"group of order {G.order} exceeds cap {cap}")
-    cache_key = G.elements
+    if G._table is not None:
+        return G._table
+    cache_key = _table_key(G)
     cached = _TABLE_CACHE.get(cache_key)
     if cached is not None:
-        return cached
+        places, *table = cached
+        if G._classes is None:
+            G._set_classes([[G.elements[i] for i in orb] for orb in places])
+        G._table = CharacterTable(G, *table)
+        return G._table
 
     data = G.conjugacy_classes()
     r = len(data.reps)
@@ -602,11 +665,12 @@ def character_table(G, cap=DEFAULT_GROUP_CAP):
     if any(G.order % d for d in degrees):
         raise _table_error(G, l, "some degree does not divide the group order")
 
-    table = CharacterTable(G, e, l, degrees, values)
     if len(_TABLE_CACHE) >= _TABLE_CACHE_BOUND:
         del _TABLE_CACHE[next(iter(_TABLE_CACHE))]
-    _TABLE_CACHE[cache_key] = table
-    return table
+    places = tuple(tuple(G.index[y] for y in orb) for orb in data.classes)
+    _TABLE_CACHE[cache_key] = places, e, l, degrees, values
+    G._table = CharacterTable(G, e, l, degrees, values)
+    return G._table
 
 
 def _verify_orthogonality(G, data, values, l):
@@ -717,24 +781,26 @@ def is_invariant(cf, perm):
     return ClassFunction(cf.group, [cf.values[i] for i in perm]) == cf
 
 
-# Overgroups H whose class permutations are kept on a group N; past the
-# bound the oldest is dropped.  The acceptance checks loop over every θ
-# of one (H, N), so that pair pays for its class action once.
+# Overgroups H whose class permutations and inertia groups are kept on a
+# group N; past the bound the oldest is dropped.  The acceptance checks
+# loop over every θ of one (H, N), so that pair pays for its class action
+# once, and for each distinct inertia group once.
 _ACTIONS_PER_GROUP = 4
 
 
 def _class_permutations(H, N):
     """:func:`class_permutation` of every h ∈ H on N, in H's element
-    order; computed once per (H, N) and kept on N for its last
-    ``_ACTIONS_PER_GROUP`` overgroups (keyed by the H object)."""
+    order, and a dict for the inertia groups built from them; computed
+    once per (H, N) and kept on N for its last ``_ACTIONS_PER_GROUP``
+    overgroups (keyed by the H object)."""
     actions = N._actions
-    perms = actions.get(H)
-    if perms is None:
-        perms = tuple(class_permutation(h, N) for h in H.elements)
+    kept = actions.get(H)
+    if kept is None:
+        kept = tuple(class_permutation(h, N) for h in H.elements), {}
         if len(actions) >= _ACTIONS_PER_GROUP:
             del actions[next(iter(actions))]
-        actions[H] = perms
-    return perms
+        actions[H] = kept
+    return kept
 
 
 def inertia_and_extendibility(H, N, theta, cap=DEFAULT_GROUP_CAP):
@@ -745,6 +811,9 @@ def inertia_and_extendibility(H, N, theta, cap=DEFAULT_GROUP_CAP):
     ``theta^h(n) = theta(h n h^{-1})``, read off h's
     :func:`class_permutation`, computed once per (H, N) for every θ
     (see :func:`_class_permutations`); H_theta keeps H's element order.
+    It is built once per (H, N) for each set of fixing h, and is H
+    itself when every h fixes theta, so its classes and table are not
+    built again for each theta.
     N's generators suffice for normality, as conjugation is an
     automorphism.
     Extendibility is decided by an exhaustive search through
@@ -762,9 +831,14 @@ def inertia_and_extendibility(H, N, theta, cap=DEFAULT_GROUP_CAP):
             if g * x * gi not in N.index:
                 raise ValueError("N is not normal in H")
 
-    H_theta = FiniteGroup([h for h, perm in zip(H.elements,
-                                                _class_permutations(H, N))
-                           if is_invariant(theta, perm)], cap=cap)
+    perms, stabilisers = _class_permutations(H, N)
+    fixing = tuple(i for i, perm in enumerate(perms)
+                   if is_invariant(theta, perm))
+    H_theta = stabilisers.get(fixing)
+    if H_theta is None:
+        H_theta = stabilisers[fixing] = (
+            H if len(fixing) == H.order
+            else FiniteGroup([H.elements[i] for i in fixing], cap=cap))
     table = character_table(H_theta, cap=cap)
     for chi in table.characters:
         if restrict(chi, N) == theta:

@@ -34,6 +34,7 @@ PACKAGE = ROOT / "src" / "dsplitlevi"
 Mutant = namedtuple("Mutant", "name file fragment replacement tests")
 
 CHARTAB = "tests/test_chartab.py::TestCharacterTable::"
+KEY = "tests/test_chartab.py::TestStructureKey::"
 CLIFF = "tests/test_cliff.py::"
 TORUS = "tests/test_torus.py::"
 LEVI = "tests/test_levi.py::"
@@ -65,6 +66,29 @@ MUTANTS = [
            "for t2 in range(t1, t1 + 1):",
            [CHARTAB + "test_entry_times_root_of_unity_rejected[s4]",
             CHARTAB + "test_entry_times_root_of_unity_rejected[q8]"]),
+    # The structure key of the table cache (chartab._table_key) holds
+    # each generator's action, and is refused unless the elements are
+    # closed under the generators and the generators generate them; a
+    # hit takes its classes from the cached element positions.
+    Mutant("table_key_ignores_action", "chartab.py",
+           "return start, actions",
+           "return start, G.order",
+           [KEY + "test_shared_tables_equal_fresh_ones",
+            KEY + "test_cold_pass_runs_dixon_once_per_structure",
+            "tests/test_chartab.py::TestKinvaSweepTables::"
+            "test_tables_match_golden_digest"]),
+    Mutant("table_generation_check_dropped", "chartab.py",
+           "if len(reached) != G.order:",
+           "if False:",
+           [KEY + "test_generators_must_generate_the_group"]),
+    Mutant("table_closure_check_dropped", "chartab.py",
+           "index[x * g] for x in G.elements",
+           "index.get(x * g, 0) for x in G.elements",
+           [KEY + "test_elements_must_be_closed_under_the_generators"]),
+    Mutant("table_classes_misplaced", "chartab.py",
+           "for orb in places])",
+           "for orb in places[::-1]])",
+           [KEY + "test_shared_tables_equal_fresh_ones"]),
     # The Clifford memo key (cliff._kinva_key): its flag drops
     # ltilde_full, its flag drops the jump, and its 2d0 is fixed at 2.
     Mutant("kinva_key_flag_without_ltilde", "cliff.py",

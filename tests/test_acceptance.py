@@ -106,16 +106,16 @@ def test_03_label_classification_equals_eigenspace_test():
 
 
 def test_04_relative_weyl_groups_brute_verified():
-    """Every enumerated label at rank <= 4, twist order <= 8: the brute
+    """Every enumerated label at rank <= 5, twist order <= 8: the brute
     fixed-coset count matches prod (2 d0)^(t_s) t_s! and the generator
     closure realizes it."""
     count = 0
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         for d in range(1, 9):
             for lab in enumerate_labels(n, d):
                 count += 1
                 assert verify_relative_weyl(lab), (n, d, lab)
-    assert count == 183
+    assert count == 603
 
 
 def _embedded_simple_roots(n, l):

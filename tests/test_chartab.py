@@ -4,7 +4,9 @@ Frozen oracles: textbook tables for S3, S4, dihedral/quaternion order
 8, cyclic groups, and wreath products of abelian groups by S_m whose
 degree multisets are predicted independently by the little-group
 construction.  Induction, restriction, inner products and the
-inertia/extendibility search are checked on classical instances.
+inertia/extendibility search are checked on classical instances.  A
+table shared through the structure cache must equal the table computed
+afresh for its own group.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dsplitlevi import chartab
+from dsplitlevi import chartab, cliff
 from dsplitlevi.chartab import (
     DEFAULT_GROUP_CAP,
     ClassFunction,
@@ -36,6 +38,7 @@ from dsplitlevi.cliff import (
     _kinva_key,
     cuspidal_gate,
     enumerate_char_labels,
+    kinva_check,
 )
 from dsplitlevi.cyclo import CycNum, zeta
 from dsplitlevi.extweyl import build_VdI, chevalley_generator, matrix_closure
@@ -356,16 +359,37 @@ class TestCharacterTable:
     def test_cache_bound_drops_the_oldest(self, monkeypatch):
         monkeypatch.setattr(chartab, "_TABLE_CACHE", {})
         monkeypatch.setattr(chartab, "_TABLE_CACHE_BOUND", 2)
+        runs = dixon_runs(monkeypatch)
         groups = [s3(), s4(), grp(sp("(1,2,3,4,5)", 5))]
         tables = [character_table(G) for G in groups]
-        assert list(chartab._TABLE_CACHE) == [G.elements for G in groups[1:]]
-        again = character_table(groups[0])
-        assert again is not tables[0]
-        assert (again.degrees, again.values) == (tables[0].degrees,
-                                                 tables[0].values)
-        assert list(chartab._TABLE_CACHE) == [groups[2].elements,
-                                              groups[0].elements]
-        assert character_table(groups[0]) is again
+        keys = [chartab._table_key(G) for G in groups]
+        assert list(chartab._TABLE_CACHE) == keys[1:]
+        # A group keeps its table; a new S3 finds its structure dropped.
+        assert character_table(groups[0]) is tables[0]
+        G = s3()
+        again = character_table(G)
+        assert len(runs) == 4 and again is not tables[0]
+        assert table_data(again) == table_data(tables[0])
+        assert list(chartab._TABLE_CACHE) == [keys[2], keys[0]]
+        assert character_table(G) is again
+
+
+def dixon_runs(monkeypatch):
+    """The groups that ``_split_eigenvectors`` runs on from now on."""
+    runs = []
+    split = chartab._split_eigenvectors
+
+    def counting(G, data, l):
+        runs.append(G)
+        return split(G, data, l)
+
+    monkeypatch.setattr(chartab, "_split_eigenvectors", counting)
+    return runs
+
+
+def table_data(table):
+    return (table.exponent, table.prime, table.degrees,
+            [[(v.d, v.coeffs) for v in row] for row in table.values])
 
 
 def _kinva_sweep_groups(grid):
@@ -406,6 +430,74 @@ class TestKinvaSweepTables:
                                  for row in table.values])).encode())
         assert len(groups) == 85
         assert digest.hexdigest() == self.GOLDEN
+
+
+def relabelled(G):
+    """G on other elements: each signed permutation gains a fixed point,
+    so the multiplication table in element order, and the structure
+    key, stay the same."""
+    def up(x):
+        return SignedPerm(x.img + (x.n + 1,))
+
+    return FiniteGroup(map(up, G.elements), generators=map(up, G.generators))
+
+
+class TestStructureKey:
+    def test_shared_tables_equal_fresh_ones(self, monkeypatch):
+        # Every preset, the 85 rank-4 sweep groups and each preset again
+        # on other elements, through one cache: each table served from a
+        # structure must be the one computed afresh with the cache empty.
+        presets = [PRESETS[name]() for name in sorted(PRESETS)]
+        groups = (presets + _kinva_sweep_groups(TestKinvaSweepTables.GRID)
+                  + [relabelled(G) for G in presets])
+        monkeypatch.setattr(chartab, "_TABLE_CACHE", {})
+        runs = dixon_runs(monkeypatch)
+        served = [character_table(G) for G in groups]
+        assert len(runs) == len({chartab._table_key(G) for G in groups}) == 34
+        for G, table in zip(groups, served):
+            assert table.group is G and character_table(G) is table
+            monkeypatch.setattr(chartab, "_TABLE_CACHE", {})
+            fresh = character_table(FiniteGroup(G.elements,
+                                                generators=G.generators))
+            assert table_data(table) == table_data(fresh)
+            assert (G.conjugacy_classes().classes
+                    == fresh.group.conjugacy_classes().classes)
+
+    def test_generators_must_generate_the_group(self):
+        G = FiniteGroup(s3().elements, generators=[sp("(1,2)", 3)])
+        with pytest.raises(VerificationError) as err:
+            character_table(G)
+        assert str(err.value) == ("the generators do not generate the "
+                                  "group (they reach 2 of its 6 elements)")
+
+    def test_elements_must_be_closed_under_the_generators(self):
+        G = FiniteGroup([SignedPerm.identity(3), sp("(1,2)", 3)],
+                        generators=[sp("(1,2,3)", 3)])
+        with pytest.raises(VerificationError) as err:
+            character_table(G)
+        assert str(err.value) == ("the element list is not closed under "
+                                  "its generators (group order 2)")
+
+    def test_cold_pass_runs_dixon_once_per_structure(self, monkeypatch):
+        labels = [c for n in (1, 2, 3) for d in range(1, 9)
+                  for lev in enumerate_labels(n, d)
+                  for c in enumerate_char_labels(lev) if cuspidal_gate(c)]
+        monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
+        monkeypatch.setattr(chartab, "_TABLE_CACHE", {})
+        runs = dixon_runs(monkeypatch)
+        groups = {}
+        table = cliff.character_table
+
+        def recording(G, cap):
+            groups[id(G)] = G
+            return table(G, cap=cap)
+
+        monkeypatch.setattr(cliff, "character_table", recording)
+        assert all(kinva_check(label)["pass"] for label in labels)
+        keys = [chartab._table_key(G) for G in runs]
+        assert set(keys) == {chartab._table_key(G) for G in groups.values()}
+        assert (len(labels), len(groups), len(keys), len(set(keys))) == (
+            1120, 67, 12, 12)
 
 
 def _cycnum(d):
@@ -703,6 +795,8 @@ def test_inertia_group_matches_elementwise_stabiliser():
             stab, extends, witness = inertia_and_extendibility(H, N, theta)
             want = elementwise_stabiliser(H, N, theta)
             assert list(stab.elements) == want
+            assert (stab is H) == (len(want) == H.order)
+            assert inertia_and_extendibility(H, N, theta)[0] is stab
             # The witness is the first character of H_theta's table that
             # restricts to theta.
             first = next((chi for chi in character_table(stab).characters

@@ -609,6 +609,38 @@ class TestVerify:
             "d0832fd47b9fc65e224392751f88b743debe6600d6eb0ad6786a22a03a1f54c0",
         ("torus --q 3", "text"):
             "df58371614df823304bb5641653de1ce90e5c14c3160c1c34a26b7c2f0164c5f",
+        # Each suite's default grid, and eq1 at rank 5, taken before
+        # character tables were keyed on group structure.
+        ("centralizers", "json"):
+            "ca11f649f1bc5c26e7654e45e46efedbd92a657604f342b20e5e8b5d3d06df13",
+        ("centralizers", "tsv"):
+            "08c41d78b09a2fd7e3a0ff938983fc841247275f0b1893bdb74d6a7e2988d91d",
+        ("centralizers", "text"):
+            "7f2bc64a914386eaaa92f79ea34ecba7b2432cac18bcc46f40304ec4307ad792",
+        ("normalizers", "json"):
+            "6a056438e760cd5597137989f45125feeaa14c58504a5b7bf98620519bcc4def",
+        ("normalizers", "tsv"):
+            "6907913bdfba5deccf0c32aa903769eb9f2b0cef90dc473d0a7f9569f0fa8496",
+        ("normalizers", "text"):
+            "345e0ba09caa59f1018adca027dda5075f2e53409f52d8fd4d3b1cd0f7ea2feb",
+        ("extweyl", "json"):
+            "46e2ca4b2335efb8aebd4570a0d3d09583d5802f078f6e80b8eb14d9810c19a5",
+        ("extweyl", "tsv"):
+            "fc5273686c06a55f6fa51bdb38ddfcd5b07fda6acc5a647abbbb5df4842d4149",
+        ("extweyl", "text"):
+            "afef2d087916e4ee818499d5d6156a9782e40a8fb41a6b819214ae3978642e19",
+        ("eq1", "json"):
+            "2011579a6e3850cf8b8723b76ab1bb02ab23d987bb0b3a3057994543c788c717",
+        ("eq1", "tsv"):
+            "0aab9cd584b88f7dfd7eaab3139277c3a519b08a7c0304c409b58a8d3b1781fa",
+        ("eq1", "text"):
+            "16aa843ece32b558eec642c4340ec76284cdd48030067fc1121ff79e0058466f",
+        ("eq1 --n 5", "json"):
+            "028824291feff5d530ac85a5ad1d4addebc33689151b52f161a71e8aad7adfbb",
+        ("eq1 --n 5", "tsv"):
+            "82d74816adae3a50a34e843996dd86511332b064db5b8295f5cbfa849d273fb0",
+        ("eq1 --n 5", "text"):
+            "826dcb4e6dfe3b8bde8e8209ce37bf7f8959ce25e7f3d969cf2dbc25840e71a6",
     }
 
     @pytest.mark.parametrize("args, fmt", sorted(GOLDEN),
