@@ -20,6 +20,8 @@ test that recognises the root subsystems cut out by a twist element:
     (V(π, ζ) ∩ Φ_L^⊥)^⊥ ∩ Φ = Φ_L,
 
 with all perps taken for the bilinear extension of the dot product.
+Vectors are plain tuples of ``CycNum``; the test pairs them with
+integer roots only, so a pairing needs no reduction modulo Φ_d.
 """
 
 from __future__ import annotations
@@ -276,76 +278,6 @@ def zeta(d, k=1):
     return CycNum._from_poly(poly, d)
 
 
-# ---------------------------------------------------------------------------
-# vectors over a cyclotomic field
-# ---------------------------------------------------------------------------
-
-class CycVector:
-    """A fixed-length vector of CycNum with a common conductor."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        entries = tuple(entries)
-        if not entries:
-            raise ValueError("empty vector")
-        d = entries[0].d
-        if any(e.d != d for e in entries):
-            raise ValueError("mixed conductors in vector")
-        self.entries = entries
-
-    @property
-    def d(self):
-        return self.entries[0].d
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __add__(self, other):
-        return CycVector(a + b for a, b in zip(self.entries, other.entries))
-
-    def scale(self, c):
-        return CycVector(c * e for e in self.entries)
-
-    def dot(self, other):
-        """Bilinear pairing; ``other`` may be a CycVector or a tuple of
-        ints or of CycNums of the same conductor.  The products are
-        summed as polynomials and reduced modulo Φ_d once."""
-        if isinstance(other, CycVector):
-            other = other.entries
-        if len(other) != len(self.entries):
-            raise ValueError("length mismatch in dot product")
-        d = self.d
-        acc = [0] * (2 * len(self.entries[0].coeffs) - 1)
-        for a, b in zip(self.entries, other):
-            if isinstance(b, CycNum):
-                if b.d != d:
-                    raise ValueError(f"conductor mismatch: {d} vs {b.d}")
-                for i, x in enumerate(a.coeffs):
-                    if x:
-                        for k, y in enumerate(b.coeffs):
-                            acc[i + k] += x * y
-            else:
-                for i, x in enumerate(a.coeffs):
-                    acc[i] += x * b
-        return CycNum._from_poly(acc, d)
-
-    def is_zero(self):
-        return all(e.is_zero() for e in self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, CycVector) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return "CycVector(" + ", ".join(map(repr, self.entries)) + ")"
-
-
 def _nullspace(rows, ncols, d):
     """Basis of {x : R x = 0} for a matrix over Q(ζ_d), by exact RREF."""
     rows = [list(r) for r in rows if not all(c.is_zero() for c in r)]
@@ -416,8 +348,20 @@ def eigenspace_basis(pi, d, k=1):
             entries[i - 1] = val
             val = val * zinv * pi.sign(i)
             i = abs(pi(i))
-        basis.append(CycVector(entries))
+        basis.append(tuple(entries))
     return basis
+
+
+def _dot(v, root):
+    """The bilinear pairing of ``v`` over Q(ζ_d) with an integer root:
+    an integer combination of power-basis coefficients, which is
+    already reduced modulo Φ_d."""
+    acc = [0] * len(v[0].coeffs)
+    for a, r in zip(v, root):
+        if r:
+            for i, x in enumerate(a.coeffs):
+                acc[i] += r * x
+    return CycNum(v[0].d, acc)
 
 
 def check_eq1(pi, d, roots, ambient):
@@ -429,14 +373,15 @@ def check_eq1(pi, d, roots, ambient):
     """
     roots = [tuple(r) for r in roots]
     V = eigenspace_basis(pi, d, 1)
+    rows = [[_dot(b, r) for b in V] for r in roots]
     U = []
-    if V:
-        rows = [[b.dot(r) for b in V] for r in roots]
-        for combo in _nullspace(rows, len(V), d):
-            u = V[0].scale(combo[0])
-            for c, b in zip(combo[1:], V[1:]):
-                u = u + b.scale(c)
-            U.append(u)
+    for combo in _nullspace(rows, len(V), d):
+        u = [CycNum.zero(d)] * pi.n
+        for x, b in zip(combo, V):
+            for i, c in enumerate(b):
+                if c:
+                    u[i] = u[i] + c * x
+        U.append(u)
     perp = {beta for beta in ambient
-            if all(u.dot(beta).is_zero() for u in U)}
+            if all(_dot(u, beta).is_zero() for u in U)}
     return perp == set(roots)

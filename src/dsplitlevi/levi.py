@@ -265,9 +265,9 @@ LABEL_COUNT_BOUND = 2 ** 17
 # verify eq1 refuses a grid with more concrete pairs than this at
 # d0 = 1 (Bell(n+1) pairs for each rank n and each d in {1, 2}), before
 # building any.  There every pair reaches the exact eigenspace test,
-# which took 4.6-7.2 ms a pair at n = 7-9 on a 2-vCPU VM: the bound
-# admits --n 7 on the default grid (8280 pairs, about 40 s) and refuses
-# n = 8 (42294 pairs, about 4 minutes).
+# which took 2.3-4.9 ms a pair at n = 7-9 on a 2-vCPU VM: the bound
+# admits --n 7 on the default grid (8280 pairs, about 20 s) and refuses
+# n = 8 (42294 pairs, about 2-3 minutes).
 EQ1_PAIR_BOUND = 2 ** 14
 
 

@@ -44,6 +44,7 @@ CLI = "tests/test_cli.py::"
 ACCEPT = "tests/test_acceptance.py::"
 ROOTSYS = "tests/test_rootsys.py::"
 ARITH = "tests/test_arith.py::TestIntegerRoutines::"
+CYCLO = "tests/test_cyclo.py::"
 
 MUTANTS = [
     # The exact character table: the lazy eigenvalue search relies on
@@ -259,11 +260,30 @@ MUTANTS = [
            "return len(images) == len(V) and len(images) == len(fixed)",
            [LEVI + "TestVerify::test_cosets_are_compared_not_counted"]),
     # The label classification's exact eigenspace test: a root set that
-    # its double perpendicular only contains passes.
+    # its double perpendicular only contains passes, U is combined from
+    # the first eigenvector only, or the pairing with a root drops its
+    # negative coordinates.  The inverse by the Galois norm checks that
+    # the norm is rational.
     Mutant("eq1_vacuous_superset", "cyclo.py",
            "return perp == set(roots)",
            "return perp >= set(roots)",
            [ACCEPT + "test_03_label_classification_equals_eigenspace_test"]),
+    Mutant("eq1_u_from_first_eigenvector", "cyclo.py",
+           "for x, b in zip(combo, V):",
+           "for x, b in zip(combo[:1], V):",
+           [CYCLO + "test_eq1_is_the_double_perp_of_any_root_set[2]",
+            CYCLO + "test_eq1_is_the_double_perp_of_any_root_set[3]",
+            ACCEPT + "test_03_label_classification_equals_eigenspace_test"]),
+    Mutant("eq1_pairing_skips_negative_coordinates", "cyclo.py",
+           "if r:",
+           "if r > 0:",
+           [CYCLO + "test_eq1_is_the_double_perp_of_any_root_set[2]",
+            CYCLO + "test_eq1_is_the_double_perp_of_any_root_set[3]",
+            ACCEPT + "test_03_label_classification_equals_eigenspace_test"]),
+    Mutant("inv_norm_guard_dropped", "cyclo.py",
+           "if not norm.is_rational():",
+           "if False:",
+           [CYCLO + "TestCycNum::test_inverse_checks_the_galois_norm"]),
     # The Chevalley generator cache: a key that ignores t hands out the
     # first sign's matrix for both.
     Mutant("chevalley_key_without_t", "extweyl.py",

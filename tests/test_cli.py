@@ -641,6 +641,10 @@ class TestVerify:
             "82d74816adae3a50a34e843996dd86511332b064db5b8295f5cbfa849d273fb0",
         ("eq1 --n 5", "text"):
             "826dcb4e6dfe3b8bde8e8209ce37bf7f8959ce25e7f3d969cf2dbc25840e71a6",
+        # eq1 at rank 6, taken before the eigenspace test moved from a
+        # vector class onto plain tuples.
+        ("eq1 --n 6", "json"):
+            "261c7c8f66eca3caad8bffd31c2cc08d66d0331d86ec41b597c3219380a5ca66",
     }
 
     @pytest.mark.parametrize("args, fmt", sorted(GOLDEN),

@@ -2,11 +2,16 @@
 
 Hand-derived expectations: the d=4 eigenvector of the signed 4-cycle,
 sign-flip eigenvectors at d=2, and the small root-space perps worked
-out on paper.  The equivalence check at the bottom compares the exact
-linear-algebra test against an independently coded combinatorial
-criterion (orbit lengths of blocks under the bar projection).
+out on paper.  The double perp of arbitrary root sets is compared with
+an oracle that decides membership in U^⊥ by row-space membership
+instead of through a nullspace.  The equivalence check at the bottom
+compares the exact linear-algebra test against an independently coded
+combinatorial criterion (orbit lengths of blocks under the bar
+projection).
 """
 
+import itertools
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -15,14 +20,18 @@ from hypothesis import given, settings, strategies as st
 
 from dsplitlevi.cyclo import (
     CycNum,
-    CycVector,
     check_eq1,
     eigenspace_basis,
     zeta,
 )
 from dsplitlevi.levi import concrete_parabolic_roots
 from dsplitlevi.rootsys import build_root_system, is_stable_under
-from dsplitlevi.signedperm import SignedPerm, set_partitions, wprime
+from dsplitlevi.signedperm import (
+    SignedPerm,
+    VerificationError,
+    set_partitions,
+    wprime,
+)
 
 
 def sp(text, n):
@@ -85,6 +94,13 @@ class TestCycNum:
             return
         assert a * a.inv() == CycNum.one(a.d)
         assert a / a == CycNum.one(a.d)
+
+    def test_inverse_checks_the_galois_norm(self, monkeypatch):
+        # With a wrong conjugate (here the identity) x·y is ζ_5^4, no
+        # norm; inv must refuse it rather than divide by a coefficient.
+        monkeypatch.setattr(CycNum, "galois", lambda self, k: self)
+        with pytest.raises(VerificationError):
+            zeta(5).inv()
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
@@ -226,6 +242,83 @@ class TestCheckEq1:
         assert is_stable_under(bad, w)
         assert not check_eq1(w, 8, bad, c2)
         assert check_eq1(w, 8, c2, c2)
+
+
+# ---------------------------------------------------------------------------
+# the double perp of any root set, by row-space membership
+# ---------------------------------------------------------------------------
+
+def _pair(b, root):
+    total = CycNum.zero(b[0].d)
+    for x, r in zip(b, root):
+        total = total + x * r
+    return total
+
+
+def _reduce(row, echelon):
+    """``row`` minus its part along the echelon rows: zero iff the row
+    lies in their span."""
+    for p, e in echelon:
+        if row[p]:
+            f = row[p]
+            row = [x - f * y for x, y in zip(row, e)]
+    return row
+
+
+def _echelon(rows):
+    echelon = []
+    for row in rows:
+        row = _reduce(row, echelon)
+        p = next((c for c, x in enumerate(row) if x), None)
+        if p is not None:
+            inv = row[p].inv()
+            echelon.append((p, [x * inv for x in row]))
+    return echelon
+
+
+def double_perp_by_row_space(pi, d, roots, ambient):
+    """(V(π, ζ_d) ∩ roots^⊥)^⊥ ∩ Φ.  With b_c the eigenbasis and M the
+    rows (b_c·r)_c of the roots, U = {Σ x_c b_c : M x = 0}, so β pairs
+    to zero with all of U iff its row (b_c·β)_c lies in (ker M)^⊥,
+    which is the row space of M."""
+    V = eigenspace_basis(pi, d, 1)
+    z = zeta(d)
+    for b in V:
+        for i in range(1, pi.n + 1):
+            assert b[i - 1] * pi.sign(i) == z * b[abs(pi(i)) - 1]
+    echelon = _echelon([[_pair(b, r) for b in V] for r in roots])
+    return {beta for beta in ambient
+            if not any(_reduce([_pair(b, beta) for b in V], echelon))}
+
+
+TWISTS = {2: ["(1,-1)", "(1,2)", "(1,2,-1,-2)", "(1,-1)(2,-2)"],
+          3: ["(1,2,3)", "(1,-1)(2,3)", "(1,2,-1,-2)(3,-3)"]}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_eq1_is_the_double_perp_of_any_root_set(n):
+    # Every subset of the 8 roots of C_2, a seeded sample of those of
+    # C_3; each set's double perp is closed, so it passes too.
+    system = build_root_system(n)
+    if n == 2:
+        subsets = [list(c) for k in range(len(system) + 1)
+                   for c in itertools.combinations(system, k)]
+    else:
+        rng = random.Random(20221)
+        subsets = [rng.sample(system, rng.randrange(len(system) + 1))
+                   for _ in range(40)]
+    outcomes = set()
+    for d in range(1, 9):
+        twists = {sylow_twist_oracle(n, d), SignedPerm.identity(n)}
+        twists.update(sp(text, n) for text in TWISTS[n])
+        for w in sorted(twists):
+            for roots in subsets:
+                closed = double_perp_by_row_space(w, d, roots, system)
+                verdict = check_eq1(w, d, roots, system)
+                assert verdict == (closed == set(roots)), (n, d, w, roots)
+                assert check_eq1(w, d, closed, system), (n, d, w, roots)
+                outcomes.add(verdict)
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------
