@@ -54,7 +54,8 @@ import click
 
 from .arith import InputTooLarge
 from .chartab import DEFAULT_GROUP_CAP, FiniteGroup, character_table
-from .cliff import cuspidal_gate, enumerate_char_labels, kinva_check, stab_lambda
+from .cliff import (cuspidal_gate, enumerate_char_labels, inertia_order,
+                    kinva_check)
 from .cyclo import check_eq1
 from .extweyl import (IntMatrix, build_twist_elements, chevalley_generator,
                       matrix_closure, rho)
@@ -873,23 +874,30 @@ def kinva(n, d, sample_size, seed, wmax, full, cap, fmt):
     # Every group the checks build lies inside the signed group of rank n.
     cap = cap or DEFAULT_GROUP_CAP
     check_signed_group(n, cap)
-    candidates = []
-    for lev in enumerate_labels(n, d):
-        for clabel in enumerate_char_labels(lev):
-            if (cuspidal_gate(clabel)
-                    and stab_lambda(clabel).order <= wmax):
-                candidates.append(clabel)
-    examined = len(candidates)
+    # The candidates are checked as they are enumerated; only --random
+    # holds them all, and only --full the reports.
+    candidates = (clabel for lev in enumerate_labels(n, d)
+                  for clabel in enumerate_char_labels(lev)
+                  if cuspidal_gate(clabel) and inertia_order(clabel) <= wmax)
+    examined = None
     if sample_size is not None:
-        rng = random.Random(seed)
-        candidates = rng.sample(candidates,
-                                min(sample_size, len(candidates)))
-    reports = [kinva_check(c, cap=cap) for c in candidates]
-    failures = [r["label"] for r in reports if not r["pass"]]
+        candidates = list(candidates)
+        examined = len(candidates)
+        candidates = random.Random(seed).sample(
+            candidates, min(sample_size, examined))
+    checked, failures, reports = 0, [], []
+    for clabel in candidates:
+        report = kinva_check(clabel, cap=cap)
+        checked += 1
+        if not report["pass"]:
+            failures.append(report["label"])
+        if full:
+            reports.append(report)
     head = {"command": "kinva", "n": n, "d": d, "wmax": wmax,
             "random": sample_size,
             "seed": seed if sample_size is not None else None,
-            "candidates": examined, "checked": len(reports),
+            "candidates": checked if examined is None else examined,
+            "checked": checked,
             "failures": failures, "pass": not failures}
     if full:
         _emit(fmt, head, "reports", reports)

@@ -151,12 +151,10 @@ class CharLabel:
         return out
 
     def key(self):
-        """Deterministic string identifying the label."""
-        levi = self.levi
-        pieces = [f"n{levi.n}", f"d{levi.d}",
-                  "Im1=" + ",".join(map(str, levi.I_minus1)),
-                  "I=" + "|".join(",".join(map(str, b)) for b in levi.I),
-                  f"lt{int(self.ltilde_full)}"]
+        """Deterministic string identifying the label: its Levi label's
+        :meth:`~dsplitlevi.levi.LeviLabel.text`, the cover flag, and one
+        cell of descriptors per block size."""
+        pieces = [self.levi.text(), f"lt{int(self.ltilde_full)}"]
         for s, descs in self.assignment.items():
             cell = ";".join(f"{d.id}:c{d.stab_order}:z{d.central_order}"
                             for d in descs)
@@ -208,15 +206,21 @@ def _parts_from_label(label):
     return parts
 
 
+def _wreath_order(factors):
+    """∏ c^m·m! over the pairs (c, m): the order of ∏ C_c wr S_m."""
+    order = 1
+    for c, m in factors:
+        order *= c ** m * factorial(m)
+    return order
+
+
 def _build_W(parts, two_d0, n):
     """Generators of W_lambda with nu's ±1 value on each, its order and
     abstract type.  nu is -1 exactly on the cyclic generators of a
     flagged part."""
     gens, values, factors = [], [], []
-    order = 1
     for part in parts:
         m = len(part.Qs)
-        order *= part.c ** m * factorial(m)
         factors.append(f"C{part.c}wrS{m}")
         if part.c > 1:
             for Q in part.Qs:
@@ -226,6 +230,7 @@ def _build_W(parts, two_d0, n):
             gens.append(tau_Q(Q1, Q2, n))
             values.append(1)
     abstract = " x ".join(factors) if factors else "1"
+    order = _wreath_order((part.c, len(part.Qs)) for part in parts)
     return gens, tuple(values), order, abstract
 
 
@@ -365,19 +370,38 @@ def _canonical_structure(label):
     return (label.two_d0, label.ltilde_full, tuple(struct))
 
 
-def _kinva_key(structure):
-    """What the invariance check reads of a class structure:
-    (2d0, ((s, ((m, c, flag), ...)), ...)) in the structure's order,
-    where flag is whether nu is -1 on the class's cyclic generators.
-    The empty structure is the trivial group at every 2d0, so it has
-    one key."""
-    two_d0, ltilde_full, struct = structure
-    if not struct:
+def _kinva_key(label):
+    """What the invariance check reads of a label's class structure:
+    (2d0, ((s, ((m, c, flag), ...)), ...)) by block size s, one (m, c,
+    flag) per descriptor class of size s on m orbits, sorted by (m, c,
+    central order), where flag is whether nu is -1 on the class's cyclic
+    generators.  It is read in one pass, counting the orbits of each
+    descriptor (of one size s, its id, c and central order).  The empty
+    structure is the trivial group at every 2d0, so it has one key."""
+    if not label.assignment:
         return (2, ())
-    return (two_d0, tuple(
-        (s, tuple((m, c, ltilde_full and _is_jump(c, central, two_d0))
-                  for m, c, central in cell))
-        for s, cell in struct))
+    two_d0 = label.two_d0
+    ltilde_full = label.ltilde_full
+    struct = []
+    for s, descs in label.assignment.items():
+        counts = {}
+        for desc in descs:
+            cls = (desc.stab_order, desc.central_order, desc.id)
+            counts[cls] = counts.get(cls, 0) + 1
+        cell = sorted([(m, c, central)
+                       for (c, central, _), m in counts.items()])
+        struct.append((s, tuple(
+            (m, c, ltilde_full and _is_jump(c, central, two_d0))
+            for m, c, central in cell)))
+    return (two_d0, tuple(struct))
+
+
+def inertia_order(label):
+    """|W_lambda| = ∏ c^m·m! over the label's descriptor classes of
+    stabilizer order c on m orbits, read off its :func:`_kinva_key`:
+    the order of :func:`stab_lambda` without its generators."""
+    return _wreath_order((c, m) for _, cell in _kinva_key(label)[1]
+                         for m, c, _ in cell)
 
 
 def _synthesize_parts(key):
@@ -439,8 +463,8 @@ def kinva_check(label, cap=DEFAULT_GROUP_CAP):
     the multiplicities are read off residues modulo the prime of W's
     character table, checked by Frobenius reciprocity, and each witness
     is confirmed by an exact inner product (see :func:`_kinva_search`).
-    The report depends only on the :func:`_kinva_key` of the label's
-    class structure, which determines the generators, and is
+    The report depends only on the label's :func:`_kinva_key`, which
+    determines the generators, and is
     JSON-serializable:
     {label, W_lambda_order, ker_index, xi0_count, pass, witnesses}.
 
@@ -448,7 +472,7 @@ def kinva_check(label, cap=DEFAULT_GROUP_CAP):
     keys.  A memoized report keeps the largest order its groups
     reached, so a cap below it raises as the computation itself would.
     """
-    key = _kinva_key(_canonical_structure(label))
+    key = _kinva_key(label)
     memo = _KINVA_MEMO.get(key)
     if memo is None:
         memo = _kinva_compute(key, cap)

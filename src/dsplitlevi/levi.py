@@ -170,10 +170,12 @@ class LeviLabel:
     ``I`` it constructed, whose orbits it has already checked.
     """
 
-    __slots__ = ("n", "d", "d0", "l", "a", "w", "I_minus1", "I", "orbits", "t")
+    __slots__ = ("n", "d", "d0", "l", "a", "w", "I_minus1", "I", "orbits", "t",
+                 "_text")
 
     def __init__(self, n, d, I_minus1, I, _built=None):
         self.n, self.d = n, d
+        self._text = None
         if _built is not None:
             (self.d0, self.l, self.a, self.w), orbits = _built
             self.I_minus1, self.I = I_minus1, I
@@ -242,6 +244,16 @@ class LeviLabel:
     @property
     def epsilon(self):
         return -1 if self.d % 2 == 0 else 1
+
+    def text(self):
+        """Deterministic string identifying the label, by n, d, I₋₁ and
+        I; built on first use and kept."""
+        if self._text is None:
+            self._text = " ".join((
+                f"n{self.n}", f"d{self.d}",
+                "Im1=" + ",".join(map(str, self.I_minus1)),
+                "I=" + "|".join(",".join(map(str, b)) for b in self.I)))
+        return self._text
 
     def _key(self):
         return (self.n, self.d, self.I_minus1, self.I)

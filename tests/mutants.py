@@ -90,8 +90,10 @@ MUTANTS = [
            "for orb in places])",
            "for orb in places[::-1]])",
            [KEY + "test_shared_tables_equal_fresh_ones"]),
-    # The Clifford memo key (cliff._kinva_key): its flag drops
-    # ltilde_full, its flag drops the jump, and its 2d0 is fixed at 2.
+    # The Clifford memo key (cliff._kinva_key), read in one pass over a
+    # label's descriptors: its flag drops ltilde_full, its flag drops the
+    # jump, its 2d0 is fixed at 2, and it forgets how many orbits share a
+    # class.
     Mutant("kinva_key_flag_without_ltilde", "cliff.py",
            "ltilde_full and _is_jump(c, central, two_d0)",
            "_is_jump(c, central, two_d0)",
@@ -117,6 +119,58 @@ MUTANTS = [
             CLIFF + "TestKinvaCheck::test_single_jump_orbit_report",
             CLI + "TestDeterminism::test_byte_identical[kinva --n 2 --d 4]",
             ACCEPT + "test_09_invariance_criterion_exhaustive"]),
+    Mutant("kinva_key_without_multiplicity", "cliff.py",
+           "counts[cls] = counts.get(cls, 0) + 1",
+           "counts[cls] = 1",
+           [CLIFF + "TestOnePassReads::test_key_equals_the_two_stage_oracle[3]",
+            CLIFF + "TestOnePassReads::"
+                    "test_descriptors_equal_by_value_are_one_class",
+            CLIFF + "TestConcreteMemo::test_key_determines_the_groups"]),
+    # |W_lambda| read off the descriptor counts, and the text of a Levi
+    # label kept for its character labels.
+    Mutant("inertia_order_without_factorial", "cliff.py",
+           "order *= c ** m * factorial(m)",
+           "order *= c ** m",
+           [CLIFF + "TestOnePassReads::"
+                    "test_inertia_order_is_the_closure_order[3]",
+            CLIFF + "TestStabLambda::test_two_orbits_shared_descriptor",
+            CLI + "TestKinva::test_wmax_filters"]),
+    Mutant("levi_text_ignores_I_minus1", "levi.py",
+           '"Im1=" + ",".join(map(str, self.I_minus1)),',
+           '"Im1=",',
+           [CLIFF + "TestOnePassReads::"
+                    "test_key_text_equals_the_whole_formatting[3]",
+            CLI + "TestKinva::test_reports_match_golden_digests[2]"]),
+    # The guards of the invariance check: the closure orders against the
+    # formulas, the residue map's two input checks, K normalizing W and
+    # ker, Frobenius reciprocity, and the exact inner product.
+    Mutant("check_orders_dropped", "cliff.py",
+           "if found != formulas:",
+           "if False:",
+           [CLIFF + "TestKinvaGroups::test_wrong_k_order_formula_raises",
+            CLIFF + "TestSignCharacterCheck::"
+                    "test_order_three_generator_sent_to_minus_one"]),
+    Mutant("residue_conductor_check_dropped", "cliff.py",
+           "if E % value.d:",
+           "if False:",
+           [CLIFF + "TestResidue::test_conductor_outside_the_exponent_raises"]),
+    Mutant("residue_integer_check_dropped", "cliff.py",
+           "if type(c) is not int:",
+           "if False:",
+           [CLIFF + "TestResidue::test_rational_coefficient_raises"]),
+    Mutant("k_normalize_check_dropped", "cliff.py",
+           "if any(ki * g * k not in G.index for g in G.generators):",
+           "if False:",
+           [CLIFF + "TestKinvaGroups::"
+                    "test_non_normalizing_k_generator_raises"]),
+    Mutant("frobenius_check_dropped", "cliff.py",
+           "if (any(m > d for m, d in zip(mults, w_table.degrees))",
+           "if False and (any(m > d for m, d in zip(mults, w_table.degrees))",
+           [CLIFF + "TestSearchChecks::test_corrupted_w_entry_raises"]),
+    Mutant("inner_product_check_dropped", "cliff.py",
+           "!= mults[xi_id]:",
+           "!= mults[xi_id] and False:",
+           [CLIFF + "TestSearchChecks::test_disagreeing_inner_product_raises"]),
     # The Clifford groups: nu's value on a flagged cyclic generator of
     # W, K's swap filter read off the flags, and where W's classes sit
     # in the one signed permutation that acts on both class sets.
@@ -377,6 +431,10 @@ MUTANTS = [
             CLI + "TestOrderCheck::test_refused_at_once[extweyl-40-1]",
             CLI + "TestOrderCheck::"
                   "test_extweyl_checks_every_extended_weyl_group"]),
+    Mutant("kinva_stream_drops_failures", "cli.py",
+           'if not report["pass"]:',
+           'if full and not report["pass"]:',
+           [CLI + "TestKinva::test_failures_stream_as_in_the_full_report"]),
     Mutant("kinva_rank_check_dropped", "cli.py",
            "check_signed_group(n, cap)",
            "pass",
@@ -385,6 +443,58 @@ MUTANTS = [
             CLI + "TestOrderCheck::test_refused_at_once[kinva-6]",
             CLI + "TestKinva::test_rank_bound"]),
 ]
+
+# Every guard of src/, a ``raise VerificationError`` or ``raise
+# _table_error``, as "file:function:k" for the k-th guard of the function
+# (its qualified name) in source order.  Each maps to the mutant that
+# disables it, whose fragment lies in that function before the guard and
+# after the one before it; to "equivalent: " and the reason no mutant of
+# it can be told apart; or to UNCOVERED.  tests/test_mutants.py lists the
+# guards by AST and fails on a guard without an entry.
+UNCOVERED = "UNCOVERED"
+GUARDS = {
+    "chartab.py:_split_eigenvectors:1": UNCOVERED,
+    "chartab.py:_split_eigenvectors:2": "diagonalise_raise_dropped",
+    "chartab.py:_split_eigenvectors:3": UNCOVERED,
+    "chartab.py:_split_eigenvectors:4": UNCOVERED,
+    "chartab.py:_table_key:1": "table_closure_check_dropped",
+    "chartab.py:_table_key:2": "table_generation_check_dropped",
+    "chartab.py:character_table:1": UNCOVERED,
+    "chartab.py:character_table:2": UNCOVERED,
+    "chartab.py:character_table:3": UNCOVERED,
+    "chartab.py:character_table:4": UNCOVERED,
+    "chartab.py:character_table.lift:1": "lift_bound_dropped",
+    "chartab.py:character_table.lift:2": "lifted_degree_dropped",
+    "chartab.py:_verify_orthogonality:1": "orthogonality_diagonal_only",
+    "cliff.py:_check_orders:1": "check_orders_dropped",
+    "cliff.py:_residue:1": "residue_conductor_check_dropped",
+    "cliff.py:_residue:2": "residue_integer_check_dropped",
+    "cliff.py:_kinva_groups:1": "k_normalize_check_dropped",
+    "cliff.py:_kinva_search:1": "frobenius_check_dropped",
+    "cliff.py:_kinva_search:2": "inner_product_check_dropped",
+    "cyclo.py:CycNum.inv:1": "inv_norm_guard_dropped",
+    "extweyl.py:build_twist_elements:1": UNCOVERED,
+    "extweyl.py:build_twist_elements:2": UNCOVERED,
+    "extweyl.py:build_twist_elements:3": UNCOVERED,
+    "extweyl.py:build_twist_elements:4": UNCOVERED,
+    "extweyl.py:build_twist_elements:5": UNCOVERED,
+    "extweyl.py:build_twist_elements:6": UNCOVERED,
+    "extweyl.py:build_twist_elements:7": UNCOVERED,
+    "extweyl.py:build_VdI:1": UNCOVERED,
+    "extweyl.py:build_VdI:2": UNCOVERED,
+    "extweyl.py:build_VdI:3": UNCOVERED,
+    "levi.py:_grid_orbit:1": UNCOVERED,
+    "levi.py:_grid_orbit:2": UNCOVERED,
+    "levi.py:enumerate_labels.orbit:1": UNCOVERED,
+    "levi.py:enumerate_labels.orbit:2": UNCOVERED,
+    "torus.py:TwistedOrbit.__init__:1": UNCOVERED,
+    "torus.py:z_plus:1": UNCOVERED,
+    "torus.py:conj_center_action:1": UNCOVERED,
+    "torus.py:conj_center_action:2": UNCOVERED,
+    "torus.py:conj_center_action:3": UNCOVERED,
+    "torus.py:conj_center_action:4": UNCOVERED,
+    "torus.py:central_stabilizer_jump.log_in_kernel:1": UNCOVERED,
+}
 
 
 def apply(mutant, package):

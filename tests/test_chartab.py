@@ -32,7 +32,6 @@ from dsplitlevi.chartab import (
 )
 from dsplitlevi.cli import PRESETS
 from dsplitlevi.cliff import (
-    _canonical_structure,
     _kinva_groups,
     _kinva_inputs,
     _kinva_key,
@@ -399,7 +398,7 @@ def _kinva_sweep_groups(grid):
     for n, d in grid:
         for lev in enumerate_labels(n, d):
             for label in enumerate_char_labels(lev):
-                key = _kinva_key(_canonical_structure(label))
+                key = _kinva_key(label)
                 if not cuspidal_gate(label) or key in keys:
                     continue
                 keys.add(key)

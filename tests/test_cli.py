@@ -1343,8 +1343,7 @@ class TestKinva:
 
     # sha256 of the stdout of ``kinva --n 5 --d D --full``, taken with
     # the earlier code, which refused rank 5 on the command line, once
-    # that bound was lifted.  d = 1 and d = 2 (31,132 labels in all, 6-7
-    # s each) are left to a manual run.
+    # that bound was lifted.
     GOLDEN_RANK_5 = {
         3: "35da76d5dd6e047e26e81688aa8685828724a3e74efc1b399ce86b577c375611",
         4: "0714a81a2cddd0354890c23b2e73d7900405951da5b3d67ad93fd355e41fd501",
@@ -1360,6 +1359,88 @@ class TestKinva:
         assert result.exit_code == 0, d
         digest = hashlib.sha256(result.stdout_bytes).hexdigest()
         assert digest == self.GOLDEN_RANK_5[d], d
+
+    # sha256 of the stdout of ``kinva --n 5`` at d = 1 and 2 (31,132
+    # candidates in all), taken before the command checked its candidates
+    # as it enumerated them.  A manual run at the same code gave
+    # 6218f134...b4e6e0 for ``--d 2 --full`` and f74a1a9d...a87189 for
+    # ``--d 1``.
+    GOLDEN_RANK_5_DENSE = {
+        "--d 1 --full":
+            "452ff647963d612e77a34721895b63707b4a1b90b5d8b0ac9f5a0d5b2ca45d71",
+        "--d 2":
+            "e6b94f90394c2aa766b6483125dea4aca76a5c9774e22d17ee830f094d5ffb0e",
+    }
+
+    @pytest.mark.parametrize("args", sorted(GOLDEN_RANK_5_DENSE))
+    def test_dense_rank_5_reports_match_golden_digests(self, args):
+        result = invoke("kinva", "--n", "5", *args.split())
+        assert result.exit_code == 0, args
+        digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+        assert digest == self.GOLDEN_RANK_5_DENSE[args], args
+
+    # sha256 of the stdout of two sampled runs, taken before the command
+    # streamed its candidates: --random still draws from all of them.
+    GOLDEN_RANDOM = {
+        "--n 3 --d 2 --random 5 --seed 4":
+            "3259692746d08c3d136e2787d60eace6a433d3422cc972177dc003162ca97de3",
+        "--n 4 --d 1 --random 40 --seed 2 --full":
+            "bcba7b839fa9b470f646130dd8622e002af419524107b06088c99456fd114c91",
+    }
+
+    @pytest.mark.parametrize("args", sorted(GOLDEN_RANDOM))
+    def test_random_reports_match_golden_digests(self, args):
+        result = invoke("kinva", *args.split())
+        assert result.exit_code == 0, args
+        digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+        assert digest == self.GOLDEN_RANDOM[args], args
+
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_streamed_report_is_the_full_one_without_reports(self, n):
+        for d in range(1, 9):
+            args = ("kinva", "--n", str(n), "--d", str(d))
+            full = run_json(*args, "--full")
+            assert len(full.pop("reports")) == full["checked"], d
+            assert run_json(*args) == full, d
+
+    def test_failures_stream_as_in_the_full_report(self, monkeypatch):
+        # Every gate-passing label passes, so a stand-in check fails the
+        # labels without the full cover.
+        check = cli.kinva_check
+
+        def failing(label, cap):
+            return {**check(label, cap=cap), "pass": label.ltilde_full}
+
+        monkeypatch.setattr(cli, "kinva_check", failing)
+        args = ("kinva", "--n", "2", "--d", "1")
+        full, streamed = invoke(*args, "--full"), invoke(*args)
+        assert full.exit_code == streamed.exit_code == 1
+        full = json.loads(full.stdout)
+        reports = full.pop("reports")
+        failures = [r["label"] for r in reports if not r["pass"]]
+        assert 0 < len(failures) < len(reports)
+        assert full["failures"] == failures
+        assert json.loads(streamed.stdout) == full
+
+    def test_candidates_are_checked_as_they_are_enumerated(self,
+                                                           monkeypatch):
+        # Without --random the command holds no list of candidates: the
+        # first check comes before the second Levi label is enumerated.
+        events = []
+        enumerate_char_labels, check = cli.enumerate_char_labels, cli.kinva_check
+
+        def enumerated(levi):
+            events.append("levi")
+            return enumerate_char_labels(levi)
+
+        def checked(label, cap):
+            events.append("check")
+            return check(label, cap=cap)
+
+        monkeypatch.setattr(cli, "enumerate_char_labels", enumerated)
+        monkeypatch.setattr(cli, "kinva_check", checked)
+        assert run_json("kinva", "--n", "2", "--d", "1")["checked"] > 1
+        assert events.index("check") < events.index("levi", 1)
 
 
 class TestChartab:

@@ -5,11 +5,14 @@ rank-2 and rank-4 labels; structural invariants (closure order equals
 the product formula, kernel index in {1, 2}, the normalizer closure
 normalizes both subgroups) are verified by brute-force closures; the
 invariance check is swept over every gate-passing descriptor assignment
-in a small grid.
+in a small grid; the one-pass memo key, inertia order and label text
+are checked against the reads they replaced on every label at rank <= 4
+and d <= 8 and at rank 5 and d = 1.
 """
 
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -24,15 +27,18 @@ from dsplitlevi.cliff import (
     _build_W,
     _canonical_structure,
     _check_orders,
+    _is_jump,
     _kinva_compute,
     _kinva_groups,
     _kinva_inputs,
     _kinva_key,
     _kinva_search,
+    _residue,
     _sign_kernel,
     _synthesize_parts,
     cuspidal_gate,
     enumerate_char_labels,
+    inertia_order,
     k_lambda,
     kinva_check,
     nu_lambda,
@@ -380,8 +386,8 @@ class TestKinvaCheck:
             cl for levi in enumerate_labels(2, 1)
             for cl in enumerate_char_labels(levi)
             if kinva_check(cl)["W_lambda_order"]
-            < cliff._KINVA_MEMO[_kinva_key(_canonical_structure(cl))][0])
-        order = cliff._KINVA_MEMO[_kinva_key(_canonical_structure(label))][0]
+            < cliff._KINVA_MEMO[_kinva_key(cl)][0])
+        order = cliff._KINVA_MEMO[_kinva_key(label)][0]
 
         def outcome(cap):
             try:
@@ -401,7 +407,7 @@ class TestKinvaCheck:
         labels = {}
         for levi in enumerate_labels(2, 4):
             for cl in enumerate_char_labels(levi):
-                labels.setdefault(_kinva_key(_canonical_structure(cl)), cl)
+                labels.setdefault(_kinva_key(cl), cl)
         keys, labels = list(labels)[:5], list(labels.values())[:5]
         monkeypatch.setattr(cliff, "_KINVA_MEMO", {})
         unbounded = [kinva_check(cl) for cl in labels]
@@ -452,6 +458,97 @@ class TestKinvaCheck:
         assert checked > 100
 
 
+def two_stage_key(label):
+    """The memo key read in two stages, as kinva_check read it before the
+    one-pass _kinva_key: the label's _canonical_structure, from its
+    j_sets, then each class's central order mapped to its jump flag."""
+    two_d0, ltilde_full, struct = _canonical_structure(label)
+    if not struct:
+        return (2, ())
+    return (two_d0, tuple(
+        (s, tuple((m, c, ltilde_full and _is_jump(c, central, two_d0))
+                  for m, c, central in cell))
+        for s, cell in struct))
+
+
+def formatted_key(label):
+    """CharLabel.key() formatted whole, as before the Levi label kept
+    its text."""
+    levi = label.levi
+    pieces = [f"n{levi.n}", f"d{levi.d}",
+              "Im1=" + ",".join(map(str, levi.I_minus1)),
+              "I=" + "|".join(",".join(map(str, b)) for b in levi.I),
+              f"lt{int(label.ltilde_full)}"]
+    for s, descs in label.assignment.items():
+        cell = ";".join(f"{d.id}:c{d.stab_order}:z{d.central_order}"
+                        for d in descs)
+        pieces.append(f"s{s}[{cell}]")
+    return " ".join(pieces)
+
+
+# The twist orders swept at each rank, and the number of character labels
+# there: every label at rank <= 4 and d <= 8, and at rank 5 and d = 1.
+SWEEP = {1: range(1, 9), 2: range(1, 9), 3: range(1, 9), 4: range(1, 9),
+         5: (1,)}
+SWEEP_COUNTS = {1: 32, 2: 156, 3: 1068, 4: 8968, 5: 42146}
+
+
+def sweep(n, central_orders=(1, 2)):
+    for d in SWEEP[n]:
+        for levi in enumerate_labels(n, d):
+            yield from enumerate_char_labels(levi, central_orders)
+
+
+class TestOnePassReads:
+    """The memo key, the inertia order and the label text, each read in
+    one pass, against the reads they replaced."""
+
+    @pytest.mark.parametrize("n", sorted(SWEEP))
+    def test_key_equals_the_two_stage_oracle(self, n):
+        count = 0
+        for label in sweep(n):
+            assert _kinva_key(label) == two_stage_key(label), label
+            count += 1
+        assert count == SWEEP_COUNTS[n]
+
+    def test_key_sorts_classes_by_central_order(self):
+        # A central order of 3 sorts after 2 but is never a jump, so the
+        # flags of a cell need not come sorted.
+        unsorted = 0
+        for n in (1, 2):
+            for label in sweep(n, central_orders=(1, 2, 3)):
+                key = _kinva_key(label)
+                assert key == two_stage_key(label), label
+                unsorted += any(list(cell) != sorted(cell)
+                                for _, cell in key[1])
+        assert unsorted
+
+    def test_descriptors_equal_by_value_are_one_class(self):
+        label = CharLabel(L44_SINGLETONS(),
+                          {1: (D(1, 1, 4, 2), D(1, 1, 4, 2))})
+        assert _kinva_key(label) == two_stage_key(label) == (
+            4, ((1, ((2, 4, True),)),))
+        assert inertia_order(label) == 32
+
+    @pytest.mark.parametrize("n", sorted(SWEEP))
+    def test_inertia_order_is_that_of_stab_lambda(self, n):
+        for label in sweep(n):
+            assert inertia_order(label) == stab_lambda(label).order, label
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_inertia_order_is_the_closure_order(self, n):
+        for label in sweep(n):
+            gens = stab_lambda(label).generators
+            assert inertia_order(label) == closure_order(gens, n), label
+
+    @pytest.mark.parametrize("n", sorted(SWEEP))
+    def test_key_text_equals_the_whole_formatting(self, n):
+        # The Levi text is built for a Levi label's first character
+        # label and reused for the rest.
+        for label in sweep(n):
+            assert label.key() == formatted_key(label), label
+
+
 def conjugation_fixes(cf, k, group):
     """Whether x -> cf(k x k^-1) equals cf, evaluated element by element
     from the class member lists and compared value by value."""
@@ -475,10 +572,10 @@ def conjugation_action(k, group):
     return tuple(class_at[k * rep * ki] for rep in data.reps)
 
 
-def structure_groups(structure, cap=10000):
-    """W, ker, K's generators and K's count for a structure, as the cold
-    path of _kinva_compute builds them from its key."""
-    key = _kinva_key(structure)
+def structure_groups(label, cap=10000):
+    """W, ker, K's generators and K's count for a label's structure, as
+    the cold path of _kinva_compute builds them from its key."""
+    key = _kinva_key(label)
     gens, _ = _kinva_inputs(key)
     W, ker, k_count = _kinva_groups(gens, cap, key)
     return W, ker, gens[3], k_count
@@ -523,17 +620,12 @@ def structure_labels(max_n):
     return [labels[key] for key in sorted(labels)]
 
 
-def rank3_structures():
-    """Every structure at rank <= 3, gate-failing ones included."""
-    return [_canonical_structure(label) for label in structure_labels(3)]
-
-
 def test_class_permutation_search_matches_oracle():
     # Every structure at rank <= 3, gate-failing ones included: those
     # have characters without a witness.
-    structures = rank3_structures()
-    assert len(structures) == 204
-    for key in structures:
+    labels = structure_labels(3)
+    assert len(labels) == 204
+    for key in labels:
         W, ker, k_gens, k_order = structure_groups(key)
         K = closed_K(k_gens, W)
         assert K.order == k_order, key
@@ -555,18 +647,24 @@ class TestKinvaGroups:
     def test_ker_is_w_exactly_when_nu_is_trivial(self):
         # A trivial nu has kernel W; a nontrivial one has index 2.
         trivial = 0
-        structures = rank3_structures()
-        for key in structures:
+        labels = structure_labels(3)
+        for key in labels:
             W, ker, _, _ = structure_groups(key)
             assert (ker is W) == (ker.order == W.order), key
             trivial += ker is W
-        assert 0 < trivial < len(structures)
+        assert 0 < trivial < len(labels)
 
-    # nu is nontrivial here (ker has index 2) and K is twice W.
-    STRUCTURE = (2, True, ((1, ((1, 1, 1), (1, 2, 1), (1, 2, 2))),))
+    # nu is nontrivial here (ker has index 2) and K is twice W: three
+    # classes on one orbit each, of (c, central) (1, 1), (2, 1), (2, 2).
+    @staticmethod
+    def label():
+        levi = LeviLabel(3, 1, (), ((1,), (2,), (3,)))
+        return CharLabel(levi, {1: (D(1, 1, 1), D(2, 1, 2), D(3, 1, 2, 2))})
 
     def test_wrong_k_order_formula_raises(self, monkeypatch):
-        structure = self.STRUCTURE
+        structure = self.label()
+        assert _canonical_structure(structure) == (
+            2, True, ((1, ((1, 1, 1), (1, 2, 1), (1, 2, 2))),))
         assert structure_groups(structure)[3] == 8
         build_K = cliff._build_K
 
@@ -578,8 +676,19 @@ class TestKinvaGroups:
         with pytest.raises(VerificationError, match="formulas"):
             _kinva_compute(_kinva_key(structure), 10000)
 
+    def test_non_normalizing_k_generator_raises(self):
+        # W flips the signs of points 2 and 3; the 3-cycle conjugates a
+        # flip of 2 into one of 1 or 3, not both in W.
+        key = _kinva_key(self.label())
+        (n, w_gens, ker_gens, k_gens), _ = _kinva_inputs(key)
+        assert n == 3
+        bad = SignedPerm.from_cycles("(1,2,3)", n)
+        with pytest.raises(VerificationError, match="does not normalize"):
+            _kinva_groups((n, w_gens, ker_gens, list(k_gens) + [bad]),
+                          10000, key)
+
     def test_k_closure_respects_the_cap(self):
-        structure = self.STRUCTURE
+        structure = self.label()
         W, ker, _, k_order = structure_groups(structure)
         assert ker.order < W.order < k_order
         with pytest.raises(ClosureExceedsCap):
@@ -616,7 +725,7 @@ class TestConcreteMemo:
         first, second = self.pair()
         structures = [_canonical_structure(cl) for cl in (first, second)]
         assert structures[0] != structures[1]
-        assert _kinva_key(structures[0]) == _kinva_key(structures[1])
+        assert _kinva_key(first) == _kinva_key(second)
         self.empty_memo(monkeypatch)
         report = kinva_check(first)
 
@@ -633,7 +742,7 @@ class TestConcreteMemo:
 
     def test_cap_on_a_hit_raises_as_a_cold_run(self, monkeypatch):
         first, second = self.pair()
-        key = _kinva_key(_canonical_structure(second))
+        key = _kinva_key(second)
 
         def outcome(cap):
             try:
@@ -672,7 +781,7 @@ class TestConcreteMemo:
         labels = structure_labels(4)
         assert len(labels) == 676
         for label in labels:
-            key = _kinva_key(_canonical_structure(label))
+            key = _kinva_key(label)
             parts, n = _synthesize_parts(key)
             w_gens, _, w_order, w_abstract = _build_W(parts, key[0], n)
             _, k_order, k_abstract = _build_K(parts, key[0], n, w_gens)
@@ -707,7 +816,7 @@ class TestSearchChecks:
         # Every class of W that meets ker feeds the multiplicities; one
         # entry off by one there must break a check.
         checked = 0
-        for key in rank3_structures():
+        for key in structure_labels(3):
             W, ker, k_gens, _ = structure_groups(key)
             table = character_table(W)
             for j, rep in enumerate(W.conjugacy_classes().reps):
@@ -728,11 +837,20 @@ class TestSearchChecks:
                 checked += 1
         assert checked == 557
 
+    def test_disagreeing_inner_product_raises(self, monkeypatch):
+        # The witness's multiplicity, read off residues, is confirmed by
+        # one exact inner product.
+        W, ker, k_gens, _ = structure_groups(
+            CharLabel(L24(), {1: (D(1, 1, 4, 2),)}))
+        monkeypatch.setattr(cliff, "inner", lambda xi0, chi: -1)
+        with pytest.raises(VerificationError, match="exact inner product"):
+            _kinva_search(W, ker, k_gens, 10000)
+
     @pytest.mark.parametrize("root", wrong_order_roots(),
                              ids=["one", "power"])
     def test_root_of_wrong_order(self, monkeypatch, root):
-        groups = {key: structure_groups(key)[:3]
-                  for key in rank3_structures()}
+        groups = {_canonical_structure(label): structure_groups(label)[:3]
+                  for label in structure_labels(3)}
         truth = {key: _kinva_search(*g, 10000) for key, g in groups.items()}
         monkeypatch.setattr(cliff, "_root_of_unity", root)
         raised = set()
@@ -744,6 +862,19 @@ class TestSearchChecks:
             else:
                 assert found == truth[key], key
         assert (6, True, ((1, ((1, 6, 1),)),)) in raised
+
+
+class TestResidue:
+    # l = 13 is 1 mod 4, so F_13 has a root of unity of order 4.
+    def test_conductor_outside_the_exponent_raises(self):
+        # zeta_3 has no image under a root of order 4.
+        with pytest.raises(VerificationError, match="conductor 3"):
+            _residue(CycNum(3, (0, 1)), _root_of_unity(13, 4), 4, 13)
+
+    def test_rational_coefficient_raises(self):
+        with pytest.raises(VerificationError, match="cyclotomic integer"):
+            _residue(CycNum(4, (Fraction(1, 2), 0)), _root_of_unity(13, 4),
+                     4, 13)
 
 
 def sign_extension_oracle(gens, values, order):
@@ -793,7 +924,7 @@ class TestSignCharacterCheck:
 
     def test_every_rank3_assignment_is_accepted(self):
         checked = 0
-        for structure in rank3_structures():
+        for structure in structure_labels(3):
             key = _kinva_key(structure)
             parts, n = _synthesize_parts(key)
             w_gens, values, w_order, _ = _build_W(parts, key[0], n)
