@@ -58,7 +58,7 @@ from .cliff import (cuspidal_gate, enumerate_char_labels, inertia_order,
                     kinva_check)
 from .cyclo import check_eq1
 from .extweyl import (IntMatrix, build_twist_elements, chevalley_generator,
-                      matrix_closure, rho)
+                      matrix_closure, rho_image)
 from .levi import (EQ1_PAIR_BOUND, check_odd_prime_power, compute_d0,
                    concrete_parabolic_roots, enumerate_labels, label_count,
                    label_record, relative_weyl, sylow_twist_w,
@@ -70,8 +70,8 @@ from .signedperm import (DEFAULT_CLOSURE_CAP, ClosureExceedsCap, SignedPerm,
                          brute_normalizer, centralizer_type, check_order,
                          check_signed_group, group_closure, set_partitions,
                          signed_symmetric_group)
-from .torus import (TorusElem, TwistedOrbit, central_stabilizer_jump,
-                    conj_center_action, lang_map, theta, z_plus)
+from .torus import (TwistedOrbit, central_stabilizer_jump, conj_center_action,
+                    lang_logs, lang_map, theta, z_plus)
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +577,8 @@ def _suite_extweyl(grids, cap):
                     fail("p_squared", n=n, d=d, k=k + 1)
             l = te.l
             if l not in closed:
-                closed[l] = {g.signed_perm(): g
-                             for g in _extended_weyl_group(n, l, cap)}
+                closed[l] = [g.signed_perm()
+                             for g in _extended_weyl_group(n, l, cap)]
             Vl = closed[l]
             checked += 1
             if l and len(Vl) != 4 ** l * factorial(l):
@@ -594,8 +594,9 @@ def _suite_extweyl(grids, cap):
                 w = sylow_twist_w(n, d)
                 ambient = [_embed_signed(g, n)
                            for g in signed_symmetric_group(l)]
-                cent = set(brute_centralizer(w, ambient))
-                if {rho(Vl[g]) for g in Vd} != cent:
+                cent = {g.img for g in brute_centralizer(w, ambient)}
+                # Compared as image tuples: no SignedPerm per element.
+                if {rho_image(g.img) for g in Vd} != cent:
                     fail("rho_image", n=n, d=d)
     return checked, failures
 
@@ -627,14 +628,14 @@ def _suite_torus(grids, cap):
         for d in grids["d"]:
             orb = TwistedOrbit(q, d)
             if orb.d0 <= 2:
-                ident, units = orb.identity(), orb.units()
-                kernel = set()
-                for combo in itertools.product(units, repeat=orb.d0):
-                    h = TorusElem(combo)
-                    if lang_map(h, orb) == ident:
-                        kernel.add(h)
-                roots = [t for t in units if t ** orb.N == orb.one]
-                image = {theta(orb, t) for t in roots}
+                # Every tuple of logs, through the one Lang map; theta's
+                # image is compared as log tuples.
+                ident = (0,) * orb.d0
+                kernel = {h for h in itertools.product(range(orb.M),
+                                                       repeat=orb.d0)
+                          if lang_logs(h, orb) == ident}
+                roots = [t for t in orb.units() if t ** orb.N == orb.one]
+                image = {theta(orb, t).logs() for t in roots}
                 checked += 1
                 if not (len(roots) == len(image) == orb.N
                         and image == kernel):

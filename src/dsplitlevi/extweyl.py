@@ -12,6 +12,7 @@ the x_alpha(+-1) multiply as dense rows.  Rows are built only when
 read, and equality and hash compare that image, so they agree however
 a matrix was made.  rho reads the image as a signed permutation of
 rank n (f_i read as e_{-i}); its kernel is the diagonal 2-group.
+rho_image is that reading on bare image tuples, which rho wraps.
 
 chevalley_generator builds each (kind, root, t) once: an lru_cache of
 ``CHEVALLEY_CACHE_SIZE`` = 1024 matrices keeps them, more than the 648
@@ -207,13 +208,20 @@ def _generator(kind, root, t):
 
 def rho(m):
     """Signed permutation of the monomial pattern, f_i read as e_{-i}."""
-    pos = [abs(v) - 1 for v in m.signed_perm().img]
+    return SignedPerm(rho_image(m.signed_perm().img))
+
+
+def rho_image(img):
+    """The images of 1..n of rho of the monomial pattern held as the
+    rank-2n image tuple ``img``: rho's whole reading, without building
+    the SignedPerm, for a caller that compares image tuples."""
+    pos = [abs(v) - 1 for v in img]
     if len(pos) % 2:
         raise ValueError("odd dimension is not symplectic")
     n = len(pos) // 2
     if any(pos[i + n] != (pos[i] + n) % (2 * n) for i in range(n)):
         raise ValueError("monomial pattern breaks the symplectic pairing")
-    return SignedPerm(p + 1 if p < n else n - p - 1 for p in pos[:n])
+    return tuple([p + 1 if p < n else n - p - 1 for p in pos[:n]])
 
 
 # ---------------------------------------------------------------------------

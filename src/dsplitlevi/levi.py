@@ -51,8 +51,8 @@ values per q over the labels at n ≤ 7 and d ∈ {1, 2, 3, 4, 6}, so 891
 for q ∈ {3, 5, 9}, and 762 per q at n ≤ 9 and d ≤ 12, where W_d^I's key
 (d0, t) takes 129); ``QSET_CACHE_SIZE`` Q-sets, and as many pairs (at
 (9, 1): 2^9 - 1 = 511 Q-sets and 1569 pairs of disjoint Q-sets of one
-size); the root action of each rank ``signed_symmetric_group`` keeps;
-64 values of q.
+size); the root-action masks of each rank ``signed_symmetric_group``
+keeps; 64 values of q.
 
 The oracle :func:`verify_relative_weyl` needs W_L and Stab(Φ_L) for
 the root set Φ_L of I₋₁ and I.  W_L is generated by the reflections in
@@ -60,16 +60,19 @@ a base Δ of Φ_L, and Φ_L = W_L·Δ (Humphreys, *Reflection Groups and
 Coxeter Groups*, §1.5).  So g maps Φ_L onto itself exactly when g(Δ)
 ⊂ Φ_L: then g conjugates each simple reflection into W_L, so
 g(Φ_L) = (g W_L g⁻¹)·g(Δ) ⊂ Φ_L.  The oracle finds Δ from the root set
-alone and reads only I₋₁, I and w.
+alone and reads only I₋₁, I and w.  Stab(Φ_L) is read off every
+element of the signed group through bit masks: once per rank, for each
+pair of roots (k, r), a mask holds the elements g with g(k) = r, and
+Stab(Φ_L) is ⋂_{β∈Δ} ⋃_{r∈Φ_L} mask[β][r], listed in the group's order.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial
-from operator import add, mul
+from operator import add, and_, mul, or_
 
 from .arith import InputTooLarge, prime_power
 from .rootsys import reflection_perm
@@ -563,23 +566,27 @@ def _root_points(root):
 
 @lru_cache(maxsize=signed_symmetric_group.cache_parameters()["maxsize"])
 def _root_action(n):
-    """The index of every root of C_n, and for each g of
-    signed_symmetric_group(n), in its order, the permutation of root
-    indices g induces.  Built once per rank from each g's signed table:
-    g maps e_p + e_q to e_{g(p)} + e_{g(q)}."""
+    """The index of every root of C_n, and for each pair of root indices
+    (k, r) the bit mask of the elements g of signed_symmetric_group(n)
+    with g(root k) = root r, bit i standing for the i-th element in the
+    group's order.  Built once per rank from each g's images: g maps
+    e_p + e_q to e_{g(p)} + e_{g(q)}, so the mask of (e_p + e_q,
+    e_P + e_Q) is that of g(p) = P and g(q) = Q, or g(p) = Q and
+    g(q) = P."""
     roots = concrete_parabolic_roots(n, range(1, n + 1), ())
     index = {r: k for k, r in enumerate(roots)}
+    signed = [p for i in range(1, n + 1) for p in (i, -i)]
+    sends = dict.fromkeys(itertools.product(signed, repeat=2), 0)
+    for i, g in enumerate(signed_symmetric_group(n)):
+        bit = 1 << i
+        for p, image in enumerate(g.img, 1):
+            sends[p, image] |= bit
+            sends[-p, -image] |= bit
     points = [_root_points(r) for r in roots]
-    by_points = {}
-    for k, (p, q) in enumerate(points):
-        by_points[p, q] = by_points[q, p] = k
-    ps, qs = zip(*points)
-    actions = []
-    for g in signed_symmetric_group(n):
-        t = g.table().__getitem__
-        actions.append(tuple(map(by_points.__getitem__,
-                                 zip(map(t, ps), map(t, qs)))))
-    return index, tuple(actions)
+    masks = tuple(tuple(sends[p, P] & sends[q, Q] | sends[p, Q] & sends[q, P]
+                        for P, Q in points)
+                  for p, q in points)
+    return index, masks
 
 
 def _simple_roots(roots):
@@ -597,25 +604,30 @@ def _parabolic_groups(n, roots):
     """(Stab(Φ_L), W_L) inside signed_symmetric_group(n) for the root
     set Φ_L = ``roots``.  W_L is the closure of the reflections in a
     base Δ of Φ_L, and g lies in Stab(Φ_L) when g(Δ) ⊂ Φ_L: then
-    g W_L g⁻¹ ⊂ W_L, and Φ_L = W_L·Δ."""
+    g W_L g⁻¹ ⊂ W_L, and Φ_L = W_L·Δ.  So Stab(Φ_L) is the mask
+    ⋂_{β∈Δ} ⋃_{r∈Φ_L} mask[β][r] of :func:`_root_action`, read off in
+    the group's order."""
+    group = signed_symmetric_group(n)
     if not roots:
-        return list(signed_symmetric_group(n)), [SignedPerm.identity(n)]
+        return list(group), [SignedPerm.identity(n)]
     base = _simple_roots(roots)
     WL = group_closure([reflection_perm(r, n) for r in base])
-    index, actions = _root_action(n)
-    inside = {index[r] for r in roots}
-    ks = [index[r] for r in base]
-    stab = [g for g, act in zip(signed_symmetric_group(n), actions)
-            if inside.issuperset(map(act.__getitem__, ks))]
-    return stab, WL
+    index, masks = _root_action(n)
+    inside = [index[r] for r in roots]
+    stab = reduce(and_, [reduce(or_, map(masks[index[b]].__getitem__, inside))
+                         for b in base])
+    # bin(stab) reversed: its character i is bit i, for the i-th element.
+    bits = map("1".__eq__, bin(stab)[:1:-1])
+    return list(itertools.compress(group, bits)), WL
 
 
 def verify_relative_weyl(label):
     """Brute-force check of the relative Weyl group on rank ≤ 5.
 
-    Computes Stab(Φ_L) inside the full signed group, by the action of
-    every element on the root indices of C_n, and W_L, the closure of
-    the reflections in a base of Φ_L (see :func:`_parabolic_groups`).
+    Computes Stab(Φ_L) inside the full signed group, from the masks of
+    the elements that send each root of a base of Φ_L to each root of
+    Φ_L, and W_L, the closure of the reflections in that base (see
+    :func:`_parabolic_groups`).
     Then it forms the cosets of Stab(Φ_L) modulo W_L and the cosets
     fixed under conjugation by w, and confirms that the W_d^I generators
     centralize w and biject onto those fixed cosets with the predicted

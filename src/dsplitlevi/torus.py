@@ -14,7 +14,10 @@ generator g: a product is a sum of logs, a power a multiple and an
 inverse a negation.  The q-power Frobenius multiplies the log by q,
 -1 is g^(M/2), and psi = g^e with psi^(q^d0 - eps) = (-1)^d0.  No
 modulus, generator or table is built.  A field past FIELD_ORDER_BOUND
-elements raises InputTooLarge before any element is formed.
+elements raises InputTooLarge before any element is formed.  The Lang
+map itself is lang_logs, on tuples of logs; lang_map is its wrapper for
+TorusElem, so a walk over every coordinate tuple (``verify torus``)
+runs on plain integers through the same formula.
 
 The kernel of the Lang map is parametrised by theta (a bijection from
 the cyclic group of order q^d0 - eps), z_plus is the distinguished
@@ -31,8 +34,8 @@ from .arith import InputTooLarge
 from .levi import check_odd_prime_power, compute_d0
 from .signedperm import VerificationError
 
-# Nothing is tabulated, but TwistedOrbit.units lists all q^(2 d0) - 1
-# units, which `verify torus` walks, and central_stabilizer_jump
+# Nothing is tabulated, but `verify torus` walks all q^(2 d0) - 1
+# logs of units in each coordinate, and central_stabilizer_jump
 # searches up to q^d0 + 1 exponents twice per call, so field orders are
 # capped.  The largest field the default grids and the tests use is
 # F_{5^6} (q = 5, d = 3; 15625 elements).
@@ -114,6 +117,10 @@ class TorusElem:
     def __hash__(self):
         return hash(self._key)
 
+    def logs(self):
+        """The discrete logs of the coordinates, as lang_logs takes them."""
+        return tuple([v.log for v in self.coords])
+
     def __repr__(self):
         return f"TorusElem({self.coords!r})"
 
@@ -155,20 +162,32 @@ class TwistedOrbit:
         return TorusElem((self.one,) * self.d0)
 
 
-def lang_map(h, orbit):
-    """h^-1 (wF)(h) on one orbit, via the coordinate recurrences."""
-    u, q, d0 = h.coords, orbit.q, orbit.d0
+def lang_logs(u, orbit):
+    """h^-1 (wF)(h) on one orbit, on the tuple u of discrete logs of h's
+    coordinates: the one Lang map of the module.  Coordinate j of
+    (wF)(h) is the q-th power of coordinate j - 1 (j - 2 for odd d),
+    inverted where the twist wraps round the orbit with a sign flip, or
+    of coordinate j itself when an odd-d orbit has one point; a product
+    is a sum of logs, a power a multiple and an inverse a negation."""
+    q, d0 = orbit.q, orbit.d0
     if len(u) != d0:
         raise ValueError("element not supported on the orbit")
     if orbit.d % 2 == 0:
-        out = [u[d0 - 1] ** (-q) * u[0].inv()]
-        out += [u[j - 1] ** q * u[j].inv() for j in range(1, d0)]
+        prev = (-u[d0 - 1],) + u[:d0 - 1]
     elif d0 == 1:
-        out = [u[0] ** (q - 1)]
+        prev = u
     else:
-        out = [u[d0 - 2] ** (-q) * u[0].inv(), u[d0 - 1] ** (-q) * u[1].inv()]
-        out += [u[j - 2] ** q * u[j].inv() for j in range(2, d0)]
-    return TorusElem(out)
+        prev = (-u[d0 - 2], -u[d0 - 1]) + u[:d0 - 2]
+    M = orbit.M
+    return tuple([(q * a - b) % M for a, b in zip(prev, u)])
+
+
+def lang_map(h, orbit):
+    """lang_logs on a torus element over the orbit's field."""
+    M = orbit.M
+    if any(v.M != M for v in h.coords):
+        raise ValueError("mixed-field arithmetic")
+    return TorusElem([FqElem(a, M) for a in lang_logs(h.logs(), orbit)])
 
 
 def theta(orbit, t):

@@ -200,8 +200,8 @@ MUTANTS = [
             ACCEPT + "test_09_invariance_criterion_exhaustive"]),
     # The twisted torus on discrete logs.
     Mutant("lang_map_even_d_frobenius_sign", "torus.py",
-           "out = [u[d0 - 1] ** (-q) * u[0].inv()]",
-           "out = [u[d0 - 1] ** q * u[0].inv()]",
+           "prev = (-u[d0 - 1],) + u[:d0 - 1]",
+           "prev = (u[d0 - 1],) + u[:d0 - 1]",
            [TORUS + "TestLangMap::test_fixed_points_q3_d2",
             TORUS + "TestLangMap::test_kernel_count_small_grid",
             TORUS + "TestTheta::test_bijection_onto_kernel",
@@ -242,6 +242,20 @@ MUTANTS = [
             TORUS + "TestZPlus::test_square_trivial_when_d0_even",
             TORUS + "TestConjCenterAction::test_d0_even_form",
             ACCEPT + "test_07_twisted_torus_fixed_points"]),
+    # z_plus checks its Lang image, and the discrete-log search of
+    # central_stabilizer_jump refuses an element off theta's image.
+    Mutant("z_plus_lang_check_dropped", "torus.py",
+           "if lang_map(out, orbit) != theta(orbit, minus):",
+           "if False:",
+           [TORUS + "TestZPlus::test_wrong_lang_image_raises",
+            CLI + "TestChecksUnderOptimize::"
+                  "test_torus_suite_reports_failed_half_point_check"]),
+    Mutant("log_in_kernel_guard_dropped", "torus.py",
+           "                return k\n        raise VerificationError(",
+           "                return k\n        return 0\n"
+           "        raise VerificationError(",
+           [TORUS + "TestCentralStabilizerJump::"
+                    "test_action_outside_the_kernel_raises"]),
     Mutant("unit_equality_ignores_field", "torus.py",
            "self.log == other.log\n                and self.M == other.M",
            "self.log == other.log",
@@ -276,8 +290,8 @@ MUTANTS = [
            [ARITH + "test_large_prime_powers[3215031751-None]"]),
     # The brute-force oracles on image tuples: the normalizer's closure
     # check and two-sided conjugation, the centralizer's two products,
-    # the root action's pairing of signed points with roots, and the
-    # relative Weyl check's comparison of cosets.
+    # the root action's masks of where each signed point is sent (g(-p)
+    # is -g(p)), and the relative Weyl check's comparison of cosets.
     Mutant("normalizer_closure_check_dropped", "signedperm.py",
            "if tuple(map(t, b)) not in himgs:",
            "if False:",
@@ -303,8 +317,8 @@ MUTANTS = [
                   "[centralizers-n2-json]",
             ACCEPT + "test_01_centralizer_order_formula"]),
     Mutant("root_action_pairing_sign", "levi.py",
-           "by_points[p, q] = by_points[q, p] = k",
-           "by_points[p, q] = by_points[q, p] = -k",
+           "sends[-p, -image] |= bit",
+           "sends[-p, image] |= bit",
            [LEVI + "TestRootAction::test_equals_apply_to_root[2]",
             LEVI + "TestVerify::test_all_labels_verify[3]",
             LEVI + "TestOracleBase::test_base_gives_the_same_groups[3]",
@@ -357,6 +371,15 @@ MUTANTS = [
             EXTWEYL + "TestChevalleyGenerators::test_rank_one_n_matrix",
             CLI + "TestVerify::test_reports_match_golden_digests"
                   "[extweyl-n2-json]"]),
+    # The relative Weyl oracle: Stab(Φ_L) is the intersection over the
+    # base of the masks of the elements sending that root into Φ_L.
+    Mutant("stabiliser_masks_joined_over_base", "levi.py",
+           "stab = reduce(and_, ",
+           "stab = reduce(or_, ",
+           [LEVI + "TestOracleBase::test_base_gives_the_same_groups[4]",
+            LEVI + "TestOracleBase::"
+                   "test_masks_give_the_reference_stabiliser_through_rank_5",
+            ACCEPT + "test_04_relative_weyl_groups_brute_verified"]),
     # Streamed reports: the label order and laziness of
     # enumerate_labels, and the chunked writers.
     Mutant("label_sort_key_reordered", "levi.py",
@@ -488,12 +511,13 @@ GUARDS = {
     "levi.py:enumerate_labels.orbit:1": UNCOVERED,
     "levi.py:enumerate_labels.orbit:2": UNCOVERED,
     "torus.py:TwistedOrbit.__init__:1": UNCOVERED,
-    "torus.py:z_plus:1": UNCOVERED,
+    "torus.py:z_plus:1": "z_plus_lang_check_dropped",
     "torus.py:conj_center_action:1": UNCOVERED,
     "torus.py:conj_center_action:2": UNCOVERED,
     "torus.py:conj_center_action:3": UNCOVERED,
     "torus.py:conj_center_action:4": UNCOVERED,
-    "torus.py:central_stabilizer_jump.log_in_kernel:1": UNCOVERED,
+    "torus.py:central_stabilizer_jump.log_in_kernel:1":
+        "log_in_kernel_guard_dropped",
 }
 
 

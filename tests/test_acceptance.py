@@ -31,9 +31,9 @@ from dsplitlevi.signedperm import (SignedPerm, block_wreath_generators,
                                    brute_centralizer, brute_normalizer,
                                    centralizer_type, group_closure,
                                    set_partitions, signed_symmetric_group)
-from dsplitlevi.torus import (TorusElem, TwistedOrbit,
-                              central_stabilizer_jump, conj_center_action,
-                              lang_map, theta, z_plus)
+from dsplitlevi.torus import (TwistedOrbit, central_stabilizer_jump,
+                              conj_center_action, lang_logs, lang_map, theta,
+                              z_plus)
 
 
 def test_01_centralizer_order_formula():
@@ -224,14 +224,13 @@ def test_07_twisted_torus_fixed_points():
             for o, jump in zip(divisors, jumps):
                 assert jump is (o == 2), (q, d, o)
             if orb.d0 <= 2:
-                ident, units = orb.identity(), orb.units()
-                kernel = set()
-                for combo in itertools.product(units, repeat=orb.d0):
-                    h = TorusElem(combo)
-                    if lang_map(h, orb) == ident:
-                        kernel.add(h)
-                roots = [t for t in units if t ** orb.N == orb.one]
-                image = {theta(orb, t) for t in roots}
+                # Every tuple of discrete logs, through the Lang map.
+                ident = (0,) * orb.d0
+                kernel = {h for h in itertools.product(range(orb.M),
+                                                       repeat=orb.d0)
+                          if lang_logs(h, orb) == ident}
+                roots = [t for t in orb.units() if t ** orb.N == orb.one]
+                image = {theta(orb, t).logs() for t in roots}
                 assert len(roots) == len(image) == orb.N, (q, d)
                 assert image == kernel, (q, d)
     assert time.monotonic() - start < 60

@@ -1112,6 +1112,7 @@ class TestInputBounds:
     def test_lang_tuple_bound(self, monkeypatch):
         # q=9, d=4 would enumerate (9^4 - 1)^2, about 43M tuples.
         monkeypatch.setattr(cli, "lang_map", self.refuse)
+        monkeypatch.setattr(cli, "lang_logs", self.refuse)
         self._exit_2_naming(("verify", "torus", "--q", "3,9", "--d", "4"),
                             str(cli.LANG_TUPLE_BOUND))
 
@@ -1506,6 +1507,20 @@ class TestChartab:
         assert set(self.GOLDEN) == set(cli.PRESETS)
 
 
+# Run in a fresh interpreter: the stdout of each oracle report, then its
+# exit status.
+_HASH_SEED_RUN = """
+import sys
+from click.testing import CliRunner
+from dsplitlevi import cli
+for args in (["verify", "torus", "--q", "3"],
+             ["relweyl", "--n", "4", "--d", "1"]):
+    result = CliRunner().invoke(cli.main, args)
+    sys.stdout.buffer.write(result.stdout_bytes)
+    sys.stdout.buffer.write(b"exit %d\\n" % result.exit_code)
+"""
+
+
 class TestDeterminism:
     CASES = [
         ("levis", "--n", "3", "--d", "2", "--q", "3"),
@@ -1522,6 +1537,22 @@ class TestDeterminism:
         a, b = invoke(*case), invoke(*case)
         assert a.exit_code == 0 and b.exit_code == 0
         assert a.stdout_bytes == b.stdout_bytes
+
+    def test_hash_seed_does_not_reach_the_oracles(self):
+        # Both oracles build sets (of log tuples, of masks and cosets);
+        # their reports must not depend on the order of hashing.
+        src = os.path.dirname(os.path.dirname(dsplitlevi.__file__))
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_RUN], env=env,
+                capture_output=True, timeout=120, check=True)
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"exit 0\n") == 2
 
     def test_json_is_canonical(self):
         out = invoke("levis", "--n", "2", "--d", "4").output

@@ -20,6 +20,7 @@ from dsplitlevi.extweyl import (
     chevalley_generator,
     matrix_closure,
     rho,
+    rho_image,
 )
 from dsplitlevi.levi import (
     LeviLabel,
@@ -311,6 +312,20 @@ class TestRho:
         mats = [chevalley_generator("n", r, 1) for r in system]
         for a, b in itertools.product(mats, repeat=2):
             assert rho(a * b) == rho(a) * rho(b)
+
+    def test_image_is_what_rho_reads(self):
+        # rho wraps rho_image; on the whole of V_2 the two agree.
+        mats = [chevalley_generator("n", r, 1) for r in build_root_system(2)]
+        group = matrix_closure(mats)
+        assert len(group) == 4 ** 2 * 2
+        for m in group:
+            assert rho_image(m.signed_perm().img) == rho(m).img
+
+    def test_image_rejects_broken_patterns(self):
+        with pytest.raises(ValueError, match="odd dimension"):
+            rho_image((1, 2, 3))
+        with pytest.raises(ValueError, match="symplectic pairing"):
+            rho_image((1, 3, 2, 4))
 
 
 class TestTwistElements:

@@ -6,6 +6,7 @@ and sign conditions), textbook group orders (|GL2(3)| = 48,
 |Sp4(3)| = 51840, |GU1(9)| = 10), and relative Weyl group shapes.
 """
 
+import functools
 import importlib
 import itertools
 import pkgutil
@@ -553,37 +554,54 @@ class TestVerify:
             verify_relative_weyl(LeviLabel(6, 1, tuple(range(1, 7)), ()))
 
 
+@functools.cache
+def _reference_action(n):
+    """The roots of C_n, their index, and for each g of the signed group,
+    in its order, the index of g(r) for every root r, by apply_to_root."""
+    roots = concrete_parabolic_roots(n, range(1, n + 1), ())
+    index = {r: k for k, r in enumerate(roots)}
+    actions = [tuple(index[apply_to_root(g, r)] for r in roots)
+               for g in signed_symmetric_group(n)]
+    return roots, index, actions
+
+
 class TestRootAction:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_equals_apply_to_root(self, n):
-        # Built from signed tables; apply_to_root is the reference.
-        roots = concrete_parabolic_roots(n, range(1, n + 1), ())
-        index = {r: k for k, r in enumerate(roots)}
-        assert levi._root_action(n) == (index, tuple(
-            tuple(index[apply_to_root(g, r)] for r in roots)
-            for g in signed_symmetric_group(n)))
+        # Built from the images of points; apply_to_root is the reference.
+        roots, index, actions = _reference_action(n)
+        masks = tuple(
+            tuple(sum(1 << i for i, act in enumerate(actions) if act[k] == r)
+                  for r in range(len(roots)))
+            for k in range(len(roots)))
+        assert levi._root_action(n) == (index, masks)
 
     def test_keeps_the_ranks_of_the_groups_it_walks(self):
         assert (levi._root_action.cache_parameters()["maxsize"]
                 == signed_symmetric_group.cache_parameters()["maxsize"])
 
 
-def _reference_groups(n, roots):
-    """(Stab(Φ_L), W_L) as the oracle first computed them: g is kept
-    when it maps every root of Φ_L into Φ_L, and W_L is the closure of
-    the distinct reflections in Φ_L."""
-    index, actions = levi._root_action(n)
+def _reference_stab(n, roots):
+    """Stab(Φ_L) as the oracle first computed it: g is kept when it maps
+    every root of Φ_L into Φ_L (by apply_to_root)."""
+    _, index, actions = _reference_action(n)
     inside = {index[r] for r in roots}
-    stab = [g for g, act in zip(signed_symmetric_group(n), actions)
+    return [g for g, act in zip(signed_symmetric_group(n), actions)
             if inside.issuperset(act[k] for k in inside)]
+
+
+def _reference_groups(n, roots):
+    """(Stab(Φ_L), W_L) as the oracle first computed them: W_L is the
+    closure of the distinct reflections in Φ_L."""
     refl = {reflection_perm(r, n) for r in roots}
     WL = group_closure(sorted(refl)) if refl else [SignedPerm.identity(n)]
-    return stab, WL
+    return _reference_stab(n, roots), WL
 
 
 class TestOracleBase:
-    """The oracle closes W_L over a base of Φ_L and tests Stab(Φ_L) on
-    the base alone; both must agree with the all-roots computations."""
+    """The oracle closes W_L over a base of Φ_L and reads Stab(Φ_L) off
+    the root-action masks of the base alone; both must agree with the
+    all-roots computations."""
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_base_gives_the_same_groups(self, n):
@@ -597,6 +615,20 @@ class TestOracleBase:
                 if roots:
                     rank = len(lab.I_minus1) + sum(len(b) - 1 for b in lab.I)
                     assert len(levi._simple_roots(roots)) == rank, (d, lab)
+
+    def test_masks_give_the_reference_stabiliser_through_rank_5(self):
+        # Every distinct root set of the labels at rank <= 5: the same
+        # elements of Stab(Φ_L), in the signed group's order.
+        seen = 0
+        for n in range(1, 6):
+            root_sets = {concrete_parabolic_roots(n, lab.I_minus1, lab.I)
+                         for d in (1, 2, 3, 4, 6, 8)
+                         for lab in enumerate_labels(n, d)}
+            for roots in sorted(root_sets):
+                stab, _ = levi._parabolic_groups(n, roots)
+                assert stab == _reference_stab(n, roots), (n, roots)
+            seen += len(root_sets)
+        assert seen == 277
 
 
 class TestRecord:

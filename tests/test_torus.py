@@ -12,6 +12,7 @@ import pytest
 
 from dsplitlevi import torus
 from dsplitlevi.arith import InputTooLarge
+from dsplitlevi.signedperm import VerificationError
 from dsplitlevi.torus import (
     FIELD_ORDER_BOUND,
     FqElem,
@@ -19,6 +20,7 @@ from dsplitlevi.torus import (
     TwistedOrbit,
     central_stabilizer_jump,
     conj_center_action,
+    lang_logs,
     lang_map,
     theta,
     z_plus,
@@ -160,6 +162,29 @@ class TestLangMap:
         with pytest.raises(ValueError):
             lang_map(TorusElem((orb.one, orb.one)), orb)
 
+    def test_wrapper_is_the_log_map(self):
+        # lang_map is lang_logs on the coordinates' logs, on every orbit
+        # shape: even d, odd d with one point, odd d with d0 >= 3.
+        for q, d in ((3, 1), (3, 2), (3, 3), (3, 4), (5, 6)):
+            orb = TwistedOrbit(q, d)
+            for k in range(5):
+                u = tuple((7 * k + 3 * j + 1) % orb.M for j in range(orb.d0))
+                h = TorusElem([FqElem(a, orb.M) for a in u])
+                assert lang_map(h, orb).logs() == lang_logs(u, orb), (q, d)
+
+    def test_q3_d4_by_hand(self):
+        # d even, d0 = 2: (u0, u1) -> (-3 u1 - u0, 3 u0 - u1) mod 80.
+        orb = TwistedOrbit(3, 4)
+        assert lang_logs((1, 2), orb) == (73, 1)
+        assert lang_logs((0, 0), orb) == (0, 0)
+
+    def test_other_field_rejected(self):
+        orb = TwistedOrbit(3, 2)
+        with pytest.raises(ValueError, match="mixed-field"):
+            lang_map(TorusElem((FqElem(1, 80),)), orb)
+        with pytest.raises(ValueError, match="not supported"):
+            lang_logs((0, 0), orb)
+
     def test_kernel_count_small_grid(self):
         for q, d in ((3, 1), (3, 2), (3, 4), (5, 1), (5, 2)):
             orb = TwistedOrbit(q, d)
@@ -212,6 +237,13 @@ class TestZPlus:
         for q, d in itertools.product((3, 5), (1, 2, 3, 4)):
             orb = TwistedOrbit(q, d)
             assert lang_map(z_plus(orb), orb) == theta(orb, -orb.one)
+
+    def test_wrong_lang_image_raises(self, monkeypatch):
+        # z_plus checks its own Lang image against theta(-1).
+        monkeypatch.setattr(torus, "lang_map", lambda h, orbit: h)
+        for q, d in ((3, 1), (3, 2), (3, 4)):
+            with pytest.raises(VerificationError, match="z_plus"):
+                z_plus(TwistedOrbit(q, d))
 
     def test_square_trivial_when_d0_even(self):
         for q in (3, 5):
@@ -288,6 +320,18 @@ class TestCentralStabilizerJump:
             assert len(jumps) == len(divisors), (q, d)
             for o, jump in zip(divisors, jumps):
                 assert jump is (o == 2), (q, d, o)
+
+    def test_action_outside_the_kernel_raises(self, monkeypatch):
+        # A cycling action that moves the centre generator off the image
+        # of theta (by the generator g in every coordinate) has no log.
+        def shifted(h):
+            return h * TorusElem([FqElem(1, v.M) for v in h.coords])
+
+        monkeypatch.setattr(torus, "_conj_action", shifted)
+        for q, d in ((3, 2), (3, 4)):
+            with pytest.raises(VerificationError,
+                               match="centre generator is not in the image"):
+                central_stabilizer_jump(TwistedOrbit(q, d), [1, 2])
 
     def test_logs_are_found_once_per_call(self, monkeypatch):
         # theta is evaluated for t0 and then once per exponent tried by
