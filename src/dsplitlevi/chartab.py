@@ -7,10 +7,13 @@ character table by Dixon's modular method, in three steps.
 
 * The class-sum matrices are simultaneously diagonalised over a prime
   field F_l with l = 1 mod exp(G) and l^2 > 4|G|.  Each space not yet
-  split finds its eigenvalues lazily: the roots of the Krylov minimal
-  polynomial of one coordinate vector at a time, whose eigenspaces are
-  taken until they fill the space.  A space that falls short is not
-  diagonalisable, and the table check fails.
+  split is read off the Krylov sequences of one coordinate vector v at
+  a time: each root λ of v's minimal polynomial p is an eigenvalue,
+  and (p/(x - λ)) applied to v, a combination of the Krylov vectors,
+  is an eigenvector of λ.  These join λ's basis, through the one
+  elimination routine that also finds p, until the eigenspaces fill
+  the space.  A space that falls short is not diagonalisable, and the
+  table check fails.
 * Degrees are recovered from the second orthogonality relation, and
   the values are lifted to exact cyclotomic numbers of conductor
   exp(G) by Fourier inversion over the powers of each class
@@ -267,28 +270,28 @@ class ClassFunction:
 # linear algebra over F_l
 # ---------------------------------------------------------------------------
 
-def _rref(rows, l):
-    """Reduced row echelon form mod l; returns (rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    for col in range(len(rows[0]) if rows else 0):
-        rank = len(pivots)
-        if rank == len(rows):
-            break
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                break
-        else:
-            continue
-        rows[rank], rows[i] = rows[i], rows[rank]
-        inv = pow(rows[rank][col], l - 2, l)
-        top = rows[rank] = [(v * inv) % l for v in rows[rank]]
+def _reduce(rows, pivots, vec, l, width=None):
+    """Reduce ``vec`` by ``rows``, each 1 at its own pivot and 0 at the
+    other rows' pivots, and return (its pivot, what is left of it).
+    The pivot is its first nonzero entry before ``width``, or None when
+    there is none: then vec lies in their span.  A vector with a pivot
+    joins ``rows`` scaled to 1 there, with that pivot cleared from the
+    other rows, so they keep that form."""
+    for p, row in zip(pivots, rows):
+        f = vec[p]
+        if f:
+            vec = [(a - f * b) % l for a, b in zip(vec, row)]
+    p = next((k for k, c in enumerate(vec[:width]) if c), None)
+    if p is not None:
+        inv = pow(vec[p], l - 2, l)
+        vec = [(a * inv) % l for a in vec]
         for i, row in enumerate(rows):
-            f = row[col]
-            if f and i != rank:
-                rows[i] = [(a - f * b) % l for a, b in zip(row, top)]
-        pivots.append(col)
-    return [tuple(r) for r in rows[:len(pivots)]], pivots
+            f = row[p]
+            if f:
+                rows[i] = [(a - f * b) % l for a, b in zip(row, vec)]
+        rows.append(vec)
+        pivots.append(p)
+    return p, vec
 
 
 def _combine(coeffs, basis, l):
@@ -300,90 +303,66 @@ def _combine(coeffs, basis, l):
     return tuple([v % l for v in out])
 
 
-def _eigenspace(mat, lam, l):
-    """The kernel of mat - λ mod l, for a square matrix, as (basis,
-    pivots) in RREF.  The matrix is reduced with its columns taken last
-    to first, so the vector of each free column is 0 before it, 1 at it
-    and 0 at the other free columns: the free columns are the pivots."""
-    n = len(mat)
-    shifted = []
-    for s, row in enumerate(mat):
-        row = row[::-1]
-        row[n - 1 - s] = (row[n - 1 - s] - lam) % l
-        shifted.append(row)
-    rows, pivots = _rref(shifted, l)
-    free = [f for f in range(n - 1, -1, -1) if f not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * n
-        v[f] = 1
-        for row, p in zip(rows, pivots):
-            v[p] = -row[f] % l
-        basis.append(tuple(v[::-1]))
-    return basis, [n - 1 - f for f in free]
-
-
-def _matvec(mat, vec, l):
-    return tuple(sum(map(operator.mul, row, vec)) % l for row in mat)
-
-
-def _minpoly_of_vector(mat, i, l):
-    """Monic minimal polynomial of ``mat`` at the i-th coordinate vector
-    v: the first power mat^k·v of its Krylov sequence that depends on
-    the ones before gives its coefficients."""
-    reduced = []        # (pivot, echelon row with 1 there, its combination)
-    krylov = tuple(int(k == i) for k in range(len(mat)))
+def _minpoly_of_vector(columns, i, l):
+    """Monic minimal polynomial of the square matrix mat with the given
+    ``columns`` at the i-th coordinate vector v, and v, mat·v, ... below
+    its degree: the first power mat^k·v of this Krylov sequence that
+    depends on the ones before gives its coefficients.  Each power is
+    reduced with the 1 of mat^k appended after its n entries, so the
+    combination of powers it leaves is carried along, and a dependent
+    power leaves the polynomial."""
+    n = len(columns)
+    rows, pivots, krylov = [], [], []
+    vec = tuple(int(k == i) for k in range(n))
     while True:
-        vec = list(krylov)
-        combo = [0] * len(reduced) + [1]     # over the powers of mat
-        for p, row, rcombo in reduced:
-            f = vec[p]
-            if f:
-                vec = [(a - f * b) % l for a, b in zip(vec, row)]
-                for k, c in enumerate(rcombo):
-                    combo[k] = (combo[k] - f * c) % l
-        p = next((k for k, c in enumerate(vec) if c), None)
+        k = len(krylov)
+        tail = [0] * (n + 1)
+        tail[k] = 1
+        p, left = _reduce(rows, pivots, [*vec, *tail], l, n)
         if p is None:
-            return combo
-        inv = pow(vec[p], l - 2, l)
-        reduced.append((p, [(a * inv) % l for a in vec],
-                        [(c * inv) % l for c in combo]))
-        krylov = _matvec(mat, krylov, l)
+            return left[n:n + k + 1], krylov
+        krylov.append(vec)
+        vec = _combine(vec, columns, l)
 
 
-def _is_root(poly, x, l):
-    acc = 0
-    for c in reversed(poly):
-        acc = (acc * x + c) % l
-    return acc == 0
+def _eigenspaces(columns, l):
+    """The eigenspaces over F_l of the square matrix mat with the given
+    ``columns``, each as (basis, pivots) with each basis row 1 at its
+    own pivot and 0 at the others'.
 
-
-def _eigenspaces(mat, l):
-    """The eigenspaces of a square matrix over F_l, each as (basis,
-    pivots) in RREF, found lazily from the Krylov minimal polynomial p
-    of one coordinate vector v at a time: its roots are eigenvalues,
-    whose kernels are taken until they fill the space.  If mat is not
-    diagonalisable over F_l the coordinate vectors run out first, and
-    the dimensions fall short of the space's."""
-    n = len(mat)
-    spaces, seen, found = [], [], 0
+    They are read off the Krylov sequence of one coordinate vector v at
+    a time, with minimal polynomial p: each root λ of p is an
+    eigenvalue, and (p/(x - λ))(mat)·v, a combination of v, mat·v, ...,
+    is an eigenvector of λ, as (mat - λ) takes it to p(mat)·v = 0.  For
+    a diagonalisable mat it is v's component in λ's eigenspace up to a
+    nonzero scalar, so these vectors span every eigenspace; each joins
+    λ's basis unless it lies in its span, until the dimensions fill the
+    space.  If mat is not diagonalisable over F_l the coordinate vectors
+    run out first, and the dimensions fall short of the space's."""
+    n = len(columns)
+    spaces, found = {}, 0       # λ -> (basis, pivots)
     for i in range(n):
         if found == n:
             break
-        poly = _minpoly_of_vector(mat, i, l)
-        roots = []
-        for x in range(l):
-            if len(roots) == len(poly) - 1:     # no more roots
+        poly, krylov = _minpoly_of_vector(columns, i, l)
+        roots = 0
+        for lam in range(l):
+            if roots == len(poly) - 1:      # no more roots
                 break
-            if _is_root(poly, x, l):
-                roots.append(x)
-        for lam in roots:
-            if lam not in seen:
-                seen.append(lam)
-                space = _eigenspace(mat, lam, l)
-                spaces.append(space)
-                found += len(space[0])
-    return spaces
+            # Horner's rule: its partial sums are the coefficients of
+            # p/(x - λ), from the top, and its value is p(λ).
+            acc, quot = 0, []
+            for c in reversed(poly):
+                quot.append(acc)
+                acc = (acc * lam + c) % l
+            if acc:
+                continue
+            roots += 1
+            basis, pivots = spaces.setdefault(lam, ([], []))
+            if _reduce(basis, pivots, _combine(quot[:0:-1], krylov, l),
+                       l)[0] is not None:
+                found += 1
+    return list(spaces.values())
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +422,11 @@ def _split_eigenvectors(G, data, l):
             if k == 1:
                 new_spaces.append((basis, pivots))
                 continue
-            # Action on coordinates: an image's coordinates in the RREF
-            # basis are its entries at the pivots, and it lies in the span
-            # iff their combination of the basis rows matches it at every
-            # other column too.
+            # Action on coordinates: each basis row is 1 at its own pivot
+            # and 0 at the others', so an image's coordinates are its
+            # entries at the pivots, and it lies in the span iff their
+            # combination of the basis rows matches it at every other
+            # column too.
             rest = [(c, [b[c] for b in basis])
                     for c in range(r) if c not in pivots]
             action = []
@@ -460,11 +440,11 @@ def _split_eigenvectors(G, data, l):
                 action.append(coords)
             # Coordinate rows transform by right multiplication, so we
             # need left eigenvectors of `action`, i.e. the eigenspaces of
-            # its transpose.  An RREF basis of coordinate rows combines
-            # the RREF basis rows into RREF rows, with pivots among theirs.
-            trans = [list(col) for col in zip(*action)]
+            # its transpose, whose columns are its rows.  Coordinate rows
+            # of that form combine the basis rows into rows of that form,
+            # with pivots among theirs.
             found = 0
-            for gammas, gpivots in _eigenspaces(trans, l):
+            for gammas, gpivots in _eigenspaces(action, l):
                 new_spaces.append(([_combine(g, basis, l) for g in gammas],
                                    [pivots[c] for c in gpivots]))
                 found += len(gammas)

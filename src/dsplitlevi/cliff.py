@@ -31,7 +31,8 @@ from .chartab import (DEFAULT_GROUP_CAP, FiniteGroup, _root_of_unity,
                       is_invariant, restrict)
 from .levi import tau_Q, wprime_Q
 from .signedperm import (ClosureExceedsCap, SignedPerm, VerificationError,
-                         closure, group_closure, set_partitions)
+                         closure, group_closure, set_partitions,
+                         wreath_order)
 
 
 def _sylow2(m):
@@ -206,14 +207,6 @@ def _parts_from_label(label):
     return parts
 
 
-def _wreath_order(factors):
-    """∏ c^m·m! over the pairs (c, m): the order of ∏ C_c wr S_m."""
-    order = 1
-    for c, m in factors:
-        order *= c ** m * factorial(m)
-    return order
-
-
 def _build_W(parts, two_d0, n):
     """Generators of W_lambda with nu's ±1 value on each, its order and
     abstract type.  nu is -1 exactly on the cyclic generators of a
@@ -230,7 +223,7 @@ def _build_W(parts, two_d0, n):
             gens.append(tau_Q(Q1, Q2, n))
             values.append(1)
     abstract = " x ".join(factors) if factors else "1"
-    order = _wreath_order((part.c, len(part.Qs)) for part in parts)
+    order = wreath_order((part.c, len(part.Qs)) for part in parts)
     return gens, tuple(values), order, abstract
 
 
@@ -400,7 +393,7 @@ def inertia_order(label):
     """|W_lambda| = ∏ c^m·m! over the label's descriptor classes of
     stabilizer order c on m orbits, read off its :func:`_kinva_key`:
     the order of :func:`stab_lambda` without its generators."""
-    return _wreath_order((c, m) for _, cell in _kinva_key(label)[1]
+    return wreath_order((c, m) for _, cell in _kinva_key(label)[1]
                          for m, c, _ in cell)
 
 

@@ -71,7 +71,6 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import lru_cache, reduce
-from math import factorial
 from operator import add, and_, mul, or_
 
 from .arith import InputTooLarge, prime_power
@@ -87,6 +86,7 @@ from .signedperm import (
     set_partitions,
     signed_symmetric_group,
     wprime,
+    wreath_order,
 )
 
 
@@ -522,10 +522,7 @@ def _relative_weyl_shape(d0, t):
     t_s), ...), one per block size s ascending, and the group order
     ∏_s (2·d0)^{t_s} t_s!; once per shape."""
     factors = tuple((2 * d0, ts) for _, ts in t)
-    order = 1
-    for c, ts in factors:
-        order *= c ** ts * factorial(ts)
-    return factors, order
+    return factors, wreath_order(factors)
 
 
 @lru_cache(maxsize=QSET_CACHE_SIZE)

@@ -15,7 +15,8 @@ Besides the group operations the module provides
   they are usually evaluated on;
 * the cycle statistics (m1 = self-paired cycles, m2 = paired cycle
   pairs) that determine the centralizer of an element, with the
-  predicted centralizer order;
+  predicted centralizer order, from :func:`wreath_order`, the one order
+  formula of a product of wreath products C_c wr S_m;
 * :func:`closure`, the one breadth-first enumeration of ⟨gens⟩ in the
   package, with its cap exception :class:`ClosureExceedsCap`; it takes
   signed permutations only (the monomial matrices of ``extweyl`` and
@@ -302,6 +303,14 @@ def cycle_data(s):
     return CycleData(s.bar(), sign, self_paired, paired)
 
 
+def wreath_order(factors):
+    """∏ c^m·m! over the pairs (c, m): the order of ∏ C_c wr S_m."""
+    order = 1
+    for c, m in factors:
+        order *= c ** m * factorial(m)
+    return order
+
+
 class CentralizerType:
     """Cycle statistics (m1, m2) of an element and the centralizer order.
 
@@ -316,10 +325,9 @@ class CentralizerType:
     def __init__(self, m1, m2):
         self.m1 = {i: c for i, c in sorted(m1.items()) if c}
         self.m2 = {i: c for i, c in sorted(m2.items()) if c}
-        order = 1
-        for i, c in itertools.chain(self.m1.items(), self.m2.items()):
-            order *= (2 * i) ** c * factorial(c)
-        self.order = order
+        self.order = wreath_order(
+            (2 * i, c)
+            for i, c in itertools.chain(self.m1.items(), self.m2.items()))
 
     def __eq__(self, other):
         return (isinstance(other, CentralizerType)

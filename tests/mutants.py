@@ -9,7 +9,9 @@ Run from anywhere, with pytest installed:
 
 For each mutant the runner copies ``src/`` to a temporary directory,
 applies the replacement there, and runs the mutant's tests in a
-subprocess with PYTHONPATH at the copy.  It prints one line per mutant,
+subprocess with PYTHONPATH at the copy, without hypothesis's pytest
+plugin, which most test files do not need (those that use hypothesis
+import it themselves).  It prints one line per mutant,
 then the mutants that survive (a named test passed on them), and exits
 1 if any survives.  ``tests/test_mutants.py`` checks in tier-1 that
 every fragment still occurs exactly once in ``src/``; the runs
@@ -47,13 +49,38 @@ ARITH = "tests/test_arith.py::TestIntegerRoutines::"
 CYCLO = "tests/test_cyclo.py::"
 
 MUTANTS = [
-    # The exact character table: the lazy eigenvalue search relies on
-    # the diagonalisation raise, the lift on its two raises, and the
-    # orthogonality recheck must run off the diagonal.
+    # The exact character table: the eigenspaces read off the Krylov
+    # sequences rely on the diagonalisation raise and on a basis that is
+    # 0 at the other rows' pivots, the split on its three other raises,
+    # the lift on its two raises, and the orthogonality recheck must run
+    # off the diagonal.
+    Mutant("subspace_check_dropped", "chartab.py",
+           "if any((sum(map(operator.mul, coords, at)) - image[c]) % l",
+           "if False and any((sum(map(operator.mul, coords, at)) - image[c])"
+           " % l",
+           [CHARTAB + "test_noncommuting_class_matrices_leave_the_subspace"]),
     Mutant("diagonalise_raise_dropped", "chartab.py",
            "if found != k:",
            "if False:",
            [CHARTAB + "test_jordan_block_fails_to_diagonalise"]),
+    Mutant("separation_check_dropped", "chartab.py",
+           "if len(basis) != 1:",
+           "if False:",
+           [CHARTAB + "test_scalar_class_matrices_separate_nothing",
+            CHARTAB + "test_corrupted_class_matrix_names_order_and_prime"]),
+    Mutant("identity_coordinate_check_dropped", "chartab.py",
+           "if u[0] % l == 0:",
+           "if False:",
+           [CHARTAB + "test_eigenvector_vanishing_on_the_identity_class"]),
+    Mutant("new_pivot_not_cleared", "chartab.py",
+           "rows[i] = [(a - f * b) % l for a, b in zip(row, vec)]",
+           "pass",
+           [CLI + "TestChartab::test_tables_match_golden_digests[c4wrs3]",
+            KEY + "test_shared_tables_equal_fresh_ones",
+            "tests/test_chartab.py::TestKinvaSweepTables::"
+            "test_tables_match_golden_digest",
+            CLIFF + "TestDegreeOracle::"
+                    "test_every_inertia_table_has_the_wreath_degrees"]),
     Mutant("lift_bound_dropped", "chartab.py",
            "if m > max_degree:",
            "if False:",
@@ -126,9 +153,10 @@ MUTANTS = [
             CLIFF + "TestOnePassReads::"
                     "test_descriptors_equal_by_value_are_one_class",
             CLIFF + "TestConcreteMemo::test_key_determines_the_groups"]),
-    # |W_lambda| read off the descriptor counts, and the text of a Levi
-    # label kept for its character labels.
-    Mutant("inertia_order_without_factorial", "cliff.py",
+    # |W_lambda| read off the descriptor counts through the one wreath
+    # order formula, and the text of a Levi label kept for its character
+    # labels.
+    Mutant("inertia_order_without_factorial", "signedperm.py",
            "order *= c ** m * factorial(m)",
            "order *= c ** m",
            [CLIFF + "TestOnePassReads::"
@@ -476,10 +504,10 @@ MUTANTS = [
 # guards by AST and fails on a guard without an entry.
 UNCOVERED = "UNCOVERED"
 GUARDS = {
-    "chartab.py:_split_eigenvectors:1": UNCOVERED,
+    "chartab.py:_split_eigenvectors:1": "subspace_check_dropped",
     "chartab.py:_split_eigenvectors:2": "diagonalise_raise_dropped",
-    "chartab.py:_split_eigenvectors:3": UNCOVERED,
-    "chartab.py:_split_eigenvectors:4": UNCOVERED,
+    "chartab.py:_split_eigenvectors:3": "separation_check_dropped",
+    "chartab.py:_split_eigenvectors:4": "identity_coordinate_check_dropped",
     "chartab.py:_table_key:1": "table_closure_check_dropped",
     "chartab.py:_table_key:2": "table_generation_check_dropped",
     "chartab.py:character_table:1": UNCOVERED,
@@ -542,7 +570,7 @@ def run(mutant):
                    PYTHONDONTWRITEBYTECODE="1")
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             "--tb=no", "-rA", *mutant.tests],
+             "-p", "no:hypothesispytest", "--tb=no", "-rA", *mutant.tests],
             cwd=ROOT, env=env, capture_output=True, text=True)
     outcome = {}
     for line in proc.stdout.splitlines():

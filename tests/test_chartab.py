@@ -319,6 +319,42 @@ class TestCharacterTable:
         assert str(err.value) == ("class matrix failed to diagonalise "
                                   f"(group order 6, prime l = {l})")
 
+    def _split_with(self, mats, monkeypatch):
+        """The table of S3 computed with ``mats[j]`` as its class matrix
+        M_j, and the message it raises, which must name |S3| and l."""
+        monkeypatch.setattr(chartab, "_TABLE_CACHE", {})
+        monkeypatch.setattr(chartab, "_class_matrix",
+                            lambda G, data, j, l: mats[j])
+        with pytest.raises(VerificationError) as err:
+            character_table(s3())
+        suffix = f" (group order 6, prime l = {chartab._dixon_prime(6, 6)})"
+        assert str(err.value).endswith(suffix)
+        return str(err.value).removesuffix(suffix)
+
+    def test_noncommuting_class_matrices_leave_the_subspace(self,
+                                                            monkeypatch):
+        # M_1 splits off the eigenspace ⟨e0, e1⟩, and M_2, which does not
+        # commute with it, sends e0 to e2, out of that space.
+        message = self._split_with(
+            {1: [[1, 0, 0], [0, 1, 0], [0, 0, 2]],
+             2: [[0, 0, 0], [0, 0, 0], [1, 0, 0]]}, monkeypatch)
+        assert message == ("vector not in subspace (class matrices should "
+                           "commute)")
+
+    def test_scalar_class_matrices_separate_nothing(self, monkeypatch):
+        # Every vector is an eigenvector of 2, so the space splits into
+        # one eigenspace of dimension 3.
+        two = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
+        message = self._split_with({1: two, 2: two}, monkeypatch)
+        assert message == "class matrices did not separate characters"
+
+    def test_eigenvector_vanishing_on_the_identity_class(self, monkeypatch):
+        # diag(1, 2, 3) splits the space into the coordinate lines, and
+        # e1 is 0 on the identity class.
+        message = self._split_with({1: [[1, 0, 0], [0, 2, 0], [0, 0, 3]]},
+                                   monkeypatch)
+        assert message == "eigenvector vanishes on the identity class"
+
     def _table_with_root(self, G, root, monkeypatch):
         """The table of G computed with ``root(z, l)`` in place of the
         root of unity z of order exp(G) mod l."""

@@ -7,12 +7,16 @@ normalizes both subgroups) are verified by brute-force closures; the
 invariance check is swept over every gate-passing descriptor assignment
 in a small grid; the one-pass memo key, inertia order and label text
 are checked against the reads they replaced on every label at rank <= 4
-and d <= 8 and at rank 5 and d = 1.
+and d <= 8 and at rank 5 and d = 1; the degrees of every W_lambda table
+at rank <= 5 and d <= 8 are checked against the closed form for wreath
+products (hook lengths), which is independent of Dixon's method.
 """
 
 import itertools
 import json
 from fractions import Fraction
+from functools import cache
+from math import factorial, prod
 
 import pytest
 
@@ -493,10 +497,12 @@ SWEEP = {1: range(1, 9), 2: range(1, 9), 3: range(1, 9), 4: range(1, 9),
 SWEEP_COUNTS = {1: 32, 2: 156, 3: 1068, 4: 8968, 5: 42146}
 
 
+@cache
 def sweep(n, central_orders=(1, 2)):
-    for d in SWEEP[n]:
-        for levi in enumerate_labels(n, d):
-            yield from enumerate_char_labels(levi, central_orders)
+    """The character labels of rank n at the twist orders of SWEEP[n],
+    enumerated once for every test that reads them."""
+    return tuple(label for d in SWEEP[n] for levi in enumerate_labels(n, d)
+                 for label in enumerate_char_labels(levi, central_orders))
 
 
 class TestOnePassReads:
@@ -547,6 +553,84 @@ class TestOnePassReads:
         # label and reused for the rest.
         for label in sweep(n):
             assert label.key() == formatted_key(label), label
+
+
+def partitions(m, largest=None):
+    """The partitions of m, as non-increasing tuples."""
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, largest or m), 0, -1):
+        for rest in partitions(m - first, first):
+            yield (first,) + rest
+
+
+def compositions(m, c):
+    """The c-tuples of non-negative integers summing to m."""
+    if c == 1:
+        yield (m,)
+        return
+    for first in range(m + 1):
+        for rest in compositions(m - first, c - 1):
+            yield (first,) + rest
+
+
+def hook_dimension(la):
+    """f^λ, the degree of the character λ of S_|λ|: |λ|! over the
+    product of the hook lengths of λ's boxes."""
+    columns = [sum(part > j for part in la) for j in range(la[0] if la else 0)]
+    hooks = prod(part - j + columns[j] - i - 1
+                 for i, part in enumerate(la) for j in range(part))
+    return factorial(sum(la)) // hooks
+
+
+def wreath_degrees(c, m):
+    """The degrees of Irr(C_c wr S_m), one per c-tuple (λ_1, ..., λ_c) of
+    partitions of total size m: m!/∏|λ_i|! · ∏ f^{λ_i}."""
+    out = []
+    for sizes in compositions(m, c):
+        share = factorial(m) // prod(map(factorial, sizes))
+        for las in itertools.product(*(list(partitions(k)) for k in sizes)):
+            out.append(share * prod(map(hook_dimension, las)))
+    return out
+
+
+class TestDegreeOracle:
+    """The degrees of every W_λ table against the closed form for a
+    direct product of C_c wr S_m, which reads nothing of Dixon's method."""
+
+    def test_hook_lengths_on_small_symmetric_groups(self):
+        # S_m is C_1 wr S_m; C_c wr S_1 is cyclic.
+        assert sorted(wreath_degrees(1, 4)) == [1, 1, 2, 3, 3]
+        assert sorted(wreath_degrees(1, 5)) == [1, 1, 4, 4, 5, 5, 6]
+        assert wreath_degrees(6, 1) == [1] * 6
+        assert sorted(wreath_degrees(2, 2)) == [1, 1, 1, 1, 2]
+        for c, m in itertools.product((1, 2, 3, 4), (1, 2, 3, 4)):
+            assert (sum(f * f for f in wreath_degrees(c, m))
+                    == c ** m * factorial(m))
+
+    def test_every_inertia_table_has_the_wreath_degrees(self):
+        # Every key of rank <= 5 and d <= 8, gate-failing ones included;
+        # |W_λ| <= 2^5·5! = 3840 there, within the table cap of 10000.
+        keys = {}
+        for n in sorted(SWEEP):
+            rest = [label for d in range(1, 9) if d not in SWEEP[n]
+                    for levi in enumerate_labels(n, d)
+                    for label in enumerate_char_labels(levi)]
+            for label in itertools.chain(sweep(n), rest):
+                keys.setdefault(_kinva_key(label), label)
+        assert len(keys) == 437
+        for key, label in keys.items():
+            (n, w_gens, _, _), _ = _kinva_inputs(key)
+            W = FiniteGroup.generate(w_gens or [SignedPerm.identity(n)],
+                                     cap=10000)
+            assert W.order == inertia_order(label) <= 3840, key
+            degrees = [1]
+            for _, cell in key[1]:
+                for m, c, _ in cell:
+                    degrees = [a * b for a in degrees
+                               for b in wreath_degrees(c, m)]
+            assert character_table(W).degrees == tuple(sorted(degrees)), key
 
 
 def conjugation_fixes(cf, k, group):
