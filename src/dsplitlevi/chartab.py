@@ -1,9 +1,12 @@
 """Exact character tables of small finite groups.
 
-A :class:`FiniteGroup` wraps an explicit list of group elements (any
-hashable objects with ``*`` and ``.inv()``, e.g. signed permutations or
-integer matrices).  :func:`character_table` computes its full ordinary
-character table by Dixon's modular method, in three steps.
+A :class:`FiniteGroup` wraps an explicit list of group elements:
+signed permutations, or signed monomial matrices, which are held as
+signed permutations and expose the same ``img`` and ``table()``, so
+every product and conjugate is formed on the composition kernel of
+:mod:`dsplitlevi.signedperm`.  :func:`character_table` computes the
+full ordinary character table by Dixon's modular method, in three
+steps.
 
 * The class-sum matrices are simultaneously diagonalised over a prime
   field F_l with l = 1 mod exp(G) and l^2 > 4|G|.  Each space not yet
@@ -12,17 +15,19 @@ character table by Dixon's modular method, in three steps.
   and (p/(x - λ)) applied to v, a combination of the Krylov vectors,
   is an eigenvector of λ.  These join λ's basis, through the one
   elimination routine that also finds p, until the eigenspaces fill
-  the space.  A space that falls short is not diagonalisable, and the
-  table check fails.
+  the space; a coordinate vector already in their span is skipped.
+  A space that falls short is not diagonalisable, and the table check
+  fails.  Class matrices are held as their columns' nonzero entries.
 * Degrees are recovered from the second orthogonality relation, and
   the values are lifted to exact cyclotomic numbers of conductor
   exp(G) by Fourier inversion over the powers of each class
-  representative, on plain integer coefficient lists, one column at a
-  time.
+  representative, on plain integer coefficient lists, once per
+  distinct sequence of residues along those powers.
 * Row orthogonality, which implies column orthogonality for a square
   table, is re-verified exactly before a table is returned: each pair
-  of rows is summed on integer lists modulo x^e - 1 and reduced
-  modulo Φ_e once, as :func:`inner` does.
+  of rows is one sum of products of values packed as integers, tested
+  for divisibility by Φ_e at the packing base
+  (:func:`_verify_orthogonality`).
 
 Every step reads the group only through its multiplication table in
 element order, so tables are cached by a key that fixes that table:
@@ -44,8 +49,9 @@ import operator
 from fractions import Fraction
 
 from .arith import factorint, isprime
-from .cyclo import CycNum
-from .signedperm import ClosureExceedsCap, VerificationError, closure
+from .cyclo import CycNum, _cyclotomic
+from .signedperm import (ClosureExceedsCap, VerificationError, _composer,
+                         _conjugator, closure)
 
 DEFAULT_GROUP_CAP = 10000
 
@@ -55,31 +61,34 @@ DEFAULT_GROUP_CAP = 10000
 # ---------------------------------------------------------------------------
 
 class ClassData:
-    """Conjugacy classes: representatives, sizes, member lists, lookup."""
+    """Conjugacy classes: representatives, sizes, member lists, and the
+    class of each element looked up by its image tuple (``class_at``)."""
 
-    __slots__ = ("reps", "sizes", "classes", "class_of")
+    __slots__ = ("reps", "sizes", "classes", "class_at")
 
-    def __init__(self, reps, sizes, classes, class_of):
+    def __init__(self, reps, sizes, classes, class_at):
         self.reps = reps
         self.sizes = sizes
         self.classes = classes
-        self.class_of = class_of
+        self.class_at = class_at
 
 
 class FiniteGroup:
     """A finite group given by an explicit, deterministic element list.
 
-    Elements must be hashable, support ``a * b`` and ``a.inv()``.  The
-    element list must be closed under multiplication (verified).  The
-    conjugacy class of each element is found by orbit search under
-    conjugation by the stored generators; the representative of a class
-    is its earliest member in element-list order, and the class of the
-    identity is always listed first.  :func:`character_table` keeps the
+    Elements are signed permutations or objects with their ``*``,
+    ``inv()``, ``img`` and ``table()``; ``at`` finds an element's
+    position by its image tuple.  The element list
+    must be closed under multiplication (verified).  The conjugacy class
+    of each element is found by orbit search under conjugation by the
+    stored generators, on the elements' signed tables; the representative
+    of a class is its earliest member in element-list order, and the
+    class of the identity is always listed first.  :func:`character_table` keeps the
     group's table on it, and checks that the generators generate it.
     """
 
-    __slots__ = ("elements", "index", "identity", "generators", "order",
-                 "_classes", "_powers", "_actions", "_table")
+    __slots__ = ("elements", "at", "identity", "generators",
+                 "order", "_classes", "_powers", "_actions", "_table")
 
     def __init__(self, elements, generators=None, cap=DEFAULT_GROUP_CAP):
         elements = list(elements)
@@ -88,19 +97,19 @@ class FiniteGroup:
         if len(elements) > cap:
             raise ClosureExceedsCap(
                 f"group of order {len(elements)} exceeds cap {cap}")
-        index = {}
+        at = {}
         for pos, x in enumerate(elements):
-            if x in index:
+            if x.img in at:
                 raise ValueError("duplicate element in group list")
-            index[x] = pos
+            at[x.img] = pos
         ident = elements[0] * elements[0].inv()
-        if ident not in index:
+        if ident.img not in at:
             raise ValueError("identity element missing from group list")
         for x in elements:
-            if x.inv() not in index:
+            if x.inv().img not in at:
                 raise ValueError("element list is not closed under inverse")
         self.elements = tuple(elements)
-        self.index = index
+        self.at = at
         self.identity = ident
         self.order = len(elements)
         if generators is None:
@@ -148,7 +157,7 @@ class FiniteGroup:
                         continue
                     for k in subgroup:
                         y = k * z
-                        if y not in self.index:
+                        if y.img not in self.at:
                             raise ValueError(
                                 "element list is not closed under "
                                 "multiplication")
@@ -162,15 +171,17 @@ class FiniteGroup:
 
     def power_classes(self):
         """For each class representative g, of order o, the classes of
-        g^0, g^1, ..., g^(o-1)."""
+        g^0, g^1, ..., g^(o-1), on image tuples: g^(s+1) = g∘g^s is g's
+        signed table read along g^s."""
         if self._powers is None:
             data = self.conjugacy_classes()
+            one = self.identity.img
             rows = []
             for rep in data.reps:
-                row, cur = [0], rep
-                while cur != self.identity:
-                    row.append(data.class_of[cur])
-                    cur = cur * rep
+                row, t, cur = [0], rep.table(), rep.img
+                while cur != one:
+                    row.append(data.class_at[cur])
+                    cur = _composer(cur)(t)
                 rows.append(tuple(row))
             self._powers = tuple(rows)
         return self._powers
@@ -181,26 +192,29 @@ class FiniteGroup:
     def conjugacy_classes(self):
         if self._classes is not None:
             return self._classes
-        conjugators = [(g.inv(), g) for g in self.generators]
-        seen = set()
+        # Each orbit is its own breadth-first queue of element positions;
+        # y^g is y's signed table read by g's conjugator.
+        elements, at = self.elements, self.at
+        conjugators = [_conjugator(g.img) for g in self.generators]
+        seen = [False] * self.order
         classes = []
-        for x in self.elements:
-            if x in seen:
+        for start in range(self.order):
+            if seen[start]:
                 continue
-            orbit = [x]
-            seen.add(x)
-            queue = [x]
-            while queue:
-                nxt = []
-                for y in queue:
-                    for gi, g in conjugators:
-                        z = gi * y * g
-                        if z not in seen:
-                            seen.add(z)
-                            orbit.append(z)
-                            nxt.append(z)
-                queue = nxt
-            classes.append(orbit)
+            seen[start] = True
+            orbit = [start]
+            try:
+                for i in orbit:
+                    t = elements[i].table()
+                    for conj in conjugators:
+                        j = at[conj(t)]
+                        if not seen[j]:
+                            seen[j] = True
+                            orbit.append(j)
+            except KeyError:
+                raise ValueError("element list is not closed under "
+                                 "conjugation by its generators") from None
+            classes.append([elements[i] for i in orbit])
         # The identity's class goes first; all others keep discovery order.
         j0 = next(j for j, orb in enumerate(classes) if orb[0] == self.identity)
         self._set_classes([classes[j0]] + classes[:j0] + classes[j0 + 1:])
@@ -211,13 +225,13 @@ class FiniteGroup:
         and each representative first in its list."""
         reps = tuple(orb[0] for orb in classes)
         sizes = tuple(len(orb) for orb in classes)
-        class_of = {}
+        class_at = {}
         for j, orb in enumerate(classes):
             for y in orb:
-                class_of[y] = j
+                class_at[y.img] = j
         self._classes = ClassData(reps, sizes,
                                   tuple(tuple(orb) for orb in classes),
-                                  class_of)
+                                  class_at)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +258,7 @@ class ClassFunction:
 
     def value_at(self, element):
         data = self.group.conjugacy_classes()
-        return self.values[data.class_of[element]]
+        return self.values[data.class_at[element.img]]
 
     def __eq__(self, other):
         if not isinstance(other, ClassFunction):
@@ -277,14 +291,18 @@ def _reduce(rows, pivots, vec, l, width=None):
     there is none: then vec lies in their span.  A vector with a pivot
     joins ``rows`` scaled to 1 there, with that pivot cleared from the
     other rows, so they keep that form."""
+    # A row is 0 at the other rows' pivots, so subtracting it changes
+    # vec at no other pivot, and the entries are reduced once, at the end.
     for p, row in zip(pivots, rows):
         f = vec[p]
         if f:
-            vec = [(a - f * b) % l for a, b in zip(vec, row)]
+            vec = [a - f * b for a, b in zip(vec, row)]
+    vec = [a % l for a in vec]
     p = next((k for k, c in enumerate(vec[:width]) if c), None)
     if p is not None:
-        inv = pow(vec[p], l - 2, l)
-        vec = [(a * inv) % l for a in vec]
+        if vec[p] != 1:
+            inv = pow(vec[p], l - 2, l)
+            vec = [(a * inv) % l for a in vec]
         for i, row in enumerate(rows):
             f = row[p]
             if f:
@@ -294,20 +312,35 @@ def _reduce(rows, pivots, vec, l, width=None):
     return p, vec
 
 
-def _combine(coeffs, basis, l):
-    """The combination sum of c·b over ``basis`` mod l."""
-    out = [0] * len(basis[0])
-    for c, row in zip(coeffs, basis):
+def _combine(coeffs, basis_columns, l):
+    """The combination sum of c·b over a basis mod l, from the basis's
+    entries at each position, ``zip(*basis)``, formed once per basis."""
+    return tuple([sum(map(operator.mul, coeffs, col)) % l
+                  for col in basis_columns])
+
+
+def _sparse(columns):
+    """Each column as the list of its nonzero (index, entry) pairs."""
+    return [[(i, v) for i, v in enumerate(col) if v] for col in columns]
+
+
+def _apply(columns, vec, l):
+    """mat·vec mod l, for the square matrix mat with the given
+    :func:`_sparse` ``columns``: the sum of vec[c]·column c, over the
+    nonzero entries only."""
+    out = [0] * len(columns)
+    for c, col in zip(vec, columns):
         if c:
-            out = [a + c * b for a, b in zip(out, row)]
+            for i, v in col:
+                out[i] += c * v
     return tuple([v % l for v in out])
 
 
 def _minpoly_of_vector(columns, i, l):
     """Monic minimal polynomial of the square matrix mat with the given
-    ``columns`` at the i-th coordinate vector v, and v, mat·v, ... below
-    its degree: the first power mat^k·v of this Krylov sequence that
-    depends on the ones before gives its coefficients.  Each power is
+    :func:`_sparse` ``columns`` at the i-th coordinate vector v, and v,
+    mat·v, ... below its degree: the first power mat^k·v of this Krylov
+    sequence that depends on the ones before gives its coefficients.  Each power is
     reduced with the 1 of mat^k appended after its n entries, so the
     combination of powers it leaves is carried along, and a dependent
     power leaves the polynomial."""
@@ -322,13 +355,13 @@ def _minpoly_of_vector(columns, i, l):
         if p is None:
             return left[n:n + k + 1], krylov
         krylov.append(vec)
-        vec = _combine(vec, columns, l)
+        vec = _apply(columns, vec, l)
 
 
 def _eigenspaces(columns, l):
     """The eigenspaces over F_l of the square matrix mat with the given
-    ``columns``, each as (basis, pivots) with each basis row 1 at its
-    own pivot and 0 at the others'.
+    :func:`_sparse` ``columns``, each as (basis, pivots) with each basis
+    row 1 at its own pivot and 0 at the others'.
 
     They are read off the Krylov sequence of one coordinate vector v at
     a time, with minimal polynomial p: each root λ of p is an
@@ -337,14 +370,28 @@ def _eigenspaces(columns, l):
     a diagonalisable mat it is v's component in λ's eigenspace up to a
     nonzero scalar, so these vectors span every eigenspace; each joins
     λ's basis unless it lies in its span, until the dimensions fill the
-    space.  If mat is not diagonalisable over F_l the coordinate vectors
-    run out first, and the dimensions fall short of the space's."""
+    space.  A coordinate vector in the span of the eigenvectors found
+    adds nothing, as its component in each eigenspace lies in the span
+    of that space's, so it is skipped.  If mat is not diagonalisable
+    over F_l the coordinate vectors run out first, and the dimensions
+    fall short of the space's."""
     n = len(columns)
     spaces, found = {}, 0       # λ -> (basis, pivots)
+    span, span_pivots, new = [], [], []     # the eigenvectors found
     for i in range(n):
         if found == n:
             break
+        for vec in new:
+            _reduce(span, span_pivots, vec, l)
+        new.clear()
+        # Reduced by the span's rows, v leaves v minus the row with
+        # pivot i, or v itself when i is no pivot: it lies in the span
+        # iff that row is v.
+        unit = [int(k == i) for k in range(n)]
+        if i in span_pivots and span[span_pivots.index(i)] == unit:
+            continue
         poly, krylov = _minpoly_of_vector(columns, i, l)
+        krylov_columns = list(zip(*krylov))
         roots = 0
         for lam in range(l):
             if roots == len(poly) - 1:      # no more roots
@@ -359,8 +406,9 @@ def _eigenspaces(columns, l):
                 continue
             roots += 1
             basis, pivots = spaces.setdefault(lam, ([], []))
-            if _reduce(basis, pivots, _combine(quot[:0:-1], krylov, l),
-                       l)[0] is not None:
+            vec = _combine(quot[:0:-1], krylov_columns, l)
+            if _reduce(basis, pivots, vec, l)[0] is not None:
+                new.append(vec)
                 found += 1
     return list(spaces.values())
 
@@ -393,14 +441,15 @@ def _root_of_unity(l, e):
 
 
 def _class_matrix(G, data, j, l):
-    """M_j with (M_j)[i][k] = #{(x, y) in C_j x C_i : x*y = rep_k} mod l."""
+    """M_j with (M_j)[i][k] = #{(x, y) in C_j x C_i : x*y = rep_k} mod l:
+    y = x⁻¹·rep_k is x⁻¹'s signed table read by rep_k's composer."""
     r = len(data.reps)
     mat = [[0] * r for _ in range(r)]
+    steps = [_composer(rep.img) for rep in data.reps]
     for x in data.classes[j]:
-        xi = x.inv()
-        for k, rep in enumerate(data.reps):
-            i = data.class_of[xi * rep]
-            mat[i][k] += 1
+        t = x.inv().table()
+        for k, step in enumerate(steps):
+            mat[data.class_at[step(t)]][k] += 1
     return [[v % l for v in row] for row in mat]
 
 
@@ -415,7 +464,7 @@ def _split_eigenvectors(G, data, l):
         if all(len(basis) == 1 for basis, _ in spaces):
             break
         # M_j·b combines the columns of M_j by the entries of b.
-        columns = list(zip(*_class_matrix(G, data, j, l)))
+        columns = _sparse(zip(*_class_matrix(G, data, j, l)))
         new_spaces = []
         for basis, pivots in spaces:
             k = len(basis)
@@ -427,11 +476,12 @@ def _split_eigenvectors(G, data, l):
             # entries at the pivots, and it lies in the span iff their
             # combination of the basis rows matches it at every other
             # column too.
-            rest = [(c, [b[c] for b in basis])
-                    for c in range(r) if c not in pivots]
+            basis_columns = list(zip(*basis))
+            rest = [(c, at) for c, at in enumerate(basis_columns)
+                    if c not in pivots]
             action = []
             for b in basis:
-                image = _combine(b, columns, l)
+                image = _apply(columns, b, l)
                 coords = [image[p] for p in pivots]
                 if any((sum(map(operator.mul, coords, at)) - image[c]) % l
                        for c, at in rest):
@@ -444,8 +494,9 @@ def _split_eigenvectors(G, data, l):
             # of that form combine the basis rows into rows of that form,
             # with pivots among theirs.
             found = 0
-            for gammas, gpivots in _eigenspaces(action, l):
-                new_spaces.append(([_combine(g, basis, l) for g in gammas],
+            for gammas, gpivots in _eigenspaces(_sparse(action), l):
+                new_spaces.append(([_combine(g, basis_columns, l)
+                                    for g in gammas],
                                    [pivots[c] for c in gpivots]))
                 found += len(gammas)
             if found != k:
@@ -510,8 +561,8 @@ _TABLE_CACHE = {}
 
 def _table_key(G):
     """The position of G's identity and, for each generator g, its right
-    action on element positions: the tuple of ``index[x * g]`` over the
-    elements x.
+    action on element positions: the tuple of the positions of x * g
+    over the elements x, each x's signed table read by g's composer.
 
     The identity's orbit under these actions must cover every position,
     or the generators do not generate G and VerificationError is raised.
@@ -519,15 +570,16 @@ def _table_key(G):
     the identity's position, and the key gives the position of every
     product x * y by applying y's word to x's position: it fixes the
     multiplication table in element order."""
-    index = G.index
+    at = G.at
+    tables = [x.table() for x in G.elements]
     try:
-        actions = tuple(tuple([index[x * g] for x in G.elements])
-                        for g in G.generators)
+        actions = tuple(tuple([at[step(t)] for t in tables])
+                        for step in (_composer(g.img) for g in G.generators))
     except KeyError:
         raise VerificationError(
             f"the element list is not closed under its generators "
             f"(group order {G.order})") from None
-    start = index[G.identity]
+    start = at[G.identity.img]
     reached, queue = {start}, [start]
     for i in queue:
         for action in actions:
@@ -593,6 +645,8 @@ def character_table(G, cap=DEFAULT_GROUP_CAP):
     if sum(d * d for d in degrees) != G.order:
         raise _table_error(G, l,
                            "degree squares do not sum to the group order")
+    if any(G.order % d for d in degrees):
+        raise _table_error(G, l, "some degree does not divide the group order")
 
     # Fourier inversion over the powers of g: m_k = o⁻¹ Σ_s χ(g^s)
     # z^(-k·s·e/o) is the multiplicity of the eigenvalue ζ_o^k of g in
@@ -607,7 +661,10 @@ def character_table(G, cap=DEFAULT_GROUP_CAP):
 
     modrows = [[(d * om[j] * size_inv[j]) % l for j in range(r)]
                for om, d in zip(omegas, degrees)]
-    lifted = {}     # one CycNum per distinct coefficient list
+    # The multiplicities depend on the residues of χ along g's powers
+    # alone, so each distinct sequence of them is inverted once: its
+    # degree, the sum of its multiplicities, and its value.
+    lifted = {}
 
     def lift(j):
         """Column j of the table, lifted from the residues."""
@@ -616,21 +673,22 @@ def character_table(G, cap=DEFAULT_GROUP_CAP):
         step = e // len(pw)
         column = []
         for modvals, d in zip(modrows, degrees):
-            vals = [modvals[c] for c in pw]
-            poly = [0] * e
-            for k, wk in enumerate(wave):
-                m = sum(map(operator.mul, vals, wk)) * o_inv % l
-                if m > max_degree:
-                    raise _table_error(
-                        G, l, "root-of-unity multiplicity fails lift bound")
-                poly[k * step] = m
-            if sum(poly) != d:
+            vals = tuple([modvals[c] for c in pw])
+            known = lifted.get(vals)
+            if known is None:
+                poly = [0] * e
+                for k, wk in enumerate(wave):
+                    m = sum(map(operator.mul, vals, wk)) * o_inv % l
+                    if m > max_degree:
+                        raise _table_error(
+                            G, l, "root-of-unity multiplicity fails lift "
+                                  "bound")
+                    poly[k * step] = m
+                known = lifted[vals] = sum(poly), CycNum._from_poly(poly, e)
+            if known[0] != d:
                 raise _table_error(
                     G, l, "lifted degree disagrees with modular degree")
-            key = tuple(poly)
-            if key not in lifted:
-                lifted[key] = CycNum._from_poly(poly, e)
-            column.append(lifted[key])
+            column.append(known[1])
         return column
 
     rows = list(zip(*map(lift, range(r))))
@@ -642,12 +700,10 @@ def character_table(G, cap=DEFAULT_GROUP_CAP):
     values = tuple(rows[t] for t in order_rows)
 
     _verify_orthogonality(G, data, values, l)
-    if any(G.order % d for d in degrees):
-        raise _table_error(G, l, "some degree does not divide the group order")
 
     if len(_TABLE_CACHE) >= _TABLE_CACHE_BOUND:
         del _TABLE_CACHE[next(iter(_TABLE_CACHE))]
-    places = tuple(tuple(G.index[y] for y in orb) for orb in data.classes)
+    places = tuple(tuple(G.at[y.img] for y in orb) for orb in data.classes)
     _TABLE_CACHE[cache_key] = places, e, l, degrees, values
     G._table = CharacterTable(G, e, l, degrees, values)
     return G._table
@@ -659,9 +715,18 @@ def _verify_orthogonality(G, data, values, l):
     also gives column orthogonality: X is invertible and X̄ᵀ·X = |G|·D⁻¹,
     so columns are not rechecked.
 
-    As in :func:`inner`, each pair is summed on integer coefficient
-    lists modulo x^e - 1, which is exact as ζ_e has order e, and reduced
-    modulo Φ_e once."""
+    Each value's φ coefficients c_i are packed into the integer
+    Σ c_i·B^i, B = 2^bits (Kronecker substitution).  A pair's sum over
+    the classes of |C|·χ_t1·conj(χ_t2) is then one sum of integer
+    products, S(B) for S that sum as a polynomial in ζ_e of degree below
+    2φ - 1, and the pair passes when Φ_e(B) divides S(B) - want.  That
+    is exact.  S - want = Q·Φ_e + R, R its reduction, of degree below φ;
+    each of the φ - 1 reduction steps multiplies the largest coefficient
+    by at most 1 + h, h the sum of |Φ_e|'s coefficients, so R's stay
+    within |G|·(ν² + 1)·(1 + h)^(φ-1), ν the largest sum of absolute
+    coefficients of a value or its conjugate.  B is at least four times
+    that, and at least 4h, so a nonzero R has 0 < |R(B)| < B^φ/2 <
+    Φ_e(B), and Φ_e(B) divides R(B) only when R = 0."""
     e = values[0][0].d
     phi = len(values[0][0].coeffs)
     conj = {}       # the conjugate of each distinct value
@@ -669,29 +734,25 @@ def _verify_orthogonality(G, data, values, l):
         for v in row:
             if v.coeffs not in conj:
                 conj[v.coeffs] = v.conjugate().coeffs
+    nu = max(sum(map(abs, c)) for pair in conj.items() for c in pair)
+    cyclotomic = _cyclotomic(e)
+    h = sum(map(abs, cyclotomic))
+    bits = (4 * G.order * (nu * nu + 1) * (1 + h) ** (phi - 1)).bit_length()
+    packed = {}
 
-    def by_power(rows):
-        """Each row as (i, the i-th coefficients along the row), for
-        the i where some coefficient is nonzero."""
-        out = []
-        for row in rows:
-            parts = ((i, [c[i] for c in row]) for i in range(phi))
-            out.append([(i, part) for i, part in parts if any(part)])
-        return out
+    def pack(coeffs):
+        if coeffs not in packed:
+            packed[coeffs] = sum(c << bits * i for i, c in enumerate(coeffs))
+        return packed[coeffs]
 
-    weighted = by_power([[size * x for x in v.coeffs]
-                         for v, size in zip(row, data.sizes)]
-                        for row in values)
-    conj_rows = by_power([conj[v.coeffs] for v in row] for row in values)
+    modulus = pack(cyclotomic)      # Φ_e(B)
+    weighted = [[size * pack(v.coeffs) for v, size in zip(row, data.sizes)]
+                for row in values]
+    conj_rows = [[pack(conj[v.coeffs]) for v in row] for row in values]
     for t1, row in enumerate(weighted):
         for t2 in range(t1, len(values)):
-            acc = [0] * e
-            for i, a in row:
-                for k, b in conj_rows[t2]:
-                    acc[(i + k) % e] += sum(map(operator.mul, a, b))
-            if any(acc[1:]):    # a constant is already reduced
-                acc = CycNum._from_poly(acc, e).coeffs
-            if acc[0] != (G.order if t1 == t2 else 0) or any(acc[1:]):
+            want = G.order if t1 == t2 else 0
+            if (sum(map(operator.mul, row, conj_rows[t2])) - want) % modulus:
                 raise _table_error(G, l, "row orthogonality fails")
 
 
@@ -705,9 +766,9 @@ def restrict(chi, H):
     gdata = G.conjugacy_classes()
     hdata = H.conjugacy_classes()
     for rep in hdata.reps:
-        if rep not in G.index:
+        if rep.img not in G.at:
             raise ValueError("H is not a subgroup of the domain of chi")
-    return ClassFunction(H, tuple(chi.values[gdata.class_of[rep]]
+    return ClassFunction(H, tuple(chi.values[gdata.class_at[rep.img]]
                                   for rep in hdata.reps))
 
 
@@ -748,11 +809,14 @@ def inner(phi, psi):
 
 def class_permutation(k, N):
     """The permutation of the classes of ``N`` (which k normalizes)
-    induced by conjugation: j -> class of k rep_j k^{-1}."""
+    induced by conjugation: j -> class of k rep_j k^{-1}, the conjugate
+    rep_j^(k⁻¹) read off rep_j's signed table."""
+    if len(k.img) != len(N.identity.img):
+        raise ValueError(f"rank mismatch: {len(k.img)} vs "
+                         f"{len(N.identity.img)}")
     data = N.conjugacy_classes()
-    ki = k.inv()
-    # k·(rep·k⁻¹) looks points up in k and in rep, whose tables persist.
-    return tuple(data.class_of[k * (rep * ki)] for rep in data.reps)
+    by = _conjugator(k.inv().img)
+    return tuple(data.class_at[by(rep.table())] for rep in data.reps)
 
 
 def is_invariant(cf, perm):
@@ -803,12 +867,12 @@ def inertia_and_extendibility(H, N, theta, cap=DEFAULT_GROUP_CAP):
     if theta.group.elements != N.elements:
         raise ValueError("theta must be a class function on N")
     for x in N.elements:
-        if x not in H.index:
+        if x.img not in H.at:
             raise ValueError("N is not a subgroup of H")
     for g in H.generators:
-        gi = g.inv()
+        by = _conjugator(g.inv().img)
         for x in N.generators:
-            if g * x * gi not in N.index:
+            if by(x.table()) not in N.at:
                 raise ValueError("N is not normal in H")
 
     perms, stabilisers = _class_permutations(H, N)

@@ -48,14 +48,13 @@ import os
 import random
 import sys
 from json.encoder import encode_basestring_ascii
-from math import factorial
 
 import click
 
 from .arith import InputTooLarge
 from .chartab import DEFAULT_GROUP_CAP, FiniteGroup, character_table
-from .cliff import (cuspidal_gate, enumerate_char_labels, inertia_order,
-                    kinva_check)
+from .cliff import (_kinva_key, cuspidal_gate, enumerate_char_labels,
+                    inertia_order, kinva_check)
 from .cyclo import check_eq1
 from .extweyl import (IntMatrix, build_twist_elements, chevalley_generator,
                       matrix_closure, rho_image)
@@ -69,7 +68,7 @@ from .signedperm import (DEFAULT_CLOSURE_CAP, ClosureExceedsCap, SignedPerm,
                          block_wreath_normalizer_generators, brute_centralizer,
                          brute_normalizer, centralizer_type, check_order,
                          check_signed_group, group_closure, set_partitions,
-                         signed_symmetric_group)
+                         signed_symmetric_group, wreath_order)
 from .torus import (TwistedOrbit, central_stabilizer_jump, conj_center_action,
                     lang_logs, lang_map, theta, z_plus)
 
@@ -581,7 +580,7 @@ def _suite_extweyl(grids, cap):
                              for g in _extended_weyl_group(n, l, cap)]
             Vl = closed[l]
             checked += 1
-            if l and len(Vl) != 4 ** l * factorial(l):
+            if l and len(Vl) != wreath_order([(4, l)]):
                 fail("extended_weyl_order", n=n, d=d, l=l)
             # Monomial matrices commute exactly when the signed
             # permutations they are held as do.
@@ -876,10 +875,12 @@ def kinva(n, d, sample_size, seed, wmax, full, cap, fmt):
     cap = cap or DEFAULT_GROUP_CAP
     check_signed_group(n, cap)
     # The candidates are checked as they are enumerated; only --random
-    # holds them all, and only --full the reports.
-    candidates = (clabel for lev in enumerate_labels(n, d)
-                  for clabel in enumerate_char_labels(lev)
-                  if cuspidal_gate(clabel) and inertia_order(clabel) <= wmax)
+    # holds them all, and only --full the reports.  Each one's memo key
+    # is read once, for --wmax, and handed on to kinva_check.
+    keyed = ((clabel, _kinva_key(clabel)) for lev in enumerate_labels(n, d)
+             for clabel in enumerate_char_labels(lev) if cuspidal_gate(clabel))
+    candidates = ((clabel, key) for clabel, key in keyed
+                  if inertia_order(key) <= wmax)
     examined = None
     if sample_size is not None:
         candidates = list(candidates)
@@ -887,8 +888,8 @@ def kinva(n, d, sample_size, seed, wmax, full, cap, fmt):
         candidates = random.Random(seed).sample(
             candidates, min(sample_size, examined))
     checked, failures, reports = 0, [], []
-    for clabel in candidates:
-        report = kinva_check(clabel, cap=cap)
+    for clabel, key in candidates:
+        report = kinva_check(clabel, cap=cap, key=key)
         checked += 1
         if not report["pass"]:
             failures.append(report["label"])

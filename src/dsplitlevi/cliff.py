@@ -25,14 +25,15 @@ From a label the module produces concrete signed-permutation groups:
 import itertools
 from collections import namedtuple
 from math import factorial
+from operator import mul
 
 from .chartab import (DEFAULT_GROUP_CAP, FiniteGroup, _root_of_unity,
                       character_table, class_permutation, inner,
                       is_invariant, restrict)
 from .levi import tau_Q, wprime_Q
 from .signedperm import (ClosureExceedsCap, SignedPerm, VerificationError,
-                         closure, group_closure, set_partitions,
-                         wreath_order)
+                         _closure_images, _conjugator, closure, group_closure,
+                         set_partitions, wreath_order)
 
 
 def _sylow2(m):
@@ -389,12 +390,11 @@ def _kinva_key(label):
     return (two_d0, tuple(struct))
 
 
-def inertia_order(label):
-    """|W_lambda| = ∏ c^m·m! over the label's descriptor classes of
-    stabilizer order c on m orbits, read off its :func:`_kinva_key`:
+def inertia_order(key):
+    """|W_lambda| = ∏ c^m·m! over the descriptor classes of stabilizer
+    order c on m orbits of a label whose :func:`_kinva_key` is ``key``:
     the order of :func:`stab_lambda` without its generators."""
-    return wreath_order((c, m) for _, cell in _kinva_key(label)[1]
-                         for m, c, _ in cell)
+    return wreath_order((c, m) for _, cell in key[1] for m, c, _ in cell)
 
 
 def _synthesize_parts(key):
@@ -444,8 +444,10 @@ _KINVA_MEMO_BOUND = 2048
 _KINVA_MEMO = {}
 
 
-def kinva_check(label, cap=DEFAULT_GROUP_CAP):
-    """Brute-force invariance report for a label.
+def kinva_check(label, cap=DEFAULT_GROUP_CAP, key=None):
+    """Brute-force invariance report for a label.  A caller that has
+    read the label's :func:`_kinva_key` already hands it on as ``key``;
+    it must be that key, as the report is memoized on it.
 
     Realizes ker(nu) inside W_lambda as concrete permutation groups and
     the normalizer closure K by its generators and order (see
@@ -465,7 +467,8 @@ def kinva_check(label, cap=DEFAULT_GROUP_CAP):
     keys.  A memoized report keeps the largest order its groups
     reached, so a cap below it raises as the computation itself would.
     """
-    key = _kinva_key(label)
+    if key is None:
+        key = _kinva_key(label)
     memo = _KINVA_MEMO.get(key)
     if memo is None:
         memo = _kinva_compute(key, cap)
@@ -527,11 +530,11 @@ def _kinva_groups(gens, cap, key):
     W = FiniteGroup.generate(w_gens or [identity], cap=cap)
     ker = (W if ker_gens is None
            else FiniteGroup.generate(ker_gens, cap=cap))
-    k_count = len(closure(k_gens, identity, cap))
+    k_count = len(_closure_images(k_gens, identity, cap))
     for k in k_gens:
-        ki = k.inv()
+        by = _conjugator(k.img)
         for G, name in ((W, "W_lambda"), (ker, "ker(nu)")):
-            if any(ki * g * k not in G.index for g in G.generators):
+            if any(by(g.table()) not in G.at for g in G.generators):
                 raise VerificationError(f"K does not normalize {name} in {key}")
     return W, ker, k_count
 
@@ -565,12 +568,21 @@ def _kinva_search(W, ker, k_gens, cap):
 
     # <xi0, Res chi> = sum over ker's classes of |C| xi0 conj(chi) / |ker|;
     # conj(chi) reduces along z^-1, which also has order E.
+    # Each distinct value is reduced once along each root.
     zbar = pow(z, l - 2, l)
-    fused = [wdata.class_of[rep] for rep in kdata.reps]
-    chi_bars = [[_residue(row[j], zbar, E, l) for j in fused]
+    residues = {}
+
+    def residue(value, root):
+        key = value.d, value.coeffs, root
+        if key not in residues:
+            residues[key] = _residue(value, root, E, l)
+        return residues[key]
+
+    fused = [wdata.class_at[rep.img] for rep in kdata.reps]
+    chi_bars = [[residue(row[j], zbar) for j in fused]
                 for row in w_table.values]
     scale = pow(ker.order, l - 2, l)
-    xi_rows = [[_residue(v, z, E, l) * size * scale % l
+    xi_rows = [[residue(v, z) * size * scale % l
                 for v, size in zip(row, kdata.sizes)]
                for row in ker_table.values]
     index = W.order // ker.order
@@ -590,8 +602,7 @@ def _kinva_search(W, ker, k_gens, cap):
     stabilizers, xi_ids = [], []
     for xi0, row, degree in zip(ker_table.characters, xi_rows,
                                 ker_table.degrees):
-        mults = [sum(a * b for a, b in zip(row, bar)) % l
-                 for bar in chi_bars]
+        mults = [sum(map(mul, row, bar)) % l for bar in chi_bars]
         if (any(m > d for m, d in zip(mults, w_table.degrees))
                 or sum(m * d for m, d in zip(mults, w_table.degrees))
                 != index * degree):

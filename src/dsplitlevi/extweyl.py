@@ -87,6 +87,15 @@ class IntMatrix:
             raise ValueError("not a signed monomial matrix")
         return self._perm
 
+    @property
+    def img(self):
+        """The images of its :meth:`signed_perm`."""
+        return self.signed_perm().img
+
+    def table(self):
+        """The signed table of its :meth:`signed_perm`."""
+        return self.signed_perm().table()
+
     def inv(self):
         """Inverse, available exactly for signed monomial matrices."""
         return IntMatrix._of_perm(self.signed_perm().inv())

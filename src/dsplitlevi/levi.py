@@ -79,6 +79,8 @@ from .signedperm import (
     DEFAULT_CLOSURE_CAP,
     SignedPerm,
     VerificationError,
+    _composer,
+    _conjugator,
     check_index_set,
     check_signed_group,
     grid_set,
@@ -636,24 +638,22 @@ def verify_relative_weyl(label):
     stab, WL = _parabolic_groups(
         n, concrete_parabolic_roots(n, label.I_minus1, label.I))
 
-    # The walk runs on image tuples: g * h is g's signed table looked up
-    # along h's images, and coset maps each element to its coset's first
-    # element met in stab.
-    wl = [h.img for h in WL]
+    # The walk runs on image tuples: g * h is g's signed table read by
+    # h's composer, built once per h ∈ W_L, and coset maps each element
+    # to its coset's first element met in stab.
+    steps = [_composer(h.img) for h in WL]
     coset = {}
     reps = []
     for g in stab:
         if g.img in coset:
             continue
         reps.append(g)
-        t = g.table().__getitem__
-        for h in wl:
-            coset[tuple(map(t, h))] = g.img
+        t = g.table()
+        for step in steps:
+            coset[step(t)] = g.img
     w = label.w
-    wi, wimg = w.inv().table().__getitem__, w.img
-    fixed = {r.img for r in reps
-             if coset[tuple(map(wi, map(r.table().__getitem__, wimg)))]
-             == r.img}
+    by_w = _conjugator(w.img)
+    fixed = {r.img for r in reps if coset[by_w(r.table())] == r.img}
 
     rw = relative_weyl(label)
     if len(fixed) != rw.order:

@@ -21,23 +21,31 @@ Besides the group operations the module provides
   package, with its cap exception :class:`ClosureExceedsCap`; it takes
   signed permutations only (the monomial matrices of ``extweyl`` and
   the class actions of ``cliff`` close as signed permutations), closes
-  them on bare image tuples, each element's signed table built once,
+  them on bare image tuples (:func:`_closure_images`, which ``cliff``
+  counts for the order of K), each element's signed table built once,
   and wraps them as SignedPerms only at the end; :func:`check_order`
   raises it before any enumeration, from a group's order, and
   :func:`check_signed_group` for the signed group of a rank;
 * brute-force normalizer / centralizer routines used to verify the
   structural formulas on small ranks, which also compose image tuples
-  through :meth:`SignedPerm.table`, and the generator sets for
-  products of block wreath subgroups and their predicted normalizers.
+  through :func:`_composer` and :func:`_conjugator`, and the generator
+  sets for products of block wreath subgroups and their predicted
+  normalizers.
 
 Every input path validates: ``SignedPerm(...)``, :meth:`from_cycles`,
 :func:`wprime`, :func:`tau` and :func:`iota` reject anything that is not
 a signed permutation.  Products, inverses, powers, the bar projection
 and the closure of validated operands are signed permutations by
 construction, so they build their results with the unchecked
-:func:`_trusted` and compose by lookup in the left factor's signed
-image table.  Nothing else may call :func:`_trusted`: the invariant is
-that only group operations on already-validated operands reach it.
+:func:`_trusted`.  Nothing else may call :func:`_trusted`: the
+invariant is that only group operations on already-validated operands
+reach it.
+
+Every product is one composition kernel: a∘b is a's signed image table
+read along b's images by ``_composer(b.img)``, an ``itemgetter`` built
+once per right factor b and applied to many left tables; conjugation
+x^k is ``_conjugator(k.img)`` on x's table, two such reads with no
+intermediate SignedPerm.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ import re
 from collections import namedtuple
 from functools import lru_cache
 from math import factorial
-from operator import eq, neg
+from operator import itemgetter, neg
 
 
 DEFAULT_CLOSURE_CAP = 20000
@@ -134,17 +142,10 @@ class SignedPerm:
             return NotImplemented
         if len(self.img) != len(other.img):
             raise ValueError(f"rank mismatch: {self.n} vs {other.n}")
-        t = self._t or self.table()
-        return _trusted(tuple(map(t.__getitem__, other.img)))
+        return _trusted(_composer(other.img)(self._t or self.table()))
 
     def inv(self):
-        img = [0] * self.n
-        for i, v in enumerate(self.img, start=1):
-            if v > 0:
-                img[v - 1] = i
-            else:
-                img[-v - 1] = -i
-        return _trusted(tuple(img))
+        return _trusted(_inverse(self.img))
 
     def __pow__(self, k):
         if k < 0:
@@ -160,7 +161,9 @@ class SignedPerm:
 
     def conj(self, g):
         """self^g = g⁻¹∘self∘g."""
-        return g.inv() * self * g
+        if len(self.img) != len(g.img):
+            raise ValueError(f"rank mismatch: {self.n} vs {g.n}")
+        return _trusted(_conjugator(g.img)(self.table()))
 
     def order(self):
         k, p = 1, self
@@ -248,7 +251,40 @@ class SignedPerm:
 
 
 def _signed_table(img):
-    return (0,) + img + tuple(map(neg, reversed(img)))
+    return (0, *img, *map(neg, reversed(img)))
+
+
+def _inverse(img):
+    """The images of the inverse of the signed permutation ``img``."""
+    out = [0] * len(img)
+    for i, v in enumerate(img, start=1):
+        if v > 0:
+            out[v - 1] = i
+        else:
+            out[-v - 1] = -i
+    return tuple(out)
+
+
+def _composer(img):
+    """The composition kernel: for a fixed right factor b with images
+    ``img``, the map from a left factor a's signed table to the images
+    of a∘b, (t[b(1)], ..., t[b(n)]).  Build it once per right factor and
+    apply it to many left tables.  A one-item ``itemgetter`` returns the
+    item itself, not a tuple, so rank 1 has its own one-tuple map."""
+    if len(img) == 1:
+        (b,) = img
+        return lambda t: (t[b],)
+    return itemgetter(*img)
+
+
+def _conjugator(img):
+    """For a fixed k with images ``img``, the map from x's signed table
+    to the images of x^k = k⁻¹∘x∘k: x∘k read off x's table by
+    ``_composer(img)``, then k⁻¹'s table read along it.  No intermediate
+    SignedPerm is formed, and nothing is validated: the callers check
+    that x and k have one rank."""
+    right, left = _composer(img), _signed_table(_inverse(img))
+    return lambda t: _composer(right(t))(left)
 
 
 def _trusted(img):
@@ -414,25 +450,34 @@ def closure(gens, identity, cap):
     new products x * g.  Raises ClosureExceedsCap when an element past
     ``cap`` appears.
 
-    The loop runs on image tuples: x * g is x's signed table looked up
-    along g's images, the tuple ``__mul__`` builds, and the elements
-    are wrapped as SignedPerms once, at the end."""
+    The loop runs on image tuples (:func:`_closure_images`), and the
+    elements are wrapped as SignedPerms once, at the end."""
+    return [identity] + [_trusted(y) for y in
+                         _closure_images(gens, identity, cap)[1:]]
+
+
+def _closure_images(gens, identity, cap):
+    """The image tuples of :func:`closure`'s elements, in its order: x * g
+    is x's signed table read by g's :func:`_composer`, built once per
+    generator.  A caller that needs only the order counts them."""
     n = len(identity.img)
     imgs = [g.img for g in gens]
     if any(len(g) != n for g in imgs):
         raise ValueError("generators and identity have mixed ranks")
+    steps = [_composer(g) for g in imgs]
     elems = [identity.img]
     seen = {identity.img}
+    add, append = seen.add, elems.append
     for x in elems:
-        t = _signed_table(x).__getitem__
-        for g in imgs:
-            y = tuple(map(t, g))
+        t = _signed_table(x)
+        for step in steps:
+            y = step(t)
             if y not in seen:
                 if len(elems) >= cap:
                     raise ClosureExceedsCap(f"closure exceeds cap {cap}")
-                seen.add(y)
-                elems.append(y)
-    return [identity] + [_trusted(y) for y in elems[1:]]
+                add(y)
+                append(y)
+    return elems
 
 
 def group_closure(gens, cap=DEFAULT_CLOSURE_CAP):
@@ -469,15 +514,16 @@ def signed_symmetric_group(n):
     ranks are kept; the default cap admits n <= 5."""
     gens = [iota((1,), n)]
     gens += [tau((i,), (i + 1,), n) for i in range(1, n)]
-    return tuple(group_closure(gens, cap=2 ** n * factorial(n)))
+    return tuple(group_closure(gens, cap=wreath_order([(2, n)])))
 
 
 def brute_normalizer(H, G):
     """{g ∈ G : H^g = H} by exhaustive check; H must be a subgroup of G.
 
     Every a * b for a, b ∈ H and every g⁻¹ * h * g for g ∈ G, h ∈ H is
-    formed on image tuples, by lookup in the left factor's signed
-    table, and looked up among H's images."""
+    formed on image tuples, from H's signed tables by b's
+    :func:`_composer` and g's :func:`_conjugator`, and looked up among
+    H's images."""
     H, G = list(H), list(G)
     hset, gset = set(H), set(G)
     if not hset <= gset:
@@ -490,32 +536,31 @@ def brute_normalizer(H, G):
         if len(b) != n:
             raise ValueError(f"rank mismatch: {n} vs {len(b)}")
     himgs = set(imgs)
-    tables = [h.table().__getitem__ for h in H]
-    for t in tables:
-        for b in imgs:
-            if tuple(map(t, b)) not in himgs:
-                raise ValueError("H is not closed under composition")
+    tables = [h.table() for h in H]
+    inside = himgs.__contains__
+    for b in imgs:
+        if not all(map(inside, map(_composer(b), tables))):
+            raise ValueError("H is not closed under composition")
     out = []
     for g in G:
-        gimg = g.img
-        if len(gimg) != n:
-            raise ValueError(f"rank mismatch: {len(gimg)} vs {n}")
-        gi = g.inv().table().__getitem__
-        if all(tuple(map(gi, map(t, gimg))) in himgs for t in tables):
+        if len(g.img) != n:
+            raise ValueError(f"rank mismatch: {len(g.img)} vs {n}")
+        if all(map(inside, map(_conjugator(g.img), tables))):
             out.append(g)
     return out
 
 
 def brute_centralizer(x, G):
-    """{g ∈ G : gx = xg} by exhaustive check, point by point: g(x(i))
-    against x(g(i)), each looked up in the left factor's signed table."""
-    ximg, tx = x.img, x.table().__getitem__
+    """{g ∈ G : gx = xg} by exhaustive check: g∘x, g's signed table
+    read by x's :func:`_composer`, against x∘g, x's read by g's."""
+    ximg, tx = x.img, x.table()
+    by_x = _composer(ximg)
     out = []
     for g in G:
         gimg = g.img
         if len(gimg) != len(ximg):
             raise ValueError(f"rank mismatch: {len(gimg)} vs {len(ximg)}")
-        if all(map(eq, map(g.table().__getitem__, ximg), map(tx, gimg))):
+        if by_x(g.table()) == _composer(gimg)(tx):
             out.append(g)
     return out
 

@@ -86,7 +86,7 @@ MUTANTS = [
            "if False:",
            [CHARTAB + "test_non_root_of_unity_fails_lift_bound"]),
     Mutant("lifted_degree_dropped", "chartab.py",
-           "if sum(poly) != d:",
+           "if known[0] != d:",
            "if False:",
            [CHARTAB + "test_trivial_root_fails_lifted_degree"]),
     Mutant("orthogonality_diagonal_only", "chartab.py",
@@ -94,6 +94,55 @@ MUTANTS = [
            "for t2 in range(t1, t1 + 1):",
            [CHARTAB + "test_entry_times_root_of_unity_rejected[s4]",
             CHARTAB + "test_entry_times_root_of_unity_rejected[q8]"]),
+    # The degree checks of character_table, each fed crafted eigenvector
+    # lines that only it refuses.
+    Mutant("line_count_check_dropped", "chartab.py",
+           "if len(omegas) != r:",
+           "if False:",
+           [CHARTAB + "test_missing_eigenvector_line"]),
+    Mutant("degree_match_check_dropped", "chartab.py",
+           "if d is None:",
+           "if False:",
+           [CHARTAB + "test_line_with_no_degree"]),
+    Mutant("degree_squares_check_dropped", "chartab.py",
+           "if sum(d * d for d in degrees) != G.order:",
+           "if False:",
+           [CHARTAB + "test_degree_squares_short_of_the_order"]),
+    Mutant("degree_divisibility_check_dropped", "chartab.py",
+           "if any(G.order % d for d in degrees):",
+           "if False:",
+           [CHARTAB + "test_degree_not_dividing_the_order"]),
+    # The cheaper table steps: the packed orthogonality sums need their
+    # digit bound, the sparse class-matrix columns their counts, and a
+    # coordinate vector is skipped only when it lies in the span found.
+    Mutant("orthogonality_digit_bound_dropped", "chartab.py",
+           "bits = (4 * G.order * (nu * nu + 1) * (1 + h) ** (phi - 1))"
+           ".bit_length()",
+           "bits = 1",
+           [CHARTAB + "test_entry_off_by_phi_at_two_rejected[s4]",
+            CHARTAB + "test_entry_off_by_phi_at_two_rejected[q8]"]),
+    Mutant("sparse_column_counts_dropped", "chartab.py",
+           "out[i] += c * v",
+           "out[i] += c",
+           [CHARTAB + "test_s4_degrees",
+            CLI + "TestChartab::test_tables_match_golden_digests[c4wrs3]"]),
+    Mutant("span_skip_inverted", "chartab.py",
+           "if i in span_pivots and span[span_pivots.index(i)] == unit:",
+           "if not (i in span_pivots and span[span_pivots.index(i)] == unit):",
+           [CHARTAB + "test_s3_frozen",
+            CLI + "TestChartab::test_tables_match_golden_digests[c4wrs3]"]),
+    Mutant("class_permutation_by_k", "chartab.py",
+           "by = _conjugator(k.inv().img)",
+           "by = _conjugator(k.img)",
+           ["tests/test_chartab.py::"
+            "test_class_permutation_conjugates_by_k_not_its_inverse"]),
+    Mutant("class_permutation_rank_check_dropped", "chartab.py",
+           "if len(k.img) != len(N.identity.img):",
+           "if False:",
+           ["tests/test_chartab.py::"
+            "test_class_permutation_rejects_mixed_ranks[lower]",
+            "tests/test_chartab.py::"
+            "test_class_permutation_rejects_mixed_ranks[higher]"]),
     # The structure key of the table cache (chartab._table_key) holds
     # each generator's action, and is refused unless the elements are
     # closed under the generators and the generators generate them; a
@@ -110,8 +159,8 @@ MUTANTS = [
            "if False:",
            [KEY + "test_generators_must_generate_the_group"]),
     Mutant("table_closure_check_dropped", "chartab.py",
-           "index[x * g] for x in G.elements",
-           "index.get(x * g, 0) for x in G.elements",
+           "at[step(t)] for t in tables",
+           "at.get(step(t), 0) for t in tables",
            [KEY + "test_elements_must_be_closed_under_the_generators"]),
     Mutant("table_classes_misplaced", "chartab.py",
            "for orb in places])",
@@ -187,7 +236,7 @@ MUTANTS = [
            "if False:",
            [CLIFF + "TestResidue::test_rational_coefficient_raises"]),
     Mutant("k_normalize_check_dropped", "cliff.py",
-           "if any(ki * g * k not in G.index for g in G.generators):",
+           "if any(by(g.table()) not in G.at for g in G.generators):",
            "if False:",
            [CLIFF + "TestKinvaGroups::"
                     "test_non_normalizing_k_generator_raises"]),
@@ -321,13 +370,13 @@ MUTANTS = [
     # the root action's masks of where each signed point is sent (g(-p)
     # is -g(p)), and the relative Weyl check's comparison of cosets.
     Mutant("normalizer_closure_check_dropped", "signedperm.py",
-           "if tuple(map(t, b)) not in himgs:",
+           "if not all(map(inside, map(_composer(b), tables))):",
            "if False:",
            [SIGNEDPERM + "TestImageTupleOracles::"
                          "test_non_closed_set_rejected"]),
     Mutant("normalizer_one_sided_conjugation", "signedperm.py",
-           "tuple(map(gi, map(t, gimg))) in himgs",
-           "tuple(map(t, gimg)) in himgs",
+           "map(_conjugator(g.img), tables)",
+           "map(_composer(g.img), tables)",
            [SIGNEDPERM + "TestImageTupleOracles::"
                          "test_normalizer_matches_products[2]",
             SIGNEDPERM + "TestBruteNormalizer::test_single_flip_subgroup",
@@ -336,9 +385,29 @@ MUTANTS = [
             CLI + "TestVerify::test_reports_match_golden_digests"
                   "[normalizers-n2-json]",
             ACCEPT + "test_02_block_wreath_normalizers"]),
+    # The composition kernel: a one-item itemgetter returns the item,
+    # not a tuple, and conjugation reads k⁻¹'s table, not k's.
+    Mutant("conj_rank_check_dropped", "signedperm.py",
+           "if len(self.img) != len(g.img):",
+           "if False:",
+           [SIGNEDPERM + "TestKernel::test_mixed_ranks_rejected"]),
+    Mutant("composer_rank_one_scalar", "signedperm.py",
+           "return lambda t: (t[b],)",
+           "return lambda t: t[b]",
+           [SIGNEDPERM + "TestClosure::test_single_involution",
+            SIGNEDPERM + "TestCompositionKernel::"
+                         "test_products_and_conjugates_match_lookups[1]"]),
+    Mutant("conjugator_without_inverse", "signedperm.py",
+           "right, left = _composer(img), _signed_table(_inverse(img))",
+           "right, left = _composer(img), _signed_table(img)",
+           [SIGNEDPERM + "TestCompositionKernel::"
+                         "test_products_and_conjugates_match_lookups[3]",
+            SIGNEDPERM + "TestCompositionKernel::"
+                         "test_normalizer_and_centralizer_match_lookups[2]",
+            CHARTAB + "test_s4_degrees"]),
     Mutant("centralizer_one_sided_product", "signedperm.py",
-           "map(g.table().__getitem__, ximg), map(tx, gimg)",
-           "map(tx, gimg), map(tx, gimg)",
+           "by_x(g.table()) == _composer(gimg)(tx)",
+           "_composer(gimg)(tx) == _composer(gimg)(tx)",
            [SIGNEDPERM + "TestImageTupleOracles::"
                          "test_centralizer_matches_products[2]",
             CLI + "TestVerify::test_reports_match_golden_digests"
@@ -510,10 +579,10 @@ GUARDS = {
     "chartab.py:_split_eigenvectors:4": "identity_coordinate_check_dropped",
     "chartab.py:_table_key:1": "table_closure_check_dropped",
     "chartab.py:_table_key:2": "table_generation_check_dropped",
-    "chartab.py:character_table:1": UNCOVERED,
-    "chartab.py:character_table:2": UNCOVERED,
-    "chartab.py:character_table:3": UNCOVERED,
-    "chartab.py:character_table:4": UNCOVERED,
+    "chartab.py:character_table:1": "line_count_check_dropped",
+    "chartab.py:character_table:2": "degree_match_check_dropped",
+    "chartab.py:character_table:3": "degree_squares_check_dropped",
+    "chartab.py:character_table:4": "degree_divisibility_check_dropped",
     "chartab.py:character_table.lift:1": "lift_bound_dropped",
     "chartab.py:character_table.lift:2": "lifted_degree_dropped",
     "chartab.py:_verify_orthogonality:1": "orthogonality_diagonal_only",

@@ -39,7 +39,7 @@ from dsplitlevi.cliff import (
     enumerate_char_labels,
     kinva_check,
 )
-from dsplitlevi.cyclo import CycNum, zeta
+from dsplitlevi.cyclo import CycNum, _cyclotomic, zeta
 from dsplitlevi.extweyl import build_VdI, chevalley_generator, matrix_closure
 from dsplitlevi.levi import LeviLabel, enumerate_labels
 from dsplitlevi.signedperm import (
@@ -110,6 +110,13 @@ class TestFiniteGroup:
         with pytest.raises(ClosureExceedsCap):
             FiniteGroup.generate([sp("(1,2)", 4), sp("(1,2,3,4)", 4)], cap=10)
 
+    def test_class_search_refuses_a_list_open_under_its_generators(self):
+        # (1,2,3) conjugates (1,2) to a transposition the list lacks.
+        G = FiniteGroup([SignedPerm.identity(3), sp("(1,2)", 3)],
+                        generators=[sp("(1,2,3)", 3)])
+        with pytest.raises(ValueError, match="not closed under conjugation"):
+            G.conjugacy_classes()
+
     def test_exponent(self):
         assert s3().exponent() == 6
         assert s4().exponent() == 12
@@ -127,7 +134,7 @@ class TestFiniteGroup:
         assert sum(data.sizes) == 24
         assert data.reps[0] == SignedPerm.identity(4)
         for rep, elems in zip(data.reps, data.classes):
-            first = min(G.index[x] for x in elems)
+            first = min(G.at[x.img] for x in elems)
             assert G.elements[first] == rep
 
 
@@ -307,6 +314,23 @@ class TestCharacterTable:
                 assert str(err.value) == (f"row orthogonality fails (group "
                                           f"order {G.order}, prime l = {l})")
 
+    @pytest.mark.parametrize("G", [s4(), grp(
+        sp("(1,2,-1,-2)(3,4,-3,-4)", 4), sp("(1,3,-1,-3)(2,-4,-2,4)", 4))],
+        ids=["s4", "q8"])
+    def test_entry_off_by_phi_at_two_rejected(self, G):
+        # Packed in base 2, an entry moved by Φ_e(2) would move every sum
+        # by a multiple of Φ_e(2): only the digit bound keeps it apart.
+        table = character_table(G)
+        data = G.conjugacy_classes()
+        l, e = table.prime, table.exponent
+        shift = sum(c << i for i, c in enumerate(_cyclotomic(e)))
+        for t, row in enumerate(table.values):
+            for j in range(len(row)):
+                bad = [list(r) for r in table.values]
+                bad[t][j] = bad[t][j] + shift
+                with pytest.raises(VerificationError):
+                    _verify_orthogonality(G, data, bad, l)
+
     def test_jordan_block_fails_to_diagonalise(self, monkeypatch):
         # A Jordan block on S3's three classes has one eigenvalue and a
         # one-dimensional eigenspace, so no search fills the space.
@@ -380,6 +404,58 @@ class TestCharacterTable:
             self._table_with_root(s3(), lambda z, l: 1, monkeypatch)
         assert str(err.value) == ("lifted degree disagrees with modular "
                                   "degree (group order 6, prime l = 7)")
+
+    def _degree_checks_with(self, G, degrees, monkeypatch):
+        """The message the table of G raises when its eigenvector lines
+        are crafted ones of the given ``degrees`` (None: the identity
+        coordinate vector, which matches no degree), with |G| and l cut
+        off its end.  A line that is 1 at the identity class and x at
+        one other class j, where every class is its own inverse class,
+        has the orthogonality sum s = 1 + x²/|C_j|, and degree d when s
+        is |G|/d² mod l."""
+        data = G.conjugacy_classes()
+        l = chartab._dixon_prime(G.order, G.exponent())
+        r = len(data.reps)
+        assert all(pw[-1] == j for j, pw in enumerate(G.power_classes()))
+
+        def line(d):
+            out = [1] + [0] * (r - 1)
+            if d is not None:
+                j, x = next(
+                    (j, x) for j in range(1, r) for x in range(l)
+                    if (x * x - (G.order * pow(d * d, l - 2, l) - 1)
+                        * data.sizes[j]) % l == 0)
+                out[j] = x
+            return tuple(out)
+
+        monkeypatch.setattr(chartab, "_TABLE_CACHE", {})
+        monkeypatch.setattr(chartab, "_split_eigenvectors",
+                            lambda G, data, l: list(map(line, degrees)))
+        with pytest.raises(VerificationError) as err:
+            character_table(G)
+        suffix = f" (group order {G.order}, prime l = {l})"
+        assert str(err.value).endswith(suffix)
+        return str(err.value).removesuffix(suffix)
+
+    def test_missing_eigenvector_line(self, monkeypatch):
+        assert self._degree_checks_with(s3(), [1, 1], monkeypatch) == (
+            "wrong number of eigenvector lines")
+
+    def test_line_with_no_degree(self, monkeypatch):
+        # s = 1, so d² would be |S3| = 6 mod 7, which 1 and 2 miss.
+        assert self._degree_checks_with(s3(), [None, 1, 1], monkeypatch) == (
+            "no degree matches the orthogonality sum")
+
+    def test_degree_squares_short_of_the_order(self, monkeypatch):
+        assert self._degree_checks_with(s3(), [1, 1, 1], monkeypatch) == (
+            "degree squares do not sum to the group order")
+
+    def test_degree_not_dividing_the_order(self, monkeypatch):
+        # 25 + 9 + 2·4 + 6·1 = 48 = |C2 wr S3|, but 5 does not divide 48.
+        G = FiniteGroup(signed_symmetric_group(3))
+        degrees = [5, 3, 2, 2, 1, 1, 1, 1, 1, 1]
+        assert self._degree_checks_with(G, degrees, monkeypatch) == (
+            "some degree does not divide the group order")
 
     def test_deterministic(self):
         t1 = character_table(s4())
@@ -588,7 +664,7 @@ def induce(theta, G):
     the reference side of Frobenius reciprocity."""
     H = theta.group
     for x in H.elements:
-        if x not in G.index:
+        if x.img not in G.at:
             raise ValueError("the domain of theta is not a subgroup of G")
     hdata = H.conjugacy_classes()
     value_at = {}
@@ -702,6 +778,25 @@ class TestInduceRestrict:
         theta = character_table(H).characters[0]
         with pytest.raises(ValueError):
             induce(theta, G)
+
+
+def test_class_permutation_conjugates_by_k_not_its_inverse():
+    # c is x -> x + 1 on Z/5 (5 standing for 0) and k is x -> 2x, so
+    # k c k⁻¹ = c² while k⁻¹ c k = c³.
+    c, k = sp("(1,2,3,4,5)", 5), sp("(1,2,4,3)", 5)
+    N = grp(c)
+    data = N.conjugacy_classes()
+    at = data.class_at
+    assert class_permutation(k, N)[at[c.img]] == at[(c * c).img]
+    assert class_permutation(k.inv(), N)[at[c.img]] == at[(c * c * c).img]
+
+
+@pytest.mark.parametrize("k, n", [("(1,2)", 2), ("(1,6)", 6)],
+                         ids=["lower", "higher"])
+def test_class_permutation_rejects_mixed_ranks(k, n):
+    N = grp(sp("(1,2,3,4,5)", 5))
+    with pytest.raises(ValueError, match="rank mismatch"):
+        class_permutation(sp(k, n), N)
 
 
 class TestInertiaExtendibility:

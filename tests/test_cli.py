@@ -1409,8 +1409,9 @@ class TestKinva:
         # labels without the full cover.
         check = cli.kinva_check
 
-        def failing(label, cap):
-            return {**check(label, cap=cap), "pass": label.ltilde_full}
+        def failing(label, cap, key):
+            return {**check(label, cap=cap, key=key),
+                    "pass": label.ltilde_full}
 
         monkeypatch.setattr(cli, "kinva_check", failing)
         args = ("kinva", "--n", "2", "--d", "1")
@@ -1434,9 +1435,9 @@ class TestKinva:
             events.append("levi")
             return enumerate_char_labels(levi)
 
-        def checked(label, cap):
+        def checked(label, cap, key):
             events.append("check")
-            return check(label, cap=cap)
+            return check(label, cap=cap, key=key)
 
         monkeypatch.setattr(cli, "enumerate_char_labels", enumerated)
         monkeypatch.setattr(cli, "kinva_check", checked)

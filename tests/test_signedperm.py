@@ -8,13 +8,15 @@ test.
 """
 
 import itertools
+import random
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dsplitlevi import signedperm
-from dsplitlevi.levi import sylow_twist_w
+from dsplitlevi.cliff import _kinva_inputs, _kinva_key, enumerate_char_labels
+from dsplitlevi.levi import enumerate_labels, sylow_twist_w
 from dsplitlevi.signedperm import (
     ClosureExceedsCap,
     SignedPerm,
@@ -535,6 +537,10 @@ class TestKernel:
     def test_mixed_ranks_rejected(self):
         with pytest.raises(ValueError, match="rank mismatch"):
             wprime((1, 2), 2) * wprime((1, 2), 3)
+        for x, g in ((SignedPerm((1, 2)), SignedPerm.identity(3)),
+                     (SignedPerm.identity(3), SignedPerm((2, 1)))):
+            with pytest.raises(ValueError, match="rank mismatch"):
+                x.conj(g)
         with pytest.raises(ValueError, match="mixed ranks"):
             group_closure([iota((1,), 2), iota((1,), 3)])
 
@@ -573,3 +579,97 @@ class TestKernel:
         for n, d in itertools.product(range(1, 6), range(1, 7)):
             assert sylow_twist_w(n, d) == sylow_twist_w(n, d)
             assert sylow_twist_w(n, d) is sylow_twist_w(n, d)
+
+
+# ---------------------------------------------------------------------------
+# the composition kernel against the table lookups it replaced
+# ---------------------------------------------------------------------------
+
+def lookup_product(a, b):
+    """The images of a∘b for image tuples a and b, as every product was
+    formed before the composition kernel: a's signed table looked up
+    point by point along b's images."""
+    t = (0,) + a + tuple(-v for v in reversed(a))
+    return tuple(map(t.__getitem__, b))
+
+
+def lookup_closure(gens, identity, cap):
+    """The breadth-first closure on image tuples by point-by-point
+    lookup: the oracle of ``closure``, element for element."""
+    imgs = [g.img for g in gens]
+    elems, seen = [identity.img], {identity.img}
+    for x in elems:
+        for g in imgs:
+            y = lookup_product(x, g)
+            if y not in seen:
+                if len(elems) >= cap:
+                    raise ClosureExceedsCap(f"closure exceeds cap {cap}")
+                seen.add(y)
+                elems.append(y)
+    return elems
+
+
+def lookup_normalizer(H, G):
+    """{g ∈ G : g⁻¹hg ∈ H for every h ∈ H} by point-by-point lookup."""
+    himgs = {h.img for h in H}
+    return [g for g in G
+            if all(lookup_product(lookup_product(g.inv().img, h.img), g.img)
+                   in himgs for h in H)]
+
+
+def lookup_centralizer(x, G):
+    """{g ∈ G : g∘x = x∘g} by point-by-point lookup."""
+    return [g for g in G if lookup_product(g.img, x.img)
+            == lookup_product(x.img, g.img)]
+
+
+def random_signed(rng, n):
+    img = list(range(1, n + 1))
+    rng.shuffle(img)
+    return tuple(v if rng.random() < 0.5 else -v for v in img)
+
+
+class TestCompositionKernel:
+    """Products, conjugates, closures and the brute-force oracles on the
+    composition kernel agree with the point-by-point table lookups."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_products_and_conjugates_match_lookups(self, n):
+        rng = random.Random(n)
+        for _ in range(60):
+            a, b = random_signed(rng, n), random_signed(rng, n)
+            x, k = SignedPerm(a), SignedPerm(b)
+            assert (x * k).img == lookup_product(a, b)
+            assert signedperm._composer(b)(x.table()) == lookup_product(a, b)
+            conj = lookup_product(lookup_product(k.inv().img, a), b)
+            assert x.conj(k).img == conj
+            assert signedperm._conjugator(b)(x.table()) == conj
+
+    def test_closures_of_every_kinva_k_group_at_rank_le_4(self):
+        keys = {_kinva_key(label) for n in range(1, 5) for d in range(1, 9)
+                for lev in enumerate_labels(n, d)
+                for label in enumerate_char_labels(lev)}
+        assert len(keys) > 100
+        for key in keys:
+            gens = _kinva_inputs(key)[0][3]
+            if not gens:
+                continue
+            identity = SignedPerm.identity(gens[0].n)
+            got = closure(gens, identity, 20000)
+            assert [x.img for x in got] == lookup_closure(gens, identity,
+                                                          20000)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_closures_of_the_signed_groups(self, n):
+        gens = [iota((1,), n)] + [tau((i,), (i + 1,), n) for i in range(1, n)]
+        identity = SignedPerm.identity(n)
+        assert ([x.img for x in closure(gens, identity, 20000)]
+                == lookup_closure(gens, identity, 20000))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_normalizer_and_centralizer_match_lookups(self, n):
+        G = signed_symmetric_group(n)
+        for H in grid_subgroups(n):
+            assert brute_normalizer(H, G) == lookup_normalizer(H, G)
+        for x in G:
+            assert table_centralizer(x, G) == lookup_centralizer(x, G)
