@@ -9,20 +9,22 @@ full ordinary character table by Dixon's modular method, in three
 steps.
 
 * The class-sum matrices are simultaneously diagonalised over a prime
-  field F_l with l = 1 mod exp(G) and l^2 > 4|G|.  Each space not yet
-  split is read off the Krylov sequences of one coordinate vector v at
-  a time: each root λ of v's minimal polynomial p is an eigenvalue,
-  and (p/(x - λ)) applied to v, a combination of the Krylov vectors,
-  is an eigenvector of λ.  These join λ's basis, through the one
-  elimination routine that also finds p, until the eigenspaces fill
-  the space; a coordinate vector already in their span is skipped.
-  A space that falls short is not diagonalisable, and the table check
-  fails.  Class matrices are held as their columns' nonzero entries.
+  field F_l with l = 1 mod exp(G) and l^2 > 4|G|.  The identity-class
+  coordinate vector, which the class matrices take to every class, is
+  split into its components on their common eigenspaces, one class
+  matrix M at a time: a component u with minimal polynomial p under M,
+  read off its Krylov sequence, splits into (p/(x - λ))(M)·u for the
+  roots λ of p, a combination of the Krylov vectors, until there are
+  as many components as classes: the common eigenvector lines.  A
+  component whose p has too few roots in F_l shows an M that is not
+  diagonalisable, and the table check fails.  Class matrices are held
+  as their columns' nonzero entries.
 * Degrees are recovered from the second orthogonality relation, and
   the values are lifted to exact cyclotomic numbers of conductor
   exp(G) by Fourier inversion over the powers of each class
   representative, on plain integer coefficient lists, once per
-  distinct sequence of residues along those powers.
+  distinct sequence of residues along those powers, its sums taken as
+  one sum of packed integers.
 * Row orthogonality, which implies column orthogonality for a square
   table, is re-verified exactly before a table is returned: each pair
   of rows is one sum of products of values packed as integers, tested
@@ -284,51 +286,17 @@ class ClassFunction:
 # linear algebra over F_l
 # ---------------------------------------------------------------------------
 
-def _reduce(rows, pivots, vec, l, width=None):
-    """Reduce ``vec`` by ``rows``, each 1 at its own pivot and 0 at the
-    other rows' pivots, and return (its pivot, what is left of it).
-    The pivot is its first nonzero entry before ``width``, or None when
-    there is none: then vec lies in their span.  A vector with a pivot
-    joins ``rows`` scaled to 1 there, with that pivot cleared from the
-    other rows, so they keep that form."""
-    # A row is 0 at the other rows' pivots, so subtracting it changes
-    # vec at no other pivot, and the entries are reduced once, at the end.
-    for p, row in zip(pivots, rows):
-        f = vec[p]
-        if f:
-            vec = [a - f * b for a, b in zip(vec, row)]
-    vec = [a % l for a in vec]
-    p = next((k for k, c in enumerate(vec[:width]) if c), None)
-    if p is not None:
-        if vec[p] != 1:
-            inv = pow(vec[p], l - 2, l)
-            vec = [(a * inv) % l for a in vec]
-        for i, row in enumerate(rows):
-            f = row[p]
-            if f:
-                rows[i] = [(a - f * b) % l for a, b in zip(row, vec)]
-        rows.append(vec)
-        pivots.append(p)
-    return p, vec
-
-
-def _combine(coeffs, basis_columns, l):
-    """The combination sum of c·b over a basis mod l, from the basis's
-    entries at each position, ``zip(*basis)``, formed once per basis."""
-    return tuple([sum(map(operator.mul, coeffs, col)) % l
-                  for col in basis_columns])
-
-
 def _sparse(columns):
     """Each column as the list of its nonzero (index, entry) pairs."""
     return [[(i, v) for i, v in enumerate(col) if v] for col in columns]
 
 
-def _apply(columns, vec, l):
-    """mat·vec mod l, for the square matrix mat with the given
+def _apply(columns, vec, size, l):
+    """mat·vec mod l, for the matrix mat with ``size`` rows and the given
     :func:`_sparse` ``columns``: the sum of vec[c]·column c, over the
-    nonzero entries only."""
-    out = [0] * len(columns)
+    nonzero entries only.  With some vectors as the columns, it is their
+    combination with coefficients vec."""
+    out = [0] * size
     for c, col in zip(vec, columns):
         if c:
             for i, v in col:
@@ -336,81 +304,60 @@ def _apply(columns, vec, l):
     return tuple([v % l for v in out])
 
 
-def _minpoly_of_vector(columns, i, l):
+def _minpoly_of_vector(columns, vec, l):
     """Monic minimal polynomial of the square matrix mat with the given
-    :func:`_sparse` ``columns`` at the i-th coordinate vector v, and v,
-    mat·v, ... below its degree: the first power mat^k·v of this Krylov
-    sequence that depends on the ones before gives its coefficients.  Each power is
-    reduced with the 1 of mat^k appended after its n entries, so the
-    combination of powers it leaves is carried along, and a dependent
-    power leaves the polynomial."""
+    :func:`_sparse` ``columns`` at ``vec``, and vec, mat·vec, ... below
+    its degree: the first power mat^k·vec of this Krylov sequence that
+    depends on the ones before gives its coefficients.  The powers are
+    brought to echelon form, each row 1 at its pivot and 0 at the pivots
+    of the rows before it, with the combination of powers it is kept
+    beside it, so a dependent power leaves the polynomial."""
     n = len(columns)
-    rows, pivots, krylov = [], [], []
-    vec = tuple(int(k == i) for k in range(n))
+    rows, pivots, combos, krylov = [], [], [], []
     while True:
-        k = len(krylov)
-        tail = [0] * (n + 1)
-        tail[k] = 1
-        p, left = _reduce(rows, pivots, [*vec, *tail], l, n)
-        if p is None:
-            return left[n:n + k + 1], krylov
+        cur, combo = vec, [0] * len(krylov) + [1]
+        for p, row, rc in zip(pivots, rows, combos):
+            f = cur[p] % l
+            if f:
+                cur = [a - f * b for a, b in zip(cur, row)]
+                for s, c in enumerate(rc):
+                    combo[s] -= f * c
+        cur = [a % l for a in cur]
+        first = next(filter(None, cur), 0)      # the pivot's entry
+        if not first:
+            return [c % l for c in combo], krylov
+        p = cur.index(first)
+        if first != 1:
+            inv = pow(first, l - 2, l)
+            cur = [(a * inv) % l for a in cur]
+            combo = [a * inv for a in combo]
+        rows.append(cur)
+        pivots.append(p)
+        combos.append(combo)
         krylov.append(vec)
-        vec = _apply(columns, vec, l)
+        vec = _apply(columns, vec, n, l)
 
 
-def _eigenspaces(columns, l):
-    """The eigenspaces over F_l of the square matrix mat with the given
-    :func:`_sparse` ``columns``, each as (basis, pivots) with each basis
-    row 1 at its own pivot and 0 at the others'.
+def _divide(poly, lam, l):
+    """(quot, value) with poly = (x - λ)·quot + value over F_l, for
+    ``poly`` ascending, by Horner's rule: its partial sums are quot's
+    coefficients from the top, and its value is poly(λ)."""
+    acc, quot = 0, []
+    for c in reversed(poly):
+        quot.append(acc)
+        acc = (acc * lam + c) % l
+    return quot[:0:-1], acc
 
-    They are read off the Krylov sequence of one coordinate vector v at
-    a time, with minimal polynomial p: each root λ of p is an
-    eigenvalue, and (p/(x - λ))(mat)·v, a combination of v, mat·v, ...,
-    is an eigenvector of λ, as (mat - λ) takes it to p(mat)·v = 0.  For
-    a diagonalisable mat it is v's component in λ's eigenspace up to a
-    nonzero scalar, so these vectors span every eigenspace; each joins
-    λ's basis unless it lies in its span, until the dimensions fill the
-    space.  A coordinate vector in the span of the eigenvectors found
-    adds nothing, as its component in each eigenspace lies in the span
-    of that space's, so it is skipped.  If mat is not diagonalisable
-    over F_l the coordinate vectors run out first, and the dimensions
-    fall short of the space's."""
-    n = len(columns)
-    spaces, found = {}, 0       # λ -> (basis, pivots)
-    span, span_pivots, new = [], [], []     # the eigenvectors found
-    for i in range(n):
-        if found == n:
-            break
-        for vec in new:
-            _reduce(span, span_pivots, vec, l)
-        new.clear()
-        # Reduced by the span's rows, v leaves v minus the row with
-        # pivot i, or v itself when i is no pivot: it lies in the span
-        # iff that row is v.
-        unit = [int(k == i) for k in range(n)]
-        if i in span_pivots and span[span_pivots.index(i)] == unit:
-            continue
-        poly, krylov = _minpoly_of_vector(columns, i, l)
-        krylov_columns = list(zip(*krylov))
-        roots = 0
-        for lam in range(l):
-            if roots == len(poly) - 1:      # no more roots
-                break
-            # Horner's rule: its partial sums are the coefficients of
-            # p/(x - λ), from the top, and its value is p(λ).
-            acc, quot = 0, []
-            for c in reversed(poly):
-                quot.append(acc)
-                acc = (acc * lam + c) % l
-            if acc:
-                continue
-            roots += 1
-            basis, pivots = spaces.setdefault(lam, ([], []))
-            vec = _combine(quot[:0:-1], krylov_columns, l)
-            if _reduce(basis, pivots, vec, l)[0] is not None:
-                new.append(vec)
-                found += 1
-    return list(spaces.values())
+
+def _roots(poly, l):
+    """The roots in F_l of the monic ``poly`` (ascending, of degree at
+    least 1), by Horner's rule at every point at once."""
+    if len(poly) == 2:
+        return [-poly[0] % l]
+    values, points = [0] * l, range(l)
+    for c in reversed(poly):
+        values = [(v * x + c) % l for v, x in zip(values, points)]
+    return [x for x, v in zip(points, values) if not v]
 
 
 # ---------------------------------------------------------------------------
@@ -456,65 +403,57 @@ def _class_matrix(G, data, j, l):
 def _split_eigenvectors(G, data, l):
     """Common eigenvector lines of all class matrices, normalised so the
     identity-class coordinate is 1.  Row t is the vector of values
-    |C_j| * chi_t(g_j) / chi_t(1) mod l."""
+    |C_j| * chi_t(g_j) / chi_t(1) mod l.
+
+    (M_j)[0][k] = [k = j], so M_j·e_0 = |C_j|·e_j' for j' the class of
+    the inverses, and e_0, the identity-class coordinate vector, spans
+    the space under the class matrices: it is the sum of one nonzero
+    vector on each line.  The class matrices commute, so its component
+    in a common eigenspace of M_1, ..., M_(j-1) splits under M_j into
+    its components in that space's eigenspaces of M_j: with p the
+    minimal polynomial of the component u under M_j, whose roots λ are
+    the eigenvalues met, (p/(x - λ))(M_j)·u is a nonzero vector of λ's
+    eigenspace.  Once there are as many components as classes, they are
+    the lines; any other count, past the classes at any step or short of
+    them when the class matrices run out, means that the class matrices
+    did not separate the characters.  A component whose p has fewer
+    distinct roots in F_l than its degree shows an M_j that is not
+    diagonalisable over F_l.  Row 0 of M_j also gives ω_t(j) as ω_t's
+    eigenvalue under M_j, which every line must match."""
     r = len(data.reps)
-    spaces = [([tuple(1 if i == j else 0 for j in range(r))
-                for i in range(r)], list(range(r)))]
+    parts = [(tuple(int(i == 0) for i in range(r)), ())]
     for j in range(1, r):
-        if all(len(basis) == 1 for basis, _ in spaces):
+        if len(parts) >= r:     # more would be dependent: stop at once
             break
-        # M_j·b combines the columns of M_j by the entries of b.
+        # M_j·u combines the columns of M_j by the entries of u.
         columns = _sparse(zip(*_class_matrix(G, data, j, l)))
-        new_spaces = []
-        for basis, pivots in spaces:
-            k = len(basis)
-            if k == 1:
-                new_spaces.append((basis, pivots))
-                continue
-            # Action on coordinates: each basis row is 1 at its own pivot
-            # and 0 at the others', so an image's coordinates are its
-            # entries at the pivots, and it lies in the span iff their
-            # combination of the basis rows matches it at every other
-            # column too.
-            basis_columns = list(zip(*basis))
-            rest = [(c, at) for c, at in enumerate(basis_columns)
-                    if c not in pivots]
-            action = []
-            for b in basis:
-                image = _apply(columns, b, l)
-                coords = [image[p] for p in pivots]
-                if any((sum(map(operator.mul, coords, at)) - image[c]) % l
-                       for c, at in rest):
-                    raise _table_error(G, l, "vector not in subspace (class "
-                                             "matrices should commute)")
-                action.append(coords)
-            # Coordinate rows transform by right multiplication, so we
-            # need left eigenvectors of `action`, i.e. the eigenspaces of
-            # its transpose, whose columns are its rows.  Coordinate rows
-            # of that form combine the basis rows into rows of that form,
-            # with pivots among theirs.
-            found = 0
-            for gammas, gpivots in _eigenspaces(_sparse(action), l):
-                new_spaces.append(([_combine(g, basis_columns, l)
-                                    for g in gammas],
-                                   [pivots[c] for c in gpivots]))
-                found += len(gammas)
-            if found != k:
+        split = []
+        for u, eigenvalues in parts:
+            poly, krylov = _minpoly_of_vector(columns, u, l)
+            roots = _roots(poly, l)
+            if len(roots) != len(poly) - 1:
                 raise _table_error(G, l, "class matrix failed to diagonalise")
-        # Regroup: distinct lines stay separate; nothing to merge because
-        # eigenspace splitting only refines.
-        spaces = new_spaces
+            if len(roots) == 1:
+                split.append((u, eigenvalues + (roots[0],)))
+                continue
+            krylov = _sparse(krylov)
+            for lam in roots:
+                split.append((_apply(krylov, _divide(poly, lam, l)[0], r, l),
+                              eigenvalues + (lam,)))
+        parts = split
+    if len(parts) != r:
+        raise _table_error(G, l, "class matrices did not separate characters")
     lines = []
-    for basis, _ in spaces:
-        if len(basis) != 1:
-            raise _table_error(G, l,
-                               "class matrices did not separate characters")
-        u = basis[0]
+    for u, eigenvalues in parts:
         if u[0] % l == 0:
             raise _table_error(G, l,
                                "eigenvector vanishes on the identity class")
         inv = pow(u[0], l - 2, l)
-        lines.append(tuple((c * inv) % l for c in u))
+        line = tuple([c * inv % l for c in u])
+        if line[1:len(eigenvalues) + 1] != eigenvalues:
+            raise _table_error(G, l, "line off its eigenvalues (class "
+                                     "matrices should commute)")
+        lines.append(line)
     return lines
 
 
@@ -633,12 +572,13 @@ def character_table(G, cap=DEFAULT_GROUP_CAP):
     size_inv = [pow(s, l - 2, l) for s in data.sizes]
     max_degree = math.isqrt(G.order)
 
+    # The least degree whose square has each residue.
+    by_square = {d * d % l: d for d in range(max_degree, 0, -1)}
     degrees = []
     for om in omegas:
-        s = sum(om[j] * om[inv_class[j]] * size_inv[j] for j in range(r)) % l
-        target = (G.order * pow(s, l - 2, l)) % l
-        d = next((d for d in range(1, max_degree + 1)
-                  if (d * d) % l == target), None)
+        s = sum(map(operator.mul, map(operator.mul, om, size_inv),
+                    [om[i] for i in inv_class])) % l
+        d = by_square.get(G.order * pow(s, l - 2, l) % l)
         if d is None:
             raise _table_error(G, l, "no degree matches the orthogonality sum")
         degrees.append(d)
@@ -651,40 +591,53 @@ def character_table(G, cap=DEFAULT_GROUP_CAP):
     # Fourier inversion over the powers of g: m_k = o⁻¹ Σ_s χ(g^s)
     # z^(-k·s·e/o) is the multiplicity of the eigenvalue ζ_o^k of g in
     # the representation, an integer in [0, χ(1)] read off exactly below
-    # l; the multiplicities sum to χ(1), and χ(g) = Σ_k m_k ζ_o^k.
+    # l; the multiplicities sum to χ(1), and χ(g) = Σ_k m_k ζ_o^k.  The
+    # o sums are taken as one: with the residues z^(-k·s·e/o) packed
+    # into the integers P_s = Σ_k z^(-k·s·e/o)·X^k, Σ_s χ(g^s)·P_s has
+    # the k-th sum as its k-th digit in base X = 2^bits, each below o·l²
+    # and so below X (Kronecker substitution).
+    bits = (e * l * l).bit_length()
+    mask = (1 << bits) - 1
     fourier = {}
     for o in {len(pw) for pw in powers}:
         zo = pow(z, e // o * (l - 2), l)   # z^(-e/o), of order o
-        fourier[o] = (pow(o, l - 2, l),
-                      [[pow(zo, k * s % o, l) for s in range(o)]
-                       for k in range(o)])
+        zs = [pow(zo, s, l) for s in range(o)]
+        digits = range(0, bits * o, bits)
+        fourier[o] = (pow(o, l - 2, l), digits,
+                      [sum(map(operator.lshift,
+                               [zs[k * s % o] for k in range(o)], digits))
+                       for s in range(o)])
 
-    modrows = [[(d * om[j] * size_inv[j]) % l for j in range(r)]
-               for om, d in zip(omegas, degrees)]
+    # Column c of the residues, row by row.
+    modcols = list(zip(*[[(d * om[j] * size_inv[j]) % l for j in range(r)]
+                         for om, d in zip(omegas, degrees)]))
     # The multiplicities depend on the residues of χ along g's powers
     # alone, so each distinct sequence of them is inverted once: its
-    # degree, the sum of its multiplicities, and its value.
-    lifted = {}
+    # degree, the sum of its multiplicities, and its value, which the
+    # sequences whose multiplicities give the same poly share.
+    lifted, by_poly = {}, {}
 
     def lift(j):
         """Column j of the table, lifted from the residues."""
         pw = powers[j]
-        o_inv, wave = fourier[len(pw)]
+        o_inv, digits, packed = fourier[len(pw)]
         step = e // len(pw)
         column = []
-        for modvals, d in zip(modrows, degrees):
-            vals = tuple([modvals[c] for c in pw])
+        for vals, d in zip(zip(*[modcols[c] for c in pw]), degrees):
             known = lifted.get(vals)
             if known is None:
                 poly = [0] * e
-                for k, wk in enumerate(wave):
-                    m = sum(map(operator.mul, vals, wk)) * o_inv % l
-                    if m > max_degree:
-                        raise _table_error(
-                            G, l, "root-of-unity multiplicity fails lift "
-                                  "bound")
-                    poly[k * step] = m
-                known = lifted[vals] = sum(poly), CycNum._from_poly(poly, e)
+                sums = sum(map(operator.mul, vals, packed))
+                poly[::step] = [(sums >> k & mask) * o_inv % l
+                                for k in digits]
+                if max(poly) > max_degree:
+                    raise _table_error(G, l, "root-of-unity multiplicity "
+                                             "fails lift bound")
+                poly = tuple(poly)
+                value = by_poly.get(poly)
+                if value is None:
+                    value = by_poly[poly] = CycNum._from_poly(poly, e)
+                known = lifted[vals] = sum(poly), value
             if known[0] != d:
                 raise _table_error(
                     G, l, "lifted degree disagrees with modular degree")
@@ -729,31 +682,28 @@ def _verify_orthogonality(G, data, values, l):
     Φ_e(B), and Φ_e(B) divides R(B) only when R = 0."""
     e = values[0][0].d
     phi = len(values[0][0].coeffs)
-    conj = {}       # the conjugate of each distinct value
-    for row in values:
-        for v in row:
-            if v.coeffs not in conj:
-                conj[v.coeffs] = v.conjugate().coeffs
-    nu = max(sum(map(abs, c)) for pair in conj.items() for c in pair)
+    # The conjugate of each distinct value.
+    conj = {c: v.conjugate().coeffs
+            for c, v in {v.coeffs: v for row in values for v in row}.items()}
+    nu = max(max(sum(map(abs, c)), sum(map(abs, d))) for c, d in conj.items())
     cyclotomic = _cyclotomic(e)
     h = sum(map(abs, cyclotomic))
     bits = (4 * G.order * (nu * nu + 1) * (1 + h) ** (phi - 1)).bit_length()
-    packed = {}
+    shifts = range(0, bits * len(cyclotomic), bits)
 
     def pack(coeffs):
-        if coeffs not in packed:
-            packed[coeffs] = sum(c << bits * i for i, c in enumerate(coeffs))
-        return packed[coeffs]
+        return sum(map(operator.lshift, coeffs, shifts))
 
     modulus = pack(cyclotomic)      # Φ_e(B)
-    weighted = [[size * pack(v.coeffs) for v, size in zip(row, data.sizes)]
-                for row in values]
-    conj_rows = [[pack(conj[v.coeffs]) for v in row] for row in values]
+    packed = {c: (pack(c), pack(d)) for c, d in conj.items()}
+    weighted = [[size * packed[v.coeffs][0]
+                 for v, size in zip(row, data.sizes)] for row in values]
+    conj_rows = [[packed[v.coeffs][1] for v in row] for row in values]
     for t1, row in enumerate(weighted):
-        for t2 in range(t1, len(values)):
-            want = G.order if t1 == t2 else 0
-            if (sum(map(operator.mul, row, conj_rows[t2])) - want) % modulus:
-                raise _table_error(G, l, "row orthogonality fails")
+        sums = [sum(map(operator.mul, row, c)) for c in conj_rows[t1:]]
+        sums[0] -= G.order
+        if any(map(modulus.__rmod__, sums)):
+            raise _table_error(G, l, "row orthogonality fails")
 
 
 # ---------------------------------------------------------------------------
@@ -762,14 +712,13 @@ def _verify_orthogonality(G, data, values, l):
 
 def restrict(chi, H):
     """The restriction of a class function to a subgroup ``H``."""
-    G = chi.group
-    gdata = G.conjugacy_classes()
-    hdata = H.conjugacy_classes()
-    for rep in hdata.reps:
-        if rep.img not in G.at:
-            raise ValueError("H is not a subgroup of the domain of chi")
-    return ClassFunction(H, tuple(chi.values[gdata.class_at[rep.img]]
-                                  for rep in hdata.reps))
+    class_at = chi.group.conjugacy_classes().class_at
+    try:
+        values = [chi.values[class_at[rep.img]]
+                  for rep in H.conjugacy_classes().reps]
+    except KeyError:
+        raise ValueError("H is not a subgroup of the domain of chi") from None
+    return ClassFunction(H, values)
 
 
 def inner(phi, psi):
@@ -777,30 +726,36 @@ def inner(phi, psi):
     two class functions on the same group; returns an int for
     characters, else a Fraction.
 
-    With D the lcm of the conductors, each value is promoted to Q(ζ_D)
-    and the sum is taken once as D coefficients modulo x^D - 1, where
-    conj sends ζ^k to ζ^(-k): ζ_D has order D, so this is exact.  It is
-    reduced modulo Φ_D once at the end, which is exact too, as Φ_D
-    divides x^D - 1; only its rational part is divided by |G|."""
+    With D the lcm of the conductors, each distinct value of another
+    conductor is promoted to Q(ζ_D) once, and the sum is taken once as D
+    coefficients modulo x^D - 1, where conj sends ζ^k to ζ^(-k): ζ_D has
+    order D, so this is exact.  It is reduced modulo Φ_D once at the end, which is
+    exact too, as Φ_D divides x^D - 1; only its rational part is divided
+    by |G|."""
     if phi.group.elements != psi.group.elements:
         raise ValueError("class functions live on different groups")
     data = phi.group.conjugacy_classes()
     D = math.lcm(*(v.d for v in phi.values), *(v.d for v in psi.values))
+    # Each distinct value of another conductor, promoted once.
+    promoted = {(v.d, v.coeffs): v for v in (*phi.values, *psi.values)
+                if v.d != D}
+    promoted = {key: v.promote(D).coeffs for key, v in promoted.items()}
     acc = [0] * D
     for size, a, b in zip(data.sizes, phi.values, psi.values):
-        b = b.promote(D).coeffs
-        for i, x in enumerate(a.promote(D).coeffs):
+        b = b.coeffs if b.d == D else promoted[b.d, b.coeffs]
+        for i, x in enumerate(a.coeffs if a.d == D
+                              else promoted[a.d, a.coeffs]):
             if x:
                 x *= size
                 for k, y in enumerate(b):
                     if y:
-                        acc[(i - k) % D] += x * y
+                        acc[i - k] += x * y     # -D < i - k < D: mod D
     total = CycNum._from_poly(acc, D)
     if not total.is_rational():
         raise ArithmeticError("inner product of class functions must be "
                               "rational")
-    value = Fraction(total.coeffs[0], phi.group.order)
-    return value.numerator if value.denominator == 1 else value
+    value, rest = divmod(total.coeffs[0], phi.group.order)
+    return Fraction(total.coeffs[0], phi.group.order) if rest else value
 
 
 # ---------------------------------------------------------------------------

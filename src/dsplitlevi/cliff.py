@@ -14,7 +14,9 @@ From a label the module produces concrete signed-permutation groups:
 * ``nu_lambda``  — the sign character detecting the index-two cover,
   and its kernel;
 * ``k_lambda``   — the normalizer closure Z.W_lambda : S, where S
-  permutes interchangeable descriptor classes;
+  permutes interchangeable descriptor classes, generated by S's swaps
+  and the diagonal cycle and W_lambda generators of one class per
+  family that S permutes;
 * ``kinva_check`` — brute-force verification that every irreducible
   character of ker(nu) has an induction constituent invariant under
   its stabilizer in the normalizer closure;
@@ -25,14 +27,14 @@ From a label the module produces concrete signed-permutation groups:
 import itertools
 from collections import namedtuple
 from math import factorial
-from operator import mul
+from operator import lshift, mul, sub
 
 from .chartab import (DEFAULT_GROUP_CAP, FiniteGroup, _root_of_unity,
                       character_table, class_permutation, inner,
                       is_invariant, restrict)
 from .levi import tau_Q, wprime_Q
 from .signedperm import (ClosureExceedsCap, SignedPerm, VerificationError,
-                         _closure_images, _conjugator, closure, group_closure,
+                         _closure_images, _conjugator, group_closure,
                          set_partitions, wreath_order)
 
 
@@ -211,7 +213,8 @@ def _parts_from_label(label):
 def _build_W(parts, two_d0, n):
     """Generators of W_lambda with nu's ±1 value on each, its order and
     abstract type.  nu is -1 exactly on the cyclic generators of a
-    flagged part."""
+    flagged part.  The generators come part by part: the m cyclic ones
+    when c > 1, then the m - 1 adjacent swaps."""
     gens, values, factors = [], [], []
     for part in parts:
         m = len(part.Qs)
@@ -261,22 +264,14 @@ def _check_orders(found, formulas, key):
 def _build_K(parts, two_d0, n, w_gens):
     """Generators and order of the normalizer closure Z.W : S.
 
-    A flag makes nu -1 on its part's cyclic generators, so nu is
-    nontrivial exactly when some part is flagged; then the swaps keep
-    the flagged family."""
-    gens = []
-    order = 1
-    zw_factors = []
-    for part in parts:
-        m = len(part.Qs)
-        diag = SignedPerm.identity(n)
-        for Q in part.Qs:
-            diag = diag * wprime_Q(Q, n)
-        gens.append(diag)
-        order *= two_d0 * part.c ** (m - 1) * factorial(m)
-        zw_factors.append(f"(C{two_d0}.C{part.c}wrS{m})")
-    gens.extend(w_gens)
-
+    Parts of equal (s, m, c) form a family, whose adjacent members S
+    swaps.  A flag makes nu -1 on its part's cyclic generators, so nu is
+    nontrivial exactly when some part is flagged; then a family's parts
+    also share the flag.  A swap relabels one member's grid sets onto
+    the next's in order, so it conjugates that member's diagonal full
+    cycle and W generators (its share of ``w_gens``, which
+    :func:`_build_W` lists part by part) onto the next's: only the first
+    member of each family gives its own, beside the swaps."""
     filtering = any(part.flag for part in parts)
     families = {}
     for idx, part in enumerate(parts):
@@ -284,6 +279,26 @@ def _build_K(parts, two_d0, n, w_gens):
         if filtering:
             key = key + (part.flag,)
         families.setdefault(key, []).append(idx)
+    firsts = {members[0] for members in families.values()}
+
+    identity = SignedPerm.identity(n)
+    gens = []
+    order = 1
+    zw_factors = []
+    w_at = 0
+    for idx, part in enumerate(parts):
+        m = len(part.Qs)
+        w_count = (m if part.c > 1 else 0) + m - 1
+        if idx in firsts:
+            diag = identity
+            for Q in part.Qs:
+                diag = diag * wprime_Q(Q, n)
+            gens.append(diag)
+            gens.extend(w_gens[w_at:w_at + w_count])
+        w_at += w_count
+        order *= two_d0 * part.c ** (m - 1) * factorial(m)
+        zw_factors.append(f"(C{two_d0}.C{part.c}wrS{m})")
+
     swap_sizes = []
     for key in sorted(families):
         members = families[key]
@@ -292,12 +307,11 @@ def _build_K(parts, two_d0, n, w_gens):
         swap_sizes.append(len(members))
         order *= factorial(len(members))
         for a, b in zip(members, members[1:]):
-            swap = SignedPerm.identity(n)
+            swap = identity
             for Qa, Qb in zip(parts[a].Qs, parts[b].Qs):
                 swap = swap * tau_Q(Qa, Qb, n)
             gens.append(swap)
-    gens = [g for g in dict.fromkeys(gens)
-            if g != SignedPerm.identity(n)]
+    gens = [g for g in dict.fromkeys(gens) if g != identity]
     abstract = " x ".join(zw_factors) if zw_factors else "1"
     if swap_sizes:
         abstract += " : " + " x ".join(f"S{m}" for m in swap_sizes)
@@ -339,10 +353,12 @@ def nu_lambda(label):
 
 
 def k_lambda(label):
-    """The normalizer closure K(lambda) = Z.W_lambda : S, where Z is one
+    """The normalizer closure K(lambda) = Z.W_lambda : S, where Z has one
     diagonal full cycle per descriptor class and S swaps classes of
     equal shape (restricted to preserve the jump family when the sign
-    character is nontrivial)."""
+    character is nontrivial).  Of each family of classes that S swaps,
+    only the first gives its diagonal cycle and W_lambda generators, as
+    the swaps conjugate them onto the others' (see :func:`_build_K`)."""
     parts = _parts_from_label(label)
     n = label.levi.n
     w_gens, _, _, _ = _build_W(parts, label.two_d0, n)
@@ -457,7 +473,8 @@ def kinva_check(label, cap=DEFAULT_GROUP_CAP, key=None):
     through its image in the permutations of the classes of ker and W;
     the multiplicities are read off residues modulo the prime of W's
     character table, checked by Frobenius reciprocity, and each witness
-    is confirmed by an exact inner product (see :func:`_kinva_search`).
+    is confirmed by an exact inner product and an exact invariance test
+    (see :func:`_kinva_search`).
     The report depends only on the label's :func:`_kinva_key`, which
     determines the generators, and is
     JSON-serializable:
@@ -550,7 +567,10 @@ def _kinva_search(W, ker, k_gens, cap):
     (:func:`~dsplitlevi.chartab.class_permutation`), closed from the
     actions of ``k_gens``, so no element of K is formed or conjugated.
     The stabilizer of xi0 is the set of actions whose ker half fixes
-    xi0; their W halves act on the constituents.
+    xi0; their W halves act on the constituents.  A character is fixed
+    when its row of numbered distinct values (:func:`_numbered`) is, and
+    the witness's invariance is confirmed on its values by
+    :func:`~dsplitlevi.chartab.is_invariant`.
 
     The multiplicities <xi0, Res chi> are integers in [0, chi(1)], and
     chi(1) < l for the prime l of W's table (l = 1 mod E = exp W and
@@ -565,65 +585,105 @@ def _kinva_search(W, ker, k_gens, cap):
     z = _root_of_unity(l, E)
     kdata = ker.conjugacy_classes()
     wdata = W.conjugacy_classes()
+    w_values, w_rows = _numbered(w_table.values)
+    ker_values, ker_rows = (
+        (w_values, w_rows) if ker is W else _numbered(ker_table.values))
 
     # <xi0, Res chi> = sum over ker's classes of |C| xi0 conj(chi) / |ker|;
     # conj(chi) reduces along z^-1, which also has order E.
-    # Each distinct value is reduced once along each root.
-    zbar = pow(z, l - 2, l)
-    residues = {}
-
-    def residue(value, root):
-        key = value.d, value.coeffs, root
-        if key not in residues:
-            residues[key] = _residue(value, root, E, l)
-        return residues[key]
-
+    # Each distinct value is reduced once along each root.  The sums for
+    # every chi are taken as one: with ker's class j given the integer
+    # Σ_chi conj(chi)(g_j)·X^chi, X = 2^bits, xi0's row against them has
+    # the sum for chi as its chi-th digit, each below r·l² and so below X
+    # (Kronecker substitution).
+    w_bars = [_residue(v, pow(z, l - 2, l), E, l) for v in w_values]
     fused = [wdata.class_at[rep.img] for rep in kdata.reps]
-    chi_bars = [[residue(row[j], zbar) for j in fused]
-                for row in w_table.values]
+    bits = (len(kdata.reps) * l * l).bit_length()
+    mask = (1 << bits) - 1
+    digits = range(0, bits * len(w_rows), bits)
+    chi_bars = [sum(map(lshift, [w_bars[row[j]] for row in w_rows],
+                        digits))
+                for j in fused]
     scale = pow(ker.order, l - 2, l)
-    xi_rows = [[residue(v, z) * size * scale % l
-                for v, size in zip(row, kdata.sizes)]
-               for row in ker_table.values]
+    ker_res = [_residue(v, z, E, l) for v in ker_values]
+    xi_rows = [[ker_res[i] * size * scale % l
+                for i, size in zip(row, kdata.sizes)]
+               for row in ker_rows]
     index = W.order // ker.order
 
     # An action is one signed permutation with no sign changes, on ker's
     # classes as points 1..r and W's as r+1..r+|W's classes|, so one
     # product composes both halves; the pairs are read back afterwards.
     r = len(kdata.reps)
-    actions = closure([SignedPerm(
-        [j + 1 for j in class_permutation(k, ker)]
-        + [r + 1 + j for j in class_permutation(k, W)]) for k in k_gens],
-        SignedPerm.identity(r + len(wdata.reps)), cap)
-    actions = [(tuple(v - 1 for v in a.img[:r]),
-                tuple(v - 1 - r for v in a.img[r:])) for a in actions]
+
+    def action(k):
+        on_ker = class_permutation(k, ker)
+        on_w = on_ker if ker is W else class_permutation(k, W)
+        return SignedPerm([j + 1 for j in on_ker] + [r + 1 + j for j in on_w])
+
+    actions = [(tuple([v - 1 for v in a[:r]]),
+                tuple([v - 1 - r for v in a[r:]]))
+               for a in _closure_images(
+                   [action(k) for k in k_gens],
+                   SignedPerm.identity(r + len(wdata.reps)), cap)]
     ker_halves = {a[0] for a in actions}
 
+    # A character is fixed by an action when its numbered row, read along
+    # the action's class permutation, is that row again.
     stabilizers, xi_ids = [], []
-    for xi0, row, degree in zip(ker_table.characters, xi_rows,
-                                ker_table.degrees):
-        mults = [sum(map(mul, row, bar)) % l for bar in chi_bars]
-        if (any(m > d for m, d in zip(mults, w_table.degrees))
-                or sum(m * d for m, d in zip(mults, w_table.degrees))
-                != index * degree):
+    for xi0, row, degree, numbers in zip(ker_table.characters, xi_rows,
+                                         ker_table.degrees, ker_rows):
+        sums = sum(map(mul, row, chi_bars))
+        mults = [(sums >> k & mask) % l for k in digits]
+        if (max(map(sub, mults, w_table.degrees)) > 0
+                or sum(map(mul, mults, w_table.degrees)) != index * degree):
             raise VerificationError(
                 f"multiplicities {mults} mod {l} break Frobenius "
                 f"reciprocity for a character of degree {degree}")
-        fixing = {p for p in ker_halves if is_invariant(xi0, p)}
-        stabilizer = frozenset(a for a in actions if a[0] in fixing)
+        fixing = {p for p in ker_halves
+                  if tuple(map(numbers.__getitem__, p)) == numbers}
+        stabilizer = frozenset([a for a in actions if a[0] in fixing])
         acting = {a[1] for a in stabilizer}
-        xi_id = next((i for i, (chi, m) in enumerate(
-                          zip(w_table.characters, mults))
-                      if m and all(is_invariant(chi, p) for p in acting)),
-                     None)
-        if xi_id is not None and inner(
-                xi0, restrict(w_table.characters[xi_id], ker)) != mults[xi_id]:
-            raise VerificationError(
-                f"multiplicity {mults[xi_id]} mod {l} disagrees with the "
-                f"exact inner product")
+        xi_id = None
+        for i, m in enumerate(mults):
+            if m:
+                chi = w_rows[i]
+                for p in acting:
+                    if tuple(map(chi.__getitem__, p)) != chi:
+                        break
+                else:
+                    xi_id = i
+                    break
+        if xi_id is not None:
+            chi = w_table.characters[xi_id]
+            if inner(xi0, restrict(chi, ker)) != mults[xi_id]:
+                raise VerificationError(
+                    f"multiplicity {mults[xi_id]} mod {l} disagrees with "
+                    f"the exact inner product")
+            if not all([is_invariant(chi, p) for p in acting]):
+                raise VerificationError(
+                    "the witness is not invariant under the stabilizer")
         stabilizers.append(stabilizer)
         xi_ids.append(xi_id)
     return stabilizers, xi_ids
+
+
+def _numbered(values):
+    """A table's distinct values in order of first occurrence, and each
+    row as the tuple of its values' positions in that list."""
+    number, distinct = {}, []
+    rows = []
+    for row in values:
+        numbers = []
+        for v in row:
+            key = v.d, v.coeffs
+            i = number.get(key)
+            if i is None:
+                i = number[key] = len(distinct)
+                distinct.append(v)
+            numbers.append(i)
+        rows.append(tuple(numbers))
+    return distinct, rows
 
 
 # ---------------------------------------------------------------------------

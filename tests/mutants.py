@@ -49,22 +49,22 @@ ARITH = "tests/test_arith.py::TestIntegerRoutines::"
 CYCLO = "tests/test_cyclo.py::"
 
 MUTANTS = [
-    # The exact character table: the eigenspaces read off the Krylov
-    # sequences rely on the diagonalisation raise and on a basis that is
-    # 0 at the other rows' pivots, the split on its three other raises,
-    # the lift on its two raises, and the orthogonality recheck must run
-    # off the diagonal.
+    # The exact character table: the split of the identity-class vector
+    # relies on its four raises and on the combination of Krylov powers
+    # that gives each minimal polynomial, its components on the quotients
+    # p/(x - λ), and the roots on every point of F_l; the lift on its two
+    # raises and on the digit bound of its packed sums, and the
+    # orthogonality recheck must run off the diagonal.
     Mutant("subspace_check_dropped", "chartab.py",
-           "if any((sum(map(operator.mul, coords, at)) - image[c]) % l",
-           "if False and any((sum(map(operator.mul, coords, at)) - image[c])"
-           " % l",
+           "if line[1:len(eigenvalues) + 1] != eigenvalues:",
+           "if False:",
            [CHARTAB + "test_noncommuting_class_matrices_leave_the_subspace"]),
     Mutant("diagonalise_raise_dropped", "chartab.py",
-           "if found != k:",
+           "if len(roots) != len(poly) - 1:",
            "if False:",
            [CHARTAB + "test_jordan_block_fails_to_diagonalise"]),
     Mutant("separation_check_dropped", "chartab.py",
-           "if len(basis) != 1:",
+           "if len(parts) != r:",
            "if False:",
            [CHARTAB + "test_scalar_class_matrices_separate_nothing",
             CHARTAB + "test_corrupted_class_matrix_names_order_and_prime"]),
@@ -72,26 +72,40 @@ MUTANTS = [
            "if u[0] % l == 0:",
            "if False:",
            [CHARTAB + "test_eigenvector_vanishing_on_the_identity_class"]),
-    Mutant("new_pivot_not_cleared", "chartab.py",
-           "rows[i] = [(a - f * b) % l for a, b in zip(row, vec)]",
-           "pass",
-           [CLI + "TestChartab::test_tables_match_golden_digests[c4wrs3]",
-            KEY + "test_shared_tables_equal_fresh_ones",
+    Mutant("krylov_combination_sign_flipped", "chartab.py",
+           "combo[s] -= f * c",
+           "combo[s] += f * c",
+           [CHARTAB + "test_s4_degrees",
+            CLI + "TestChartab::test_tables_match_golden_digests[c4wrs3]",
             "tests/test_chartab.py::TestKinvaSweepTables::"
-            "test_tables_match_golden_digest",
-            CLIFF + "TestDegreeOracle::"
-                    "test_every_inertia_table_has_the_wreath_degrees"]),
+            "test_tables_match_golden_digest"]),
+    Mutant("split_component_without_quotient", "chartab.py",
+           "_apply(krylov, _divide(poly, lam, l)[0], r, l)",
+           "_apply(krylov, poly[1:], r, l)",
+           [CHARTAB + "test_s3_frozen",
+            CLI + "TestChartab::test_tables_match_golden_digests[c4wrs3]",
+            KEY + "test_shared_tables_equal_fresh_ones"]),
+    Mutant("roots_skip_zero", "chartab.py",
+           "values, points = [0] * l, range(l)",
+           "values, points = [0] * l, range(1, l)",
+           [CHARTAB + "test_s3_frozen",
+            CHARTAB + "test_s4_degrees"]),
     Mutant("lift_bound_dropped", "chartab.py",
-           "if m > max_degree:",
+           "if max(poly) > max_degree:",
            "if False:",
            [CHARTAB + "test_non_root_of_unity_fails_lift_bound"]),
+    Mutant("lift_digit_bound_dropped", "chartab.py",
+           "bits = (e * l * l).bit_length()",
+           "bits = l.bit_length()",
+           [CHARTAB + "test_s4_degrees",
+            CLI + "TestChartab::test_tables_match_golden_digests[c4wrs3]"]),
     Mutant("lifted_degree_dropped", "chartab.py",
            "if known[0] != d:",
            "if False:",
            [CHARTAB + "test_trivial_root_fails_lifted_degree"]),
     Mutant("orthogonality_diagonal_only", "chartab.py",
-           "for t2 in range(t1, len(values)):",
-           "for t2 in range(t1, t1 + 1):",
+           "for c in conj_rows[t1:]]",
+           "for c in conj_rows[t1:t1 + 1]]",
            [CHARTAB + "test_entry_times_root_of_unity_rejected[s4]",
             CHARTAB + "test_entry_times_root_of_unity_rejected[q8]"]),
     # The degree checks of character_table, each fed crafted eigenvector
@@ -113,8 +127,7 @@ MUTANTS = [
            "if False:",
            [CHARTAB + "test_degree_not_dividing_the_order"]),
     # The cheaper table steps: the packed orthogonality sums need their
-    # digit bound, the sparse class-matrix columns their counts, and a
-    # coordinate vector is skipped only when it lies in the span found.
+    # digit bound, and the sparse class-matrix columns their counts.
     Mutant("orthogonality_digit_bound_dropped", "chartab.py",
            "bits = (4 * G.order * (nu * nu + 1) * (1 + h) ** (phi - 1))"
            ".bit_length()",
@@ -125,11 +138,6 @@ MUTANTS = [
            "out[i] += c * v",
            "out[i] += c",
            [CHARTAB + "test_s4_degrees",
-            CLI + "TestChartab::test_tables_match_golden_digests[c4wrs3]"]),
-    Mutant("span_skip_inverted", "chartab.py",
-           "if i in span_pivots and span[span_pivots.index(i)] == unit:",
-           "if not (i in span_pivots and span[span_pivots.index(i)] == unit):",
-           [CHARTAB + "test_s3_frozen",
             CLI + "TestChartab::test_tables_match_golden_digests[c4wrs3]"]),
     Mutant("class_permutation_by_k", "chartab.py",
            "by = _conjugator(k.inv().img)",
@@ -241,13 +249,48 @@ MUTANTS = [
            [CLIFF + "TestKinvaGroups::"
                     "test_non_normalizing_k_generator_raises"]),
     Mutant("frobenius_check_dropped", "cliff.py",
-           "if (any(m > d for m, d in zip(mults, w_table.degrees))",
-           "if False and (any(m > d for m, d in zip(mults, w_table.degrees))",
+           "if (max(map(sub, mults, w_table.degrees)) > 0",
+           "if False and (max(map(sub, mults, w_table.degrees)) > 0",
            [CLIFF + "TestSearchChecks::test_corrupted_w_entry_raises"]),
     Mutant("inner_product_check_dropped", "cliff.py",
            "!= mults[xi_id]:",
            "!= mults[xi_id] and False:",
            [CLIFF + "TestSearchChecks::test_disagreeing_inner_product_raises"]),
+    Mutant("witness_invariance_check_dropped", "cliff.py",
+           "if not all([is_invariant(chi, p) for p in acting]):",
+           "if False:",
+           [CLIFF + "TestSearchChecks::test_witness_not_invariant_raises"]),
+    # The search reads invariance off each character's numbered row, and
+    # the exact inner product promotes each value to the common
+    # conductor.
+    Mutant("fixing_set_ignores_the_character", "cliff.py",
+           "if tuple(map(numbers.__getitem__, p)) == numbers}",
+           "}",
+           [CLIFF + "test_class_permutation_search_matches_oracle"]),
+    Mutant("inner_without_promotion", "chartab.py",
+           "promoted = {key: v.promote(D).coeffs",
+           "promoted = {key: v.coeffs",
+           ["tests/test_chartab.py::TestInduceRestrict::"
+            "test_inner_matches_oracle_with_fractions_and_mixed_conductors"]),
+    # K from one member per family: the first member's diagonal cycle,
+    # every adjacent swap, and each part's share of W's generators.
+    Mutant("k_family_without_first_diagonal", "cliff.py",
+           "            gens.append(diag)\n            gens.extend(",
+           "            gens.extend(",
+           [CLIFF + "TestKGenerators::"
+                    "test_one_member_per_family_generates_the_same_group",
+            CLI + "TestKinva::test_reports_match_golden_digests[1]"]),
+    Mutant("k_family_missing_a_swap", "cliff.py",
+           "for a, b in zip(members, members[1:]):\n            swap",
+           "for a, b in zip(members, members[2:]):\n            swap",
+           [CLIFF + "TestKGenerators::"
+                    "test_one_member_per_family_generates_the_same_group",
+            CLIFF + "TestKLambda::test_swap_between_r1_classes_allowed"]),
+    Mutant("k_w_share_misaligned", "cliff.py",
+           "w_count = (m if part.c > 1 else 0) + m - 1",
+           "w_count = m - 1",
+           [CLIFF + "TestKGenerators::"
+                    "test_one_member_per_family_generates_the_same_group"]),
     # The Clifford groups: nu's value on a flagged cyclic generator of
     # W, K's swap filter read off the flags, and where W's classes sit
     # in the one signed permutation that acts on both class sets.
@@ -468,6 +511,23 @@ MUTANTS = [
             EXTWEYL + "TestChevalleyGenerators::test_rank_one_n_matrix",
             CLI + "TestVerify::test_reports_match_golden_digests"
                   "[extweyl-n2-json]"]),
+    # The lift of each grid-set element by κ: h_i to a diagonal, c_i to a
+    # lift of w'_Q, p_k to a lift of the swap of two Q sets.
+    Mutant("kappa_h_check_dropped", "extweyl.py",
+           "if rho(kh) != SignedPerm.identity(n):",
+           "if False:",
+           [EXTWEYL + "TestBuildVdI::"
+                      "test_kappa_of_a_cycle_in_place_of_h_is_not_diagonal"]),
+    Mutant("kappa_c_check_dropped", "extweyl.py",
+           "if rho(kc) != wprime_Q(orbs[i].Q, n):",
+           "if False:",
+           [EXTWEYL + "TestBuildVdI::"
+                      "test_kappa_of_a_diagonal_in_place_of_c_lifts_no_cycle"]),
+    Mutant("kappa_p_check_dropped", "extweyl.py",
+           "if rho(kp) != tau_Q(orbs[k].Q, orbs[k + 1].Q, n):",
+           "if False:",
+           [EXTWEYL + "TestBuildVdI::"
+                      "test_kappa_of_a_diagonal_in_place_of_p_lifts_no_swap"]),
     # The relative Weyl oracle: Stab(Φ_L) is the intersection over the
     # base of the masks of the elements sending that root into Φ_L.
     Mutant("stabiliser_masks_joined_over_base", "levi.py",
@@ -573,10 +633,10 @@ MUTANTS = [
 # guards by AST and fails on a guard without an entry.
 UNCOVERED = "UNCOVERED"
 GUARDS = {
-    "chartab.py:_split_eigenvectors:1": "subspace_check_dropped",
-    "chartab.py:_split_eigenvectors:2": "diagonalise_raise_dropped",
-    "chartab.py:_split_eigenvectors:3": "separation_check_dropped",
-    "chartab.py:_split_eigenvectors:4": "identity_coordinate_check_dropped",
+    "chartab.py:_split_eigenvectors:1": "diagonalise_raise_dropped",
+    "chartab.py:_split_eigenvectors:2": "separation_check_dropped",
+    "chartab.py:_split_eigenvectors:3": "identity_coordinate_check_dropped",
+    "chartab.py:_split_eigenvectors:4": "subspace_check_dropped",
     "chartab.py:_table_key:1": "table_closure_check_dropped",
     "chartab.py:_table_key:2": "table_generation_check_dropped",
     "chartab.py:character_table:1": "line_count_check_dropped",
@@ -592,6 +652,7 @@ GUARDS = {
     "cliff.py:_kinva_groups:1": "k_normalize_check_dropped",
     "cliff.py:_kinva_search:1": "frobenius_check_dropped",
     "cliff.py:_kinva_search:2": "inner_product_check_dropped",
+    "cliff.py:_kinva_search:3": "witness_invariance_check_dropped",
     "cyclo.py:CycNum.inv:1": "inv_norm_guard_dropped",
     "extweyl.py:build_twist_elements:1": UNCOVERED,
     "extweyl.py:build_twist_elements:2": UNCOVERED,
@@ -600,9 +661,9 @@ GUARDS = {
     "extweyl.py:build_twist_elements:5": UNCOVERED,
     "extweyl.py:build_twist_elements:6": UNCOVERED,
     "extweyl.py:build_twist_elements:7": UNCOVERED,
-    "extweyl.py:build_VdI:1": UNCOVERED,
-    "extweyl.py:build_VdI:2": UNCOVERED,
-    "extweyl.py:build_VdI:3": UNCOVERED,
+    "extweyl.py:build_VdI:1": "kappa_h_check_dropped",
+    "extweyl.py:build_VdI:2": "kappa_c_check_dropped",
+    "extweyl.py:build_VdI:3": "kappa_p_check_dropped",
     "levi.py:_grid_orbit:1": UNCOVERED,
     "levi.py:_grid_orbit:2": UNCOVERED,
     "levi.py:enumerate_labels.orbit:1": UNCOVERED,

@@ -332,11 +332,11 @@ class TestCharacterTable:
                     _verify_orthogonality(G, data, bad, l)
 
     def test_jordan_block_fails_to_diagonalise(self, monkeypatch):
-        # A Jordan block on S3's three classes has one eigenvalue and a
-        # one-dimensional eigenspace, so no search fills the space.
+        # A Jordan block on S3's three classes takes e0 to 2·e0 + e1, so
+        # e0's minimal polynomial is (x - 2)^3, of one root in degree 3.
         monkeypatch.setattr(chartab, "_TABLE_CACHE", {})
         monkeypatch.setattr(chartab, "_class_matrix", lambda G, data, j, l:
-                            [[2, 1, 0], [0, 2, 1], [0, 0, 2]])
+                            [[2, 0, 0], [1, 2, 0], [0, 1, 2]])
         with pytest.raises(VerificationError) as err:
             character_table(s3())
         l = chartab._dixon_prime(6, 6)
@@ -357,13 +357,15 @@ class TestCharacterTable:
 
     def test_noncommuting_class_matrices_leave_the_subspace(self,
                                                             monkeypatch):
-        # M_1 splits off the eigenspace ⟨e0, e1⟩, and M_2, which does not
-        # commute with it, sends e0 to e2, out of that space.
+        # Row 0 of each M_j is that of a class matrix, so a line's value
+        # at class j is its eigenvalue under M_j.  M_1 sends e0 to 0, and
+        # M_2, a 3-cycle of the coordinates that does not commute with it,
+        # splits e0 into lines that M_1 does not send to 0.
         message = self._split_with(
-            {1: [[1, 0, 0], [0, 1, 0], [0, 0, 2]],
-             2: [[0, 0, 0], [0, 0, 0], [1, 0, 0]]}, monkeypatch)
-        assert message == ("vector not in subspace (class matrices should "
-                           "commute)")
+            {1: [[0, 1, 0], [0, 0, 0], [0, 1, 0]],
+             2: [[0, 0, 1], [1, 0, 0], [0, 1, 0]]}, monkeypatch)
+        assert message == ("line off its eigenvalues (class matrices "
+                           "should commute)")
 
     def test_scalar_class_matrices_separate_nothing(self, monkeypatch):
         # Every vector is an eigenvector of 2, so the space splits into
@@ -373,9 +375,10 @@ class TestCharacterTable:
         assert message == "class matrices did not separate characters"
 
     def test_eigenvector_vanishing_on_the_identity_class(self, monkeypatch):
-        # diag(1, 2, 3) splits the space into the coordinate lines, and
-        # e1 is 0 on the identity class.
-        message = self._split_with({1: [[1, 0, 0], [0, 2, 0], [0, 0, 3]]},
+        # M_1 has the eigenvectors (0, 1, 1), (1, 1, 0) and (1, 0, 1) of
+        # eigenvalues 1, 2 and 3 mod 7, and e0 is a combination of all
+        # three, so it splits into them, the first 0 on the identity class.
+        message = self._split_with({1: [[6, 3, 4], [4, 5, 3], [1, 6, 2]]},
                                    monkeypatch)
         assert message == "eigenvector vanishes on the identity class"
 

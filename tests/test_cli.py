@@ -1515,7 +1515,9 @@ import sys
 from click.testing import CliRunner
 from dsplitlevi import cli
 for args in (["verify", "torus", "--q", "3"],
-             ["relweyl", "--n", "4", "--d", "1"]):
+             ["relweyl", "--n", "4", "--d", "1"],
+             ["kinva", "--n", "4", "--d", "2", "--full"],
+             ["chartab", "--group", "c2wrs3"]):
     result = CliRunner().invoke(cli.main, args)
     sys.stdout.buffer.write(result.stdout_bytes)
     sys.stdout.buffer.write(b"exit %d\\n" % result.exit_code)
@@ -1540,8 +1542,9 @@ class TestDeterminism:
         assert a.stdout_bytes == b.stdout_bytes
 
     def test_hash_seed_does_not_reach_the_oracles(self):
-        # Both oracles build sets (of log tuples, of masks and cosets);
-        # their reports must not depend on the order of hashing.
+        # The oracles build sets (of log tuples, of masks and cosets), and
+        # the invariance search iterates sets and frozensets of class
+        # actions; no report may depend on the order of hashing.
         src = os.path.dirname(os.path.dirname(dsplitlevi.__file__))
         outputs = []
         for seed in ("0", "1"):
@@ -1553,7 +1556,7 @@ class TestDeterminism:
                 capture_output=True, timeout=120, check=True)
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
-        assert outputs[0].count(b"exit 0\n") == 2
+        assert outputs[0].count(b"exit 0\n") == 4
 
     def test_json_is_canonical(self):
         out = invoke("levis", "--n", "2", "--d", "4").output

@@ -49,10 +49,11 @@ from dsplitlevi.cliff import (
     stab_lambda,
 )
 from dsplitlevi.cyclo import CycNum
-from dsplitlevi.levi import LeviLabel, enumerate_labels, wprime_Q
+from dsplitlevi.levi import LeviLabel, enumerate_labels, tau_Q, wprime_Q
 from dsplitlevi import chartab, cliff
 from dsplitlevi.signedperm import (ClosureExceedsCap, SignedPerm,
-                                   VerificationError, group_closure)
+                                   VerificationError, _closure_images,
+                                   group_closure)
 
 
 def D(i, s, c, z=1):
@@ -597,6 +598,20 @@ def wreath_degrees(c, m):
     return out
 
 
+@cache
+def sweep_keys():
+    """The first label of every kinva key of rank <= 5 and d <= 8,
+    gate-failing ones included, by key."""
+    keys = {}
+    for n in sorted(SWEEP):
+        rest = [label for d in range(1, 9) if d not in SWEEP[n]
+                for levi in enumerate_labels(n, d)
+                for label in enumerate_char_labels(levi)]
+        for label in itertools.chain(sweep(n), rest):
+            keys.setdefault(_kinva_key(label), label)
+    return keys
+
+
 class TestDegreeOracle:
     """The degrees of every W_λ table against the closed form for a
     direct product of C_c wr S_m, which reads nothing of Dixon's method."""
@@ -614,13 +629,7 @@ class TestDegreeOracle:
     def test_every_inertia_table_has_the_wreath_degrees(self):
         # Every key of rank <= 5 and d <= 8, gate-failing ones included;
         # |W_λ| <= 2^5·5! = 3840 there, within the table cap of 10000.
-        keys = {}
-        for n in sorted(SWEEP):
-            rest = [label for d in range(1, 9) if d not in SWEEP[n]
-                    for levi in enumerate_labels(n, d)
-                    for label in enumerate_char_labels(levi)]
-            for label in itertools.chain(sweep(n), rest):
-                keys.setdefault(_kinva_key(label), label)
+        keys = sweep_keys()
         assert len(keys) == 437
         for key, label in keys.items():
             (n, w_gens, _, _), _ = _kinva_inputs(key)
@@ -633,6 +642,62 @@ class TestDegreeOracle:
                     degrees = [a * b for a in degrees
                                for b in wreath_degrees(c, m)]
             assert character_table(W).degrees == tuple(sorted(degrees)), key
+
+
+def per_part_k_gens(parts, two_d0, n, w_gens):
+    """K's generators part by part: every part's diagonal full cycle,
+    all of ``w_gens``, and the adjacent swaps of each family; the oracle
+    of _build_K's list, which keeps one member per family."""
+    gens = []
+    for part in parts:
+        diag = SignedPerm.identity(n)
+        for Q in part.Qs:
+            diag = diag * wprime_Q(Q, n)
+        gens.append(diag)
+    gens.extend(w_gens)
+    filtering = any(part.flag for part in parts)
+    families = {}
+    for idx, part in enumerate(parts):
+        key = (part.s, len(part.Qs), part.c)
+        if filtering:
+            key = key + (part.flag,)
+        families.setdefault(key, []).append(idx)
+    for key in sorted(families):
+        members = families[key]
+        for a, b in zip(members, members[1:]):
+            swap = SignedPerm.identity(n)
+            for Qa, Qb in zip(parts[a].Qs, parts[b].Qs):
+                swap = swap * tau_Q(Qa, Qb, n)
+            gens.append(swap)
+    return [g for g in dict.fromkeys(gens) if g != SignedPerm.identity(n)]
+
+
+class TestKGenerators:
+    def test_one_member_per_family_generates_the_same_group(self):
+        # Every key of rank <= 5 and d <= 8: the closure of K's generators
+        # equals, as a set, that of every part's own generators, and both
+        # have the formula's order.
+        shorter = 0
+        for key in sweep_keys():
+            parts, n = _synthesize_parts(key)
+            w_gens, _, _, _ = _build_W(parts, key[0], n)
+            k_gens, k_order, _ = _build_K(parts, key[0], n, w_gens)
+            oracle = per_part_k_gens(parts, key[0], n, w_gens)
+            identity = SignedPerm.identity(n)
+            found = set(_closure_images(k_gens, identity, 20000))
+            assert found == set(_closure_images(oracle, identity, 20000)), key
+            assert len(found) == k_order, key
+            shorter += len(k_gens) < len(oracle)
+        assert shorter
+
+    def test_order_384_key_has_four_generators(self):
+        # Four classes on one orbit each, one family: one diagonal cycle
+        # and three swaps generate C2 wr S4.
+        key = (2, ((1, ((1, 1, False),) * 4),))
+        parts, n = _synthesize_parts(key)
+        k_gens, k_order, _ = _build_K(parts, 2, n, [])
+        assert (len(k_gens), k_order) == (4, 384)
+        assert len(per_part_k_gens(parts, 2, n, [])) == 7
 
 
 def conjugation_fixes(cf, k, group):
@@ -930,6 +995,14 @@ class TestSearchChecks:
             CharLabel(L24(), {1: (D(1, 1, 4, 2),)}))
         monkeypatch.setattr(cliff, "inner", lambda xi0, chi: -1)
         with pytest.raises(VerificationError, match="exact inner product"):
+            _kinva_search(W, ker, k_gens, 10000)
+
+    def test_witness_not_invariant_raises(self, monkeypatch):
+        # The witness found on numbered rows is confirmed on its values.
+        W, ker, k_gens, _ = structure_groups(
+            CharLabel(L24(), {1: (D(1, 1, 4, 2),)}))
+        monkeypatch.setattr(cliff, "is_invariant", lambda chi, perm: False)
+        with pytest.raises(VerificationError, match="not invariant"):
             _kinva_search(W, ker, k_gens, 10000)
 
     @pytest.mark.parametrize("root", wrong_order_roots(),

@@ -31,7 +31,8 @@ from dsplitlevi.levi import (
 from dsplitlevi.cli import SUITES, _embedded_simple_roots
 from dsplitlevi.rootsys import build_root_system
 from dsplitlevi.signedperm import (DEFAULT_CLOSURE_CAP, ClosureExceedsCap,
-                                   SignedPerm, group_closure, tau, wprime)
+                                   SignedPerm, VerificationError,
+                                   group_closure, tau, wprime)
 from test_signedperm import generic_closure
 
 
@@ -436,6 +437,43 @@ class TestBuildVdI:
         H = matrix_closure(hs)
         assert len(H) == 4
         assert len({rho(m) for m in V}) == 8
+
+    def _kappa_check_with(self, monkeypatch, label, **swapped):
+        """The message build_VdI raises when the twist elements it reads
+        have the fields named in ``swapped`` replaced by others."""
+        build = extweyl.build_twist_elements
+
+        def crafted(n, d):
+            te = build(n, d)
+            return te._replace(**{field: getattr(te, other)
+                                  for field, other in swapped.items()})
+
+        monkeypatch.setattr(extweyl, "build_twist_elements", crafted)
+        with pytest.raises(VerificationError) as err:
+            build_VdI(label)
+        return str(err.value)
+
+    def test_kappa_of_a_cycle_in_place_of_h_is_not_diagonal(self,
+                                                            monkeypatch):
+        # c_1 in place of h_1: κ(c_1) lifts w'_Q, not the identity.
+        message = self._kappa_check_with(
+            monkeypatch, LeviLabel(2, 4, (), ((1,), (2,))), h="c")
+        assert message.startswith("kappa(h_1) is not diagonal")
+
+    def test_kappa_of_a_diagonal_in_place_of_c_lifts_no_cycle(self,
+                                                              monkeypatch):
+        # h_1 in place of c_1: κ(h_1) is diagonal, so it lifts no w'_Q.
+        message = self._kappa_check_with(
+            monkeypatch, LeviLabel(2, 4, (), ((1,), (2,))), c="h")
+        assert message.startswith("kappa(c_1) does not lift w'_Q on Q = ")
+
+    def test_kappa_of_a_diagonal_in_place_of_p_lifts_no_swap(self,
+                                                             monkeypatch):
+        # Two orbits of one block size: h in place of p, so κ(p_1) is
+        # diagonal and lifts no swap of the two Q sets.
+        message = self._kappa_check_with(
+            monkeypatch, LeviLabel(2, 1, (), ((1,), (2,))), p="h")
+        assert message.startswith("kappa(p_1) does not lift the swap of ")
 
     def test_empty_blocks(self):
         label = LeviLabel(2, 1, (1, 2), ())
