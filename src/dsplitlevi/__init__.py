@@ -20,7 +20,8 @@ The package is organised bottom-up:
   discrete logs in the cyclic unit group of a finite field, Lang maps,
   fixed points, central actions.
 - ``chartab``: exact character tables (Dixon's method), restriction,
-  inner products, inertia groups and extendibility tests.
+  inner products, inertia groups, and extendibility of linear
+  characters of abelian normal subgroups from derived subgroups.
 - ``cliff``: stabilizers of Levi-side characters in the relative Weyl
   group, the sign character of the index-2 covering, the K(lambda)
   subgroup and the invariance criterion.

@@ -1,9 +1,7 @@
 """Exact character tables of small finite groups.
 
-A :class:`FiniteGroup` wraps an explicit list of group elements:
-signed permutations, or signed monomial matrices, which are held as
-signed permutations and expose the same ``img`` and ``table()``, so
-every product and conjugate is formed on the composition kernel of
+A :class:`FiniteGroup` wraps an explicit list of signed permutations,
+so every product and conjugate is formed on the composition kernel of
 :mod:`dsplitlevi.signedperm`.  :func:`character_table` computes the
 full ordinary character table by Dixon's modular method, in three
 steps.
@@ -41,9 +39,10 @@ of different labels often do, share one Dixon run.
 Restriction and inner products of class functions are exact.
 :func:`class_permutation` is the package's one conjugation action on
 the classes of a normal subgroup, shared by the invariance search of
-:mod:`dsplitlevi.cliff` and :func:`inertia_and_extendibility`, which
-decides whether a character of a normal subgroup extends to its
-stabiliser.
+:mod:`dsplitlevi.cliff` and :func:`extension_obstruction`, which
+decides whether a linear character of an abelian normal subgroup
+extends to its inertia group, from that group's derived subgroup and
+with no character table.
 """
 
 import math
@@ -78,8 +77,7 @@ class ClassData:
 class FiniteGroup:
     """A finite group given by an explicit, deterministic element list.
 
-    Elements are signed permutations or objects with their ``*``,
-    ``inv()``, ``img`` and ``table()``; ``at`` finds an element's
+    Elements are signed permutations; ``at`` finds an element's
     position by its image tuple.  The element list
     must be closed under multiplication (verified).  The conjugacy class
     of each element is found by orbit search under conjugation by the
@@ -90,7 +88,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("elements", "at", "identity", "generators",
-                 "order", "_classes", "_powers", "_actions", "_table")
+                 "order", "_classes", "_powers", "_table")
 
     def __init__(self, elements, generators=None, cap=DEFAULT_GROUP_CAP):
         elements = list(elements)
@@ -123,15 +121,13 @@ class FiniteGroup:
         self.generators = tuple(generators)
         self._classes = None
         self._powers = None
-        self._actions = {}
         self._table = None
 
     @classmethod
     def generate(cls, gens, cap=DEFAULT_GROUP_CAP):
         """The subgroup generated by the signed permutations ``gens``,
         enumerated by breadth-first search starting at the identity (a
-        deterministic order).  A matrix group is
-        ``FiniteGroup(matrix_closure(gens), generators=gens)``."""
+        deterministic order)."""
         gens = list(gens)
         if not gens:
             raise ValueError("need at least one generator")
@@ -257,10 +253,6 @@ class ClassFunction:
             raise ValueError("one value per conjugacy class required")
         self.group = group
         self.values = values
-
-    def value_at(self, element):
-        data = self.group.conjugacy_classes()
-        return self.values[data.class_at[element.img]]
 
     def __eq__(self, other):
         if not isinstance(other, ClassFunction):
@@ -780,66 +772,51 @@ def is_invariant(cf, perm):
     return ClassFunction(cf.group, [cf.values[i] for i in perm]) == cf
 
 
-# Overgroups H whose class permutations and inertia groups are kept on a
-# group N; past the bound the oldest is dropped.  The acceptance checks
-# loop over every θ of one (H, N), so that pair pays for its class action
-# once, and for each distinct inertia group once.
-_ACTIONS_PER_GROUP = 4
+def extension_obstruction(V, H, theta):
+    """For an abelian normal subgroup H of V and a linear character
+    theta of H: the inertia group V_theta = {v : theta^v = theta}, in
+    V's element order (V itself when every v fixes theta), and None when
+    theta extends to V_theta, or else an element of H ∩ V_theta′ at
+    which theta is not 1.
 
-
-def _class_permutations(H, N):
-    """:func:`class_permutation` of every h ∈ H on N, in H's element
-    order, and a dict for the inertia groups built from them; computed
-    once per (H, N) and kept on N for its last ``_ACTIONS_PER_GROUP``
-    overgroups (keyed by the H object)."""
-    actions = N._actions
-    kept = actions.get(H)
-    if kept is None:
-        kept = tuple(class_permutation(h, N) for h in H.elements), {}
-        if len(actions) >= _ACTIONS_PER_GROUP:
-            del actions[next(iter(actions))]
-        actions[H] = kept
-    return kept
-
-
-def inertia_and_extendibility(H, N, theta, cap=DEFAULT_GROUP_CAP):
-    """For a normal subgroup N of H and a class function theta on N:
-    the inertia group H_theta = {h : theta^h = theta}, whether theta
-    extends to H_theta, and a witness extension (or None).
-
-    ``theta^h(n) = theta(h n h^{-1})``, read off h's
-    :func:`class_permutation`, computed once per (H, N) for every θ
-    (see :func:`_class_permutations`); H_theta keeps H's element order.
-    It is built once per (H, N) for each set of fixing h, and is H
-    itself when every h fixes theta, so its classes and table are not
-    built again for each theta.
-    N's generators suffice for normality, as conjugation is an
-    automorphism.
-    Extendibility is decided by an exhaustive search through
-    Irr(H_theta) for a character whose restriction to N equals theta
-    exactly.
+    theta^v is read off v's :func:`class_permutation`.  A linear theta
+    extends to V_theta exactly when it is trivial on H ∩ V_theta′: an
+    extension is linear and so trivial on V_theta′; conversely theta is
+    then a character of the subgroup H/(H ∩ V_theta′) of the abelian
+    group V_theta/V_theta′, and it extends from there (Isaacs,
+    *Character Theory of Finite Groups*, 1976, ch. 5-6).  V_theta′ is
+    the normal closure in V_theta of the commutators of its generators:
+    each commutator kept as a generator of it has its conjugates by
+    V_theta's generators checked to lie in it.  V's and H's generators
+    suffice for normality, as conjugation is an automorphism.
     """
-    if theta.group.elements != N.elements:
-        raise ValueError("theta must be a class function on N")
-    for x in N.elements:
-        if x.img not in H.at:
-            raise ValueError("N is not a subgroup of H")
-    for g in H.generators:
+    if theta.group.elements != H.elements:
+        raise ValueError("theta must be a class function on H")
+    data = H.conjugacy_classes()
+    if len(data.reps) != H.order:
+        raise ValueError("H is not abelian")
+    for x in H.elements:
+        if x.img not in V.at:
+            raise ValueError("H is not a subgroup of V")
+    for g in V.generators:
         by = _conjugator(g.inv().img)
-        for x in N.generators:
-            if by(x.table()) not in N.at:
-                raise ValueError("N is not normal in H")
+        for x in H.generators:
+            if by(x.table()) not in H.at:
+                raise ValueError("H is not normal in V")
 
-    perms, stabilisers = _class_permutations(H, N)
-    fixing = tuple(i for i, perm in enumerate(perms)
-                   if is_invariant(theta, perm))
-    H_theta = stabilisers.get(fixing)
-    if H_theta is None:
-        H_theta = stabilisers[fixing] = (
-            H if len(fixing) == H.order
-            else FiniteGroup([H.elements[i] for i in fixing], cap=cap))
-    table = character_table(H_theta, cap=cap)
-    for chi in table.characters:
-        if restrict(chi, N) == theta:
-            return H_theta, True, chi
-    return H_theta, False, None
+    fixing = [v for v in V.elements
+              if is_invariant(theta, class_permutation(v, H))]
+    V_theta = (V if len(fixing) == V.order
+               else FiniteGroup(fixing, cap=V.order))
+    gens = V_theta.generators
+    pending = [a.inv() * b.inv() * a * b
+               for i, a in enumerate(gens) for b in gens[:i]]
+    kept, derived = [], {V.identity}
+    while pending:
+        c = pending.pop()
+        if c not in derived:
+            kept.append(c)
+            derived = set(closure(kept, V.identity, V.order))
+            pending += [c.conj(g) for g in gens]
+    return V_theta, next((h for h, value in zip(data.reps, theta.values)
+                          if value != 1 and h in derived), None)

@@ -7,10 +7,12 @@ is ever needed, so every constructed element has entries in {0, +-1}.
 
 Every n_alpha, h_alpha and product of them is signed monomial,
 M e_j = +-e_pi(j), so IntMatrix holds it as the rank-2n SignedPerm
-j+1 -> +-(pi(j)+1) and multiplies, inverts and powers it there; only
-the x_alpha(+-1) multiply as dense rows.  Rows are built only when
-read, and equality and hash compare that image, so they agree however
-a matrix was made.  rho reads the image as a signed permutation of
+j+1 -> +-(pi(j)+1) (``signed_perm``) and multiplies, inverts and powers
+it there; only the x_alpha(+-1) multiply as dense rows.  A group of
+such matrices is closed, or handed to :mod:`dsplitlevi.chartab`, as
+those signed permutations.  Rows are built only when read, and
+equality and hash compare that image, so they agree however a matrix
+was made.  rho reads the image as a signed permutation of
 rank n (f_i read as e_{-i}); its kernel is the diagonal 2-group.
 rho_image is that reading on bare image tuples, which rho wraps.
 
@@ -86,15 +88,6 @@ class IntMatrix:
         if self._perm is None:
             raise ValueError("not a signed monomial matrix")
         return self._perm
-
-    @property
-    def img(self):
-        """The images of its :meth:`signed_perm`."""
-        return self.signed_perm().img
-
-    def table(self):
-        """The signed table of its :meth:`signed_perm`."""
-        return self.signed_perm().table()
 
     def inv(self):
         """Inverse, available exactly for signed monomial matrices."""

@@ -19,8 +19,9 @@ Besides the group operations the module provides
   formula of a product of wreath products C_c wr S_m;
 * :func:`closure`, the one breadth-first enumeration of ⟨gens⟩ in the
   package, with its cap exception :class:`ClosureExceedsCap`; it takes
-  signed permutations only (the monomial matrices of ``extweyl`` and
-  the class actions of ``cliff`` close as signed permutations), closes
+  signed permutations only (the monomial matrices of ``extweyl``, the
+  groups of ``chartab`` and the class actions of ``cliff`` close as
+  signed permutations), closes
   them on bare image tuples (:func:`_closure_images`, which ``cliff``
   counts for the order of K), each element's signed table built once,
   and wraps them as SignedPerms only at the end; :func:`check_order`

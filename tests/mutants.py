@@ -151,6 +151,24 @@ MUTANTS = [
             "test_class_permutation_rejects_mixed_ranks[lower]",
             "tests/test_chartab.py::"
             "test_class_permutation_rejects_mixed_ranks[higher]"]),
+    # Extendibility over an abelian normal subgroup: the derived
+    # subgroup is V_theta's, not V's, and the normal closure of its
+    # generators' commutators, not the subgroup they generate; H must be
+    # abelian.
+    Mutant("derived_subgroup_of_v", "chartab.py",
+           "gens = V_theta.generators",
+           "gens = V.generators",
+           [ACCEPT + "test_06_extended_weyl_cover_maximal_extendibility"]),
+    Mutant("commutators_without_normal_closure", "chartab.py",
+           "pending += [c.conj(g) for g in gens]",
+           "pending += []",
+           ["tests/test_chartab.py::TestInertiaExtendibility::"
+            "test_derived_subgroup_is_a_normal_closure"]),
+    Mutant("abelian_check_dropped", "chartab.py",
+           "if len(data.reps) != H.order:",
+           "if False:",
+           ["tests/test_chartab.py::TestInertiaExtendibility::"
+            "test_abelian_subgroup_required"]),
     # The structure key of the table cache (chartab._table_key) holds
     # each generator's action, and is refused unless the elements are
     # closed under the generators and the generators generate them; a
@@ -511,6 +529,41 @@ MUTANTS = [
             EXTWEYL + "TestChevalleyGenerators::test_rank_one_n_matrix",
             CLI + "TestVerify::test_reports_match_golden_digests"
                   "[extweyl-n2-json]"]),
+    # The twist elements: v lifts the Sylow twist; c_1 lifts w'_J and,
+    # once corrected by a diagonal, commutes with v; p_k lifts the swap of
+    # two grid sets and squares to their diagonals; each c_k lifts w'_J;
+    # and v' = c_1 ... c_a commutes with v.
+    Mutant("twist_lift_check_dropped", "extweyl.py",
+           "if rho(v) != sylow_twist_w(n, d):",
+           "if False:",
+           [EXTWEYL + "TestTwistGuards::test_v_must_lift_the_sylow_twist"]),
+    Mutant("c_1_lift_check_dropped", "extweyl.py",
+           "if rho(c1) != wprime(J1, n):",
+           "if False:",
+           [EXTWEYL + "TestTwistGuards::test_c_1_must_lift_w_prime"]),
+    Mutant("c_1_correction_check_dropped", "extweyl.py",
+           'raise VerificationError("no diagonal correction makes c_1 "\n'
+           '                                f"centralize v (n={n}, d={d})")',
+           "pass",
+           [EXTWEYL + "TestTwistGuards::"
+                      "test_c_1_needs_a_diagonal_correction"]),
+    Mutant("p_swap_check_dropped", "extweyl.py",
+           "if rho(pk) != tau(grids[k - 1], grids[k], n):",
+           "if False:",
+           [EXTWEYL + "TestTwistGuards::test_p_1_must_lift_the_swap"]),
+    Mutant("p_square_check_dropped", "extweyl.py",
+           "if pk * pk != hs[k - 1] * hs[k]:",
+           "if False:",
+           [EXTWEYL + "TestTwistGuards::"
+                      "test_p_1_must_square_to_the_diagonals"]),
+    Mutant("c_k_lift_check_dropped", "extweyl.py",
+           "if rho(ck) != wprime(grids[k - 1], n):",
+           "if False:",
+           [EXTWEYL + "TestTwistGuards::test_c_2_must_lift_w_prime"]),
+    Mutant("v_prime_commute_check_dropped", "extweyl.py",
+           "if v_prime * v != v * v_prime:",
+           "if False:",
+           [EXTWEYL + "TestTwistGuards::test_v_prime_must_commute_with_v"]),
     # The lift of each grid-set element by κ: h_i to a diagonal, c_i to a
     # lift of w'_Q, p_k to a lift of the swap of two Q sets.
     Mutant("kappa_h_check_dropped", "extweyl.py",
@@ -654,13 +707,13 @@ GUARDS = {
     "cliff.py:_kinva_search:2": "inner_product_check_dropped",
     "cliff.py:_kinva_search:3": "witness_invariance_check_dropped",
     "cyclo.py:CycNum.inv:1": "inv_norm_guard_dropped",
-    "extweyl.py:build_twist_elements:1": UNCOVERED,
-    "extweyl.py:build_twist_elements:2": UNCOVERED,
-    "extweyl.py:build_twist_elements:3": UNCOVERED,
-    "extweyl.py:build_twist_elements:4": UNCOVERED,
-    "extweyl.py:build_twist_elements:5": UNCOVERED,
-    "extweyl.py:build_twist_elements:6": UNCOVERED,
-    "extweyl.py:build_twist_elements:7": UNCOVERED,
+    "extweyl.py:build_twist_elements:1": "twist_lift_check_dropped",
+    "extweyl.py:build_twist_elements:2": "c_1_lift_check_dropped",
+    "extweyl.py:build_twist_elements:3": "c_1_correction_check_dropped",
+    "extweyl.py:build_twist_elements:4": "p_swap_check_dropped",
+    "extweyl.py:build_twist_elements:5": "p_square_check_dropped",
+    "extweyl.py:build_twist_elements:6": "c_k_lift_check_dropped",
+    "extweyl.py:build_twist_elements:7": "v_prime_commute_check_dropped",
     "extweyl.py:build_VdI:1": "kappa_h_check_dropped",
     "extweyl.py:build_VdI:2": "kappa_c_check_dropped",
     "extweyl.py:build_VdI:3": "kappa_p_check_dropped",

@@ -16,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 from dsplitlevi.chartab import (FiniteGroup, character_table,
-                                inertia_and_extendibility)
+                                extension_obstruction, restrict)
 from dsplitlevi.cli import main as cli_main
 from dsplitlevi.cliff import (cuspidal_gate, enumerate_char_labels,
                               kinva_check, stab_lambda)
@@ -30,7 +30,8 @@ from dsplitlevi.signedperm import (SignedPerm, block_wreath_generators,
                                    block_wreath_normalizer_generators,
                                    brute_centralizer, brute_normalizer,
                                    centralizer_type, group_closure,
-                                   set_partitions, signed_symmetric_group)
+                                   set_partitions, signed_symmetric_group,
+                                   wreath_order)
 from dsplitlevi.torus import (TwistedOrbit, central_stabilizer_jump,
                               conj_center_action, lang_logs, lang_map, theta,
                               z_plus)
@@ -171,22 +172,43 @@ def test_05_extended_weyl_matrix_relations():
                 assert {rho(g) for g in Vd} == cent, (n, d)
 
 
+def extension_by_table(V, H, theta):
+    """The oracle of ``chartab.extension_obstruction``, for a linear
+    theta on an abelian normal subgroup H of V: the inertia group
+    V_theta, the v with theta(h^v) = theta(h) on H's generators, in V's
+    element order (V itself when every v fixes theta), and the first
+    character of V_theta's table that restricts to theta on H, or None
+    when theta does not extend: an exhaustive search through
+    Irr(V_theta)."""
+    class_at = H.conjugacy_classes().class_at
+
+    def value(h):
+        return theta.values[class_at[h.img]]
+
+    fixing = [v for v in V.elements
+              if all(value(h.conj(v)) == value(h) for h in H.generators)]
+    V_theta = V if len(fixing) == V.order else FiniteGroup(fixing)
+    return V_theta, next((chi for chi in character_table(V_theta).characters
+                          if restrict(chi, H) == theta), None)
+
+
 def test_06_extended_weyl_cover_maximal_extendibility():
-    """Every irreducible character of the diagonal kernel extends to
-    its inertia group inside the lifted relative Weyl group, checked
-    through exact character tables for every label whose lift has
-    order at most 2000 at rank <= 4, twist order <= 8.  Labels sharing
+    """Every irreducible character theta of the diagonal kernel H
+    extends to its inertia group V_theta inside the lifted relative
+    Weyl group V, for every label whose lift has order at most 2000 at
+    rank <= 5, twist order <= 8: theta is trivial on H ∩ V_theta′.  At
+    rank <= 4 that criterion agrees, on V_theta and on the verdict, with
+    a search through the character table of V_theta.  Labels sharing
     (rank, twist, orbit shape) give conjugate lifts, so one
     representative per shape is computed."""
     seen = set()
-    checked = 0
-    for n in (1, 2, 3, 4):
+    characters = 0
+    for n in (1, 2, 3, 4, 5):
         for d in range(1, 9):
             for lab in enumerate_labels(n, d):
                 order = 1
-                for s, ts in lab.t.items():
-                    order *= (2 ** ts * (2 * lab.d0) ** ts
-                              * factorial(ts))
+                for ts in lab.t.values():
+                    order *= 2 ** ts * wreath_order([(2 * lab.d0, ts)])
                 if order > 2000 or not lab.I:
                     continue
                 key = (n, d, tuple(sorted(lab.t.items())))
@@ -194,16 +216,20 @@ def test_06_extended_weyl_cover_maximal_extendibility():
                     continue
                 seen.add(key)
                 gens, hs = build_VdI(lab)
-                V = FiniteGroup(matrix_closure(gens), generators=gens)
-                H = FiniteGroup(matrix_closure(hs), generators=hs)
+                V = FiniteGroup.generate([g.signed_perm() for g in gens])
+                H = FiniteGroup.generate([h.signed_perm() for h in hs])
                 assert V.order == order, (key, V.order, order)
                 for th in character_table(H).characters:
-                    stab, extends, witness = inertia_and_extendibility(
-                        V, H, th)
-                    assert extends, (key, th.values)
-                    assert witness is not None
-                    checked += 1
-    assert checked > 100
+                    V_theta, obstruction = extension_obstruction(V, H, th)
+                    assert obstruction is None, (key, th.values)
+                    if n <= 4:
+                        stab, witness = extension_by_table(V, H, th)
+                        assert stab.elements == V_theta.elements, key
+                        assert witness is not None, (key, th.values)
+                    characters += 1
+        if n == 4:
+            assert (len(seen), characters) == (50, 166)
+    assert (len(seen), characters) == (89, 346)
 
 
 def test_07_twisted_torus_fixed_points():
@@ -274,8 +300,10 @@ def test_08_character_tables_and_wreath_extendibility():
     table is returned) with the textbook degree multisets for six small
     groups; and in the wreath products A wr S_m for A cyclic of order
     2, 3, 4 and m <= 3, every character of the base extends to its
-    inertia group.  Base characters are checked once per value multiset
-    (conjugate characters share the answer)."""
+    inertia group, by the derived-subgroup criterion and by a search
+    through the inertia group's table, which agree on that group.  Base
+    characters are checked once per value multiset (conjugate
+    characters share the answer)."""
     frozen = {
         "s3": ([_sp("(1,2)", 3), _sp("(1,2,3)", 3)], [1, 1, 2]),
         "s4": ([_sp("(1,2)", 4), _sp("(1,2,3,4)", 4)], [1, 1, 2, 3, 3]),
@@ -294,15 +322,18 @@ def test_08_character_tables_and_wreath_extendibility():
     for build in (_c2_wreath, _c3_wreath, _c4_wreath):
         for m in (1, 2, 3):
             G, N = build(m)
+            class_at = N.conjugacy_classes().class_at
             seen = set()
             for th in character_table(N).characters:
-                sig = tuple(sorted(repr(th.value_at(b))
+                sig = tuple(sorted(repr(th.values[class_at[b.img]])
                                    for b in N.generators))
                 if sig in seen:
                     continue
                 seen.add(sig)
-                stab, extends, witness = inertia_and_extendibility(G, N, th)
-                assert extends, (build.__name__, m, th.values)
+                stab, obstruction = extension_obstruction(G, N, th)
+                assert obstruction is None, (build.__name__, m, th.values)
+                oracle_stab, witness = extension_by_table(G, N, th)
+                assert oracle_stab.elements == stab.elements
                 assert witness is not None
 
 

@@ -4,7 +4,8 @@ Frozen oracles: textbook tables for S3, S4, dihedral/quaternion order
 8, cyclic groups, and wreath products of abelian groups by S_m whose
 degree multisets are predicted independently by the little-group
 construction.  Induction, restriction, inner products and the
-inertia/extendibility search are checked on classical instances.  A
+inertia groups and extendibility criterion are checked on classical
+instances, the criterion against a search through character tables.  A
 table shared through the structure cache must equal the table computed
 afresh for its own group.
 """
@@ -26,7 +27,7 @@ from dsplitlevi.chartab import (
     _verify_orthogonality,
     character_table,
     class_permutation,
-    inertia_and_extendibility,
+    extension_obstruction,
     inner,
     restrict,
 )
@@ -49,7 +50,8 @@ from dsplitlevi.signedperm import (
     group_closure,
     signed_symmetric_group,
 )
-from test_acceptance import _c2_wreath, _c3_wreath, _c4_wreath
+from test_acceptance import (_c2_wreath, _c3_wreath, _c4_wreath,
+                             extension_by_table)
 
 
 def sp(text, n):
@@ -163,8 +165,9 @@ class TestReduceGenerators:
     def _lists(self):
         rng = random.Random(5)
         for elems in (list(signed_symmetric_group(3)), list(s4().elements),
-                      matrix_closure([chevalley_generator("n", r, 1)
-                                      for r in ((1, -1), (0, 2))])):
+                      [m.signed_perm() for m in matrix_closure(
+                          [chevalley_generator("n", r, 1)
+                           for r in ((1, -1), (0, 2))])]):
             yield elems
             for _ in range(3):
                 rest = elems[1:]
@@ -802,34 +805,72 @@ def test_class_permutation_rejects_mixed_ranks(k, n):
         class_permutation(sp(k, n), N)
 
 
+def lifted(label):
+    """V_d^I and its diagonal kernel H_d^I of ``label``, on the signed
+    permutations their matrices are held as."""
+    gens, hs = build_VdI(label)
+    return (FiniteGroup.generate([g.signed_perm() for g in gens]),
+            FiniteGroup.generate([h.signed_perm() for h in hs]))
+
+
 class TestInertiaExtendibility:
     def test_trivial_quotient(self):
         N = grp(sp("(1,2,-1,-2)", 2))
         for theta in character_table(N).characters:
-            stab, extends, witness = inertia_and_extendibility(N, N, theta)
-            assert stab.order == 4 and extends and witness == theta
+            stab, obstruction = extension_obstruction(N, N, theta)
+            assert stab is N and obstruction is None
+
+    def test_dihedral_center_obstruction(self):
+        # The centre of D8 lies in its derived subgroup, so its faithful
+        # character extends to no linear one.
+        G = FiniteGroup(signed_symmetric_group(2))
+        minus_one = sp("(1,-1)(2,-2)", 2)
+        center = grp(minus_one)
+        for theta in character_table(center).characters:
+            stab, obstruction = extension_obstruction(G, center, theta)
+            faithful = theta.values[1] == -1
+            assert stab is G
+            assert obstruction == (minus_one if faithful else None)
+            witness = extension_by_table(G, center, theta)[1]
+            assert (witness is None) == faithful
 
     def test_quaternion_center_obstruction(self):
         G = grp(sp("(1,2,-1,-2)(3,4,-3,-4)", 4), sp("(1,3,-1,-3)(2,-4,-2,4)", 4))
-        center = grp(sp("(1,-1)(2,-2)(3,-3)(4,-4)", 4))
+        minus_one = sp("(1,-1)(2,-2)(3,-3)(4,-4)", 4)
+        center = grp(minus_one)
         thetas = character_table(center).characters
         faithful = [t for t in thetas if any(v != 1 for v in t.values)]
         assert len(faithful) == 1
-        stab, extends, witness = inertia_and_extendibility(
-            G, center, faithful[0])
+        stab, obstruction = extension_obstruction(G, center, faithful[0])
         assert stab.order == 8
-        assert not extends and witness is None
+        assert obstruction == minus_one
+        assert extension_by_table(G, center, faithful[0])[1] is None
+
+    def test_derived_subgroup_is_a_normal_closure(self):
+        # The commutator of the two generators, (1,-1)(4,-4), generates a
+        # subgroup of order 2 without -1; its normal closure, the derived
+        # subgroup of order 4, holds -1, on which the faithful character
+        # of the centre is -1.
+        a, b = sp("(1,-3,-4,2)", 4), sp("(3,-3)(4,-4)", 4)
+        V = grp(a, b)
+        minus_one = sp("(1,-1)(2,-2)(3,-3)(4,-4)", 4)
+        center = grp(minus_one)
+        assert V.order == 32
+        assert b.inv() * a.inv() * b * a == sp("(1,-1)(4,-4)", 4)
+        assert all(minus_one * g == g * minus_one for g in V.generators)
+        faithful, = [t for t in character_table(center).characters
+                     if t.values[1] == -1]
+        stab, obstruction = extension_obstruction(V, center, faithful)
+        assert stab is V and obstruction == minus_one
+        assert extension_by_table(V, center, faithful)[1] is None
 
     def test_lifted_relative_weyl_label(self):
-        label = LeviLabel(2, 4, (), ((1,), (2,)))
-        gens, hs = build_VdI(label)
-        V = FiniteGroup(matrix_closure(gens), generators=gens)
-        H = FiniteGroup(matrix_closure(hs), generators=hs)
+        V, H = lifted(LeviLabel(2, 4, (), ((1,), (2,))))
         assert V.order == 8 and H.order == 2
         for theta in character_table(H).characters:
-            stab, extends, witness = inertia_and_extendibility(V, H, theta)
-            assert stab.order == 8
-            assert extends and restrict(witness, H) == theta
+            stab, obstruction = extension_obstruction(V, H, theta)
+            assert stab is V and obstruction is None
+            assert extension_by_table(V, H, theta)[1] is not None
 
     def test_wreath_normal_abelian_base(self):
         G = grp(sp("(1,2,3)", 6), sp("(1,2)", 6), sp("(4,5,6)", 6),
@@ -838,56 +879,42 @@ class TestInertiaExtendibility:
         N = grp(sp("(1,2,3)", 6), sp("(4,5,6)", 6))
         assert N.order == 9
         for theta in character_table(N).characters:
-            stab, extends, witness = inertia_and_extendibility(G, N, theta)
+            stab, obstruction = extension_obstruction(G, N, theta)
             assert N.order <= stab.order
-            assert extends
-            assert restrict(witness, N) == theta
+            assert obstruction is None
 
     def test_normality_required(self):
         G = s3()
         H = grp(sp("(1,2)", 3))
         theta = character_table(H).characters[0]
-        with pytest.raises(ValueError):
-            inertia_and_extendibility(G, H, theta)
+        with pytest.raises(ValueError, match="not normal"):
+            extension_obstruction(G, H, theta)
 
     def test_subgroup_required(self):
         G = grp(sp("(1,2)", 3))
         N = grp(sp("(1,2,3)", 3))
         theta = character_table(N).characters[0]
         with pytest.raises(ValueError, match="not a subgroup"):
-            inertia_and_extendibility(G, N, theta)
+            extension_obstruction(G, N, theta)
 
-    def test_class_permutations_once_per_pair_and_bounded(self,
-                                                          monkeypatch):
-        calls = []
+    def test_abelian_subgroup_required(self):
+        G = s3()
+        theta = character_table(G).characters[0]
+        with pytest.raises(ValueError, match="not abelian"):
+            extension_obstruction(G, G, theta)
 
-        def counted(k, N):
-            calls.append(k)
-            return class_permutation(k, N)
-
-        monkeypatch.setattr(chartab, "class_permutation", counted)
-        monkeypatch.setattr(chartab, "_ACTIONS_PER_GROUP", 2)
+    def test_character_of_another_group_refused(self):
+        G = s3()
         N = grp(sp("(1,2,3)", 3))
-        Hs = [s3() for _ in range(3)]
-        thetas = character_table(N).characters
-        assert len(thetas) == 3
-        for theta in thetas:
-            inertia_and_extendibility(Hs[0], N, theta)
-        assert calls == list(Hs[0].elements)
-        for H in Hs[1:]:
-            inertia_and_extendibility(H, N, thetas[1])
-        assert list(N._actions) == Hs[1:]
-        del calls[:]
-        inertia_and_extendibility(Hs[0], N, thetas[0])
-        assert len(calls) == Hs[0].order
-        assert list(N._actions) == [Hs[2], Hs[0]]
+        theta = character_table(grp(sp("(1,3,2)", 3))).characters[1]
+        with pytest.raises(ValueError, match="class function on H"):
+            extension_obstruction(G, N, theta)
 
 
 def elementwise_stabiliser(H, N, theta):
     """H_theta in H's element order, by conjugating every class
     representative of N by every h and looking the value up in a table
-    over N's elements (the loop inertia_and_extendibility ran before it
-    used class_permutation)."""
+    over N's elements, with no class_permutation."""
     ndata = N.conjugacy_classes()
     value_at = {y: theta.values[j] for j, orb in enumerate(ndata.classes)
                 for y in orb}
@@ -904,7 +931,7 @@ def inertia_pairs():
     """(H, N) for the wreath products of acceptance test_08 and the lifted
     shapes of acceptance test_06 at rank <= 3, with |H| <= 100: C3 wr S3
     (order 162) and the order-384 groups (C4 wr S3 and three rank-3
-    lifts) would take several seconds, every theta checked twice."""
+    lifts) would take several seconds through the table search."""
     pairs = [build(m) for build in (_c2_wreath, _c3_wreath, _c4_wreath)
              for m in (1, 2, 3)]
     seen = set()
@@ -914,10 +941,7 @@ def inertia_pairs():
                 shape = (n, d, tuple(label.t.items()))
                 if label.I and shape not in seen:
                     seen.add(shape)
-                    gens, hs = build_VdI(label)
-                    pairs.append(
-                        (FiniteGroup(matrix_closure(gens), generators=gens),
-                         FiniteGroup(matrix_closure(hs), generators=hs)))
+                    pairs.append(lifted(label))
     return [(H, N) for H, N in pairs if H.order <= 100]
 
 
@@ -925,16 +949,15 @@ def test_inertia_group_matches_elementwise_stabiliser():
     checked = proper = 0
     for H, N in inertia_pairs():
         for theta in character_table(N).characters:
-            stab, extends, witness = inertia_and_extendibility(H, N, theta)
+            stab, obstruction = extension_obstruction(H, N, theta)
             want = elementwise_stabiliser(H, N, theta)
             assert list(stab.elements) == want
             assert (stab is H) == (len(want) == H.order)
-            assert inertia_and_extendibility(H, N, theta)[0] is stab
-            # The witness is the first character of H_theta's table that
-            # restricts to theta.
-            first = next((chi for chi in character_table(stab).characters
-                          if restrict(chi, N) == theta), None)
-            assert extends == (first is not None) and witness is first
+            # The table search finds the same inertia group, and an
+            # extension exactly when the criterion finds no obstruction.
+            oracle_stab, witness = extension_by_table(H, N, theta)
+            assert oracle_stab.elements == stab.elements
+            assert (obstruction is None) == (witness is not None)
             checked += 1
             proper += len(want) < H.order
     assert (checked, proper) == (102, 34)

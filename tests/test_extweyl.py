@@ -415,6 +415,84 @@ class TestTwistElements:
             assert {rho(g) for g in Vd} == cent
 
 
+def _without_diagonals(kind, root, t):
+    """chevalley_generator with every h_alpha(t) the identity."""
+    if kind == "h":
+        return IntMatrix.identity(2 * len(root))
+    return chevalley_generator(kind, root, t)
+
+
+class TestTwistGuards:
+    """Each check of build_twist_elements, reached by crafting a helper
+    it reads; the message names the check that failed."""
+
+    @staticmethod
+    def _message(monkeypatch, n, d, **crafted):
+        for name, value in crafted.items():
+            monkeypatch.setattr(extweyl, name, value)
+        with pytest.raises(VerificationError) as err:
+            build_twist_elements(n, d)
+        return str(err.value)
+
+    def test_v_must_lift_the_sylow_twist(self, monkeypatch):
+        message = self._message(monkeypatch, 2, 4, sylow_twist_w=lambda n, d:
+                                SignedPerm.identity(n))
+        assert message.startswith("lift v does not project onto the Sylow")
+
+    def test_c_1_must_lift_w_prime(self, monkeypatch):
+        message = self._message(monkeypatch, 2, 4, wprime=lambda J, n:
+                                SignedPerm.identity(n))
+        assert message.startswith("c_1 does not lift w'_J on J = (1, 2)")
+
+    def test_c_1_needs_a_diagonal_correction(self, monkeypatch):
+        # At n = 2, d = 4 the long cycle c_1 commutes with v only after a
+        # nonzero diagonal correction, and here every diagonal is 1.
+        message = self._message(monkeypatch, 2, 4,
+                                chevalley_generator=_without_diagonals)
+        assert message.startswith("no diagonal correction makes c_1")
+
+    def test_p_1_must_lift_the_swap(self, monkeypatch):
+        message = self._message(monkeypatch, 2, 1, tau=lambda J, K, n:
+                                SignedPerm.identity(n))
+        assert message.startswith("p_1 does not lift the swap of grid sets")
+
+    def test_p_1_must_square_to_the_diagonals(self, monkeypatch):
+        # At n = 2, d = 1 c_1 needs no correction, so the trivial
+        # diagonals first fail p_1^2 = h_1 h_2.
+        message = self._message(monkeypatch, 2, 1,
+                                chevalley_generator=_without_diagonals)
+        assert message.startswith("p_1^2 != h_1 h_2")
+
+    def test_c_2_must_lift_w_prime(self, monkeypatch):
+        # w'_J is the identity off the first grid set only, so c_1 passes
+        # and its conjugate c_2 fails.
+        message = self._message(monkeypatch, 2, 1, wprime=lambda J, n:
+                                wprime(J, n) if 1 in J
+                                else SignedPerm.identity(n))
+        assert message.startswith("c_2 does not lift w'_J on grid set 2")
+
+    def test_v_prime_must_commute_with_v(self, monkeypatch):
+        # Once v is built (from the first h on), n_{e_1 - e_2} is followed
+        # by the sign -1 on e_1 and e_2.  ρ reads no signs, and the signs
+        # are fixed by the swap, so p_1 keeps its projection and its
+        # square; but v moves them, so p_1, c_2 = c_1^p_1 and v' = c_1 c_2
+        # no longer commute with v.
+        signs = IntMatrix([[-1 if i == j < 2 else int(i == j)
+                            for j in range(8)] for i in range(8)])
+        kinds = []
+
+        def crafted(kind, root, t):
+            kinds.append(kind)
+            m = chevalley_generator(kind, root, t)
+            if "h" in kinds and (kind, root) == ("n", (1, -1, 0, 0)):
+                return m * signs
+            return m
+
+        message = self._message(monkeypatch, 4, 4,
+                                chevalley_generator=crafted)
+        assert message.startswith("v_prime does not commute with v")
+
+
 class TestBuildVdI:
     def test_single_orbit_example(self):
         label = LeviLabel(2, 4, (), ((1,), (2,)))
