@@ -23,10 +23,14 @@ counted by the Bell number Bell(a+1) (:func:`label_count`).
 search, and refuses a count past ``LABEL_COUNT_BOUND`` before building
 any.  It hands the labels out one at a time in sorted order, each
 built only when it is reached: by T in the order of I₋₁, and within
-one T from sorted light keys, so a report that writes them as it goes
-holds one label and at most Bell(a) keys, not Bell(a+1) labels.  It
-constructs each label through a trusted path of :class:`LeviLabel`
-that skips the per-label checks; the orbit checks run once per group,
+one T in the order of a partition template, the set partitions of the
+positions 1..k, k = a - |T|, sorted once per k and kept.  Each label's
+I is the images of its template's blocks in a table of the blocks of
+that T, so no label is sorted or keyed, and a report that writes them
+as it goes holds one label, not Bell(a+1).  It constructs each label
+through a trusted path of :class:`LeviLabel` that skips the per-label
+checks and leaves the orbits to be read, when first asked for, from
+the orbit table of the call; the orbit checks run once per group,
 before the first label is handed out.  A label built by calling
 ``LeviLabel(...)`` is checked in full.
 
@@ -52,7 +56,9 @@ for q ∈ {3, 5, 9}, and 762 per q at n ≤ 9 and d ≤ 12, where W_d^I's key
 (d0, t) takes 129); ``QSET_CACHE_SIZE`` Q-sets, and as many pairs (at
 (9, 1): 2^9 - 1 = 511 Q-sets and 1569 pairs of disjoint Q-sets of one
 size); the root-action masks of each rank ``signed_symmetric_group``
-keeps; 64 values of q.
+keeps; 64 values of q; the partition templates of the 10 rest sizes
+k ≤ 9 that ``LABEL_COUNT_BOUND`` admits (about 5 MB for all ten, 0.4 MB
+for k ≤ 7).
 
 The oracle :func:`verify_relative_weyl` needs W_L and Stab(Φ_L) for
 the root set Φ_L of I₋₁ and I.  W_L is generated by the reflections in
@@ -171,20 +177,22 @@ class LeviLabel:
 
     ``LeviLabel(n, d, I_minus1, I)`` checks every condition.  The
     keyword ``_built`` is the trusted path of :func:`enumerate_labels`
-    alone: ``((d0, l, a, w), orbits)`` for the sorted ``I_minus1`` and
-    ``I`` it constructed, whose orbits it has already checked.
+    alone: ``((d0, l, a, w), t, sizes, table)`` for the sorted
+    ``I_minus1`` and ``I`` it constructed, with t as (s, t_s) pairs.
+    The label keeps it, and builds its orbits when they are first read
+    (see :attr:`orbits`).
     """
 
-    __slots__ = ("n", "d", "d0", "l", "a", "w", "I_minus1", "I", "orbits", "t",
-                 "_text")
+    __slots__ = ("n", "d", "d0", "l", "a", "w", "I_minus1", "I", "t",
+                 "_orbits", "_text", "_built")
 
     def __init__(self, n, d, I_minus1, I, _built=None):
         self.n, self.d = n, d
-        self._text = None
+        self._orbits = self._text = None
+        self._built = _built
         if _built is not None:
-            (self.d0, self.l, self.a, self.w), orbits = _built
-            self.I_minus1, self.I = I_minus1, I
-            self._set_orbits(orbits)
+            (self.d0, self.l, self.a, self.w), t, _, _ = _built
+            self.I_minus1, self.I, self.t = I_minus1, I, dict(t)
             return
         _check_rank(n, d)
         self.d0, self.l, self.a, self.w = _shape(n, d)
@@ -239,12 +247,22 @@ class LeviLabel:
                 _grid_orbit(orbit, self.d0, self.a, n, d))
         for v in orbits.values():
             v.sort(key=lambda o: o.J_O[0])
-        self._set_orbits(orbits)
+        self._orbits = dict(sorted(orbits.items()))
+        self.t = {s: len(v) for s, v in self._orbits.items()}
 
-    def _set_orbits(self, orbits):
-        """Store ``orbits`` and t with the block sizes ascending."""
-        self.orbits = dict(sorted(orbits.items()))
-        self.t = {s: len(v) for s, v in self.orbits.items()}
+    @property
+    def orbits(self):
+        """The block orbits {s: [Orbit, ...]}.  A label from the trusted
+        path builds them on first read, and keeps them: those of size s
+        are ``table[I[i]]`` for the indices i in ``sizes`` of its groups
+        of size s, from the orbit table that enumerate_labels checked."""
+        if self._orbits is None:
+            _, _, sizes, table = self._built
+            I, orbits = self.I, {}
+            for s, idx in sizes:
+                orbits[s] = [table[I[i]] for i in idx]
+            self._orbits = orbits
+        return self._orbits
 
     @property
     def epsilon(self):
@@ -315,20 +333,60 @@ def label_count(n, d):
     return count
 
 
+# One template per rest size k; k <= a <= 9 under LABEL_COUNT_BOUND.
+@lru_cache(maxsize=10)
+def _partition_templates(k):
+    """The set partitions of the positions 1..k in sorted order, each as
+    (masks, t, sizes): the bit mask of each block (bit p - 1 for p), t
+    as (s, t_s) pairs and, per size s ascending, the indices of the
+    blocks of size s.  The blocks are ordered by their minima, so those
+    of one size are too.  Partitions whose blocks have the same sizes
+    in the same order share one t and one sizes."""
+    # subsets[m] is the block with bit mask m, ascending.
+    subsets = [()]
+    for p in range(1, k + 1):
+        subsets += [b + (p,) for b in subsets]
+    mask = {b: m for m, b in enumerate(subsets)}.__getitem__
+    shapes = {}
+    out = []
+    for blocks in sorted(set_partitions(k)):
+        lens = tuple(map(len, blocks))
+        shape = shapes.get(lens)
+        if shape is None:
+            by_size = {}
+            for i, s in enumerate(lens):
+                by_size.setdefault(s, []).append(i)
+            sizes = tuple((s, tuple(idx)) for s, idx in sorted(by_size.items()))
+            shape = shapes[lens] = (
+                tuple((s, len(idx)) for s, idx in sizes), sizes)
+        out.append((tuple(map(mask, blocks)),) + shape)
+    return tuple(out)
+
+
 def enumerate_labels(n, d):
     """An iterator over all valid labels at (n, d), in sorted order.
 
     Built from the parametrisation of the module docstring: a subset T
     of the grid indices {1..a} and a set partition of the rest into
     groups.  The orbit of every group is walked along bar(w) and
-    checked once, before this returns, then shared by every label that
-    contains it.  Distinct T give distinct I₋₁, so the labels come T by
-    T in the order of I₋₁, and within one T in the order of I, sorted
-    from light keys; each label is built only when the iterator
-    reaches it.  A caller that writes one label at a time holds at
-    most the Bell(a) keys of one T, never the labels.  Raises
+    checked once, before this returns.  Distinct T give distinct I₋₁,
+    so the labels come T by T in the order of I₋₁, and within one T in
+    the order of I, from the partition templates of
+    :func:`_partition_templates`: the set partitions of the positions
+    1..k, k = a - |T|, sorted once per k.  Each label is built only
+    when the iterator reaches it, with its t; its orbits are read from
+    the shared orbit table when first asked for.  A caller that writes
+    one label at a time holds no label but that one.  Raises
     InputTooLarge before any work when the count Bell(a+1) is past
     LABEL_COUNT_BOUND (see :func:`label_count`).
+
+    The grid indices outside T are taken in ascending order, so mapping
+    positions to them keeps the order of blocks and of partitions.  A
+    group g's orbit holds the blocks g + j·a, j < d0 (checked when it
+    is walked), and those with j ≥ 1 lie past a, after every group.
+    So I is the groups in the order of their minima, then the same
+    blocks shifted by a, by 2a, and so on, and one order of the
+    position partitions is that of the labels' I at every T and d0.
     """
     label_count(n, d)
     shape = d0, l, a, w = _shape(n, d)
@@ -337,21 +395,23 @@ def enumerate_labels(n, d):
     points = range(1, a + 1)
 
     def orbit(S):
-        # The blocks {J_i(j) : i ∈ S}, j = 1..d0, walked from J_i(1) = i.
+        # The blocks {J_i(j) : i ∈ S} = S + (j - 1)·a, j = 1..d0, walked
+        # from J_i(1) = i: transversals that exactly cover the grid sets
+        # J_i, i ∈ S, which are the orbit's Q-sets.
         blocks = [S]
         cur = tuple(sorted(bar[i - 1] for i in S))
         while cur != S:
             blocks.append(cur)
             cur = tuple(sorted(bar[i - 1] for i in cur))
-        if len(blocks) != d0:
+        if sorted(blocks) != [tuple(i + j * a for i in S) for j in range(d0)]:
             raise VerificationError(
-                f"group {S} gives an orbit of {len(blocks)} blocks, not "
-                f"d0 = {d0} (n={n}, d={d})")
+                f"group {S} gives the orbit {blocks}, not its d0 = {d0} "
+                f"shifts by multiples of a = {a} (n={n}, d={d})")
         if any(len({img[i - 1] > 0 for i in b}) > 1 for b in blocks):
             raise VerificationError(
                 f"w is not of constant sign on the orbit of group {S} "
                 f"(n={n}, d={d})")
-        return _grid_orbit(blocks, d0, a, n, d)
+        return Orbit(tuple(blocks), S, tuple(grid_set(d0, a, i) for i in S))
 
     def minus1(T):
         return tuple(sorted(itertools.chain(
@@ -361,21 +421,31 @@ def enumerate_labels(n, d):
                for T in itertools.combinations(points, k)]
     orbits = {S: orbit(S) for S in subsets[1:]}
 
+    def template(k):
+        # The index of each block of I in the table of one T (below):
+        # block b shifted by j·a at j·2^k + the mask of b, so the masks
+        # alone when d0 = 1.
+        if d0 == 1:
+            return _partition_templates(k)
+        return [(tuple([m + (j << k) for j in range(d0) for m in masks]),
+                 t, sizes) for masks, t, sizes in _partition_templates(k)]
+
     def labels():
+        templates = [template(k) for k in range(a + 1)]
         for I_minus1, T in sorted((minus1(T), T) for T in subsets):
-            # rest[j] is the j-th grid index outside T.
-            rest = (0, *(i for i in points if i not in T))
-            keys = []
-            for blocks in set_partitions(len(rest) - 1):
-                groups = [tuple(map(rest.__getitem__, b)) for b in blocks]
-                keys.append((tuple(sorted(itertools.chain.from_iterable(
-                    orbits[g].blocks for g in groups))), groups))
-            keys.sort()
-            for I, groups in keys:
-                by_size = {}
-                for g in groups:
-                    by_size.setdefault(len(g), []).append(orbits[g])
-                yield LeviLabel(n, d, I_minus1, I, _built=(shape, by_size))
+            # The blocks of one T: at j·2^k + m, the grid indices outside
+            # T at the set bits of m, ascending, each shifted by j·a.
+            table = []
+            for j in range(d0):
+                blocks = [()]
+                for i in points:
+                    if i not in T:
+                        blocks += [b + (i + j * a,) for b in blocks]
+                table += blocks
+            for ids, t, sizes in templates[a - len(T)]:
+                yield LeviLabel(n, d, I_minus1,
+                                tuple(map(table.__getitem__, ids)),
+                                _built=(shape, t, sizes, orbits))
 
     return labels()
 

@@ -600,12 +600,29 @@ MUTANTS = [
                    "test_same_labels_same_order[4]",
             CLI + "TestLevis::test_reports_match_golden_digests[5]"]),
     Mutant("label_sort_within_subset_dropped", "levi.py",
-           "keys.sort()",
-           "pass",
+           "sorted(set_partitions(k))",
+           "set_partitions(k)",
            [LEVI + "TestEnumerate::test_deterministic_order",
             LEVI + "TestConstructionAgainstOracle::"
                    "test_same_labels_same_order[4]",
             CLI + "TestLevis::test_reports_match_golden_digests[5]"]),
+    # The partition templates: a label's orbits come from the table
+    # entries of its own groups, and the blocks past a from the shifts
+    # of the groups by multiples of a.
+    Mutant("template_orbits_misindexed", "levi.py",
+           "table[I[i]] for i in idx",
+           "table[I[0]] for i in idx",
+           [LEVI + "TestConstructionAgainstOracle::"
+                   "test_same_labels_same_order[4]",
+            LEVI + "TestConstructionAgainstOracle::"
+                   "test_trusted_equals_public[4]"]),
+    Mutant("template_offsets_dropped", "levi.py",
+           "b + (i + j * a,)",
+           "b + (i,)",
+           [LEVI + "TestConstructionAgainstOracle::"
+                   "test_same_labels_same_order[4]",
+            LEVI + "TestConstructionAgainstOracle::"
+                   "test_trusted_equals_public[4]"]),
     Mutant("labels_built_up_front", "levi.py",
            "return labels()",
            "return iter(list(labels()))",

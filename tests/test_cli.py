@@ -237,11 +237,52 @@ class TestLevis:
                 digest = hashlib.sha256(result.stdout_bytes).hexdigest()
                 assert digest == self.GOLDEN[n, d, fmt], (n, d, fmt)
 
+    # sha256 of the stdout of ``levis --n 8 --d D --q 3 --format F``
+    # (21,147 labels), taken before the labels were built from partition
+    # templates; the reports must not change.
+    GOLDEN_RANK_8 = {
+        (1, "json"):
+            "ba5939260e235f2aaecca3a87f0bc376929493a140884f48b80322267404ca6e",
+        (2, "tsv"):
+            "aa8b6168733484ab9416be4777f493cafb3ba55257964df45d38fbbb3ddbfda1",
+    }
+
+    @pytest.mark.parametrize("d, fmt", sorted(GOLDEN_RANK_8))
+    def test_rank_8_reports_match_golden_digests(self, d, fmt):
+        result = invoke("levis", "--n", "8", "--d", str(d), "--q", "3",
+                        "--format", fmt)
+        assert result.exit_code == 0
+        digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+        assert digest == self.GOLDEN_RANK_8[d, fmt], (d, fmt)
+
+    def test_report_reads_no_orbits(self, monkeypatch):
+        # A levis row needs I, I_minus1 and t only: with every read of a
+        # label's orbits raising, the report is still the pinned one,
+        # and no label it wrote holds orbits.
+        def unread(label):
+            raise AssertionError("levis read the orbits of a label")
+        labels, enumerate_labels = [], cli.enumerate_labels
+
+        def kept(n, d):
+            for lab in enumerate_labels(n, d):
+                labels.append(lab)
+                yield lab
+        monkeypatch.setattr(levi.LeviLabel, "orbits", property(unread))
+        monkeypatch.setattr(cli, "enumerate_labels", kept)
+        result = invoke("levis", "--n", "5", "--d", "1", "--q", "9")
+        assert result.exit_code == 0, result.exception
+        digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+        assert digest == self.GOLDEN[5, 1, "json"]
+        assert len(labels) == 203
+        assert all(lab._orbits is None for lab in labels)
+
     @pytest.mark.parametrize("fmt", ["json", "tsv", "text"])
     def test_report_streams_in_bounded_memory(self, fmt):
         # 4,140 labels.  Holding every label, every record and the whole
-        # rendered string peaked at 8.0-8.8 MiB; streaming holds one
-        # chunk of records and the sorted label keys.
+        # rendered string peaked at 8.0-8.8 MiB.  Streaming holds one
+        # chunk of records and the partition templates: 0.9-2.6 MiB with
+        # the captured output, against 2.7-3.8 MiB when every label is
+        # built before the first is written.
         tracemalloc.start()
         try:
             result = invoke("levis", "--n", "7", "--d", "1", "--q", "5",
@@ -250,7 +291,7 @@ class TestLevis:
         finally:
             tracemalloc.stop()
         assert result.exit_code == 0
-        assert peak < 4 * 2 ** 20, peak
+        assert peak < 3 * 2 ** 20, peak
 
 
 class TestRelweyl:
@@ -468,6 +509,19 @@ class TestRelweyl:
         (6, 6, "text"):
             "f326bd0648da16d6e3ba8782ac0de1031002ece2aad3003fe76cf09176e43f90",
     }
+
+    # sha256 of the stdout of ``relweyl --n 7 --d 1 --no-check --format
+    # json`` (4,140 labels), taken before the labels were built from
+    # partition templates; the report must not change.
+    GOLDEN_RANK_7 = (
+        "a89874b6558d2780d42e534b7eef98bcd7735bee0a0f80cc198903d3a49e6b33")
+
+    def test_unchecked_rank_7_report_matches_golden_digest(self):
+        result = invoke("relweyl", "--n", "7", "--d", "1", "--no-check",
+                        "--format", "json")
+        assert result.exit_code == 0
+        digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+        assert digest == self.GOLDEN_RANK_7
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_unchecked_reports_match_golden_digests(self, n):
@@ -1528,6 +1582,7 @@ class TestDeterminism:
     CASES = [
         ("levis", "--n", "3", "--d", "2", "--q", "3"),
         ("levis", "--n", "2", "--d", "4", "--format", "tsv"),
+        ("levis", "--n", "7", "--d", "2", "--q", "5", "--format", "tsv"),
         ("relweyl", "--n", "2", "--d", "1"),
         ("verify", "eq1", "--n", "2", "--d", "1..2"),
         ("kinva", "--n", "2", "--d", "4"),

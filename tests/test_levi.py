@@ -257,13 +257,14 @@ class TestConstructionAgainstOracle:
     @pytest.mark.parametrize("n, d", [(9, 1), (19, 4)])
     def test_largest_count_is_admitted(self, n, d, monkeypatch):
         # a = 9: Bell(10) = 115975 labels, under the bound (a = 10 is
-        # refused: TestInputBounds in test_cli.py).
+        # refused: TestInputBounds in test_cli.py).  The first label
+        # asks for its partition template, cached or not.
         class Admitted(Exception):
             pass
 
-        def admitted(m):
+        def admitted(k):
             raise Admitted
-        monkeypatch.setattr(levi, "set_partitions", admitted)
+        monkeypatch.setattr(levi, "_partition_templates", admitted)
         with pytest.raises(Admitted):
             next(enumerate_labels(n, d))
 
@@ -508,15 +509,19 @@ class TestVerify:
 
     def test_oracle_reads_no_orbits(self, monkeypatch):
         # Stab(Φ_L), W_L and the cosets come from I₋₁, I and w alone: the
-        # oracle still passes every label with its orbits deleted.
-        for d in (1, 2, 3, 4, 6, 8):
-            for lab in enumerate_labels(4, d):
-                rw = relative_weyl(lab)
-                bare = LeviLabel(4, d, lab.I_minus1, lab.I)
-                del bare.orbits, bare.t
-                monkeypatch.setattr(levi, "relative_weyl",
-                                    lambda lab, rw=rw: rw)
-                assert verify_relative_weyl(bare), (d, lab)
+        # oracle still passes every label with its orbits unavailable
+        # (reading them raises) and its t deleted.
+        labels = [(d, lab, relative_weyl(lab)) for d in (1, 2, 3, 4, 6, 8)
+                  for lab in enumerate_labels(4, d)]
+
+        def unavailable(label):
+            raise AssertionError("the oracle read the orbits of a label")
+        monkeypatch.setattr(LeviLabel, "orbits", property(unavailable))
+        for d, lab, rw in labels:
+            bare = LeviLabel(4, d, lab.I_minus1, lab.I)
+            del bare.t
+            monkeypatch.setattr(levi, "relative_weyl", lambda lab, rw=rw: rw)
+            assert verify_relative_weyl(bare), (d, lab)
 
     def test_non_centralizing_generator_in_the_right_coset_fails(self,
                                                                  monkeypatch):
