@@ -27,12 +27,12 @@ one T in the order of a partition template, the set partitions of the
 positions 1..k, k = a - |T|, sorted once per k and kept.  Each label's
 I is the images of its template's blocks in a table of the blocks of
 that T, so no label is sorted or keyed, and a report that writes them
-as it goes holds one label, not Bell(a+1).  It constructs each label
-through a trusted path of :class:`LeviLabel` that skips the per-label
-checks and leaves the orbits to be read, when first asked for, from
-the orbit table of the call; the orbit checks run once per group,
-before the first label is handed out.  A label built by calling
-``LeviLabel(...)`` is checked in full.
+as it goes holds one label, not Bell(a+1).  It is the one constructor
+of :class:`LeviLabel`: each label takes its t as built, with no
+per-label check, and leaves its orbits to be read, when first asked
+for, from the orbit table of the call; the orbit checks run once per
+group, before the first label is handed out.  The test-suite walks the
+bar(w)-orbits of every candidate pair independently and compares.
 
 Each orbit of size-s blocks spans s grid sets; the corresponding Q-sets
 (ordered grid-set families) generate one C_{2d0} wr S_{t_s} factor of
@@ -134,128 +134,37 @@ def sylow_twist_w(n, d):
 Orbit = namedtuple("Orbit", ["blocks", "J_O", "Q"])
 
 
-def _check_rank(n, d):
-    """ValueError unless n and d are positive ints (bools refused)."""
-    for name, value in (("n", n), ("d", d)):
-        if type(value) is not int or value < 1:
-            raise ValueError(f"{name} must be a positive int, got {value!r}")
-
-
-def _shape(n, d):
-    """(d0, l, a, w) at (n, d): l = a·d0 is the largest multiple of d0
-    up to n and w the twist."""
-    d0 = compute_d0(d)
-    a = n // d0
-    return d0, a * d0, a, sylow_twist_w(n, d)
-
-
-def _grid_orbit(orbit, d0, a, n, d):
-    """The Orbit of a list of blocks permuted cyclically by bar(w), with
-    its grid indices J_O and Q-sets; VerificationError unless the blocks
-    are transversals of those grid sets and exactly cover them."""
-    underline = sorted(set().union(*orbit))
-    J_O = tuple(i for i in underline if i <= a)
-    if len(J_O) != len(orbit[0]):
-        raise VerificationError(
-            f"blocks of orbit {orbit} are not grid transversals "
-            f"(n={n}, d={d})")
-    Q = tuple(grid_set(d0, a, i) for i in J_O)
-    if sorted(set().union(*Q)) != underline:
-        raise VerificationError(
-            f"support of orbit {orbit} is not a union of grid "
-            f"sets (n={n}, d={d})")
-    return Orbit(tuple(orbit), J_O, Q)
-
-
 class LeviLabel:
-    """A validated d-split Levi label (I₋₁, I) at rank n.
+    """A d-split Levi label (I₋₁, I) at rank n, as built by
+    :func:`enumerate_labels`, its one constructor.
 
     Derived data: the twist w, per-size block orbits with their grid
     index sets J_O and Q-sets (the grid sets underlying the orbit,
     ascending), and the orbit counts t = {s: t_s}, both by ascending s
     (a size's orbits by J_O[0]), so no consumer sorts them again.
 
-    ``LeviLabel(n, d, I_minus1, I)`` checks every condition.  The
-    keyword ``_built`` is the trusted path of :func:`enumerate_labels`
-    alone: ``((d0, l, a, w), t, sizes, table)`` for the sorted
-    ``I_minus1`` and ``I`` it constructed, with t as (s, t_s) pairs.
-    The label keeps it, and builds its orbits when they are first read
-    (see :attr:`orbits`).
+    ``built`` is ``((d0, l, a, w), t, sizes, table)`` for the sorted
+    ``I_minus1`` and ``I`` that enumerate_labels constructed, with t as
+    (s, t_s) pairs.  The label keeps it unchecked, and builds its
+    orbits when they are first read (see :attr:`orbits`).
     """
 
     __slots__ = ("n", "d", "d0", "l", "a", "w", "I_minus1", "I", "t",
                  "_orbits", "_text", "_built")
 
-    def __init__(self, n, d, I_minus1, I, _built=None):
+    def __init__(self, n, d, I_minus1, I, built):
         self.n, self.d = n, d
+        (self.d0, self.l, self.a, self.w), t, _, _ = built
+        self.I_minus1, self.I, self.t = I_minus1, I, dict(t)
         self._orbits = self._text = None
-        self._built = _built
-        if _built is not None:
-            (self.d0, self.l, self.a, self.w), t, _, _ = _built
-            self.I_minus1, self.I, self.t = I_minus1, I, dict(t)
-            return
-        _check_rank(n, d)
-        self.d0, self.l, self.a, self.w = _shape(n, d)
-
-        I_minus1 = tuple(I_minus1)
-        I = [tuple(b) for b in I]
-        for p in itertools.chain(I_minus1, *I):
-            if type(p) is not int:
-                raise ValueError(f"points must be ints, got {p!r}")
-        I_minus1 = tuple(sorted(I_minus1))
-        if len(set(I_minus1)) != len(I_minus1) or not all(
-                1 <= i <= n for i in I_minus1):
-            raise ValueError(f"I_minus1 is not a subset of 1..{n}: {I_minus1!r}")
-        blocks = tuple(sorted((tuple(sorted(b)) for b in I), key=min))
-        covered = set(I_minus1)
-        for b in blocks:
-            if not b or set(b) & covered:
-                raise ValueError(f"blocks overlap or are empty: {blocks!r}")
-            covered |= set(b)
-        if covered != set(range(1, n + 1)):
-            raise ValueError("I_minus1 and I together must cover {1..n}")
-        self.I_minus1, self.I = I_minus1, blocks
-
-        img = self.w.img
-        bar = self.w.bar().img
-        if {bar[i - 1] for i in I_minus1} != set(I_minus1):
-            raise ValueError(f"I_minus1 not stable under bar(w): {I_minus1!r}")
-        blockset = {frozenset(b): b for b in blocks}
-        for b in blocks:
-            if len({img[i - 1] > 0 for i in b}) > 1:
-                raise ValueError(f"w is not of constant sign on block {b!r}")
-            if frozenset(bar[i - 1] for i in b) not in blockset:
-                raise ValueError(f"bar(w) does not permute the blocks: {b!r}")
-
-        orbits = {}
-        seen = set()
-        for b in blocks:
-            if b in seen:
-                continue
-            orbit = [b]
-            seen.add(b)
-            cur = blockset[frozenset(bar[i - 1] for i in b)]
-            while cur != b:
-                orbit.append(cur)
-                seen.add(cur)
-                cur = blockset[frozenset(bar[i - 1] for i in cur)]
-            if len(orbit) != self.d0:
-                raise ValueError(
-                    f"orbit of block {b!r} has length {len(orbit)}, "
-                    f"need exactly d0 = {self.d0}")
-            orbits.setdefault(len(b), []).append(
-                _grid_orbit(orbit, self.d0, self.a, n, d))
-        for v in orbits.values():
-            v.sort(key=lambda o: o.J_O[0])
-        self._orbits = dict(sorted(orbits.items()))
-        self.t = {s: len(v) for s, v in self._orbits.items()}
+        self._built = built
 
     @property
     def orbits(self):
-        """The block orbits {s: [Orbit, ...]}.  A label from the trusted
-        path builds them on first read, and keeps them: those of size s
-        are ``table[I[i]]`` for the indices i in ``sizes`` of its groups
-        of size s, from the orbit table that enumerate_labels checked."""
+        """The block orbits {s: [Orbit, ...]}, built on first read and
+        kept: those of size s are ``table[I[i]]`` for the indices i in
+        ``sizes`` of its groups of size s, from the orbit table that
+        enumerate_labels checked."""
         if self._orbits is None:
             _, _, sizes, table = self._built
             I, orbits = self.I, {}
@@ -321,9 +230,12 @@ def _bell(m, bound):
 
 
 def label_count(n, d):
-    """The number Bell(a+1) of labels at (n, d); InputTooLarge when it
-    is past LABEL_COUNT_BOUND."""
-    _check_rank(n, d)
+    """The number Bell(a+1) of labels at (n, d); ValueError unless n and
+    d are positive ints (bools refused), InputTooLarge when the count is
+    past LABEL_COUNT_BOUND."""
+    for name, value in (("n", n), ("d", d)):
+        if type(value) is not int or value < 1:
+            raise ValueError(f"{name} must be a positive int, got {value!r}")
     m = n // compute_d0(d) + 1
     count = _bell(m, LABEL_COUNT_BOUND)
     if count > LABEL_COUNT_BOUND:
@@ -389,7 +301,10 @@ def enumerate_labels(n, d):
     position partitions is that of the labels' I at every T and d0.
     """
     label_count(n, d)
-    shape = d0, l, a, w = _shape(n, d)
+    d0 = compute_d0(d)
+    a = n // d0
+    l, w = a * d0, sylow_twist_w(n, d)
+    shape = d0, l, a, w
     img, bar = w.img, w.bar().img
     tail = tuple(range(l + 1, n + 1))
     points = range(1, a + 1)
@@ -445,7 +360,7 @@ def enumerate_labels(n, d):
             for ids, t, sizes in templates[a - len(T)]:
                 yield LeviLabel(n, d, I_minus1,
                                 tuple(map(table.__getitem__, ids)),
-                                _built=(shape, t, sizes, orbits))
+                                (shape, t, sizes, orbits))
 
     return labels()
 

@@ -613,16 +613,23 @@ MUTANTS = [
            "table[I[i]] for i in idx",
            "table[I[0]] for i in idx",
            [LEVI + "TestConstructionAgainstOracle::"
-                   "test_same_labels_same_order[4]",
-            LEVI + "TestConstructionAgainstOracle::"
-                   "test_trusted_equals_public[4]"]),
+                   "test_same_labels_same_order[4]"]),
     Mutant("template_offsets_dropped", "levi.py",
            "b + (i + j * a,)",
            "b + (i,)",
            [LEVI + "TestConstructionAgainstOracle::"
-                   "test_same_labels_same_order[4]",
-            LEVI + "TestConstructionAgainstOracle::"
-                   "test_trusted_equals_public[4]"]),
+                   "test_same_labels_same_order[4]"]),
+    # The two checks of every group's orbit, each fed a twist that only
+    # it refuses.
+    Mutant("orbit_shift_check_dropped", "levi.py",
+           "if sorted(blocks) != [tuple(i + j * a for i in S) "
+           "for j in range(d0)]:",
+           "if False:",
+           [LEVI + "TestOrbitChecks::test_orbit_off_the_shifts_is_refused"]),
+    Mutant("orbit_sign_check_dropped", "levi.py",
+           "if any(len({img[i - 1] > 0 for i in b}) > 1 for b in blocks):",
+           "if False:",
+           [LEVI + "TestOrbitChecks::test_orbit_of_mixed_sign_is_refused"]),
     Mutant("labels_built_up_front", "levi.py",
            "return labels()",
            "return iter(list(labels()))",
@@ -734,10 +741,8 @@ GUARDS = {
     "extweyl.py:build_VdI:1": "kappa_h_check_dropped",
     "extweyl.py:build_VdI:2": "kappa_c_check_dropped",
     "extweyl.py:build_VdI:3": "kappa_p_check_dropped",
-    "levi.py:_grid_orbit:1": UNCOVERED,
-    "levi.py:_grid_orbit:2": UNCOVERED,
-    "levi.py:enumerate_labels.orbit:1": UNCOVERED,
-    "levi.py:enumerate_labels.orbit:2": UNCOVERED,
+    "levi.py:enumerate_labels.orbit:1": "orbit_shift_check_dropped",
+    "levi.py:enumerate_labels.orbit:2": "orbit_sign_check_dropped",
     "torus.py:TwistedOrbit.__init__:1": UNCOVERED,
     "torus.py:z_plus:1": "z_plus_lang_check_dropped",
     "torus.py:conj_center_action:1": UNCOVERED,

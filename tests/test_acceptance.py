@@ -12,42 +12,37 @@ import json
 import time
 from math import factorial
 
-import pytest
-from click.testing import CliRunner
-
 from dsplitlevi.chartab import (FiniteGroup, character_table,
                                 extension_obstruction, restrict)
-from dsplitlevi.cli import main as cli_main
+from dsplitlevi.cli import SUITES
 from dsplitlevi.cliff import (cuspidal_gate, enumerate_char_labels,
                               kinva_check, stab_lambda)
-from dsplitlevi.cyclo import check_eq1
 from dsplitlevi.extweyl import (IntMatrix, build_VdI, build_twist_elements,
                                 chevalley_generator, matrix_closure, rho)
-from dsplitlevi.levi import (concrete_parabolic_roots, enumerate_labels,
-                             sylow_twist_w, verify_relative_weyl)
-from dsplitlevi.rootsys import build_root_system, is_stable_under
-from dsplitlevi.signedperm import (SignedPerm, block_wreath_generators,
-                                   block_wreath_normalizer_generators,
-                                   brute_centralizer, brute_normalizer,
-                                   centralizer_type, group_closure,
-                                   set_partitions, signed_symmetric_group,
-                                   wreath_order)
+from dsplitlevi.levi import (enumerate_labels, sylow_twist_w,
+                             verify_relative_weyl)
+from dsplitlevi.rootsys import build_root_system
+from dsplitlevi.signedperm import (DEFAULT_CLOSURE_CAP, SignedPerm,
+                                   signed_symmetric_group, wreath_order)
 from dsplitlevi.torus import (TwistedOrbit, central_stabilizer_jump,
                               conj_center_action, lang_logs, lang_map, theta,
                               z_plus)
+
+
+def _run_suite(name, **grids):
+    """(checked, failures) of the ``verify`` suite ``name`` on ``grids``,
+    which are the suite's defaults, under the default closure cap."""
+    runner, takes, defaults = SUITES[name]
+    assert grids == {key: defaults[key] for key in takes}
+    return runner(grids, DEFAULT_CLOSURE_CAP)
 
 
 def test_01_centralizer_order_formula():
     """Brute-force centralizer order equals the cycle-type formula for
     every element of the signed groups of rank 2, 3, 4; under 10 s."""
     start = time.monotonic()
-    total = 0
-    for n in (2, 3, 4):
-        G = signed_symmetric_group(n)
-        for x in G:
-            total += 1
-            assert len(brute_centralizer(x, G)) == centralizer_type(x).order
-    assert total == 8 + 48 + 384
+    checked, failures = _run_suite("centralizers", n=(2, 3, 4))
+    assert checked == 8 + 48 + 384 and failures == []
     assert time.monotonic() - start < 10
 
 
@@ -56,30 +51,10 @@ def test_02_block_wreath_normalizers():
     flag, the brute-force normalizer of the block wreath product equals
     the predicted generator closure element-for-element; under 30 s."""
     start = time.monotonic()
-    for n in (1, 2, 3, 4):
-        G = signed_symmetric_group(n)
-        for blocks in set_partitions(n):
-            for signed in itertools.product((False, True),
-                                            repeat=len(blocks)):
-                H = group_closure(
-                    block_wreath_generators(blocks, signed, n))
-                brute = set(brute_normalizer(H, G))
-                predicted = set(group_closure(
-                    block_wreath_normalizer_generators(blocks, signed, n)))
-                assert brute == predicted, (n, blocks, signed)
+    checked, failures = _run_suite("normalizers", n=(1, 2, 3, 4))
+    # Σ over the partitions of 1..n, n <= 4, of 2^(number of blocks).
+    assert checked == 2 + 6 + 22 + 94 and failures == []
     assert time.monotonic() - start < 30
-
-
-def _concrete_pairs(n):
-    points = tuple(range(1, n + 1))
-    out = []
-    for k in range(n + 1):
-        for S in itertools.combinations(points, k):
-            rest = [p for p in points if p not in S]
-            for shape in set_partitions(len(rest)):
-                blocks = tuple(tuple(rest[i - 1] for i in b) for b in shape)
-                out.append((S, blocks))
-    return out
 
 
 def test_03_label_classification_equals_eigenspace_test():
@@ -88,21 +63,9 @@ def test_03_label_classification_equals_eigenspace_test():
     cyclotomic eigenspace test accepts it, and unstable labels are
     never enumerated; under 60 s."""
     start = time.monotonic()
-    for n in (2, 3, 4):
-        system = build_root_system(n)
-        pairs = _concrete_pairs(n)
-        for d in range(1, 9):
-            w = sylow_twist_w(n, d)
-            enumerated = {(lab.I_minus1, lab.I)
-                          for lab in enumerate_labels(n, d)}
-            for S, blocks in pairs:
-                roots = concrete_parabolic_roots(n, S, blocks)
-                listed = (S, blocks) in enumerated
-                if is_stable_under(roots, w):
-                    assert check_eq1(w, d, roots, system) == listed, (
-                        n, d, S, blocks)
-                else:
-                    assert not listed, (n, d, S, blocks)
+    checked, failures = _run_suite("eq1", n=(2, 3, 4), d=tuple(range(1, 9)))
+    # Bell(n+1) concrete pairs at each rank n, for each of the 8 d.
+    assert checked == (5 + 15 + 52) * 8 and failures == []
     assert time.monotonic() - start < 60
 
 
@@ -368,24 +331,3 @@ def test_09_invariance_criterion_exhaustive():
     assert checked == 8368
     assert reports.hexdigest() == INVARIANCE_REPORTS_SHA256
     assert time.monotonic() - start < 300
-
-
-def test_10_cli_byte_determinism():
-    """Repeated CLI invocations with fixed flags produce byte-identical
-    canonical JSON."""
-    runner = CliRunner()
-    cases = [
-        ("levis", "--n", "3", "--d", "2", "--q", "3"),
-        ("relweyl", "--n", "2", "--d", "4"),
-        ("verify", "eq1", "--n", "2..3", "--d", "1..4"),
-        ("kinva", "--n", "2", "--d", "4", "--full"),
-        ("kinva", "--n", "2", "--d", "1", "--random", "4", "--seed", "3"),
-        ("chartab", "--group", "q8"),
-    ]
-    for case in cases:
-        first = runner.invoke(cli_main, list(case))
-        second = runner.invoke(cli_main, list(case))
-        assert first.exit_code == 0, (case, first.output)
-        assert second.exit_code == 0
-        assert first.stdout_bytes == second.stdout_bytes, case
-        json.loads(first.output)

@@ -42,7 +42,7 @@ from dsplitlevi.cliff import (
 )
 from dsplitlevi.cyclo import CycNum, _cyclotomic, zeta
 from dsplitlevi.extweyl import build_VdI, chevalley_generator, matrix_closure
-from dsplitlevi.levi import LeviLabel, enumerate_labels
+from dsplitlevi.levi import enumerate_labels
 from dsplitlevi.signedperm import (
     ClosureExceedsCap,
     SignedPerm,
@@ -52,6 +52,7 @@ from dsplitlevi.signedperm import (
 )
 from test_acceptance import (_c2_wreath, _c3_wreath, _c4_wreath,
                              extension_by_table)
+from test_levi import levi_label
 
 
 def sp(text, n):
@@ -865,7 +866,7 @@ class TestInertiaExtendibility:
         assert extension_by_table(V, center, faithful)[1] is None
 
     def test_lifted_relative_weyl_label(self):
-        V, H = lifted(LeviLabel(2, 4, (), ((1,), (2,))))
+        V, H = lifted(levi_label(2, 4, (), ((1,), (2,))))
         assert V.order == 8 and H.order == 2
         for theta in character_table(H).characters:
             stab, obstruction = extension_obstruction(V, H, theta)

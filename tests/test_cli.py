@@ -1588,6 +1588,11 @@ class TestDeterminism:
         ("kinva", "--n", "2", "--d", "4"),
         ("kinva", "--n", "2", "--d", "4", "--random", "2", "--seed", "5"),
         ("chartab", "--group", "c4wrs2"),
+        ("relweyl", "--n", "2", "--d", "4"),
+        ("verify", "eq1", "--n", "2..3", "--d", "1..4"),
+        ("kinva", "--n", "2", "--d", "4", "--full"),
+        ("kinva", "--n", "2", "--d", "1", "--random", "4", "--seed", "3"),
+        ("chartab", "--group", "q8"),
     ]
 
     @pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c))
@@ -1595,6 +1600,8 @@ class TestDeterminism:
         a, b = invoke(*case), invoke(*case)
         assert a.exit_code == 0 and b.exit_code == 0
         assert a.stdout_bytes == b.stdout_bytes
+        if "tsv" not in case:
+            json.loads(a.output)
 
     def test_hash_seed_does_not_reach_the_oracles(self):
         # The oracles build sets (of log tuples, of masks and cosets), and

@@ -49,11 +49,12 @@ from dsplitlevi.cliff import (
     stab_lambda,
 )
 from dsplitlevi.cyclo import CycNum
-from dsplitlevi.levi import LeviLabel, enumerate_labels, tau_Q, wprime_Q
+from dsplitlevi.levi import enumerate_labels, tau_Q, wprime_Q
 from dsplitlevi import chartab, cliff
 from dsplitlevi.signedperm import (ClosureExceedsCap, SignedPerm,
                                    VerificationError, _closure_images,
                                    group_closure)
+from test_levi import levi_label
 
 
 def D(i, s, c, z=1):
@@ -61,23 +62,23 @@ def D(i, s, c, z=1):
 
 
 def L24():
-    return LeviLabel(2, 4, (), ((1,), (2,)))
+    return levi_label(2, 4, (), ((1,), (2,)))
 
 
 def L24_EMPTY():
-    return LeviLabel(2, 4, (1, 2), ())
+    return levi_label(2, 4, (1, 2), ())
 
 
 def L44_SINGLETONS():
-    return LeviLabel(4, 4, (), ((1,), (2,), (3,), (4,)))
+    return levi_label(4, 4, (), ((1,), (2,), (3,), (4,)))
 
 
 def L44_PAIRS():
-    return LeviLabel(4, 4, (), ((1, 2), (3, 4)))
+    return levi_label(4, 4, (), ((1, 2), (3, 4)))
 
 
 def L41():
-    return LeviLabel(4, 1, (), ((1,), (2,), (3,), (4,)))
+    return levi_label(4, 1, (), ((1,), (2,), (3,), (4,)))
 
 
 def closure_order(gens, n):
@@ -809,7 +810,7 @@ class TestKinvaGroups:
     # classes on one orbit each, of (c, central) (1, 1), (2, 1), (2, 2).
     @staticmethod
     def label():
-        levi = LeviLabel(3, 1, (), ((1,), (2,), (3,)))
+        levi = levi_label(3, 1, (), ((1,), (2,), (3,)))
         return CharLabel(levi, {1: (D(1, 1, 1), D(2, 1, 2), D(3, 1, 2, 2))})
 
     def test_wrong_k_order_formula_raises(self, monkeypatch):
@@ -1134,7 +1135,7 @@ class TestEnumerateCharLabels:
     def test_partitions_drive_sharing(self):
         # two orbits of size 1 at 2d0 = 4: shared class gives 6 choices,
         # split classes give 6 * 6; both cover flags double everything
-        levi = LeviLabel(4, 4, (), ((1,), (2,), (3,), (4,)))
+        levi = levi_label(4, 4, (), ((1,), (2,), (3,), (4,)))
         labels = list(enumerate_char_labels(levi))
         assert len(labels) == 2 * (6 + 36)
         shapes = {tuple(len(set(lab.assignment[1])) for s in (1,))

@@ -22,17 +22,13 @@ from dsplitlevi.extweyl import (
     rho,
     rho_image,
 )
-from dsplitlevi.levi import (
-    LeviLabel,
-    enumerate_labels,
-    relative_weyl,
-    sylow_twist_w,
-)
+from dsplitlevi.levi import enumerate_labels, relative_weyl, sylow_twist_w
 from dsplitlevi.cli import SUITES, _embedded_simple_roots
 from dsplitlevi.rootsys import build_root_system
 from dsplitlevi.signedperm import (DEFAULT_CLOSURE_CAP, ClosureExceedsCap,
                                    SignedPerm, VerificationError,
                                    group_closure, tau, wprime)
+from test_levi import levi_label
 from test_signedperm import generic_closure
 
 
@@ -495,7 +491,7 @@ class TestTwistGuards:
 
 class TestBuildVdI:
     def test_single_orbit_example(self):
-        label = LeviLabel(2, 4, (), ((1,), (2,)))
+        label = levi_label(2, 4, (), ((1,), (2,)))
         gens, hs = build_VdI(label)
         V = matrix_closure(gens)
         assert len(V) == 8
@@ -508,7 +504,7 @@ class TestBuildVdI:
         assert kernel == set(H)
 
     def test_two_orbits_example(self):
-        label = LeviLabel(2, 1, (), ((1,), (2,)))
+        label = levi_label(2, 1, (), ((1,), (2,)))
         gens, hs = build_VdI(label)
         V = matrix_closure(gens)
         assert len(V) == 32
@@ -535,14 +531,14 @@ class TestBuildVdI:
                                                             monkeypatch):
         # c_1 in place of h_1: κ(c_1) lifts w'_Q, not the identity.
         message = self._kappa_check_with(
-            monkeypatch, LeviLabel(2, 4, (), ((1,), (2,))), h="c")
+            monkeypatch, levi_label(2, 4, (), ((1,), (2,))), h="c")
         assert message.startswith("kappa(h_1) is not diagonal")
 
     def test_kappa_of_a_diagonal_in_place_of_c_lifts_no_cycle(self,
                                                               monkeypatch):
         # h_1 in place of c_1: κ(h_1) is diagonal, so it lifts no w'_Q.
         message = self._kappa_check_with(
-            monkeypatch, LeviLabel(2, 4, (), ((1,), (2,))), c="h")
+            monkeypatch, levi_label(2, 4, (), ((1,), (2,))), c="h")
         assert message.startswith("kappa(c_1) does not lift w'_Q on Q = ")
 
     def test_kappa_of_a_diagonal_in_place_of_p_lifts_no_swap(self,
@@ -550,11 +546,11 @@ class TestBuildVdI:
         # Two orbits of one block size: h in place of p, so κ(p_1) is
         # diagonal and lifts no swap of the two Q sets.
         message = self._kappa_check_with(
-            monkeypatch, LeviLabel(2, 1, (), ((1,), (2,))), p="h")
+            monkeypatch, levi_label(2, 1, (), ((1,), (2,))), p="h")
         assert message.startswith("kappa(p_1) does not lift the swap of ")
 
     def test_empty_blocks(self):
-        label = LeviLabel(2, 1, (1, 2), ())
+        label = levi_label(2, 1, (1, 2), ())
         gens, hs = build_VdI(label)
         assert gens == () and hs == ()
 
@@ -562,12 +558,12 @@ class TestBuildVdI:
         # build_VdI only builds generators, at any rank; the closure of
         # them is what stays under the cap.  The rank-5 torus lifts to
         # 2^5 (2^5 5!) = 122880 matrices, past the default cap 20000.
-        label = LeviLabel(5, 1, (), ((1,), (2,), (3,), (4,), (5,)))
+        label = levi_label(5, 1, (), ((1,), (2,), (3,), (4,), (5,)))
         gens, hs = build_VdI(label)
         assert len(matrix_closure(hs)) == 2 ** 5
         with pytest.raises(ClosureExceedsCap):
             matrix_closure(gens)
-        assert build_VdI(LeviLabel(5, 1, tuple(range(1, 6)), ())) == ((), ())
+        assert build_VdI(levi_label(5, 1, tuple(range(1, 6)), ())) == ((), ())
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_rank_5_generators_lift_the_relative_weyl_group(self, d):
