@@ -1,10 +1,10 @@
 """Exact character tables of small finite groups.
 
-A :class:`FiniteGroup` wraps an explicit list of signed permutations,
-so every product and conjugate is formed on the composition kernel of
-:mod:`dsplitlevi.signedperm`.  :func:`character_table` computes the
-full ordinary character table by Dixon's modular method, in three
-steps.
+A :class:`FiniteGroup` is the closure of its generators, an explicit
+list of signed permutations, so every product and conjugate is formed on
+the composition kernel of :mod:`dsplitlevi.signedperm`.
+:func:`character_table` computes the full ordinary character table by
+Dixon's modular method, in three steps.
 
 * The class-sum matrices are simultaneously diagonalised over a prime
   field F_l with l = 1 mod exp(G) and l^2 > 4|G|.  The identity-class
@@ -39,10 +39,10 @@ of different labels often do, share one Dixon run.
 Restriction and inner products of class functions are exact.
 :func:`class_permutation` is the package's one conjugation action on
 the classes of a normal subgroup, shared by the invariance search of
-:mod:`dsplitlevi.cliff` and :func:`extension_obstruction`, which
-decides whether a linear character of an abelian normal subgroup
-extends to its inertia group, from that group's derived subgroup and
-with no character table.
+:mod:`dsplitlevi.cliff` and :func:`extension_obstruction`, which takes
+the inertia group of a linear character of an abelian normal subgroup
+by Schreier's lemma and decides from its derived subgroup, with no
+character table, whether the character extends to it.
 """
 
 import math
@@ -75,22 +75,20 @@ class ClassData:
 
 
 class FiniteGroup:
-    """A finite group given by an explicit, deterministic element list.
-
-    Elements are signed permutations; ``at`` finds an element's
-    position by its image tuple.  The element list
-    must be closed under multiplication (verified).  The conjugacy class
-    of each element is found by orbit search under conjugation by the
-    stored generators, on the elements' signed tables; the representative
-    of a class is its earliest member in element-list order, and the
-    class of the identity is always listed first.  :func:`character_table` keeps the
-    group's table on it, and checks that the generators generate it.
+    """A finite group: the closure of its generators, in a deterministic
+    order; ``at`` finds an element's position by its image tuple.  The
+    class search refuses a list that conjugation by the generators
+    leaves, and :func:`character_table`'s cache key one that the
+    generators leave or do not generate: closure is verified there.
+    Each conjugacy class is an orbit under conjugation by the
+    generators, on signed tables; its representative is its earliest
+    member in element order, and the identity's class comes first.
     """
 
     __slots__ = ("elements", "at", "identity", "generators",
                  "order", "_classes", "_powers", "_table")
 
-    def __init__(self, elements, generators=None, cap=DEFAULT_GROUP_CAP):
+    def __init__(self, elements, generators, cap=DEFAULT_GROUP_CAP):
         elements = list(elements)
         if not elements:
             raise ValueError("a group needs at least one element")
@@ -112,13 +110,8 @@ class FiniteGroup:
         self.at = at
         self.identity = ident
         self.order = len(elements)
-        if generators is None:
-            generators = self._reduce_generators()
-        else:
-            generators = tuple(g for g in generators if g != ident)
-            if not generators:
-                generators = (ident,)
-        self.generators = tuple(generators)
+        self.generators = (tuple(g for g in generators if g != ident)
+                           or (ident,))
         self._classes = None
         self._powers = None
         self._table = None
@@ -133,39 +126,6 @@ class FiniteGroup:
             raise ValueError("need at least one generator")
         identity = gens[0] * gens[0].inv()
         return cls(closure(gens, identity, cap), generators=gens, cap=cap)
-
-    def _reduce_generators(self):
-        """A short generating sequence found greedily; doubles as a check
-        that the element list really is closed under multiplication."""
-        gens = []
-        known = {self.identity}
-        for x in self.elements:
-            if x in known:
-                continue
-            gens.append(x)
-            # known is a subgroup K, and ⟨K, x⟩ is a union of right cosets
-            # K·r: it is complete once r·g falls in a known coset for every
-            # coset representative r and every generator g.
-            subgroup = list(known)
-            reps = [self.identity]
-            for r in reps:
-                for g in gens:
-                    z = r * g
-                    if z in known:
-                        continue
-                    for k in subgroup:
-                        y = k * z
-                        if y.img not in self.at:
-                            raise ValueError(
-                                "element list is not closed under "
-                                "multiplication")
-                        known.add(y)
-                    reps.append(z)
-            if len(known) == self.order:
-                break
-        if len(known) != self.order:
-            raise ValueError("element list is not closed under multiplication")
-        return tuple(gens) if gens else (self.identity,)
 
     def power_classes(self):
         """For each class representative g, of order o, the classes of
@@ -779,14 +739,19 @@ def extension_obstruction(V, H, theta):
     theta extends to V_theta, or else an element of H ∩ V_theta′ at
     which theta is not 1.
 
-    theta^v is read off v's :func:`class_permutation`.  A linear theta
-    extends to V_theta exactly when it is trivial on H ∩ V_theta′: an
-    extension is linear and so trivial on V_theta′; conversely theta is
-    then a character of the subgroup H/(H ∩ V_theta′) of the abelian
-    group V_theta/V_theta′, and it extends from there (Isaacs,
-    *Character Theory of Finite Groups*, 1976, ch. 5-6).  V_theta′ is
-    the normal closure in V_theta of the commutators of its generators:
-    each commutator kept as a generator of it has its conjugates by
+    theta^g is read off g's :func:`class_permutation` for V's generators
+    g only.  V_theta is generated by the Schreier generators u·g·w⁻¹ of
+    theta's orbit under them, where u and w take theta to a point and to
+    its image under g (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005, §4.1), each kept unless it lies
+    in the group of those kept before it.  A linear theta extends to
+    V_theta exactly when it is trivial on H ∩ V_theta′: an extension is
+    linear and so trivial on V_theta′; conversely theta is then a
+    character of the subgroup H/(H ∩ V_theta′) of the abelian group
+    V_theta/V_theta′, and it extends from there (Isaacs, *Character
+    Theory of Finite Groups*, 1976, ch. 5-6).  V_theta′ is the normal
+    closure in V_theta of the commutators of its generators: each
+    commutator kept as a generator of it has its conjugates by
     V_theta's generators checked to lie in it.  V's and H's generators
     suffice for normality, as conjugation is an automorphism.
     """
@@ -804,10 +769,27 @@ def extension_obstruction(V, H, theta):
             if by(x.table()) not in H.at:
                 raise ValueError("H is not normal in V")
 
-    fixing = [v for v in V.elements
-              if is_invariant(theta, class_permutation(v, H))]
-    V_theta = (V if len(fixing) == V.order
-               else FiniteGroup(fixing, cap=V.order))
+    D = math.lcm(*(value.d for value in theta.values))
+    start = tuple(value.promote(D) for value in theta.values)
+    perms = [class_permutation(g, H) for g in V.generators]
+    took, orbit, schreier = {start: V.identity}, [start], []
+    for p in orbit:
+        for g, perm in zip(V.generators, perms):
+            q, u = tuple(map(p.__getitem__, perm)), took[p] * g
+            if q in took:
+                schreier.append(u * took[q].inv())
+            else:
+                took[q] = u
+                orbit.append(q)
+    V_theta = V
+    if len(orbit) > 1:
+        kept, inside = [], {V.identity}
+        for s in schreier:
+            if s not in inside:
+                kept.append(s)
+                inside = set(closure(kept, V.identity, V.order))
+        V_theta = FiniteGroup(sorted(inside, key=lambda x: V.at[x.img]),
+                              kept, cap=V.order)
     gens = V_theta.generators
     pending = [a.inv() * b.inv() * a * b
                for i, a in enumerate(gens) for b in gens[:i]]

@@ -733,8 +733,8 @@ PRESETS = {
                        _sp("(1,3,-1,-3)(2,-4,-2,4)", 4)),
     "c4": lambda: _gen(_sp("(1,2,-1,-2)", 2)),
     "c6": lambda: _gen(_sp("(1,2,3)", 3), _sp("(1,-1)(2,-2)(3,-3)", 3)),
-    "c2wrs2": lambda: FiniteGroup(signed_symmetric_group(2)),
-    "c2wrs3": lambda: FiniteGroup(signed_symmetric_group(3)),
+    "c2wrs2": lambda: _gen(_sp("(1,-1)", 2), _sp("(1,2)", 2)),
+    "c2wrs3": lambda: _gen(_sp("(1,-1)", 3), _sp("(1,2)", 3), _sp("(2,3)", 3)),
     "c3wrs2": lambda: _unsigned_wreath(3, 2),
     "c3wrs3": lambda: _unsigned_wreath(3, 3),
     "c4wrs2": lambda: _c4_wreath(2),

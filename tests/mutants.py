@@ -37,6 +37,7 @@ Mutant = namedtuple("Mutant", "name file fragment replacement tests")
 
 CHARTAB = "tests/test_chartab.py::TestCharacterTable::"
 KEY = "tests/test_chartab.py::TestStructureKey::"
+INERTIA = "tests/test_chartab.py::TestInertiaExtendibility::"
 CLIFF = "tests/test_cliff.py::"
 TORUS = "tests/test_torus.py::"
 LEVI = "tests/test_levi.py::"
@@ -48,6 +49,13 @@ ROOTSYS = "tests/test_rootsys.py::"
 ARITH = "tests/test_arith.py::TestIntegerRoutines::"
 CYCLO = "tests/test_cyclo.py::"
 
+
+def bypass(name, file, fragment, tests):
+    """The mutant that turns the ``if`` statement ``fragment`` into
+    ``if False:``, so that its branch never runs."""
+    return Mutant(name, file, fragment, "if False:", tests)
+
+
 MUTANTS = [
     # The exact character table: the split of the identity-class vector
     # relies on its four raises and on the combination of Krylov powers
@@ -55,22 +63,18 @@ MUTANTS = [
     # p/(x - λ), and the roots on every point of F_l; the lift on its two
     # raises and on the digit bound of its packed sums, and the
     # orthogonality recheck must run off the diagonal.
-    Mutant("subspace_check_dropped", "chartab.py",
+    bypass("subspace_check_dropped", "chartab.py",
            "if line[1:len(eigenvalues) + 1] != eigenvalues:",
-           "if False:",
            [CHARTAB + "test_noncommuting_class_matrices_leave_the_subspace"]),
-    Mutant("diagonalise_raise_dropped", "chartab.py",
+    bypass("diagonalise_raise_dropped", "chartab.py",
            "if len(roots) != len(poly) - 1:",
-           "if False:",
            [CHARTAB + "test_jordan_block_fails_to_diagonalise"]),
-    Mutant("separation_check_dropped", "chartab.py",
+    bypass("separation_check_dropped", "chartab.py",
            "if len(parts) != r:",
-           "if False:",
            [CHARTAB + "test_scalar_class_matrices_separate_nothing",
             CHARTAB + "test_corrupted_class_matrix_names_order_and_prime"]),
-    Mutant("identity_coordinate_check_dropped", "chartab.py",
+    bypass("identity_coordinate_check_dropped", "chartab.py",
            "if u[0] % l == 0:",
-           "if False:",
            [CHARTAB + "test_eigenvector_vanishing_on_the_identity_class"]),
     Mutant("krylov_combination_sign_flipped", "chartab.py",
            "combo[s] -= f * c",
@@ -90,18 +94,16 @@ MUTANTS = [
            "values, points = [0] * l, range(1, l)",
            [CHARTAB + "test_s3_frozen",
             CHARTAB + "test_s4_degrees"]),
-    Mutant("lift_bound_dropped", "chartab.py",
+    bypass("lift_bound_dropped", "chartab.py",
            "if max(poly) > max_degree:",
-           "if False:",
            [CHARTAB + "test_non_root_of_unity_fails_lift_bound"]),
     Mutant("lift_digit_bound_dropped", "chartab.py",
            "bits = (e * l * l).bit_length()",
            "bits = l.bit_length()",
            [CHARTAB + "test_s4_degrees",
             CLI + "TestChartab::test_tables_match_golden_digests[c4wrs3]"]),
-    Mutant("lifted_degree_dropped", "chartab.py",
+    bypass("lifted_degree_dropped", "chartab.py",
            "if known[0] != d:",
-           "if False:",
            [CHARTAB + "test_trivial_root_fails_lifted_degree"]),
     Mutant("orthogonality_diagonal_only", "chartab.py",
            "for c in conj_rows[t1:]]",
@@ -110,21 +112,17 @@ MUTANTS = [
             CHARTAB + "test_entry_times_root_of_unity_rejected[q8]"]),
     # The degree checks of character_table, each fed crafted eigenvector
     # lines that only it refuses.
-    Mutant("line_count_check_dropped", "chartab.py",
+    bypass("line_count_check_dropped", "chartab.py",
            "if len(omegas) != r:",
-           "if False:",
            [CHARTAB + "test_missing_eigenvector_line"]),
-    Mutant("degree_match_check_dropped", "chartab.py",
+    bypass("degree_match_check_dropped", "chartab.py",
            "if d is None:",
-           "if False:",
            [CHARTAB + "test_line_with_no_degree"]),
-    Mutant("degree_squares_check_dropped", "chartab.py",
+    bypass("degree_squares_check_dropped", "chartab.py",
            "if sum(d * d for d in degrees) != G.order:",
-           "if False:",
            [CHARTAB + "test_degree_squares_short_of_the_order"]),
-    Mutant("degree_divisibility_check_dropped", "chartab.py",
+    bypass("degree_divisibility_check_dropped", "chartab.py",
            "if any(G.order % d for d in degrees):",
-           "if False:",
            [CHARTAB + "test_degree_not_dividing_the_order"]),
     # The cheaper table steps: the packed orthogonality sums need their
     # digit bound, and the sparse class-matrix columns their counts.
@@ -144,17 +142,18 @@ MUTANTS = [
            "by = _conjugator(k.img)",
            ["tests/test_chartab.py::"
             "test_class_permutation_conjugates_by_k_not_its_inverse"]),
-    Mutant("class_permutation_rank_check_dropped", "chartab.py",
+    bypass("class_permutation_rank_check_dropped", "chartab.py",
            "if len(k.img) != len(N.identity.img):",
-           "if False:",
            ["tests/test_chartab.py::"
             "test_class_permutation_rejects_mixed_ranks[lower]",
             "tests/test_chartab.py::"
             "test_class_permutation_rejects_mixed_ranks[higher]"]),
     # Extendibility over an abelian normal subgroup: the derived
     # subgroup is V_theta's, not V's, and the normal closure of its
-    # generators' commutators, not the subgroup they generate; H must be
-    # abelian.
+    # generators' commutators, not the subgroup they generate; V_theta
+    # needs every Schreier generator, is V only for a one-point orbit,
+    # and reads an orbit point's image along the class permutation; H
+    # must be abelian.
     Mutant("derived_subgroup_of_v", "chartab.py",
            "gens = V_theta.generators",
            "gens = V.generators",
@@ -162,13 +161,22 @@ MUTANTS = [
     Mutant("commutators_without_normal_closure", "chartab.py",
            "pending += [c.conj(g) for g in gens]",
            "pending += []",
-           ["tests/test_chartab.py::TestInertiaExtendibility::"
-            "test_derived_subgroup_is_a_normal_closure"]),
-    Mutant("abelian_check_dropped", "chartab.py",
+           [INERTIA + "test_derived_subgroup_is_a_normal_closure"]),
+    Mutant("schreier_generator_dropped", "chartab.py",
+           "for s in schreier:",
+           "for s in schreier[1:]:",
+           [INERTIA + "test_inertia_group_by_schreier[schreier_generators]"]),
+    Mutant("inertia_shortcut_on_longer_orbits", "chartab.py",
+           "if len(orbit) > 1:",
+           "if len(orbit) > 2:",
+           [INERTIA + "test_inertia_group_by_schreier[two_point_orbit]"]),
+    Mutant("orbit_image_along_inverse", "chartab.py",
+           "tuple(map(p.__getitem__, perm))",
+           "tuple(p[perm.index(j)] for j in range(len(p)))",
+           [INERTIA + "test_inertia_group_by_schreier[inverse_action]"]),
+    bypass("abelian_check_dropped", "chartab.py",
            "if len(data.reps) != H.order:",
-           "if False:",
-           ["tests/test_chartab.py::TestInertiaExtendibility::"
-            "test_abelian_subgroup_required"]),
+           [INERTIA + "test_abelian_subgroup_required"]),
     # The structure key of the table cache (chartab._table_key) holds
     # each generator's action, and is refused unless the elements are
     # closed under the generators and the generators generate them; a
@@ -180,9 +188,8 @@ MUTANTS = [
             KEY + "test_cold_pass_runs_dixon_once_per_structure",
             "tests/test_chartab.py::TestKinvaSweepTables::"
             "test_tables_match_golden_digest"]),
-    Mutant("table_generation_check_dropped", "chartab.py",
+    bypass("table_generation_check_dropped", "chartab.py",
            "if len(reached) != G.order:",
-           "if False:",
            [KEY + "test_generators_must_generate_the_group"]),
     Mutant("table_closure_check_dropped", "chartab.py",
            "at[step(t)] for t in tables",
@@ -247,23 +254,19 @@ MUTANTS = [
     # The guards of the invariance check: the closure orders against the
     # formulas, the residue map's two input checks, K normalizing W and
     # ker, Frobenius reciprocity, and the exact inner product.
-    Mutant("check_orders_dropped", "cliff.py",
+    bypass("check_orders_dropped", "cliff.py",
            "if found != formulas:",
-           "if False:",
            [CLIFF + "TestKinvaGroups::test_wrong_k_order_formula_raises",
             CLIFF + "TestSignCharacterCheck::"
                     "test_order_three_generator_sent_to_minus_one"]),
-    Mutant("residue_conductor_check_dropped", "cliff.py",
+    bypass("residue_conductor_check_dropped", "cliff.py",
            "if E % value.d:",
-           "if False:",
            [CLIFF + "TestResidue::test_conductor_outside_the_exponent_raises"]),
-    Mutant("residue_integer_check_dropped", "cliff.py",
+    bypass("residue_integer_check_dropped", "cliff.py",
            "if type(c) is not int:",
-           "if False:",
            [CLIFF + "TestResidue::test_rational_coefficient_raises"]),
-    Mutant("k_normalize_check_dropped", "cliff.py",
+    bypass("k_normalize_check_dropped", "cliff.py",
            "if any(by(g.table()) not in G.at for g in G.generators):",
-           "if False:",
            [CLIFF + "TestKinvaGroups::"
                     "test_non_normalizing_k_generator_raises"]),
     Mutant("frobenius_check_dropped", "cliff.py",
@@ -274,9 +277,8 @@ MUTANTS = [
            "!= mults[xi_id]:",
            "!= mults[xi_id] and False:",
            [CLIFF + "TestSearchChecks::test_disagreeing_inner_product_raises"]),
-    Mutant("witness_invariance_check_dropped", "cliff.py",
+    bypass("witness_invariance_check_dropped", "cliff.py",
            "if not all([is_invariant(chi, p) for p in acting]):",
-           "if False:",
            [CLIFF + "TestSearchChecks::test_witness_not_invariant_raises"]),
     # The search reads invariance off each character's numbered row, and
     # the exact inner product promotes each value to the common
@@ -380,14 +382,35 @@ MUTANTS = [
             TORUS + "TestZPlus::test_square_trivial_when_d0_even",
             TORUS + "TestConjCenterAction::test_d0_even_form",
             ACCEPT + "test_07_twisted_torus_fixed_points"]),
-    # z_plus checks its Lang image, and the discrete-log search of
-    # central_stabilizer_jump refuses an element off theta's image.
-    Mutant("z_plus_lang_check_dropped", "torus.py",
+    # z_plus checks its Lang image, TwistedOrbit the power of psi,
+    # conj_center_action each closed form of the cycling action, and the
+    # discrete-log search of central_stabilizer_jump refuses an element
+    # off theta's image.
+    bypass("z_plus_lang_check_dropped", "torus.py",
            "if lang_map(out, orbit) != theta(orbit, minus):",
-           "if False:",
            [TORUS + "TestZPlus::test_wrong_lang_image_raises",
             CLI + "TestChecksUnderOptimize::"
                   "test_torus_suite_reports_failed_half_point_check"]),
+    bypass("psi_power_check_dropped", "torus.py",
+           "if self.psi ** self.N != sign:",
+           [TORUS + "TestTwistedOrbit::test_wrong_sign_of_psi_power_raises"]),
+    bypass("theta_exponent_check_dropped", "torus.py",
+           "if _conj_action(gen) != theta(orbit, orbit.psi ** q):",
+           [TORUS + "TestConjCenterAction::"
+                    "test_closed_form_raises[theta_exponent]"]),
+    bypass("z_plus_factor_check_dropped", "torus.py",
+           "if act_zp != zp * theta(orbit, orbit.psi ** (N // 2)):",
+           [TORUS + "TestConjCenterAction::"
+                    "test_closed_form_raises[z_plus_factor]"]),
+    bypass("z_plus_exponent_check_dropped", "torus.py",
+           "if act_zp != zp ** m:",
+           [TORUS + "TestConjCenterAction::"
+                    "test_closed_form_raises[z_plus_exponent]"]),
+    bypass("z_plus_order_check_dropped", "torus.py",
+           "if zp ** (2 * N) != orbit.identity() "
+           "or zp ** N == orbit.identity():",
+           [TORUS + "TestConjCenterAction::"
+                    "test_closed_form_raises[z_plus_order]"]),
     Mutant("log_in_kernel_guard_dropped", "torus.py",
            "                return k\n        raise VerificationError(",
            "                return k\n        return 0\n"
@@ -430,9 +453,8 @@ MUTANTS = [
     # check and two-sided conjugation, the centralizer's two products,
     # the root action's masks of where each signed point is sent (g(-p)
     # is -g(p)), and the relative Weyl check's comparison of cosets.
-    Mutant("normalizer_closure_check_dropped", "signedperm.py",
+    bypass("normalizer_closure_check_dropped", "signedperm.py",
            "if not all(map(inside, map(_composer(b), tables))):",
-           "if False:",
            [SIGNEDPERM + "TestImageTupleOracles::"
                          "test_non_closed_set_rejected"]),
     Mutant("normalizer_one_sided_conjugation", "signedperm.py",
@@ -448,9 +470,8 @@ MUTANTS = [
             ACCEPT + "test_02_block_wreath_normalizers"]),
     # The composition kernel: a one-item itemgetter returns the item,
     # not a tuple, and conjugation reads k⁻¹'s table, not k's.
-    Mutant("conj_rank_check_dropped", "signedperm.py",
+    bypass("conj_rank_check_dropped", "signedperm.py",
            "if len(self.img) != len(g.img):",
-           "if False:",
            [SIGNEDPERM + "TestKernel::test_mixed_ranks_rejected"]),
     Mutant("composer_rank_one_scalar", "signedperm.py",
            "return lambda t: (t[b],)",
@@ -506,9 +527,8 @@ MUTANTS = [
            [CYCLO + "test_eq1_is_the_double_perp_of_any_root_set[2]",
             CYCLO + "test_eq1_is_the_double_perp_of_any_root_set[3]",
             ACCEPT + "test_03_label_classification_equals_eigenspace_test"]),
-    Mutant("inv_norm_guard_dropped", "cyclo.py",
+    bypass("inv_norm_guard_dropped", "cyclo.py",
            "if not norm.is_rational():",
-           "if False:",
            [CYCLO + "TestCycNum::test_inverse_checks_the_galois_norm"]),
     # The Chevalley generator cache: a key that ignores t hands out the
     # first sign's matrix for both.
@@ -533,13 +553,11 @@ MUTANTS = [
     # once corrected by a diagonal, commutes with v; p_k lifts the swap of
     # two grid sets and squares to their diagonals; each c_k lifts w'_J;
     # and v' = c_1 ... c_a commutes with v.
-    Mutant("twist_lift_check_dropped", "extweyl.py",
+    bypass("twist_lift_check_dropped", "extweyl.py",
            "if rho(v) != sylow_twist_w(n, d):",
-           "if False:",
            [EXTWEYL + "TestTwistGuards::test_v_must_lift_the_sylow_twist"]),
-    Mutant("c_1_lift_check_dropped", "extweyl.py",
+    bypass("c_1_lift_check_dropped", "extweyl.py",
            "if rho(c1) != wprime(J1, n):",
-           "if False:",
            [EXTWEYL + "TestTwistGuards::test_c_1_must_lift_w_prime"]),
     Mutant("c_1_correction_check_dropped", "extweyl.py",
            'raise VerificationError("no diagonal correction makes c_1 "\n'
@@ -547,38 +565,31 @@ MUTANTS = [
            "pass",
            [EXTWEYL + "TestTwistGuards::"
                       "test_c_1_needs_a_diagonal_correction"]),
-    Mutant("p_swap_check_dropped", "extweyl.py",
+    bypass("p_swap_check_dropped", "extweyl.py",
            "if rho(pk) != tau(grids[k - 1], grids[k], n):",
-           "if False:",
            [EXTWEYL + "TestTwistGuards::test_p_1_must_lift_the_swap"]),
-    Mutant("p_square_check_dropped", "extweyl.py",
+    bypass("p_square_check_dropped", "extweyl.py",
            "if pk * pk != hs[k - 1] * hs[k]:",
-           "if False:",
            [EXTWEYL + "TestTwistGuards::"
                       "test_p_1_must_square_to_the_diagonals"]),
-    Mutant("c_k_lift_check_dropped", "extweyl.py",
+    bypass("c_k_lift_check_dropped", "extweyl.py",
            "if rho(ck) != wprime(grids[k - 1], n):",
-           "if False:",
            [EXTWEYL + "TestTwistGuards::test_c_2_must_lift_w_prime"]),
-    Mutant("v_prime_commute_check_dropped", "extweyl.py",
+    bypass("v_prime_commute_check_dropped", "extweyl.py",
            "if v_prime * v != v * v_prime:",
-           "if False:",
            [EXTWEYL + "TestTwistGuards::test_v_prime_must_commute_with_v"]),
     # The lift of each grid-set element by κ: h_i to a diagonal, c_i to a
     # lift of w'_Q, p_k to a lift of the swap of two Q sets.
-    Mutant("kappa_h_check_dropped", "extweyl.py",
+    bypass("kappa_h_check_dropped", "extweyl.py",
            "if rho(kh) != SignedPerm.identity(n):",
-           "if False:",
            [EXTWEYL + "TestBuildVdI::"
                       "test_kappa_of_a_cycle_in_place_of_h_is_not_diagonal"]),
-    Mutant("kappa_c_check_dropped", "extweyl.py",
+    bypass("kappa_c_check_dropped", "extweyl.py",
            "if rho(kc) != wprime_Q(orbs[i].Q, n):",
-           "if False:",
            [EXTWEYL + "TestBuildVdI::"
                       "test_kappa_of_a_diagonal_in_place_of_c_lifts_no_cycle"]),
-    Mutant("kappa_p_check_dropped", "extweyl.py",
+    bypass("kappa_p_check_dropped", "extweyl.py",
            "if rho(kp) != tau_Q(orbs[k].Q, orbs[k + 1].Q, n):",
-           "if False:",
            [EXTWEYL + "TestBuildVdI::"
                       "test_kappa_of_a_diagonal_in_place_of_p_lifts_no_swap"]),
     # The relative Weyl oracle: Stab(Φ_L) is the intersection over the
@@ -621,14 +632,12 @@ MUTANTS = [
                    "test_same_labels_same_order[4]"]),
     # The two checks of every group's orbit, each fed a twist that only
     # it refuses.
-    Mutant("orbit_shift_check_dropped", "levi.py",
+    bypass("orbit_shift_check_dropped", "levi.py",
            "if sorted(blocks) != [tuple(i + j * a for i in S) "
            "for j in range(d0)]:",
-           "if False:",
            [LEVI + "TestOrbitChecks::test_orbit_off_the_shifts_is_refused"]),
-    Mutant("orbit_sign_check_dropped", "levi.py",
+    bypass("orbit_sign_check_dropped", "levi.py",
            "if any(len({img[i - 1] > 0 for i in b}) > 1 for b in blocks):",
-           "if False:",
            [LEVI + "TestOrbitChecks::test_orbit_of_mixed_sign_is_refused"]),
     Mutant("labels_built_up_front", "levi.py",
            "return labels()",
@@ -705,10 +714,9 @@ MUTANTS = [
 # _table_error``, as "file:function:k" for the k-th guard of the function
 # (its qualified name) in source order.  Each maps to the mutant that
 # disables it, whose fragment lies in that function before the guard and
-# after the one before it; to "equivalent: " and the reason no mutant of
-# it can be told apart; or to UNCOVERED.  tests/test_mutants.py lists the
-# guards by AST and fails on a guard without an entry.
-UNCOVERED = "UNCOVERED"
+# after the one before it, or to "equivalent: " and the reason no mutant
+# of it can be told apart.  tests/test_mutants.py lists the guards by AST
+# and fails on a guard without an entry.
 GUARDS = {
     "chartab.py:_split_eigenvectors:1": "diagonalise_raise_dropped",
     "chartab.py:_split_eigenvectors:2": "separation_check_dropped",
@@ -743,12 +751,12 @@ GUARDS = {
     "extweyl.py:build_VdI:3": "kappa_p_check_dropped",
     "levi.py:enumerate_labels.orbit:1": "orbit_shift_check_dropped",
     "levi.py:enumerate_labels.orbit:2": "orbit_sign_check_dropped",
-    "torus.py:TwistedOrbit.__init__:1": UNCOVERED,
+    "torus.py:TwistedOrbit.__init__:1": "psi_power_check_dropped",
     "torus.py:z_plus:1": "z_plus_lang_check_dropped",
-    "torus.py:conj_center_action:1": UNCOVERED,
-    "torus.py:conj_center_action:2": UNCOVERED,
-    "torus.py:conj_center_action:3": UNCOVERED,
-    "torus.py:conj_center_action:4": UNCOVERED,
+    "torus.py:conj_center_action:1": "theta_exponent_check_dropped",
+    "torus.py:conj_center_action:2": "z_plus_factor_check_dropped",
+    "torus.py:conj_center_action:3": "z_plus_exponent_check_dropped",
+    "torus.py:conj_center_action:4": "z_plus_order_check_dropped",
     "torus.py:central_stabilizer_jump.log_in_kernel:1":
         "log_in_kernel_guard_dropped",
 }

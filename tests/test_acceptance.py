@@ -135,6 +135,24 @@ def test_05_extended_weyl_matrix_relations():
                 assert {rho(g) for g in Vd} == cent, (n, d)
 
 
+def _restarting_generators(elements):
+    """Generators of the group listed by ``elements``: each element
+    outside the group generated by those before it, that group reclosed
+    from the identity after every new generator."""
+    ident = elements[0] * elements[0].inv()
+    gens, known = [], {ident}
+    for x in elements:
+        if x not in known:
+            gens.append(x)
+            known, queue = {ident}, [ident]
+            for y in queue:
+                for z in [y * g for g in gens]:
+                    if z not in known:
+                        known.add(z)
+                        queue.append(z)
+    return tuple(gens)
+
+
 def extension_by_table(V, H, theta):
     """The oracle of ``chartab.extension_obstruction``, for a linear
     theta on an abelian normal subgroup H of V: the inertia group
@@ -150,7 +168,8 @@ def extension_by_table(V, H, theta):
 
     fixing = [v for v in V.elements
               if all(value(h.conj(v)) == value(h) for h in H.generators)]
-    V_theta = V if len(fixing) == V.order else FiniteGroup(fixing)
+    V_theta = (V if len(fixing) == V.order
+               else FiniteGroup(fixing, _restarting_generators(fixing)))
     return V_theta, next((chi for chi in character_table(V_theta).characters
                           if restrict(chi, H) == theta), None)
 
@@ -230,9 +249,9 @@ def _sp(text, n):
 
 
 def _c2_wreath(m):
-    G = FiniteGroup(signed_symmetric_group(m))
+    gens = [_sp("(1,-1)", m)] + [_sp(f"({i},{i + 1})", m) for i in range(1, m)]
     base = [_sp(f"({i},-{i})", m) for i in range(1, m + 1)]
-    return G, FiniteGroup.generate(base)
+    return FiniteGroup.generate(gens), FiniteGroup.generate(base)
 
 
 def _c3_wreath(m):

@@ -13,8 +13,6 @@ afresh for its own group.
 import hashlib
 import itertools
 import math
-import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -48,7 +46,6 @@ from dsplitlevi.signedperm import (
     SignedPerm,
     VerificationError,
     group_closure,
-    signed_symmetric_group,
 )
 from test_acceptance import (_c2_wreath, _c3_wreath, _c4_wreath,
                              extension_by_table)
@@ -95,9 +92,9 @@ class TestClosureCap:
 
     def test_explicit_groups_raise_the_same_class(self):
         G = s4()
-        assert FiniteGroup(G.elements, cap=24).order == 24
+        assert FiniteGroup(G.elements, G.generators, cap=24).order == 24
         with pytest.raises(ClosureExceedsCap):
-            FiniteGroup(G.elements, cap=23)
+            FiniteGroup(G.elements, G.generators, cap=23)
         assert len(character_table(G, cap=24).degrees) == 5
         with pytest.raises(ClosureExceedsCap):
             character_table(G, cap=23)
@@ -126,7 +123,7 @@ class TestFiniteGroup:
 
     def test_class_counts(self):
         assert len(s3().conjugacy_classes().reps) == 3
-        signed2 = FiniteGroup(signed_symmetric_group(2))
+        signed2 = PRESETS["c2wrs2"]()
         assert len(signed2.conjugacy_classes().reps) == 5
         c4 = grp(sp("(1,2,-1,-2)", 2))
         assert len(c4.conjugacy_classes().reps) == 4
@@ -139,56 +136,6 @@ class TestFiniteGroup:
         for rep, elems in zip(data.reps, data.classes):
             first = min(G.at[x.img] for x in elems)
             assert G.elements[first] == rep
-
-
-def _restarting_generators(elements):
-    """Greedy generator choice that recloses ⟨gens⟩ from the identity
-    after every new generator: the reference for _reduce_generators."""
-    ident = elements[0] * elements[0].inv()
-    gens, known = [], {ident}
-    for x in elements:
-        if x in known:
-            continue
-        gens.append(x)
-        known, queue = {ident}, [ident]
-        while queue:
-            y = queue.pop()
-            for g in gens:
-                if y * g not in known:
-                    known.add(y * g)
-                    queue.append(y * g)
-        if len(known) == len(elements):
-            break
-    return tuple(gens)
-
-
-class TestReduceGenerators:
-    def _lists(self):
-        rng = random.Random(5)
-        for elems in (list(signed_symmetric_group(3)), list(s4().elements),
-                      [m.signed_perm() for m in matrix_closure(
-                          [chevalley_generator("n", r, 1)
-                           for r in ((1, -1), (0, 2))])]):
-            yield elems
-            for _ in range(3):
-                rest = elems[1:]
-                rng.shuffle(rest)
-                yield elems[:1] + rest
-
-    def test_same_generators_as_restarting_closure(self):
-        for elems in self._lists():
-            assert FiniteGroup(elems).generators == \
-                _restarting_generators(elems)
-
-    def test_non_closed_list_rejected(self):
-        # Closed under inverses, not under products: {e, (1,2), (1,3)}.
-        elems = [SignedPerm.identity(3), sp("(1,2)", 3), sp("(1,3)", 3)]
-        with pytest.raises(ValueError, match="not closed under multiplication"):
-            FiniteGroup(elems)
-        # A subgroup plus an involution it does not normalise.
-        H = group_closure([sp("(1,2)", 4), sp("(3,4)", 4)])
-        with pytest.raises(ValueError, match="not closed under multiplication"):
-            FiniteGroup(H + [sp("(2,3)", 4)])
 
 
 class TestCharacterTable:
@@ -208,7 +155,7 @@ class TestCharacterTable:
         assert sorted(character_table(s4()).degrees) == [1, 1, 2, 3, 3]
 
     def test_dihedral_order8(self):
-        G = FiniteGroup(signed_symmetric_group(2))
+        G = PRESETS["c2wrs2"]()
         assert sorted(character_table(G).degrees) == [1, 1, 1, 1, 2]
 
     def test_quaternion_order8(self):
@@ -238,7 +185,7 @@ class TestCharacterTable:
         # against the little-group construction: an orbit of size o on
         # tuples of characters with Young stabilizer degrees D
         # contributes degrees {o * d : d in D}.
-        G = FiniteGroup(signed_symmetric_group(3))
+        G = PRESETS["c2wrs3"]()
         assert sorted(character_table(G).degrees) == [1, 1, 1, 1, 2, 2, 3, 3, 3, 3]
         H = grp(sp("(1,2,3)", 6), sp("(4,5,6)", 6),
                 sp("(1,4)(2,5)(3,6)", 6))
@@ -246,7 +193,7 @@ class TestCharacterTable:
         assert sorted(character_table(H).degrees) == [1] * 6 + [2] * 3
 
     def test_sum_of_squares_and_divisibility(self):
-        for G in (s3(), s4(), FiniteGroup(signed_symmetric_group(2))):
+        for G in (s3(), s4(), PRESETS["c2wrs2"]()):
             table = character_table(G)
             assert sum(d * d for d in table.degrees) == G.order
             assert all(G.order % d == 0 for d in table.degrees)
@@ -459,7 +406,7 @@ class TestCharacterTable:
 
     def test_degree_not_dividing_the_order(self, monkeypatch):
         # 25 + 9 + 2·4 + 6·1 = 48 = |C2 wr S3|, but 5 does not divide 48.
-        G = FiniteGroup(signed_symmetric_group(3))
+        G = PRESETS["c2wrs3"]()
         degrees = [5, 3, 2, 2, 1, 1, 1, 1, 1, 1]
         assert self._degree_checks_with(G, degrees, monkeypatch) == (
             "some degree does not divide the group order")
@@ -824,7 +771,7 @@ class TestInertiaExtendibility:
     def test_dihedral_center_obstruction(self):
         # The centre of D8 lies in its derived subgroup, so its faithful
         # character extends to no linear one.
-        G = FiniteGroup(signed_symmetric_group(2))
+        G = PRESETS["c2wrs2"]()
         minus_one = sp("(1,-1)(2,-2)", 2)
         center = grp(minus_one)
         for theta in character_table(center).characters:
@@ -872,6 +819,28 @@ class TestInertiaExtendibility:
             stab, obstruction = extension_obstruction(V, H, theta)
             assert stab is V and obstruction is None
             assert extension_by_table(V, H, theta)[1] is not None
+
+    # theta, -1 at (1,-1) alone, is fixed by the v with v(1) = ±1.  On D8
+    # V_theta is H, not V; in C2 wr S3 it needs the first Schreier
+    # generator, (1,-1); and (1,2,3) and (1,2) act on the orbit as S3,
+    # so images read along inverse permutations pair the wrong elements.
+    @pytest.mark.parametrize("gens", [
+        ["(1,-1)", "(1,2)"],
+        ["(1,-1)", "(1,2)", "(2,3)"],
+        ["(1,2,3)", "(1,2)", "(1,-1)"],
+    ], ids=["two_point_orbit", "schreier_generators", "inverse_action"])
+    def test_inertia_group_by_schreier(self, gens):
+        n = len(gens)
+        V = grp(*(sp(g, n) for g in gens))
+        flips = [sp(f"({i},-{i})", n) for i in range(1, n + 1)]
+        H = grp(*flips)
+        at = H.conjugacy_classes().class_at
+        theta, = [t for t in character_table(H).characters if
+                  [t.values[at[x.img]] for x in flips] == [-1] + [1] * (n - 1)]
+        stab, obstruction = extension_obstruction(V, H, theta)
+        assert list(stab.elements) == [v for v in V.elements
+                                       if abs(v.img[0]) == 1]
+        assert stab.order == V.order // n and obstruction is None
 
     def test_wreath_normal_abelian_base(self):
         G = grp(sp("(1,2,3)", 6), sp("(1,2)", 6), sp("(4,5,6)", 6),

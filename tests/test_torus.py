@@ -95,6 +95,13 @@ class TestTwistedOrbit:
             sign = orb.one if orb.d0 % 2 == 0 else -orb.one
             assert orb.psi ** orb.N == sign
 
+    def test_wrong_sign_of_psi_power_raises(self, monkeypatch):
+        # With -1 read as 1, psi^N = -1 at odd d0 no longer matches.
+        monkeypatch.setattr(FqElem, "__neg__", lambda self: self)
+        for q, d in ((3, 1), (3, 2), (5, 3)):
+            with pytest.raises(VerificationError, match="psi"):
+                TwistedOrbit(q, d)
+
     def test_units(self):
         orb = TwistedOrbit(3, 2)
         units = orb.units()
@@ -287,6 +294,21 @@ class TestConjCenterAction:
             assert res["d0_parity"] == "even"
             assert res["theta_exponent"] == q
             assert res["z_plus_picks_up"] == orb.N // 2
+
+    # Each closed-form check refuses a cycling action that does nothing
+    # or a z_plus that is 1: the first two at even d0, the last two at odd.
+    @pytest.mark.parametrize("name, patch, ds, match", [
+        ("_conj_action", lambda h: h, (4,), r"raise theta\(psi\) to the"),
+        ("z_plus", lambda orbit: orbit.identity(), (4,), "multiply z_plus"),
+        ("_conj_action", lambda h: h, (2, 3), "raise z_plus to the power"),
+        ("z_plus", lambda orbit: orbit.identity(), (2, 3), "have order"),
+    ], ids=["theta_exponent", "z_plus_factor", "z_plus_exponent",
+            "z_plus_order"])
+    def test_closed_form_raises(self, monkeypatch, name, patch, ds, match):
+        monkeypatch.setattr(torus, name, patch)
+        for q, d in itertools.product((3, 5), ds):
+            with pytest.raises(VerificationError, match=match):
+                conj_center_action(TwistedOrbit(q, d))
 
     def test_closed_forms_verified_on_grid(self):
         # conj_center_action internally asserts the concrete coordinate
