@@ -5,9 +5,13 @@ subgroup are abstracted to :class:`CharClassDescriptor` (cyclic
 stabilizer order inside C_{2d0}, order of the central character, and
 the derived "jump" to the index-two cover).  A :class:`CharLabel`
 attaches one descriptor to every block orbit of a
-:class:`~dsplitlevi.levi.LeviLabel`.
+:class:`~dsplitlevi.levi.LeviLabel`.  Every label comes from
+:func:`enumerate_char_labels`, whose construction fixes what a label
+holds, so a label is plain data and is never checked again.
 
-From a label the module produces concrete signed-permutation groups:
+From a label the module produces concrete signed-permutation groups
+(``stab_lambda``, ``nu_lambda`` and ``k_lambda`` read the Levi label's
+orbits; the invariance check and the gate read none):
 
 * ``stab_lambda`` — the inertia subgroup W_lambda inside the relative
   Weyl group, a direct product of C_c wr S_m factors;
@@ -48,9 +52,10 @@ def _sylow2(m):
 
 
 def _is_jump(stab_order, central_order, two_d0):
-    if two_d0 % stab_order:
-        raise ValueError(
-            f"stabilizer order {stab_order} does not divide {two_d0}")
+    """Whether a class of stabilizer order c = ``stab_order`` (a divisor
+    of 2d0) lies in the jump set R1: its stabilizer in the index-two
+    cover has order c/2 exactly when its central character has order
+    two and c contains the Sylow 2-subgroup of C_{2d0}."""
     return central_order == 2 and stab_order % _sylow2(two_d0) == 0
 
 
@@ -70,23 +75,10 @@ class CharClassDescriptor:
     __slots__ = ("id", "s", "stab_order", "central_order")
 
     def __init__(self, id, s, stab_order, central_order):
-        if s < 1 or stab_order < 1 or central_order < 1:
-            raise ValueError("descriptor parameters must be positive")
         self.id = id
         self.s = s
         self.stab_order = stab_order
         self.central_order = central_order
-
-    def stab_tilde_order(self, two_d0):
-        """Stabilizer order in the index-two cover: halves exactly when
-        the central character has order two and the stabilizer contains
-        the Sylow 2-subgroup of C_{2d0}."""
-        if _is_jump(self.stab_order, self.central_order, two_d0):
-            return self.stab_order // 2
-        return self.stab_order
-
-    def in_R1(self, two_d0):
-        return self.stab_tilde_order(two_d0) != self.stab_order
 
     def _key(self):
         return (self.id, self.s, self.stab_order, self.central_order)
@@ -104,38 +96,25 @@ class CharClassDescriptor:
 
 
 class CharLabel:
-    """A Levi label together with one descriptor per block orbit.
+    """A Levi label together with one descriptor per block orbit, as
+    built by :func:`enumerate_char_labels`, the one producer in the
+    package.
 
-    ``assignment`` maps each block size s to a tuple of descriptors,
-    one per orbit of that size in the Levi label's orbit order.  Orbits
-    may share a descriptor; the ``J`` index sets group them.
-    ``ltilde_full`` records whether the ambient index-two covering
-    subgroup is all of the cover (it rescales the sign character).
+    ``assignment`` maps each block size s, ascending, to a tuple of
+    descriptors, one per orbit of that size in the Levi label's orbit
+    order.  Orbits may share a descriptor; the ``J`` index sets group
+    them.  ``ltilde_full`` records whether the ambient index-two
+    covering subgroup is all of the cover (it rescales the sign
+    character).  All three are kept as given: the label checks nothing
+    and reads nothing of the Levi label.
     """
 
     __slots__ = ("levi", "assignment", "ltilde_full")
 
     def __init__(self, levi, assignment, ltilde_full=True):
-        if set(assignment) != set(levi.orbits):
-            raise ValueError("assignment must cover exactly the orbit sizes "
-                             f"{sorted(levi.orbits)}")
-        two_d0 = 2 * levi.d0
-        clean = {}
-        for s, orbs in levi.orbits.items():
-            descs = tuple(assignment[s])
-            if len(descs) != len(orbs):
-                raise ValueError(
-                    f"size {s} needs {len(orbs)} descriptors, got {len(descs)}")
-            for desc in descs:
-                if desc.s != s:
-                    raise ValueError(
-                        f"descriptor of GL-size {desc.s} attached to an "
-                        f"orbit of size {s}")
-                desc.stab_tilde_order(two_d0)  # validates divisibility
-            clean[s] = descs
         self.levi = levi
-        self.assignment = clean
-        self.ltilde_full = bool(ltilde_full)
+        self.assignment = assignment
+        self.ltilde_full = ltilde_full
 
     @property
     def two_d0(self):
@@ -169,19 +148,10 @@ class CharLabel:
         return f"CharLabel({self.key()!r})"
 
 
-class SubgroupPresentation:
-    """Concrete generators plus the abstract type and order they realize."""
-
-    __slots__ = ("generators", "abstract_type", "order")
-
-    def __init__(self, generators, abstract_type, order):
-        self.generators = tuple(generators)
-        self.abstract_type = abstract_type
-        self.order = order
-
-    def __repr__(self):
-        return (f"SubgroupPresentation({self.abstract_type!r}, "
-                f"order={self.order})")
+# Concrete generators, as a tuple, plus the abstract type and order they
+# realize.
+SubgroupPresentation = namedtuple(
+    "SubgroupPresentation", ["generators", "abstract_type", "order"])
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +175,9 @@ def _parts_from_label(label):
     for s, orbs in label.levi.orbits.items():
         for desc, J in label.j_sets(s):
             parts.append(_Part(s, desc.stab_order,
-                               label.ltilde_full and desc.in_R1(two_d0),
+                               label.ltilde_full and _is_jump(
+                                   desc.stab_order, desc.central_order,
+                                   two_d0),
                                tuple(orbs[i - 1].Q for i in J)))
     return parts
 
@@ -329,7 +301,7 @@ def stab_lambda(label):
     parts = _parts_from_label(label)
     n = label.levi.n
     gens, _, order, abstract = _build_W(parts, label.two_d0, n)
-    return SubgroupPresentation(gens, abstract, order)
+    return SubgroupPresentation(tuple(gens), abstract, order)
 
 
 def nu_lambda(label):
@@ -344,11 +316,13 @@ def nu_lambda(label):
     n = label.levi.n
     w_gens, values, w_order, w_abstract = _build_W(parts, label.two_d0, n)
     if all(v == 1 for v in values):
-        return values, SubgroupPresentation(w_gens, w_abstract, w_order)
+        return values, SubgroupPresentation(tuple(w_gens), w_abstract,
+                                            w_order)
     kgens = _sign_kernel(w_gens, values)
     _check_orders((len(group_closure(w_gens)), len(group_closure(kgens))),
                   (w_order, w_order // 2), label)
-    return values, SubgroupPresentation(kgens, f"ker(nu) < {w_abstract}",
+    return values, SubgroupPresentation(tuple(kgens),
+                                        f"ker(nu) < {w_abstract}",
                                         w_order // 2)
 
 
@@ -363,7 +337,7 @@ def k_lambda(label):
     n = label.levi.n
     w_gens, _, _, _ = _build_W(parts, label.two_d0, n)
     gens, order, abstract = _build_K(parts, label.two_d0, n, w_gens)
-    return SubgroupPresentation(gens, abstract, order)
+    return SubgroupPresentation(tuple(gens), abstract, order)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +347,7 @@ def k_lambda(label):
 def _canonical_structure(label):
     """The abstract class structure the invariance outcome depends on."""
     struct = []
-    for s in label.levi.orbits:
+    for s in label.assignment:
         cell = tuple(sorted((len(J), desc.stab_order, desc.central_order)
                             for desc, J in label.j_sets(s)))
         struct.append((s, cell))
@@ -700,10 +674,13 @@ def cuspidal_gate(label):
     the gate satisfy the hypotheses of the invariance criterion.
     """
     two_d0 = label.two_d0
+    r1 = set()
     for s, descs in label.assignment.items():
-        if s >= 2 and any(d.in_R1(two_d0) for d in descs):
-            return False
-    r1 = {d for d in label.assignment.get(1, ()) if d.in_R1(two_d0)}
+        for d in descs:
+            if _is_jump(d.stab_order, d.central_order, two_d0):
+                if s >= 2:
+                    return False
+                r1.add(d)
     return len(r1) <= 1
 
 
@@ -715,24 +692,29 @@ def _divisors(m):
     return tuple(c for c in range(1, m + 1) if m % c == 0)
 
 
-def enumerate_char_labels(levi, central_orders=(1, 2)):
-    """All character labels on ``levi`` at registry granularity.
+# The central orders a descriptor class receives.  Orders above two act
+# exactly like one in every predicate the package consumes, so these two
+# are exhaustive up to those semantics.
+CENTRAL_ORDERS = (1, 2)
 
-    For every block size the orbits are grouped by each set partition
-    (orbits in one part share a descriptor class), every class
+
+def enumerate_char_labels(levi):
+    """All character labels on ``levi`` at registry granularity, the one
+    producer of :class:`CharLabel`.
+
+    For every block size, ascending, the orbits are grouped by each set
+    partition (orbits in one part share a descriptor class), every class
     independently receives a cyclic stabilizer order dividing 2d0 and a
-    central order from ``central_orders``, and both ambient-cover flags
-    are emitted.  Central orders above two act exactly like one in
-    every predicate the package consumes, so the default sweep is
-    exhaustive up to those semantics.  Deterministic order.
+    central order from ``CENTRAL_ORDERS``, and both ambient-cover flags
+    are emitted.  So every label has one descriptor of GL-size s per
+    orbit of size s, as tuples by ascending s.  The labels read only t
+    and d0 of ``levi``, never its orbits.  Deterministic order.
     """
-    two_d0 = 2 * levi.d0
+    params = tuple(itertools.product(_divisors(2 * levi.d0), CENTRAL_ORDERS))
     per_size = []
     for s, t_s in levi.t.items():
         options = []
         for partition in set_partitions(t_s):
-            params = tuple(itertools.product(_divisors(two_d0),
-                                             central_orders))
             for combo in itertools.product(params, repeat=len(partition)):
                 descs = [None] * t_s
                 for k, (part, (c, z)) in enumerate(zip(partition, combo)):

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 from operator import itemgetter, neg
@@ -184,24 +183,6 @@ class SignedPerm:
 
     # -- cycle notation -----------------------------------------------------
 
-    def cycles(self):
-        """All cycles of the action on {±1..±n}, fixed points included."""
-        t = self.table()
-        seen, out = set(), []
-        for start in itertools.chain(range(1, self.n + 1),
-                                     range(-1, -self.n - 1, -1)):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            p = t[start]
-            while p != start:
-                cyc.append(p)
-                seen.add(p)
-                p = t[p]
-            out.append(tuple(cyc))
-        return out
-
     def to_cycles(self):
         """Canonical cycle string, e.g. ``"(1,2,-1,-2)(3,-3)"``.
 
@@ -305,41 +286,6 @@ def _trusted(img):
 # cycle statistics and centralizer shapes
 # ---------------------------------------------------------------------------
 
-CycleData = namedtuple("CycleData", ["bar", "sign", "self_paired", "paired"])
-
-
-def cycle_data(s):
-    """Bar projection, sign function and the self-paired/paired cycle split.
-
-    A cycle α of s on {±1..±n} either coincides with -α as a set
-    (self-paired; necessarily of even length) or pairs up with the
-    distinct cycle -α.  ``self_paired`` lists each self-paired cycle
-    once; ``paired`` lists one representative of each {α, -α} pair
-    (fixed points included as 1-cycles).  Both use the same canonical
-    rotation/representative choice as :meth:`SignedPerm.to_cycles`.
-    """
-    self_paired, paired, used = [], [], set()
-    for cyc in s.cycles():
-        if frozenset(cyc) in used:
-            continue
-        used.add(frozenset(cyc))
-        neg = tuple(-c for c in cyc)
-        if frozenset(neg) == frozenset(cyc):
-            bucket = self_paired
-            chosen = cyc
-        else:
-            used.add(frozenset(neg))
-            bucket = paired
-            pool = min(c for c in cyc + neg if c > 0)
-            chosen = cyc if pool in cyc else neg
-        start = chosen.index(min(c for c in chosen if c > 0))
-        bucket.append(chosen[start:] + chosen[:start])
-    self_paired.sort(key=lambda c: c[0])
-    paired.sort(key=lambda c: c[0])
-    sign = {i: s.sign(i) for i in range(1, s.n + 1)}
-    return CycleData(s.bar(), sign, self_paired, paired)
-
-
 def wreath_order(factors):
     """∏ c^m·m! over the pairs (c, m): the order of ∏ C_c wr S_m."""
     order = 1
@@ -375,15 +321,29 @@ class CentralizerType:
 
 
 def centralizer_type(s):
-    """The (m1, m2) statistics of ``s`` and its predicted centralizer order."""
-    data = cycle_data(s)
-    m1, m2 = {}, {}
-    for cyc in data.self_paired:
-        i = len(cyc) // 2
-        m1[i] = m1.get(i, 0) + 1
-    for cyc in data.paired:
-        i = len(cyc)
-        m2[i] = m2.get(i, 0) + 1
+    """The (m1, m2) statistics of ``s`` and its predicted centralizer order.
+
+    One walk from each positive point not yet met, as in
+    :meth:`SignedPerm.to_cycles`, covers a cycle α and its negative -α.
+    α is self-paired, α = -α, exactly when it meets -start; then its
+    length is 2i and it counts in m1[i].  Otherwise α and -α are a pair
+    of cycles of α's length i, fixed points included, counted in m2[i].
+    """
+    t = s.table()
+    met, m1, m2 = set(), {}, {}
+    for start in range(1, len(s.img) + 1):
+        if start in met:
+            continue
+        cyc = [start]
+        p = t[start]
+        while p != start:
+            cyc.append(p)
+            p = t[p]
+        met.update(map(abs, cyc))
+        if -start in cyc:
+            m1[len(cyc) // 2] = m1.get(len(cyc) // 2, 0) + 1
+        else:
+            m2[len(cyc)] = m2.get(len(cyc), 0) + 1
     return CentralizerType(m1, m2)
 
 

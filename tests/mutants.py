@@ -251,6 +251,13 @@ MUTANTS = [
            [CLIFF + "TestOnePassReads::"
                     "test_key_text_equals_the_whole_formatting[3]",
             CLI + "TestKinva::test_reports_match_golden_digests[2]"]),
+    # Every character label comes from the enumeration, which alone fixes
+    # that each stabilizer order divides 2d0.
+    Mutant("char_label_stabilizer_not_a_divisor", "cliff.py",
+           "_divisors(2 * levi.d0)",
+           "range(1, 2 * levi.d0 + 1)",
+           [CLIFF + "TestCharLabel::"
+                    "test_enumerated_labels_fit_their_levi_labels"]),
     # The guards of the invariance check: the closure orders against the
     # formulas, the residue map's two input checks, K normalizing W and
     # ker, Frobenius reciprocity, and the exact inner product.
@@ -468,6 +475,20 @@ MUTANTS = [
             CLI + "TestVerify::test_reports_match_golden_digests"
                   "[normalizers-n2-json]",
             ACCEPT + "test_02_block_wreath_normalizers"]),
+    # The centralizer statistics, read off one walk per cycle pair: a
+    # cycle is self-paired when it meets the negative of its start, not
+    # whenever its length is even.
+    Mutant("self_paired_by_parity", "signedperm.py",
+           "if -start in cyc:",
+           "if len(cyc) % 2 == 0:",
+           [SIGNEDPERM + "TestCentralizerType::test_paired_transposition",
+            SIGNEDPERM + "TestCentralizerType::"
+                         "test_agrees_with_cycle_data_on_every_element[2]",
+            SIGNEDPERM + "TestCentralizerType::"
+                         "test_brute_centralizer_matches_prediction_rank_le_3",
+            CLI + "TestVerify::test_reports_match_golden_digests"
+                  "[centralizers-n2-json]",
+            ACCEPT + "test_01_centralizer_order_formula"]),
     # The composition kernel: a one-item itemgetter returns the item,
     # not a tuple, and conjugation reads k⁻¹'s table, not k's.
     bypass("conj_rank_check_dropped", "signedperm.py",

@@ -1434,6 +1434,28 @@ class TestKinva:
         digest = hashlib.sha256(result.stdout_bytes).hexdigest()
         assert digest == self.GOLDEN_RANK_5_DENSE[args], args
 
+    def test_report_reads_no_orbits(self, monkeypatch):
+        # A candidate needs its descriptors and its Levi label's t, d0
+        # and text only: with every read of a label's orbits raising,
+        # the report is still the pinned one, and no Levi label it
+        # enumerated holds orbits.
+        def unread(label):
+            raise AssertionError("kinva read the orbits of a label")
+        labels, enumerate_labels = [], cli.enumerate_labels
+
+        def kept(n, d):
+            for lab in enumerate_labels(n, d):
+                labels.append(lab)
+                yield lab
+        monkeypatch.setattr(levi.LeviLabel, "orbits", property(unread))
+        monkeypatch.setattr(cli, "enumerate_labels", kept)
+        result = invoke("kinva", "--n", "5", "--d", "2")
+        assert result.exit_code == 0, result.exception
+        digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+        assert digest == self.GOLDEN_RANK_5_DENSE["--d 2"]
+        assert len(labels) == 203
+        assert all(lab._orbits is None for lab in labels)
+
     # sha256 of the stdout of two sampled runs, taken before the command
     # streamed its candidates: --random still draws from all of them.
     GOLDEN_RANDOM = {

@@ -61,6 +61,10 @@ def D(i, s, c, z=1):
     return CharClassDescriptor(f"zeta{i}", s, c, z)
 
 
+def L11():
+    return levi_label(1, 1, (), ((1,),))
+
+
 def L24():
     return levi_label(2, 4, (), ((1,), (2,)))
 
@@ -114,25 +118,23 @@ def descriptor_assignments(levi, shared):
 
 class TestDescriptor:
     def test_stab_tilde_jump_table(self):
+        # The stabilizer order in the index-two cover, halved for a jump
+        # class, is the order of ker(nu) on a label of one orbit.
         # two_d0 = 4: Sylow-2 subgroup has order 4.
-        assert D(1, 1, 4, 2).stab_tilde_order(4) == 2
-        assert D(1, 1, 4, 1).stab_tilde_order(4) == 4
-        assert D(1, 1, 2, 2).stab_tilde_order(4) == 2
-        assert D(1, 1, 1, 1).stab_tilde_order(4) == 1
+        for c, z, tilde in [(4, 2, 2), (4, 1, 4), (2, 2, 2), (1, 1, 1)]:
+            label = CharLabel(L24(), {1: (D(1, 1, c, z),)})
+            assert nu_lambda(label)[1].order == tilde, (c, z)
         # two_d0 = 2: Sylow-2 subgroup has order 2.
-        assert D(1, 1, 2, 2).stab_tilde_order(2) == 1
-        assert D(1, 1, 1, 2).stab_tilde_order(2) == 1
+        for c, z, tilde in [(2, 2, 1), (1, 2, 1)]:
+            label = CharLabel(L11(), {1: (D(1, 1, c, z),)})
+            assert nu_lambda(label)[1].order == tilde, (c, z)
 
     def test_r1_membership(self):
-        assert D(1, 1, 4, 2).in_R1(4)
-        assert not D(1, 1, 4, 1).in_R1(4)
-        assert not D(1, 1, 2, 2).in_R1(4)
-        assert D(1, 1, 2, 2).in_R1(2)
-        assert not D(1, 1, 1, 2).in_R1(2)
-
-    def test_divisibility_required(self):
-        with pytest.raises(ValueError):
-            D(1, 1, 3, 1).stab_tilde_order(4)
+        assert _is_jump(4, 2, 4)
+        assert not _is_jump(4, 1, 4)
+        assert not _is_jump(2, 2, 4)
+        assert _is_jump(2, 2, 2)
+        assert not _is_jump(1, 2, 2)
 
     def test_equality(self):
         assert D(1, 1, 4, 2) == D(1, 1, 4, 2)
@@ -155,15 +157,26 @@ class TestCharLabel:
         distinct = CharLabel(levi, {1: (d1, d2)})
         assert distinct.j_sets(1) == [(d1, (1,)), (d2, (2,))]
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CharLabel(L24(), {1: (D(1, 2, 4, 2),)})       # wrong GL-size
-        with pytest.raises(ValueError):
-            CharLabel(L24(), {1: (D(1, 1, 4, 2),) * 2})   # wrong count
-        with pytest.raises(ValueError):
-            CharLabel(L24(), {})                          # missing size
-        with pytest.raises(ValueError):
-            CharLabel(L24(), {1: (D(1, 1, 3, 1),)})       # 3 does not divide 4
+    def test_enumerated_labels_fit_their_levi_labels(self):
+        # What the constructor no longer checks holds by construction on
+        # every label of the sweep: its block sizes are those of its Levi
+        # label's orbits, ascending, with one descriptor of that GL-size
+        # per orbit, a stabilizer order dividing 2d0 and a central order
+        # from CENTRAL_ORDERS.
+        count = 0
+        for n in sorted(SWEEP):
+            for label in sweep(n):
+                orbits = label.levi.orbits
+                assert list(label.assignment) == list(orbits), label
+                for s, descs in label.assignment.items():
+                    assert type(descs) is tuple, label
+                    assert len(descs) == len(orbits[s]), label
+                    for desc in descs:
+                        assert desc.s == s, label
+                        assert label.two_d0 % desc.stab_order == 0, label
+                        assert desc.central_order in cliff.CENTRAL_ORDERS
+                count += 1
+        assert count == sum(SWEEP_COUNTS.values()) == 52370
 
 
 class TestStabLambda:
@@ -272,7 +285,8 @@ class TestNuLambda:
                             index = W.order // kernel.order
                             assert index in (1, 2)
                             expect2 = ltilde and any(
-                                desc.in_R1(label.two_d0) and J
+                                _is_jump(desc.stab_order, desc.central_order,
+                                         label.two_d0) and J
                                 for s in levi.orbits
                                 for desc, J in label.j_sets(s))
                             assert (index == 2) == expect2
@@ -499,12 +513,15 @@ SWEEP = {1: range(1, 9), 2: range(1, 9), 3: range(1, 9), 4: range(1, 9),
 SWEEP_COUNTS = {1: 32, 2: 156, 3: 1068, 4: 8968, 5: 42146}
 
 
-@cache
-def sweep(n, central_orders=(1, 2)):
-    """The character labels of rank n at the twist orders of SWEEP[n],
-    enumerated once for every test that reads them."""
+def char_labels(n):
+    """The character labels of rank n at the twist orders of SWEEP[n]."""
     return tuple(label for d in SWEEP[n] for levi in enumerate_labels(n, d)
-                 for label in enumerate_char_labels(levi, central_orders))
+                 for label in enumerate_char_labels(levi))
+
+
+# The labels of char_labels, enumerated once for every test that reads
+# them.
+sweep = cache(char_labels)
 
 
 class TestOnePassReads:
@@ -519,12 +536,13 @@ class TestOnePassReads:
             count += 1
         assert count == SWEEP_COUNTS[n]
 
-    def test_key_sorts_classes_by_central_order(self):
+    def test_key_sorts_classes_by_central_order(self, monkeypatch):
         # A central order of 3 sorts after 2 but is never a jump, so the
         # flags of a cell need not come sorted.
+        monkeypatch.setattr(cliff, "CENTRAL_ORDERS", (1, 2, 3))
         unsorted = 0
         for n in (1, 2):
-            for label in sweep(n, central_orders=(1, 2, 3)):
+            for label in char_labels(n):
                 key = _kinva_key(label)
                 assert key == two_stage_key(label), label
                 unsorted += any(list(cell) != sorted(cell)
@@ -1151,8 +1169,9 @@ class TestEnumerateCharLabels:
         second = [lab.key() for lab in enumerate_char_labels(L24())]
         assert first == second
 
-    def test_custom_central_orders(self):
-        labels = list(enumerate_char_labels(L24(), central_orders=(1,)))
+    def test_custom_central_orders(self, monkeypatch):
+        monkeypatch.setattr(cliff, "CENTRAL_ORDERS", (1,))
+        labels = list(enumerate_char_labels(L24()))
         assert len(labels) == 6
         assert all(d.central_order == 1
                    for lab in labels

@@ -18,6 +18,7 @@ from dsplitlevi import signedperm
 from dsplitlevi.cliff import _kinva_inputs, _kinva_key, enumerate_char_labels
 from dsplitlevi.levi import enumerate_labels, sylow_twist_w
 from dsplitlevi.signedperm import (
+    CentralizerType,
     ClosureExceedsCap,
     SignedPerm,
     block_wreath_generators,
@@ -26,7 +27,6 @@ from dsplitlevi.signedperm import (
     brute_normalizer,
     centralizer_type,
     closure,
-    cycle_data,
     grid_set,
     group_closure,
     iota,
@@ -98,6 +98,46 @@ class TestCompose:
 # cycle notation
 # ---------------------------------------------------------------------------
 
+def cycle_data(x):
+    """The cycles of x on {±1..±n}, fixed points included, split into the
+    self-paired ones (α = -α as sets) and one of each pair {α, -α} of
+    distinct cycles, the one through the smaller positive point.  Each
+    is rotated to start at its smallest positive point, and each list
+    is sorted by that start.  Every cycle is walked from every signed
+    point and paired by frozenset, independently of the one walk of
+    to_cycles and centralizer_type."""
+    t = x.table()
+    cycles, seen = [], set()
+    for start in [*range(1, x.n + 1), *range(-1, -x.n - 1, -1)]:
+        if start in seen:
+            continue
+        cyc = [start]
+        p = t[start]
+        while p != start:
+            cyc.append(p)
+            p = t[p]
+        seen.update(cyc)
+        cycles.append(tuple(cyc))
+    self_paired, paired, used = [], [], set()
+    for cyc in cycles:
+        if frozenset(cyc) in used:
+            continue
+        used.add(frozenset(cyc))
+        neg = tuple(-c for c in cyc)
+        if frozenset(neg) == frozenset(cyc):
+            bucket, chosen = self_paired, cyc
+        else:
+            used.add(frozenset(neg))
+            bucket = paired
+            least = min(c for c in cyc + neg if c > 0)
+            chosen = cyc if least in cyc else neg
+        start = chosen.index(min(c for c in chosen if c > 0))
+        bucket.append(chosen[start:] + chosen[:start])
+    self_paired.sort(key=lambda c: c[0])
+    paired.sort(key=lambda c: c[0])
+    return self_paired, paired
+
+
 class TestCycleNotation:
     def test_emits_canonical_form(self):
         assert sp("(1,2,-1,-2)(3,-3)", 3).to_cycles() == "(1,2,-1,-2)(3,-3)"
@@ -124,8 +164,8 @@ class TestCycleNotation:
         # cycle_data picks and rotates the written cycles on its own
         # (frozenset pairing, rotation, sort); to_cycles walks once.
         for x in signed_symmetric_group(n):
-            data = cycle_data(x)
-            written = sorted((c for c in data.self_paired + data.paired
+            self_paired, paired = cycle_data(x)
+            written = sorted((c for c in self_paired + paired
                               if len(c) > 1), key=lambda c: c[0])
             expected = "".join(
                 "(" + ",".join(map(str, c)) + ")" for c in written) or "()"
@@ -134,30 +174,11 @@ class TestCycleNotation:
 
 
 # ---------------------------------------------------------------------------
-# bar projection, signs, cycle classification
+# bar projection and signs
 # ---------------------------------------------------------------------------
 
 class TestCycleData:
-    def test_four_cycle(self):
-        bar, sign, self_paired, paired = cycle_data(sp("(1,2,-1,-2)", 2))
-        assert bar == sp("(1,2)", 2)
-        assert sign == {1: 1, 2: -1}
-        assert [len(c) for c in self_paired] == [4]
-        assert paired == []
-
-    def test_plain_transposition(self):
-        bar, sign, self_paired, paired = cycle_data(sp("(1,2)", 2))
-        assert bar == sp("(1,2)", 2)
-        assert sign == {1: 1, 2: 1}
-        assert self_paired == []
-        assert [len(c) for c in paired] == [2]
-
-    def test_identity(self):
-        bar, sign, self_paired, paired = cycle_data(SignedPerm.identity(3))
-        assert bar == SignedPerm.identity(3)
-        assert sign == {1: 1, 2: 1, 3: 1}
-        assert self_paired == []
-        assert sorted(paired) == [(1,), (2,), (3,)]
+    """The bar projection and the signs of an element."""
 
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(signed_perms(n), signed_perms(n))))
     def test_bar_is_a_homomorphism(self, pair):
@@ -267,6 +288,19 @@ class TestCentralizerType:
             G = signed_symmetric_group(n)
             for x in G:
                 assert len(brute_centralizer(x, G)) == centralizer_type(x).order, x
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_agrees_with_cycle_data_on_every_element(self, n):
+        # m1 counts the self-paired cycles by half length, m2 the pairs
+        # by length, as cycle_data splits them.
+        for x in signed_symmetric_group(n):
+            self_paired, paired = cycle_data(x)
+            m1, m2 = {}, {}
+            for cyc in self_paired:
+                m1[len(cyc) // 2] = m1.get(len(cyc) // 2, 0) + 1
+            for cyc in paired:
+                m2[len(cyc)] = m2.get(len(cyc), 0) + 1
+            assert centralizer_type(x) == CentralizerType(m1, m2), x.img
 
     def test_point_count_invariant(self):
         for x in signed_symmetric_group(3):
