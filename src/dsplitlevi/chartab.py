@@ -29,12 +29,14 @@ Dixon's modular method, in three steps.
   for divisibility by Φ_e at the packing base
   (:func:`_verify_orthogonality`).
 
-Every step reads the group only through its multiplication table in
-element order, so tables are cached by a key that fixes that table:
-the identity's position and each generator's right action on element
-positions, checked to generate the group (:func:`_table_key`).
-Isomorphic groups whose element lists line up, as the W_λ and ker(ν)
-of different labels often do, share one Dixon run.
+Every group is built by :meth:`FiniteGroup.generate`, so it is closed
+under its generators and lists the identity first by construction, and
+nothing here checks either again.  Every step reads the group only
+through its multiplication table in element order, so tables are cached
+by a key that fixes that table: each generator's right action on element
+positions (:func:`_table_key`).  Isomorphic groups whose element lists
+line up, as the W_λ and ker(ν) of different labels often do, share one
+Dixon run.
 
 Restriction and inner products of class functions are exact.
 :func:`class_permutation` is the package's one conjugation action on
@@ -51,8 +53,8 @@ from fractions import Fraction
 
 from .arith import factorint, isprime
 from .cyclo import CycNum, _cyclotomic
-from .signedperm import (ClosureExceedsCap, VerificationError, _composer,
-                         _conjugator, closure)
+from .signedperm import (ClosureExceedsCap, SignedPerm, VerificationError,
+                         _composer, _conjugator, closure)
 
 DEFAULT_GROUP_CAP = 10000
 
@@ -75,57 +77,42 @@ class ClassData:
 
 
 class FiniteGroup:
-    """A finite group: the closure of its generators, in a deterministic
-    order; ``at`` finds an element's position by its image tuple.  The
-    class search refuses a list that conjugation by the generators
-    leaves, and :func:`character_table`'s cache key one that the
-    generators leave or do not generate: closure is verified there.
-    Each conjugacy class is an orbit under conjugation by the
-    generators, on signed tables; its representative is its earliest
-    member in element order, and the identity's class comes first.
+    """A finite group: the closure of its generators, identity first, in
+    breadth-first order; ``at`` finds an element's position by its image
+    tuple.  Every group comes from :meth:`generate`, so it is closed
+    under its generators, each element is a word in them, and the
+    constructor only stores what :meth:`generate` built.  Each conjugacy
+    class is an orbit under conjugation by the generators, on signed
+    tables; its representative is its earliest member in element order,
+    so the identity's class comes first.
     """
 
     __slots__ = ("elements", "at", "identity", "generators",
                  "order", "_classes", "_powers", "_table")
 
-    def __init__(self, elements, generators, cap=DEFAULT_GROUP_CAP):
-        elements = list(elements)
-        if not elements:
-            raise ValueError("a group needs at least one element")
-        if len(elements) > cap:
-            raise ClosureExceedsCap(
-                f"group of order {len(elements)} exceeds cap {cap}")
-        at = {}
-        for pos, x in enumerate(elements):
-            if x.img in at:
-                raise ValueError("duplicate element in group list")
-            at[x.img] = pos
-        ident = elements[0] * elements[0].inv()
-        if ident.img not in at:
-            raise ValueError("identity element missing from group list")
-        for x in elements:
-            if x.inv().img not in at:
-                raise ValueError("element list is not closed under inverse")
+    def __init__(self, elements, generators):
         self.elements = tuple(elements)
-        self.at = at
-        self.identity = ident
-        self.order = len(elements)
-        self.generators = (tuple(g for g in generators if g != ident)
-                           or (ident,))
+        self.at = {x.img: pos for pos, x in enumerate(self.elements)}
+        self.identity = self.elements[0]
+        self.order = len(self.elements)
+        self.generators = generators
         self._classes = None
         self._powers = None
         self._table = None
 
     @classmethod
     def generate(cls, gens, cap=DEFAULT_GROUP_CAP):
-        """The subgroup generated by the signed permutations ``gens``,
-        enumerated by breadth-first search starting at the identity (a
-        deterministic order)."""
+        """The subgroup generated by the signed permutations ``gens``:
+        their closure by breadth-first search from the identity (a
+        deterministic order, the identity first), with the identity
+        dropped from the generators unless it is the only one.  Raises
+        ClosureExceedsCap past ``cap`` elements."""
         gens = list(gens)
         if not gens:
             raise ValueError("need at least one generator")
-        identity = gens[0] * gens[0].inv()
-        return cls(closure(gens, identity, cap), generators=gens, cap=cap)
+        identity = SignedPerm.identity(gens[0].n)
+        return cls(closure(gens, identity, cap),
+                   tuple(g for g in gens if g != identity) or (identity,))
 
     def power_classes(self):
         """For each class representative g, of order o, the classes of
@@ -161,21 +148,15 @@ class FiniteGroup:
                 continue
             seen[start] = True
             orbit = [start]
-            try:
-                for i in orbit:
-                    t = elements[i].table()
-                    for conj in conjugators:
-                        j = at[conj(t)]
-                        if not seen[j]:
-                            seen[j] = True
-                            orbit.append(j)
-            except KeyError:
-                raise ValueError("element list is not closed under "
-                                 "conjugation by its generators") from None
+            for i in orbit:
+                t = elements[i].table()
+                for conj in conjugators:
+                    j = at[conj(t)]
+                    if not seen[j]:
+                        seen[j] = True
+                        orbit.append(j)
             classes.append([elements[i] for i in orbit])
-        # The identity's class goes first; all others keep discovery order.
-        j0 = next(j for j, orb in enumerate(classes) if orb[0] == self.identity)
-        self._set_classes([classes[j0]] + classes[:j0] + classes[j0 + 1:])
+        self._set_classes(classes)
         return self._classes
 
     def _set_classes(self, classes):
@@ -451,38 +432,19 @@ _TABLE_CACHE = {}
 
 
 def _table_key(G):
-    """The position of G's identity and, for each generator g, its right
-    action on element positions: the tuple of the positions of x * g
-    over the elements x, each x's signed table read by g's composer.
+    """For each generator g of G, its right action on element positions:
+    the tuple of the positions of x * g over the elements x, each x's
+    signed table read by g's composer.
 
-    The identity's orbit under these actions must cover every position,
-    or the generators do not generate G and VerificationError is raised.
-    Then each element is a word in the generators, read off a path from
-    the identity's position, and the key gives the position of every
-    product x * y by applying y's word to x's position: it fixes the
-    multiplication table in element order."""
+    The identity is at position 0 and each element is a word in the
+    generators (:meth:`FiniteGroup.generate`), read off a path from 0,
+    so the key gives the position of every product x * y by applying
+    y's word to x's position: it fixes the multiplication table in
+    element order."""
     at = G.at
     tables = [x.table() for x in G.elements]
-    try:
-        actions = tuple(tuple([at[step(t)] for t in tables])
-                        for step in (_composer(g.img) for g in G.generators))
-    except KeyError:
-        raise VerificationError(
-            f"the element list is not closed under its generators "
-            f"(group order {G.order})") from None
-    start = at[G.identity.img]
-    reached, queue = {start}, [start]
-    for i in queue:
-        for action in actions:
-            j = action[i]
-            if j not in reached:
-                reached.add(j)
-                queue.append(j)
-    if len(reached) != G.order:
-        raise VerificationError(
-            f"the generators do not generate the group (they reach "
-            f"{len(reached)} of its {G.order} elements)")
-    return start, actions
+    return tuple(tuple([at[step(t)] for t in tables])
+                 for step in (_composer(g.img) for g in G.generators))
 
 
 def character_table(G, cap=DEFAULT_GROUP_CAP):
@@ -735,21 +697,22 @@ def is_invariant(cf, perm):
 def extension_obstruction(V, H, theta):
     """For an abelian normal subgroup H of V and a linear character
     theta of H: the inertia group V_theta = {v : theta^v = theta}, in
-    V's element order (V itself when every v fixes theta), and None when
-    theta extends to V_theta, or else an element of H ∩ V_theta′ at
-    which theta is not 1.
+    the closure order of its generators (V itself when every v fixes
+    theta), and None when theta extends to V_theta, or else an element
+    of H ∩ V_theta′ at which theta is not 1.
 
     theta^g is read off g's :func:`class_permutation` for V's generators
     g only.  V_theta is generated by the Schreier generators u·g·w⁻¹ of
     theta's orbit under them, where u and w take theta to a point and to
     its image under g (Holt, Eick and O'Brien, *Handbook of
     Computational Group Theory*, 2005, §4.1), each kept unless it lies
-    in the group of those kept before it.  A linear theta extends to
-    V_theta exactly when it is trivial on H ∩ V_theta′: an extension is
-    linear and so trivial on V_theta′; conversely theta is then a
-    character of the subgroup H/(H ∩ V_theta′) of the abelian group
-    V_theta/V_theta′, and it extends from there (Isaacs, *Character
-    Theory of Finite Groups*, 1976, ch. 5-6).  V_theta′ is the normal
+    in the group of those kept before it; V_theta is the group of all
+    kept.  A linear theta extends to V_theta exactly when it is trivial
+    on H ∩ V_theta′: an extension is linear and so trivial on V_theta′;
+    conversely theta is then a character of the subgroup
+    H/(H ∩ V_theta′) of the abelian group V_theta/V_theta′, and it
+    extends from there (Isaacs, *Character Theory of Finite Groups*,
+    1976, ch. 5-6).  V_theta′ is the normal
     closure in V_theta of the commutators of its generators: each
     commutator kept as a generator of it has its conjugates by
     V_theta's generators checked to lie in it.  V's and H's generators
@@ -783,22 +746,21 @@ def extension_obstruction(V, H, theta):
                 orbit.append(q)
     V_theta = V
     if len(orbit) > 1:
-        kept, inside = [], {V.identity}
+        kept, inside = [], {V.identity.img}
         for s in schreier:
-            if s not in inside:
+            if s.img not in inside:
                 kept.append(s)
-                inside = set(closure(kept, V.identity, V.order))
-        V_theta = FiniteGroup(sorted(inside, key=lambda x: V.at[x.img]),
-                              kept, cap=V.order)
+                V_theta = FiniteGroup.generate(kept, cap=V.order)
+                inside = V_theta.at
     gens = V_theta.generators
     pending = [a.inv() * b.inv() * a * b
                for i, a in enumerate(gens) for b in gens[:i]]
-    kept, derived = [], {V.identity}
+    kept, derived = [], {V.identity.img}
     while pending:
         c = pending.pop()
-        if c not in derived:
+        if c.img not in derived:
             kept.append(c)
-            derived = set(closure(kept, V.identity, V.order))
+            derived = FiniteGroup.generate(kept, cap=V.order).at
             pending += [c.conj(g) for g in gens]
     return V_theta, next((h for h, value in zip(data.reps, theta.values)
-                          if value != 1 and h in derived), None)
+                          if value != 1 and h.img in derived), None)

@@ -11,9 +11,11 @@ For each mutant the runner copies ``src/`` to a temporary directory,
 applies the replacement there, and runs the mutant's tests in a
 subprocess with PYTHONPATH at the copy, without hypothesis's pytest
 plugin, which most test files do not need (those that use hypothesis
-import it themselves).  It prints one line per mutant,
-then the mutants that survive (a named test passed on them), and exits
-1 if any survives.  ``tests/test_mutants.py`` checks in tier-1 that
+import it themselves).  It prints one line per mutant, with the time
+its tests took, then the mutants that survive (a named test passed on
+them), and exits 1 if any survives.  Tests still running after
+``TIMEOUT`` seconds are stopped and the mutant counts as killed: it made
+a loop endless.  ``tests/test_mutants.py`` checks in tier-1 that
 every fragment still occurs exactly once in ``src/``; the runs
 themselves are too slow for tier-1.
 
@@ -34,6 +36,11 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "dsplitlevi"
 
 Mutant = namedtuple("Mutant", "name file fragment replacement tests")
+
+# Seconds a mutant's tests may run.  The slowest that ends takes about
+# 37 s on a 2-vCPU VM (inner_without_promotion: hypothesis shrinks its
+# failure).
+TIMEOUT = 120
 
 CHARTAB = "tests/test_chartab.py::TestCharacterTable::"
 KEY = "tests/test_chartab.py::TestStructureKey::"
@@ -178,23 +185,27 @@ MUTANTS = [
            "if len(data.reps) != H.order:",
            [INERTIA + "test_abelian_subgroup_required"]),
     # The structure key of the table cache (chartab._table_key) holds
-    # each generator's action, and is refused unless the elements are
-    # closed under the generators and the generators generate them; a
-    # hit takes its classes from the cached element positions.
+    # each generator's action, which fixes the multiplication table only
+    # with the identity first in the closure; a hit takes its classes
+    # from the cached element positions.
     Mutant("table_key_ignores_action", "chartab.py",
-           "return start, actions",
-           "return start, G.order",
+           "    return tuple(tuple([at[step(t)] for t in tables])\n"
+           "                 for step in (_composer(g.img) for g in "
+           "G.generators))\n",
+           "    return G.order\n",
            [KEY + "test_shared_tables_equal_fresh_ones",
             KEY + "test_cold_pass_runs_dixon_once_per_structure",
             "tests/test_chartab.py::TestKinvaSweepTables::"
             "test_tables_match_golden_digest"]),
-    bypass("table_generation_check_dropped", "chartab.py",
-           "if len(reached) != G.order:",
-           [KEY + "test_generators_must_generate_the_group"]),
-    Mutant("table_closure_check_dropped", "chartab.py",
-           "at[step(t)] for t in tables",
-           "at.get(step(t), 0) for t in tables",
-           [KEY + "test_elements_must_be_closed_under_the_generators"]),
+    # With the identity last, elements[0] is taken for the identity, and
+    # the power walk from the true identity, which stops there, never
+    # ends: the digest test runs into TIMEOUT.
+    Mutant("identity_last_in_closure", "chartab.py",
+           "cls(closure(gens, identity, cap),",
+           "cls(closure(gens, identity, cap)[1:] + [identity],",
+           ["tests/test_chartab.py::TestFiniteGroup::"
+            "test_generate_identity_first",
+            CLI + "TestChartab::test_tables_match_golden_digests[s3]"]),
     Mutant("table_classes_misplaced", "chartab.py",
            "for orb in places])",
            "for orb in places[::-1]])",
@@ -743,8 +754,6 @@ GUARDS = {
     "chartab.py:_split_eigenvectors:2": "separation_check_dropped",
     "chartab.py:_split_eigenvectors:3": "identity_coordinate_check_dropped",
     "chartab.py:_split_eigenvectors:4": "subspace_check_dropped",
-    "chartab.py:_table_key:1": "table_closure_check_dropped",
-    "chartab.py:_table_key:2": "table_generation_check_dropped",
     "chartab.py:character_table:1": "line_count_check_dropped",
     "chartab.py:character_table:2": "degree_match_check_dropped",
     "chartab.py:character_table:3": "degree_squares_check_dropped",
@@ -795,17 +804,23 @@ def apply(mutant, package):
 
 
 def run(mutant):
-    """The named tests that pass on the mutant (empty: it is killed)."""
+    """The named tests that pass on the mutant (empty: it is killed), or
+    None when they run past ``TIMEOUT``."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src)
         apply(mutant, src / "dsplitlevi")
         env = dict(os.environ, PYTHONPATH=str(src),
                    PYTHONDONTWRITEBYTECODE="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             "-p", "no:hypothesispytest", "--tb=no", "-rA", *mutant.tests],
-            cwd=ROOT, env=env, capture_output=True, text=True)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-p",
+                 "no:cacheprovider", "-p", "no:hypothesispytest", "--tb=no",
+                 "-rA", *mutant.tests],
+                cwd=ROOT, env=env, capture_output=True, text=True,
+                timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return None
     outcome = {}
     for line in proc.stdout.splitlines():
         word, _, rest = line.partition(" ")
@@ -826,10 +841,13 @@ def main(names):
     start = time.perf_counter()
     survivors = []
     for mutant in chosen:
+        began = time.perf_counter()
         passed = run(mutant)
         print(f"{mutant.name}: " + (f"SURVIVED ({len(passed)} of "
                                     f"{len(mutant.tests)} tests pass)"
-                                    if passed else "killed"), flush=True)
+                                    if passed else "killed")
+              + (" (timed out)" if passed is None else "")
+              + f", {time.perf_counter() - began:.1f} s", flush=True)
         if passed:
             survivors.append((mutant.name, passed))
     print(f"{len(chosen)} mutants, {len(survivors)} survived, "

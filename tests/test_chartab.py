@@ -92,9 +92,6 @@ class TestClosureCap:
 
     def test_explicit_groups_raise_the_same_class(self):
         G = s4()
-        assert FiniteGroup(G.elements, G.generators, cap=24).order == 24
-        with pytest.raises(ClosureExceedsCap):
-            FiniteGroup(G.elements, G.generators, cap=23)
         assert len(character_table(G, cap=24).degrees) == 5
         with pytest.raises(ClosureExceedsCap):
             character_table(G, cap=23)
@@ -109,13 +106,6 @@ class TestFiniteGroup:
     def test_cap(self):
         with pytest.raises(ClosureExceedsCap):
             FiniteGroup.generate([sp("(1,2)", 4), sp("(1,2,3,4)", 4)], cap=10)
-
-    def test_class_search_refuses_a_list_open_under_its_generators(self):
-        # (1,2,3) conjugates (1,2) to a transposition the list lacks.
-        G = FiniteGroup([SignedPerm.identity(3), sp("(1,2)", 3)],
-                        generators=[sp("(1,2,3)", 3)])
-        with pytest.raises(ValueError, match="not closed under conjugation"):
-            G.conjugacy_classes()
 
     def test_exponent(self):
         assert s3().exponent() == 6
@@ -498,13 +488,13 @@ class TestKinvaSweepTables:
 
 
 def relabelled(G):
-    """G on other elements: each signed permutation gains a fixed point,
-    so the multiplication table in element order, and the structure
-    key, stay the same."""
+    """G on other elements: each generator gains a fixed point, so the
+    closure keeps its breadth-first positions, and the multiplication
+    table in element order and the structure key stay the same."""
     def up(x):
         return SignedPerm(x.img + (x.n + 1,))
 
-    return FiniteGroup(map(up, G.elements), generators=map(up, G.generators))
+    return FiniteGroup.generate(map(up, G.generators))
 
 
 class TestStructureKey:
@@ -522,26 +512,10 @@ class TestStructureKey:
         for G, table in zip(groups, served):
             assert table.group is G and character_table(G) is table
             monkeypatch.setattr(chartab, "_TABLE_CACHE", {})
-            fresh = character_table(FiniteGroup(G.elements,
-                                                generators=G.generators))
+            fresh = character_table(FiniteGroup.generate(G.generators))
             assert table_data(table) == table_data(fresh)
             assert (G.conjugacy_classes().classes
                     == fresh.group.conjugacy_classes().classes)
-
-    def test_generators_must_generate_the_group(self):
-        G = FiniteGroup(s3().elements, generators=[sp("(1,2)", 3)])
-        with pytest.raises(VerificationError) as err:
-            character_table(G)
-        assert str(err.value) == ("the generators do not generate the "
-                                  "group (they reach 2 of its 6 elements)")
-
-    def test_elements_must_be_closed_under_the_generators(self):
-        G = FiniteGroup([SignedPerm.identity(3), sp("(1,2)", 3)],
-                        generators=[sp("(1,2,3)", 3)])
-        with pytest.raises(VerificationError) as err:
-            character_table(G)
-        assert str(err.value) == ("the element list is not closed under "
-                                  "its generators (group order 2)")
 
     def test_cold_pass_runs_dixon_once_per_structure(self, monkeypatch):
         labels = [c for n in (1, 2, 3) for d in range(1, 9)
@@ -838,8 +812,8 @@ class TestInertiaExtendibility:
         theta, = [t for t in character_table(H).characters if
                   [t.values[at[x.img]] for x in flips] == [-1] + [1] * (n - 1)]
         stab, obstruction = extension_obstruction(V, H, theta)
-        assert list(stab.elements) == [v for v in V.elements
-                                       if abs(v.img[0]) == 1]
+        assert set(stab.elements) == {v for v in V.elements
+                                      if abs(v.img[0]) == 1}
         assert stab.order == V.order // n and obstruction is None
 
     def test_wreath_normal_abelian_base(self):
@@ -921,12 +895,12 @@ def test_inertia_group_matches_elementwise_stabiliser():
         for theta in character_table(N).characters:
             stab, obstruction = extension_obstruction(H, N, theta)
             want = elementwise_stabiliser(H, N, theta)
-            assert list(stab.elements) == want
+            assert set(stab.elements) == set(want)
             assert (stab is H) == (len(want) == H.order)
             # The table search finds the same inertia group, and an
             # extension exactly when the criterion finds no obstruction.
             oracle_stab, witness = extension_by_table(H, N, theta)
-            assert oracle_stab.elements == stab.elements
+            assert set(oracle_stab.elements) == set(stab.elements)
             assert (obstruction is None) == (witness is not None)
             checked += 1
             proper += len(want) < H.order

@@ -1,4 +1,5 @@
-"""Every top-level definition of src/ is reached from a command.
+"""Every top-level definition of src/ is reached from a command, and
+each label and group type has one producer.
 
 A name-based walk over the AST: it starts from every top-level
 definition of ``cli`` and follows each name or attribute that a reached
@@ -7,6 +8,9 @@ module.  A definition that the walk never reaches is dead code unless
 ``UNREACHED`` names it with the reason it stays.  An entry of
 ``UNREACHED`` that the walk reaches, or that names no definition, is
 stale and fails too.
+
+``PRODUCERS`` names the one top-level function of src/ that may call
+each type by name; a call anywhere else fails.
 """
 
 import ast
@@ -25,6 +29,14 @@ UNREACHED = {
     "build_VdI": "waits for the extension suite (ROADMAP Direction 21)",
     "extension_obstruction": "waits for the extension suite (ROADMAP "
                              "Direction 21)",
+}
+
+# Each type's one producer, or None: FiniteGroup.generate builds its
+# groups as cls(...), so src/ calls FiniteGroup(...) nowhere.
+PRODUCERS = {
+    "LeviLabel": "enumerate_labels",
+    "CharLabel": "enumerate_char_labels",
+    "FiniteGroup": None,
 }
 
 
@@ -86,3 +98,26 @@ def test_walk_follows_names_across_modules():
     # closure on image tuples.
     assert {"_kinva_key", "_build_K", "_closure_images",
             "centralizer_type"} <= reached(definitions())
+
+
+def constructor_calls():
+    """(type, file, enclosing top-level definition) for every call of a
+    type of ``PRODUCERS`` by name or attribute in src/."""
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute) else None)
+                if name in PRODUCERS:
+                    calls.append((name, path.name, getattr(top, "name", None)))
+    return calls
+
+
+def test_each_type_has_one_producer():
+    calls = constructor_calls()
+    assert [call for call in calls if PRODUCERS[call[0]] != call[2]] == []
+    assert {name for name, _, _ in calls} == {"LeviLabel", "CharLabel"}
